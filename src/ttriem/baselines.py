@@ -4,7 +4,8 @@ Riemannian gradient-descent demo.
 naive: build the Euclidean derivative in TT form and project it.
 optimized: fuse operator application or per-term projection with the
 tangent projection, mode by mode, without forming intermediate high-rank
-TT cores.
+TT cores.  The projections live here; each objective's constructor
+attaches the hooks that combine them.
 ad: differentiate the objective program directly (the library's own path).
 """
 
@@ -12,21 +13,10 @@ import warnings
 
 import numpy as np
 
-from . import ad, coreops
+from . import ad, coreops, objectives
 from .errors import UnavailableMethodError
-from .objectives import Objective
 from .tt import TtMatrix, TtTensor, orthogonalize, tt_axpy, tt_entries, tt_round
-from .ttmanifold import (
-    TtTangent,
-    _apply_gauge,
-    hess_vec_tt,
-    point_as_tangent,
-    project_tt,
-    riemannian_grad_tt,
-    tangent_axpy,
-    tangent_dot_tt,
-    tangent_scale,
-)
+from .ttmanifold import TtTangent, _apply_gauge, hess_vec_tt, project_tt, riemannian_grad_tt
 
 __all__ = [
     "ad_grad",
@@ -56,11 +46,11 @@ def _as_base(x):
 # AD method (thin wrappers over the manifold module)
 
 
-def ad_grad(obj: Objective, x) -> TtTangent:
+def ad_grad(obj, x) -> TtTangent:
     return riemannian_grad_tt(obj.evaluate, _as_base(x))
 
 
-def ad_hvp(obj: Objective, x, z: TtTangent) -> TtTangent:
+def ad_hvp(obj, x, z: TtTangent) -> TtTangent:
     return hess_vec_tt(obj.evaluate, _as_base(x), z)
 
 
@@ -68,14 +58,14 @@ def ad_hvp(obj: Objective, x, z: TtTangent) -> TtTangent:
 # naive method: TT Euclidean derivative, then projection
 
 
-def naive_grad(obj: Objective, x) -> TtTangent:
+def naive_grad(obj, x) -> TtTangent:
     base = _as_base(x)
     if obj.euclid_grad_tt is None:
         raise UnavailableMethodError(f"{obj.name}: no analytic TT gradient available")
     return project_tt(base, obj.euclid_grad_tt(base.to_tt()))
 
 
-def naive_hvp(obj: Objective, x, z: TtTangent) -> TtTangent:
+def naive_hvp(obj, x, z: TtTangent) -> TtTangent:
     base = _as_base(x)
     if obj.euclid_hess_vec_tt is None:
         raise UnavailableMethodError(f"{obj.name}: no analytic TT Hessian map available")
@@ -178,79 +168,15 @@ def project_rank1_sum(base, mode_vectors, coeffs) -> TtTangent:
     return TtTangent._trusted(base, _apply_gauge(base, deltas))
 
 
-_OPTIMIZED = {"quadratic_form", "rayleigh_quotient", "completion",
-              "regularized_completion", "expmachines"}
+def optimized_grad(obj, x) -> TtTangent:
+    return obj.hook("optimized_grad")(_as_base(x))
 
 
-def _require_optimized(obj):
-    if obj.name not in _OPTIMIZED:
-        raise UnavailableMethodError(f"{obj.name}: no optimized implementation")
+def optimized_hvp(obj, x, z: TtTangent) -> TtTangent:
+    return obj.hook("optimized_hvp")(_as_base(x), z)
 
 
-def optimized_grad(obj: Objective, x) -> TtTangent:
-    _require_optimized(obj)
-    base = _as_base(x)
-    xt = base.to_tt()
-    if obj.name == "quadratic_form":
-        return tangent_scale(2.0, project_matvec(obj.operator, xt, base))
-    if obj.name == "rayleigh_quotient":
-        x_tan = point_as_tangent(base)
-        ax_tan = project_matvec(obj.operator, xt, base)
-        s = float(np.vdot(base.S[-1], base.S[-1]))
-        f = tangent_dot_tt(ax_tan, x_tan) / s
-        return tangent_axpy(2.0 / s, ax_tan, tangent_scale(-2.0 * f / s, x_tan))
-    if obj.name in ("completion", "regularized_completion"):
-        w = 2.0 * (tt_entries(xt, obj.omega.indices) - obj.omega.values)
-        tan = project_sparse(base, obj.omega.indices, w)
-        if obj.name == "regularized_completion" and obj.lam:
-            tan = tangent_axpy(2.0 * obj.lam, point_as_tangent(base), tan)
-        return tan
-    # expmachines
-    from .objectives import _sigmoid, _weight_mode_matrices
-    from .tt import tt_dot
-
-    ys = np.asarray(obj.labels)
-    t = np.array([tt_dot(xt, w) for w in obj.weight_tensors])
-    coeffs = -ys * _sigmoid(-ys * t)
-    return project_rank1_sum(base, _weight_mode_matrices(obj.weight_tensors), coeffs)
-
-
-def optimized_hvp(obj: Objective, x, z: TtTangent) -> TtTangent:
-    _require_optimized(obj)
-    base = _as_base(x)
-    xt = base.to_tt()
-    zt = z.materialize()
-    if obj.name == "quadratic_form":
-        return tangent_scale(2.0, project_matvec(obj.operator, zt, base))
-    if obj.name == "rayleigh_quotient":
-        x_tan = point_as_tangent(base)
-        ax_tan = project_matvec(obj.operator, xt, base)
-        az_tan = project_matvec(obj.operator, zt, base)
-        s = float(np.vdot(base.S[-1], base.S[-1]))
-        f = tangent_dot_tt(ax_tan, x_tan) / s
-        saz = tangent_dot_tt(ax_tan, z)
-        sxz = tangent_dot_tt(x_tan, z)
-        out = tangent_axpy(2.0 / s, az_tan, tangent_scale(-2.0 * f / s, z))
-        out = tangent_axpy(-4.0 * saz / s**2 + 8.0 * f * sxz / s**2, x_tan, out)
-        return tangent_axpy(-4.0 * sxz / s**2, ax_tan, out)
-    if obj.name in ("completion", "regularized_completion"):
-        w = 2.0 * tt_entries(zt, obj.omega.indices)
-        tan = project_sparse(base, obj.omega.indices, w)
-        if obj.name == "regularized_completion" and obj.lam:
-            tan = tangent_axpy(2.0 * obj.lam, z, tan)
-        return tan
-    # expmachines
-    from .objectives import _sigmoid, _weight_mode_matrices
-    from .tt import tt_dot
-
-    ys = np.asarray(obj.labels)
-    t = np.array([tt_dot(xt, w) for w in obj.weight_tensors])
-    zw = np.array([tt_dot(zt, w) for w in obj.weight_tensors])
-    h = _sigmoid(-ys * t) * _sigmoid(ys * t)
-    return project_rank1_sum(base, _weight_mode_matrices(obj.weight_tensors), h * zw)
-
-
-def compute_method(obj: Objective, method: str, op: str, x, z=None) -> TtTangent:
+def compute_method(obj, method: str, op: str, x, z=None) -> TtTangent:
     """Dispatch one of the three pipelines for a gradient or HVP."""
     table = {
         ("ad", "grad"): lambda: ad_grad(obj, x),
@@ -270,7 +196,7 @@ def compute_method(obj: Objective, method: str, op: str, x, z=None) -> TtTangent
 # demo optimizer
 
 
-def riemannian_gd_demo(obj: Objective, x0: TtTensor, steps: int, step_size: float,
+def riemannian_gd_demo(obj, x0: TtTensor, steps: int, step_size: float,
                        max_rank):
     """Fixed-step Riemannian gradient descent with TT-rounding retraction.
 
@@ -294,7 +220,7 @@ def riemannian_gd_demo(obj: Objective, x0: TtTensor, steps: int, step_size: floa
     return x, history
 
 
-def _linear_system_objective(a: TtMatrix, rhs: TtTensor) -> Objective:
+def _linear_system_objective(a: TtMatrix, rhs: TtTensor):
     """f(X) = 0.5 <A X, X> - <F, X>, the energy functional of A X = F."""
 
     def evaluate(cores):
@@ -303,7 +229,7 @@ def _linear_system_objective(a: TtMatrix, rhs: TtTensor) -> Objective:
         lin = coreops.dot_cores([c for c in rhs.cores], cores)
         return ad.sub(quad, lin)
 
-    return Objective(name="linear_system", evaluate=evaluate, operator=a)
+    return objectives.Objective(name="linear_system", evaluate=evaluate, operator=a)
 
 
 def demo_solve(steps=30, step_size=0.1, x0=None, seed=0):
@@ -325,7 +251,6 @@ def demo_solve(steps=30, step_size=0.1, x0=None, seed=0):
 def demo_eigen(steps=600, step_size=0.4, x0=None, seed=0):
     """Rayleigh-quotient descent toward the smallest eigenvalue of a
     diagonal operator on a d=3, n=2 instance."""
-    from .objectives import rayleigh_quotient
     from .tt import random_tt
 
     rng = np.random.default_rng(seed)
@@ -340,7 +265,7 @@ def demo_eigen(steps=600, step_size=0.4, x0=None, seed=0):
         for i in range(n):
             core[:, i, i, :] = c[:, i, :]
         cores.append(core)
-    obj = rayleigh_quotient(TtMatrix(cores))
+    obj = objectives.rayleigh_quotient(TtMatrix(cores))
     if x0 is None:
         x0 = random_tt(rng, modes, 2)
     x, history = riemannian_gd_demo(obj, x0, steps, step_size, 2)
@@ -349,7 +274,6 @@ def demo_eigen(steps=600, step_size=0.4, x0=None, seed=0):
 
 def demo_complete(steps=200, step_size=0.4, x0=None, seed=0):
     """Recover a true rank-2 tensor from fully observed entries."""
-    from .objectives import IndexSet, completion_loss
     from .tt import random_tt
 
     rng = np.random.default_rng(seed)
@@ -357,7 +281,7 @@ def demo_complete(steps=200, step_size=0.4, x0=None, seed=0):
     truth = random_tt(rng, modes, 2)
     idx = np.indices(modes).reshape(len(modes), -1).T
     values = tt_entries(truth, idx)
-    obj = completion_loss(IndexSet(idx, values))
+    obj = objectives.completion_loss(objectives.IndexSet(idx, values))
     if x0 is None:
         x0 = random_tt(rng, modes, 2)
     x, history = riemannian_gd_demo(obj, x0, steps, step_size, 2)

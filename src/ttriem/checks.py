@@ -1,8 +1,8 @@
 """Named invariant suites behind ``ttriem check``.
 
 Each check is a small deterministic battery that raises AssertionError on
-violation; the runner prints one PASS/FAIL line per check and reports an
-overall exit status.
+violation (explicitly, so that ``python -O`` cannot strip it); the runner
+prints one PASS/FAIL line per check and reports an overall exit status.
 """
 
 import numpy as np
@@ -42,6 +42,11 @@ from .ttmanifold import (
 __all__ = ["CHECKS", "run_checks"]
 
 
+def _require(cond, msg):
+    if not cond:
+        raise AssertionError(msg)
+
+
 def _rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -51,26 +56,29 @@ def check_dense_kernels():
     for p, q in ((4, 3), (6, 3), (5, 5)):
         m = rng.standard_normal((p, q))
         qm, rm = qr_thin(m)
-        assert np.abs(qm.T @ qm - np.eye(q)).max() < 1e-12
-        assert np.abs(qm @ rm - m).max() < 1e-12 * np.abs(m).max()
-        assert np.all(np.diagonal(rm) >= 0.0)
+        _require(np.abs(qm.T @ qm - np.eye(q)).max() < 1e-12, "qr_thin: Q is not orthonormal")
+        _require(np.abs(qm @ rm - m).max() < 1e-12 * np.abs(m).max(),
+                 "qr_thin: Q R differs from m")
+        _require(np.all(np.diagonal(rm) >= 0.0), "qr_thin: R has a negative diagonal")
         u, s, v = svd_thin(m)
-        assert np.abs(u @ np.diag(s) @ v.T - m).max() < 1e-11
-        assert np.all(np.diff(s) <= 0.0) and np.all(s >= 0.0)
+        _require(np.abs(u @ np.diag(s) @ v.T - m).max() < 1e-11,
+                 "svd_thin: U diag(s) V^T differs from m")
+        _require(np.all(np.diff(s) <= 0.0) and np.all(s >= 0.0),
+                 "svd_thin: s is not nonincreasing and nonnegative")
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
-    assert np.abs(contract(a, b, [(1, 0)]) - a @ b).max() < 1e-13
+    _require(np.abs(contract(a, b, [(1, 0)]) - a @ b).max() < 1e-13, "contract differs from a @ b")
 
 
 def check_ad_engine():
     tape, out = ad.record([1.0, 0.0], lambda a, b: ad.exp(a * b) + ad.sin(b))
-    assert abs(out.value - 1.0) < 1e-15
+    _require(abs(out.value - 1.0) < 1e-15, "wrong forward value")
     g = ad.grad(tape, out, [tape.nodes[0], tape.nodes[1]])
-    assert abs(g[0] - 0.0) < 1e-15 and abs(g[1] - 2.0) < 1e-15
+    _require(abs(g[0] - 0.0) < 1e-15 and abs(g[1] - 2.0) < 1e-15, "wrong gradient")
     tape, out = ad.record([2.0], lambda v: (v * v) * (v * v))
     (g1,) = ad.grad(tape, out, [tape.nodes[0]], as_vars=True)
     (g2,) = ad.grad(tape, g1, [tape.nodes[0]])
-    assert abs(g2 - 48.0) < 1e-12
+    _require(abs(g2 - 48.0) < 1e-12, "wrong nested second derivative")
 
 
 def check_stop_gradient():
@@ -78,10 +86,10 @@ def check_stop_gradient():
     x = rng.standard_normal((3, 3))
     tape, out = ad.record([x], lambda v: ad.contract(ad.stop_gradient(v), v, [(0, 0), (1, 1)]))
     (g,) = ad.grad(tape, out, [tape.nodes[0]])
-    assert np.abs(g - x).max() < 1e-14
+    _require(np.abs(g - x).max() < 1e-14, "wrong gradient through the live factor")
     tape, out = ad.record([x], lambda v: ad.stop_gradient(v).sum())
     (g,) = ad.grad(tape, out, [tape.nodes[0]])
-    assert np.abs(g).max() == 0.0
+    _require(np.abs(g).max() == 0.0, "gradient leaked through stop_gradient")
 
 
 def check_tt_orthogonality():
@@ -93,13 +101,16 @@ def check_tt_orthogonality():
         from .tt import TtTensor
 
         err = np.abs(tt_to_dense(TtTensor(mo.mu_cores(mu))) - dense).max()
-        assert err < 1e-10 * max(np.abs(dense).max(), 1.0)
+        _require(err < 1e-10 * max(np.abs(dense).max(), 1.0),
+                 f"mu={mu}: mu-cores do not reproduce the tensor")
     for k in range(x.ndim - 1):
         u = mo.U[k]
-        assert np.abs(np.einsum("aib,aic->bc", u, u) - np.eye(u.shape[2])).max() < 1e-11
+        _require(np.abs(np.einsum("aib,aic->bc", u, u) - np.eye(u.shape[2])).max() < 1e-11,
+                 f"U[{k}] is not left-orthonormal")
     for k in range(1, x.ndim):
         v = mo.V[k]
-        assert np.abs(np.einsum("aib,cib->ac", v, v) - np.eye(v.shape[0])).max() < 1e-11
+        _require(np.abs(np.einsum("aib,cib->ac", v, v) - np.eye(v.shape[0])).max() < 1e-11,
+                 f"V[{k}] is not right-orthonormal")
 
 
 def check_tt_arithmetic():
@@ -108,18 +119,22 @@ def check_tt_arithmetic():
     y = random_tt(rng, (2, 3, 2), (3, 2))
     a = random_ttmat(rng, (2, 3, 2), (2, 3, 2), 2)
     dx, dy = tt_to_dense(x), tt_to_dense(y)
-    assert abs(tt_dot(x, y) - np.vdot(dx, dy)) < 1e-12 * max(abs(np.vdot(dx, dy)), 1.0)
+    _require(abs(tt_dot(x, y) - np.vdot(dx, dy)) < 1e-12 * max(abs(np.vdot(dx, dy)), 1.0),
+             "tt_dot differs from the dense inner product")
     s = tt_axpy(1.5, x, y)
-    assert np.abs(tt_to_dense(s) - (1.5 * dx + dy)).max() < 1e-12
+    _require(np.abs(tt_to_dense(s) - (1.5 * dx + dy)).max() < 1e-12,
+             "tt_axpy differs from the dense axpy")
     from .tt import ttmat_to_dense
 
-    assert np.abs(
+    _require(np.abs(
         tt_to_dense(ttmat_apply(a, x)).ravel() - ttmat_to_dense(a) @ dx.ravel()
-    ).max() < 1e-11 * max(np.abs(dx).max(), 1.0)
+    ).max() < 1e-11 * max(np.abs(dx).max(), 1.0),
+             "ttmat_apply differs from the dense matvec")
     # apply distributes over axpy
     lhs = tt_to_dense(ttmat_apply(a, s))
     rhs = 1.5 * tt_to_dense(ttmat_apply(a, x)) + tt_to_dense(ttmat_apply(a, y))
-    assert np.abs(lhs - rhs).max() < 1e-11 * max(np.abs(rhs).max(), 1.0)
+    _require(np.abs(lhs - rhs).max() < 1e-11 * max(np.abs(rhs).max(), 1.0),
+             "ttmat_apply does not distribute over tt_axpy")
 
 
 def check_projection():
@@ -128,13 +143,15 @@ def check_projection():
     mo = orthogonalize(x)
     z = random_tt(rng, (2, 3, 2), (3, 3))
     t = project_tt(mo, z)
-    assert max(t.gauge_residuals()) < 1e-10
+    _require(max(t.gauge_residuals()) < 1e-10, "projection violates the gauge conditions")
     want = dense_project(mo, tt_to_dense(z))
     got = tt_to_dense(t.materialize())
-    assert np.abs(got - want).max() < 1e-10 * max(np.abs(want).max(), 1.0)
+    _require(np.abs(got - want).max() < 1e-10 * max(np.abs(want).max(), 1.0),
+             "projection differs from the dense oracle")
     t2 = project_tt(mo, t.materialize())
     diff = tangent_axpy(-1.0, t, t2)
-    assert np.sqrt(max(tangent_dot_tt(diff, diff), 0.0)) < 1e-10 * max(t.norm(), 1.0)
+    _require(np.sqrt(max(tangent_dot_tt(diff, diff), 0.0)) < 1e-10 * max(t.norm(), 1.0),
+             "projection is not idempotent")
 
 
 def check_gradients_match_oracle():
@@ -157,11 +174,13 @@ def check_gradients_match_oracle():
         g = riemannian_grad_tt(objective.evaluate, mo)
         want = dense_oracle_grad(objective, mo)
         scale = max(np.abs(want).max(), 1.0)
-        assert np.abs(tt_to_dense(g.materialize()) - want).max() < 1e-9 * scale
+        _require(np.abs(tt_to_dense(g.materialize()) - want).max() < 1e-9 * scale,
+                 f"{objective.name}: gradient differs from the dense oracle")
         h = hess_vec_tt(objective.evaluate, mo, z)
         want = dense_oracle_hvp(objective, mo, zd)
         scale = max(np.abs(want).max(), 1.0)
-        assert np.abs(tt_to_dense(h.materialize()) - want).max() < 1e-9 * scale
+        _require(np.abs(tt_to_dense(h.materialize()) - want).max() < 1e-9 * scale,
+                 f"{objective.name}: HVP differs from the dense oracle")
 
 
 def check_method_agreement():
@@ -191,7 +210,7 @@ def check_method_agreement():
             for method, res in results.items():
                 diff = tangent_axpy(-1.0, ref, res)
                 rel = np.sqrt(max(tangent_dot_tt(diff, diff), 0.0)) / max(ref.norm(), 1e-300)
-                assert rel < 1e-8, f"{objective.name} {method} {op}: residual {rel}"
+                _require(rel < 1e-8, f"{objective.name} {method} {op}: residual {rel}")
 
 
 def check_preconditioned_residual():
@@ -208,7 +227,8 @@ def check_preconditioned_residual():
     ad_, bd = ttmat_to_dense(a), ttmat_to_dense(b)
     xd, fd = tt_to_dense(mo.to_tt()), tt_to_dense(f)
     want = dense_project(mo, (bd @ (ad_ @ xd.ravel() - fd.ravel())).reshape(xd.shape))
-    assert np.abs(tt_to_dense(t.materialize()) - want).max() < 1e-9 * max(np.abs(want).max(), 1.0)
+    _require(np.abs(tt_to_dense(t.materialize()) - want).max() < 1e-9 * max(np.abs(want).max(), 1.0),
+             "preconditioned residual differs from the dense reference")
 
 
 def check_overranked_robustness():
@@ -230,11 +250,13 @@ def check_overranked_robustness():
     objective = quadratic_form(a)
     g = riemannian_grad_tt(objective.evaluate, mo)
     want = dense_oracle_grad(objective, mo)
-    assert np.abs(tt_to_dense(g.materialize()) - want).max() < 1e-9 * max(np.abs(want).max(), 1.0)
+    _require(np.abs(tt_to_dense(g.materialize()) - want).max() < 1e-9 * max(np.abs(want).max(), 1.0),
+             "gradient differs from the dense oracle")
     z = project_tt(mo, random_tt(rng, modes, 2))
     h = hess_vec_tt(objective.evaluate, mo, z)
     want = dense_oracle_hvp(objective, mo, tt_to_dense(z.materialize()))
-    assert np.abs(tt_to_dense(h.materialize()) - want).max() < 1e-9 * max(np.abs(want).max(), 1.0)
+    _require(np.abs(tt_to_dense(h.materialize()) - want).max() < 1e-9 * max(np.abs(want).max(), 1.0),
+             "HVP differs from the dense oracle")
 
 
 def check_objective_reparametrization():
@@ -256,7 +278,7 @@ def check_objective_reparametrization():
                 for mu in range(x.ndim)]
         vals.append(float(objective.evaluate([np.asarray(c) for c in x.cores])))
         spread = max(vals) - min(vals)
-        assert spread < 1e-10 * max(abs(vals[0]), 1.0), f"{objective.name}: spread {spread}"
+        _require(spread < 1e-10 * max(abs(vals[0]), 1.0), f"{objective.name}: spread {spread}")
 
 
 CHECKS = [

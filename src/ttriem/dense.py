@@ -79,5 +79,11 @@ def svd_thin(m: np.ndarray):
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"svd_thin expects a matrix, got shape {m.shape}")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    try:
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # LAPACK gesdd can fail to converge on exactly rank-deficient input;
+        # the transpose takes another path through it.  m.T = V diag(s) U.T.
+        v, s, ut = np.linalg.svd(m.T, full_matrices=False)
+        return ut.T, s, v
     return u, s, vt.T

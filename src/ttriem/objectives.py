@@ -1,18 +1,19 @@
 """Objective functions as recordable TT-core programs.
 
 Each objective is a program over TT cores (usable on plain arrays and on
-tape variables), optionally paired with analytic Euclidean gradient /
-Hessian-by-vector constructions in TT form for the naive baseline.  The
-factor-pair adapter reinterprets a 2-mode core program as a program over
-low-rank matrix factors (L, R).
+tape variables).  Its constructor also attaches whatever else is known
+about it: analytic Euclidean derivatives in TT form for the naive
+baseline, fused projections for the optimized baseline, and dense formulas
+for the oracles.  The factor-pair adapter reinterprets a 2-mode core
+program as a program over low-rank matrix factors (L, R).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import ad, coreops
+from . import ad, baselines, coreops
 from .errors import (
     DegeneratePointError,
     DimensionError,
@@ -26,11 +27,13 @@ from .tt import (
     tt_dot,
     tt_entries,
     tt_scale,
+    tt_to_dense,
     tt_weighted_sum,
     ttmat_apply,
     ttmat_to_dense,
     ttmat_transpose,
 )
+from .ttmanifold import point_as_tangent, tangent_axpy, tangent_dot_tt, tangent_scale
 
 __all__ = [
     "IndexSet",
@@ -117,7 +120,18 @@ def write_index_set(omega: IndexSet, path) -> None:
 
 @dataclass(frozen=True)
 class Objective:
-    """A differentiable objective plus optional analytic TT derivatives."""
+    """A differentiable objective plus optional hooks for the other methods.
+
+    Only ``evaluate`` is required.  The hooks, each ``None`` when unknown:
+    ``euclid_grad_tt(x)`` / ``euclid_hess_vec_tt(x, z)`` on TT tensors (naive
+    method), ``optimized_grad(base)`` / ``optimized_hvp(base, z)`` at a
+    mu-orthogonal base point (optimized method), and ``dense_value(v)`` /
+    ``dense_grad(v)`` / ``dense_hess_vec(v, z)`` on dense arrays (oracles).
+    Dense hooks densify the operator or data inside each call, never at
+    construction, so objectives too large to densify stay cheap to build.
+    Optimized hooks reach ``baselines.project_*`` through the module at call
+    time, so a later rebinding of those names (a profiler's) is seen.
+    """
 
     name: str
     evaluate: Callable
@@ -128,7 +142,18 @@ class Objective:
     weight_tensors: tuple = ()
     labels: tuple = ()
     lam: float = 0.0
-    metadata: dict = field(default_factory=dict)
+    optimized_grad: Optional[Callable] = None
+    optimized_hvp: Optional[Callable] = None
+    dense_value: Optional[Callable] = None
+    dense_grad: Optional[Callable] = None
+    dense_hess_vec: Optional[Callable] = None
+
+    def hook(self, name):
+        """The named hook, or UnavailableMethodError if it is not attached."""
+        fn = getattr(self, name)
+        if fn is None:
+            raise UnavailableMethodError(f"{self.name}: no {name} available")
+        return fn
 
     def factor_program(self):
         """Adapter: evaluate the objective on matrix factors (L, R).
@@ -152,8 +177,6 @@ def _core_shapes(cores):
 
 
 def _maybe_check_symmetric(a: TtMatrix, name):
-    if not __debug__:
-        return
     size = float(np.prod(a.row_sizes)) * float(np.prod(a.col_sizes))
     if a.row_sizes != a.col_sizes or size > _SYM_CHECK_CAP:
         return
@@ -171,12 +194,23 @@ def quadratic_form(a: TtMatrix) -> Objective:
     def evaluate(cores):
         return coreops.dot_cores(coreops.matvec_cores(a_cores, cores), cores)
 
+    def fused(base, y):
+        return tangent_scale(2.0, baselines.project_matvec(a, y, base))
+
+    def dense_hess_vec(v, z):
+        return (2.0 * (ttmat_to_dense(a) @ z.ravel())).reshape(v.shape)
+
     return Objective(
         name="quadratic_form",
         evaluate=evaluate,
         euclid_grad_tt=lambda x: tt_scale(2.0, ttmat_apply(a, x)),
         euclid_hess_vec_tt=lambda x, z: tt_scale(2.0, ttmat_apply(a, z)),
         operator=a,
+        optimized_grad=lambda base: fused(base, base.to_tt()),
+        optimized_hvp=lambda base, z: fused(base, z.materialize()),
+        dense_value=lambda v: float(v.ravel() @ ttmat_to_dense(a) @ v.ravel()),
+        dense_grad=lambda v: dense_hess_vec(v, v),
+        dense_hess_vec=dense_hess_vec,
     )
 
 
@@ -189,12 +223,19 @@ def gram_quadratic_form(a: TtMatrix) -> Objective:
         ax = coreops.matvec_cores(a_cores, cores)
         return coreops.dot_cores(ax, ax)
 
+    def dense_hess_vec(v, z):
+        dense_a = ttmat_to_dense(a)
+        return (2.0 * (dense_a.T @ (dense_a @ z.ravel()))).reshape(v.shape)
+
     return Objective(
         name="gram_quadratic_form",
         evaluate=evaluate,
         euclid_grad_tt=lambda x: tt_scale(2.0, ttmat_apply(at, ttmat_apply(a, x))),
         euclid_hess_vec_tt=lambda x, z: tt_scale(2.0, ttmat_apply(at, ttmat_apply(a, z))),
         operator=a,
+        dense_value=lambda v: float(np.sum((ttmat_to_dense(a) @ v.ravel()) ** 2)),
+        dense_grad=lambda v: dense_hess_vec(v, v),
+        dense_hess_vec=dense_hess_vec,
     )
 
 
@@ -233,12 +274,62 @@ def rayleigh_quotient(a: TtMatrix) -> Objective:
             [az, z, x, ax],
         )
 
+    def fused_parts(base):
+        # P_X X, P_X A X, <X, X> and f at the base point.
+        x_tan = point_as_tangent(base)
+        ax_tan = baselines.project_matvec(a, base.to_tt(), base)
+        s = float(np.vdot(base.S[-1], base.S[-1]))
+        return x_tan, ax_tan, s, tangent_dot_tt(ax_tan, x_tan) / s
+
+    def optimized_grad(base):
+        x_tan, ax_tan, s, f = fused_parts(base)
+        return tangent_axpy(2.0 / s, ax_tan, tangent_scale(-2.0 * f / s, x_tan))
+
+    def optimized_hvp(base, z):
+        x_tan, ax_tan, s, f = fused_parts(base)
+        az_tan = baselines.project_matvec(a, z.materialize(), base)
+        saz = tangent_dot_tt(ax_tan, z)
+        sxz = tangent_dot_tt(x_tan, z)
+        out = tangent_axpy(2.0 / s, az_tan, tangent_scale(-2.0 * f / s, z))
+        out = tangent_axpy(-4.0 * saz / s**2 + 8.0 * f * sxz / s**2, x_tan, out)
+        return tangent_axpy(-4.0 * sxz / s**2, ax_tan, out)
+
+    def dense_parts(v):
+        # Dense A, A v, <v, v> and f at v.
+        dense_a = ttmat_to_dense(a)
+        av = dense_a @ v.ravel()
+        s = float(np.vdot(v, v))
+        return dense_a, av, s, float(v.ravel() @ av) / s
+
+    def dense_grad(v):
+        _, av, s, f = dense_parts(v)
+        return (2.0 / s * (av - f * v.ravel())).reshape(v.shape)
+
+    def dense_hess_vec(v, z):
+        dense_a, av, s, f = dense_parts(v)
+        az = dense_a @ z.ravel()
+        saz = float(av @ z.ravel())
+        sxz = float(np.vdot(v, z))
+        h = (
+            2.0 / s * az
+            - 2.0 * f / s * z.ravel()
+            - 4.0 * saz / s**2 * v.ravel()
+            - 4.0 * sxz / s**2 * av
+            + 8.0 * f * sxz / s**2 * v.ravel()
+        )
+        return h.reshape(v.shape)
+
     return Objective(
         name="rayleigh_quotient",
         evaluate=evaluate,
         euclid_grad_tt=euclid_grad,
         euclid_hess_vec_tt=euclid_hess_vec,
         operator=a,
+        optimized_grad=optimized_grad,
+        optimized_hvp=optimized_hvp,
+        dense_value=lambda v: float(v.ravel() @ ttmat_to_dense(a) @ v.ravel() / np.vdot(v, v)),
+        dense_grad=dense_grad,
+        dense_hess_vec=dense_hess_vec,
     )
 
 
@@ -295,6 +386,7 @@ def completion_loss(omega: IndexSet) -> Objective:
     Entries are evaluated by batched core-chain products, never building
     the masked tensor, so the program costs O(|Omega| d r^2).
     """
+    idx = tuple(omega.indices.T)
 
     def evaluate(cores):
         shapes = _core_shapes(cores)
@@ -312,12 +404,35 @@ def completion_loss(omega: IndexSet) -> Objective:
         omega.check_modes(x.mode_sizes)
         return _sparse_tt(omega, 2.0 * tt_entries(z, omega.indices), x.mode_sizes)
 
+    def optimized_grad(base):
+        w = 2.0 * (tt_entries(base.to_tt(), omega.indices) - omega.values)
+        return baselines.project_sparse(base, omega.indices, w)
+
+    def optimized_hvp(base, z):
+        w = 2.0 * tt_entries(z.materialize(), omega.indices)
+        return baselines.project_sparse(base, omega.indices, w)
+
+    def dense_grad(v):
+        g = np.zeros_like(v)
+        g[idx] = 2.0 * (v[idx] - omega.values)
+        return g
+
+    def dense_hess_vec(v, z):
+        h = np.zeros_like(v)
+        h[idx] = 2.0 * z[idx]
+        return h
+
     return Objective(
         name="completion",
         evaluate=evaluate,
         euclid_grad_tt=euclid_grad,
         euclid_hess_vec_tt=euclid_hess_vec,
         omega=omega,
+        optimized_grad=optimized_grad,
+        optimized_hvp=optimized_hvp,
+        dense_value=lambda v: float(np.sum((v[idx] - omega.values) ** 2)),
+        dense_grad=dense_grad,
+        dense_hess_vec=dense_hess_vec,
     )
 
 
@@ -341,6 +456,7 @@ def expmachines_loss(ws, ys) -> Objective:
     if ys.shape != (len(ws),) or not np.all(np.isin(ys, (-1.0, 1.0))):
         raise InvalidDataError("labels must be +1/-1, one per weight tensor")
     wmats = _weight_mode_matrices(ws)
+    sigmoid = ad._sigmoid_np
 
     def margins_program(cores):
         # <X, W_i> for all i at once: chain of per-sample rank transfers.
@@ -357,53 +473,76 @@ def expmachines_loss(ws, ys) -> Objective:
         t = margins_program(cores)
         return ad.reduce_sum(ad.softplus(ad.neg(ad.mul(t, ys))))
 
-    def euclid_grad(x):
+    # The gradient and the Hessian map are sums of the W_i with these
+    # coefficients, whether built in TT form or projected term by term.
+    def grad_coeffs(x):
         t = np.array([tt_dot(x, w) for w in ws])
-        coeffs = -ys * _sigmoid(-ys * t)
-        return _rank1_sum_tt(wmats, coeffs)
+        return -ys * sigmoid(-ys * t)
 
-    def euclid_hess_vec(x, z):
+    def hess_coeffs(x, z):
         t = np.array([tt_dot(x, w) for w in ws])
-        h = _sigmoid(-ys * t) * _sigmoid(ys * t)
+        h = sigmoid(-ys * t) * sigmoid(ys * t)
         zw = np.array([tt_dot(z, w) for w in ws])
-        return _rank1_sum_tt(wmats, h * zw)
+        return h * zw
+
+    def dense_value(v):
+        t = np.array([tt_to_dense(w).ravel() @ v.ravel() for w in ws])
+        return float(np.sum(np.logaddexp(0.0, -ys * t)))
+
+    def dense_grad(v):
+        g = np.zeros_like(v)
+        for w, y in zip(ws, ys):
+            wd = tt_to_dense(w)
+            t = float(np.vdot(wd, v))
+            g += -y * sigmoid(-y * t) * wd
+        return g
+
+    def dense_hess_vec(v, z):
+        h = np.zeros_like(v)
+        for w, y in zip(ws, ys):
+            wd = tt_to_dense(w)
+            t = float(np.vdot(wd, v))
+            h += sigmoid(-y * t) * sigmoid(y * t) * float(np.vdot(wd, z)) * wd
+        return h
 
     return Objective(
         name="expmachines",
         evaluate=evaluate,
-        euclid_grad_tt=euclid_grad,
-        euclid_hess_vec_tt=euclid_hess_vec,
+        euclid_grad_tt=lambda x: _rank1_sum_tt(wmats, grad_coeffs(x)),
+        euclid_hess_vec_tt=lambda x, z: _rank1_sum_tt(wmats, hess_coeffs(x, z)),
         weight_tensors=tuple(ws),
         labels=tuple(float(y) for y in ys),
+        optimized_grad=lambda base: baselines.project_rank1_sum(
+            base, wmats, grad_coeffs(base.to_tt())),
+        optimized_hvp=lambda base, z: baselines.project_rank1_sum(
+            base, wmats, hess_coeffs(base.to_tt(), z.materialize())),
+        dense_value=dense_value,
+        dense_grad=dense_grad,
+        dense_hess_vec=dense_hess_vec,
     )
-
-
-def _sigmoid(t):
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def regularized_completion(omega: IndexSet, lam: float) -> Objective:
     """Completion loss plus Tikhonov term lam * <X, X>."""
     if lam < 0.0:
         raise InvalidDataError("lambda must be nonnegative")
-    base = completion_loss(omega)
+    loss = completion_loss(omega)
 
     def evaluate(cores):
         reg = ad.mul(coreops.dot_cores(list(cores), list(cores)), lam)
-        return ad.add(base.evaluate(cores), reg)
-
-    def euclid_grad(x):
-        return tt_axpy(2.0 * lam, x, base.euclid_grad_tt(x))
-
-    def euclid_hess_vec(x, z):
-        return tt_axpy(2.0 * lam, z, base.euclid_hess_vec_tt(x, z))
+        return ad.add(loss.evaluate(cores), reg)
 
     return Objective(
         name="regularized_completion",
         evaluate=evaluate,
-        euclid_grad_tt=euclid_grad,
-        euclid_hess_vec_tt=euclid_hess_vec,
+        euclid_grad_tt=lambda x: tt_axpy(2.0 * lam, x, loss.euclid_grad_tt(x)),
+        euclid_hess_vec_tt=lambda x, z: tt_axpy(2.0 * lam, z, loss.euclid_hess_vec_tt(x, z)),
         omega=omega,
         lam=float(lam),
+        optimized_grad=lambda base: tangent_axpy(
+            2.0 * lam, point_as_tangent(base), loss.optimized_grad(base)),
+        optimized_hvp=lambda base, z: tangent_axpy(2.0 * lam, z, loss.optimized_hvp(base, z)),
+        dense_value=lambda v: loss.dense_value(v) + lam * float(np.vdot(v, v)),
+        dense_grad=lambda v: loss.dense_grad(v) + 2.0 * lam * v,
+        dense_hess_vec=lambda v, z: loss.dense_hess_vec(v, z) + 2.0 * lam * z,
     )

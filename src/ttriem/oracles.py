@@ -3,14 +3,14 @@
 Everything here deliberately avoids the chain-contraction code paths of the
 library: tangent-space projections are computed by least squares against an
 explicitly materialized tangent basis, and Euclidean derivatives come from
-dense formulas or finite differences.  These are the referees for the fast
+each objective's dense hooks or from finite differences.  These are the referees for the fast
 implementations, not part of them.
 """
 
 import numpy as np
 
-from .errors import OversizeError, UnavailableMethodError
-from .tt import DENSE_CAP, TtTensor, tt_to_dense, ttmat_to_dense
+from .errors import OversizeError
+from .tt import DENSE_CAP, TtTensor, tt_to_dense
 
 __all__ = [
     "dense_tangent_basis",
@@ -58,112 +58,18 @@ def dense_project(base, z_dense):
 
 
 def dense_objective(obj):
-    """Dense evaluation function of an objective built from its payload."""
-    if obj.name in ("quadratic_form", "rayleigh_quotient", "gram_quadratic_form"):
-        a = ttmat_to_dense(obj.operator)
-        if obj.name == "quadratic_form":
-            return lambda v: float(v.ravel() @ a @ v.ravel())
-        if obj.name == "gram_quadratic_form":
-            return lambda v: float(np.sum((a @ v.ravel()) ** 2))
-        return lambda v: float(v.ravel() @ a @ v.ravel() / np.vdot(v, v))
-    if obj.name in ("completion", "regularized_completion"):
-        idx = tuple(obj.omega.indices.T)
-        vals = obj.omega.values
-        lam = obj.lam
-
-        def f(v):
-            res = float(np.sum((v[idx] - vals) ** 2))
-            if lam:
-                res += lam * float(np.vdot(v, v))
-            return res
-
-        return f
-    if obj.name == "expmachines":
-        wd = [tt_to_dense(w).ravel() for w in obj.weight_tensors]
-        ys = np.asarray(obj.labels)
-
-        def f(v):
-            t = np.array([w @ v.ravel() for w in wd])
-            return float(np.sum(np.logaddexp(0.0, -ys * t)))
-
-        return f
-    raise UnavailableMethodError(f"no dense oracle for objective {obj.name!r}")
+    """Dense evaluation function of an objective (its ``dense_value`` hook)."""
+    return obj.hook("dense_value")
 
 
 def dense_euclid_grad(obj, v):
     """Analytic dense Euclidean gradient at a dense point."""
-    if obj.name in ("quadratic_form", "rayleigh_quotient", "gram_quadratic_form"):
-        a = ttmat_to_dense(obj.operator)
-        if obj.name == "quadratic_form":
-            return (2.0 * (a @ v.ravel())).reshape(v.shape)
-        if obj.name == "gram_quadratic_form":
-            return (2.0 * (a.T @ (a @ v.ravel()))).reshape(v.shape)
-        s = float(np.vdot(v, v))
-        av = a @ v.ravel()
-        f = float(v.ravel() @ av) / s
-        return (2.0 / s * (av - f * v.ravel())).reshape(v.shape)
-    if obj.name in ("completion", "regularized_completion"):
-        idx = tuple(obj.omega.indices.T)
-        g = np.zeros_like(v)
-        g[idx] = 2.0 * (v[idx] - obj.omega.values)
-        if obj.lam:
-            g += 2.0 * obj.lam * v
-        return g
-    if obj.name == "expmachines":
-        ys = np.asarray(obj.labels)
-        g = np.zeros_like(v)
-        for w, y in zip(obj.weight_tensors, ys):
-            wd = tt_to_dense(w)
-            t = float(np.vdot(wd, v))
-            g += -y * _sigmoid(-y * t) * wd
-        return g
-    raise UnavailableMethodError(f"no dense gradient for objective {obj.name!r}")
+    return obj.hook("dense_grad")(v)
 
 
 def dense_euclid_hess_vec(obj, v, z):
     """Analytic dense Euclidean Hessian applied to a dense direction."""
-    if obj.name in ("quadratic_form", "gram_quadratic_form"):
-        a = ttmat_to_dense(obj.operator)
-        if obj.name == "quadratic_form":
-            return (2.0 * (a @ z.ravel())).reshape(v.shape)
-        return (2.0 * (a.T @ (a @ z.ravel()))).reshape(v.shape)
-    if obj.name == "rayleigh_quotient":
-        a = ttmat_to_dense(obj.operator)
-        s = float(np.vdot(v, v))
-        av = a @ v.ravel()
-        az = a @ z.ravel()
-        f = float(v.ravel() @ av) / s
-        saz = float(av @ z.ravel())
-        sxz = float(np.vdot(v, z))
-        h = (
-            2.0 / s * az
-            - 2.0 * f / s * z.ravel()
-            - 4.0 * saz / s**2 * v.ravel()
-            - 4.0 * sxz / s**2 * av
-            + 8.0 * f * sxz / s**2 * v.ravel()
-        )
-        return h.reshape(v.shape)
-    if obj.name in ("completion", "regularized_completion"):
-        idx = tuple(obj.omega.indices.T)
-        h = np.zeros_like(v)
-        h[idx] = 2.0 * z[idx]
-        if obj.lam:
-            h += 2.0 * obj.lam * z
-        return h
-    if obj.name == "expmachines":
-        ys = np.asarray(obj.labels)
-        h = np.zeros_like(v)
-        for w, y in zip(obj.weight_tensors, ys):
-            wd = tt_to_dense(w)
-            t = float(np.vdot(wd, v))
-            h += _sigmoid(-y * t) * _sigmoid(y * t) * float(np.vdot(wd, z)) * wd
-        return h
-    raise UnavailableMethodError(f"no dense Hessian for objective {obj.name!r}")
-
-
-def _sigmoid(t):
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return obj.hook("dense_hess_vec")(v, z)
 
 
 def fd_gradient(f, v, step=1e-6):

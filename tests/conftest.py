@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,3 +47,18 @@ def dense_entry_oracle(cores, index):
     for core, i in zip(cores, index):
         mat = mat @ core[:, i, :]
     return float(mat[0, 0])
+
+
+def run_python_optimized(code):
+    """Run ``code`` in a fresh ``python -O`` process (asserts stripped).
+
+    The child imports ttriem from the same place as this test session.
+    """
+    import ttriem
+
+    src = str(Path(ttriem.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )

@@ -26,7 +26,9 @@ from ttriem.objectives import (
     rayleigh_quotient,
     regularized_completion,
 )
+from ttriem.oracles import dense_euclid_grad, dense_euclid_hess_vec, dense_objective
 from ttriem.tt import (
+    MuOrthogonal,
     orthogonalize,
     random_symmetric_ttmat,
     random_tt,
@@ -203,3 +205,57 @@ class TestCostRatioSpot:
         res = complexity_ratios(d=4, n=6, rank=4, op_rank=3, trials=5)
         assert res["grad_over_eval"] <= 10.0
         assert res["hvp_over_eval"] <= 25.0
+
+
+class TestObjectiveHooks:
+    def test_custom_optimized_hooks_are_called(self, instance):
+        base, z = instance
+        grad_out, hvp_out = object(), object()
+        calls = []
+        custom = Objective(
+            name="custom",
+            evaluate=lambda cores: 0.0,
+            optimized_grad=lambda b: calls.append(("grad", b)) or grad_out,
+            optimized_hvp=lambda b, d: calls.append(("hvp", b, d)) or hvp_out,
+        )
+        assert optimized_grad(custom, base) is grad_out
+        assert optimized_hvp(custom, base, z) is hvp_out
+        assert compute_method(custom, "optimized", "grad", base) is grad_out
+        assert compute_method(custom, "optimized", "hvp", base, z) is hvp_out
+        assert [c[0] for c in calls] == ["grad", "hvp", "grad", "hvp"]
+        assert all(c[1] is base for c in calls)
+        assert calls[1][2] is z and calls[3][2] is z
+        # A plain TT point reaches the hook as a mu-orthogonal base.
+        assert optimized_grad(custom, base.to_tt()) is grad_out
+        assert isinstance(calls[-1][1], MuOrthogonal)
+
+    def test_bare_objective_reports_missing_hooks(self, instance):
+        base, z = instance
+        bare = Objective(name="opaque", evaluate=lambda cores: 0.0)
+        v = np.zeros(MODES)
+        for call in (
+            lambda: optimized_grad(bare, base),
+            lambda: optimized_hvp(bare, base, z),
+            lambda: dense_objective(bare),
+            lambda: dense_euclid_grad(bare, v),
+            lambda: dense_euclid_hess_vec(bare, v, v),
+        ):
+            with pytest.raises(UnavailableMethodError, match="opaque"):
+                call()
+
+    def test_construction_never_densifies(self, rng, monkeypatch):
+        import ttriem.objectives as objectives
+
+        def refuse(*args):
+            raise AssertionError("densified at construction")
+
+        monkeypatch.setattr(objectives, "ttmat_to_dense", refuse)
+        monkeypatch.setattr(objectives, "tt_to_dense", refuse)
+        modes = (8, 8, 8)  # above the symmetry-check cap
+        idx = sample_indices(np.random.default_rng(2), modes, 20)
+        quadratic_form(random_symmetric_ttmat(rng, modes, 2))
+        gram_quadratic_form(random_ttmat(rng, modes, modes, 2))
+        rayleigh_quotient(random_symmetric_ttmat(rng, modes, 2))
+        completion_loss(IndexSet(idx, rng.standard_normal(len(idx))))
+        regularized_completion(IndexSet(idx, rng.standard_normal(len(idx))), 0.5)
+        expmachines_loss([random_tt(rng, modes, 1) for _ in range(3)], [1.0, -1.0, 1.0])

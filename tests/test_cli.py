@@ -6,6 +6,8 @@ import pytest
 from ttriem.cli import main
 from ttriem.tt import random_tt, tt_write
 
+from conftest import run_python_optimized
+
 
 class TestCheck:
     def test_full_battery_passes(self, capsys):
@@ -69,3 +71,18 @@ class TestDemo:
         path = tmp_path / "x0.ttv1"
         tt_write(x0, path)
         assert main(["demo", "solve", "--steps", "5", "--in", str(path)]) == 0
+
+
+class TestCheckUnderOptimize:
+    def test_sabotaged_check_fails_under_dash_o(self):
+        code = (
+            "assert False, 'asserts are live: not running under -O'\n"
+            "import sys\n"
+            "import ttriem.checks as checks\n"
+            "from ttriem.cli import main\n"
+            "checks.contract = lambda a, b, axes: a @ b + 1.0\n"
+            "sys.exit(main(['check', '--filter', 'dense-kernels']))\n"
+        )
+        proc = run_python_optimized(code)
+        assert "FAIL dense-kernels" in proc.stdout, proc.stderr
+        assert proc.returncode != 0

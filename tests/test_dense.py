@@ -115,3 +115,25 @@ class TestSvdThin:
         assert np.all(np.diff(s) <= 0.0) and np.all(s >= 0.0)
         assert np.abs(u.T @ u - np.eye(4)).max() < 1e-12
         assert np.abs(v.T @ v - np.eye(4)).max() < 1e-12
+
+
+class TestSvdThinFallback:
+    def test_transpose_retry_when_gesdd_fails(self, rng, monkeypatch):
+        real_svd = np.linalg.svd
+        shapes = []
+
+        def flaky_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            if len(shapes) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+        m = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9))  # rank 3
+        u, s, v = svd_thin(m)
+        assert shapes == [(6, 9), (9, 6)]
+        assert u.shape == (6, 6) and s.shape == (6,) and v.shape == (9, 6)
+        assert np.abs(u.T @ u - np.eye(6)).max() < 1e-12
+        assert np.abs(v.T @ v - np.eye(6)).max() < 1e-12
+        assert np.all(np.diff(s) <= 0.0) and np.all(s >= 0.0)
+        assert np.abs(u @ np.diag(s) @ v.T - m).max() < 1e-11 * np.linalg.norm(m)

@@ -33,6 +33,8 @@ from ttriem.tt import (
     ttmat_to_dense,
 )
 
+from conftest import run_python_optimized
+
 MODES = (2, 3, 2)
 
 
@@ -385,3 +387,20 @@ class TestIndexSetIo:
     def test_negative_index_rejected(self):
         with pytest.raises(IndexError):
             IndexSet(np.array([[0, -1, 0]]), np.array([1.0]))
+
+
+class TestSymmetryCheckUnderOptimize:
+    def test_nonsymmetric_operator_rejected_under_dash_o(self):
+        code = (
+            "assert False, 'asserts are live: not running under -O'\n"
+            "import numpy as np\n"
+            "import ttriem as tr\n"
+            "a = tr.random_ttmat(np.random.default_rng(0), (2, 2), (2, 2), 2)\n"
+            "try:\n"
+            "    tr.quadratic_form(a)\n"
+            "except tr.InvalidDataError:\n"
+            "    print('rejected')\n"
+        )
+        proc = run_python_optimized(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "rejected"
