@@ -16,7 +16,14 @@ import numpy as np
 from . import ad, coreops, objectives
 from .errors import UnavailableMethodError
 from .tt import TtMatrix, TtTensor, orthogonalize, tt_axpy, tt_entries, tt_round
-from .ttmanifold import TtTangent, _apply_gauge, hess_vec_tt, project_tt, riemannian_grad_tt
+from .ttmanifold import (
+    TtTangent,
+    _apply_gauge,
+    _as_ortho,
+    hess_vec_tt,
+    project_tt,
+    riemannian_grad_tt,
+)
 
 __all__ = [
     "ad_grad",
@@ -36,22 +43,16 @@ __all__ = [
 ]
 
 
-def _as_base(x):
-    from .tt import MuOrthogonal
-
-    return x if isinstance(x, MuOrthogonal) else orthogonalize(x)
-
-
 # ---------------------------------------------------------------------------
 # AD method (thin wrappers over the manifold module)
 
 
 def ad_grad(obj, x) -> TtTangent:
-    return riemannian_grad_tt(obj.evaluate, _as_base(x))
+    return riemannian_grad_tt(obj.evaluate, x)
 
 
 def ad_hvp(obj, x, z: TtTangent) -> TtTangent:
-    return hess_vec_tt(obj.evaluate, _as_base(x), z)
+    return hess_vec_tt(obj.evaluate, x, z)
 
 
 # ---------------------------------------------------------------------------
@@ -59,17 +60,13 @@ def ad_hvp(obj, x, z: TtTangent) -> TtTangent:
 
 
 def naive_grad(obj, x) -> TtTangent:
-    base = _as_base(x)
-    if obj.euclid_grad_tt is None:
-        raise UnavailableMethodError(f"{obj.name}: no analytic TT gradient available")
-    return project_tt(base, obj.euclid_grad_tt(base.to_tt()))
+    base = _as_ortho(x)
+    return project_tt(base, obj.hook("euclid_grad_tt")(base.to_tt()))
 
 
 def naive_hvp(obj, x, z: TtTangent) -> TtTangent:
-    base = _as_base(x)
-    if obj.euclid_hess_vec_tt is None:
-        raise UnavailableMethodError(f"{obj.name}: no analytic TT Hessian map available")
-    return project_tt(base, obj.euclid_hess_vec_tt(base.to_tt(), z.materialize()))
+    base = _as_ortho(x)
+    return project_tt(base, obj.hook("euclid_hess_vec_tt")(base.to_tt(), z.materialize()))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +79,7 @@ def project_matvec(a: TtMatrix, y: TtTensor, base) -> TtTangent:
     The three-index chains carry (rank of Y, rank of A, rank of X) jointly,
     so the rank-R*r cores of A Y are never materialized.
     """
-    base = _as_base(base)
+    base = _as_ortho(base)
     d = base.ndim
     left = [np.ones((1, 1, 1))]
     for k in range(d - 1):
@@ -121,7 +118,7 @@ def project_sparse(base, indices, weights) -> TtTangent:
     a unit mode vector, so the whole batch reduces to gathers, stacked
     small matrix products and one scatter per mode.
     """
-    base = _as_base(base)
+    base = _as_ortho(base)
     d = base.ndim
     idx = np.asarray(indices, dtype=np.intp)
     w = np.asarray(weights, dtype=np.float64)
@@ -148,7 +145,7 @@ def project_sparse(base, indices, weights) -> TtTangent:
 
 def project_rank1_sum(base, mode_vectors, coeffs) -> TtTangent:
     """P_X of sum_i c_i W_i for rank-1 tensors given by per-mode vectors."""
-    base = _as_base(base)
+    base = _as_ortho(base)
     d = base.ndim
     c = np.asarray(coeffs, dtype=np.float64)
     left = [np.ones((len(c), 1))]
@@ -169,11 +166,11 @@ def project_rank1_sum(base, mode_vectors, coeffs) -> TtTangent:
 
 
 def optimized_grad(obj, x) -> TtTangent:
-    return obj.hook("optimized_grad")(_as_base(x))
+    return obj.hook("optimized_grad")(_as_ortho(x))
 
 
 def optimized_hvp(obj, x, z: TtTangent) -> TtTangent:
-    return obj.hook("optimized_hvp")(_as_base(x), z)
+    return obj.hook("optimized_hvp")(_as_ortho(x), z)
 
 
 def compute_method(obj, method: str, op: str, x, z=None) -> TtTangent:

@@ -3,9 +3,17 @@ AD-driven Riemannian gradient / approximate Hessian-by-vector product.
 
 A point is stored in factored form X = U S V^T with orthonormal U, V.  A
 tangent vector is parametrized by (dU, dV) under the gauge V^T dV = 0 and
-materializes to dU V^T + U dV^T.  The differentiation routines never form
-the m x n Euclidean gradient and never invert S, so they remain valid when
-the rank is overestimated and S carries zero singular values.
+materializes to dU V^T + U dV^T.
+
+This is the d = 2 case of the TT manifold, applied to the transpose:
+X^T = V (U S)^T is the 2-mode TT tensor with left-orthogonal core V[None],
+right-orthogonal core U^T[:, :, None] and center cores (V S^T)[None] and
+(S^T U^T)[:, :, None].  A tangent (dU, dV) is the TT tangent with deltas
+(dV[None], dU^T[:, :, None]); the TT gauge on mode 0 is V^T dV = 0, and the
+block cores [dV V] and [U^T; dU^T] are the factors R and L^T.  Everything
+below delegates to :mod:`ttriem.ttmanifold`, so the routines never form the
+m x n Euclidean gradient and never invert S, and remain valid when the rank
+is overestimated and S carries zero singular values.
 """
 
 import numpy as np
@@ -13,6 +21,8 @@ import numpy as np
 from . import ad
 from .dense import as_tensor, frozen, svd_thin
 from .errors import DimensionError, InvalidPairError, InvalidTangentError
+from .tt import MuOrthogonal
+from .ttmanifold import TtTangent, _apply_gauge, hess_vec_tt, riemannian_grad_tt, tangent_dot_tt
 
 __all__ = [
     "FixedRankPoint",
@@ -24,12 +34,12 @@ __all__ = [
     "tangent_dot_matrix",
 ]
 
-GAUGE_REJECT = 1e-8
-GAUGE_REGAUGE = 1e-10
-
 
 class FixedRankPoint:
-    """Factored point X = U S V^T with orthonormal U and V columns."""
+    """Factored point X = U S V^T with orthonormal U and V columns.
+
+    ``ortho`` holds X^T as a 2-mode mu-orthogonal TT decomposition.
+    """
 
     def __init__(self, u, s, v):
         u = as_tensor(u)
@@ -55,6 +65,9 @@ class FixedRankPoint:
         self.u = frozen(u)
         self.s = frozen(s)
         self.v = frozen(v)
+        self.ortho = MuOrthogonal(
+            [v[None], None], [None, u.T[:, :, None]], [(v @ s.T)[None], (s.T @ u.T)[:, :, None]]
+        )
 
     @property
     def shape(self):
@@ -77,6 +90,8 @@ class FixedRankPoint:
         return self.u @ self.s @ self.v.T
 
     def matches(self, other):
+        # Stricter than MuOrthogonal.matches, which ignores U where S has a
+        # zero singular value although the tangent space depends on it.
         return self is other or (
             np.array_equal(self.u, other.u)
             and np.array_equal(self.s, other.s)
@@ -84,22 +99,12 @@ class FixedRankPoint:
         )
 
 
-def _gauge_residual(v, dv):
-    return float(np.linalg.norm(v.T @ dv) / max(1.0, np.linalg.norm(dv)))
-
-
-def _into_gauge(v, dv):
-    # projected twice: one pass leaves an eps * ||input|| residue that can
-    # dwarf a heavily cancelling tangential remainder
-    dv = dv - v @ (v.T @ dv)
-    return dv - v @ (v.T @ dv)
-
-
 class MatrixTangent:
     """Tangent vector at a fixed-rank point, parametrized by (dU, dV).
 
-    Inputs nearly in gauge (residual below 1e-8) are re-gauged on
-    construction; anything worse is rejected.
+    Stored as the TT tangent ``tt`` of X^T.  Inputs nearly in gauge
+    (residual below 1e-8) are re-gauged on construction; anything worse is
+    rejected.
     """
 
     def __init__(self, base, du, dv):
@@ -111,30 +116,30 @@ class MatrixTangent:
             raise DimensionError(
                 f"delta shapes {du.shape}, {dv.shape} do not match point ({m}x{n}, rank {r})"
             )
-        res = _gauge_residual(base.v, dv)
-        if res > GAUGE_REJECT:
-            raise InvalidTangentError(f"gauge violation {res:.2e} exceeds {GAUGE_REJECT:.0e}")
-        if res > GAUGE_REGAUGE:
-            dv = dv - base.v @ (base.v.T @ dv)
         self.base = base
-        self.du = frozen(du)
-        self.dv = frozen(dv)
+        self.tt = TtTangent(base.ortho, [dv[None], du.T[:, :, None]])
 
     @classmethod
-    def _trusted(cls, base, du, dv):
-        """Internal constructor for deltas already in gauge (skips the
-        relative-residual check, which misfires on cancellation results)."""
+    def _wrap(cls, base, tt):
+        """Internal constructor around a TT tangent of ``base.ortho``."""
         t = object.__new__(cls)
         t.base = base
-        t.du = frozen(du)
-        t.dv = frozen(dv)
+        t.tt = tt
         return t
 
+    @property
+    def du(self):
+        return self.tt.deltas[1][:, :, 0].T
+
+    @property
+    def dv(self):
+        return self.tt.deltas[0][0]
+
     def gauge_residual(self):
-        return _gauge_residual(self.base.v, self.dv)
+        return self.tt.gauge_residuals()[0]
 
     def norm(self):
-        return float(np.sqrt(max(tangent_dot_matrix(self, self), 0.0)))
+        return self.tt.norm()
 
 
 def tangent_materialize(t: MatrixTangent):
@@ -149,59 +154,46 @@ def project_matrix(x: FixedRankPoint, z) -> MatrixTangent:
     z = as_tensor(z)
     if z.shape != x.shape:
         raise DimensionError(f"shape {z.shape} does not match point shape {x.shape}")
-    du = z @ x.v
-    dv = _into_gauge(x.v, z.T @ x.u)
-    return MatrixTangent._trusted(x, du, dv)
+    deltas = _apply_gauge(x.ortho, [(z.T @ x.u)[None], (x.v.T @ z.T)[:, :, None]])
+    return MatrixTangent._wrap(x, TtTangent._trusted(x.ortho, deltas))
+
+
+def _core_program(p, x):
+    """The factor program p(L, R) as a program over the two TT cores of X^T.
+
+    The block cores are [dV V] = R and [U^T; dU^T] = L^T.
+    """
+    m, n = x.shape
+    w = 2 * x.rank
+
+    def program(cores):
+        return p(ad.transpose(ad.reshape(cores[1], (w, m)), (1, 0)), ad.reshape(cores[0], (n, w)))
+
+    return program
 
 
 def riemannian_grad_matrix(p, x: FixedRankPoint) -> MatrixTangent:
     """Riemannian gradient of a program evaluating f at L @ R.T.
 
-    The program is run on the width-2r factors L = [U A], R = [B V] and
-    differentiated with respect to the injected blocks A = U S and B = 0;
-    the gauge is then enforced on the dV block.
+    The program is run on the width-2r factors L = [U dU], R = [dV V] and
+    differentiated with respect to (dU, dV) by :func:`riemannian_grad_tt`.
     """
-    tape = ad.Tape()
-    a = tape.input(x.u @ x.s)
-    b = tape.input(np.zeros(x.v.shape))
-    uc = tape.const(x.u)
-    vc = tape.const(x.v)
-    out = p(ad.concat([uc, a], 1), ad.concat([b, vc], 1))
-    du, dv_raw = ad.grad(tape, out, [a, b])
-    return MatrixTangent._trusted(x, du, _into_gauge(x.v, dv_raw))
+    return MatrixTangent._wrap(x, riemannian_grad_tt(_core_program(p, x), x.ortho))
 
 
 def hess_vec_matrix(p, x: FixedRankPoint, z: MatrixTangent) -> MatrixTangent:
     """Approximate Riemannian Hessian applied to a tangent vector.
 
-    Differentiates w(A, B) = <dU_Z, dU(A, B)> + <dV_Z, dV(A, B)>, where
-    (dU, dV) is the gauged AD gradient of the factor program; the inner
-    reverse sweep stays on the tape, so the outer sweep differentiates
-    through it.  The curvature term of the exact Hessian is omitted.
+    The nested sweep of :func:`hess_vec_tt`; the curvature term of the
+    exact Hessian is omitted.
     """
     if not z.base.matches(x):
         raise InvalidTangentError("tangent vector is anchored at a different point")
-    res = z.gauge_residual()
-    if res > GAUGE_REJECT:
-        raise InvalidTangentError(f"gauge violation {res:.2e} exceeds {GAUGE_REJECT:.0e}")
-    tape = ad.Tape()
-    a = tape.input(x.u @ x.s)
-    b = tape.input(np.zeros(x.v.shape))
-    uc = tape.const(x.u)
-    vc = tape.const(x.v)
-    out = p(ad.concat([uc, a], 1), ad.concat([b, vc], 1))
-    du, dv_raw = ad.grad(tape, out, [a, b], as_vars=True)
-    dv = ad.sub(dv_raw, ad.contract(vc, ad.contract(vc, dv_raw, [(0, 0)]), [(1, 0)]))
-    w = ad.add(
-        ad.contract(tape.const(z.du), du, [(0, 0), (1, 1)]),
-        ad.contract(tape.const(z.dv), dv, [(0, 0), (1, 1)]),
-    )
-    hu, hv_raw = ad.grad(tape, w, [a, b])
-    return MatrixTangent._trusted(x, hu, _into_gauge(x.v, hv_raw))
+    return MatrixTangent._wrap(x, hess_vec_tt(_core_program(p, x), x.ortho, z.tt))
 
 
 def tangent_dot_matrix(a: MatrixTangent, b: MatrixTangent) -> float:
     """Euclidean inner product of two tangent vectors at the same point."""
     if not a.base.matches(b.base):
         raise InvalidPairError("tangent vectors live at different base points")
-    return float(np.vdot(a.du, b.du) + np.vdot(a.dv, b.dv))
+    return tangent_dot_tt(a.tt, b.tt)

@@ -138,10 +138,6 @@ class Objective:
     euclid_grad_tt: Optional[Callable] = None
     euclid_hess_vec_tt: Optional[Callable] = None
     operator: Optional[TtMatrix] = None
-    omega: Optional[IndexSet] = None
-    weight_tensors: tuple = ()
-    labels: tuple = ()
-    lam: float = 0.0
     optimized_grad: Optional[Callable] = None
     optimized_hvp: Optional[Callable] = None
     dense_value: Optional[Callable] = None
@@ -427,7 +423,6 @@ def completion_loss(omega: IndexSet) -> Objective:
         evaluate=evaluate,
         euclid_grad_tt=euclid_grad,
         euclid_hess_vec_tt=euclid_hess_vec,
-        omega=omega,
         optimized_grad=optimized_grad,
         optimized_hvp=optimized_hvp,
         dense_value=lambda v: float(np.sum((v[idx] - omega.values) ** 2)),
@@ -510,8 +505,6 @@ def expmachines_loss(ws, ys) -> Objective:
         evaluate=evaluate,
         euclid_grad_tt=lambda x: _rank1_sum_tt(wmats, grad_coeffs(x)),
         euclid_hess_vec_tt=lambda x, z: _rank1_sum_tt(wmats, hess_coeffs(x, z)),
-        weight_tensors=tuple(ws),
-        labels=tuple(float(y) for y in ys),
         optimized_grad=lambda base: baselines.project_rank1_sum(
             base, wmats, grad_coeffs(base.to_tt())),
         optimized_hvp=lambda base, z: baselines.project_rank1_sum(
@@ -537,8 +530,6 @@ def regularized_completion(omega: IndexSet, lam: float) -> Objective:
         evaluate=evaluate,
         euclid_grad_tt=lambda x: tt_axpy(2.0 * lam, x, loss.euclid_grad_tt(x)),
         euclid_hess_vec_tt=lambda x, z: tt_axpy(2.0 * lam, z, loss.euclid_hess_vec_tt(x, z)),
-        omega=omega,
-        lam=float(lam),
         optimized_grad=lambda base: tangent_axpy(
             2.0 * lam, point_as_tangent(base), loss.optimized_grad(base)),
         optimized_hvp=lambda base, z: tangent_axpy(2.0 * lam, z, loss.optimized_hvp(base, z)),

@@ -243,6 +243,36 @@ class TestHessVec:
         with pytest.raises(InvalidTangentError):
             hess_vec_matrix(quad_program, x2, z)
 
+    def test_near_gauge_input_is_regauged(self, rng):
+        x = random_point(rng, 5, 4, 2)
+        du = rng.standard_normal((5, 2))
+        dv = rng.standard_normal((4, 2))
+        dv -= x.v @ (x.v.T @ dv)
+        dv += x.v @ (2e-9 * np.eye(2))
+        res = np.linalg.norm(x.v.T @ dv) / max(1.0, np.linalg.norm(dv))
+        assert 1e-10 < res < 1e-8
+        t = MatrixTangent(x, du, dv)
+        assert t.gauge_residual() <= 1e-10
+        left, right = tangent_materialize(t)
+        want = du @ x.v.T + x.u @ dv.T
+        np.testing.assert_allclose(left @ right.T, want, atol=1e-8 * np.linalg.norm(want))
+
+    def test_foreign_base_with_zero_singular_value_rejected(self, rng):
+        # S = diag(1, 0): the points differ only in the column of U that S
+        # zeroes out, so X1 = X2 but the tangent spaces differ.
+        u1 = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+        u2 = u1 * [1.0, -1.0]
+        v = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+        x1 = FixedRankPoint(u1, np.diag([1.0, 0.0]), v)
+        x2 = FixedRankPoint(u2, np.diag([1.0, 0.0]), v)
+        assert x1.ortho.matches(x2.ortho)
+        z1 = project_matrix(x1, rng.standard_normal((4, 3)))
+        z2 = project_matrix(x2, rng.standard_normal((4, 3)))
+        with pytest.raises(InvalidTangentError):
+            hess_vec_matrix(quad_program, x2, z1)
+        with pytest.raises(InvalidPairError):
+            tangent_dot_matrix(z1, z2)
+
 
 class TestTangentDot:
     def test_zero(self, rng):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,11 @@ def cores_of(x):
     return [np.asarray(c) for c in x.cores]
 
 
-def dense_record_euclid_grad(objective, x):
-    """AD Euclidean gradient of the objective on a single dense variable."""
+def dense_record_euclid_grad(objective, data, x):
+    """AD Euclidean gradient of the objective on a single dense variable.
+
+    ``data`` holds what the objective was built from (see build_all_cases).
+    """
     xd = tt_to_dense(x)
     modes = xd.shape
     size = xd.size
@@ -57,7 +62,7 @@ def dense_record_euclid_grad(objective, x):
         tape = v.tape
         if objective.name in ("quadratic_form", "gram_quadratic_form",
                               "rayleigh_quotient"):
-            amat = tape.const(ttmat_to_dense(objective.operator))
+            amat = tape.const(ttmat_to_dense(data.operator))
             av = ad.contract(amat, flat, [(1, 0)])
             if objective.name == "quadratic_form":
                 return ad.contract(av, flat, [(0, 0)])
@@ -66,19 +71,19 @@ def dense_record_euclid_grad(objective, x):
             return ad.div(ad.contract(av, flat, [(0, 0)]),
                           ad.contract(flat, flat, [(0, 0)]))
         if objective.name in ("completion", "regularized_completion"):
-            flat_idx = np.ravel_multi_index(objective.omega.indices.T, modes)
+            flat_idx = np.ravel_multi_index(data.omega.indices.T, modes)
             core = ad.reshape(flat, (1, size, 1))
             vals = ad.reshape(ad.gather_mode(core, flat_idx),
                               (len(flat_idx),))
-            diff = ad.sub(vals, objective.omega.values)
+            diff = ad.sub(vals, data.omega.values)
             out = ad.reduce_sum(ad.mul(diff, diff))
-            if objective.lam:
+            if data.lam:
                 out = ad.add(out, ad.mul(ad.contract(flat, flat, [(0, 0)]),
-                                         objective.lam))
+                                         data.lam))
             return out
         if objective.name == "expmachines":
             total = None
-            for w, y in zip(objective.weight_tensors, objective.labels):
+            for w, y in zip(data.weight_tensors, data.labels):
                 wflat = tape.const(tt_to_dense(w).ravel())
                 margin = ad.mul(ad.contract(wflat, flat, [(0, 0)]), y)
                 term = ad.softplus(ad.neg(margin))
@@ -296,23 +301,34 @@ class TestRegularizedCompletion:
             regularized_completion(om, -1.0)
 
 
-def build_all_objectives(rng):
+def build_all_cases(rng):
+    """Every objective, paired with the data it was built from."""
     idx = np.array([[i, j, k] for i in range(2) for j in range(3) for k in range(2)])[::2]
+    qf_op = random_symmetric_ttmat(rng, MODES, 2)
+    gram_op = random_ttmat(rng, MODES, MODES, 2)
+    rq_op = random_symmetric_ttmat(rng, MODES, 2)
+    omega = IndexSet(idx, rng.standard_normal(len(idx)))
+    ws, ys = [random_tt(rng, MODES, 1) for _ in range(3)], [1.0, -1.0, 1.0]
+    reg_omega = IndexSet(idx, rng.standard_normal(len(idx)))
     return [
-        quadratic_form(random_symmetric_ttmat(rng, MODES, 2)),
-        gram_quadratic_form(random_ttmat(rng, MODES, MODES, 2)),
-        rayleigh_quotient(random_symmetric_ttmat(rng, MODES, 2)),
-        completion_loss(IndexSet(idx, rng.standard_normal(len(idx)))),
-        expmachines_loss([random_tt(rng, MODES, 1) for _ in range(3)], [1.0, -1.0, 1.0]),
-        regularized_completion(IndexSet(idx, rng.standard_normal(len(idx))), 0.4),
+        (quadratic_form(qf_op), SimpleNamespace(operator=qf_op)),
+        (gram_quadratic_form(gram_op), SimpleNamespace(operator=gram_op)),
+        (rayleigh_quotient(rq_op), SimpleNamespace(operator=rq_op)),
+        (completion_loss(omega), SimpleNamespace(omega=omega, lam=0.0)),
+        (expmachines_loss(ws, ys), SimpleNamespace(weight_tensors=ws, labels=ys)),
+        (regularized_completion(reg_omega, 0.4), SimpleNamespace(omega=reg_omega, lam=0.4)),
     ]
+
+
+def build_all_objectives(rng):
+    return [obj for obj, _ in build_all_cases(rng)]
 
 
 class TestCrossObjectiveInvariants:
     def test_analytic_gradients_match_dense_ad(self, rng):
         x = random_tt(rng, MODES, 2)
-        for obj in build_all_objectives(rng):
-            want = dense_record_euclid_grad(obj, x)
+        for obj, data in build_all_cases(rng):
+            want = dense_record_euclid_grad(obj, data, x)
             got = tt_to_dense(obj.euclid_grad_tt(x))
             scale = max(np.abs(want).max(), 1.0)
             np.testing.assert_allclose(got, want, atol=1e-9 * scale, err_msg=obj.name)
