@@ -76,37 +76,33 @@ def naive_hvp(obj, x, z: TtTangent) -> TtTangent:
 def project_matvec(a: TtMatrix, y: TtTensor, base) -> TtTangent:
     """P_X (A Y) by per-mode partial contractions.
 
-    The three-index chains carry (rank of Y, rank of A, rank of X) jointly,
-    so the rank-R*r cores of A Y are never materialized.
+    Every step contracts two operands: an interface with the Y core, then
+    the A core, then the X core (U, V, or the other interface for a delta).
+    The interfaces carry (rank of Y, rank of A, rank of X) jointly, so the
+    rank-R*r cores of A Y are never materialized.
     """
     base = _as_ortho(base)
     d = base.ndim
-    left = [np.ones((1, 1, 1))]
-    for k in range(d - 1):
-        left.append(
-            np.einsum(
-                "abc,ajd,bije,cif->def",
-                left[k], y.cores[k], a.cores[k], base.U[k],
-                optimize=True,
-            )
-        )
-    right = [None] * (d + 1)
-    right[d] = np.ones((1, 1, 1))
-    for k in range(d - 1, 0, -1):
-        right[k] = np.einsum(
-            "ajd,bije,cif,def->abc",
-            y.cores[k], a.cores[k], base.V[k], right[k + 1],
-            optimize=True,
-        )
-    deltas = []
+    # Index letters: a, d rank Y; b, e rank A; c, f rank X; i, j the row and
+    # column modes of A.  ly[k][c, d, i, e] is the left interface through
+    # mode k-1 joined with the k-th cores of Y and A; left[k+1] and delta k
+    # both start from it.
+    left = np.ones((1, 1, 1))
+    ly = []
     for k in range(d):
-        deltas.append(
-            np.einsum(
-                "abc,ajd,bije,def->cif",
-                left[k], y.cores[k], a.cores[k], right[k + 1],
-                optimize=True,
-            )
-        )
+        t = np.tensordot(left, y.cores[k], axes=([0], [0]))  # (b, c, j, d)
+        t = np.tensordot(t, a.cores[k], axes=([0, 2], [0, 2]))  # (c, d, i, e)
+        ly.append(t)
+        if k < d - 1:
+            left = np.tensordot(t, base.U[k], axes=([0, 2], [0, 1]))  # (d, e, f)
+    right = np.ones((1, 1, 1))
+    deltas = [None] * d
+    for k in range(d - 1, -1, -1):
+        deltas[k] = np.tensordot(ly[k], right, axes=([1, 3], [0, 1]))  # (c, i, f)
+        if k > 0:
+            t = np.tensordot(y.cores[k], right, axes=([2], [0]))  # (a, j, e, f)
+            t = np.tensordot(t, a.cores[k], axes=([1, 2], [2, 3]))  # (a, f, b, i)
+            right = np.tensordot(t, base.V[k], axes=([1, 3], [2, 1]))  # (a, b, c)
     return TtTangent._trusted(base, _apply_gauge(base, deltas))
 
 
@@ -116,13 +112,14 @@ def project_sparse(base, indices, weights) -> TtTangent:
     Each observation is a rank-1 basis tensor; its projection factors into
     a left chain through the U cores, a right chain through the V cores and
     a unit mode vector, so the whole batch reduces to gathers, stacked
-    small matrix products and one scatter per mode.
+    small matrix products and one matrix product per mode.
     """
     base = _as_ortho(base)
     d = base.ndim
     idx = np.asarray(indices, dtype=np.intp)
     w = np.asarray(weights, dtype=np.float64)
     n_obs = len(w)
+    rows = np.arange(n_obs)
     left = [np.ones((n_obs, 1))]
     for k in range(d - 1):
         ug = np.transpose(base.U[k][:, idx[:, k], :], (1, 0, 2))
@@ -135,11 +132,11 @@ def project_sparse(base, indices, weights) -> TtTangent:
 
     deltas = []
     for k in range(d):
-        contrib = w[:, None, None] * left[k][:, :, None] * right[k + 1][:, None, :]
-        n_k = base.S[k].shape[1]
-        buf = np.zeros((n_k, base.S[k].shape[0], base.S[k].shape[2]))
-        np.add.at(buf, idx[:, k], contrib)
-        deltas.append(np.ascontiguousarray(np.transpose(buf, (1, 0, 2))))
+        rl, n_k, rr = base.S[k].shape
+        # Row n of wl is w_n * left_n placed at the observed slice idx[n, k].
+        wl = np.zeros((n_obs, rl, n_k))
+        wl[rows, :, idx[:, k]] = w[:, None] * left[k]
+        deltas.append((wl.reshape(n_obs, -1).T @ right[k + 1]).reshape(rl, n_k, rr))
     return TtTangent._trusted(base, _apply_gauge(base, deltas))
 
 
@@ -148,20 +145,21 @@ def project_rank1_sum(base, mode_vectors, coeffs) -> TtTangent:
     base = _as_ortho(base)
     d = base.ndim
     c = np.asarray(coeffs, dtype=np.float64)
-    left = [np.ones((len(c), 1))]
+    n_terms = len(c)
+    left = [np.ones((n_terms, 1))]
     for k in range(d - 1):
         uw = np.einsum("aib,ni->nab", base.U[k], mode_vectors[k])
         left.append(np.einsum("na,nab->nb", left[k], uw))
     right = [None] * (d + 1)
-    right[d] = np.ones((len(c), 1))
+    right[d] = np.ones((n_terms, 1))
     for k in range(d - 1, 0, -1):
         vw = np.einsum("aib,ni->nab", base.V[k], mode_vectors[k])
         right[k] = np.einsum("nab,nb->na", vw, right[k + 1])
     deltas = []
     for k in range(d):
-        deltas.append(
-            np.einsum("n,ni,na,nb->aib", c, mode_vectors[k], left[k], right[k + 1])
-        )
+        rl, n_k, rr = base.S[k].shape
+        cw = (c[:, None] * left[k])[:, :, None] * mode_vectors[k][:, None, :]
+        deltas.append((cw.reshape(n_terms, -1).T @ right[k + 1]).reshape(rl, n_k, rr))
     return TtTangent._trusted(base, _apply_gauge(base, deltas))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ad
 from .dense import as_tensor, frozen, svd_thin
-from .errors import DimensionError, InvalidPairError, InvalidTangentError
+from .errors import DimensionError
 from .tt import MuOrthogonal
 from .ttmanifold import TtTangent, _apply_gauge, hess_vec_tt, riemannian_grad_tt, tangent_dot_tt
 
@@ -90,13 +90,13 @@ class FixedRankPoint:
         return self.u @ self.s @ self.v.T
 
     def matches(self, other):
-        # Stricter than MuOrthogonal.matches, which ignores U where S has a
-        # zero singular value although the tangent space depends on it.
-        return self is other or (
-            np.array_equal(self.u, other.u)
-            and np.array_equal(self.s, other.s)
-            and np.array_equal(self.v, other.v)
-        )
+        """Whether two points anchor the same base point.
+
+        This is the TT check on ``ortho``, whose cores are V, U^T and
+        S^T U^T; the matrix routines reach it through
+        :mod:`ttriem.ttmanifold`.
+        """
+        return self.ortho.matches(other.ortho)
 
 
 class MatrixTangent:
@@ -187,13 +187,9 @@ def hess_vec_matrix(p, x: FixedRankPoint, z: MatrixTangent) -> MatrixTangent:
     The nested sweep of :func:`hess_vec_tt`; the curvature term of the
     exact Hessian is omitted.
     """
-    if not z.base.matches(x):
-        raise InvalidTangentError("tangent vector is anchored at a different point")
     return MatrixTangent._wrap(x, hess_vec_tt(_core_program(p, x), x.ortho, z.tt))
 
 
 def tangent_dot_matrix(a: MatrixTangent, b: MatrixTangent) -> float:
     """Euclidean inner product of two tangent vectors at the same point."""
-    if not a.base.matches(b.base):
-        raise InvalidPairError("tangent vectors live at different base points")
     return tangent_dot_tt(a.tt, b.tt)

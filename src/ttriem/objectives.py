@@ -471,14 +471,13 @@ def expmachines_loss(ws, ys) -> Objective:
     # The gradient and the Hessian map are sums of the W_i with these
     # coefficients, whether built in TT form or projected term by term.
     def grad_coeffs(x):
-        t = np.array([tt_dot(x, w) for w in ws])
+        t = margins_program(list(x.cores))
         return -ys * sigmoid(-ys * t)
 
     def hess_coeffs(x, z):
-        t = np.array([tt_dot(x, w) for w in ws])
+        t = margins_program(list(x.cores))
         h = sigmoid(-ys * t) * sigmoid(ys * t)
-        zw = np.array([tt_dot(z, w) for w in ws])
-        return h * zw
+        return h * margins_program(list(z.cores))
 
     def dense_value(v):
         t = np.array([tt_to_dense(w).ravel() @ v.ravel() for w in ws])

@@ -161,17 +161,19 @@ class MuOrthogonal:
         """Whether two decompositions anchor the same base point.
 
         Orthogonalization is deterministic, so tangents at the same point
-        carry bit-identical factors.
+        carry bit-identical factors.  The V cores are compared too: where S
+        has a zero singular value they are not fixed by U and S, and the
+        tangent space depends on them.
         """
         if self is other:
             return True
         if self.mode_sizes != other.mode_sizes or self.ranks != other.ranks:
             return False
-        return all(
-            np.array_equal(a, b)
-            for pair in zip(self.U[:-1], other.U[:-1])
-            for a, b in [pair]
-        ) and np.array_equal(self.S[-1], other.S[-1])
+        return (
+            all(np.array_equal(a, b) for a, b in zip(self.U[:-1], other.U[:-1]))
+            and all(np.array_equal(a, b) for a, b in zip(self.V[1:], other.V[1:]))
+            and np.array_equal(self.S[-1], other.S[-1])
+        )
 
 
 def orthogonalize(x: TtTensor) -> MuOrthogonal:

@@ -12,6 +12,9 @@ from ttriem.baselines import (
     naive_hvp,
     optimized_grad,
     optimized_hvp,
+    project_matvec,
+    project_rank1_sum,
+    project_sparse,
     riemannian_gd_demo,
 )
 from ttriem.bench import BenchConfig, bench_run, complexity_ratios, make_instance, sample_indices
@@ -29,10 +32,13 @@ from ttriem.objectives import (
 from ttriem.oracles import dense_euclid_grad, dense_euclid_hess_vec, dense_objective
 from ttriem.tt import (
     MuOrthogonal,
+    TtTensor,
     orthogonalize,
     random_symmetric_ttmat,
     random_tt,
     random_ttmat,
+    tt_weighted_sum,
+    ttmat_apply,
     ttmat_identity,
 )
 from ttriem.ttmanifold import project_tt, tangent_axpy, tangent_dot_tt
@@ -104,6 +110,44 @@ class TestOptimized:
             optimized_grad(obj, base)
         with pytest.raises(UnavailableMethodError):
             optimized_hvp(obj, base, z)
+
+
+def rank1_sum(mode_vectors, coeffs):
+    """sum_n c_n (v_n^0 o v_n^1 o ...) in TT form, one rank-1 term at a time."""
+    terms = [
+        TtTensor([vk[n][None, :, None] for vk in mode_vectors]) for n in range(len(coeffs))
+    ]
+    return tt_weighted_sum(list(coeffs), terms)
+
+
+class TestFusedProjections:
+    """Each fused projection against project_tt of its input in TT form."""
+
+    def test_matvec_rectangular_operator(self, rng, instance):
+        base, _ = instance
+        in_modes = (2, 4, 3)  # differ from the output modes MODES
+        a = random_ttmat(rng, MODES, in_modes, 3)
+        y = random_tt(rng, in_modes, (3, 4))  # ranks differ from the base's 2
+        want = project_tt(base, ttmat_apply(a, y))
+        assert tangent_rel(project_matvec(a, y, base), want) < 1e-10
+
+    @pytest.mark.parametrize("n_terms", [1, 7])  # 7 exceeds every mode size
+    def test_rank1_sum(self, rng, instance, n_terms):
+        base, _ = instance
+        vectors = [rng.standard_normal((n_terms, n)) for n in MODES]
+        coeffs = rng.standard_normal(n_terms)
+        want = project_tt(base, rank1_sum(vectors, coeffs))
+        assert tangent_rel(project_rank1_sum(base, vectors, coeffs), want) < 1e-10
+
+    def test_sparse_repeated_and_unobserved_slices(self, rng, instance):
+        base, _ = instance
+        # Mode 1 repeats index 0 four times, slice 1 of mode 0 is never
+        # observed, and entry (2, 0, 1) appears twice, so its weights add.
+        idx = np.array([[0, 0, 0], [2, 0, 1], [0, 1, 2], [2, 0, 1], [0, 0, 2]])
+        w = rng.standard_normal(len(idx))
+        units = [np.eye(n)[idx[:, k]] for k, n in enumerate(MODES)]
+        want = project_tt(base, rank1_sum(units, w))
+        assert tangent_rel(project_sparse(base, idx, w), want) < 1e-10
 
 
 class TestThreeWayAgreement:

@@ -3,6 +3,7 @@ import pytest
 
 from ttriem import coreops
 from ttriem.errors import DimensionError, InvalidPairError, InvalidTangentError
+from ttriem.matrix import FixedRankPoint
 from ttriem.objectives import quadratic_form
 from ttriem.oracles import dense_project
 from ttriem.tt import (
@@ -236,6 +237,21 @@ class TestHessVec:
         z = project_tt(other, random_tt(rng, MODES, (2, 2)))
         with pytest.raises(InvalidTangentError):
             hess_vec_tt(quad_self_program, base, z)
+
+    def test_base_differing_only_in_v_core_rejected(self, rng):
+        # The TT form of X^T for X = U diag(1, 0) V^T with two U that differ
+        # only in the zeroed column: U[0] and S[-1] agree, V[1] does not,
+        # and so do the tangent spaces.
+        u1 = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+        v = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+        b1 = FixedRankPoint(u1, np.diag([1.0, 0.0]), v).ortho
+        b2 = FixedRankPoint(u1 * [1.0, -1.0], np.diag([1.0, 0.0]), v).ortho
+        z1 = project_tt(b1, random_tt(rng, (3, 4), 2))
+        z2 = project_tt(b2, random_tt(rng, (3, 4), 2))
+        with pytest.raises(InvalidTangentError):
+            hess_vec_tt(quad_self_program, b2, z1)
+        with pytest.raises(InvalidPairError):
+            tangent_dot_tt(z1, z2)
 
     def test_consistency_with_fused_projection(self, rng, base):
         # For f = <A X, X> the Hessian map is Z -> P_X (2 A Z~): the same
