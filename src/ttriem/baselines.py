@@ -4,8 +4,9 @@ Riemannian gradient-descent demo.
 naive: build the Euclidean derivative in TT form and project it.
 optimized: fuse operator application or per-term projection with the
 tangent projection, mode by mode, without forming intermediate high-rank
-TT cores.  The projections live here; each objective's constructor
-attaches the hooks that combine them.
+TT cores.  An observed entry is the rank-1 tensor of its unit mode
+vectors, so sparse data reuses the rank-1-sum projection.  The projections
+live here; each objective's constructor attaches the hooks that combine them.
 ad: differentiate the objective program directly (the library's own path).
 """
 
@@ -109,57 +110,45 @@ def project_matvec(a: TtMatrix, y: TtTensor, base) -> TtTangent:
 def project_sparse(base, indices, weights) -> TtTangent:
     """P_X of a sparse tensor given by entry positions and weights.
 
-    Each observation is a rank-1 basis tensor; its projection factors into
-    a left chain through the U cores, a right chain through the V cores and
-    a unit mode vector, so the whole batch reduces to gathers, stacked
-    small matrix products and one matrix product per mode.
+    An observed entry is the rank-1 tensor of its unit mode vectors, so the
+    sparse tensor is a rank-1 sum and this is :func:`project_rank1_sum` on
+    one-hot rows.
     """
     base = _as_ortho(base)
-    d = base.ndim
-    idx = np.asarray(indices, dtype=np.intp)
-    w = np.asarray(weights, dtype=np.float64)
-    n_obs = len(w)
-    rows = np.arange(n_obs)
-    left = [np.ones((n_obs, 1))]
-    for k in range(d - 1):
-        ug = np.transpose(base.U[k][:, idx[:, k], :], (1, 0, 2))
-        left.append(np.einsum("na,nab->nb", left[k], ug))
-    right = [None] * (d + 1)
-    right[d] = np.ones((n_obs, 1))
-    for k in range(d - 1, 0, -1):
-        vg = np.transpose(base.V[k][:, idx[:, k], :], (1, 0, 2))
-        right[k] = np.einsum("nab,nb->na", vg, right[k + 1])
-
-    deltas = []
-    for k in range(d):
-        rl, n_k, rr = base.S[k].shape
-        # Row n of wl is w_n * left_n placed at the observed slice idx[n, k].
-        wl = np.zeros((n_obs, rl, n_k))
-        wl[rows, :, idx[:, k]] = w[:, None] * left[k]
-        deltas.append((wl.reshape(n_obs, -1).T @ right[k + 1]).reshape(rl, n_k, rr))
-    return TtTangent._trusted(base, _apply_gauge(base, deltas))
+    units = objectives._unit_vectors(np.asarray(indices, dtype=np.intp), base.mode_sizes)
+    return project_rank1_sum(base, units, weights)
 
 
 def project_rank1_sum(base, mode_vectors, coeffs) -> TtTangent:
-    """P_X of sum_i c_i W_i for rank-1 tensors given by per-mode vectors."""
+    """P_X of sum_i c_i W_i for rank-1 tensors given by per-mode vectors.
+
+    Each term's projection factors into left (U) and right (V) chains and
+    its mode vectors; every chain step and delta is one product over terms.
+    """
     base = _as_ortho(base)
     d = base.ndim
     c = np.asarray(coeffs, dtype=np.float64)
     n_terms = len(c)
+
+    def transfer(core, k):
+        # (N, rl, rr): core k contracted with every term's mode-k vector.
+        rl, n_k, rr = core.shape
+        flat = core.transpose(1, 0, 2).reshape(n_k, rl * rr)
+        return (mode_vectors[k] @ flat).reshape(n_terms, rl, rr)
+
     left = [np.ones((n_terms, 1))]
     for k in range(d - 1):
-        uw = np.einsum("aib,ni->nab", base.U[k], mode_vectors[k])
-        left.append(np.einsum("na,nab->nb", left[k], uw))
+        left.append(np.einsum("na,nab->nb", left[k], transfer(base.U[k], k)))
     right = [None] * (d + 1)
     right[d] = np.ones((n_terms, 1))
     for k in range(d - 1, 0, -1):
-        vw = np.einsum("aib,ni->nab", base.V[k], mode_vectors[k])
-        right[k] = np.einsum("nab,nb->na", vw, right[k + 1])
+        right[k] = np.einsum("nab,nb->na", transfer(base.V[k], k), right[k + 1])
     deltas = []
     for k in range(d):
         rl, n_k, rr = base.S[k].shape
-        cw = (c[:, None] * left[k])[:, :, None] * mode_vectors[k][:, None, :]
-        deltas.append((cw.reshape(n_terms, -1).T @ right[k + 1]).reshape(rl, n_k, rr))
+        outer = (c[:, None] * left[k])[:, :, None] * right[k + 1][:, None, :]
+        flat = mode_vectors[k].T @ outer.reshape(n_terms, rl * rr)
+        deltas.append(flat.reshape(n_k, rl, rr).transpose(1, 0, 2))
     return TtTangent._trusted(base, _apply_gauge(base, deltas))
 
 

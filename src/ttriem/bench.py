@@ -195,8 +195,7 @@ def complexity_ratios(d=6, n=10, rank=5, op_rank=5, trials=7, seed=0):
     base = orthogonalize(x)
     z = project_tt(base, random_tt(rng, modes, rank))
     objective = obj_mod.quadratic_form(random_symmetric_ttmat(rng, modes, op_rank))
-    block = [np.asarray(c.value if hasattr(c, "value") else c)
-             for c in _block_cores(base, _delta_seed(base))]
+    block = _block_cores(base, _delta_seed(base))
     point = [np.asarray(c) for c in x.cores]
 
     # warmup

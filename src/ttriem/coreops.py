@@ -13,10 +13,6 @@ from .errors import DimensionError
 __all__ = ["dot_cores", "matvec_cores", "entries_cores"]
 
 
-def _mode_size(core):
-    return core.shape[1] if not isinstance(core, ad.Var) else core.value.shape[1]
-
-
 def dot_cores(xs, ys):
     """Inner product of two TT tensors given as core lists (scalar output).
 
@@ -26,7 +22,7 @@ def dot_cores(xs, ys):
     if len(xs) != len(ys):
         raise DimensionError(f"core counts differ: {len(xs)} vs {len(ys)}")
     for cx, cy in zip(xs, ys):
-        if _mode_size(cx) != _mode_size(cy):
+        if np.shape(cx)[1] != np.shape(cy)[1]:
             raise DimensionError("mode sizes differ in dot_cores")
     m = ad.contract(xs[0], ys[0], [(0, 0), (1, 1)])  # (rx_1, ry_1)
     for cx, cy in zip(xs[1:], ys[1:]):
@@ -45,8 +41,7 @@ def matvec_cores(op_cores, xs):
         raise DimensionError("operator and tensor dimensionality differ")
     out = []
     for a, x in zip(op_cores, xs):
-        a_shape = a.shape if not isinstance(a, ad.Var) else a.value.shape
-        x_shape = x.shape if not isinstance(x, ad.Var) else x.value.shape
+        a_shape, x_shape = np.shape(a), np.shape(x)
         if a_shape[2] != x_shape[1]:
             raise DimensionError(
                 f"operator column size {a_shape[2]} does not match mode size {x_shape[1]}"

@@ -107,7 +107,9 @@ def read_index_set(path) -> IndexSet:
                 vals.append(float(parts[-1]))
             except ValueError as exc:
                 raise InvalidDataError(f"line {lineno}: {exc}") from exc
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
+    if not rows:
+        raise InvalidDataError("no observation lines")
+    if any(len(r) != len(rows[0]) for r in rows):
         raise InvalidDataError("observation lines disagree on dimensionality")
     return IndexSet(np.array(rows), np.array(vals))
 
@@ -159,8 +161,7 @@ class Objective:
         """
 
         def program(left, right):
-            lshape = left.value.shape if isinstance(left, ad.Var) else left.shape
-            rshape = right.value.shape if isinstance(right, ad.Var) else right.shape
+            lshape, rshape = np.shape(left), np.shape(right)
             g1 = ad.reshape(left, (1, lshape[0], lshape[1]))
             g2 = ad.reshape(ad.transpose(right, (1, 0)), (rshape[1], rshape[0], 1))
             return self.evaluate([g1, g2])
@@ -169,7 +170,7 @@ class Objective:
 
 
 def _core_shapes(cores):
-    return [c.value.shape if isinstance(c, ad.Var) else np.shape(c) for c in cores]
+    return [np.shape(c) for c in cores]
 
 
 def _maybe_check_symmetric(a: TtMatrix, name):
@@ -329,31 +330,9 @@ def rayleigh_quotient(a: TtMatrix) -> Objective:
     )
 
 
-def _sparse_tt(omega: IndexSet, weights, mode_sizes) -> TtTensor:
-    """TT tensor carrying ``weights`` at the observed entries (rank = N)."""
-    n_obs = len(omega)
-    if n_obs > NAIVE_RANK_CAP:
-        raise UnavailableMethodError(
-            f"sparse TT rank {n_obs} exceeds the naive-method cap {NAIVE_RANK_CAP}"
-        )
-    if n_obs == 0:
-        return TtTensor([np.zeros((1, n, 1)) for n in mode_sizes])
-    d = len(mode_sizes)
-    idx = omega.indices
-    if d == 1:
-        core = np.zeros((1, mode_sizes[0], 1))
-        np.add.at(core[0, :, 0], idx[:, 0], weights)
-        return TtTensor([core])
-    cores = [np.zeros((1, mode_sizes[0], n_obs))]
-    cores[0][0, idx[:, 0], np.arange(n_obs)] = weights
-    for k in range(1, d - 1):
-        core = np.zeros((n_obs, mode_sizes[k], n_obs))
-        core[np.arange(n_obs), idx[:, k], np.arange(n_obs)] = 1.0
-        cores.append(core)
-    last = np.zeros((n_obs, mode_sizes[d - 1], 1))
-    last[np.arange(n_obs), idx[:, d - 1], 0] = 1.0
-    cores.append(last)
-    return TtTensor(cores)
+def _unit_vectors(indices, mode_sizes):
+    """Per-mode (N, n_k) one-hot rows: entry idx is the rank-1 tensor of these."""
+    return [np.eye(n)[indices[:, k]] for k, n in enumerate(mode_sizes)]
 
 
 def _rank1_sum_tt(mode_vectors, coeffs) -> TtTensor:
@@ -394,11 +373,12 @@ def completion_loss(omega: IndexSet) -> Objective:
     def euclid_grad(x):
         omega.check_modes(x.mode_sizes)
         w = 2.0 * (tt_entries(x, omega.indices) - omega.values)
-        return _sparse_tt(omega, w, x.mode_sizes)
+        return _rank1_sum_tt(_unit_vectors(omega.indices, x.mode_sizes), w)
 
     def euclid_hess_vec(x, z):
         omega.check_modes(x.mode_sizes)
-        return _sparse_tt(omega, 2.0 * tt_entries(z, omega.indices), x.mode_sizes)
+        w = 2.0 * tt_entries(z, omega.indices)
+        return _rank1_sum_tt(_unit_vectors(omega.indices, x.mode_sizes), w)
 
     def optimized_grad(base):
         w = 2.0 * (tt_entries(base.to_tt(), omega.indices) - omega.values)

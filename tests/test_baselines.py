@@ -149,6 +149,32 @@ class TestFusedProjections:
         want = project_tt(base, rank1_sum(units, w))
         assert tangent_rel(project_sparse(base, idx, w), want) < 1e-10
 
+    def test_rank1_sum_without_terms_is_zero(self, instance):
+        base, _ = instance
+        vectors = [np.zeros((0, n)) for n in MODES]
+        assert project_rank1_sum(base, vectors, np.zeros(0)).norm() == 0.0
+
+
+class TestCompletionEdgeCases:
+    """Empty and single-mode observation sets through every pipeline."""
+
+    @pytest.mark.parametrize("modes, idx", [
+        (MODES, np.zeros((0, 3), dtype=int)),
+        ((5,), np.zeros((0, 1), dtype=int)),
+        ((5,), np.array([[0], [3], [4]])),
+    ], ids=["empty", "empty_single_mode", "single_mode"])
+    @pytest.mark.parametrize("op", ["grad", "hvp"])
+    def test_naive_and_optimized_match_ad(self, rng, modes, idx, op):
+        rank = 2 if len(modes) > 1 else 1
+        base = orthogonalize(random_tt(rng, modes, rank))
+        z = project_tt(base, random_tt(rng, modes, rank))
+        omega = IndexSet(idx, rng.standard_normal(len(idx)))
+        for obj in (completion_loss(omega), regularized_completion(omega, 0.7)):
+            want = compute_method(obj, "ad", op, base, z)
+            for method in ("naive", "optimized"):
+                got = compute_method(obj, method, op, base, z)
+                assert tangent_rel(got, want) <= 1e-12, (obj.name, method)
+
 
 class TestThreeWayAgreement:
     @pytest.mark.parametrize("op", ["grad", "hvp"])

@@ -396,6 +396,12 @@ class TestIndexSetIo:
         with pytest.raises(InvalidDataError):
             read_index_set(path)
 
+    def test_empty_set_rejected_as_empty(self, tmp_path):
+        path = tmp_path / "omega.txt"
+        write_index_set(IndexSet(np.zeros((0, 3), dtype=int), np.zeros(0)), path)
+        with pytest.raises(InvalidDataError, match="no observation lines"):
+            read_index_set(path)
+
     def test_duplicates_rejected(self):
         with pytest.raises(InvalidDataError):
             IndexSet(np.array([[0, 0, 0], [0, 0, 0]]), np.array([1.0, 2.0]))
