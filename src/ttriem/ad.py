@@ -2,15 +2,20 @@
 
 Every operation in this module accepts either plain ``numpy`` arrays (and
 then simply computes) or :class:`Var` handles (and then records a node on
-the tape the variables live on).  Backward rules are themselves written in
-terms of these operations, so a reverse sweep emits recordable nodes and
-the result of ``grad`` can be differentiated again (nested AD).
+the tape the variables live on).  A node stores its parents and one
+adjoint rule per parent; ``rules[i](u)`` maps the node's adjoint ``u`` to
+the contribution for ``parents[i]``.  Rules are themselves written in terms
+of these operations, so a reverse sweep emits recordable nodes and the
+result of ``grad`` can be differentiated again (nested AD).
 
-Constants never receive derivative flow: a node whose ancestors contain no
-tape input is marked non-differentiable and the sweep skips it.  The
-``stop_gradient`` operation produces exactly such a node, which freezes its
-argument at every nesting level.
+Constants never receive derivative flow: a node is differentiable exactly
+when one of its parents is, and ``grad`` calls a rule only for a
+differentiable parent, so a constant operand costs no adjoint work.  The
+``stop_gradient`` operation records a non-differentiable node without
+rules, which freezes its argument at every nesting level.
 """
+
+from collections import defaultdict
 
 import numpy as np
 
@@ -48,21 +53,30 @@ __all__ = [
     "batch_matmul",
 ]
 
-
 class Var:
-    """Handle to a tape node: cached primal value plus backward rule."""
+    """Handle to a tape node: cached primal value, parents and one adjoint
+    rule per parent.
 
-    __slots__ = ("tape", "value", "op", "parents", "vjp", "diff", "index")
+    ``diff`` is set once, here: a node is differentiable when one of its
+    parents is, unless the caller says otherwise (inputs, constants and
+    ``stop_gradient``).
+    """
+
+    __slots__ = ("tape", "value", "op", "parents", "rules", "diff", "index")
 
     # Keep numpy from consuming Vars in its own ufunc dispatch.
     __array_ufunc__ = None
 
-    def __init__(self, tape, value, op, parents, vjp, diff):
+    def __init__(self, tape, value, op, parents=(), rules=(), diff=None):
         self.tape = tape
         self.value = value
         self.op = op
         self.parents = parents
-        self.vjp = vjp
+        self.rules = rules
+        if diff is None:
+            diff = False
+            for p in parents:
+                diff = diff or p.diff
         self.diff = diff
         self.index = len(tape.nodes)
         tape.nodes.append(self)
@@ -143,12 +157,12 @@ class Tape:
     def input(self, value) -> Var:
         """Register a differentiable input (a leaf of the graph)."""
         arr = np.asarray(value, dtype=np.float64)
-        return Var(self, arr, "input", (), None, True)
+        return Var(self, arr, "input", diff=True)
 
     def const(self, value) -> Var:
         """Register a constant: derivative flow stops here."""
         arr = np.asarray(value, dtype=np.float64)
-        return Var(self, arr, "const", (), None, False)
+        return Var(self, arr, "const", diff=False)
 
 
 def record(inputs, program):
@@ -173,10 +187,12 @@ def record(inputs, program):
 def grad(tape, output, wrt, as_vars=False):
     """Derivatives of a scalar ``output`` with respect to tape inputs.
 
-    The sweep walks nodes in decreasing creation index and emits its own
-    adjoint computations as new nodes on the same tape, so the returned
-    gradients (``as_vars=True``) can be differentiated again.  With the
-    default ``as_vars=False`` the plain ndarray values are returned.
+    The sweep walks nodes in decreasing creation index and calls each
+    node's adjoint rule for every differentiable parent; this is the only
+    place a parent is skipped.  Rules emit their computations as new nodes
+    on the same tape, so the returned gradients (``as_vars=True``) can be
+    differentiated again.  With the default ``as_vars=False`` the plain
+    ndarray values are returned.
     """
     if not isinstance(output, Var) or output.tape is not tape:
         raise InvalidVariableError("output does not belong to the given tape")
@@ -188,7 +204,7 @@ def grad(tape, output, wrt, as_vars=False):
 
     wanted = {w.index for w in wrt}
     results = {}
-    contribs = {output.index: [tape.const(np.ones(()))]}
+    contribs = defaultdict(list, {output.index: [tape.const(np.ones(()))]})
     for i in range(output.index, -1, -1):
         lst = contribs.pop(i, None)
         if lst is None:
@@ -197,10 +213,9 @@ def grad(tape, output, wrt, as_vars=False):
         adj = lst[0] if len(lst) == 1 else add_n(lst)
         if i in wanted:
             results[i] = adj
-        if node.vjp is None or not node.diff:
-            continue
-        for parent, g in node.vjp(adj):
-            contribs.setdefault(parent.index, []).append(g)
+        for parent, rule in zip(node.parents, node.rules):
+            if parent.diff:
+                contribs[parent.index].append(rule(adj))
 
     out = []
     for w in wrt:
@@ -232,6 +247,10 @@ def _lift(tape, x):
     return tape.const(x)
 
 
+def _ndim(x):
+    return x.value.ndim if isinstance(x, Var) else np.ndim(x)
+
+
 def _elementwise_shapes(sa, sb):
     if sa != sb and sa != () and sb != ():
         raise DimensionError(f"elementwise shapes differ: {sa} vs {sb}")
@@ -258,15 +277,12 @@ def add_n(parts):
     val = parts[0].value.copy()
     for p in parts[1:]:
         val += p.value
-    diff = any(p.diff for p in parts)
-
-    def vjp(u):
-        return [(p, u) for p in parts if p.diff]
-
-    return Var(tape, val, "add_n", tuple(parts), vjp, diff)
+    return Var(tape, val, "add_n", tuple(parts), (lambda u: u,) * len(parts))
 
 
-def _binary(name, fwd, make_vjp):
+def _binary(name, fwd, rule_a, rule_b):
+    # rule_x(u, a, b, out) is the adjoint for one operand before the
+    # scalar-broadcast fold.
     def op(a, b):
         tape = _find_tape((a, b))
         if tape is None:
@@ -274,77 +290,30 @@ def _binary(name, fwd, make_vjp):
         a = _lift(tape, a)
         b = _lift(tape, b)
         _elementwise_shapes(a.value.shape, b.value.shape)
-        val = fwd(a.value, b.value)
-        node = Var(tape, val, name, (a, b), None, a.diff or b.diff)
-        node.vjp = make_vjp(a, b, node)
-        return node
+        out = Var(tape, fwd(a.value, b.value), name, (a, b), (
+            lambda u: _unbroadcast(rule_a(u, a, b, out), a.value.shape),
+            lambda u: _unbroadcast(rule_b(u, a, b, out), b.value.shape),
+        ))
+        return out
 
     op.__name__ = name
     return op
 
 
-def _add_vjp(a, b, out):
-    def vjp(u):
-        res = []
-        if a.diff:
-            res.append((a, _unbroadcast(u, a.value.shape)))
-        if b.diff:
-            res.append((b, _unbroadcast(u, b.value.shape)))
-        return res
-
-    return vjp
+add = _binary("add", np.add, lambda u, a, b, out: u, lambda u, a, b, out: u)
+sub = _binary("sub", np.subtract, lambda u, a, b, out: u, lambda u, a, b, out: neg(u))
+mul = _binary("mul", np.multiply, lambda u, a, b, out: mul(u, b), lambda u, a, b, out: mul(u, a))
+div = _binary("div", np.divide, lambda u, a, b, out: div(u, b),
+              lambda u, a, b, out: neg(mul(div(u, b), out)))
 
 
-def _sub_vjp(a, b, out):
-    def vjp(u):
-        res = []
-        if a.diff:
-            res.append((a, _unbroadcast(u, a.value.shape)))
-        if b.diff:
-            res.append((b, _unbroadcast(neg(u), b.value.shape)))
-        return res
-
-    return vjp
-
-
-def _mul_vjp(a, b, out):
-    def vjp(u):
-        res = []
-        if a.diff:
-            res.append((a, _unbroadcast(mul(u, b), a.value.shape)))
-        if b.diff:
-            res.append((b, _unbroadcast(mul(u, a), b.value.shape)))
-        return res
-
-    return vjp
-
-
-def _div_vjp(a, b, out):
-    def vjp(u):
-        ga = div(u, b)
-        res = []
-        if a.diff:
-            res.append((a, _unbroadcast(ga, a.value.shape)))
-        if b.diff:
-            res.append((b, _unbroadcast(neg(mul(ga, out)), b.value.shape)))
-        return res
-
-    return vjp
-
-
-add = _binary("add", np.add, _add_vjp)
-sub = _binary("sub", np.subtract, _sub_vjp)
-mul = _binary("mul", np.multiply, _mul_vjp)
-div = _binary("div", np.divide, _div_vjp)
-
-
-def _unary(name, fwd, make_vjp):
+def _unary(name, fwd, rule):
+    # rule(u, a, out) is the adjoint for the operand.
     def op(a):
         if not isinstance(a, Var):
             return fwd(np.asarray(a, dtype=np.float64))
-        node = Var(a.tape, fwd(a.value), name, (a,), None, a.diff)
-        node.vjp = make_vjp(a, node)
-        return node
+        out = Var(a.tape, fwd(a.value), name, (a,), (lambda u: rule(u, a, out),))
+        return out
 
     op.__name__ = name
     return op
@@ -355,28 +324,20 @@ def _sigmoid_np(t):
     return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-neg = _unary("neg", np.negative, lambda a, out: lambda u: [(a, neg(u))])
-exp = _unary("exp", np.exp, lambda a, out: lambda u: [(a, mul(u, out))])
-log = _unary("log", np.log, lambda a, out: lambda u: [(a, div(u, a))])
-sin = _unary("sin", np.sin, lambda a, out: lambda u: [(a, mul(u, cos(a)))])
-cos = _unary("cos", np.cos, lambda a, out: lambda u: [(a, neg(mul(u, sin(a))))])
-sigmoid = _unary(
-    "sigmoid",
-    _sigmoid_np,
-    lambda a, out: lambda u: [(a, mul(u, mul(out, sub(1.0, out))))],
-)
-softplus = _unary(
-    "softplus",
-    lambda t: np.logaddexp(0.0, t),
-    lambda a, out: lambda u: [(a, mul(u, sigmoid(a)))],
-)
+neg = _unary("neg", np.negative, lambda u, a, out: neg(u))
+exp = _unary("exp", np.exp, lambda u, a, out: mul(u, out))
+log = _unary("log", np.log, lambda u, a, out: div(u, a))
+sin = _unary("sin", np.sin, lambda u, a, out: mul(u, cos(a)))
+cos = _unary("cos", np.cos, lambda u, a, out: neg(mul(u, sin(a))))
+sigmoid = _unary("sigmoid", _sigmoid_np, lambda u, a, out: mul(u, mul(out, sub(1.0, out))))
+softplus = _unary("softplus", lambda t: np.logaddexp(0.0, t), lambda u, a, out: mul(u, sigmoid(a)))
 
 
 def stop_gradient(a):
     """Identity in value; blocks derivative flow at every nesting level."""
     if not isinstance(a, Var):
         return np.asarray(a, dtype=np.float64)
-    return Var(a.tape, a.value, "stop_gradient", (a,), None, False)
+    return Var(a.tape, a.value, "stop_gradient", (a,), diff=False)
 
 
 def reshape(a, shape):
@@ -387,58 +348,45 @@ def reshape(a, shape):
     if not isinstance(a, Var):
         return np.reshape(np.asarray(a, dtype=np.float64), shape)
     old = a.value.shape
-    val = a.value.reshape(shape)
-
-    def vjp(u):
-        return [(a, reshape(u, old))] if a.diff else []
-
-    return Var(a.tape, val, "reshape", (a,), vjp, a.diff)
+    return Var(a.tape, a.value.reshape(shape), "reshape", (a,), (lambda u: reshape(u, old),))
 
 
 def transpose(a, perm):
-    perm = tuple(perm)
     if not isinstance(a, Var):
         return np.transpose(np.asarray(a, dtype=np.float64), perm)
+    nd = a.value.ndim
+    perm = tuple([p % nd for p in perm])
     inv = tuple(np.argsort(perm))
     val = np.transpose(a.value, perm)
-
-    def vjp(u):
-        return [(a, transpose(u, inv))] if a.diff else []
-
-    return Var(a.tape, val, "transpose", (a,), vjp, a.diff)
+    return Var(a.tape, val, "transpose", (a,), (lambda u: transpose(u, inv),))
 
 
 def concat(parts, axis):
+    axis = int(axis) % _ndim(parts[0])
     tape = _find_tape(parts)
     if tape is None:
         return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts], axis=axis)
     parts = [_lift(tape, p) for p in parts]
     val = np.concatenate([p.value for p in parts], axis=axis)
     offsets = np.cumsum([0] + [p.value.shape[axis] for p in parts])
-
-    def vjp(u):
-        res = []
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.diff:
-                res.append((p, slice_along(u, axis, int(lo), int(hi))))
-        return res
-
-    return Var(tape, val, "concat", tuple(parts), vjp, any(p.diff for p in parts))
+    rules = tuple(
+        lambda u, lo=int(lo), hi=int(hi): slice_along(u, axis, lo, hi)
+        for lo, hi in zip(offsets[:-1], offsets[1:])
+    )
+    return Var(tape, val, "concat", tuple(parts), rules)
 
 
 def slice_along(a, axis, start, stop):
     """Contiguous slice ``a[..., start:stop, ...]`` along one axis."""
+    axis = int(axis) % _ndim(a)
     idx = (slice(None),) * axis + (slice(start, stop),)
     if not isinstance(a, Var):
         return np.asarray(a, dtype=np.float64)[idx]
     extent = a.value.shape[axis]
     if not (0 <= start <= stop <= extent):
         raise DimensionError(f"slice [{start}:{stop}] out of range for extent {extent}")
-    val = a.value[idx]
 
-    def vjp(u):
-        if not a.diff:
-            return []
+    def rule(u):
         before = list(a.value.shape)
         before[axis] = start
         after = list(a.value.shape)
@@ -449,32 +397,22 @@ def slice_along(a, axis, start, stop):
         parts.append(u)
         if extent - stop > 0:
             parts.append(a.tape.const(np.zeros(after)))
-        return [(a, concat(parts, axis) if len(parts) > 1 else u)]
+        return concat(parts, axis) if len(parts) > 1 else u
 
-    return Var(a.tape, val, "slice", (a,), vjp, a.diff)
+    return Var(a.tape, a.value[idx], "slice", (a,), (rule,))
 
 
 def reduce_sum(a, axes=None):
     if not isinstance(a, Var):
         return np.sum(np.asarray(a, dtype=np.float64), axis=axes)
     if axes is None:
-        val = np.sum(a.value)
-
-        def vjp(u):
-            if not a.diff:
-                return []
-            ones = a.tape.const(np.ones(a.value.shape))
-            return [(a, mul(u, ones))]
-
-        return Var(a.tape, val, "sum", (a,), vjp, a.diff)
+        return Var(a.tape, np.sum(a.value), "sum", (a,),
+                   (lambda u: mul(u, a.tape.const(np.ones(a.value.shape))),))
 
     axes = tuple(sorted(ax % a.value.ndim for ax in axes))
     kept = tuple(i for i in range(a.value.ndim) if i not in axes)
-    val = np.sum(a.value, axis=axes)
 
-    def vjp(u):
-        if not a.diff:
-            return []
+    def rule(u):
         ones = a.tape.const(np.ones(tuple(a.value.shape[ax] for ax in axes)))
         outer = contract(u, ones, [])  # kept axes then summed axes
         perm = [0] * a.value.ndim
@@ -482,9 +420,17 @@ def reduce_sum(a, axes=None):
             perm[ax] = pos
         for pos, ax in enumerate(axes):
             perm[ax] = len(kept) + pos
-        return [(a, transpose(outer, perm))]
+        return transpose(outer, perm)
 
-    return Var(a.tape, val, "sum", (a,), vjp, a.diff)
+    return Var(a.tape, np.sum(a.value, axis=axes), "sum", (a,), (rule,))
+
+
+def _place_axes(g, targets):
+    # Transpose g so that its axis j becomes axis targets[j].
+    perm = [0] * len(targets)
+    for j, t in enumerate(targets):
+        perm[t] = j
+    return transpose(g, perm) if perm != list(range(len(perm))) else g
 
 
 def _contract_grad_a(u, a, b, axes):
@@ -494,12 +440,7 @@ def _contract_grad_a(u, a, b, axes):
     fb = [i for i in range(b.value.ndim) if i not in cb]
     g = contract(u, b, [(len(fa) + j, fb[j]) for j in range(len(fb))])
     # g axes: free-of-a, then contracted axes of b in increasing order.
-    cb_sorted = sorted(cb)
-    targets = list(fa) + [ca[cb.index(q)] for q in cb_sorted]
-    perm = [0] * len(targets)
-    for j, t in enumerate(targets):
-        perm[t] = j
-    return transpose(g, perm) if perm != list(range(len(perm))) else g
+    return _place_axes(g, fa + [ca[cb.index(q)] for q in sorted(cb)])
 
 
 def _contract_grad_b(u, a, b, axes):
@@ -509,12 +450,7 @@ def _contract_grad_b(u, a, b, axes):
     fb = [i for i in range(b.value.ndim) if i not in cb]
     g = contract(a, u, [(fa[i], i) for i in range(len(fa))])
     # g axes: contracted axes of a in increasing order, then free-of-b.
-    ca_sorted = sorted(ca)
-    targets = [cb[ca.index(p)] for p in ca_sorted] + list(fb)
-    perm = [0] * len(targets)
-    for j, t in enumerate(targets):
-        perm[t] = j
-    return transpose(g, perm) if perm != list(range(len(perm))) else g
+    return _place_axes(g, [cb[ca.index(p)] for p in sorted(ca)] + fb)
 
 
 def contract(a, b, axes):
@@ -523,7 +459,6 @@ def contract(a, b, axes):
     Result axes are the free axes of ``a`` followed by the free axes of
     ``b``.  An empty ``axes`` list is the outer product.
     """
-    axes = [(int(p), int(q)) for p, q in axes]
     tape = _find_tape((a, b))
     if tape is None:
         from .dense import contract as dense_contract
@@ -531,26 +466,19 @@ def contract(a, b, axes):
         return dense_contract(a, b, axes)
     a = _lift(tape, a)
     b = _lift(tape, b)
+    nda, ndb = a.value.ndim, b.value.ndim
+    axes = [(int(p) % nda, int(q) % ndb) for p, q in axes]
     for ax_a, ax_b in axes:
         if a.value.shape[ax_a] != b.value.shape[ax_b]:
             raise DimensionError(
                 f"contracted extents differ: {a.value.shape[ax_a]} vs {b.value.shape[ax_b]}"
             )
-    if axes:
-        la, lb = map(list, zip(*axes))
-    else:
-        la, lb = [], []
+    la, lb = [p for p, _ in axes], [q for _, q in axes]
     val = np.tensordot(a.value, b.value, axes=(la, lb))
-
-    def vjp(u):
-        res = []
-        if a.diff:
-            res.append((a, _contract_grad_a(u, a, b, axes)))
-        if b.diff:
-            res.append((b, _contract_grad_b(u, a, b, axes)))
-        return res
-
-    return Var(tape, val, "contract", (a, b), vjp, a.diff or b.diff)
+    return Var(tape, val, "contract", (a, b), (
+        lambda u: _contract_grad_a(u, a, b, axes),
+        lambda u: _contract_grad_b(u, a, b, axes),
+    ))
 
 
 def gather_mode(core, idx):
@@ -566,11 +494,7 @@ def gather_mode(core, idx):
         )
     n = core.value.shape[1]
     val = np.ascontiguousarray(np.transpose(core.value[:, idx, :], (1, 0, 2)))
-
-    def vjp(u):
-        return [(core, scatter_mode(u, idx, n))] if core.diff else []
-
-    return Var(core.tape, val, "gather_mode", (core,), vjp, core.diff)
+    return Var(core.tape, val, "gather_mode", (core,), (lambda u: scatter_mode(u, idx, n),))
 
 
 def scatter_mode(mat, idx, n):
@@ -584,12 +508,7 @@ def scatter_mode(mat, idx, n):
 
     if not isinstance(mat, Var):
         return fwd(np.asarray(mat, dtype=np.float64))
-    val = fwd(mat.value)
-
-    def vjp(u):
-        return [(mat, gather_mode(u, idx))] if mat.diff else []
-
-    return Var(mat.tape, val, "scatter_mode", (mat,), vjp, mat.diff)
+    return Var(mat.tape, fwd(mat.value), "scatter_mode", (mat,), (lambda u: gather_mode(u, idx),))
 
 
 def batch_matmul(a, b):
@@ -603,14 +522,7 @@ def batch_matmul(a, b):
         raise DimensionError(
             f"batch_matmul shapes incompatible: {a.value.shape} x {b.value.shape}"
         )
-    val = np.matmul(a.value, b.value)
-
-    def vjp(u):
-        res = []
-        if a.diff:
-            res.append((a, batch_matmul(u, transpose(b, (0, 2, 1)))))
-        if b.diff:
-            res.append((b, batch_matmul(transpose(a, (0, 2, 1)), u)))
-        return res
-
-    return Var(tape, val, "batch_matmul", (a, b), vjp, a.diff or b.diff)
+    return Var(tape, np.matmul(a.value, b.value), "batch_matmul", (a, b), (
+        lambda u: batch_matmul(u, transpose(b, (0, 2, 1))),
+        lambda u: batch_matmul(transpose(a, (0, 2, 1)), u),
+    ))

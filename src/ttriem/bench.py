@@ -58,7 +58,6 @@ class BenchConfig:
     ra: int
     trials: int = 3
     seed: int = 0
-    out: str = ""
 
     def __post_init__(self):
         if self.function not in FUNCTIONS:

@@ -48,7 +48,7 @@ def _cmd_bench(args):
     cfg = BenchConfig(
         function=args.function, method=args.method, op=args.op,
         d=args.d, n=args.n, rx=args.rx, rz=args.rz, ra=args.ra,
-        trials=args.trials, seed=args.seed, out=args.out,
+        trials=args.trials, seed=args.seed,
     )
     records = bench_run(cfg)
     write_csv(records, args.out)

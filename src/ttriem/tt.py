@@ -215,7 +215,8 @@ def orthogonalize(x: TtTensor) -> MuOrthogonal:
     S[0] = s_first
     S[d - 1] = s_last
     for k in range(1, d - 1):
-        S[k] = np.einsum("ab,bic,cd->aid", left_tf[k - 1], cores[k], right_tf[k + 1])
+        t = np.tensordot(left_tf[k - 1], cores[k], axes=([1], [0]))
+        S[k] = np.tensordot(t, right_tf[k + 1], axes=([2], [0]))
     return MuOrthogonal(U, V, S)
 
 

@@ -159,21 +159,20 @@ def project_tt(x, z: TtTensor) -> TtTangent:
     if d == 1:
         return TtTangent(base, [z.cores[0].copy()])
 
-    # Left chains: P[k] maps z-rank to tangent-rank after modes 0..k-1.
-    p = [np.ones((1, 1))]
-    for k in range(d - 1):
-        p.append(np.einsum("ab,aic,bid->cd", p[k], z.cores[k], base.U[k]))
-    # Right chains: Q[k] covers modes k..d-1.
-    q = [None] * (d + 1)
-    q[d] = np.ones((1, 1))
+    # Right chains: q[k] maps z-rank to tangent-rank over modes k..d-1.
+    q = [None] * d + [np.ones((1, 1))]
     for k in range(d - 1, 0, -1):
-        q[k] = np.einsum("aic,bid,cd->ab", z.cores[k], base.V[k], q[k + 1])
-
+        t = np.tensordot(z.cores[k], q[k + 1], axes=([2], [0]))  # (a, i, d)
+        q[k] = np.tensordot(t, base.V[k], axes=([1, 2], [1, 2]))  # (a, b)
+    # Left chain: p maps z-rank to tangent-rank over modes 0..k-1.  Its
+    # product with z core k starts both delta k and the next p.
+    p = np.ones((1, 1))
     deltas = []
-    for k in range(d - 1):
-        dk = np.einsum("ab,aic,cd->bid", p[k], z.cores[k], q[k + 1])
-        deltas.append(dk)
-    deltas.append(np.einsum("ab,aic->bic", p[d - 1], z.cores[d - 1]))
+    for k in range(d):
+        t = np.tensordot(p, z.cores[k], axes=([0], [0]))  # (b, i, c)
+        deltas.append(np.tensordot(t, q[k + 1], axes=([2], [0])))  # (b, i, d)
+        if k < d - 1:
+            p = np.tensordot(t, base.U[k], axes=([0, 1], [0, 1]))  # (c, d)
     return TtTangent._trusted(base, _apply_gauge(base, deltas))
 
 

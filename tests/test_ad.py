@@ -163,14 +163,20 @@ class TestOpGradients:
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-6 * max(np.abs(w).max(), 1.0))
 
-    def test_reshape_transpose_slice_concat(self, rng):
+    # The same axes written as non-negative and as negative numbers.
+    AXES = {"nonneg": dict(perm=(0, 2, 1), axis=1, pairs=[(1, 1), (2, 0)]),
+            "negative": dict(perm=(0, -1, -2), axis=-2, pairs=[(-2, -2), (-1, 0)])}
+
+    @pytest.mark.parametrize("axes", AXES.values(), ids=AXES.keys())
+    def test_reshape_transpose_slice_concat(self, axes, rng):
         x = rng.standard_normal((2, 3, 2))
         y = rng.standard_normal((2, 2, 2))
         w = rng.standard_normal((2, 5, 2))
+        perm, axis = axes["perm"], axes["axis"]
 
         def prog(a, b):
-            cat = ad.concat([ad.transpose(a, (0, 2, 1)).transpose((0, 2, 1)), b], 1)
-            piece = ad.slice_along(cat, 1, 1, 4)
+            cat = ad.concat([ad.transpose(a, perm).transpose(perm), b], axis)
+            piece = ad.slice_along(cat, axis, 1, 4)
             return ad.reduce_sum(piece * piece) + ad.reduce_sum(
                 ad.reshape(a, (12,)) * ad.reshape(a, (12,))
             )
@@ -195,13 +201,14 @@ class TestOpGradients:
 
         check_against_fd(prog, ref, [x])
 
-    def test_contract_vs_fd(self, rng):
+    @pytest.mark.parametrize("axes", AXES.values(), ids=AXES.keys())
+    def test_contract_vs_fd(self, axes, rng):
         a = rng.standard_normal((2, 3, 4))
         b = rng.standard_normal((4, 3, 5))
         w = rng.standard_normal((2, 5))
 
         def prog(u, v):
-            return ad.reduce_sum(ad.contract(u, v, [(1, 1), (2, 0)]) * u.tape.const(w))
+            return ad.reduce_sum(ad.contract(u, v, axes["pairs"]) * u.tape.const(w))
 
         def ref(u, v):
             return float(np.sum(np.einsum("ijk,kjm->im", u, v) * w))
@@ -302,6 +309,19 @@ class TestCostContract:
         sweep_nodes = len(tape) - primal_nodes
         assert sweep_nodes <= 4 * primal_nodes
 
+    @pytest.mark.parametrize("a_is_input,contracts", [(False, 1), (True, 2)])
+    def test_constant_operand_costs_no_adjoint(self, a_is_input, contracts, rng):
+        # Only differentiable operands get an adjoint: with A constant the
+        # sweep of sum(A x) contracts once (for x), with A an input twice.
+        tape = ad.Tape()
+        x = tape.input(rng.standard_normal(4))
+        a = rng.standard_normal((3, 4))
+        a = tape.input(a) if a_is_input else tape.const(a)
+        out = ad.reduce_sum(ad.contract(a, x, [(1, 0)]))
+        primal = len(tape)
+        ad.grad(tape, out, [x])
+        assert [n.op for n in tape.nodes[primal:]].count("contract") == contracts
+
     def test_budget_independent_of_size(self, rng):
         counts = []
         for size in (2, 4, 8, 16):
@@ -331,3 +351,6 @@ class TestShapes:
         ga, gs = ad.grad(tape, out, [tape.nodes[0], tape.nodes[1]])
         np.testing.assert_allclose(ga, 2.0 * np.ones((3, 2)))
         np.testing.assert_allclose(gs, x.sum())
+
+    def test_slice_along_negative_axis_on_array(self):
+        assert ad.slice_along(np.zeros((2, 7)), -1, 0, 2).shape == (2, 2)

@@ -2,10 +2,13 @@
 manifold must produce the same geometry, results must be reproducible
 under concurrency, and operators may change mode sizes."""
 
+import ast
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
+import ttriem
 from ttriem.matrix import (
     FixedRankPoint,
     hess_vec_matrix,
@@ -131,3 +134,16 @@ class TestRectangularOperators:
         np.testing.assert_allclose(
             tt_to_dense(t.materialize()), want, atol=1e-10 * max(np.abs(want).max(), 1.0)
         )
+
+
+class TestPairwiseContractions:
+    def test_no_einsum_has_more_than_two_operands(self):
+        # np.einsum without `optimize` runs three or more operands as one
+        # unfactored loop; the library contracts them pairwise instead.
+        wide = []
+        for path in sorted(Path(ttriem.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "einsum" and len(node.args) > 3):
+                    wide.append(f"{path.name}:{node.lineno}")
+        assert wide == []
