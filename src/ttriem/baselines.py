@@ -208,8 +208,7 @@ def _linear_system_objective(a: TtMatrix, rhs: TtTensor):
     """f(X) = 0.5 <A X, X> - <F, X>, the energy functional of A X = F."""
 
     def evaluate(cores):
-        ax = coreops.matvec_cores(list(a.cores), cores)
-        quad = ad.mul(coreops.dot_cores(ax, cores), 0.5)
+        quad = ad.mul(coreops.operator_dot_cores(list(a.cores), cores, cores), 0.5)
         lin = coreops.dot_cores([c for c in rhs.cores], cores)
         return ad.sub(quad, lin)
 

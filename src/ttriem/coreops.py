@@ -3,6 +3,10 @@
 All functions here take bare lists of cores (3-way for tensors, 4-way for
 operators) and are written in terms of the :mod:`ttriem.ad` operations, so
 they run on plain ndarrays and on tape variables alike.
+
+The operator sandwiches <A X, Y> and <A X, B Y> are sweeps over a rank
+interface with one pairwise contraction per core; they never form the
+rank-R*r cores of A X that :func:`matvec_cores` builds for ``ttmat_apply``.
 """
 
 import numpy as np
@@ -10,7 +14,13 @@ import numpy as np
 from . import ad
 from .errors import DimensionError
 
-__all__ = ["dot_cores", "matvec_cores", "entries_cores"]
+__all__ = [
+    "dot_cores",
+    "operator_dot_cores",
+    "operator_pair_dot_cores",
+    "matvec_cores",
+    "entries_cores",
+]
 
 
 def dot_cores(xs, ys):
@@ -31,21 +41,74 @@ def dot_cores(xs, ys):
     return ad.reshape(m, ())
 
 
+def _check_operator(op_cores, xs, rows, what):
+    # rows[k] is the mode size the operator's k-th row index must match.
+    if not len(op_cores) == len(xs) == len(rows):
+        raise DimensionError(
+            f"core counts differ in {what}: {len(op_cores)} operator, "
+            f"{len(xs)} tensor, {len(rows)} expected"
+        )
+    for a, x, m in zip(op_cores, xs, rows):
+        a_shape = np.shape(a)
+        if a_shape[2] != np.shape(x)[1] or a_shape[1] != m:
+            raise DimensionError(
+                f"operator core {a_shape[1:3]} does not map mode size "
+                f"{np.shape(x)[1]} to {m} in {what}"
+            )
+
+
+def operator_dot_cores(op_cores, xs, ys):
+    """<A X, Y> for TT operator cores (R, m, n, R'), X cores (r_x, n, r_x')
+    and Y cores (r_y, m, r_y') (scalar output).
+
+    The sweep carries an (r_y, R, r_x) interface and folds in the Y core,
+    the A core over its leading (R, m) axes, then the X core.  The rank-R*r
+    cores of A X are never formed, and since an operator core is contracted
+    over its leading axes and its adjoint over its trailing (n, R') axes,
+    no operator core is copied.
+    """
+    _check_operator(op_cores, xs, [np.shape(y)[1] for y in ys], "operator_dot_cores")
+    m = np.ones((1, 1, 1))
+    for a, x, y in zip(op_cores, xs, ys):
+        t = ad.contract(m, y, [(0, 0)])  # (R, r_x, m, r_y')
+        t = ad.contract(t, a, [(0, 0), (2, 1)])  # (r_x, r_y', n, R')
+        m = ad.contract(t, x, [(0, 0), (2, 1)])  # (r_y', R', r_x')
+    return ad.reshape(m, ())
+
+
+def operator_pair_dot_cores(a_cores, xs, b_cores, ys):
+    """<A X, B Y> for TT operator cores A (R_A, m, n, R_A') and B
+    (R_B, m, l, R_B'), X cores (r_x, n, r_x') and Y cores (r_y, l, r_y')
+    (scalar output).
+
+    The sweep carries an (r_x, R_A, R_B, r_y) interface and folds in the X
+    core, the A core over (R_A, n), the B core over its leading (R_B, m)
+    axes, then the Y core; neither A X, B Y nor the product A^T B is formed.
+    Only A is contracted over non-adjacent axes, so a caller holding a
+    transposed view of an operator passes it as A.
+    """
+    rows = [np.shape(b)[1] for b in b_cores]
+    _check_operator(a_cores, xs, rows, "operator_pair_dot_cores")
+    _check_operator(b_cores, ys, rows, "operator_pair_dot_cores")
+    m = np.ones((1, 1, 1, 1))
+    for a, x, b, y in zip(a_cores, xs, b_cores, ys):
+        t = ad.contract(m, x, [(0, 0)])  # (R_A, R_B, r_y, n, r_x')
+        t = ad.contract(t, a, [(0, 0), (3, 2)])  # (R_B, r_y, r_x', m, R_A')
+        t = ad.contract(t, b, [(0, 0), (3, 1)])  # (r_y, r_x', R_A', l, R_B')
+        m = ad.contract(t, y, [(0, 0), (3, 1)])  # (r_x', R_A', R_B', r_y')
+    return ad.reshape(m, ())
+
+
 def matvec_cores(op_cores, xs):
     """Apply a TT operator (cores (R, m, n, R')) to TT cores (r, n, r').
 
     Output core k has shape (R_{k-1} r_{k-1}, m_k, R_k r_k): the usual
     Kronecker growth of TT ranks under operator application.
     """
-    if len(op_cores) != len(xs):
-        raise DimensionError("operator and tensor dimensionality differ")
+    _check_operator(op_cores, xs, [np.shape(a)[1] for a in op_cores], "matvec_cores")
     out = []
     for a, x in zip(op_cores, xs):
         a_shape, x_shape = np.shape(a), np.shape(x)
-        if a_shape[2] != x_shape[1]:
-            raise DimensionError(
-                f"operator column size {a_shape[2]} does not match mode size {x_shape[1]}"
-            )
         t = ad.contract(a, x, [(2, 1)])  # (R, m, R', r, r')
         t = ad.transpose(t, (0, 3, 1, 2, 4))  # (R, r, m, R', r')
         out.append(

@@ -189,7 +189,7 @@ def quadratic_form(a: TtMatrix) -> Objective:
     a_cores = list(a.cores)
 
     def evaluate(cores):
-        return coreops.dot_cores(coreops.matvec_cores(a_cores, cores), cores)
+        return coreops.operator_dot_cores(a_cores, cores, cores)
 
     def fused(base, y):
         return tangent_scale(2.0, baselines.project_matvec(a, y, base))
@@ -217,8 +217,7 @@ def gram_quadratic_form(a: TtMatrix) -> Objective:
     at = ttmat_transpose(a)
 
     def evaluate(cores):
-        ax = coreops.matvec_cores(a_cores, cores)
-        return coreops.dot_cores(ax, ax)
+        return coreops.operator_pair_dot_cores(a_cores, cores, a_cores, cores)
 
     def dense_hess_vec(v, z):
         dense_a = ttmat_to_dense(a)
@@ -246,7 +245,7 @@ def rayleigh_quotient(a: TtMatrix) -> Objective:
         norm_sq = float(sxx.value) if isinstance(sxx, ad.Var) else float(sxx)
         if norm_sq < 1e-28:
             raise DegeneratePointError("Rayleigh quotient evaluated too close to zero")
-        sax = coreops.dot_cores(coreops.matvec_cores(a_cores, cores), cores)
+        sax = coreops.operator_dot_cores(a_cores, cores, cores)
         return ad.div(sax, sxx)
 
     def euclid_grad(x):

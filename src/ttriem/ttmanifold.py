@@ -282,8 +282,9 @@ def preconditioned_residual(a: TtMatrix, b: TtMatrix, f: TtTensor, x) -> TtTange
 
     Implemented as the Riemannian AD gradient of
     h(X) = <A c(X), B^T X> - <B F, X>, where c is the stop-gradient
-    operator; the first term is evaluated in the rearranged form to avoid
-    ever multiplying the operators B A together.
+    operator.  The first term is one sweep of
+    :func:`coreops.operator_pair_dot_cores`, so neither A c(X), B^T X nor
+    the operator product B A is ever formed.
     """
     base = _as_ortho(x)
     modes = base.mode_sizes
@@ -296,9 +297,8 @@ def preconditioned_residual(a: TtMatrix, b: TtMatrix, f: TtTensor, x) -> TtTange
 
     def program(cores):
         frozen = [ad.stop_gradient(c) for c in cores]
-        acx = coreops.matvec_cores(list(a.cores), frozen)
-        btx = coreops.matvec_cores(bt_cores, cores)
-        lhs = coreops.dot_cores(acx, btx)
+        # B^T is a transposed view, so it takes the first operator slot.
+        lhs = coreops.operator_pair_dot_cores(bt_cores, cores, list(a.cores), frozen)
         rhs = coreops.dot_cores([c for c in bf.cores], cores)
         return ad.sub(lhs, rhs)
 

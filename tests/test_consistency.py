@@ -147,3 +147,23 @@ class TestPairwiseContractions:
                         and node.func.attr == "einsum" and len(node.args) > 3):
                     wide.append(f"{path.name}:{node.lineno}")
         assert wide == []
+
+
+class TestOperatorApplication:
+    def test_matvec_cores_only_in_ttmat_apply(self):
+        # Objectives reach <A X, Y> through the coreops interface sweeps; the
+        # rank-R*r cores of A X are built only by ttmat_apply.
+        def name(node):
+            if isinstance(node, ast.Name):
+                return node.id
+            if isinstance(node, ast.Attribute):
+                return node.attr
+            return getattr(node, "name", None)  # FunctionDef, alias
+
+        uses = set()
+        for path in sorted(Path(ttriem.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if name(node) == "matvec_cores":
+                        uses.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+        assert uses == {"coreops.py:matvec_cores", "tt.py:ttmat_apply"}

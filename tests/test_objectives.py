@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ttriem import ad
+from ttriem import ad, coreops
 from ttriem.errors import (
     DegeneratePointError,
     DimensionError,
@@ -34,6 +34,7 @@ from ttriem.tt import (
     ttmat_identity,
     ttmat_to_dense,
 )
+from ttriem.ttmanifold import hess_vec_tt, project_tt, riemannian_grad_tt
 
 from conftest import run_python_optimized
 
@@ -322,6 +323,48 @@ def build_all_cases(rng):
 
 def build_all_objectives(rng):
     return [obj for obj, _ in build_all_cases(rng)]
+
+
+def _applied_program(label, a_cores):
+    """The objective program that forms A X by ``matvec_cores`` (reference)."""
+
+    def program(cores):
+        ax = coreops.matvec_cores(a_cores, cores)
+        if label == "gram":
+            return coreops.dot_cores(ax, ax)
+        sax = coreops.dot_cores(ax, cores)
+        if label == "rayleigh":
+            return ad.div(sax, coreops.dot_cores(cores, cores))
+        return sax
+
+    return program
+
+
+def _tangent_rel(got, want):
+    num = sum(np.linalg.norm(g - w) ** 2 for g, w in zip(got.deltas, want.deltas))
+    return np.sqrt(num / sum(np.linalg.norm(w) ** 2 for w in want.deltas))
+
+
+class TestOperatorSweepPrograms:
+    """Taped grad and HVP through the interface sweeps equal those of the
+    programs that form A X."""
+
+    @pytest.mark.parametrize("label", ["qf", "gram", "rayleigh"])
+    def test_grad_and_hvp_match_applied_program(self, rng, label):
+        modes = (3, 4, 3, 2)
+        if label == "gram":
+            a = random_ttmat(rng, (2, 3, 4, 2), modes, 3)
+            obj = gram_quadratic_form(a)
+        else:
+            a = random_symmetric_ttmat(rng, modes, 3)
+            obj = (quadratic_form if label == "qf" else rayleigh_quotient)(a)
+        reference = _applied_program(label, list(a.cores))
+        base = orthogonalize(random_tt(rng, modes, 3))
+        z = project_tt(base, random_tt(rng, modes, 2))
+        assert _tangent_rel(riemannian_grad_tt(obj.evaluate, base),
+                            riemannian_grad_tt(reference, base)) <= 1e-12
+        assert _tangent_rel(hess_vec_tt(obj.evaluate, base, z),
+                            hess_vec_tt(reference, base, z)) <= 1e-12
 
 
 class TestCrossObjectiveInvariants:

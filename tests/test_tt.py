@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ttriem.coreops import operator_dot_cores, operator_pair_dot_cores
 from ttriem.errors import DimensionError, FormatError, OversizeError
 from ttriem.tt import (
     TtMatrix,
@@ -204,6 +205,63 @@ class TestMatApply:
         lhs = tt_to_dense(ttmat_apply(a, tt_axpy(1.7, x, y)))
         rhs = 1.7 * tt_to_dense(ttmat_apply(a, x)) + tt_to_dense(ttmat_apply(a, y))
         np.testing.assert_allclose(lhs, rhs, atol=1e-11 * max(np.abs(rhs).max(), 1.0))
+
+
+# (rows of A and B, columns of A, columns of B): a rectangular pair and d=1.
+SANDWICH_MODES = {
+    "rectangular": ((2, 3, 4), (3, 2, 2), (4, 2, 3)),
+    "d1": ((3,), (4,), (2,)),
+}
+
+
+def _cores(t):
+    return list(t.cores)
+
+
+class TestOperatorSweeps:
+    """<A X, Y> and <A X, B Y> through rank interfaces, against applying A."""
+
+    @pytest.mark.parametrize("case", sorted(SANDWICH_MODES))
+    def test_operator_dot_matches_apply(self, rng, case):
+        rows, cols, _ = SANDWICH_MODES[case]
+        a = random_ttmat(rng, rows, cols, 3)
+        x = random_tt(rng, cols, 2)
+        y = random_tt(rng, rows, 4)
+        got = float(operator_dot_cores(_cores(a), _cores(x), _cores(y)))
+        want = tt_dot(ttmat_apply(a, x), y)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("case", sorted(SANDWICH_MODES))
+    def test_operator_pair_dot_matches_apply(self, rng, case):
+        rows, cols_a, cols_b = SANDWICH_MODES[case]
+        a = random_ttmat(rng, rows, cols_a, 3)
+        b = random_ttmat(rng, rows, cols_b, 2)
+        x = random_tt(rng, cols_a, 2)
+        y = random_tt(rng, cols_b, 4)
+        got = float(operator_pair_dot_cores(_cores(a), _cores(x), _cores(b), _cores(y)))
+        want = tt_dot(ttmat_apply(a, x), ttmat_apply(b, y))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_mismatch_raises(self, rng):
+        rows, cols, cols_b = SANDWICH_MODES["rectangular"]
+        a = _cores(random_ttmat(rng, rows, cols, 2))
+        b = _cores(random_ttmat(rng, rows, cols_b, 2))
+        x = _cores(random_tt(rng, cols, 2))
+        y = _cores(random_tt(rng, rows, 2))
+        yb = _cores(random_tt(rng, cols_b, 2))
+        bad_calls = [
+            lambda: operator_dot_cores(a, x[:2], y[:2]),  # core counts
+            lambda: operator_dot_cores(a, y, y),  # column size vs X
+            lambda: operator_dot_cores(a, x, x),  # row size vs Y
+            lambda: operator_pair_dot_cores(a, x, b[:2], yb[:2]),
+            lambda: operator_pair_dot_cores(a, y, b, yb),  # A's column size vs X
+            lambda: operator_pair_dot_cores(a, x, b, x),  # B's column size vs Y
+            lambda: operator_pair_dot_cores(  # row sizes of A and B
+                a, x, _cores(random_ttmat(rng, cols_b, cols_b, 2)), yb),
+        ]
+        for call in bad_calls:
+            with pytest.raises(DimensionError):
+                call()
 
 
 class TestAxpy:
