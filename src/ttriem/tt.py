@@ -4,9 +4,13 @@ operator application, rounding and (de)serialization.
 A TT tensor of order d is a chain of cores ``G_k`` with shapes
 ``(r_{k-1}, n_k, r_k)`` and boundary ranks ``r_0 = r_d = 1``; the entry at a
 multi-index is the product of the corresponding core slices.  A TT operator
-("TT matrix") carries 4-way cores ``(R_{k-1}, m_k, n_k, R_k)``.
+("TT matrix") is the same chain with 4-way cores ``(R_{k-1}, m_k, n_k, R_k)``;
+both share one constructor, one densifier (an operator is the tensor of its
+merged (m_k, n_k) modes) and one codec (TMv1 is TTv1 with two size arrays).
 """
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -57,52 +61,48 @@ def _check_chain(shapes, what):
         raise DimensionError(f"{what}: boundary ranks must be 1")
 
 
-class TtTensor:
-    """Immutable TT tensor defined by its list of 3-way cores."""
+class _Chain:
+    """Immutable chain of ``_arity``-way cores (left rank, mode axes, right rank)."""
 
     def __init__(self, cores):
-        cores = [frozen(c) for c in cores]
+        cores = tuple(frozen(c) for c in cores)
+        what = type(self).__name__
         if not cores:
-            raise DimensionError("a TT tensor needs at least one core")
+            raise DimensionError(f"a {what} needs at least one core")
         for c in cores:
-            if c.ndim != 3:
-                raise DimensionError(f"TT cores must be 3-way, got shape {c.shape}")
-        _check_chain([c.shape for c in cores], "TtTensor")
-        self.cores = tuple(cores)
+            if c.ndim != self._arity:
+                raise DimensionError(
+                    f"{what} cores must be {self._arity}-way, got shape {c.shape}")
+        _check_chain([c.shape for c in cores], what)
+        self.cores = cores
 
     @property
     def ndim(self):
         return len(self.cores)
+
+    @property
+    def ranks(self):
+        """Full rank chain (r_0, ..., r_d) including the unit boundaries."""
+        return (self.cores[0].shape[0],) + tuple(c.shape[-1] for c in self.cores)
+
+
+class TtTensor(_Chain):
+    """Immutable TT tensor defined by its list of 3-way cores."""
+
+    _arity = 3
 
     @property
     def mode_sizes(self):
         return tuple(c.shape[1] for c in self.cores)
 
-    @property
-    def ranks(self):
-        """Full rank chain (r_0, ..., r_d) including the unit boundaries."""
-        return tuple([self.cores[0].shape[0]] + [c.shape[2] for c in self.cores])
-
     def __repr__(self):
         return f"TtTensor(modes={self.mode_sizes}, ranks={self.ranks})"
 
 
-class TtMatrix:
+class TtMatrix(_Chain):
     """Immutable TT operator defined by its list of 4-way cores."""
 
-    def __init__(self, cores):
-        cores = [frozen(c) for c in cores]
-        if not cores:
-            raise DimensionError("a TT matrix needs at least one core")
-        for c in cores:
-            if c.ndim != 4:
-                raise DimensionError(f"TT-matrix cores must be 4-way, got shape {c.shape}")
-        _check_chain([c.shape for c in cores], "TtMatrix")
-        self.cores = tuple(cores)
-
-    @property
-    def ndim(self):
-        return len(self.cores)
+    _arity = 4
 
     @property
     def row_sizes(self):
@@ -112,14 +112,8 @@ class TtMatrix:
     def col_sizes(self):
         return tuple(c.shape[2] for c in self.cores)
 
-    @property
-    def ranks(self):
-        return tuple([self.cores[0].shape[0]] + [c.shape[3] for c in self.cores])
-
     def __repr__(self):
-        return (
-            f"TtMatrix(rows={self.row_sizes}, cols={self.col_sizes}, ranks={self.ranks})"
-        )
+        return f"TtMatrix(rows={self.row_sizes}, cols={self.col_sizes}, ranks={self.ranks})"
 
 
 class MuOrthogonal:
@@ -222,8 +216,8 @@ def orthogonalize(x: TtTensor) -> MuOrthogonal:
 
 def tt_to_dense(x: TtTensor) -> np.ndarray:
     """Materialize the full tensor (guarded by the dense safety cap)."""
-    size = int(np.prod([float(n) for n in x.mode_sizes]))
-    if np.prod([float(n) for n in x.mode_sizes]) > DENSE_CAP:
+    size = math.prod(x.mode_sizes)
+    if size > DENSE_CAP:
         raise OversizeError(f"dense materialization of {size} entries exceeds cap")
     res = x.cores[0][0]  # (n_1, r_1)
     for core in x.cores[1:]:
@@ -243,6 +237,8 @@ def tt_norm(x: TtTensor) -> float:
 def tt_entries(x: TtTensor, idx) -> np.ndarray:
     """Entries of ``x`` at the rows of the (N, d) index array."""
     idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim != 2 or idx.shape[1] != x.ndim:
+        raise DimensionError(f"index array must be (N, {x.ndim}), got shape {idx.shape}")
     for k, n in enumerate(x.mode_sizes):
         if idx.size and (idx[:, k].min() < 0 or idx[:, k].max() >= n):
             raise IndexError(f"index out of range in mode {k}")
@@ -267,18 +263,13 @@ def ttmat_identity(mode_sizes) -> TtMatrix:
 
 
 def ttmat_to_dense(a: TtMatrix) -> np.ndarray:
-    """Materialize the operator as a (prod m) x (prod n) matrix."""
-    m = int(np.prod(a.row_sizes))
-    n = int(np.prod(a.col_sizes))
-    if float(m) * float(n) > DENSE_CAP:
-        raise OversizeError("dense operator materialization exceeds cap")
-    res = a.cores[0][0]  # (m_1, n_1, R_1)
-    for core in a.cores[1:]:
-        res = np.tensordot(res, core, axes=(res.ndim - 1, 0))
-    res = res[..., 0]  # axes m_1, n_1, m_2, n_2, ...
-    d = a.ndim
-    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    return res.transpose(perm).reshape(m, n)
+    """Materialize the operator as a (prod m) x (prod n) matrix (same cap as
+    :func:`tt_to_dense`, which densifies its merged (m_k, n_k) modes)."""
+    merged = TtTensor([c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3])
+                       for c in a.cores])
+    res = tt_to_dense(merged).reshape([s for c in a.cores for s in c.shape[1:3]])
+    perm = list(range(0, 2 * a.ndim, 2)) + list(range(1, 2 * a.ndim, 2))
+    return res.transpose(perm).reshape(math.prod(a.row_sizes), math.prod(a.col_sizes))
 
 
 def tt_scale(alpha: float, x: TtTensor) -> TtTensor:
@@ -375,86 +366,67 @@ _TM_MAGIC = b"TMv1"
 
 
 def _read_exact(fh, count, what):
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"truncated file while reading {what}")
-    return data
+    # Where the size is known (not on a pipe), compare before reading: a corrupt
+    # header can ask for more bytes than memory or an index-sized integer holds.
+    if not fh.seekable() or count <= os.fstat(fh.fileno()).st_size - fh.tell():
+        data = fh.read(count)
+        if len(data) == count:
+            return data
+    raise FormatError(f"truncated file while reading {what}")
+
+
+def _write_chain(path, magic, chain, size_arrays):
+    """Magic, u32 order, one u64 array per core mode axis, u64 ranks, cores."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", chain.ndim))
+        for sizes in [*size_arrays, chain.ranks]:
+            np.asarray(sizes, dtype="<u8").tofile(fh)
+        for core in chain.cores:
+            np.ascontiguousarray(core, dtype="<f8").tofile(fh)
+
+
+def _read_chain(path, magic, size_names, cls):
+    """Read a file written by :func:`_write_chain` into a ``cls`` chain."""
+    with open(path, "rb") as fh:
+        if _read_exact(fh, 4, "magic") != magic:
+            raise FormatError(f"bad magic: not a {magic.decode()} file")
+        (d,) = struct.unpack("<I", _read_exact(fh, 4, "order"))
+        if d == 0:
+            raise FormatError("order must be positive")
+        sizes = [np.frombuffer(_read_exact(fh, 8 * d, n), dtype="<u8") for n in size_names]
+        ranks = np.frombuffer(_read_exact(fh, 8 * (d + 1), "ranks"), dtype="<u8")
+        if ranks[0] != 1 or ranks[-1] != 1:
+            raise FormatError("boundary ranks must be 1")
+        if any(np.any(s == 0) for s in sizes) or np.any(ranks == 0):
+            raise FormatError("zero extent in header")
+        cores = []
+        for k in range(d):
+            shape = (int(ranks[k]), *(int(s[k]) for s in sizes), int(ranks[k + 1]))
+            buf = _read_exact(fh, 8 * math.prod(shape), f"core {k}")
+            cores.append(np.frombuffer(buf, dtype="<f8").reshape(shape))  # cls copies
+        if fh.read(1):
+            raise FormatError("trailing bytes after last core")
+    try:
+        return cls(cores)
+    except DimensionError as exc:
+        raise FormatError(f"inconsistent header: {exc}") from exc
 
 
 def tt_write(x: TtTensor, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_TT_MAGIC)
-        fh.write(struct.pack("<I", x.ndim))
-        np.asarray(x.mode_sizes, dtype="<u8").tofile(fh)
-        np.asarray(x.ranks, dtype="<u8").tofile(fh)
-        for core in x.cores:
-            np.ascontiguousarray(core, dtype="<f8").tofile(fh)
+    _write_chain(path, _TT_MAGIC, x, [x.mode_sizes])
 
 
 def tt_read(path) -> TtTensor:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != _TT_MAGIC:
-            raise FormatError("bad magic: not a TTv1 file")
-        (d,) = struct.unpack("<I", _read_exact(fh, 4, "order"))
-        if d == 0:
-            raise FormatError("order must be positive")
-        modes = np.frombuffer(_read_exact(fh, 8 * d, "mode sizes"), dtype="<u8")
-        ranks = np.frombuffer(_read_exact(fh, 8 * (d + 1), "ranks"), dtype="<u8")
-        if ranks[0] != 1 or ranks[-1] != 1:
-            raise FormatError("boundary ranks must be 1")
-        if np.any(modes == 0) or np.any(ranks == 0):
-            raise FormatError("zero extent in header")
-        cores = []
-        for k in range(d):
-            shape = (int(ranks[k]), int(modes[k]), int(ranks[k + 1]))
-            count = shape[0] * shape[1] * shape[2]
-            buf = _read_exact(fh, 8 * count, f"core {k}")
-            cores.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-        if fh.read(1):
-            raise FormatError("trailing bytes after last core")
-    try:
-        return TtTensor(cores)
-    except DimensionError as exc:
-        raise FormatError(f"inconsistent header: {exc}") from exc
+    return _read_chain(path, _TT_MAGIC, ["mode sizes"], TtTensor)
 
 
 def ttmat_write(a: TtMatrix, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_TM_MAGIC)
-        fh.write(struct.pack("<I", a.ndim))
-        np.asarray(a.row_sizes, dtype="<u8").tofile(fh)
-        np.asarray(a.col_sizes, dtype="<u8").tofile(fh)
-        np.asarray(a.ranks, dtype="<u8").tofile(fh)
-        for core in a.cores:
-            np.ascontiguousarray(core, dtype="<f8").tofile(fh)
+    _write_chain(path, _TM_MAGIC, a, [a.row_sizes, a.col_sizes])
 
 
 def ttmat_read(path) -> TtMatrix:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != _TM_MAGIC:
-            raise FormatError("bad magic: not a TMv1 file")
-        (d,) = struct.unpack("<I", _read_exact(fh, 4, "order"))
-        if d == 0:
-            raise FormatError("order must be positive")
-        rows = np.frombuffer(_read_exact(fh, 8 * d, "row sizes"), dtype="<u8")
-        cols = np.frombuffer(_read_exact(fh, 8 * d, "col sizes"), dtype="<u8")
-        ranks = np.frombuffer(_read_exact(fh, 8 * (d + 1), "ranks"), dtype="<u8")
-        if ranks[0] != 1 or ranks[-1] != 1:
-            raise FormatError("boundary ranks must be 1")
-        if np.any(rows == 0) or np.any(cols == 0) or np.any(ranks == 0):
-            raise FormatError("zero extent in header")
-        cores = []
-        for k in range(d):
-            shape = (int(ranks[k]), int(rows[k]), int(cols[k]), int(ranks[k + 1]))
-            count = int(np.prod(shape))
-            buf = _read_exact(fh, 8 * count, f"core {k}")
-            cores.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-        if fh.read(1):
-            raise FormatError("trailing bytes after last core")
-    try:
-        return TtMatrix(cores)
-    except DimensionError as exc:
-        raise FormatError(f"inconsistent header: {exc}") from exc
+    return _read_chain(path, _TM_MAGIC, ["row sizes", "col sizes"], TtMatrix)
 
 
 # ---------------------------------------------------------------------------

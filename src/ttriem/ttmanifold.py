@@ -179,7 +179,10 @@ def project_tt(x, z: TtTensor) -> TtTangent:
 def _tape_gauge(base, dvars, tape):
     """Gauge enforcement as tape operations (used inside nested sweeps).
 
-    Projects twice, mirroring :func:`_apply_gauge`.
+    Projects once.  The second pass of :func:`_apply_gauge` only removes
+    an eps-level residue from a delta that is returned; here the projected
+    gradient is only dotted with the gauged z, and the HVP's result passes
+    through :func:`_apply_gauge` anyway.
     """
     out = list(dvars)
     for k in range(base.ndim - 1):
@@ -187,7 +190,6 @@ def _tape_gauge(base, dvars, tape):
         rl, n, rr = u.shape
         ul = tape.const(u.reshape(rl * n, rr))
         dk = ad.reshape(out[k], (rl * n, rr))
-        dk = ad.sub(dk, ad.contract(ul, ad.contract(ul, dk, [(0, 0)]), [(1, 0)]))
         dk = ad.sub(dk, ad.contract(ul, ad.contract(ul, dk, [(0, 0)]), [(1, 0)]))
         out[k] = ad.reshape(dk, (rl, n, rr))
     return out

@@ -1,3 +1,8 @@
+import os
+import struct
+import threading
+from typing import Callable, NamedTuple
+
 import numpy as np
 import pytest
 
@@ -124,6 +129,12 @@ class TestToDense:
         with pytest.raises(OversizeError):
             tt_to_dense(big)
 
+    def test_operator_cap(self):
+        # 2^64 rows: an int64 product of the row sizes wraps to 0
+        big = TtMatrix([np.ones((1, 2**16, 1, 1))] * 4)
+        with pytest.raises(OversizeError):
+            ttmat_to_dense(big)
+
 
 class TestDot:
     def test_ones_selfdot_counts_entries(self):
@@ -163,6 +174,12 @@ class TestEntries:
         x = random_tt(rng, (3, 4, 2), (2, 2))
         with pytest.raises(IndexError):
             tt_entries(x, np.array([[0, 4, 0]]))
+
+    @pytest.mark.parametrize("idx", [[0, 1, 0], [[0, 1], [2, 3]]])
+    def test_index_shape(self, rng, idx):
+        x = random_tt(rng, (3, 4, 2), (2, 2))
+        with pytest.raises(DimensionError, match=r"index array must be \(N, 3\)"):
+            tt_entries(x, np.array(idx))
 
 
 class TestMatApply:
@@ -348,7 +365,87 @@ class TestRound:
             tt_round(random_tt(rng, (2, 2), (2,)), 2, tol=-1.0)
 
 
-class TestSerialization:
+class Format(NamedTuple):
+    """A binary format under test: its writer, reader and a sample chain."""
+
+    magic: bytes
+    write: Callable
+    read: Callable
+    sample: Callable  # (rng, modes, ranks) -> chain
+    size_arrays: int  # u64 size arrays between the order and the ranks
+
+
+TTV1 = Format(b"TTv1", tt_write, tt_read, random_tt, 1)
+TMV1 = Format(b"TMv1", ttmat_write, ttmat_read,
+              lambda rng, modes, ranks: random_ttmat(rng, modes, modes[::-1], ranks[0]), 2)
+OVERSIZED_PAYLOAD = bytes(64)
+
+
+def layout_bytes(magic, size_arrays, cores):
+    """The documented layout, spelled out entry by entry."""
+    ranks = [cores[0].shape[0]] + [c.shape[-1] for c in cores]
+    out = magic + struct.pack("<I", len(cores))
+    for sizes in [[c.shape[1 + j] for c in cores] for j in range(size_arrays)] + [ranks]:
+        out += b"".join(struct.pack("<Q", n) for n in sizes)
+    for c in cores:  # index order (left rank, mode axes, right rank), right rank fastest
+        out += b"".join(struct.pack("<d", c[i]) for i in np.ndindex(*c.shape))
+    return out
+
+
+class _CorruptFiles:
+    """Corrupt-file cases; each subclass runs them on its format ``fmt``."""
+
+    fmt: Format
+
+    def test_bad_magic(self, rng, tmp_path):
+        path = tmp_path / "x.ttv1"
+        self.fmt.write(self.fmt.sample(rng, (2, 2), (2,)), path)
+        raw = bytearray(path.read_bytes())
+        raw[:4] = b"XXXX"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            self.fmt.read(path)
+
+    def test_rank_chain_mismatch_rejected(self, rng, tmp_path):
+        path = tmp_path / "x.ttv1"
+        self.fmt.write(self.fmt.sample(rng, (2, 2), (2,)), path)
+        raw = bytearray(path.read_bytes())
+        # first rank entry (r_0) lives right after magic, u32 d and the u64 size arrays
+        offset = 4 + 4 + self.fmt.size_arrays * 2 * 8
+        raw[offset:offset + 8] = (7).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            self.fmt.read(path)
+
+    def test_truncated_file(self, rng, tmp_path):
+        path = tmp_path / "x.ttv1"
+        self.fmt.write(self.fmt.sample(rng, (2, 3, 2), (2, 2)), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - 9])
+        with pytest.raises(FormatError):
+            self.fmt.read(path)
+
+    def test_trailing_garbage(self, rng, tmp_path):
+        path = tmp_path / "x.ttv1"
+        self.fmt.write(self.fmt.sample(rng, (2, 2), (2,)), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError):
+            self.fmt.read(path)
+
+    def test_layout_pinned(self, tmp_path):
+        chain = self.fmt.sample(np.random.default_rng(3), (2, 3), (2,))
+        want = layout_bytes(self.fmt.magic, self.fmt.size_arrays, chain.cores)
+        path = tmp_path / "x.bin"
+        self.fmt.write(chain, path)
+        assert path.read_bytes() == want
+        path.write_bytes(want)
+        back = self.fmt.read(path)
+        assert all(np.array_equal(a, b) for a, b in zip(chain.cores, back.cores))
+
+
+class TestSerialization(_CorruptFiles):
+    fmt = TTV1
+
     def test_tensor_roundtrip_bit_exact(self, rng, tmp_path):
         x = random_tt(rng, (2, 3, 4), (2, 3))
         path = tmp_path / "x.ttv1"
@@ -364,37 +461,39 @@ class TestSerialization:
         assert all(np.array_equal(x, y) for x, y in zip(a.cores, back.cores))
         assert back.row_sizes == (2, 3) and back.col_sizes == (4, 2)
 
-    def test_bad_magic(self, rng, tmp_path):
+    def test_read_from_pipe(self, rng, tmp_path):
+        # a pipe has no size to check a header against; it is read as before
+        x = random_tt(rng, (2, 3), (2,))
+        tt_write(x, tmp_path / "x.ttv1")
+        fifo = tmp_path / "x.pipe"
+        os.mkfifo(fifo)
+        raw = (tmp_path / "x.ttv1").read_bytes()
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,))
+        writer.start()
+        back = tt_read(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert all(np.array_equal(a, b) for a, b in zip(x.cores, back.cores))
+
+    @pytest.mark.parametrize("modes, ranks", [
+        ((2**62,), (1, 1)),  # 2^65 payload bytes: more than a read size can hold
+        ((2**20, 2**20), (1, 2**30, 1)),  # 2^53 payload bytes: more than memory
+    ])
+    def test_oversized_header(self, tmp_path, modes, ranks):
         path = tmp_path / "x.ttv1"
-        tt_write(random_tt(rng, (2, 2), (2,)), path)
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"XXXX"
-        path.write_bytes(bytes(raw))
+        header = b"TTv1" + struct.pack(f"<I{len(modes)}Q{len(ranks)}Q", len(modes), *modes, *ranks)
+        path.write_bytes(header + OVERSIZED_PAYLOAD)
         with pytest.raises(FormatError):
             tt_read(path)
 
-    def test_rank_chain_mismatch_rejected(self, rng, tmp_path):
-        path = tmp_path / "x.ttv1"
-        tt_write(random_tt(rng, (2, 2), (2,)), path)
-        raw = bytearray(path.read_bytes())
-        # first rank entry (r_0) lives right after magic, u32 d and two u64 modes
-        offset = 4 + 4 + 2 * 8
-        raw[offset:offset + 8] = (7).to_bytes(8, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
-            tt_read(path)
 
-    def test_truncated_file(self, rng, tmp_path):
-        path = tmp_path / "x.ttv1"
-        tt_write(random_tt(rng, (2, 3, 2), (2, 2)), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 9])
-        with pytest.raises(FormatError):
-            tt_read(path)
+class TestMatrixSerialization(_CorruptFiles):
+    fmt = TMV1
 
-    def test_trailing_garbage(self, rng, tmp_path):
-        path = tmp_path / "x.ttv1"
-        tt_write(random_tt(rng, (2, 2), (2,)), path)
-        path.write_bytes(path.read_bytes() + b"\x00")
+    def test_oversized_header(self, tmp_path):
+        # 2^32 x 2^32 entries: the count wraps to 0 in int64
+        path = tmp_path / "a.tmv1"
+        path.write_bytes(b"TMv1" + struct.pack("<I4Q", 1, 2**32, 2**32, 1, 1)
+                         + OVERSIZED_PAYLOAD)
         with pytest.raises(FormatError):
-            tt_read(path)
+            ttmat_read(path)
