@@ -485,26 +485,43 @@ def gather_mode(core, idx):
     """Collect per-sample mode slices of a TT core.
 
     ``core`` has shape (r_left, n, r_right) and ``idx`` is an int vector of
-    length N; the result has shape (N, r_left, r_right).
+    length N; the result has shape (N, r_left, r_right).  It is one row
+    ``take`` from the (n, r_left, r_right) transpose of the core, so the
+    strided (r_left, N, r_right) fancy-index copy is never made.
     """
     idx = np.asarray(idx, dtype=np.intp)
+    core_val = core.value if isinstance(core, Var) else np.asarray(core, dtype=np.float64)
+    val = np.take(np.ascontiguousarray(np.transpose(core_val, (1, 0, 2))), idx, axis=0)
     if not isinstance(core, Var):
-        return np.ascontiguousarray(
-            np.transpose(np.asarray(core, dtype=np.float64)[:, idx, :], (1, 0, 2))
-        )
-    n = core.value.shape[1]
-    val = np.ascontiguousarray(np.transpose(core.value[:, idx, :], (1, 0, 2)))
+        return val
+    n = core_val.shape[1]
     return Var(core.tape, val, "gather_mode", (core,), (lambda u: scatter_mode(u, idx, n),))
 
 
 def scatter_mode(mat, idx, n):
-    """Adjoint of :func:`gather_mode`: scatter-add (N, r_l, r_r) slices."""
+    """Adjoint of :func:`gather_mode`: scatter-add (N, r_l, r_r) slices into
+    an (r_l, n, r_r) core.
+
+    With n <= r_l * r_r this is one matrix product ``E @ mat`` with the
+    transient (n, N) one-hot selection matrix ``E``, which is then no larger
+    than ``mat``; ``E`` is built per call and never recorded.  Larger mode
+    sizes would make ``E`` and its n-fold flop count outgrow the input, so
+    they sum with one flat ``bincount`` instead, O(N r_l r_r) for any n.
+    """
     idx = np.asarray(idx, dtype=np.intp)
 
     def fwd(m):
-        buf = np.zeros((n, m.shape[1], m.shape[2]))
-        np.add.at(buf, idx, m)
-        return np.ascontiguousarray(np.transpose(buf, (1, 0, 2)))
+        count, rl, rr = m.shape
+        rows = m.reshape(count, rl * rr)  # sizes spelled out: count may be 0
+        if n <= rl * rr:
+            onehot = np.zeros((n, count))
+            onehot[idx, np.arange(count)] = 1.0
+            buf = onehot @ rows
+        else:
+            flat = (idx[:, None] * (rl * rr) + np.arange(rl * rr)).ravel()
+            buf = np.bincount(flat, weights=rows.ravel(), minlength=n * rl * rr)
+            buf = buf.astype(np.float64, copy=False)  # an empty bincount is int64
+        return np.ascontiguousarray(np.transpose(buf.reshape(n, rl, rr), (1, 0, 2)))
 
     if not isinstance(mat, Var):
         return fwd(np.asarray(mat, dtype=np.float64))

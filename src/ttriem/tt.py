@@ -116,30 +116,23 @@ class TtMatrix(_Chain):
         return f"TtMatrix(rows={self.row_sizes}, cols={self.col_sizes}, ranks={self.ranks})"
 
 
-class MuOrthogonal:
+class MuOrthogonal(_Chain):
     """All mu-orthogonal decompositions of one tensor, sharing cores.
 
     ``U[k]`` (k = 0..d-2) are left-orthogonal, ``V[k]`` (k = 1..d-1) are
     right-orthogonal, and ``S[k]`` is the center core of the k-orthogonal
-    representation; the unused boundary slots hold None.
+    representation; the unused boundary slots hold None.  The center cores
+    form the chain that gives ``ndim``, ``mode_sizes`` and ``ranks``.
     """
 
+    _arity = 3
+    mode_sizes = TtTensor.mode_sizes
+
     def __init__(self, U, V, S):
+        super().__init__(S)
         self.U = tuple(None if u is None else frozen(u) for u in U)
         self.V = tuple(None if v is None else frozen(v) for v in V)
-        self.S = tuple(frozen(s) for s in S)
-
-    @property
-    def ndim(self):
-        return len(self.S)
-
-    @property
-    def mode_sizes(self):
-        return tuple(c.shape[1] for c in self.S)
-
-    @property
-    def ranks(self):
-        return tuple([self.S[0].shape[0]] + [c.shape[2] for c in self.S])
+        self.S = self.cores
 
     def mu_cores(self, mu):
         """Core list of the mu-orthogonal representation (0-based mu)."""
@@ -363,16 +356,23 @@ def tt_round(x: TtTensor, max_rank, tol: float = 0.0) -> TtTensor:
 
 _TT_MAGIC = b"TTv1"
 _TM_MAGIC = b"TMv1"
+_READ_CHUNK = 1 << 24
 
 
 def _read_exact(fh, count, what):
-    # Where the size is known (not on a pipe), compare before reading: a corrupt
-    # header can ask for more bytes than memory or an index-sized integer holds.
-    if not fh.seekable() or count <= os.fstat(fh.fileno()).st_size - fh.tell():
-        data = fh.read(count)
-        if len(data) == count:
-            return data
-    raise FormatError(f"truncated file while reading {what}")
+    # A corrupt header can ask for more bytes than memory or an index-sized
+    # integer holds.  Where the size is known, compare before reading; a pipe
+    # is read in bounded chunks, so it fails where its data ends.
+    if fh.seekable() and count > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise FormatError(f"truncated file while reading {what}")
+    parts = []
+    while count > 0:
+        part = fh.read(min(count, _READ_CHUNK))
+        if not part:
+            raise FormatError(f"truncated file while reading {what}")
+        parts.append(part)
+        count -= len(part)
+    return b"".join(parts)
 
 
 def _write_chain(path, magic, chain, size_arrays):

@@ -240,6 +240,84 @@ class TestOpGradients:
         assert abs(lhs - rhs) < 1e-12
 
 
+
+def add_at_scatter(mat, idx, n):
+    """Reference scatter-add: the unbuffered ``np.add.at`` loop."""
+    buf = np.zeros((n, mat.shape[1], mat.shape[2]))
+    np.add.at(buf, idx, mat)
+    return np.transpose(buf, (1, 0, 2))
+
+
+class TestModePrimitives:
+    # (N, r_l, r_r, n, idx); n <= r_l * r_r takes the one-hot product, a
+    # larger n the flat bincount.
+    SCATTER_CASES = {
+        "repeated": (6, 2, 3, 4, [1, 1, 1, 0, 3, 1]),
+        "empty_slice": (5, 2, 3, 5, [0, 4, 0, 1, 4]),
+        "no_samples": (0, 2, 3, 4, []),
+        "n_above_N": (3, 3, 3, 7, [6, 0, 6]),
+        "wide_mode_repeated": (9, 1, 3, 7, [2, 2, 6, 0, 2, 6, 5, 5, 2]),
+        "wide_mode_no_samples": (0, 1, 2, 5, []),
+    }
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed_view"])
+    @pytest.mark.parametrize("case", SCATTER_CASES.values(), ids=SCATTER_CASES.keys())
+    def test_scatter_matches_add_at(self, case, transposed, rng):
+        count, rl, rr, n, idx = case
+        if transposed:  # adjoints arrive as transposed views
+            mat = np.transpose(rng.standard_normal((rr, rl, count)), (2, 1, 0))
+        else:
+            mat = rng.standard_normal((count, rl, rr))
+        want = add_at_scatter(mat, np.asarray(idx, dtype=np.intp), n)
+        scale = max(np.abs(want).max(), 1.0)
+        got = ad.scatter_mode(mat, idx, n)
+        on_tape = ad.scatter_mode(ad.Tape().input(mat), idx, n).value
+        for out in (got, on_tape):
+            assert out.shape == (rl, n, rr) and out.dtype == np.float64
+            np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed_view"])
+    def test_gather_same_bits_on_array_and_var(self, transposed, rng):
+        if transposed:
+            core = np.transpose(rng.standard_normal((3, 4, 2)), (2, 1, 0))
+        else:
+            core = rng.standard_normal((2, 4, 3))
+        idx = np.array([3, 0, 0, 2, 3, 1, 3])
+        plain = ad.gather_mode(core, idx)
+        on_tape = ad.gather_mode(ad.Tape().input(core), idx).value
+        assert np.array_equal(plain, on_tape)
+        assert np.array_equal(plain, np.transpose(core[:, idx, :], (1, 0, 2)))
+        assert plain.flags.c_contiguous and plain.shape == (7, 2, 3)
+
+    @pytest.mark.parametrize("n", [3, 6], ids=["one_hot", "bincount"])
+    def test_second_order_through_gather_matmul_scatter(self, n, rng):
+        # f(c) = <scatter(G G), c> with G the gathered slices, i.e. the sum
+        # over samples of <G_i G_i, G_i>.  Nested AD gives H z, checked
+        # against central differences of the hand-written Df(c)[z], which is
+        # quadratic in c, so the differences are exact up to rounding.
+        idx = np.array([0, 2, 2, 1, 0, 2, 1])
+        core = rng.standard_normal((2, n, 2))
+        z = rng.standard_normal(core.shape)
+
+        def slices(c):
+            return np.transpose(c[:, idx, :], (1, 0, 2))
+
+        def directional(c):
+            g, dz = slices(c), slices(z)
+            return float(np.sum((dz @ g + g @ dz) * g + (g @ g) * dz))
+
+        tape = ad.Tape()
+        c = tape.input(core)
+        g = ad.gather_mode(c, idx)
+        out = ad.reduce_sum(ad.scatter_mode(ad.batch_matmul(g, g), idx, n) * c)
+        assert np.isclose(out.value, np.sum((slices(core) @ slices(core)) * slices(core)))
+        (g1,) = ad.grad(tape, out, [c], as_vars=True)
+        np.testing.assert_allclose(g1.value, fd_gradient(
+            lambda v: float(np.sum((slices(v) @ slices(v)) * slices(v))), [core])[0], atol=1e-6)
+        (hz,) = ad.grad(tape, ad.reduce_sum(g1 * tape.const(z)), [c])
+        want = fd_gradient(directional, [core], step=1e-3)[0]
+        np.testing.assert_allclose(hz, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
+
 class TestStopGradient:
     def test_value_passthrough(self, rng):
         x = rng.standard_normal((2, 3))

@@ -475,6 +475,18 @@ class TestSerialization(_CorruptFiles):
         assert not writer.is_alive()
         assert all(np.array_equal(a, b) for a, b in zip(x.cores, back.cores))
 
+    def test_oversized_header_from_pipe(self, tmp_path):
+        # 2^65 payload bytes announced on a pipe: read in chunks until it ends
+        fifo = tmp_path / "x.pipe"
+        os.mkfifo(fifo)
+        header = b"TTv1" + struct.pack("<I1Q2Q", 1, 2**62, 1, 1)
+        writer = threading.Thread(target=fifo.write_bytes, args=(header + OVERSIZED_PAYLOAD,))
+        writer.start()
+        with pytest.raises(FormatError, match="truncated"):
+            tt_read(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
     @pytest.mark.parametrize("modes, ranks", [
         ((2**62,), (1, 1)),  # 2^65 payload bytes: more than a read size can hold
         ((2**20, 2**20), (1, 2**30, 1)),  # 2^53 payload bytes: more than memory
