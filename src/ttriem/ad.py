@@ -502,25 +502,17 @@ def scatter_mode(mat, idx, n):
     """Adjoint of :func:`gather_mode`: scatter-add (N, r_l, r_r) slices into
     an (r_l, n, r_r) core.
 
-    With n <= r_l * r_r this is one matrix product ``E @ mat`` with the
-    transient (n, N) one-hot selection matrix ``E``, which is then no larger
-    than ``mat``; ``E`` is built per call and never recorded.  Larger mode
-    sizes would make ``E`` and its n-fold flop count outgrow the input, so
-    they sum with one flat ``bincount`` instead, O(N r_l r_r) for any n.
+    It is one matrix product ``E @ mat`` with the transient (n, N) one-hot
+    selection matrix ``E``, built per call and never recorded; ``E`` is no
+    larger than ``mat`` whenever n <= r_l * r_r.
     """
     idx = np.asarray(idx, dtype=np.intp)
 
     def fwd(m):
         count, rl, rr = m.shape
-        rows = m.reshape(count, rl * rr)  # sizes spelled out: count may be 0
-        if n <= rl * rr:
-            onehot = np.zeros((n, count))
-            onehot[idx, np.arange(count)] = 1.0
-            buf = onehot @ rows
-        else:
-            flat = (idx[:, None] * (rl * rr) + np.arange(rl * rr)).ravel()
-            buf = np.bincount(flat, weights=rows.ravel(), minlength=n * rl * rr)
-            buf = buf.astype(np.float64, copy=False)  # an empty bincount is int64
+        onehot = np.zeros((n, count))
+        onehot[idx, np.arange(count)] = 1.0
+        buf = onehot @ m.reshape(count, rl * rr)  # sizes spelled out: count may be 0
         return np.ascontiguousarray(np.transpose(buf.reshape(n, rl, rr), (1, 0, 2)))
 
     if not isinstance(mat, Var):

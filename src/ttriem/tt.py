@@ -116,23 +116,25 @@ class TtMatrix(_Chain):
         return f"TtMatrix(rows={self.row_sizes}, cols={self.col_sizes}, ranks={self.ranks})"
 
 
-class MuOrthogonal(_Chain):
+class MuOrthogonal:
     """All mu-orthogonal decompositions of one tensor, sharing cores.
 
     ``U[k]`` (k = 0..d-2) are left-orthogonal, ``V[k]`` (k = 1..d-1) are
     right-orthogonal, and ``S[k]`` is the center core of the k-orthogonal
     representation; the unused boundary slots hold None.  The center cores
-    form the chain that gives ``ndim``, ``mode_sizes`` and ``ranks``.
+    form a private chain that gives ``ndim``, ``mode_sizes`` and ``ranks``;
+    it is not exposed as ``cores``, since its product is not the tensor.
     """
 
-    _arity = 3
-    mode_sizes = TtTensor.mode_sizes
-
     def __init__(self, U, V, S):
-        super().__init__(S)
+        self._center = TtTensor(S)
         self.U = tuple(None if u is None else frozen(u) for u in U)
         self.V = tuple(None if v is None else frozen(v) for v in V)
-        self.S = self.cores
+        self.S = self._center.cores
+
+    ndim = property(lambda self: self._center.ndim)
+    mode_sizes = property(lambda self: self._center.mode_sizes)
+    ranks = property(lambda self: self._center.ranks)
 
     def mu_cores(self, mu):
         """Core list of the mu-orthogonal representation (0-based mu)."""
@@ -361,18 +363,21 @@ _READ_CHUNK = 1 << 24
 
 def _read_exact(fh, count, what):
     # A corrupt header can ask for more bytes than memory or an index-sized
-    # integer holds.  Where the size is known, compare before reading; a pipe
+    # integer holds.  Where the size is known, compare before one read; a pipe
     # is read in bounded chunks, so it fails where its data ends.
-    if fh.seekable() and count > os.fstat(fh.fileno()).st_size - fh.tell():
+    if fh.seekable():
+        if count <= os.fstat(fh.fileno()).st_size - fh.tell():
+            data = fh.read(count)
+            if len(data) == count:
+                return data
         raise FormatError(f"truncated file while reading {what}")
-    parts = []
-    while count > 0:
-        part = fh.read(min(count, _READ_CHUNK))
+    data = bytearray()
+    while len(data) < count:
+        part = fh.read(min(count - len(data), _READ_CHUNK))
         if not part:
             raise FormatError(f"truncated file while reading {what}")
-        parts.append(part)
-        count -= len(part)
-    return b"".join(parts)
+        data += part
+    return data
 
 
 def _write_chain(path, magic, chain, size_arrays):

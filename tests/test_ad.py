@@ -249,8 +249,8 @@ def add_at_scatter(mat, idx, n):
 
 
 class TestModePrimitives:
-    # (N, r_l, r_r, n, idx); n <= r_l * r_r takes the one-hot product, a
-    # larger n the flat bincount.
+    # (N, r_l, r_r, n, idx); the wide_mode cases have n > r_l * r_r, where
+    # the one-hot matrix outgrows its input.
     SCATTER_CASES = {
         "repeated": (6, 2, 3, 4, [1, 1, 1, 0, 3, 1]),
         "empty_slice": (5, 2, 3, 5, [0, 4, 0, 1, 4]),
@@ -289,7 +289,7 @@ class TestModePrimitives:
         assert np.array_equal(plain, np.transpose(core[:, idx, :], (1, 0, 2)))
         assert plain.flags.c_contiguous and plain.shape == (7, 2, 3)
 
-    @pytest.mark.parametrize("n", [3, 6], ids=["one_hot", "bincount"])
+    @pytest.mark.parametrize("n", [3, 6], ids=["narrow_mode", "wide_mode"])
     def test_second_order_through_gather_matmul_scatter(self, n, rng):
         # f(c) = <scatter(G G), c> with G the gathered slices, i.e. the sum
         # over samples of <G_i G_i, G_i>.  Nested AD gives H z, checked
@@ -317,6 +317,7 @@ class TestModePrimitives:
         (hz,) = ad.grad(tape, ad.reduce_sum(g1 * tape.const(z)), [c])
         want = fd_gradient(directional, [core], step=1e-3)[0]
         np.testing.assert_allclose(hz, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
+
 
 class TestStopGradient:
     def test_value_passthrough(self, rng):

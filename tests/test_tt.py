@@ -103,6 +103,19 @@ class TestOrthogonalize:
         x = random_tt(rng, (2, 3, 2), (2, 2))
         mo = orthogonalize(x)
         assert all(s.shape == c.shape for s, c in zip(mo.S, x.cores))
+        assert (mo.ndim, mo.mode_sizes, mo.ranks) == (x.ndim, x.mode_sizes, x.ranks)
+
+    @pytest.mark.parametrize("func", [
+        tt_to_dense,
+        lambda mo: tt_dot(mo, mo),
+        lambda mo: tt_entries(mo, np.zeros((1, 3), dtype=int)),
+        lambda mo: tt_round(mo, 2),
+    ], ids=["to_dense", "dot", "entries", "round"])
+    def test_tt_functions_reject_decomposition(self, rng, func):
+        # the center cores chain up but their product is not the tensor
+        mo = orthogonalize(random_tt(rng, (2, 3, 2), (2, 2)))
+        with pytest.raises(AttributeError):
+            func(mo)
 
 
 class TestToDense:
