@@ -11,6 +11,7 @@ import numpy as np
 from . import objectives as obj_mod
 from .baselines import compute_method
 from .errors import DimensionError, UnavailableMethodError
+from .oracles import tangent_residual
 from .tt import (
     orthogonalize,
     random_symmetric_ttmat,
@@ -23,8 +24,6 @@ from .ttmanifold import (
     hess_vec_tt,
     project_tt,
     riemannian_grad_tt,
-    tangent_axpy,
-    tangent_dot_tt,
 )
 
 __all__ = [
@@ -36,6 +35,7 @@ __all__ = [
     "write_csv",
     "complexity_ratios",
     "sample_indices",
+    "objective_suite",
 ]
 
 FUNCTIONS = ("qf", "gram", "rayleigh", "completion", "expmach")
@@ -137,10 +137,19 @@ def make_instance(cfg: BenchConfig):
     return objective, base, z
 
 
-def _tangent_rel_residual(a, b):
-    diff = tangent_axpy(-1.0, b, a)
-    denom = np.sqrt(max(tangent_dot_tt(b, b), 0.0))
-    return float(np.sqrt(max(tangent_dot_tt(diff, diff), 0.0)) / max(denom, 1e-300))
+def objective_suite(rng, modes, r):
+    """One of each of the five objectives on ``modes``, sized for base rank r."""
+    count = min(2 * len(modes) * max(modes) * r * r,
+                int(np.prod(modes)))
+    idx = sample_indices(rng, modes, count)
+    return [
+        obj_mod.quadratic_form(random_symmetric_ttmat(rng, modes, 2)),
+        obj_mod.gram_quadratic_form(random_ttmat(rng, modes, modes, 2)),
+        obj_mod.rayleigh_quotient(random_symmetric_ttmat(rng, modes, 2)),
+        obj_mod.completion_loss(obj_mod.IndexSet(idx, rng.standard_normal(len(idx)))),
+        obj_mod.expmachines_loss([random_tt(rng, modes, 1) for _ in range(8)],
+                                 np.resize([1.0, -1.0], 8)),
+    ]
 
 
 def bench_run(cfg: BenchConfig):
@@ -167,7 +176,7 @@ def bench_run(cfg: BenchConfig):
     record.seconds_std = float(np.std(times)) if cfg.trials > 1 else 0.0
     reference = result if cfg.method == "ad" else compute_method(
         objective, "ad", cfg.op, base, z if cfg.op == "hvp" else None)
-    record.residual_vs_ad = _tangent_rel_residual(result, reference)
+    record.residual_vs_ad = tangent_residual(result, reference)
     return [record]
 
 

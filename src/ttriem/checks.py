@@ -8,20 +8,20 @@ prints one PASS/FAIL line per check and reports an overall exit status.
 import numpy as np
 
 from . import ad
-from .baselines import compute_method
+from .bench import objective_suite
 from .dense import contract, qr_thin, svd_thin
-from .errors import UnavailableMethodError
-from .objectives import (
-    IndexSet,
-    completion_loss,
-    expmachines_loss,
-    gram_quadratic_form,
-    quadratic_form,
-    rayleigh_quotient,
+from .objectives import quadratic_form
+from .oracles import (
+    dense_preconditioned_residual,
+    dense_project,
+    dense_residual,
+    method_residuals,
+    oracle_residuals,
 )
-from .oracles import dense_oracle_grad, dense_oracle_hvp, dense_project
 from .tt import (
+    TtTensor,
     orthogonalize,
+    pad_ranks,
     random_symmetric_ttmat,
     random_tt,
     random_ttmat,
@@ -29,12 +29,11 @@ from .tt import (
     tt_dot,
     tt_to_dense,
     ttmat_apply,
+    ttmat_to_dense,
 )
 from .ttmanifold import (
-    hess_vec_tt,
     preconditioned_residual,
     project_tt,
-    riemannian_grad_tt,
     tangent_axpy,
     tangent_dot_tt,
 )
@@ -98,8 +97,6 @@ def check_tt_orthogonality():
     mo = orthogonalize(x)
     dense = tt_to_dense(x)
     for mu in range(x.ndim):
-        from .tt import TtTensor
-
         err = np.abs(tt_to_dense(TtTensor(mo.mu_cores(mu))) - dense).max()
         _require(err < 1e-10 * max(np.abs(dense).max(), 1.0),
                  f"mu={mu}: mu-cores do not reproduce the tensor")
@@ -124,8 +121,6 @@ def check_tt_arithmetic():
     s = tt_axpy(1.5, x, y)
     _require(np.abs(tt_to_dense(s) - (1.5 * dx + dy)).max() < 1e-12,
              "tt_axpy differs from the dense axpy")
-    from .tt import ttmat_to_dense
-
     _require(np.abs(
         tt_to_dense(ttmat_apply(a, x)).ravel() - ttmat_to_dense(a) @ dx.ravel()
     ).max() < 1e-11 * max(np.abs(dx).max(), 1.0),
@@ -154,109 +149,54 @@ def check_projection():
              "projection is not idempotent")
 
 
+def _require_oracle(objective, base, z):
+    rel_g, rel_h = oracle_residuals(objective, base, z)
+    _require(rel_g < 1e-9, f"{objective.name}: gradient differs from the dense oracle "
+                           f"(residual {rel_g:.2e})")
+    _require(rel_h < 1e-9, f"{objective.name}: HVP differs from the dense oracle "
+                           f"(residual {rel_h:.2e})")
+
+
 def check_gradients_match_oracle():
     rng = _rng(6)
     modes = (2, 3, 2)
-    x = random_tt(rng, modes, 2)
-    mo = orthogonalize(x)
-    z = project_tt(mo, random_tt(rng, modes, 2))
-    zd = tt_to_dense(z.materialize())
-    a = random_symmetric_ttmat(rng, modes, 2)
-    idx = np.array([[i, j, k] for i in range(2) for j in range(3) for k in range(2)])
-    objs = [
-        quadratic_form(a),
-        gram_quadratic_form(random_ttmat(rng, modes, modes, 2)),
-        rayleigh_quotient(a),
-        completion_loss(IndexSet(idx, rng.standard_normal(len(idx)))),
-        expmachines_loss([random_tt(rng, modes, 1) for _ in range(3)], [1.0, -1.0, 1.0]),
-    ]
-    for objective in objs:
-        g = riemannian_grad_tt(objective.evaluate, mo)
-        want = dense_oracle_grad(objective, mo)
-        scale = max(np.abs(want).max(), 1.0)
-        _require(np.abs(tt_to_dense(g.materialize()) - want).max() < 1e-9 * scale,
-                 f"{objective.name}: gradient differs from the dense oracle")
-        h = hess_vec_tt(objective.evaluate, mo, z)
-        want = dense_oracle_hvp(objective, mo, zd)
-        scale = max(np.abs(want).max(), 1.0)
-        _require(np.abs(tt_to_dense(h.materialize()) - want).max() < 1e-9 * scale,
-                 f"{objective.name}: HVP differs from the dense oracle")
+    base = orthogonalize(random_tt(rng, modes, 2))
+    z = project_tt(base, random_tt(rng, modes, 2))
+    for objective in objective_suite(rng, modes, 2):
+        _require_oracle(objective, base, z)
 
 
 def check_method_agreement():
     rng = _rng(7)
     modes = (3, 2, 3)
-    x = random_tt(rng, modes, 2)
-    mo = orthogonalize(x)
-    z = project_tt(mo, random_tt(rng, modes, 2))
-    a = random_symmetric_ttmat(rng, modes, 2)
-    idx = np.array([[i, j, k] for i in range(3) for j in range(2) for k in range(3)])[::2]
-    objs = [
-        quadratic_form(a),
-        gram_quadratic_form(random_ttmat(rng, modes, modes, 2)),
-        rayleigh_quotient(a),
-        completion_loss(IndexSet(idx, rng.standard_normal(len(idx)))),
-        expmachines_loss([random_tt(rng, modes, 1) for _ in range(4)], [1.0, -1.0, 1.0, -1.0]),
-    ]
-    for objective in objs:
+    base = orthogonalize(random_tt(rng, modes, 2))
+    z = project_tt(base, random_tt(rng, modes, 2))
+    for objective in objective_suite(rng, modes, 2):
         for op in ("grad", "hvp"):
-            results = {}
-            for method in ("ad", "naive", "optimized"):
-                try:
-                    results[method] = compute_method(objective, method, op, mo, z)
-                except UnavailableMethodError:
-                    continue
-            ref = results["ad"]
-            for method, res in results.items():
-                diff = tangent_axpy(-1.0, ref, res)
-                rel = np.sqrt(max(tangent_dot_tt(diff, diff), 0.0)) / max(ref.norm(), 1e-300)
-                _require(rel < 1e-8, f"{objective.name} {method} {op}: residual {rel}")
+            for (ref, other), rel in method_residuals(objective, op, base, z).items():
+                _require(rel < 1e-8, f"{objective.name} {op}: {other} against {ref}, "
+                                     f"residual {rel:.2e}")
 
 
 def check_preconditioned_residual():
     rng = _rng(8)
     modes = (2, 3, 2)
-    x = random_tt(rng, modes, 2)
-    mo = orthogonalize(x)
+    base = orthogonalize(random_tt(rng, modes, 2))
     a = random_ttmat(rng, modes, modes, 2)
     b = random_ttmat(rng, modes, modes, 2)
     f = random_tt(rng, modes, 2)
-    t = preconditioned_residual(a, b, f, mo)
-    from .tt import ttmat_to_dense
-
-    ad_, bd = ttmat_to_dense(a), ttmat_to_dense(b)
-    xd, fd = tt_to_dense(mo.to_tt()), tt_to_dense(f)
-    want = dense_project(mo, (bd @ (ad_ @ xd.ravel() - fd.ravel())).reshape(xd.shape))
-    _require(np.abs(tt_to_dense(t.materialize()) - want).max() < 1e-9 * max(np.abs(want).max(), 1.0),
-             "preconditioned residual differs from the dense reference")
+    rel = dense_residual(preconditioned_residual(a, b, f, base),
+                         dense_preconditioned_residual(a, b, f, base))
+    _require(rel < 1e-9, f"preconditioned residual differs from the dense reference ({rel:.2e})")
 
 
 def check_overranked_robustness():
     # Declared rank above the true rank: zero singular values present.
     rng = _rng(9)
     modes = (2, 3, 2)
-    low = random_tt(rng, modes, 1)
-    padded_cores = []
-    full = (1, 2, 2, 1)
-    for k, c in enumerate(low.cores):
-        core = np.zeros((full[k], modes[k], full[k + 1]))
-        core[: c.shape[0], :, : c.shape[2]] = c
-        padded_cores.append(core)
-    from .tt import TtTensor
-
-    x = TtTensor(padded_cores)
-    mo = orthogonalize(x)
-    a = random_symmetric_ttmat(rng, modes, 2)
-    objective = quadratic_form(a)
-    g = riemannian_grad_tt(objective.evaluate, mo)
-    want = dense_oracle_grad(objective, mo)
-    _require(np.abs(tt_to_dense(g.materialize()) - want).max() < 1e-9 * max(np.abs(want).max(), 1.0),
-             "gradient differs from the dense oracle")
-    z = project_tt(mo, random_tt(rng, modes, 2))
-    h = hess_vec_tt(objective.evaluate, mo, z)
-    want = dense_oracle_hvp(objective, mo, tt_to_dense(z.materialize()))
-    _require(np.abs(tt_to_dense(h.materialize()) - want).max() < 1e-9 * max(np.abs(want).max(), 1.0),
-             "HVP differs from the dense oracle")
+    base = orthogonalize(pad_ranks(random_tt(rng, modes, 1), 2))
+    objective = quadratic_form(random_symmetric_ttmat(rng, modes, 2))
+    _require_oracle(objective, base, project_tt(base, random_tt(rng, modes, 2)))
 
 
 def check_objective_reparametrization():
@@ -265,15 +205,7 @@ def check_objective_reparametrization():
     modes = (2, 3, 2)
     x = random_tt(rng, modes, 2)
     mo = orthogonalize(x)
-    a = random_symmetric_ttmat(rng, modes, 2)
-    idx = np.array([[0, 0, 0], [1, 2, 1], [0, 1, 1]])
-    objs = [
-        quadratic_form(a),
-        rayleigh_quotient(a),
-        completion_loss(IndexSet(idx, rng.standard_normal(3))),
-        expmachines_loss([random_tt(rng, modes, 1) for _ in range(2)], [1.0, -1.0]),
-    ]
-    for objective in objs:
+    for objective in objective_suite(rng, modes, 2):
         vals = [float(objective.evaluate([np.asarray(c) for c in mo.mu_cores(mu)]))
                 for mu in range(x.ndim)]
         vals.append(float(objective.evaluate([np.asarray(c) for c in x.cores])))

@@ -66,6 +66,8 @@ class IndexSet:
             raise InvalidDataError("indices must form an (N, d) array")
         if values.shape != (indices.shape[0],):
             raise InvalidDataError("need exactly one value per index tuple")
+        if not np.all(np.isfinite(values)):
+            raise InvalidDataError("observation values must be finite")
         if indices.size and indices.min() < 0:
             raise IndexError("negative index in observation set")
         if len(np.unique(indices, axis=0)) != len(indices):
@@ -495,8 +497,8 @@ def expmachines_loss(ws, ys) -> Objective:
 
 def regularized_completion(omega: IndexSet, lam: float) -> Objective:
     """Completion loss plus Tikhonov term lam * <X, X>."""
-    if lam < 0.0:
-        raise InvalidDataError("lambda must be nonnegative")
+    if not np.isfinite(lam) or lam < 0.0:
+        raise InvalidDataError("lambda must be finite and nonnegative")
     loss = completion_loss(omega)
 
     def evaluate(cores):

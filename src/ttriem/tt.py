@@ -44,6 +44,7 @@ __all__ = [
     "random_ttmat",
     "random_symmetric_ttmat",
     "feasible_ranks",
+    "pad_ranks",
     "DENSE_CAP",
 ]
 
@@ -449,6 +450,19 @@ def feasible_ranks(mode_sizes, ranks):
     for k in range(d - 1, -1, -1):
         full[k] = min(full[k], full[k + 1] * mode_sizes[k])
     return tuple(full[1:-1])
+
+
+def pad_ranks(x: TtTensor, rank) -> TtTensor:
+    """The same tensor at internal ranks raised to ``rank`` (clipped to
+    feasible values) by zero blocks, so its unfoldings gain zero singular
+    values."""
+    full = (1,) + feasible_ranks(x.mode_sizes, [max(rank, rk) for rk in x.ranks[1:-1]]) + (1,)
+    cores = []
+    for k, c in enumerate(x.cores):
+        core = np.zeros((full[k], x.mode_sizes[k], full[k + 1]))
+        core[: c.shape[0], :, : c.shape[2]] = c
+        cores.append(core)
+    return TtTensor(cores)
 
 
 def random_tt(rng, mode_sizes, ranks) -> TtTensor:

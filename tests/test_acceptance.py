@@ -9,30 +9,19 @@ import time
 import numpy as np
 import pytest
 
-from ttriem.baselines import (
-    compute_method,
-    demo_complete,
-    demo_eigen,
-    demo_solve,
+from ttriem.baselines import demo_complete, demo_eigen, demo_solve
+from ttriem.bench import complexity_ratios, objective_suite
+from ttriem.oracles import (
+    dense_preconditioned_residual,
+    dense_residual,
+    method_residuals,
+    oracle_residuals,
 )
-from ttriem.bench import complexity_ratios, sample_indices
-from ttriem.errors import UnavailableMethodError
-from ttriem.objectives import (
-    IndexSet,
-    completion_loss,
-    expmachines_loss,
-    gram_quadratic_form,
-    quadratic_form,
-    rayleigh_quotient,
-)
-from ttriem.oracles import dense_oracle_grad, dense_oracle_hvp
 from ttriem.tt import (
-    TtTensor,
     orthogonalize,
-    random_symmetric_ttmat,
+    pad_ranks,
     random_tt,
     random_ttmat,
-    tt_to_dense,
     ttmat_to_dense,
 )
 from ttriem.ttmanifold import (
@@ -40,34 +29,11 @@ from ttriem.ttmanifold import (
     preconditioned_residual,
     project_tt,
     riemannian_grad_tt,
-    tangent_axpy,
-    tangent_dot_tt,
 )
 
 
 def _report(num, ok, detail):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} — {detail}")
-
-
-def tangent_rel(a, b):
-    diff = tangent_axpy(-1.0, b, a)
-    denom = max(np.sqrt(max(tangent_dot_tt(b, b), 0.0)),
-                np.sqrt(max(tangent_dot_tt(a, a), 0.0)), 1e-300)
-    return np.sqrt(max(tangent_dot_tt(diff, diff), 0.0)) / denom
-
-
-def build_objectives(rng, modes, r):
-    count = min(2 * len(modes) * max(modes) * r * r,
-                int(np.prod(modes)))
-    idx = sample_indices(rng, modes, count)
-    return [
-        quadratic_form(random_symmetric_ttmat(rng, modes, 2)),
-        gram_quadratic_form(random_ttmat(rng, modes, modes, 2)),
-        rayleigh_quotient(random_symmetric_ttmat(rng, modes, 2)),
-        completion_loss(IndexSet(idx, rng.standard_normal(len(idx)))),
-        expmachines_loss([random_tt(rng, modes, 1) for _ in range(8)],
-                         np.resize([1.0, -1.0], 8)),
-    ]
 
 
 def test_criterion_1_method_equivalence():
@@ -82,23 +48,14 @@ def test_criterion_1_method_equivalence():
                 modes = (n,) * d
                 base = orthogonalize(random_tt(rng, modes, r))
                 z = project_tt(base, random_tt(rng, modes, r))
-                for obj in build_objectives(rng, modes, r):
+                for obj in objective_suite(rng, modes, r):
                     for op in ("grad", "hvp"):
-                        results = {}
-                        for method in ("ad", "naive", "optimized"):
-                            try:
-                                results[method] = compute_method(
-                                    obj, method, op, base, z)
-                            except UnavailableMethodError:
-                                continue
-                        assert "ad" in results and len(results) >= 2
-                        names = list(results)
-                        for i, mi in enumerate(names):
-                            for mj in names[i + 1:]:
-                                rel = tangent_rel(results[mi], results[mj])
-                                worst = max(worst, rel)
-                                checked += 1
-                                assert rel < 1e-8, (obj.name, op, mi, mj, d, n, r, rel)
+                        pairs = method_residuals(obj, op, base, z)
+                        assert any("ad" in pair for pair in pairs)
+                        for (mi, mj), rel in pairs.items():
+                            worst = max(worst, rel)
+                            checked += 1
+                            assert rel < 1e-8, (obj.name, op, mi, mj, d, n, r, rel)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 60.0
     _report(1, ok, f"method equivalence: {checked} pairs, worst residual "
@@ -119,26 +76,13 @@ def test_criterion_2_oracle_equivalence():
         modes = (n,) * d
         base = orthogonalize(random_tt(rng, modes, r))
         z = project_tt(base, random_tt(rng, modes, r))
-        zd = tt_to_dense(z.materialize())
-        objectives = build_objectives(rng, modes, r)
+        objectives = objective_suite(rng, modes, r)
         obj = objectives[seed % len(objectives)]
-        grad = riemannian_grad_tt(obj.evaluate, base)
-        hvp = hess_vec_tt(obj.evaluate, base, z)
-        want_g = dense_oracle_grad(obj, base)
-        want_h = dense_oracle_hvp(obj, base, zd)
-        rel_g = np.linalg.norm(tt_to_dense(grad.materialize()) - want_g) / max(
-            np.linalg.norm(want_g), 1.0)
-        rel_h = np.linalg.norm(tt_to_dense(hvp.materialize()) - want_h) / max(
-            np.linalg.norm(want_h), 1.0)
+        rel_g, rel_h = oracle_residuals(obj, base, z)
         worst_analytic = max(worst_analytic, rel_g, rel_h)
         assert rel_g < 1e-9 and rel_h < 1e-9, (obj.name, seed, rel_g, rel_h)
         if seed % 4 == 0:
-            fd_g = dense_oracle_grad(obj, base, use_fd=True)
-            fd_h = dense_oracle_hvp(obj, base, zd, use_fd=True)
-            rel_g = np.linalg.norm(tt_to_dense(grad.materialize()) - fd_g) / max(
-                np.linalg.norm(fd_g), 1.0)
-            rel_h = np.linalg.norm(tt_to_dense(hvp.materialize()) - fd_h) / max(
-                np.linalg.norm(fd_h), 1.0)
+            rel_g, rel_h = oracle_residuals(obj, base, z, use_fd=True)
             worst_fd = max(worst_fd, rel_g, rel_h)
             assert rel_g < 1e-6 and rel_h < 1e-6, (obj.name, seed, rel_g, rel_h)
         instances += 1
@@ -167,7 +111,7 @@ def test_criterion_3_gauge_and_orthogonality():
             worst_orth = max(worst_orth, np.abs(
                 np.einsum("aib,cib->ac", v, v) - np.eye(v.shape[0])).max())
         z = project_tt(base, random_tt(rng, modes, r + 1))
-        obj = build_objectives(rng, modes, r)[seed % 5]
+        obj = objective_suite(rng, modes, r)[seed % 5]
         produced = [
             z,
             riemannian_grad_tt(obj.evaluate, base),
@@ -204,8 +148,6 @@ def test_criterion_4_complexity_contract(rank):
 
 def test_criterion_5_stop_gradient_preconditioned_residual():
     """P_X B (A X - F) matches the dense oracle on 20 non-commuting pairs."""
-    from ttriem.oracles import dense_project
-
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
@@ -218,32 +160,12 @@ def test_criterion_5_stop_gradient_preconditioned_residual():
         f = random_tt(rng, modes, 2)
         ad_, bd = ttmat_to_dense(a), ttmat_to_dense(b)
         assert np.abs(ad_ @ bd - bd @ ad_).max() > 1e-8  # genuinely non-commuting
-        t = preconditioned_residual(a, b, f, base)
-        xd = tt_to_dense(base.to_tt())
-        resid = (bd @ (ad_ @ xd.ravel() - tt_to_dense(f).ravel())).reshape(xd.shape)
-        want = dense_project(base, resid)
-        rel = np.linalg.norm(tt_to_dense(t.materialize()) - want) / max(
-            np.linalg.norm(want), 1.0)
+        rel = dense_residual(preconditioned_residual(a, b, f, base),
+                             dense_preconditioned_residual(a, b, f, base))
         worst = max(worst, rel)
         assert rel < 1e-9, (seed, rel)
     _report(5, True, f"stop-gradient residual projection on 20 instances, "
                      f"worst {worst:.2e}")
-
-
-def _pad_to_rank(x, target):
-    """Embed a TT tensor into a higher declared rank with zero blocks."""
-    d = x.ndim
-    ranks = x.ranks
-    full = [1] + [max(target, rk) for rk in ranks[1:-1]] + [1]
-    from ttriem.tt import feasible_ranks
-
-    clipped = (1,) + feasible_ranks(x.mode_sizes, full[1:-1]) + (1,)
-    cores = []
-    for k, c in enumerate(x.cores):
-        core = np.zeros((clipped[k], x.mode_sizes[k], clipped[k + 1]))
-        core[: c.shape[0], :, : c.shape[2]] = c
-        cores.append(core)
-    return TtTensor(cores)
 
 
 def test_criterion_6_overestimated_rank_robustness():
@@ -257,19 +179,11 @@ def test_criterion_6_overestimated_rank_robustness():
         n = 3
         modes = (n,) * d
         true_rank = 1 + seed % 2
-        x = _pad_to_rank(random_tt(rng, modes, true_rank), true_rank + 2)
+        x = pad_ranks(random_tt(rng, modes, true_rank), true_rank + 2)
         base = orthogonalize(x)
         z = project_tt(base, random_tt(rng, modes, 2))
-        zd = tt_to_dense(z.materialize())
-        for obj in build_objectives(rng, modes, 2)[: 3]:
-            grad = riemannian_grad_tt(obj.evaluate, base)
-            hvp = hess_vec_tt(obj.evaluate, base, z)
-            want_g = dense_oracle_grad(obj, base)
-            want_h = dense_oracle_hvp(obj, base, zd)
-            rel_g = np.linalg.norm(tt_to_dense(grad.materialize()) - want_g) / max(
-                np.linalg.norm(want_g), 1.0)
-            rel_h = np.linalg.norm(tt_to_dense(hvp.materialize()) - want_h) / max(
-                np.linalg.norm(want_h), 1.0)
+        for obj in objective_suite(rng, modes, 2)[: 3]:
+            rel_g, rel_h = oracle_residuals(obj, base, z)
             worst = max(worst, rel_g, rel_h)
             assert rel_g < 1e-9 and rel_h < 1e-9, (obj.name, seed, rel_g, rel_h)
     # matrix manifold with explicit zero singular values

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ttriem import baselines
 from ttriem.baselines import (
     ad_grad,
     ad_hvp,
@@ -29,7 +30,13 @@ from ttriem.objectives import (
     rayleigh_quotient,
     regularized_completion,
 )
-from ttriem.oracles import dense_euclid_grad, dense_euclid_hess_vec, dense_objective
+from ttriem.oracles import (
+    dense_euclid_grad,
+    dense_euclid_hess_vec,
+    dense_objective,
+    method_residuals,
+    tangent_residual,
+)
 from ttriem.tt import (
     MuOrthogonal,
     TtTensor,
@@ -41,14 +48,9 @@ from ttriem.tt import (
     ttmat_apply,
     ttmat_identity,
 )
-from ttriem.ttmanifold import project_tt, tangent_axpy, tangent_dot_tt
+from ttriem.ttmanifold import project_tt, tangent_scale
 
 MODES = (3, 2, 3)
-
-
-def tangent_rel(a, b):
-    diff = tangent_axpy(-1.0, b, a)
-    return np.sqrt(max(tangent_dot_tt(diff, diff), 0.0)) / max(b.norm(), 1e-300)
 
 
 @pytest.fixture
@@ -63,7 +65,7 @@ class TestNaive:
     def test_identity_quadratic_matches_ad(self, instance):
         base, _ = instance
         obj = quadratic_form(ttmat_identity(MODES))
-        assert tangent_rel(naive_grad(obj, base), ad_grad(obj, base)) < 1e-12
+        assert tangent_residual(naive_grad(obj, base), ad_grad(obj, base)) < 1e-12
 
     def test_rayleigh_identity_zero_gradient(self, instance):
         base, _ = instance
@@ -73,8 +75,8 @@ class TestNaive:
     def test_random_quadratic_residual(self, rng, instance):
         base, z = instance
         obj = quadratic_form(random_symmetric_ttmat(rng, MODES, 2))
-        assert tangent_rel(naive_grad(obj, base), ad_grad(obj, base)) < 1e-8
-        assert tangent_rel(naive_hvp(obj, base, z), ad_hvp(obj, base, z)) < 1e-8
+        assert tangent_residual(naive_grad(obj, base), ad_grad(obj, base)) < 1e-8
+        assert tangent_residual(naive_hvp(obj, base, z), ad_hvp(obj, base, z)) < 1e-8
 
     def test_unavailable_without_analytic_gradient(self, instance):
         base, _ = instance
@@ -87,21 +89,21 @@ class TestOptimized:
     def test_identity_quadratic_identical_tangent(self, instance):
         base, _ = instance
         obj = quadratic_form(ttmat_identity(MODES))
-        assert tangent_rel(optimized_grad(obj, base), ad_grad(obj, base)) < 1e-12
+        assert tangent_residual(optimized_grad(obj, base), ad_grad(obj, base)) < 1e-12
 
     def test_completion_sum_of_rank_one_projections(self, rng, instance):
         base, z = instance
         idx = sample_indices(np.random.default_rng(0), MODES, 12)
         obj = completion_loss(IndexSet(idx, rng.standard_normal(len(idx))))
-        assert tangent_rel(optimized_grad(obj, base), ad_grad(obj, base)) < 1e-8
-        assert tangent_rel(optimized_hvp(obj, base, z), ad_hvp(obj, base, z)) < 1e-8
+        assert tangent_residual(optimized_grad(obj, base), ad_grad(obj, base)) < 1e-8
+        assert tangent_residual(optimized_hvp(obj, base, z), ad_hvp(obj, base, z)) < 1e-8
 
     def test_expmachines_weighted_projections(self, rng, instance):
         base, z = instance
         ws = [random_tt(rng, MODES, 1) for _ in range(4)]
         obj = expmachines_loss(ws, [1.0, -1.0, -1.0, 1.0])
-        assert tangent_rel(optimized_grad(obj, base), ad_grad(obj, base)) < 1e-8
-        assert tangent_rel(optimized_hvp(obj, base, z), ad_hvp(obj, base, z)) < 1e-8
+        assert tangent_residual(optimized_grad(obj, base), ad_grad(obj, base)) < 1e-8
+        assert tangent_residual(optimized_hvp(obj, base, z), ad_hvp(obj, base, z)) < 1e-8
 
     def test_gram_unavailable(self, rng, instance):
         base, z = instance
@@ -129,7 +131,7 @@ class TestFusedProjections:
         a = random_ttmat(rng, MODES, in_modes, 3)
         y = random_tt(rng, in_modes, (3, 4))  # ranks differ from the base's 2
         want = project_tt(base, ttmat_apply(a, y))
-        assert tangent_rel(project_matvec(a, y, base), want) < 1e-10
+        assert tangent_residual(project_matvec(a, y, base), want) < 1e-10
 
     @pytest.mark.parametrize("n_terms", [1, 7])  # 7 exceeds every mode size
     def test_rank1_sum(self, rng, instance, n_terms):
@@ -137,7 +139,7 @@ class TestFusedProjections:
         vectors = [rng.standard_normal((n_terms, n)) for n in MODES]
         coeffs = rng.standard_normal(n_terms)
         want = project_tt(base, rank1_sum(vectors, coeffs))
-        assert tangent_rel(project_rank1_sum(base, vectors, coeffs), want) < 1e-10
+        assert tangent_residual(project_rank1_sum(base, vectors, coeffs), want) < 1e-10
 
     def test_sparse_repeated_and_unobserved_slices(self, rng, instance):
         base, _ = instance
@@ -147,7 +149,7 @@ class TestFusedProjections:
         w = rng.standard_normal(len(idx))
         units = [np.eye(n)[idx[:, k]] for k, n in enumerate(MODES)]
         want = project_tt(base, rank1_sum(units, w))
-        assert tangent_rel(project_sparse(base, idx, w), want) < 1e-10
+        assert tangent_residual(project_sparse(base, idx, w), want) < 1e-10
 
     def test_rank1_sum_without_terms_is_zero(self, instance):
         base, _ = instance
@@ -173,7 +175,7 @@ class TestCompletionEdgeCases:
             want = compute_method(obj, "ad", op, base, z)
             for method in ("naive", "optimized"):
                 got = compute_method(obj, method, op, base, z)
-                assert tangent_rel(got, want) <= 1e-12, (obj.name, method)
+                assert tangent_residual(got, want) <= 1e-12, (obj.name, method)
 
 
 class TestThreeWayAgreement:
@@ -191,17 +193,22 @@ class TestThreeWayAgreement:
             regularized_completion(IndexSet(idx, rng.standard_normal(len(idx))), 0.6),
         ]
         for obj in objectives:
-            results = {}
-            for method in ("ad", "naive", "optimized"):
-                try:
-                    results[method] = compute_method(obj, method, op, base, z)
-                except UnavailableMethodError:
-                    continue
-            assert "ad" in results and len(results) >= 2
-            names = list(results)
-            for i, mi in enumerate(names):
-                for mj in names[i + 1:]:
-                    assert tangent_rel(results[mi], results[mj]) < 1e-8, (obj.name, mi, mj)
+            pairs = method_residuals(obj, op, base, z)
+            assert any("ad" in pair for pair in pairs)
+            for pair, rel in pairs.items():
+                assert rel < 1e-8, (obj.name, pair, rel)
+
+    def test_scaled_fused_projection_is_caught(self, rng, instance, monkeypatch):
+        # One part in a million off in the optimized qf pipeline must break
+        # the 1e-8 bound of acceptance criterion 1 and of `ttriem check`.
+        base, z = instance
+        fused = baselines.project_matvec
+        monkeypatch.setattr(baselines, "project_matvec",
+                            lambda a, y, x: tangent_scale(1.0 + 1e-6, fused(a, y, x)))
+        pairs = method_residuals(quadratic_form(random_symmetric_ttmat(rng, MODES, 2)),
+                                 "grad", base, z)
+        assert pairs[("ad", "optimized")] > 1e-8
+        assert pairs[("ad", "naive")] < 1e-12
 
 
 class TestGdDemo:

@@ -74,15 +74,24 @@ class TestDemo:
 
 
 class TestCheckUnderOptimize:
-    def test_sabotaged_check_fails_under_dash_o(self):
+    @pytest.mark.parametrize("check, sabotage", [
+        ("dense-kernels",
+         "import ttriem.checks as checks\n"
+         "checks.contract = lambda a, b, axes: a @ b + 1.0\n"),
+        ("method-agreement",
+         "import ttriem.baselines as baselines\n"
+         "from ttriem.ttmanifold import tangent_scale\n"
+         "fused = baselines.project_matvec\n"
+         "baselines.project_matvec = lambda a, y, x: tangent_scale(1.0 + 1e-6, fused(a, y, x))\n"),
+    ], ids=["contract", "project_matvec"])
+    def test_sabotaged_check_fails_under_dash_o(self, check, sabotage):
         code = (
             "assert False, 'asserts are live: not running under -O'\n"
             "import sys\n"
-            "import ttriem.checks as checks\n"
             "from ttriem.cli import main\n"
-            "checks.contract = lambda a, b, axes: a @ b + 1.0\n"
-            "sys.exit(main(['check', '--filter', 'dense-kernels']))\n"
+            + sabotage
+            + f"sys.exit(main(['check', '--filter', {check!r}]))\n"
         )
         proc = run_python_optimized(code)
-        assert "FAIL dense-kernels" in proc.stdout, proc.stderr
+        assert f"FAIL {check}" in proc.stdout, proc.stderr
         assert proc.returncode != 0

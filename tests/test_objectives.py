@@ -34,6 +34,7 @@ from ttriem.tt import (
     ttmat_identity,
     ttmat_to_dense,
 )
+from ttriem.oracles import tangent_residual
 from ttriem.ttmanifold import hess_vec_tt, project_tt, riemannian_grad_tt
 
 from conftest import run_python_optimized
@@ -301,6 +302,12 @@ class TestRegularizedCompletion:
         with pytest.raises(InvalidDataError):
             regularized_completion(om, -1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        om = IndexSet(np.zeros((0, 3), dtype=int), np.zeros(0))
+        with pytest.raises(InvalidDataError, match="finite"):
+            regularized_completion(om, lam)
+
 
 def build_all_cases(rng):
     """Every objective, paired with the data it was built from."""
@@ -340,11 +347,6 @@ def _applied_program(label, a_cores):
     return program
 
 
-def _tangent_rel(got, want):
-    num = sum(np.linalg.norm(g - w) ** 2 for g, w in zip(got.deltas, want.deltas))
-    return np.sqrt(num / sum(np.linalg.norm(w) ** 2 for w in want.deltas))
-
-
 class TestOperatorSweepPrograms:
     """Taped grad and HVP through the interface sweeps equal those of the
     programs that form A X."""
@@ -361,10 +363,10 @@ class TestOperatorSweepPrograms:
         reference = _applied_program(label, list(a.cores))
         base = orthogonalize(random_tt(rng, modes, 3))
         z = project_tt(base, random_tt(rng, modes, 2))
-        assert _tangent_rel(riemannian_grad_tt(obj.evaluate, base),
-                            riemannian_grad_tt(reference, base)) <= 1e-12
-        assert _tangent_rel(hess_vec_tt(obj.evaluate, base, z),
-                            hess_vec_tt(reference, base, z)) <= 1e-12
+        assert tangent_residual(riemannian_grad_tt(obj.evaluate, base),
+                                riemannian_grad_tt(reference, base)) <= 1e-12
+        assert tangent_residual(hess_vec_tt(obj.evaluate, base, z),
+                                hess_vec_tt(reference, base, z)) <= 1e-12
 
 
 class TestCrossObjectiveInvariants:
@@ -443,6 +445,13 @@ class TestIndexSetIo:
         path = tmp_path / "omega.txt"
         write_index_set(IndexSet(np.zeros((0, 3), dtype=int), np.zeros(0)), path)
         with pytest.raises(InvalidDataError, match="no observation lines"):
+            read_index_set(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "omega.txt"
+        path.write_text(f"0 0 0 1.0\n0 1 2 {value}\n")
+        with pytest.raises(InvalidDataError, match="finite"):
             read_index_set(path)
 
     def test_duplicates_rejected(self):

@@ -10,9 +10,12 @@ from ttriem.oracles import (
     dense_project,
     dense_tangent_basis,
     fd_gradient,
+    method_residuals,
+    oracle_residuals,
+    tangent_residual,
 )
 from ttriem.tt import TtTensor, orthogonalize, random_tt, tt_to_dense, ttmat_identity
-from ttriem.ttmanifold import project_tt, riemannian_grad_tt
+from ttriem.ttmanifold import project_tt, riemannian_grad_tt, tangent_scale, zero_tangent
 
 
 class TestDenseProject:
@@ -76,3 +79,21 @@ class TestOracleEndpoints:
         v = rng.standard_normal((3, 2))
         g = fd_gradient(lambda x: float(np.sum(x * x)), v)
         np.testing.assert_allclose(g, 2.0 * v, atol=1e-6)
+
+
+class TestResiduals:
+    def test_tangent_residual_is_relative_to_the_reference(self, rng):
+        base = orthogonalize(random_tt(rng, (2, 3, 2), 2))
+        z = project_tt(base, random_tt(rng, (2, 3, 2), 2))
+        assert tangent_residual(tangent_scale(1.5, z), z) == pytest.approx(0.5, rel=1e-12)
+        assert tangent_residual(z, tangent_scale(2.0, z)) == pytest.approx(0.5, rel=1e-12)
+        assert tangent_residual(zero_tangent(base), zero_tangent(base)) == 0.0
+
+    def test_oracle_and_method_residuals_on_identity_quadratic(self, rng):
+        base = orthogonalize(random_tt(rng, (2, 2, 2), 2))
+        z = project_tt(base, random_tt(rng, (2, 2, 2), 2))
+        obj = quadratic_form(ttmat_identity((2, 2, 2)))
+        assert max(oracle_residuals(obj, base, z)) < 1e-12
+        pairs = method_residuals(obj, "hvp", base, z)
+        assert list(pairs) == [("ad", "naive"), ("ad", "optimized"), ("naive", "optimized")]
+        assert max(pairs.values()) < 1e-12

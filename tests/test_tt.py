@@ -13,6 +13,7 @@ from ttriem.tt import (
     TtTensor,
     feasible_ranks,
     orthogonalize,
+    pad_ranks,
     random_symmetric_ttmat,
     random_tt,
     random_ttmat,
@@ -51,6 +52,12 @@ class TestContainers:
     def test_feasible_ranks_clip(self):
         assert feasible_ranks((2, 2, 2), (5, 5)) == (2, 2)
         assert feasible_ranks((2, 3, 2), (2, 2)) == (2, 2)
+
+    def test_pad_ranks_keeps_the_tensor(self, rng):
+        x = random_tt(rng, (2, 3, 2), 1)
+        padded = pad_ranks(x, 5)
+        assert padded.ranks == (1, 2, 2, 1)  # clipped to feasible ranks
+        np.testing.assert_array_equal(tt_to_dense(padded), tt_to_dense(x))
 
     def test_cores_are_read_only(self, rng):
         x = random_tt(rng, (2, 3, 2), (2, 2))
