@@ -8,6 +8,12 @@ the contribution for ``parents[i]``.  Rules are themselves written in terms
 of these operations, so a reverse sweep emits recordable nodes and the
 result of ``grad`` can be differentiated again (nested AD).
 
+The mode operations take a TT core's slices per mode value: ``gather_mode``
+and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
+``mode_matmul`` and ``mode_outer`` apply them to, or build them from,
+per-sample (N, r) rows with one matrix product per mode value, so no
+per-sample slice is ever stored.
+
 Constants never receive derivative flow: a node is differentiable exactly
 when one of its parents is, and ``grad`` calls a rule only for a
 differentiable parent, so a constant operand costs no adjoint work.  The
@@ -51,6 +57,9 @@ __all__ = [
     "gather_mode",
     "scatter_mode",
     "batch_matmul",
+    "mode_groups",
+    "mode_matmul",
+    "mode_outer",
 ]
 
 class Var:
@@ -534,4 +543,112 @@ def batch_matmul(a, b):
     return Var(tape, np.matmul(a.value, b.value), "batch_matmul", (a, b), (
         lambda u: batch_matmul(u, transpose(b, (0, 2, 1))),
         lambda u: batch_matmul(transpose(a, (0, 2, 1)), u),
+    ))
+
+
+def mode_groups(idx, n):
+    """Samples grouped by mode value, for :func:`mode_matmul` and
+    :func:`mode_outer`.
+
+    Returns ``(order, bounds, inverse)`` for the int vector ``idx`` with
+    values in [0, n): ``order`` is its stable argsort, so that
+    ``order[bounds[i]:bounds[i + 1]]`` are the samples with value ``i``, and
+    ``inverse`` is the inverse permutation of ``order``.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    bounds = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(idx, minlength=n), out=bounds[1:])
+    # numpy's stable sort is a radix sort for 8- and 16-bit keys.
+    order = np.argsort(idx.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return order, bounds, inverse
+
+
+def _check_groups(count, n, groups, what):
+    order, bounds, _ = groups
+    if count != len(order) or n != len(bounds) - 1:
+        raise DimensionError(
+            f"{what}: {count} samples over mode size {n} do not match groups of "
+            f"{len(order)} samples over {len(bounds) - 1} values"
+        )
+
+
+def _mode_matmul_value(rows, core, groups):
+    order, bounds, inverse = groups
+    slices = np.ascontiguousarray(np.transpose(core, (1, 0, 2)))  # (n, r_l, r_r)
+    src = np.take(rows, order, axis=0)
+    buf = np.empty((len(order), core.shape[2]))
+    b = bounds.tolist()
+    for i in range(len(b) - 1):
+        if b[i] < b[i + 1]:
+            np.matmul(src[b[i]:b[i + 1]], slices[i], out=buf[b[i]:b[i + 1]])
+    return np.take(buf, inverse, axis=0)
+
+
+def _mode_outer_value(rows, u, groups, n):
+    order, bounds, _ = groups
+    a = np.take(rows, order, axis=0)
+    c = np.take(u, order, axis=0)
+    buf = np.zeros((n, rows.shape[1], u.shape[1]))
+    b = bounds.tolist()
+    for i in range(n):
+        if b[i] < b[i + 1]:
+            np.matmul(a[b[i]:b[i + 1]].T, c[b[i]:b[i + 1]], out=buf[i])
+    return np.ascontiguousarray(np.transpose(buf, (1, 0, 2)))
+
+
+def _operand_pair(a, b):
+    # (tape, a, b, a's array, b's array); the tape is None off tape.
+    tape = _find_tape((a, b))
+    if tape is None:
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        return None, a, b, a, b
+    a = _lift(tape, a)
+    b = _lift(tape, b)
+    return tape, a, b, a.value, b.value
+
+
+def mode_matmul(rows, core, groups):
+    """Per-sample row times mode slice: ``out[s] = rows[s] @ core[:, idx[s], :]``.
+
+    ``rows`` is (N, r_left), ``core`` is (r_left, n, r_right) and ``groups``
+    is :func:`mode_groups` of the length-N index vector ``idx``; the result
+    is (N, r_right).  It runs one matrix product per mode value on the
+    contiguous block of that value's rows, so nothing of size N * r_left *
+    r_right is formed.
+    """
+    tape, rows, core, rv, cv = _operand_pair(rows, core)
+    if rv.ndim != 2 or cv.ndim != 3 or rv.shape[1] != cv.shape[0]:
+        raise DimensionError(f"mode_matmul shapes incompatible: {rv.shape} x {cv.shape}")
+    n = cv.shape[1]
+    _check_groups(rv.shape[0], n, groups, "mode_matmul")
+    val = _mode_matmul_value(rv, cv, groups)
+    if tape is None:
+        return val
+    return Var(tape, val, "mode_matmul", (rows, core), (
+        lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), groups),
+        lambda u: mode_outer(rows, u, groups, n),
+    ))
+
+
+def mode_outer(rows, u, groups, n):
+    """Adjoint of :func:`mode_matmul` in its core: the (r_left, n, r_right)
+    core whose slice ``i`` is the sum of ``outer(rows[s], u[s])`` over the
+    samples ``s`` with ``idx[s] == i``.
+
+    One matrix product per mode value; a value that never occurs leaves a
+    zero slice.
+    """
+    tape, rows, u, rv, uv = _operand_pair(rows, u)
+    if rv.ndim != 2 or uv.ndim != 2 or rv.shape[0] != uv.shape[0]:
+        raise DimensionError(f"mode_outer shapes incompatible: {rv.shape} and {uv.shape}")
+    _check_groups(rv.shape[0], n, groups, "mode_outer")
+    val = _mode_outer_value(rv, uv, groups, n)
+    if tape is None:
+        return val
+    return Var(tape, val, "mode_outer", (rows, u), (
+        lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), groups),
+        lambda w: mode_matmul(rows, w, groups),
     ))

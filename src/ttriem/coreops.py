@@ -7,6 +7,10 @@ they run on plain ndarrays and on tape variables alike.
 The operator sandwiches <A X, Y> and <A X, B Y> are sweeps over a rank
 interface with one pairwise contraction per core; they never form the
 rank-R*r cores of A X that :func:`matvec_cores` builds for ``ttmat_apply``.
+
+Entries at N multi-indices (:func:`entries_cores`) are a sweep over (N, r)
+interface rows: O(N d r^2) time and O(N r) memory per mode on a tape, in
+the forward pass and in both reverse sweeps of an HVP.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ __all__ = [
     "operator_pair_dot_cores",
     "matvec_cores",
     "entries_cores",
+    "index_array",
 ]
 
 
@@ -117,16 +122,43 @@ def matvec_cores(op_cores, xs):
     return out
 
 
+def index_array(idx):
+    """``idx`` as an intp array; raises ``IndexError`` if an entry is not an
+    integer value (a float index would otherwise be truncated)."""
+    arr = np.asarray(idx)
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(np.intp, copy=False)
+    if arr.dtype.kind not in "iu" and not np.array_equal(out, arr):
+        raise IndexError("index array has non-integral entries")
+    return out
+
+
 def entries_cores(cores, idx):
     """Evaluate the core-chain product at a batch of multi-indices.
 
-    ``idx`` is an (N, d) integer array; the result is the length-N vector of
-    tensor entries, computed with d batched small-matrix products.
+    ``idx`` is an (N, d) integer array with column k in [0, n_k); the
+    result is the length-N vector of tensor entries.  The sweep carries the
+    (N, r_k) left interface rows: the boundary cores are gathered per sample
+    (their slices are vectors), and each interior core is applied by
+    :func:`ttriem.ad.mode_matmul`, one matrix product per mode value over a
+    grouping of the samples computed once here.  Time is O(N d r^2) and
+    every tape value, adjoints included, holds O(N r) numbers.
     """
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 2 or idx.shape[1] != len(cores):
-        raise DimensionError(f"index array must be (N, {len(cores)})")
+    idx = index_array(idx)
+    d = len(cores)
+    if idx.ndim != 2 or idx.shape[1] != d:
+        raise DimensionError(f"index array must be (N, {d}), got shape {idx.shape}")
+    count = idx.shape[0]
+    for k, core in enumerate(cores):
+        n = np.shape(core)[1]
+        if count and (idx[:, k].min() < 0 or idx[:, k].max() >= n):
+            raise IndexError(f"index out of range in mode {k}: values must lie in [0, {n})")
     e = ad.gather_mode(cores[0], idx[:, 0])  # (N, 1, r_1)
-    for k in range(1, len(cores)):
-        e = ad.batch_matmul(e, ad.gather_mode(cores[k], idx[:, k]))
-    return ad.reshape(e, (idx.shape[0],))
+    if d > 1:
+        rows = ad.reshape(e, (count, np.shape(cores[0])[2]))
+        for k in range(1, d - 1):
+            groups = ad.mode_groups(idx[:, k], np.shape(cores[k])[1])
+            rows = ad.mode_matmul(rows, cores[k], groups)  # (N, r_{k+1})
+        e = ad.batch_matmul(ad.reshape(rows, (count, 1, np.shape(cores[-1])[0])),
+                            ad.gather_mode(cores[-1], idx[:, -1]))  # (N, 1, 1)
+    return ad.reshape(e, (count,))

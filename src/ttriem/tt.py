@@ -231,13 +231,10 @@ def tt_norm(x: TtTensor) -> float:
 
 
 def tt_entries(x: TtTensor, idx) -> np.ndarray:
-    """Entries of ``x`` at the rows of the (N, d) index array."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 2 or idx.shape[1] != x.ndim:
-        raise DimensionError(f"index array must be (N, {x.ndim}), got shape {idx.shape}")
-    for k, n in enumerate(x.mode_sizes):
-        if idx.size and (idx[:, k].min() < 0 or idx[:, k].max() >= n):
-            raise IndexError(f"index out of range in mode {k}")
+    """Entries of ``x`` at the rows of the (N, d) index array.
+
+    Raises ``IndexError`` for a non-integral index or one out of range.
+    """
     return coreops.entries_cores(list(x.cores), idx)
 
 

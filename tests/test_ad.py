@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttriem import ad
+from ttriem import ad, coreops
 from ttriem.errors import (
     DimensionError,
     InvalidVariableError,
@@ -14,9 +14,7 @@ def fd_gradient(f, args, step=1e-6):
     grads = []
     for which in range(len(args)):
         g = np.zeros_like(args[which])
-        it = np.nditer(args[which], flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
+        for i in np.ndindex(*np.shape(args[which])):
             plus = [a.copy() for a in args]
             minus = [a.copy() for a in args]
             plus[which][i] += step
@@ -317,6 +315,157 @@ class TestModePrimitives:
         (hz,) = ad.grad(tape, ad.reduce_sum(g1 * tape.const(z)), [c])
         want = fd_gradient(directional, [core], step=1e-3)[0]
         np.testing.assert_allclose(hz, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
+
+
+def per_sample_slices(core, idx):
+    """(N, r_l, r_r) stack of ``core[:, idx[s], :]``: the reference layout."""
+    return np.transpose(core[:, np.asarray(idx, dtype=np.intp), :], (1, 0, 2))
+
+
+class TestModeMatmul:
+    # (N, r_l, r_r, n, idx); "wide_mode" has n > r_l * r_r, "unused_values"
+    # leaves mode values without samples.
+    CASES = {
+        "narrow_mode": (7, 3, 2, 3, [0, 2, 2, 1, 0, 2, 1]),
+        "wide_mode": (40, 2, 2, 32, list(range(0, 32, 3)) * 3 + [31] * 4 + [5, 5, 0]),
+        "unused_values": (6, 2, 3, 9, [8, 1, 8, 1, 4, 8]),
+        "no_samples": (0, 2, 3, 4, []),
+    }
+
+    def setup_case(self, case, rng):
+        count, rl, rr, n, idx = case
+        idx = np.asarray(idx, dtype=np.intp)
+        assert len(idx) == count
+        return (idx, ad.mode_groups(idx, n), rng.standard_normal((count, rl)),
+                rng.standard_normal((rl, n, rr)), rng.standard_normal((count, rr)))
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_matches_per_sample_reference(self, case, rng):
+        idx, groups, rows, core, u = self.setup_case(case, rng)
+        n = core.shape[1]
+        want = np.einsum("sa,sab->sb", rows, per_sample_slices(core, idx))
+        np.testing.assert_allclose(ad.mode_matmul(rows, core, groups), want,
+                                   rtol=1e-13, atol=1e-13)
+        outer = rows[:, :, None] * u[:, None, :]
+        np.testing.assert_allclose(ad.mode_outer(rows, u, groups, n),
+                                   add_at_scatter(outer, idx, n), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_outer_is_matmul_adjoint(self, case, rng):
+        # <mode_outer(e, u), G> = <u, mode_matmul(e, G)>
+        idx, groups, rows, core, u = self.setup_case(case, rng)
+        lhs = np.sum(ad.mode_outer(rows, u, groups, core.shape[1]) * core)
+        rhs = np.sum(u * ad.mode_matmul(rows, core, groups))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(lhs))
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_same_bits_on_array_and_var(self, case, rng):
+        idx, groups, rows, core, u = self.setup_case(case, rng)
+        n = core.shape[1]
+        tape = ad.Tape()
+        plain = ad.mode_matmul(rows, core, groups)
+        on_tape = ad.mode_matmul(tape.input(rows), tape.input(core), groups)
+        assert np.array_equal(plain, on_tape.value)
+        assert plain.shape == (len(idx), core.shape[2]) and plain.dtype == np.float64
+        plain = ad.mode_outer(rows, u, groups, n)
+        on_tape = ad.mode_outer(tape.input(rows), tape.input(u), groups, n)
+        assert np.array_equal(plain, on_tape.value)
+        assert plain.shape == core.shape and plain.flags.c_contiguous
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_second_order_against_fd(self, case, rng):
+        # f(c, e) = <mode_outer(e, e), c> + sum(mode_matmul(e, c) * e), both
+        # terms the sum over samples of e_s C_i e_s^T with i the sample's mode
+        # value.  Nested AD gives the HVP in direction (zc, ze), checked
+        # against central differences of the hand-written Df[zc, ze], which
+        # is quadratic, so the differences are exact up to rounding.
+        idx, groups, rows, core, _ = self.setup_case(case, rng)
+        rl, n = core.shape[:2]
+        core = rng.standard_normal((rl, n, rl))  # square slices
+        zc, ze = rng.standard_normal(core.shape), rng.standard_normal(rows.shape)
+
+        def quad(a, c, b):
+            return np.einsum("sa,sab,sb->", a, per_sample_slices(c, idx), b)
+
+        def value(c, e):
+            return float(2.0 * quad(e, c, e))
+
+        def directional(c, e):
+            return float(2.0 * (quad(ze, c, e) + quad(e, zc, e) + quad(e, c, ze)))
+
+        tape = ad.Tape()
+        c, e = tape.input(core), tape.input(rows)
+        out = (ad.reduce_sum(ad.mode_outer(e, e, groups, n) * c)
+               + ad.reduce_sum(ad.mode_matmul(e, c, groups) * e))
+        assert np.isclose(out.value, value(core, rows), rtol=1e-12, atol=1e-12)
+        g_c, g_e = ad.grad(tape, out, [c, e], as_vars=True)
+        for got, want in zip((g_c, g_e), fd_gradient(value, [core, rows])):
+            np.testing.assert_allclose(got.value, want, atol=1e-6 * np.abs(want).max(initial=1.0))
+        inner = ad.reduce_sum(g_c * tape.const(zc)) + ad.reduce_sum(g_e * tape.const(ze))
+        got = ad.grad(tape, inner, [c, e])
+        want = fd_gradient(directional, [core, rows], step=1e-3)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-8, atol=1e-8 * np.abs(w).max(initial=1.0))
+
+    def test_groups_must_match(self, rng):
+        groups = ad.mode_groups([0, 1, 1], 2)
+        with pytest.raises(DimensionError):
+            ad.mode_matmul(rng.standard_normal((3, 2)), rng.standard_normal((2, 3, 2)), groups)
+        with pytest.raises(DimensionError):
+            ad.mode_matmul(rng.standard_normal((4, 2)), rng.standard_normal((2, 2, 2)), groups)
+        with pytest.raises(DimensionError):
+            ad.mode_outer(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)), groups, 3)
+
+
+class TestEntriesCores:
+    @pytest.mark.parametrize("modes,ranks", [((5,), ()), ((4, 3), (3,)),
+                                             ((3, 4, 2, 5), (2, 3, 2))],
+                             ids=["d1", "d2", "d4"])
+    def test_against_dense_entries(self, modes, ranks, rng):
+        full = (1,) + ranks + (1,)
+        cores = [rng.standard_normal((full[k], n, full[k + 1])) for k, n in enumerate(modes)]
+        dense = cores[0]
+        for core in cores[1:]:
+            dense = np.tensordot(dense, core, axes=([-1], [0]))
+        dense = dense.reshape(modes)
+        idx = np.array([rng.integers(0, n, 9) for n in modes]).T
+        want = dense[tuple(idx.T)]
+        np.testing.assert_allclose(coreops.entries_cores(cores, idx), want,
+                                   rtol=1e-13, atol=1e-13)
+        tape = ad.Tape()
+        vals = coreops.entries_cores([tape.input(c) for c in cores], idx)
+        np.testing.assert_allclose(vals.value, want, rtol=1e-13, atol=1e-13)
+        empty = coreops.entries_cores(cores, np.zeros((0, len(modes)), dtype=int))
+        assert empty.shape == (0,)
+
+    def test_gradient_against_fd(self, rng):
+        cores = [rng.standard_normal(s) for s in ((1, 3, 2), (2, 4, 3), (3, 2, 2), (2, 3, 1))]
+        idx = np.array([[0, 1, 1, 2], [2, 3, 0, 0], [0, 1, 1, 0], [1, 0, 1, 2], [0, 1, 0, 2]])
+        w = rng.standard_normal(len(idx))
+
+        def prog(*cs):
+            return ad.reduce_sum(coreops.entries_cores(list(cs), idx) * cs[0].tape.const(w))
+
+        check_against_fd(prog, lambda *cs: float(coreops.entries_cores(list(cs), idx) @ w),
+                         cores)
+
+    @pytest.mark.parametrize("bad,mode", [([[-1, 0, 0]], 0), ([[0, 4, 0]], 1), ([[0, 0, 2]], 2)])
+    def test_out_of_range_names_mode(self, bad, mode, rng):
+        cores = [rng.standard_normal(s) for s in ((1, 3, 2), (2, 4, 2), (2, 2, 1))]
+        with pytest.raises(IndexError, match=f"mode {mode}"):
+            coreops.entries_cores(cores, bad)
+
+    @pytest.mark.parametrize("bad", [[[0.5, 0, 0]], [[0, np.nan, 0]], [[0, 0, np.inf]]])
+    def test_non_integral_rejected(self, bad, rng):
+        cores = [rng.standard_normal(s) for s in ((1, 3, 2), (2, 4, 2), (2, 2, 1))]
+        with pytest.raises(IndexError, match="non-integral"):
+            coreops.entries_cores(cores, np.array(bad))
+
+    def test_integral_floats_accepted(self, rng):
+        cores = [rng.standard_normal(s) for s in ((1, 3, 2), (2, 4, 2), (2, 2, 1))]
+        idx = np.array([[2, 3, 1], [0, 1, 0]])
+        assert np.array_equal(coreops.entries_cores(cores, idx.astype(float)),
+                              coreops.entries_cores(cores, idx))
 
 
 class TestStopGradient:

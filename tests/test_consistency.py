@@ -16,7 +16,8 @@ from ttriem.matrix import (
     riemannian_grad_matrix,
     tangent_materialize,
 )
-from ttriem.objectives import quadratic_form
+from ttriem import ad
+from ttriem.objectives import IndexSet, completion_loss, quadratic_form
 from ttriem.oracles import dense_preconditioned_residual
 from ttriem.tt import (
     TtTensor,
@@ -24,6 +25,7 @@ from ttriem.tt import (
     random_symmetric_ttmat,
     random_tt,
     random_ttmat,
+    tt_entries,
     tt_to_dense,
 )
 from ttriem.ttmanifold import (
@@ -153,6 +155,36 @@ class TestPairwiseContractions:
         wide = [f"{name}:{node.lineno}" for name, node in library_method_calls("einsum")
                 if len(node.args) > 3]
         assert wide == []
+
+
+class TestCompletionTapeMemory:
+    def test_no_per_sample_slices_on_hvp_tape(self, rng, monkeypatch):
+        # Completion entries keep O(N r) numbers per tape value: interior
+        # cores go through ad.mode_matmul, and only the two boundary cores
+        # (rank 1 on one side) are gathered per sample.  An (N, r_l, r_r)
+        # slice stack of an interior core would bring back O(N r^2) tapes.
+        modes, r = (4, 5, 4, 3, 4), 2
+        idx = np.array(np.unravel_index(
+            rng.choice(int(np.prod(modes)), 150, replace=False), modes)).T
+        truth = random_tt(rng, modes, r)
+        obj = completion_loss(IndexSet(idx, tt_entries(truth, idx)))
+        base = orthogonalize(random_tt(rng, modes, r))
+        z = project_tt(base, random_tt(rng, modes, r))
+        tapes = []
+        sweep = ad.grad
+
+        def recording_grad(tape, *args, **kwargs):
+            tapes.append((tape, len(tape.nodes)))
+            return sweep(tape, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "grad", recording_grad)
+        hess_vec_tt(obj.evaluate, base, z)
+        (tape, forward), _ = tapes
+        slice_stack = len(idx) * (2 * r) ** 2  # N r_l r_r: interior block cores are 2r x 2r
+        assert [n.op for n in tape.nodes if n.value.size == slice_stack] == []
+        gathers = [n for n in tape.nodes if n.op == "gather_mode"]
+        assert all(1 in n.value.shape[1:] for n in gathers)
+        assert sum(1 for n in tape.nodes[:forward] if n.op == "gather_mode") == 2
 
 
 class TestNoUfuncAt:

@@ -462,6 +462,10 @@ class TestIndexSetIo:
         with pytest.raises(IndexError):
             IndexSet(np.array([[0, -1, 0]]), np.array([1.0]))
 
+    def test_non_integral_index_rejected(self):
+        with pytest.raises(IndexError, match="non-integral"):
+            IndexSet(np.array([[0, 0.5, 0]]), np.array([1.0]))
+
 
 class TestSymmetryCheckUnderOptimize:
     def test_nonsymmetric_operator_rejected_under_dash_o(self):

@@ -195,6 +195,19 @@ class TestEntries:
         with pytest.raises(IndexError):
             tt_entries(x, np.array([[0, 4, 0]]))
 
+    @pytest.mark.parametrize("idx,mode", [([[-1, 0, 0]], 0), ([[0, 0, 2]], 2)])
+    def test_out_of_range_names_mode(self, rng, idx, mode):
+        # A negative index used to wrap around to the last slice.
+        x = random_tt(rng, (3, 4, 2), (2, 2))
+        with pytest.raises(IndexError, match=f"mode {mode}"):
+            tt_entries(x, np.array(idx))
+
+    def test_non_integral_index(self, rng):
+        # A float index used to be truncated (0.5 read entry 0).
+        x = random_tt(rng, (3, 4, 2), (2, 2))
+        with pytest.raises(IndexError, match="non-integral"):
+            tt_entries(x, np.array([[0.5, 0, 0]]))
+
     @pytest.mark.parametrize("idx", [[0, 1, 0], [[0, 1], [2, 3]]])
     def test_index_shape(self, rng, idx):
         x = random_tt(rng, (3, 4, 2), (2, 2))
