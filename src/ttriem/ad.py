@@ -12,7 +12,11 @@ The mode operations take a TT core's slices per mode value: ``gather_mode``
 and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
 ``mode_matmul`` and ``mode_outer`` apply them to, or build them from,
 per-sample (N, r) rows with one matrix product per mode value, so no
-per-sample slice is ever stored.
+per-sample slice is ever stored.  Their :class:`ModeGroups` says in which
+order of the samples the rows come in and go out; a sweep that keeps its
+rows sorted by the mode they go through next (:meth:`ModeSort.groups`)
+permutes them once per op, and ``mode_groups`` is the round trip from
+sample order back to sample order.
 
 Constants never receive derivative flow: a node is differentiable exactly
 when one of its parents is, and ``grad`` calls a rule only for a
@@ -57,6 +61,8 @@ __all__ = [
     "gather_mode",
     "scatter_mode",
     "batch_matmul",
+    "ModeSort",
+    "ModeGroups",
     "mode_groups",
     "mode_matmul",
     "mode_outer",
@@ -546,52 +552,112 @@ def batch_matmul(a, b):
     ))
 
 
-def mode_groups(idx, n):
+class ModeSort:
+    """Stable sort of N samples by one mode's index, values in [0, n).
+
+    ``order`` lists the samples in sorted order, ``rank`` is its inverse
+    (each sample's sorted position) and ``bounds`` are the block offsets:
+    the samples with value ``i`` are ``order[bounds[i]:bounds[i + 1]]``.
+    """
+
+    __slots__ = ("order", "rank", "bounds")
+
+    def __init__(self, idx, n):
+        idx = np.asarray(idx, dtype=np.intp)
+        bounds = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(idx, minlength=n), out=bounds[1:])
+        # numpy's stable sort is a radix sort for 8- and 16-bit keys.
+        self.order = np.argsort(idx.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(len(idx))
+        self.bounds = bounds.tolist()
+
+    def groups(self, rows_in=None, rows_out=None):
+        """The :class:`ModeGroups` for rows that come in the order of
+        ``rows_in`` and go out in the order of ``rows_out``.
+
+        Each is ``None`` for the samples' own order or a :class:`ModeSort`
+        whose sorted order the rows follow.  Passing ``self`` costs no row
+        permutation, so a sweep whose every op takes its rows in its own
+        mode's order and hands them out in the next mode's order permutes
+        once per op.
+        """
+        back = ModeGroups(self.bounds, _reorder(rows_out, self), _reorder(self, rows_in))
+        return ModeGroups(self.bounds, _reorder(rows_in, self), _reorder(self, rows_out), back)
+
+
+def _reorder(have, want):
+    # Rows in the order of ``want`` are np.take(rows in the order of
+    # ``have``, perm); None (sample order) has order and rank the identity.
+    if have is want:
+        return None
+    if have is None:
+        return want.order
+    if want is None:
+        return have.rank
+    return have.rank[want.order]
+
+
+class ModeGroups:
     """Samples grouped by mode value, for :func:`mode_matmul` and
     :func:`mode_outer`.
 
-    Returns ``(order, bounds, inverse)`` for the int vector ``idx`` with
-    values in [0, n): ``order`` is its stable argsort, so that
-    ``order[bounds[i]:bounds[i + 1]]`` are the samples with value ``i``, and
-    ``inverse`` is the inverse permutation of ``order``.
+    The op works on its rows in sorted order: ``bounds`` are the block
+    offsets of the mode values there, ``src`` gives the input row of each
+    sorted position and ``dst`` the sorted position of each output row,
+    either ``None`` when the rows are already in sorted order (no ``take``).
+    ``inverse`` is the grouping of the adjoint direction, rows in this
+    grouping's output order and out in its input order.  The pair is built
+    together, once, by :meth:`ModeSort.groups`.
     """
-    idx = np.asarray(idx, dtype=np.intp)
-    bounds = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(idx, minlength=n), out=bounds[1:])
-    # numpy's stable sort is a radix sort for 8- and 16-bit keys.
-    order = np.argsort(idx.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(len(order))
-    return order, bounds, inverse
+
+    __slots__ = ("bounds", "src", "dst", "inverse")
+
+    def __init__(self, bounds, src, dst, inverse=None):
+        self.bounds = bounds
+        self.src = src
+        self.dst = dst
+        self.inverse = inverse
+        if inverse is not None:
+            inverse.inverse = self
+
+
+def mode_groups(idx, n):
+    """The round-trip :class:`ModeGroups` of the int vector ``idx`` with
+    values in [0, n): rows come in and go out in sample order."""
+    return ModeSort(idx, n).groups()
 
 
 def _check_groups(count, n, groups, what):
-    order, bounds, _ = groups
-    if count != len(order) or n != len(bounds) - 1:
+    bounds = groups.bounds
+    if count != bounds[-1] or n != len(bounds) - 1:
         raise DimensionError(
             f"{what}: {count} samples over mode size {n} do not match groups of "
-            f"{len(order)} samples over {len(bounds) - 1} values"
+            f"{bounds[-1]} samples over {len(bounds) - 1} values"
         )
 
 
+def _take_rows(rows, perm):
+    return rows if perm is None else np.take(rows, perm, axis=0)
+
+
 def _mode_matmul_value(rows, core, groups):
-    order, bounds, inverse = groups
     slices = np.ascontiguousarray(np.transpose(core, (1, 0, 2)))  # (n, r_l, r_r)
-    src = np.take(rows, order, axis=0)
-    buf = np.empty((len(order), core.shape[2]))
-    b = bounds.tolist()
+    src = _take_rows(rows, groups.src)
+    b = groups.bounds
+    buf = np.empty((b[-1], core.shape[2]))
     for i in range(len(b) - 1):
         if b[i] < b[i + 1]:
             np.matmul(src[b[i]:b[i + 1]], slices[i], out=buf[b[i]:b[i + 1]])
-    return np.take(buf, inverse, axis=0)
+    return _take_rows(buf, groups.dst)
 
 
 def _mode_outer_value(rows, u, groups, n):
-    order, bounds, _ = groups
-    a = np.take(rows, order, axis=0)
-    c = np.take(u, order, axis=0)
+    # rows come in the grouping's input order and u in its output order.
+    a = _take_rows(rows, groups.src)
+    c = _take_rows(u, groups.inverse.src)
     buf = np.zeros((n, rows.shape[1], u.shape[1]))
-    b = bounds.tolist()
+    b = groups.bounds
     for i in range(n):
         if b[i] < b[i + 1]:
             np.matmul(a[b[i]:b[i + 1]].T, c[b[i]:b[i + 1]], out=buf[i])
@@ -614,10 +680,11 @@ def mode_matmul(rows, core, groups):
     """Per-sample row times mode slice: ``out[s] = rows[s] @ core[:, idx[s], :]``.
 
     ``rows`` is (N, r_left), ``core`` is (r_left, n, r_right) and ``groups``
-    is :func:`mode_groups` of the length-N index vector ``idx``; the result
-    is (N, r_right).  It runs one matrix product per mode value on the
-    contiguous block of that value's rows, so nothing of size N * r_left *
-    r_right is formed.
+    is a :class:`ModeGroups` of the length-N index vector ``idx``, which
+    also says in which order of the samples the rows come in and go out
+    (:func:`mode_groups` keeps sample order); the result is (N, r_right).
+    It runs one matrix product per mode value on the contiguous block of
+    that value's rows, so nothing of size N * r_left * r_right is formed.
     """
     tape, rows, core, rv, cv = _operand_pair(rows, core)
     if rv.ndim != 2 or cv.ndim != 3 or rv.shape[1] != cv.shape[0]:
@@ -628,7 +695,7 @@ def mode_matmul(rows, core, groups):
     if tape is None:
         return val
     return Var(tape, val, "mode_matmul", (rows, core), (
-        lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), groups),
+        lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), groups.inverse),
         lambda u: mode_outer(rows, u, groups, n),
     ))
 
@@ -638,8 +705,10 @@ def mode_outer(rows, u, groups, n):
     core whose slice ``i`` is the sum of ``outer(rows[s], u[s])`` over the
     samples ``s`` with ``idx[s] == i``.
 
-    One matrix product per mode value; a value that never occurs leaves a
-    zero slice.
+    ``rows`` come in the input order of ``groups`` and ``u`` in its output
+    order, as the operand and the adjoint of a :func:`mode_matmul` over the
+    same grouping do.  One matrix product per mode value; a value that never
+    occurs leaves a zero slice.
     """
     tape, rows, u, rv, uv = _operand_pair(rows, u)
     if rv.ndim != 2 or uv.ndim != 2 or rv.shape[0] != uv.shape[0]:
@@ -649,6 +718,6 @@ def mode_outer(rows, u, groups, n):
     if tape is None:
         return val
     return Var(tape, val, "mode_outer", (rows, u), (
-        lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), groups),
+        lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), groups.inverse),
         lambda w: mode_matmul(rows, w, groups),
     ))

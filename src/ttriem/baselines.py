@@ -5,8 +5,11 @@ naive: build the Euclidean derivative in TT form and project it.
 optimized: fuse operator application or per-term projection with the
 tangent projection, mode by mode, without forming intermediate high-rank
 TT cores.  An observed entry is the rank-1 tensor of its unit mode
-vectors, so sparse data reuses the rank-1-sum projection.  The projections
-live here; each objective's constructor attaches the hooks that combine them.
+vectors, so the sparse projection has the rank-1-sum projection's chains,
+with each unit vector's product replaced by picking a slice: one matrix
+product per mode value through the same mode ops as the AD entries sweep.
+The projections live here; each objective's constructor attaches the hooks
+that combine them.
 ad: differentiate the objective program directly (the library's own path).
 """
 
@@ -15,7 +18,7 @@ import warnings
 import numpy as np
 
 from . import ad, coreops, objectives
-from .errors import UnavailableMethodError
+from .errors import DimensionError, UnavailableMethodError
 from .tt import TtMatrix, TtTensor, orthogonalize, tt_axpy, tt_entries, tt_round
 from .ttmanifold import (
     TtTangent,
@@ -110,13 +113,39 @@ def project_matvec(a: TtMatrix, y: TtTensor, base) -> TtTangent:
 def project_sparse(base, indices, weights) -> TtTangent:
     """P_X of a sparse tensor given by entry positions and weights.
 
-    An observed entry is the rank-1 tensor of its unit mode vectors, so the
-    sparse tensor is a rank-1 sum and this is :func:`project_rank1_sum` on
-    one-hot rows.
+    An observed entry is the rank-1 tensor of its unit mode vectors, so this
+    is :func:`project_rank1_sum` with each unit vector's product replaced by
+    the slice it picks: the left (U) and right (V) chains are
+    :func:`ttriem.ad.mode_matmul` calls and each delta is one
+    :func:`ttriem.ad.mode_outer`, one matrix product per mode value.  The
+    left rows into mode k and the right rows out of mode k + 1 are both kept
+    sorted by mode k's index, so a chain step costs one row permutation and
+    a delta none.  Time is O(N d r^2); no one-hot row or per-sample slice
+    is formed.
     """
     base = _as_ortho(base)
-    units = objectives._unit_vectors(np.asarray(indices, dtype=np.intp), base.mode_sizes)
-    return project_rank1_sum(base, units, weights)
+    sizes = base.mode_sizes
+    idx = coreops.check_indices(indices, sizes)
+    w = np.asarray(weights, dtype=np.float64)
+    d, count = base.ndim, len(idx)
+    if w.shape != (count,):
+        raise DimensionError(f"need one weight per index tuple: {w.shape} for {count}")
+    sorts = [ad.ModeSort(idx[:, k], n) for k, n in enumerate(sizes)]
+    # left[k] and right[k + 1] are (N, r_k) and (N, r_{k+1}) rows in
+    # sorts[k]'s order; rows of ones are the same in every order.
+    left = [np.ones((count, 1))]
+    for k in range(d - 1):
+        groups = sorts[k].groups(sorts[k], sorts[k + 1])
+        left.append(ad.mode_matmul(left[k], base.U[k], groups))
+    right = [None] * d + [np.ones((count, 1))]
+    for k in range(d - 1, 0, -1):
+        groups = sorts[k].groups(sorts[k], sorts[k - 1])
+        right[k] = ad.mode_matmul(right[k + 1], np.transpose(base.V[k], (2, 1, 0)), groups)
+    deltas = []
+    for k, (s, n) in enumerate(zip(sorts, sizes)):
+        rows = np.take(w, s.order)[:, None] * left[k]
+        deltas.append(ad.mode_outer(rows, right[k + 1], s.groups(s, s), n))
+    return TtTangent._trusted(base, _apply_gauge(base, deltas))
 
 
 def project_rank1_sum(base, mode_vectors, coeffs) -> TtTangent:

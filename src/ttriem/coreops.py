@@ -9,8 +9,11 @@ interface with one pairwise contraction per core; they never form the
 rank-R*r cores of A X that :func:`matvec_cores` builds for ``ttmat_apply``.
 
 Entries at N multi-indices (:func:`entries_cores`) are a sweep over (N, r)
-interface rows: O(N d r^2) time and O(N r) memory per mode on a tape, in
-the forward pass and in both reverse sweeps of an HVP.
+interface rows kept sorted by the mode they go through next, so each core
+costs one row permutation: O(N d r^2) time and O(N r) memory per mode on a
+tape, in the forward pass and in both reverse sweeps of an HVP.  Indices
+are validated once, by :func:`check_indices`, for this sweep and for the
+fused sparse projection alike.
 """
 
 import numpy as np
@@ -24,6 +27,7 @@ __all__ = [
     "operator_pair_dot_cores",
     "matvec_cores",
     "entries_cores",
+    "check_indices",
     "index_array",
 ]
 
@@ -124,13 +128,36 @@ def matvec_cores(op_cores, xs):
 
 def index_array(idx):
     """``idx`` as an intp array; raises ``IndexError`` if an entry is not an
-    integer value (a float index would otherwise be truncated)."""
+    integer value (a float index would otherwise be truncated), naming the
+    first such mode of an (N, d) array."""
     arr = np.asarray(idx)
     with np.errstate(invalid="ignore"):
         out = arr.astype(np.intp, copy=False)
-    if arr.dtype.kind not in "iu" and not np.array_equal(out, arr):
-        raise IndexError("index array has non-integral entries")
+    if arr.dtype.kind not in "iu":
+        bad = out != arr
+        if bad.any():
+            where = f" in mode {int(np.argmax(bad.any(axis=0)))}" if arr.ndim == 2 else ""
+            raise IndexError(f"index array has non-integral entries{where}")
     return out
+
+
+def check_indices(idx, sizes):
+    """``idx`` as an (N, d) intp array of multi-indices into modes of the
+    given sizes.
+
+    Raises ``DimensionError`` for another shape and ``IndexError`` naming
+    the mode for an entry that is not an integer or lies outside [0, n_k):
+    a negative index is not wrapped and a float is not truncated.
+    """
+    idx = index_array(idx)
+    d = len(sizes)
+    if idx.ndim != 2 or idx.shape[1] != d:
+        raise DimensionError(f"index array must be (N, {d}), got shape {idx.shape}")
+    if len(idx):
+        for k, n in enumerate(sizes):
+            if idx[:, k].min() < 0 or idx[:, k].max() >= n:
+                raise IndexError(f"index out of range in mode {k}: values must lie in [0, {n})")
+    return idx
 
 
 def entries_cores(cores, idx):
@@ -141,23 +168,25 @@ def entries_cores(cores, idx):
     (N, r_k) left interface rows: the boundary cores are gathered per sample
     (their slices are vectors), and each interior core is applied by
     :func:`ttriem.ad.mode_matmul`, one matrix product per mode value over a
-    grouping of the samples computed once here.  Time is O(N d r^2) and
-    every tape value, adjoints included, holds O(N r) numbers.
+    grouping of the samples computed once here.  The rows reach mode k
+    sorted by its index and leave for mode k + 1 sorted by that one's, so
+    each core costs one row permutation.  Time is O(N d r^2) and every tape
+    value, adjoints included, holds O(N r) numbers.
     """
-    idx = index_array(idx)
+    sizes = [np.shape(core)[1] for core in cores]
+    idx = check_indices(idx, sizes)
     d = len(cores)
-    if idx.ndim != 2 or idx.shape[1] != d:
-        raise DimensionError(f"index array must be (N, {d}), got shape {idx.shape}")
     count = idx.shape[0]
-    for k, core in enumerate(cores):
-        n = np.shape(core)[1]
-        if count and (idx[:, k].min() < 0 or idx[:, k].max() >= n):
-            raise IndexError(f"index out of range in mode {k}: values must lie in [0, {n})")
-    e = ad.gather_mode(cores[0], idx[:, 0])  # (N, 1, r_1)
+    # sorts[k] is the sorted order of interior mode k.  The first core is
+    # gathered straight into mode 1's order, and None at the last mode is
+    # sample order, in which the last interior core hands its rows out.
+    sorts = [None] + [ad.ModeSort(idx[:, k], sizes[k]) for k in range(1, d - 1)] + [None]
+    first = idx[:, 0] if sorts[1] is None else idx[sorts[1].order, 0]
+    e = ad.gather_mode(cores[0], first)  # (N, 1, r_1)
     if d > 1:
         rows = ad.reshape(e, (count, np.shape(cores[0])[2]))
         for k in range(1, d - 1):
-            groups = ad.mode_groups(idx[:, k], np.shape(cores[k])[1])
+            groups = sorts[k].groups(sorts[k], sorts[k + 1])
             rows = ad.mode_matmul(rows, cores[k], groups)  # (N, r_{k+1})
         e = ad.batch_matmul(ad.reshape(rows, (count, 1, np.shape(cores[-1])[0])),
                             ad.gather_mode(cores[-1], idx[:, -1]))  # (N, 1, 1)

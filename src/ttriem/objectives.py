@@ -83,13 +83,12 @@ class IndexSet:
         return self.indices.shape[1]
 
     def check_modes(self, mode_sizes):
+        # The mode count only: every caller goes on to an entries sweep,
+        # which checks the range of each mode.
         if len(mode_sizes) != self.ndim:
             raise DimensionError(
                 f"index tuples have {self.ndim} entries for a {len(mode_sizes)}-mode tensor"
             )
-        for k, n in enumerate(mode_sizes):
-            if len(self) and self.indices[:, k].max() >= n:
-                raise IndexError(f"index out of range in mode {k}")
 
 
 def read_index_set(path) -> IndexSet:

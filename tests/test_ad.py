@@ -417,6 +417,109 @@ class TestModeMatmul:
             ad.mode_outer(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)), groups, 3)
 
 
+    # Chained groupings: the order the rows come in and go out in is this
+    # mode's sorted order ("own", no take), a second mode's ("second") or
+    # the samples' own (None).
+    LAYOUTS = {
+        "own_in": ("own", None),
+        "own_in_second_out": ("own", "second"),
+        "second_in_own_out": ("second", "own"),
+        "own_both": ("own", "own"),
+    }
+
+    def setup_chained(self, case, layout, rng):
+        # Rows, core and u as in setup_case, plus each side's sample order:
+        # the op takes rows[perm_in] and its adjoint u[perm_out].
+        idx, _, rows, core, u = self.setup_case(case, rng)
+        sorts = {"own": ad.ModeSort(idx, core.shape[1]),
+                 "second": ad.ModeSort(rng.integers(0, 5, len(idx)), 5), None: None}
+        rows_in, rows_out = (sorts[name] for name in layout)
+        perm_in, perm_out = (np.arange(len(idx)) if s is None else s.order
+                             for s in (rows_in, rows_out))
+        return idx, sorts["own"].groups(rows_in, rows_out), perm_in, perm_out, rows, core, u
+
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_chained_matches_per_sample_reference(self, case, layout, rng):
+        idx, groups, perm_in, perm_out, rows, core, u = self.setup_chained(case, layout, rng)
+        n = core.shape[1]
+        want = np.einsum("sa,sab->sb", rows, per_sample_slices(core, idx))
+        np.testing.assert_allclose(ad.mode_matmul(rows[perm_in], core, groups), want[perm_out],
+                                   rtol=1e-13, atol=1e-13)
+        outer = rows[:, :, None] * u[:, None, :]
+        np.testing.assert_allclose(ad.mode_outer(rows[perm_in], u[perm_out], groups, n),
+                                   add_at_scatter(outer, idx, n), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_chained_adjoint_identities(self, case, layout, rng):
+        # <mode_outer(e, u), G> = <u, mode_matmul(e, G)> = <mode_matmul(u,
+        # G^T) over the inverse grouping, e>, with e in the input order and
+        # u in the output order.
+        idx, groups, perm_in, perm_out, rows, core, u = self.setup_chained(case, layout, rng)
+        e, u = rows[perm_in], u[perm_out]
+        mid = np.sum(u * ad.mode_matmul(e, core, groups))
+        lhs = np.sum(ad.mode_outer(e, u, groups, core.shape[1]) * core)
+        rhs = np.sum(e * ad.mode_matmul(u, np.transpose(core, (2, 1, 0)), groups.inverse))
+        for other in (lhs, rhs):
+            assert abs(other - mid) <= 1e-12 * max(1.0, np.abs(mid))
+        assert groups.inverse.inverse is groups
+
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_chained_same_bits_on_array_and_var(self, case, layout, rng):
+        idx, groups, perm_in, perm_out, rows, core, u = self.setup_chained(case, layout, rng)
+        e, u = rows[perm_in], u[perm_out]
+        n = core.shape[1]
+        tape = ad.Tape()
+        plain = ad.mode_matmul(e, core, groups)
+        assert np.array_equal(plain, ad.mode_matmul(tape.input(e), tape.input(core), groups).value)
+        assert plain.shape == (len(idx), core.shape[2]) and plain.dtype == np.float64
+        plain = ad.mode_outer(e, u, groups, n)
+        assert np.array_equal(plain, ad.mode_outer(tape.input(e), tape.input(u), groups, n).value)
+        assert plain.shape == core.shape and plain.flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_chained_second_order_against_fd(self, case, layout, rng):
+        # The program of test_second_order_against_fd with e in the input
+        # order; mode_matmul by a core of identity slices carries e into the
+        # output order on the tape, so both terms are again the sum over
+        # samples of e_s C_i e_s^T and the rows adjoint runs through the
+        # inverse grouping in both sweeps.
+        idx, groups, perm_in, _, rows, core, _ = self.setup_chained(case, layout, rng)
+        rl, n = core.shape[:2]
+        core = rng.standard_normal((rl, n, rl))  # square slices
+        rows = rows[perm_in]
+        zc, ze = rng.standard_normal(core.shape), rng.standard_normal(rows.shape)
+        eye = np.repeat(np.eye(rl)[:, None, :], n, axis=1)
+        in_row = np.argsort(perm_in)  # sample s is input row in_row[s]
+
+        def quad(a, c, b):
+            return np.einsum("sa,sab,sb->", a[in_row], per_sample_slices(c, idx), b[in_row])
+
+        def value(c, e):
+            return float(2.0 * quad(e, c, e))
+
+        def directional(c, e):
+            return float(2.0 * (quad(ze, c, e) + quad(e, zc, e) + quad(e, c, ze)))
+
+        tape = ad.Tape()
+        c, e = tape.input(core), tape.input(rows)
+        e_out = ad.mode_matmul(e, eye, groups)
+        out = (ad.reduce_sum(ad.mode_outer(e, e_out, groups, n) * c)
+               + ad.reduce_sum(ad.mode_matmul(e, c, groups) * e_out))
+        assert np.isclose(out.value, value(core, rows), rtol=1e-12, atol=1e-12)
+        g_c, g_e = ad.grad(tape, out, [c, e], as_vars=True)
+        for got, want in zip((g_c, g_e), fd_gradient(value, [core, rows])):
+            np.testing.assert_allclose(got.value, want, atol=1e-6 * np.abs(want).max(initial=1.0))
+        inner = ad.reduce_sum(g_c * tape.const(zc)) + ad.reduce_sum(g_e * tape.const(ze))
+        got = ad.grad(tape, inner, [c, e])
+        want = fd_gradient(directional, [core, rows], step=1e-3)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-8, atol=1e-8 * np.abs(w).max(initial=1.0))
+
+
 class TestEntriesCores:
     @pytest.mark.parametrize("modes,ranks", [((5,), ()), ((4, 3), (3,)),
                                              ((3, 4, 2, 5), (2, 3, 2))],

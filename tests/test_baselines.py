@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttriem import baselines
+from ttriem import baselines, objectives
 from ttriem.baselines import (
     ad_grad,
     ad_hvp,
@@ -150,6 +150,31 @@ class TestFusedProjections:
         units = [np.eye(n)[idx[:, k]] for k, n in enumerate(MODES)]
         want = project_tt(base, rank1_sum(units, w))
         assert tangent_residual(project_sparse(base, idx, w), want) < 1e-10
+
+    @pytest.mark.parametrize("modes,count", [
+        ((5,), 4), ((4, 3), 9), ((3, 6, 4), 11), ((3, 2, 4, 2, 3, 2), 25), ((3, 6, 4), 0),
+    ], ids=["d1", "d2", "d3", "d6", "no_samples"])
+    def test_sparse_against_one_hot_rank1_sum(self, rng, modes, count):
+        # The mode ops against the rank-1-sum projection of the one-hot rows
+        # the sparse projection used to build; the last value of each mode
+        # with more than two is never observed, and entries may repeat.
+        base = orthogonalize(random_tt(rng, modes, 2 if len(modes) > 1 else 1))
+        idx = np.stack([rng.integers(0, max(n - 1, 2), count) for n in modes], axis=1)
+        w = rng.standard_normal(count)
+        want = project_rank1_sum(base, objectives._unit_vectors(idx, modes), w)
+        assert tangent_residual(project_sparse(base, idx, w), want) <= 1e-13
+
+    @pytest.mark.parametrize("bad,match", [
+        ([[-1, 0, 0]], "range in mode 0"), ([[0, 2, 0]], "range in mode 1"),
+        ([[0, 0, 3]], "range in mode 2"), ([[0.5, 0, 0]], "non-integral .* in mode 0"),
+        ([[0, 0, np.nan]], "non-integral .* in mode 2"),
+    ], ids=["negative", "too_large", "last_mode", "fraction", "nan"])
+    def test_sparse_rejects_bad_indices(self, instance, bad, match):
+        # A negative index used to wrap round to the last slice and 0.5 to
+        # read slice 0.
+        base, _ = instance
+        with pytest.raises(IndexError, match=match):
+            project_sparse(base, np.array(bad), np.ones(1))
 
     def test_rank1_sum_without_terms_is_zero(self, instance):
         base, _ = instance

@@ -3,6 +3,7 @@ manifold must produce the same geometry, results must be reproducible
 under concurrency, and operators may change mode sizes."""
 
 import ast
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from ttriem.matrix import (
     tangent_materialize,
 )
 from ttriem import ad
+from ttriem.baselines import project_sparse
 from ttriem.objectives import IndexSet, completion_loss, quadratic_form
 from ttriem.oracles import dense_preconditioned_residual
 from ttriem.tt import (
@@ -185,6 +187,43 @@ class TestCompletionTapeMemory:
         gathers = [n for n in tape.nodes if n.op == "gather_mode"]
         assert all(1 in n.value.shape[1:] for n in gathers)
         assert sum(1 for n in tape.nodes[:forward] if n.op == "gather_mode") == 2
+
+
+class TestCompletionRowSweeps:
+    def test_one_row_permutation_per_core_in_entries(self, rng, monkeypatch):
+        # Rows reach each interior core sorted by its index and leave sorted
+        # by the next core's, so an entries sweep costs one np.take per core,
+        # the two boundary gathers included.  Permuting into mode order and
+        # back around every interior core took two each: 10 at d=6.
+        modes = (4, 5, 3, 4, 3, 5)
+        idx = np.stack([rng.integers(0, n, 200) for n in modes], axis=1)
+        x = random_tt(rng, modes, 3)
+        takes = []
+        take = np.take
+
+        def counting_take(*args, **kwargs):
+            takes.append(np.shape(args[0]))
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counting_take)
+        tt_entries(x, idx)
+        assert len(takes) <= len(modes), takes
+
+    def test_project_sparse_forms_no_one_hot_rows(self, rng):
+        # The fused sparse projection holds (N, r) rows and (r, n, r) cores;
+        # an (N, n_k) one-hot stack at this size would be 9.6 MB.  Numpy
+        # reports its buffers to tracemalloc, so the peak bounds every array.
+        modes, count = (600, 3, 600), 2000
+        idx = np.stack([rng.integers(0, n, count) for n in modes], axis=1)
+        w = rng.standard_normal(count)
+        base = orthogonalize(random_tt(rng, modes, 2))
+        tracemalloc.start()
+        try:
+            project_sparse(base, idx, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < count * max(modes), peak  # one byte per (N, n_k) entry
 
 
 class TestNoUfuncAt:
