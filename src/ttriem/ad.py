@@ -13,10 +13,9 @@ and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
 ``mode_matmul`` and ``mode_outer`` apply them to, or build them from,
 per-sample (N, r) rows with one matrix product per mode value, so no
 per-sample slice is ever stored.  Their :class:`ModeGroups` says in which
-order of the samples the rows come in and go out; a sweep that keeps its
-rows sorted by the mode they go through next (:meth:`ModeSort.groups`)
-permutes them once per op, and ``mode_groups`` is the round trip from
-sample order back to sample order.
+order of the samples the rows come in and go out: rows come in sorted by
+the op's own mode, and a sweep that hands them out sorted by the mode they
+go through next (:meth:`ModeSort.groups`) permutes them once per op.
 
 Constants never receive derivative flow: a node is differentiable exactly
 when one of its parents is, and ``grad`` calls a rule only for a
@@ -63,7 +62,6 @@ __all__ = [
     "batch_matmul",
     "ModeSort",
     "ModeGroups",
-    "mode_groups",
     "mode_matmul",
     "mode_outer",
 ]
@@ -572,18 +570,16 @@ class ModeSort:
         self.rank[self.order] = np.arange(len(idx))
         self.bounds = bounds.tolist()
 
-    def groups(self, rows_in=None, rows_out=None):
-        """The :class:`ModeGroups` for rows that come in the order of
-        ``rows_in`` and go out in the order of ``rows_out``.
+    def groups(self, rows_out):
+        """The :class:`ModeGroups` for rows that come in this sort's order
+        and go out in the order of ``rows_out``: ``None`` for the samples'
+        own order or a :class:`ModeSort` whose sorted order the rows follow.
 
-        Each is ``None`` for the samples' own order or a :class:`ModeSort`
-        whose sorted order the rows follow.  Passing ``self`` costs no row
-        permutation, so a sweep whose every op takes its rows in its own
-        mode's order and hands them out in the next mode's order permutes
-        once per op.
+        Passing ``self`` costs no row permutation, so a sweep whose every op
+        hands its rows out in the next mode's order permutes once per op.
         """
-        back = ModeGroups(self.bounds, _reorder(rows_out, self), _reorder(self, rows_in))
-        return ModeGroups(self.bounds, _reorder(rows_in, self), _reorder(self, rows_out), back)
+        back = ModeGroups(self.bounds, _reorder(rows_out, self), None)
+        return ModeGroups(self.bounds, None, _reorder(self, rows_out), back)
 
 
 def _reorder(have, want):
@@ -620,12 +616,6 @@ class ModeGroups:
         self.inverse = inverse
         if inverse is not None:
             inverse.inverse = self
-
-
-def mode_groups(idx, n):
-    """The round-trip :class:`ModeGroups` of the int vector ``idx`` with
-    values in [0, n): rows come in and go out in sample order."""
-    return ModeSort(idx, n).groups()
 
 
 def _check_groups(count, n, groups, what):
@@ -681,8 +671,8 @@ def mode_matmul(rows, core, groups):
 
     ``rows`` is (N, r_left), ``core`` is (r_left, n, r_right) and ``groups``
     is a :class:`ModeGroups` of the length-N index vector ``idx``, which
-    also says in which order of the samples the rows come in and go out
-    (:func:`mode_groups` keeps sample order); the result is (N, r_right).
+    also says in which order of the samples the rows come in and go out;
+    the result is (N, r_right).
     It runs one matrix product per mode value on the contiguous block of
     that value's rows, so nothing of size N * r_left * r_right is formed.
     """

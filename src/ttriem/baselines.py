@@ -135,16 +135,16 @@ def project_sparse(base, indices, weights) -> TtTangent:
     # sorts[k]'s order; rows of ones are the same in every order.
     left = [np.ones((count, 1))]
     for k in range(d - 1):
-        groups = sorts[k].groups(sorts[k], sorts[k + 1])
+        groups = sorts[k].groups(sorts[k + 1])
         left.append(ad.mode_matmul(left[k], base.U[k], groups))
     right = [None] * d + [np.ones((count, 1))]
     for k in range(d - 1, 0, -1):
-        groups = sorts[k].groups(sorts[k], sorts[k - 1])
+        groups = sorts[k].groups(sorts[k - 1])
         right[k] = ad.mode_matmul(right[k + 1], np.transpose(base.V[k], (2, 1, 0)), groups)
     deltas = []
     for k, (s, n) in enumerate(zip(sorts, sizes)):
         rows = np.take(w, s.order)[:, None] * left[k]
-        deltas.append(ad.mode_outer(rows, right[k + 1], s.groups(s, s), n))
+        deltas.append(ad.mode_outer(rows, right[k + 1], s.groups(s), n))
     return TtTangent._trusted(base, _apply_gauge(base, deltas))
 
 

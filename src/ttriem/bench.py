@@ -5,6 +5,7 @@ the AD-cost-versus-evaluation-cost ratio measurement.
 import csv
 import time
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,8 @@ __all__ = [
     "BenchConfig",
     "BenchRecord",
     "FUNCTIONS",
+    "BUILDERS",
+    "Sizes",
     "make_instance",
     "bench_run",
     "write_csv",
@@ -37,8 +40,6 @@ __all__ = [
     "sample_indices",
     "objective_suite",
 ]
-
-FUNCTIONS = ("qf", "gram", "rayleigh", "completion", "expmach")
 
 CSV_COLUMNS = [
     "function", "method", "op", "d", "n", "rx", "rz", "ra",
@@ -112,44 +113,50 @@ def sample_indices(rng, mode_sizes, count):
     return np.array(np.unravel_index(flat, mode_sizes)).T
 
 
+class Sizes(NamedTuple):
+    """The sizes that differ between the bench instances and the suite."""
+
+    op_rank: int
+    observations: int
+    machines: int
+
+
+def _completion(rng, modes, sizes):
+    idx = sample_indices(rng, modes, sizes.observations)
+    return obj_mod.completion_loss(obj_mod.IndexSet(idx, rng.standard_normal(len(idx))))
+
+
+# One seeded builder ``(rng, modes, sizes) -> Objective`` per CLI name, in
+# the order the acceptance suite indexes them.
+BUILDERS = {
+    "qf": lambda rng, modes, s: obj_mod.quadratic_form(
+        random_symmetric_ttmat(rng, modes, s.op_rank)),
+    "gram": lambda rng, modes, s: obj_mod.gram_quadratic_form(
+        random_ttmat(rng, modes, modes, s.op_rank)),
+    "rayleigh": lambda rng, modes, s: obj_mod.rayleigh_quotient(
+        random_symmetric_ttmat(rng, modes, s.op_rank)),
+    "completion": _completion,
+    "expmach": lambda rng, modes, s: obj_mod.expmachines_loss(
+        [random_tt(rng, modes, 1) for _ in range(s.machines)],
+        rng.choice([-1.0, 1.0], size=s.machines)),
+}
+FUNCTIONS = tuple(BUILDERS)
+
+
 def make_instance(cfg: BenchConfig):
     """Seeded deterministic instance: objective, base point and direction."""
     rng = np.random.default_rng(cfg.seed)
     modes = (cfg.n,) * cfg.d
-    x = random_tt(rng, modes, cfg.rx)
-    base = orthogonalize(x)
+    base = orthogonalize(random_tt(rng, modes, cfg.rx))
     z = project_tt(base, random_tt(rng, modes, cfg.rz))
-    if cfg.function == "qf":
-        objective = obj_mod.quadratic_form(random_symmetric_ttmat(rng, modes, cfg.ra))
-    elif cfg.function == "gram":
-        objective = obj_mod.gram_quadratic_form(random_ttmat(rng, modes, modes, cfg.ra))
-    elif cfg.function == "rayleigh":
-        objective = obj_mod.rayleigh_quotient(random_symmetric_ttmat(rng, modes, cfg.ra))
-    elif cfg.function == "completion":
-        count = 10 * cfg.d * cfg.n * cfg.rx**2
-        idx = sample_indices(rng, modes, count)
-        omega = obj_mod.IndexSet(idx, rng.standard_normal(len(idx)))
-        objective = obj_mod.completion_loss(omega)
-    else:
-        ws = [random_tt(rng, modes, 1) for _ in range(32)]
-        ys = rng.choice([-1.0, 1.0], size=32)
-        objective = obj_mod.expmachines_loss(ws, ys)
-    return objective, base, z
+    sizes = Sizes(cfg.ra, 10 * cfg.d * cfg.n * cfg.rx**2, 32)
+    return BUILDERS[cfg.function](rng, modes, sizes), base, z
 
 
 def objective_suite(rng, modes, r):
     """One of each of the five objectives on ``modes``, sized for base rank r."""
-    count = min(2 * len(modes) * max(modes) * r * r,
-                int(np.prod(modes)))
-    idx = sample_indices(rng, modes, count)
-    return [
-        obj_mod.quadratic_form(random_symmetric_ttmat(rng, modes, 2)),
-        obj_mod.gram_quadratic_form(random_ttmat(rng, modes, modes, 2)),
-        obj_mod.rayleigh_quotient(random_symmetric_ttmat(rng, modes, 2)),
-        obj_mod.completion_loss(obj_mod.IndexSet(idx, rng.standard_normal(len(idx)))),
-        obj_mod.expmachines_loss([random_tt(rng, modes, 1) for _ in range(8)],
-                                 np.resize([1.0, -1.0], 8)),
-    ]
+    sizes = Sizes(2, 2 * len(modes) * max(modes) * r * r, 8)
+    return [build(rng, modes, sizes) for build in BUILDERS.values()]
 
 
 def bench_run(cfg: BenchConfig):
@@ -197,14 +204,10 @@ def complexity_ratios(d=6, n=10, rank=5, op_rank=5, trials=7, seed=0):
     denominator are timed interleaved and the ratio is taken per trial, so
     machine-load drift largely cancels.
     """
-    rng = np.random.default_rng(seed)
-    modes = (n,) * d
-    x = random_tt(rng, modes, rank)
-    base = orthogonalize(x)
-    z = project_tt(base, random_tt(rng, modes, rank))
-    objective = obj_mod.quadratic_form(random_symmetric_ttmat(rng, modes, op_rank))
+    objective, base, z = make_instance(
+        BenchConfig("qf", "ad", "grad", d, n, rank, rank, op_rank, seed=seed))
     block = _block_cores(base, _delta_seed(base))
-    point = [np.asarray(c) for c in x.cores]
+    point = list(base.to_tt().cores)
 
     # warmup
     objective.evaluate(block)

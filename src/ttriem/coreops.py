@@ -186,7 +186,7 @@ def entries_cores(cores, idx):
     if d > 1:
         rows = ad.reshape(e, (count, np.shape(cores[0])[2]))
         for k in range(1, d - 1):
-            groups = sorts[k].groups(sorts[k], sorts[k + 1])
+            groups = sorts[k].groups(sorts[k + 1])
             rows = ad.mode_matmul(rows, cores[k], groups)  # (N, r_{k+1})
         e = ad.batch_matmul(ad.reshape(rows, (count, 1, np.shape(cores[-1])[0])),
                             ad.gather_mode(cores[-1], idx[:, -1]))  # (N, 1, 1)

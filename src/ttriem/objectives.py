@@ -82,14 +82,6 @@ class IndexSet:
     def ndim(self):
         return self.indices.shape[1]
 
-    def check_modes(self, mode_sizes):
-        # The mode count only: every caller goes on to an entries sweep,
-        # which checks the range of each mode.
-        if len(mode_sizes) != self.ndim:
-            raise DimensionError(
-                f"index tuples have {self.ndim} entries for a {len(mode_sizes)}-mode tensor"
-            )
-
 
 def read_index_set(path) -> IndexSet:
     """Parse the observation text format: d indices and a value per line."""
@@ -168,10 +160,6 @@ class Objective:
             return self.evaluate([g1, g2])
 
         return program
-
-
-def _core_shapes(cores):
-    return [np.shape(c) for c in cores]
 
 
 def _maybe_check_symmetric(a: TtMatrix, name):
@@ -364,19 +352,15 @@ def completion_loss(omega: IndexSet) -> Objective:
     idx = tuple(omega.indices.T)
 
     def evaluate(cores):
-        shapes = _core_shapes(cores)
-        omega.check_modes(tuple(s[1] for s in shapes))
         vals = coreops.entries_cores(list(cores), omega.indices)
         diff = ad.sub(vals, omega.values)
         return ad.reduce_sum(ad.mul(diff, diff))
 
     def euclid_grad(x):
-        omega.check_modes(x.mode_sizes)
         w = 2.0 * (tt_entries(x, omega.indices) - omega.values)
         return _rank1_sum_tt(_unit_vectors(omega.indices, x.mode_sizes), w)
 
     def euclid_hess_vec(x, z):
-        omega.check_modes(x.mode_sizes)
         w = 2.0 * tt_entries(z, omega.indices)
         return _rank1_sum_tt(_unit_vectors(omega.indices, x.mode_sizes), w)
 
@@ -442,8 +426,7 @@ def expmachines_loss(ws, ys) -> Objective:
         return ad.reshape(e, (len(ws),))
 
     def evaluate(cores):
-        shapes = _core_shapes(cores)
-        if tuple(s[1] for s in shapes) != ws[0].mode_sizes:
+        if tuple(np.shape(c)[1] for c in cores) != ws[0].mode_sizes:
             raise DimensionError("mode sizes do not match the weight tensors")
         t = margins_program(cores)
         return ad.reduce_sum(ad.softplus(ad.neg(ad.mul(t, ys))))

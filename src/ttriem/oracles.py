@@ -21,9 +21,6 @@ from .ttmanifold import hess_vec_tt, riemannian_grad_tt, tangent_axpy
 __all__ = [
     "dense_tangent_basis",
     "dense_project",
-    "dense_objective",
-    "dense_euclid_grad",
-    "dense_euclid_hess_vec",
     "dense_oracle_grad",
     "dense_oracle_hvp",
     "fd_gradient",
@@ -68,21 +65,6 @@ def dense_project(base, z_dense):
     return (basis @ coef).reshape(z_dense.shape)
 
 
-def dense_objective(obj):
-    """Dense evaluation function of an objective (its ``dense_value`` hook)."""
-    return obj.hook("dense_value")
-
-
-def dense_euclid_grad(obj, v):
-    """Analytic dense Euclidean gradient at a dense point."""
-    return obj.hook("dense_grad")(v)
-
-
-def dense_euclid_hess_vec(obj, v, z):
-    """Analytic dense Euclidean Hessian applied to a dense direction."""
-    return obj.hook("dense_hess_vec")(v, z)
-
-
 def fd_gradient(f, v, step=1e-6):
     """Central-difference gradient of a dense scalar function."""
     g = np.zeros_like(v)
@@ -101,9 +83,9 @@ def dense_oracle_grad(obj, base, use_fd=False):
     """Dense reference for the Riemannian gradient at the given base point."""
     v = tt_to_dense(base.to_tt())
     if use_fd:
-        g = fd_gradient(dense_objective(obj), v)
+        g = fd_gradient(obj.hook("dense_value"), v)
     else:
-        g = dense_euclid_grad(obj, v)
+        g = obj.hook("dense_grad")(v)
     return dense_project(base, g)
 
 
@@ -111,11 +93,10 @@ def dense_oracle_hvp(obj, base, z_dense, use_fd=False, step=1e-5):
     """Dense reference for the approximate Hessian-by-vector product."""
     v = tt_to_dense(base.to_tt())
     if use_fd:
-        gp = dense_euclid_grad(obj, v + step * z_dense)
-        gm = dense_euclid_grad(obj, v - step * z_dense)
-        h = (gp - gm) / (2.0 * step)
+        grad = obj.hook("dense_grad")
+        h = (grad(v + step * z_dense) - grad(v - step * z_dense)) / (2.0 * step)
     else:
-        h = dense_euclid_hess_vec(obj, v, z_dense)
+        h = obj.hook("dense_hess_vec")(v, z_dense)
     return dense_project(base, h)
 
 

@@ -332,11 +332,16 @@ class TestModeMatmul:
         "no_samples": (0, 2, 3, 4, []),
     }
 
-    def setup_case(self, case, rng):
+    def setup_case(self, case, rng, shuffled=False):
+        # The samples come sorted by their mode value, so that the rows'
+        # sample order is the grouping's own; the chained tests keep the
+        # case's own order instead.
         count, rl, rr, n, idx = case
         idx = np.asarray(idx, dtype=np.intp)
         assert len(idx) == count
-        return (idx, ad.mode_groups(idx, n), rng.standard_normal((count, rl)),
+        if not shuffled:
+            idx = np.sort(idx, kind="stable")
+        return (idx, ad.ModeSort(idx, n).groups(None), rng.standard_normal((count, rl)),
                 rng.standard_normal((rl, n, rr)), rng.standard_normal((count, rr)))
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
@@ -408,7 +413,7 @@ class TestModeMatmul:
             np.testing.assert_allclose(g, w, rtol=1e-8, atol=1e-8 * np.abs(w).max(initial=1.0))
 
     def test_groups_must_match(self, rng):
-        groups = ad.mode_groups([0, 1, 1], 2)
+        groups = ad.ModeSort([0, 1, 1], 2).groups(None)
         with pytest.raises(DimensionError):
             ad.mode_matmul(rng.standard_normal((3, 2)), rng.standard_normal((2, 3, 2)), groups)
         with pytest.raises(DimensionError):
@@ -417,26 +422,31 @@ class TestModeMatmul:
             ad.mode_outer(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)), groups, 3)
 
 
-    # Chained groupings: the order the rows come in and go out in is this
-    # mode's sorted order ("own", no take), a second mode's ("second") or
-    # the samples' own (None).
+    # Chained groupings: rows come in in this mode's sorted order ("own")
+    # and go out in it (no take), in a second mode's ("second") or in the
+    # samples' own (None).  "second_in_own_out" is the inverse of the
+    # grouping that hands rows out in the second mode's order: the one an
+    # adjoint sweep runs through.
     LAYOUTS = {
-        "own_in": ("own", None),
-        "own_in_second_out": ("own", "second"),
-        "second_in_own_out": ("second", "own"),
-        "own_both": ("own", "own"),
+        "own_in": (None, False),
+        "own_in_second_out": ("second", False),
+        "second_in_own_out": ("second", True),
+        "own_both": ("own", False),
     }
 
     def setup_chained(self, case, layout, rng):
         # Rows, core and u as in setup_case, plus each side's sample order:
         # the op takes rows[perm_in] and its adjoint u[perm_out].
-        idx, _, rows, core, u = self.setup_case(case, rng)
+        idx, _, rows, core, u = self.setup_case(case, rng, shuffled=True)
         sorts = {"own": ad.ModeSort(idx, core.shape[1]),
                  "second": ad.ModeSort(rng.integers(0, 5, len(idx)), 5), None: None}
-        rows_in, rows_out = (sorts[name] for name in layout)
+        out, inverted = layout
+        groups = sorts["own"].groups(sorts[out])
         perm_in, perm_out = (np.arange(len(idx)) if s is None else s.order
-                             for s in (rows_in, rows_out))
-        return idx, sorts["own"].groups(rows_in, rows_out), perm_in, perm_out, rows, core, u
+                             for s in (sorts["own"], sorts[out]))
+        if inverted:
+            groups, perm_in, perm_out = groups.inverse, perm_out, perm_in
+        return idx, groups, perm_in, perm_out, rows, core, u
 
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())

@@ -18,7 +18,14 @@ from ttriem.baselines import (
     project_sparse,
     riemannian_gd_demo,
 )
-from ttriem.bench import BenchConfig, bench_run, complexity_ratios, make_instance, sample_indices
+from ttriem.bench import (
+    FUNCTIONS,
+    BenchConfig,
+    bench_run,
+    complexity_ratios,
+    make_instance,
+    sample_indices,
+)
 from ttriem.errors import UnavailableMethodError
 from ttriem.objectives import (
     IndexSet,
@@ -30,13 +37,7 @@ from ttriem.objectives import (
     rayleigh_quotient,
     regularized_completion,
 )
-from ttriem.oracles import (
-    dense_euclid_grad,
-    dense_euclid_hess_vec,
-    dense_objective,
-    method_residuals,
-    tangent_residual,
-)
+from ttriem.oracles import method_residuals, tangent_residual
 from ttriem.tt import (
     MuOrthogonal,
     TtTensor,
@@ -259,15 +260,19 @@ class TestGdDemo:
 
 class TestBench:
     def test_same_seed_same_instance(self):
-        cfg = BenchConfig("qf", "ad", "grad", d=3, n=3, rx=2, rz=2, ra=2, seed=11)
-        obj1, base1, z1 = make_instance(cfg)
-        obj2, base2, z2 = make_instance(cfg)
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(obj1.operator.cores, obj2.operator.cores)
-        )
-        assert all(np.array_equal(a, b) for a, b in zip(base1.S, base2.S))
-        assert all(np.array_equal(a, b) for a, b in zip(z1.deltas, z2.deltas))
+        # completion and expmach have no operator; their value at the base
+        # cores pins the observations and the machines.
+        for function in FUNCTIONS:
+            cfg = BenchConfig(function, "ad", "grad", d=3, n=3, rx=2, rz=2, ra=2, seed=11)
+            obj1, base1, z1 = make_instance(cfg)
+            obj2, base2, z2 = make_instance(cfg)
+            assert all(np.array_equal(a, b) for a, b in zip(base1.S, base2.S))
+            assert all(np.array_equal(a, b) for a, b in zip(z1.deltas, z2.deltas))
+            point = list(base1.to_tt().cores)
+            assert np.array_equal(obj1.evaluate(point), obj2.evaluate(point)), function
+            if obj1.operator is not None:
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(obj1.operator.cores, obj2.operator.cores))
 
     def test_single_trial_zero_std(self):
         cfg = BenchConfig("qf", "ad", "grad", d=3, n=2, rx=2, rz=2, ra=2, trials=1)
@@ -338,9 +343,9 @@ class TestObjectiveHooks:
         for call in (
             lambda: optimized_grad(bare, base),
             lambda: optimized_hvp(bare, base, z),
-            lambda: dense_objective(bare),
-            lambda: dense_euclid_grad(bare, v),
-            lambda: dense_euclid_hess_vec(bare, v, v),
+            lambda: bare.hook("dense_value"),
+            lambda: bare.hook("dense_grad")(v),
+            lambda: bare.hook("dense_hess_vec")(v, v),
         ):
             with pytest.raises(UnavailableMethodError, match="opaque"):
                 call()

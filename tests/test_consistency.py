@@ -244,6 +244,28 @@ class TestNoAssertStatements:
         assert found == []
 
 
+class TestNoNameSwitches:
+    def test_no_string_comparison_on_name_or_function(self):
+        # Each objective keeps what it knows in one place: the library
+        # looks builders up in a table instead of switching on
+        # `obj.name == "qf"` or `cfg.function == "qf"`.
+        def named(node):
+            return isinstance(node, ast.Attribute) and node.attr in ("name", "function")
+
+        def literal(node):
+            return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+        found = []
+        for name, node in library_nodes():
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                for op, a, b in zip(node.ops, sides, sides[1:]):
+                    if (isinstance(op, (ast.Eq, ast.NotEq))
+                            and (named(a) and literal(b) or literal(a) and named(b))):
+                        found.append(f"{name}:{node.lineno}")
+        assert found == []
+
+
 class TestOperatorApplication:
     def test_matvec_cores_only_in_ttmat_apply(self):
         # Objectives reach <A X, Y> through the coreops interface sweeps; the

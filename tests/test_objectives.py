@@ -221,6 +221,16 @@ class TestCompletion:
         with pytest.raises(IndexError):
             completion_loss(om).evaluate(cores_of(random_tt(rng, MODES, 2)))
 
+    def test_extra_mode_is_dimension_error(self, rng):
+        # The (N, d) check of the entries sweep covers every path.
+        obj = completion_loss(IndexSet(np.array([[0, 1, 1], [1, 2, 0]]), np.array([1.0, 2.0])))
+        x = random_tt(rng, MODES + (2,), 2)
+        for call in (lambda: obj.evaluate(cores_of(x)),
+                     lambda: obj.euclid_grad_tt(x),
+                     lambda: obj.hook("optimized_grad")(orthogonalize(x))):
+            with pytest.raises(DimensionError):
+                call()
+
     def test_rank_cap_unavailable(self, rng):
         idx = np.array([[i, j, k] for i in range(8) for j in range(8) for k in range(8)])
         om = IndexSet(idx, rng.standard_normal(len(idx)))
@@ -394,10 +404,8 @@ class TestCrossObjectiveInvariants:
         step = 1e-6
         for obj in build_all_objectives(rng):
             got = tt_to_dense(obj.euclid_hess_vec_tt(x, z))
-            from ttriem.oracles import dense_euclid_grad
-
-            fd = (dense_euclid_grad(obj, xd + step * zd)
-                  - dense_euclid_grad(obj, xd - step * zd)) / (2 * step)
+            grad = obj.hook("dense_grad")
+            fd = (grad(xd + step * zd) - grad(xd - step * zd)) / (2 * step)
             scale = max(np.abs(fd).max(), 1.0)
             np.testing.assert_allclose(got, fd, atol=1e-6 * scale, err_msg=obj.name)
 
