@@ -1,7 +1,7 @@
 """Riemannian automatic differentiation for fixed-rank matrices and TT tensors."""
 
-from .ad import Tape, Var, grad, record, stop_gradient
-from .dense import as_tensor, contract, qr_thin, svd_thin
+from .ad import Tape, Var, contract, grad, record, stop_gradient
+from .dense import as_tensor, qr_thin, svd_thin
 from .errors import (
     DegeneratePointError,
     DimensionError,

@@ -1,12 +1,13 @@
 """Reverse-mode automatic differentiation over dense tensor operations.
 
-Every operation in this module accepts either plain ``numpy`` arrays (and
-then simply computes) or :class:`Var` handles (and then records a node on
-the tape the variables live on).  A node stores its parents and one
-adjoint rule per parent; ``rules[i](u)`` maps the node's adjoint ``u`` to
-the contribution for ``parents[i]``.  Rules are themselves written in terms
-of these operations, so a reverse sweep emits recordable nodes and the
-result of ``grad`` can be differentiated again (nested AD).
+Every operation in this module accepts plain ``numpy`` arrays, :class:`Var`
+handles or a mix.  It validates and computes its value once, the same way
+in every case, and with a :class:`Var` among its operands it also records
+a node on that tape, other operands becoming constants.  A node stores its
+parents and one adjoint rule per parent; ``rules[i](u)`` maps the node's
+adjoint ``u`` to the contribution for ``parents[i]``.  Rules are written in
+terms of these operations, so a reverse sweep emits recordable nodes and
+the result of ``grad`` can be differentiated again (nested AD).
 
 The mode operations take a TT core's slices per mode value: ``gather_mode``
 and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
@@ -240,70 +241,90 @@ def grad(tape, output, wrt, as_vars=False):
 
 
 # ---------------------------------------------------------------------------
-# operation plumbing
+# operands
+#
+# Every op lifts its operands once, through one of the three helpers below,
+# which return the tape (None off a tape), the operands and their float64
+# values.  The op validates and computes on those values, so it does both
+# the same way on and off a tape, and records a node only when there is one.
 
 
-def _find_tape(args):
+def _operand(a):
+    # (tape, a, a's value).
+    if isinstance(a, Var):
+        return a.tape, a, a.value
+    a = np.asarray(a, dtype=np.float64)
+    return None, a, a
+
+
+def _operands(a, b):
+    # (tape, a, b, a's value, b's value); beside a Var, a plain operand is
+    # lifted onto its tape as a constant.
+    if isinstance(a, Var):
+        tape = a.tape
+        if not isinstance(b, Var):
+            b = tape.const(b)
+        elif b.tape is not tape:
+            raise InvalidVariableError("operands live on different tapes")
+    elif isinstance(b, Var):
+        tape = b.tape
+        a = tape.const(a)
+    else:
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        return None, a, b, a, b
+    return tape, a, b, a.value, b.value
+
+
+def _operand_list(parts):
+    # (tape, operands, values) of a list of operands, lifted as by _operands.
     tape = None
-    for a in args:
-        if isinstance(a, Var):
+    for p in parts:
+        if isinstance(p, Var):
             if tape is None:
-                tape = a.tape
-            elif a.tape is not tape:
+                tape = p.tape
+            elif p.tape is not tape:
                 raise InvalidVariableError("operands live on different tapes")
-    return tape
+    if tape is None:
+        parts = [np.asarray(p, dtype=np.float64) for p in parts]
+        return None, parts, parts
+    parts = [p if isinstance(p, Var) else tape.const(p) for p in parts]
+    return tape, parts, [p.value for p in parts]
 
 
-def _lift(tape, x):
-    if isinstance(x, Var):
-        return x
-    return tape.const(x)
-
-
-def _ndim(x):
-    return x.value.ndim if isinstance(x, Var) else np.ndim(x)
-
-
-def _elementwise_shapes(sa, sb):
-    if sa != sb and sa != () and sb != ():
-        raise DimensionError(f"elementwise shapes differ: {sa} vs {sb}")
+def _node(tape, val, op, parents, rules):
+    # An op's result: its value off a tape, a recorded node on one.
+    return val if tape is None else Var(tape, val, op, parents, rules)
 
 
 def _unbroadcast(g, shape):
     # Elementwise ops allow mixing a scalar with a tensor; fold the gradient
     # of the scalar operand back down.
-    if isinstance(g, Var):
-        if g.value.shape != shape and shape == ():
-            return reduce_sum(g)
-        return g
-    if np.shape(g) != shape and shape == ():
-        return np.sum(g)
+    if g.value.shape != shape and shape == ():
+        return reduce_sum(g)
     return g
 
 
 def add_n(parts):
     """Sum of same-shaped terms (used for adjoint accumulation)."""
-    tape = _find_tape(parts)
-    if tape is None:
-        return sum(np.asarray(p, dtype=np.float64) for p in parts)
-    parts = [_lift(tape, p) for p in parts]
-    val = parts[0].value.copy()
-    for p in parts[1:]:
-        val += p.value
-    return Var(tape, val, "add_n", tuple(parts), (lambda u: u,) * len(parts))
+    tape, parts, vals = _operand_list(parts)
+    val = vals[0].copy()
+    for v in vals[1:]:
+        if v.shape != val.shape:
+            raise DimensionError(f"add_n term shapes differ: {val.shape} vs {v.shape}")
+        val += v
+    return _node(tape, val, "add_n", tuple(parts), (lambda u: u,) * len(parts))
 
 
 def _binary(name, fwd, rule_a, rule_b):
     # rule_x(u, a, b, out) is the adjoint for one operand before the
     # scalar-broadcast fold.
     def op(a, b):
-        tape = _find_tape((a, b))
-        if tape is None:
-            return fwd(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-        a = _lift(tape, a)
-        b = _lift(tape, b)
-        _elementwise_shapes(a.value.shape, b.value.shape)
-        out = Var(tape, fwd(a.value, b.value), name, (a, b), (
+        tape, a, b, av, bv = _operands(a, b)
+        sa, sb = av.shape, bv.shape
+        if sa != sb and sa != () and sb != ():
+            raise DimensionError(f"{name}: elementwise shapes differ: {sa} vs {sb}")
+        out = _node(tape, fwd(av, bv), name, (a, b), (
             lambda u: _unbroadcast(rule_a(u, a, b, out), a.value.shape),
             lambda u: _unbroadcast(rule_b(u, a, b, out), b.value.shape),
         ))
@@ -323,9 +344,8 @@ div = _binary("div", np.divide, lambda u, a, b, out: div(u, b),
 def _unary(name, fwd, rule):
     # rule(u, a, out) is the adjoint for the operand.
     def op(a):
-        if not isinstance(a, Var):
-            return fwd(np.asarray(a, dtype=np.float64))
-        out = Var(a.tape, fwd(a.value), name, (a,), (lambda u: rule(u, a, out),))
+        tape, a, av = _operand(a)
+        out = _node(tape, fwd(av), name, (a,), (lambda u: rule(u, a, out),))
         return out
 
     op.__name__ = name
@@ -348,9 +368,8 @@ softplus = _unary("softplus", lambda t: np.logaddexp(0.0, t), lambda u, a, out: 
 
 def stop_gradient(a):
     """Identity in value; blocks derivative flow at every nesting level."""
-    if not isinstance(a, Var):
-        return np.asarray(a, dtype=np.float64)
-    return Var(a.tape, a.value, "stop_gradient", (a,), diff=False)
+    tape, a, av = _operand(a)
+    return av if tape is None else Var(tape, av, "stop_gradient", (a,), diff=False)
 
 
 def reshape(a, shape):
@@ -358,44 +377,35 @@ def reshape(a, shape):
         shape = (int(shape),)
     else:
         shape = tuple(int(s) for s in shape)
-    if not isinstance(a, Var):
-        return np.reshape(np.asarray(a, dtype=np.float64), shape)
-    old = a.value.shape
-    return Var(a.tape, a.value.reshape(shape), "reshape", (a,), (lambda u: reshape(u, old),))
+    tape, a, av = _operand(a)
+    old = av.shape
+    return _node(tape, av.reshape(shape), "reshape", (a,), (lambda u: reshape(u, old),))
 
 
 def transpose(a, perm):
-    if not isinstance(a, Var):
-        return np.transpose(np.asarray(a, dtype=np.float64), perm)
-    nd = a.value.ndim
-    perm = tuple([p % nd for p in perm])
-    inv = tuple(np.argsort(perm))
-    val = np.transpose(a.value, perm)
-    return Var(a.tape, val, "transpose", (a,), (lambda u: transpose(u, inv),))
+    tape, a, av = _operand(a)
+    perm = tuple(perm)
+    return _node(tape, np.transpose(av, perm), "transpose", (a,),
+                 (lambda u: transpose(u, np.argsort([p % len(perm) for p in perm])),))
 
 
 def concat(parts, axis):
-    axis = int(axis) % _ndim(parts[0])
-    tape = _find_tape(parts)
+    tape, parts, vals = _operand_list(parts)
+    val = np.concatenate(vals, axis=axis)
     if tape is None:
-        return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts], axis=axis)
-    parts = [_lift(tape, p) for p in parts]
-    val = np.concatenate([p.value for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.value.shape[axis] for p in parts])
-    rules = tuple(
+        return val
+    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
+    return Var(tape, val, "concat", tuple(parts), tuple(
         lambda u, lo=int(lo), hi=int(hi): slice_along(u, axis, lo, hi)
         for lo, hi in zip(offsets[:-1], offsets[1:])
-    )
-    return Var(tape, val, "concat", tuple(parts), rules)
+    ))
 
 
 def slice_along(a, axis, start, stop):
     """Contiguous slice ``a[..., start:stop, ...]`` along one axis."""
-    axis = int(axis) % _ndim(a)
-    idx = (slice(None),) * axis + (slice(start, stop),)
-    if not isinstance(a, Var):
-        return np.asarray(a, dtype=np.float64)[idx]
-    extent = a.value.shape[axis]
+    tape, a, av = _operand(a)
+    axis = range(av.ndim)[axis]  # as in contract: no axis is wrapped round
+    extent = av.shape[axis]
     if not (0 <= start <= stop <= extent):
         raise DimensionError(f"slice [{start}:{stop}] out of range for extent {extent}")
 
@@ -412,30 +422,27 @@ def slice_along(a, axis, start, stop):
             parts.append(a.tape.const(np.zeros(after)))
         return concat(parts, axis) if len(parts) > 1 else u
 
-    return Var(a.tape, a.value[idx], "slice", (a,), (rule,))
+    return _node(tape, av[(slice(None),) * axis + (slice(start, stop),)], "slice", (a,), (rule,))
 
 
 def reduce_sum(a, axes=None):
-    if not isinstance(a, Var):
-        return np.sum(np.asarray(a, dtype=np.float64), axis=axes)
+    tape, a, av = _operand(a)
     if axes is None:
-        return Var(a.tape, np.sum(a.value), "sum", (a,),
-                   (lambda u: mul(u, a.tape.const(np.ones(a.value.shape))),))
+        return _node(tape, np.sum(av), "sum", (a,),
+                     (lambda u: mul(u, a.tape.const(np.ones(a.value.shape))),))
 
-    axes = tuple(sorted(ax % a.value.ndim for ax in axes))
-    kept = tuple(i for i in range(a.value.ndim) if i not in axes)
+    axes = sorted(range(av.ndim)[ax] for ax in axes)  # as in contract: no axis is wrapped round
 
     def rule(u):
         ones = a.tape.const(np.ones(tuple(a.value.shape[ax] for ax in axes)))
         outer = contract(u, ones, [])  # kept axes then summed axes
-        perm = [0] * a.value.ndim
-        for pos, ax in enumerate(kept):
+        nd = a.value.ndim
+        perm = [0] * nd
+        for pos, ax in enumerate([i for i in range(nd) if i not in axes] + axes):
             perm[ax] = pos
-        for pos, ax in enumerate(axes):
-            perm[ax] = len(kept) + pos
         return transpose(outer, perm)
 
-    return Var(a.tape, np.sum(a.value, axis=axes), "sum", (a,), (rule,))
+    return _node(tape, np.sum(av, axis=tuple(axes)), "sum", (a,), (rule,))
 
 
 def _place_axes(g, targets):
@@ -472,43 +479,65 @@ def contract(a, b, axes):
     Result axes are the free axes of ``a`` followed by the free axes of
     ``b``.  An empty ``axes`` list is the outer product.
     """
-    tape = _find_tape((a, b))
-    if tape is None:
-        from .dense import contract as dense_contract
-
-        return dense_contract(a, b, axes)
-    a = _lift(tape, a)
-    b = _lift(tape, b)
-    nda, ndb = a.value.ndim, b.value.ndim
-    axes = [(int(p) % nda, int(q) % ndb) for p, q in axes]
-    for ax_a, ax_b in axes:
-        if a.value.shape[ax_a] != b.value.shape[ax_b]:
+    tape, a, b, av, bv = _operands(a, b)
+    sa, sb = av.shape, bv.shape
+    # range(n)[p] maps p in [-n, n) to [0, n) and raises IndexError for any other p.
+    axes = [(range(len(sa))[p], range(len(sb))[q]) for p, q in axes]
+    for p, q in axes:
+        if sa[p] != sb[q]:
             raise DimensionError(
-                f"contracted extents differ: {a.value.shape[ax_a]} vs {b.value.shape[ax_b]}"
+                f"contracted extents differ: a.shape[{p}]={sa[p]} vs b.shape[{q}]={sb[q]}"
             )
-    la, lb = [p for p, _ in axes], [q for _, q in axes]
-    val = np.tensordot(a.value, b.value, axes=(la, lb))
-    return Var(tape, val, "contract", (a, b), (
+    val = np.tensordot(av, bv, axes=([p for p, _ in axes], [q for _, q in axes]))
+    return _node(tape, val, "contract", (a, b), (
         lambda u: _contract_grad_a(u, a, b, axes),
         lambda u: _contract_grad_b(u, a, b, axes),
     ))
+
+
+def index_array(idx):
+    """``idx`` as an intp array; raises ``IndexError`` if an entry is not an
+    integer value (a float index would otherwise be truncated), naming the
+    first such mode of an (N, d) array."""
+    arr = np.asarray(idx)
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(np.intp, copy=False)
+    if arr.dtype.kind not in "iu":
+        bad = out != arr
+        if bad.any():
+            where = f" in mode {int(np.argmax(bad.any(axis=0)))}" if arr.ndim == 2 else ""
+            raise IndexError(f"index array has non-integral entries{where}")
+    return out
+
+
+def index_vector(idx, n, where):
+    """``idx`` as an intp vector of indices into a mode of size ``n``.
+
+    Raises ``IndexError`` naming ``where`` for an entry that is not an
+    integer (:func:`index_array`) or lies outside [0, n): a negative index
+    is not wrapped.
+    """
+    idx = index_array(idx)
+    if idx.ndim != 1:
+        raise DimensionError(f"indices in {where} must form a vector, got shape {idx.shape}")
+    if len(idx) and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"index out of range in {where}: values must lie in [0, {n})")
+    return idx
 
 
 def gather_mode(core, idx):
     """Collect per-sample mode slices of a TT core.
 
     ``core`` has shape (r_left, n, r_right) and ``idx`` is an int vector of
-    length N; the result has shape (N, r_left, r_right).  It is one row
-    ``take`` from the (n, r_left, r_right) transpose of the core, so the
-    strided (r_left, N, r_right) fancy-index copy is never made.
+    length N, values in [0, n); the result has shape (N, r_left, r_right).  It
+    is one row ``take`` from the (n, r_left, r_right) transpose of the core, so
+    the strided (r_left, N, r_right) fancy-index copy is never made.
     """
-    idx = np.asarray(idx, dtype=np.intp)
-    core_val = core.value if isinstance(core, Var) else np.asarray(core, dtype=np.float64)
-    val = np.take(np.ascontiguousarray(np.transpose(core_val, (1, 0, 2))), idx, axis=0)
-    if not isinstance(core, Var):
-        return val
-    n = core_val.shape[1]
-    return Var(core.tape, val, "gather_mode", (core,), (lambda u: scatter_mode(u, idx, n),))
+    tape, core, cv = _operand(core)
+    n = cv.shape[1]
+    idx = index_vector(idx, n, "gather_mode")
+    val = np.take(np.ascontiguousarray(np.transpose(cv, (1, 0, 2))), idx, axis=0)
+    return _node(tape, val, "gather_mode", (core,), (lambda u: scatter_mode(u, idx, n),))
 
 
 def scatter_mode(mat, idx, n):
@@ -519,32 +548,25 @@ def scatter_mode(mat, idx, n):
     selection matrix ``E``, built per call and never recorded; ``E`` is no
     larger than ``mat`` whenever n <= r_l * r_r.
     """
-    idx = np.asarray(idx, dtype=np.intp)
-
-    def fwd(m):
-        count, rl, rr = m.shape
-        onehot = np.zeros((n, count))
-        onehot[idx, np.arange(count)] = 1.0
-        buf = onehot @ m.reshape(count, rl * rr)  # sizes spelled out: count may be 0
-        return np.ascontiguousarray(np.transpose(buf.reshape(n, rl, rr), (1, 0, 2)))
-
-    if not isinstance(mat, Var):
-        return fwd(np.asarray(mat, dtype=np.float64))
-    return Var(mat.tape, fwd(mat.value), "scatter_mode", (mat,), (lambda u: gather_mode(u, idx),))
+    tape, mat, mv = _operand(mat)
+    idx = index_vector(idx, n, "scatter_mode")
+    if mv.ndim != 3 or mv.shape[0] != len(idx):
+        raise DimensionError(f"scatter_mode needs ({len(idx)}, r_l, r_r) slices, got {mv.shape}")
+    count, rl, rr = mv.shape
+    onehot = np.zeros((n, count))
+    onehot[idx, np.arange(count)] = 1.0
+    buf = onehot @ mv.reshape(count, rl * rr)  # sizes spelled out: count may be 0
+    val = np.ascontiguousarray(np.transpose(buf.reshape(n, rl, rr), (1, 0, 2)))
+    return _node(tape, val, "scatter_mode", (mat,), (lambda u: gather_mode(u, idx),))
 
 
 def batch_matmul(a, b):
     """Stacked matrix product: (N, p, q) x (N, q, s) -> (N, p, s)."""
-    tape = _find_tape((a, b))
-    if tape is None:
-        return np.matmul(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    a = _lift(tape, a)
-    b = _lift(tape, b)
-    if a.value.shape[0] != b.value.shape[0] or a.value.shape[2] != b.value.shape[1]:
-        raise DimensionError(
-            f"batch_matmul shapes incompatible: {a.value.shape} x {b.value.shape}"
-        )
-    return Var(tape, np.matmul(a.value, b.value), "batch_matmul", (a, b), (
+    tape, a, b, av, bv = _operands(a, b)
+    sa, sb = av.shape, bv.shape
+    if len(sa) != 3 or len(sb) != 3 or sa[0] != sb[0] or sa[2] != sb[1]:
+        raise DimensionError(f"batch_matmul shapes incompatible: {sa} x {sb}")
+    return _node(tape, np.matmul(av, bv), "batch_matmul", (a, b), (
         lambda u: batch_matmul(u, transpose(b, (0, 2, 1))),
         lambda u: batch_matmul(transpose(a, (0, 2, 1)), u),
     ))
@@ -654,18 +676,6 @@ def _mode_outer_value(rows, u, groups, n):
     return np.ascontiguousarray(np.transpose(buf, (1, 0, 2)))
 
 
-def _operand_pair(a, b):
-    # (tape, a, b, a's array, b's array); the tape is None off tape.
-    tape = _find_tape((a, b))
-    if tape is None:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        return None, a, b, a, b
-    a = _lift(tape, a)
-    b = _lift(tape, b)
-    return tape, a, b, a.value, b.value
-
-
 def mode_matmul(rows, core, groups):
     """Per-sample row times mode slice: ``out[s] = rows[s] @ core[:, idx[s], :]``.
 
@@ -676,15 +686,12 @@ def mode_matmul(rows, core, groups):
     It runs one matrix product per mode value on the contiguous block of
     that value's rows, so nothing of size N * r_left * r_right is formed.
     """
-    tape, rows, core, rv, cv = _operand_pair(rows, core)
+    tape, rows, core, rv, cv = _operands(rows, core)
     if rv.ndim != 2 or cv.ndim != 3 or rv.shape[1] != cv.shape[0]:
         raise DimensionError(f"mode_matmul shapes incompatible: {rv.shape} x {cv.shape}")
     n = cv.shape[1]
     _check_groups(rv.shape[0], n, groups, "mode_matmul")
-    val = _mode_matmul_value(rv, cv, groups)
-    if tape is None:
-        return val
-    return Var(tape, val, "mode_matmul", (rows, core), (
+    return _node(tape, _mode_matmul_value(rv, cv, groups), "mode_matmul", (rows, core), (
         lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), groups.inverse),
         lambda u: mode_outer(rows, u, groups, n),
     ))
@@ -700,14 +707,11 @@ def mode_outer(rows, u, groups, n):
     same grouping do.  One matrix product per mode value; a value that never
     occurs leaves a zero slice.
     """
-    tape, rows, u, rv, uv = _operand_pair(rows, u)
+    tape, rows, u, rv, uv = _operands(rows, u)
     if rv.ndim != 2 or uv.ndim != 2 or rv.shape[0] != uv.shape[0]:
         raise DimensionError(f"mode_outer shapes incompatible: {rv.shape} and {uv.shape}")
     _check_groups(rv.shape[0], n, groups, "mode_outer")
-    val = _mode_outer_value(rv, uv, groups, n)
-    if tape is None:
-        return val
-    return Var(tape, val, "mode_outer", (rows, u), (
+    return _node(tape, _mode_outer_value(rv, uv, groups, n), "mode_outer", (rows, u), (
         lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), groups.inverse),
         lambda w: mode_matmul(rows, w, groups),
     ))

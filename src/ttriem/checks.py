@@ -8,8 +8,9 @@ prints one PASS/FAIL line per check and reports an overall exit status.
 import numpy as np
 
 from . import ad
+from .ad import contract
 from .bench import objective_suite
-from .dense import contract, qr_thin, svd_thin
+from .dense import qr_thin, svd_thin
 from .objectives import quadratic_form
 from .oracles import (
     dense_preconditioned_residual,

@@ -28,7 +28,6 @@ __all__ = [
     "matvec_cores",
     "entries_cores",
     "check_indices",
-    "index_array",
 ]
 
 
@@ -126,21 +125,6 @@ def matvec_cores(op_cores, xs):
     return out
 
 
-def index_array(idx):
-    """``idx`` as an intp array; raises ``IndexError`` if an entry is not an
-    integer value (a float index would otherwise be truncated), naming the
-    first such mode of an (N, d) array."""
-    arr = np.asarray(idx)
-    with np.errstate(invalid="ignore"):
-        out = arr.astype(np.intp, copy=False)
-    if arr.dtype.kind not in "iu":
-        bad = out != arr
-        if bad.any():
-            where = f" in mode {int(np.argmax(bad.any(axis=0)))}" if arr.ndim == 2 else ""
-            raise IndexError(f"index array has non-integral entries{where}")
-    return out
-
-
 def check_indices(idx, sizes):
     """``idx`` as an (N, d) intp array of multi-indices into modes of the
     given sizes.
@@ -149,14 +133,12 @@ def check_indices(idx, sizes):
     the mode for an entry that is not an integer or lies outside [0, n_k):
     a negative index is not wrapped and a float is not truncated.
     """
-    idx = index_array(idx)
+    idx = ad.index_array(idx)
     d = len(sizes)
     if idx.ndim != 2 or idx.shape[1] != d:
         raise DimensionError(f"index array must be (N, {d}), got shape {idx.shape}")
-    if len(idx):
-        for k, n in enumerate(sizes):
-            if idx[:, k].min() < 0 or idx[:, k].max() >= n:
-                raise IndexError(f"index out of range in mode {k}: values must lie in [0, {n})")
+    for k, n in enumerate(sizes):
+        ad.index_vector(idx[:, k], n, f"mode {k}")
     return idx
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["as_tensor", "frozen", "contract", "qr_thin", "svd_thin"]
+__all__ = ["as_tensor", "frozen", "qr_thin", "svd_thin"]
 
 
 def as_tensor(data) -> np.ndarray:
@@ -31,29 +31,6 @@ def frozen(data) -> np.ndarray:
     arr = as_tensor(data).copy()
     arr.flags.writeable = False
     return arr
-
-
-def contract(a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-    """Contract ``a`` and ``b`` over the given list of axis pairs.
-
-    ``axes`` is a sequence of ``(axis_of_a, axis_of_b)`` pairs.  The result
-    carries the free axes of ``a`` followed by the free axes of ``b``, in
-    their original order.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    axes = list(axes)
-    for ax_a, ax_b in axes:
-        if a.shape[ax_a] != b.shape[ax_b]:
-            raise DimensionError(
-                f"contracted extents differ: a.shape[{ax_a}]={a.shape[ax_a]} "
-                f"vs b.shape[{ax_b}]={b.shape[ax_b]}"
-            )
-    if axes:
-        ax_a, ax_b = zip(*axes)
-    else:
-        ax_a, ax_b = (), ()
-    return np.tensordot(a, b, axes=(list(ax_a), list(ax_b)))
 
 
 def qr_thin(m: np.ndarray):

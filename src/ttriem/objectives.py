@@ -60,7 +60,7 @@ class IndexSet:
     """Observed entries for completion: (N, d) indices plus values."""
 
     def __init__(self, indices, values):
-        indices = coreops.index_array(indices)
+        indices = ad.index_array(indices)
         values = np.asarray(values, dtype=np.float64)
         if indices.ndim != 2:
             raise InvalidDataError("indices must form an (N, d) array")

@@ -287,6 +287,20 @@ class TestModePrimitives:
         assert np.array_equal(plain, np.transpose(core[:, idx, :], (1, 0, 2)))
         assert plain.flags.c_contiguous and plain.shape == (7, 2, 3)
 
+    @pytest.mark.parametrize("on_tape", [False, True], ids=["array", "var"])
+    @pytest.mark.parametrize("idx", [[2, -1], [0, 0.7], [1, 4]],
+                             ids=["negative", "fractional", "past_end"])
+    def test_gather_scatter_reject_bad_indices(self, idx, on_tape, rng):
+        # -1 would read and scatter the last slice and 0.7 slice 0.
+        core, mat = rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 2, 3))
+        if on_tape:
+            tape = ad.Tape()
+            core, mat = tape.input(core), tape.input(mat)
+        with pytest.raises(IndexError):
+            ad.gather_mode(core, idx)
+        with pytest.raises(IndexError):
+            ad.scatter_mode(mat, idx, 4)
+
     @pytest.mark.parametrize("n", [3, 6], ids=["narrow_mode", "wide_mode"])
     def test_second_order_through_gather_matmul_scatter(self, n, rng):
         # f(c) = <scatter(G G), c> with G the gathered slices, i.e. the sum
@@ -695,3 +709,86 @@ class TestShapes:
 
     def test_slice_along_negative_axis_on_array(self):
         assert ad.slice_along(np.zeros((2, 7)), -1, 0, 2).shape == (2, 2)
+
+
+GROUPS = ad.ModeSort([2, 0, 1, 2, 0], 3).groups(None)
+
+
+class TestSameOnAndOffTape:
+    # Key "op" or "op/variant" -> (operand shapes, call).  Each operand is
+    # passed as an array and, in every combination, as a tape input.
+    CASES = {
+        "stop_gradient": ([(2, 3)], ad.stop_gradient),
+        "contract": ([(2, 3, 4), (4, 3)], lambda a, b: ad.contract(a, b, zip((2, -2), (0, 1)))),
+        "contract/outer": ([(2,), (3,)], lambda a, b: ad.contract(a, b, [])),
+        "reshape": ([(2, 3)], lambda a: ad.reshape(a, (3, 2))),
+        "transpose": ([(2, 3, 4)], lambda a: ad.transpose(a, (2, -3, 1))),
+        "concat": ([(2, 3), (2, 1), (2, 2)], lambda *p: ad.concat(list(p), -1)),
+        "slice_along": ([(2, 5)], lambda a: ad.slice_along(a, -1, 1, 4)),
+        "add": ([(2, 3), ()], ad.add),
+        "sub": ([(), (2, 3)], ad.sub),
+        "mul": ([(2, 3), (2, 3)], ad.mul),
+        "div": ([(2, 3), (2, 3)], ad.div),
+        "neg": ([(2, 3)], ad.neg),
+        "exp": ([(2, 3)], ad.exp),
+        "log": ([(2, 3)], ad.log),
+        "sin": ([(2, 3)], ad.sin),
+        "cos": ([(2, 3)], ad.cos),
+        "sigmoid": ([(2, 3)], ad.sigmoid),
+        "softplus": ([(2, 3)], ad.softplus),
+        "reduce_sum": ([(2, 3, 4)], lambda a: ad.reduce_sum(a, (-1, 0))),
+        "reduce_sum/all": ([(2, 3)], ad.reduce_sum),
+        "add_n": ([(2, 3), (2, 3), (2, 3)], lambda *p: ad.add_n(list(p))),
+        "gather_mode": ([(2, 4, 3)], lambda c: ad.gather_mode(c, [3, 0, 0, 2])),
+        "scatter_mode": ([(4, 2, 3)], lambda m: ad.scatter_mode(m, [3, 0, 0, 2], 5)),
+        "batch_matmul": ([(4, 2, 3), (4, 3, 2)], ad.batch_matmul),
+        "mode_matmul": ([(5, 2), (2, 3, 4)], lambda r, c: ad.mode_matmul(r, c, GROUPS)),
+        "mode_outer": ([(5, 2), (5, 3)], lambda r, u: ad.mode_outer(r, u, GROUPS, 3)),
+    }
+    # Inputs that broadcast or were clipped off a tape and raised on it.
+    INVALID = {
+        "add_broadcast": ([np.ones(3), np.ones((2, 3))], ad.add),
+        "mul_broadcast": ([np.ones((2, 1)), np.ones((2, 3))], ad.mul),
+        "slice_past_end": ([np.arange(3.0)], lambda a: ad.slice_along(a, 0, 2, 5)),
+        "batch_matmul_broadcast": ([np.ones((1, 2, 3)), np.ones((4, 3, 2))], ad.batch_matmul),
+    }
+    # Axes past the last one, which were wrapped around on a tape.
+    AXIS_OUT_OF_RANGE = {
+        "contract": ([np.ones((2, 3)), np.ones(3)], lambda a, b: ad.contract(a, b, [(3, 0)])),
+        "slice_along": ([np.ones((2, 3))], lambda a: ad.slice_along(a, 2, 0, 1)),
+        "concat": ([np.ones((2, 3)), np.ones((2, 3))], lambda *p: ad.concat(list(p), 2)),
+        "reduce_sum": ([np.ones((2, 3))], lambda a: ad.reduce_sum(a, (0, 2))),
+    }
+
+    def test_every_op_has_a_case(self):
+        ops = {name for name in ad.__all__ if not isinstance(getattr(ad, name), type)}
+        assert ops - {"record", "grad"} <= {key.split("/")[0] for key in self.CASES}
+
+    @pytest.mark.parametrize("key", CASES)
+    def test_same_value(self, key, rng):
+        shapes, call = self.CASES[key]
+        arrays = [rng.uniform(0.5, 2.0, shape) for shape in shapes]
+        plain = call(*arrays)
+        assert np.asarray(plain).dtype == np.float64
+        for mask in range(1, 2 ** len(arrays)):
+            tape = ad.Tape()
+            args = [tape.input(a) if mask >> i & 1 else a for i, a in enumerate(arrays)]
+            out = call(*args)
+            assert isinstance(out, ad.Var)
+            assert np.shape(plain) == out.value.shape and np.array_equal(plain, out.value)
+
+    @pytest.mark.parametrize("key", INVALID)
+    def test_same_dimension_error(self, key):
+        self.check_raises(*self.INVALID[key], DimensionError)
+
+    @pytest.mark.parametrize("key", AXIS_OUT_OF_RANGE)
+    def test_axis_out_of_range(self, key):
+        self.check_raises(*self.AXIS_OUT_OF_RANGE[key], IndexError)
+
+    @staticmethod
+    def check_raises(arrays, call, error):
+        with pytest.raises(error):
+            call(*arrays)
+        tape = ad.Tape()
+        with pytest.raises(error):
+            call(*[tape.input(a) for a in arrays])

@@ -18,7 +18,7 @@ from ttriem.matrix import (
     tangent_materialize,
 )
 from ttriem import ad
-from ttriem.baselines import project_sparse
+from ttriem.baselines import _tt_from_dense, project_sparse
 from ttriem.objectives import IndexSet, completion_loss, quadratic_form
 from ttriem.oracles import dense_preconditioned_residual
 from ttriem.tt import (
@@ -36,22 +36,6 @@ from ttriem.ttmanifold import (
     project_tt,
     riemannian_grad_tt,
 )
-
-
-def tt_from_dense_exact(a):
-    """Full-rank TT of a small dense tensor (sequential QR sweep)."""
-    shape = a.shape
-    cores = []
-    work = a.reshape(1, -1)
-    rl = 1
-    for k in range(len(shape) - 1):
-        m = work.reshape(rl * shape[k], -1)
-        q, r = np.linalg.qr(m, mode="reduced")
-        cores.append(q.reshape(rl, shape[k], q.shape[1]))
-        work = r
-        rl = q.shape[1]
-    cores.append(work.reshape(rl, shape[-1], 1))
-    return TtTensor(cores)
 
 
 def matrix_point_as_tt(x: FixedRankPoint) -> TtTensor:
@@ -85,7 +69,7 @@ class TestMatrixVsTwoModeTt:
         t_mat = project_matrix(self.x, self.z_dense)
         left, right = tangent_materialize(t_mat)
         base = orthogonalize(matrix_point_as_tt(self.x))
-        t_tt = project_tt(base, tt_from_dense_exact(self.z_dense))
+        t_tt = project_tt(base, _tt_from_dense(self.z_dense))
         np.testing.assert_allclose(
             left @ right.T, tt_to_dense(t_tt.materialize()), atol=1e-11
         )
@@ -95,7 +79,7 @@ class TestMatrixVsTwoModeTt:
         h_mat = hess_vec_matrix(self.obj.factor_program(), self.x, z_mat)
         hl, hr = tangent_materialize(h_mat)
         base = orthogonalize(matrix_point_as_tt(self.x))
-        z_tt = project_tt(base, tt_from_dense_exact(self.z_dense))
+        z_tt = project_tt(base, _tt_from_dense(self.z_dense))
         h_tt = hess_vec_tt(self.obj.evaluate, base, z_tt)
         np.testing.assert_allclose(
             hl @ hr.T, tt_to_dense(h_tt.materialize()), atol=1e-10
@@ -148,6 +132,29 @@ def library_method_calls(attr):
     return ((name, node) for name, node in library_nodes()
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == attr)
+
+
+class TestOneOperandPath:
+    def test_only_operand_helpers_lift_in_ad(self):
+        # Each ad op lifts its operands through _operand, _operands or
+        # _operand_list and then validates and computes once, on and off a
+        # tape alike.  An isinstance(..., Var) test or a float64 coercion
+        # anywhere else in ad.py would start a second, array-only path.
+        allowed = {"_operand", "_operands", "_operand_list", "Tape", "record", "grad"}
+        nodes = [node for name, node in library_nodes() if name == "ad.py"]
+        exempt = {id(inner) for node in nodes
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in allowed
+                  for inner in ast.walk(node)}
+
+        def lifts(node):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                return any(isinstance(n, ast.Name) and n.id == "Var"
+                           for n in ast.walk(node.args[1]))
+            return (isinstance(node, ast.Attribute) and node.attr == "float64"
+                    or isinstance(node, ast.Name) and node.id == "float64")
+
+        found = [f"ad.py:{node.lineno}" for node in nodes if lifts(node) and id(node) not in exempt]
+        assert found == []
 
 
 class TestPairwiseContractions:

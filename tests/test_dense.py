@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttriem.dense import as_tensor, contract, qr_thin, svd_thin
+from ttriem.ad import contract
+from ttriem.dense import as_tensor, qr_thin, svd_thin
 from ttriem.errors import DimensionError
 
 from conftest import loop_contract

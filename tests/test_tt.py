@@ -393,6 +393,30 @@ class TestRound:
         out = tt_round(x, 10, tol=0.0)
         np.testing.assert_allclose(tt_to_dense(out), tt_to_dense(x), atol=1e-12)
 
+    @pytest.mark.parametrize("tol", [1e-3, 0.05, 0.2, 0.5, 0.9])
+    def test_tolerance_bounds_relative_error(self, tol, rng):
+        # Rank-2 parts at relative scales 1, 0.1 and 0.01: from tol = 0.05
+        # on, the sweep drops some of them, and never more than tol allows.
+        modes = (4, 5, 5, 4)
+        x = random_tt(rng, modes, 2)
+        for scale in (0.1, 0.01):
+            x = tt_axpy(scale, random_tt(rng, modes, 2), x)
+        exact = tt_round(x, 10)
+        out = tt_round(x, 10, tol=tol)
+        dense = tt_to_dense(x)
+        assert np.linalg.norm(tt_to_dense(out) - dense) <= tol * np.linalg.norm(dense)
+        if tol >= 0.05:
+            assert sum(out.ranks) < sum(exact.ranks)
+
+    def test_tolerance_drops_zero_padding(self, rng):
+        x = random_tt(rng, (3, 4, 4, 3), (2, 3, 2))
+        padded = pad_ranks(x, 3)
+        assert tt_round(padded, 10).ranks == padded.ranks != x.ranks
+        out = tt_round(padded, 10, tol=1e-12)
+        assert out.ranks == x.ranks
+        dense = tt_to_dense(x)
+        np.testing.assert_allclose(tt_to_dense(out), dense, atol=1e-12 * np.abs(dense).max())
+
     def test_negative_tol_rejected(self, rng):
         with pytest.raises(DimensionError):
             tt_round(random_tt(rng, (2, 2), (2,)), 2, tol=-1.0)
