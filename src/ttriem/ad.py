@@ -308,6 +308,8 @@ def _unbroadcast(g, shape):
 def add_n(parts):
     """Sum of same-shaped terms (used for adjoint accumulation)."""
     tape, parts, vals = _operand_list(parts)
+    if not vals:
+        raise DimensionError("add_n needs at least one term, got shape (0,)")
     val = vals[0].copy()
     for v in vals[1:]:
         if v.shape != val.shape:
@@ -534,6 +536,8 @@ def gather_mode(core, idx):
     the strided (r_left, N, r_right) fancy-index copy is never made.
     """
     tape, core, cv = _operand(core)
+    if cv.ndim != 3:
+        raise DimensionError(f"gather_mode needs an (r_l, n, r_r) core, got shape {cv.shape}")
     n = cv.shape[1]
     idx = index_vector(idx, n, "gather_mode")
     val = np.take(np.ascontiguousarray(np.transpose(cv, (1, 0, 2))), idx, axis=0)

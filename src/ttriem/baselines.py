@@ -83,9 +83,11 @@ def project_matvec(a: TtMatrix, y: TtTensor, base) -> TtTangent:
     Every step contracts two operands: an interface with the Y core, then
     the A core, then the X core (U, V, or the other interface for a delta).
     The interfaces carry (rank of Y, rank of A, rank of X) jointly, so the
-    rank-R*r cores of A Y are never materialized.
+    rank-R*r cores of A Y are never materialized.  ``A`` must map the modes
+    of Y to those of X (``DimensionError`` otherwise).
     """
     base = _as_ortho(base)
+    coreops._check_operator(a.cores, y.cores, base.mode_sizes, "project_matvec")
     d = base.ndim
     # Index letters: a, d rank Y; b, e rank A; c, f rank X; i, j the row and
     # column modes of A.  ly[k][c, d, i, e] is the left interface through

@@ -224,31 +224,32 @@ def gram_quadratic_form(a: TtMatrix) -> Objective:
     )
 
 
+def _rayleigh_denominator(sxx):
+    """``sxx`` = <X, X> (a number or a Var), checked once for every pipeline:
+    a point this close to zero has no meaningful Rayleigh quotient."""
+    if float(sxx.value if isinstance(sxx, ad.Var) else sxx) < 1e-28:
+        raise DegeneratePointError("Rayleigh quotient evaluated too close to zero")
+    return sxx
+
+
 def rayleigh_quotient(a: TtMatrix) -> Objective:
     """f(X) = <A X, X> / <X, X> for symmetric A."""
     _maybe_check_symmetric(a, "rayleigh_quotient")
     a_cores = list(a.cores)
 
     def evaluate(cores):
-        sxx = coreops.dot_cores(cores, cores)
-        norm_sq = float(sxx.value) if isinstance(sxx, ad.Var) else float(sxx)
-        if norm_sq < 1e-28:
-            raise DegeneratePointError("Rayleigh quotient evaluated too close to zero")
+        sxx = _rayleigh_denominator(coreops.dot_cores(cores, cores))
         sax = coreops.operator_dot_cores(a_cores, cores, cores)
         return ad.div(sax, sxx)
 
     def euclid_grad(x):
-        s = tt_dot(x, x)
-        if s < 1e-28:
-            raise DegeneratePointError("Rayleigh quotient evaluated too close to zero")
+        s = _rayleigh_denominator(tt_dot(x, x))
         ax = ttmat_apply(a, x)
         f = tt_dot(ax, x) / s
         return tt_scale(2.0 / s, tt_axpy(-f, x, ax))
 
     def euclid_hess_vec(x, z):
-        s = tt_dot(x, x)
-        if s < 1e-28:
-            raise DegeneratePointError("Rayleigh quotient evaluated too close to zero")
+        s = _rayleigh_denominator(tt_dot(x, x))
         ax = ttmat_apply(a, x)
         az = ttmat_apply(a, z)
         f = tt_dot(ax, x) / s
@@ -261,9 +262,9 @@ def rayleigh_quotient(a: TtMatrix) -> Objective:
 
     def fused_parts(base):
         # P_X X, P_X A X, <X, X> and f at the base point.
+        s = _rayleigh_denominator(float(np.vdot(base.S[-1], base.S[-1])))
         x_tan = point_as_tangent(base)
         ax_tan = baselines.project_matvec(a, base.to_tt(), base)
-        s = float(np.vdot(base.S[-1], base.S[-1]))
         return x_tan, ax_tan, s, tangent_dot_tt(ax_tan, x_tan) / s
 
     def optimized_grad(base):

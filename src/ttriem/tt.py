@@ -174,8 +174,6 @@ def orthogonalize(x: TtTensor) -> MuOrthogonal:
     """
     d = x.ndim
     cores = list(x.cores)
-    if d == 1:
-        return MuOrthogonal([None], [None], [cores[0]])
 
     # Left-to-right sweep: G_1..G_k = U_1..U_k @ left_tf[k].
     U = [None] * d
@@ -240,10 +238,6 @@ def tt_entries(x: TtTensor, idx) -> np.ndarray:
 
 def ttmat_apply(a: TtMatrix, x: TtTensor) -> TtTensor:
     """Operator application; output ranks are the elementwise products."""
-    if a.col_sizes != x.mode_sizes:
-        raise DimensionError(
-            f"operator column sizes {a.col_sizes} do not match modes {x.mode_sizes}"
-        )
     return TtTensor(coreops.matvec_cores(list(a.cores), list(x.cores)))
 
 
@@ -315,8 +309,6 @@ def tt_round(x: TtTensor, max_rank, tol: float = 0.0) -> TtTensor:
         caps = [int(r) for r in max_rank]
         if len(caps) != bonds:
             raise DimensionError(f"max_rank must have {bonds} entries")
-    if d == 1:
-        return TtTensor([c.copy() for c in x.cores])
 
     # Left-to-right orthogonalization.  Unlike `orthogonalize`, rounding may
     # see over-ranked chains (e.g. fresh axpy output), where the unfolding is

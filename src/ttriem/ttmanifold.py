@@ -30,11 +30,21 @@ __all__ = [
 ]
 
 GAUGE_REJECT = 1e-8
-GAUGE_REGAUGE = 1e-10
 
 
 def _as_ortho(x) -> MuOrthogonal:
     return x if isinstance(x, MuOrthogonal) else orthogonalize(x)
+
+
+def _check_deltas(base, deltas):
+    """``deltas`` as float64 arrays, one per mode with its center core's shape."""
+    deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
+    if len(deltas) != base.ndim:
+        raise DimensionError(f"need {base.ndim} delta cores, got {len(deltas)}")
+    for k, (d, s) in enumerate(zip(deltas, base.S)):
+        if d.shape != s.shape:
+            raise DimensionError(f"delta core {k} has shape {d.shape}, expected {s.shape}")
+    return deltas
 
 
 def _gauge_residuals(base, deltas):
@@ -68,29 +78,17 @@ def _apply_gauge(base, deltas):
 class TtTangent:
     """Tangent vector at a TT point, stored as per-mode delta cores.
 
-    Construction validates the gauge: residuals up to 1e-8 are re-gauged
-    (projection onto the gauge complement), anything larger is rejected.
+    Construction gauges every input: residuals up to 1e-8 are projected
+    onto the gauge complement, anything larger is rejected.
     """
 
     def __init__(self, base: MuOrthogonal, deltas):
-        deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
-        if len(deltas) != base.ndim:
-            raise DimensionError(f"need {base.ndim} delta cores, got {len(deltas)}")
-        for k, (d, s) in enumerate(zip(deltas, base.S)):
-            if d.shape != s.shape:
-                raise DimensionError(
-                    f"delta core {k} has shape {d.shape}, expected {s.shape}"
-                )
-        res = _gauge_residuals(base, deltas)
-        worst = max(res, default=0.0)
+        deltas = _check_deltas(base, deltas)
+        worst = max(_gauge_residuals(base, deltas), default=0.0)
         if worst > GAUGE_REJECT:
-            raise InvalidTangentError(
-                f"gauge violation {worst:.2e} exceeds {GAUGE_REJECT:.0e}"
-            )
-        if worst > GAUGE_REGAUGE:
-            deltas = _apply_gauge(base, deltas)
+            raise InvalidTangentError(f"gauge violation {worst:.2e} exceeds {GAUGE_REJECT:.0e}")
         self.base = base
-        self.deltas = tuple(frozen(d) for d in deltas)
+        self.deltas = tuple(frozen(d) for d in _apply_gauge(base, deltas))
 
     @property
     def ndim(self):
@@ -136,11 +134,7 @@ def _block_cores(base, deltas):
 
 def deltas_to_cores(base: MuOrthogonal, deltas) -> TtTensor:
     """Convert delta cores into a plain TT tensor of rank at most 2r."""
-    deltas = [np.asarray(x, dtype=np.float64) for x in deltas]
-    for k, (dc, sc) in enumerate(zip(deltas, base.S)):
-        if dc.shape != sc.shape:
-            raise DimensionError(f"delta core {k} has shape {dc.shape}, expected {sc.shape}")
-    return TtTensor(_block_cores(base, deltas))
+    return TtTensor(_block_cores(base, _check_deltas(base, deltas)))
 
 
 def project_tt(x, z: TtTensor) -> TtTangent:
@@ -156,9 +150,6 @@ def project_tt(x, z: TtTensor) -> TtTangent:
             f"mode sizes differ: {base.mode_sizes} vs {z.mode_sizes}"
         )
     d = base.ndim
-    if d == 1:
-        return TtTangent(base, [z.cores[0].copy()])
-
     # Right chains: q[k] maps z-rank to tangent-rank over modes k..d-1.
     q = [None] * d + [np.ones((1, 1))]
     for k in range(d - 1, 0, -1):
@@ -229,9 +220,6 @@ def hess_vec_tt(p, x, z: TtTangent) -> TtTangent:
     base = _as_ortho(x)
     if not z.base.matches(base):
         raise InvalidTangentError("tangent vector is anchored at a different point")
-    worst = max(z.gauge_residuals(), default=0.0)
-    if worst > GAUGE_REJECT:
-        raise InvalidTangentError(f"gauge violation {worst:.2e} exceeds {GAUGE_REJECT:.0e}")
     tape = ad.Tape()
     rvars = [tape.input(v) for v in _delta_seed(base)]
     out = p(_block_cores(base, rvars))
@@ -286,14 +274,11 @@ def preconditioned_residual(a: TtMatrix, b: TtMatrix, f: TtTensor, x) -> TtTange
     h(X) = <A c(X), B^T X> - <B F, X>, where c is the stop-gradient
     operator.  The first term is one sweep of
     :func:`coreops.operator_pair_dot_cores`, so neither A c(X), B^T X nor
-    the operator product B A is ever formed.
+    the operator product B A is ever formed.  The core sweeps raise
+    ``DimensionError`` when the mode sizes of ``a``, ``b``, ``f`` and ``x``
+    do not fit together.
     """
     base = _as_ortho(x)
-    modes = base.mode_sizes
-    if a.col_sizes != modes or b.row_sizes != modes:
-        raise DimensionError("operator mode sizes do not match the point")
-    if f.mode_sizes != a.row_sizes or b.col_sizes != a.row_sizes:
-        raise DimensionError("right-hand side mode sizes do not match the operators")
     bt_cores = [np.transpose(c, (0, 2, 1, 3)) for c in b.cores]
     bf = ttmat_apply(b, f)
 

@@ -711,6 +711,33 @@ class TestShapes:
         assert ad.slice_along(np.zeros((2, 7)), -1, 0, 2).shape == (2, 2)
 
 
+class TestVarOperators:
+    def test_reflected_and_power_operators(self, rng):
+        x = rng.uniform(0.5, 2.0, (2, 3))
+        m = rng.standard_normal((3, 4))
+        tape = ad.Tape()
+        v = tape.input(x)
+        np.testing.assert_array_equal((1.0 - v).value, 1.0 - x)
+        np.testing.assert_array_equal((1.0 / v).value, 1.0 / x)
+        np.testing.assert_array_equal((v ** 3).value, x * x * x)
+        np.testing.assert_array_equal((v @ m).value, np.tensordot(x, m, axes=([1], [0])))
+        np.testing.assert_array_equal(v.reshape((3, 2)).value, x.reshape(3, 2))
+        np.testing.assert_array_equal(ad.reshape(v, 6).value, x.reshape(6))
+        (g,) = ad.grad(tape, ad.reduce_sum(v ** 3), [v])
+        np.testing.assert_allclose(g, 3.0 * x * x, rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0])
+    def test_power_rejects_non_positive_integer(self, n):
+        v = ad.Tape().input(np.ones(2))
+        with pytest.raises(UnsupportedOperationError):
+            v ** n
+
+    def test_repr_names_op_shape_and_index(self):
+        tape = ad.Tape()
+        tape.input(1.0)
+        assert repr(tape.const(np.ones((2, 3)))) == "Var(op='const', shape=(2, 3), index=1)"
+
+
 GROUPS = ad.ModeSort([2, 0, 1, 2, 0], 3).groups(None)
 
 
@@ -745,12 +772,15 @@ class TestSameOnAndOffTape:
         "mode_matmul": ([(5, 2), (2, 3, 4)], lambda r, c: ad.mode_matmul(r, c, GROUPS)),
         "mode_outer": ([(5, 2), (5, 3)], lambda r, u: ad.mode_outer(r, u, GROUPS, 3)),
     }
-    # Inputs that broadcast or were clipped off a tape and raised on it.
+    # Inputs each op rejects with its own DimensionError, on arrays and on a
+    # tape alike, where numpy would broadcast, clip or raise its own error.
     INVALID = {
         "add_broadcast": ([np.ones(3), np.ones((2, 3))], ad.add),
         "mul_broadcast": ([np.ones((2, 1)), np.ones((2, 3))], ad.mul),
         "slice_past_end": ([np.arange(3.0)], lambda a: ad.slice_along(a, 0, 2, 5)),
         "batch_matmul_broadcast": ([np.ones((1, 2, 3)), np.ones((4, 3, 2))], ad.batch_matmul),
+        "gather_mode_2d": ([np.ones((2, 3))], lambda c: ad.gather_mode(c, [0, 1])),
+        "add_n_empty": ([], lambda *p: ad.add_n(list(p))),
     }
     # Axes past the last one, which were wrapped around on a tape.
     AXIS_OUT_OF_RANGE = {

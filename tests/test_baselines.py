@@ -26,7 +26,7 @@ from ttriem.bench import (
     make_instance,
     sample_indices,
 )
-from ttriem.errors import UnavailableMethodError
+from ttriem.errors import DimensionError, UnavailableMethodError
 from ttriem.objectives import (
     IndexSet,
     Objective,
@@ -106,6 +106,15 @@ class TestOptimized:
         assert tangent_residual(optimized_grad(obj, base), ad_grad(obj, base)) < 1e-8
         assert tangent_residual(optimized_hvp(obj, base, z), ad_hvp(obj, base, z)) < 1e-8
 
+    @pytest.mark.parametrize("build", [quadratic_form, rayleigh_quotient])
+    @pytest.mark.parametrize("method", ["ad", "naive", "optimized"])
+    @pytest.mark.parametrize("op", ["grad", "hvp"])
+    def test_operator_mode_mismatch(self, rng, instance, build, method, op):
+        base, z = instance
+        obj = build(random_symmetric_ttmat(rng, (2, 2, 2), 2))
+        with pytest.raises(DimensionError):
+            compute_method(obj, method, op, base, z)
+
     def test_gram_unavailable(self, rng, instance):
         base, z = instance
         obj = gram_quadratic_form(random_ttmat(rng, MODES, MODES, 2))
@@ -133,6 +142,14 @@ class TestFusedProjections:
         y = random_tt(rng, in_modes, (3, 4))  # ranks differ from the base's 2
         want = project_tt(base, ttmat_apply(a, y))
         assert tangent_residual(project_matvec(a, y, base), want) < 1e-10
+
+    @pytest.mark.parametrize("rows,cols", [((2, 4, 3), (2, 4, 3)), (MODES, MODES)])
+    def test_matvec_mode_mismatch(self, rng, instance, rows, cols):
+        # rows must be the point's modes, columns the modes of Y
+        base, _ = instance
+        a = random_ttmat(rng, rows, cols, 2)
+        with pytest.raises(DimensionError):
+            project_matvec(a, random_tt(rng, (2, 4, 3), 2), base)
 
     @pytest.mark.parametrize("n_terms", [1, 7])  # 7 exceeds every mode size
     def test_rank1_sum(self, rng, instance, n_terms):
@@ -305,6 +322,12 @@ class TestBench:
     def test_sample_indices_clipped_to_total(self):
         idx = sample_indices(np.random.default_rng(3), (2, 2), 100)
         assert len(idx) == 4
+
+    def test_sample_indices_beyond_dense_draw(self):
+        # more than 10^7 entries: rejection sampling instead of one choice
+        idx = sample_indices(np.random.default_rng(3), (5000, 5000), 40)
+        assert len(np.unique(idx, axis=0)) == len(idx) == 40
+        assert idx.min() >= 0 and idx.max() < 5000
 
 
 class TestCostRatioSpot:

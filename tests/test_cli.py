@@ -65,6 +65,11 @@ class TestDemo:
         out = capsys.readouterr().out
         assert "start" in out and "end" in out
 
+    def test_demo_eigen_with_step_size(self, capsys):
+        assert main(["demo", "eigen", "--steps", "5", "--step-size", "0.4"]) == 0
+        out = capsys.readouterr().out
+        assert "min eigenvalue 1" in out and "after 5 steps" in out
+
     def test_demo_with_initial_tensor_file(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         x0 = random_tt(rng, (3, 4, 3), 2)

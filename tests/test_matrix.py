@@ -63,6 +63,13 @@ class TestPoint:
         with pytest.raises(DimensionError):
             FixedRankPoint(np.ones((3, 0)), np.ones((0, 0)), np.ones((3, 0)))
 
+    def test_vector_s_is_the_diagonal(self, rng):
+        x = random_point(rng, 5, 4, 2)
+        y = FixedRankPoint(x.u, np.diag(x.s), x.v)
+        np.testing.assert_array_equal(y.s, x.s)
+        assert y.matches(x)
+        assert not y.matches(FixedRankPoint(x.u, 2.0 * np.diag(x.s), x.v))
+
     def test_from_dense_roundtrip(self, rng):
         m = rng.standard_normal((5, 4))
         x = FixedRankPoint.from_dense(m, 4)
@@ -275,6 +282,12 @@ class TestHessVec:
 
 
 class TestTangentDot:
+    def test_norm_is_frobenius_norm(self, rng):
+        x = random_point(rng, 5, 4, 2)
+        left, right = tangent_materialize(project_matrix(x, rng.standard_normal((5, 4))))
+        t = project_matrix(x, left @ right.T)
+        assert t.norm() == pytest.approx(np.linalg.norm(left @ right.T), rel=1e-12)
+
     def test_zero(self, rng):
         x = random_point(rng, 4, 3, 2)
         t0 = MatrixTangent(x, np.zeros((4, 2)), np.zeros((3, 2)))

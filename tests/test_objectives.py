@@ -192,6 +192,17 @@ class TestRayleigh:
         with pytest.raises(DegeneratePointError):
             obj.evaluate(cores_of(TtTensor([np.asarray(c) for c in tiny.cores])))
 
+    @pytest.mark.parametrize("method", ["ad", "naive", "optimized"])
+    @pytest.mark.parametrize("op", ["grad", "hvp"])
+    def test_degenerate_point_rejected_by_every_pipeline(self, rng, method, op):
+        from ttriem.baselines import compute_method
+
+        obj = rayleigh_quotient(random_symmetric_ttmat(rng, MODES, 2))
+        base = orthogonalize(tt_scale(1e-16, random_tt(rng, MODES, 2)))
+        z = project_tt(base, random_tt(rng, MODES, 2))
+        with pytest.raises(DegeneratePointError):
+            compute_method(obj, method, op, base, z)
+
 
 class TestCompletion:
     def test_single_entry(self):

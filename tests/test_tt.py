@@ -20,6 +20,7 @@ from ttriem.tt import (
     tt_axpy,
     tt_dot,
     tt_entries,
+    tt_norm,
     tt_read,
     tt_round,
     tt_scale,
@@ -58,6 +59,11 @@ class TestContainers:
         padded = pad_ranks(x, 5)
         assert padded.ranks == (1, 2, 2, 1)  # clipped to feasible ranks
         np.testing.assert_array_equal(tt_to_dense(padded), tt_to_dense(x))
+
+    def test_reprs(self):
+        assert repr(all_ones()) == "TtTensor(modes=(2, 2, 2), ranks=(1, 1, 1, 1))"
+        want = "TtMatrix(rows=(2, 3), cols=(2, 3), ranks=(1, 1, 1))"
+        assert repr(ttmat_identity((2, 3))) == want
 
     def test_cores_are_read_only(self, rng):
         x = random_tt(rng, (2, 3, 2), (2, 2))
@@ -111,6 +117,12 @@ class TestOrthogonalize:
         mo = orthogonalize(x)
         assert all(s.shape == c.shape for s, c in zip(mo.S, x.cores))
         assert (mo.ndim, mo.mode_sizes, mo.ranks) == (x.ndim, x.mode_sizes, x.ranks)
+
+    def test_matches(self, rng):
+        x = random_tt(rng, (2, 3, 2), (2, 2))
+        assert orthogonalize(x).matches(orthogonalize(x))  # equal factors, two objects
+        assert not orthogonalize(x).matches(orthogonalize(tt_scale(2.0, x)))
+        assert not orthogonalize(x).matches(orthogonalize(random_tt(rng, (2, 3, 3), (2, 2))))
 
     @pytest.mark.parametrize("func", [
         tt_to_dense,
@@ -180,6 +192,10 @@ class TestDot:
     def test_mode_mismatch(self, rng):
         with pytest.raises(DimensionError):
             tt_dot(random_tt(rng, (2, 3), (2,)), random_tt(rng, (2, 4), (2,)))
+
+    def test_norm(self, rng):
+        x = random_tt(rng, (2, 3, 4), (3, 2))
+        assert tt_norm(x) == pytest.approx(np.linalg.norm(tt_to_dense(x)), rel=1e-12)
 
 
 class TestEntries:

@@ -13,6 +13,7 @@ from ttriem.tt import (
     random_tt,
     random_ttmat,
     tt_axpy,
+    tt_round,
     tt_scale,
     tt_to_dense,
     ttmat_apply,
@@ -89,6 +90,15 @@ class TestDeltasToCores:
         with pytest.raises(DimensionError):
             deltas_to_cores(base, bad)
 
+    @pytest.mark.parametrize("count", [2, 4], ids=["d-1", "d+1"])
+    def test_wrong_count(self, base, count):
+        # one count check serves both callers
+        deltas = [np.zeros(base.S[min(k, 2)].shape) for k in range(count)]
+        with pytest.raises(DimensionError):
+            deltas_to_cores(base, deltas)
+        with pytest.raises(DimensionError):
+            TtTangent(base, deltas)
+
 
 class TestProject:
     def test_project_point_gives_center_last_delta(self, base):
@@ -151,6 +161,15 @@ class TestTangentValidation:
                   for d, u in zip(t.deltas, base.U)]
         fixed = TtTangent(base, fuzzed)
         assert max(fixed.gauge_residuals()) < 1e-12
+
+    def test_tiny_violation_regauged(self, rng, base):
+        # every accepted input is projected, however small its residual
+        t = project_tt(base, random_tt(rng, MODES, (2, 2)))
+        fuzzed = [d + 3e-11 * u if u is not None else d
+                  for d, u in zip(t.deltas, base.U)]
+        assert 1e-12 < max(TtTangent._trusted(base, fuzzed).gauge_residuals()) < 1e-10
+        fixed = TtTangent(base, fuzzed)
+        assert fixed.ndim == 3 and max(fixed.gauge_residuals()) < 1e-12
 
 
 class TestRiemannianGrad:
@@ -344,6 +363,20 @@ class TestPreconditionedResidual:
         with pytest.raises(DimensionError):
             preconditioned_residual(a, a, random_tt(rng, (2, 3, 3), (2, 2)), base)
 
+    @pytest.mark.parametrize("wrong", ["a_rows", "a_cols", "b_rows", "b_cols", "f"])
+    def test_each_operand_mismatch_raises(self, rng, base, wrong):
+        # the core sweeps check every operand; one of them at a time is off
+        other = (2, 3, 3)
+        rows_a, cols_a, rows_b, cols_b, f_modes = [
+            other if wrong == name else MODES
+            for name in ("a_rows", "a_cols", "b_rows", "b_cols", "f")
+        ]
+        a = random_ttmat(rng, rows_a, cols_a, 2)
+        b = random_ttmat(rng, rows_b, cols_b, 2)
+        f = random_tt(rng, f_modes, (2, 2))
+        with pytest.raises(DimensionError):
+            preconditioned_residual(a, b, f, base)
+
 
 class TestPointAsTangent:
     def test_materializes_to_point(self, base):
@@ -351,3 +384,18 @@ class TestPointAsTangent:
         np.testing.assert_allclose(
             tt_to_dense(t.materialize()), tt_to_dense(base.to_tt()), atol=1e-12
         )
+
+
+class TestOrderOne:
+    def test_general_sweeps_cover_one_mode(self, rng):
+        # orthogonalize, tt_round and project_tt run their general sweeps
+        x, z = random_tt(rng, (5,), ()), random_tt(rng, (5,), ())
+        base = orthogonalize(x)
+        assert base.U == (None,) and base.V == (None,)
+        np.testing.assert_array_equal(base.S[0], x.cores[0])
+        for tol in (0.0, 0.5):
+            np.testing.assert_array_equal(tt_round(x, [], tol).cores[0], x.cores[0])
+        t = project_tt(base, z)  # the tangent space at a 1-mode point is everything
+        assert t.ndim == 1
+        np.testing.assert_array_equal(t.deltas[0], z.cores[0])
+        np.testing.assert_array_equal(t.materialize().cores[0], z.cores[0])
