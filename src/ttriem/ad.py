@@ -6,8 +6,11 @@ in every case, and with a :class:`Var` among its operands it also records
 a node on that tape, other operands becoming constants.  A node stores its
 parents and one adjoint rule per parent; ``rules[i](u)`` maps the node's
 adjoint ``u`` to the contribution for ``parents[i]``.  Rules are written in
-terms of these operations, so a reverse sweep emits recordable nodes and
-the result of ``grad`` can be differentiated again (nested AD).
+terms of these operations.  A sweep that returns ``Var``s
+(``grad(..., as_vars=True)``) therefore records its adjoints as nodes, and
+its result can be differentiated again (nested AD); a value-only sweep (the
+default) mutes the tape while it runs, so its rules compute plain arrays
+and append nothing.
 
 The mode operations take a TT core's slices per mode value: ``gather_mode``
 and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
@@ -157,13 +160,15 @@ class Tape:
     """Recorded computation graph; nodes are stored in creation order.
 
     Creation order is a topological order (a node's parents always precede
-    it), and the reverse sweep appends its own nodes at the end, so a tape
-    that has been swept once can be swept again to differentiate through
-    the first sweep.
+    it), and a recording reverse sweep appends its own nodes at the end, so
+    a tape that has been swept once can be swept again to differentiate
+    through the first sweep.  While ``recording`` is false, operations read
+    this tape's ``Var``s as their plain values and record nothing.
     """
 
     def __init__(self):
         self.nodes = []
+        self.recording = True
 
     def __len__(self):
         return len(self.nodes)
@@ -203,10 +208,12 @@ def grad(tape, output, wrt, as_vars=False):
 
     The sweep walks nodes in decreasing creation index and calls each
     node's adjoint rule for every differentiable parent; this is the only
-    place a parent is skipped.  Rules emit their computations as new nodes
-    on the same tape, so the returned gradients (``as_vars=True``) can be
-    differentiated again.  With the default ``as_vars=False`` the plain
-    ndarray values are returned.
+    place a parent is skipped.  With ``as_vars=True`` the rules emit their
+    computations as new nodes on the same tape, so the returned gradients
+    can be differentiated again.  With the default ``as_vars=False`` the
+    sweep is value-only: the tape stops recording until it returns (also
+    when a rule raises), the rules compute plain ndarrays, the tape gains no
+    node and those arrays are returned.
     """
     if not isinstance(output, Var) or output.tape is not tape:
         raise InvalidVariableError("output does not belong to the given tape")
@@ -216,28 +223,29 @@ def grad(tape, output, wrt, as_vars=False):
         if not isinstance(w, Var) or w.tape is not tape or w.op != "input":
             raise InvalidVariableError("wrt variables must be inputs of the tape")
 
-    wanted = {w.index for w in wrt}
-    results = {}
-    contribs = defaultdict(list, {output.index: [tape.const(np.ones(()))]})
-    for i in range(output.index, -1, -1):
-        lst = contribs.pop(i, None)
-        if lst is None:
-            continue
-        node = tape.nodes[i]
-        adj = lst[0] if len(lst) == 1 else add_n(lst)
-        if i in wanted:
-            results[i] = adj
-        for parent, rule in zip(node.parents, node.rules):
-            if parent.diff:
-                contribs[parent.index].append(rule(adj))
-
-    out = []
-    for w in wrt:
-        g = results.get(w.index)
-        if g is None:
-            g = tape.const(np.zeros(w.value.shape))
-        out.append(g if as_vars else g.value)
-    return out
+    recording = tape.recording
+    tape.recording = recording and bool(as_vars)
+    # The seed and the zero gradients: const Vars on a recording tape.
+    lift = tape.const if tape.recording else np.asarray
+    try:
+        wanted = {w.index for w in wrt}
+        results = {}
+        contribs = defaultdict(list, {output.index: [lift(np.ones(()))]})
+        for i in range(output.index, -1, -1):
+            lst = contribs.pop(i, None)
+            if lst is None:
+                continue
+            node = tape.nodes[i]
+            adj = lst[0] if len(lst) == 1 else add_n(lst)
+            if i in wanted:
+                results[i] = adj
+            for parent, rule in zip(node.parents, node.rules):
+                if parent.diff:
+                    contribs[parent.index].append(rule(adj))
+        return [results[w.index] if w.index in results else lift(np.zeros(w.value.shape))
+                for w in wrt]
+    finally:
+        tape.recording = recording
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +255,15 @@ def grad(tape, output, wrt, as_vars=False):
 # which return the tape (None off a tape), the operands and their float64
 # values.  The op validates and computes on those values, so it does both
 # the same way on and off a tape, and records a node only when there is one.
+# A Var whose tape is not recording (a value-only sweep) counts as its value.
 
 
 def _operand(a):
     # (tape, a, a's value).
     if isinstance(a, Var):
-        return a.tape, a, a.value
+        if a.tape.recording:
+            return a.tape, a, a.value
+        a = a.value
     a = np.asarray(a, dtype=np.float64)
     return None, a, a
 
@@ -260,36 +271,33 @@ def _operand(a):
 def _operands(a, b):
     # (tape, a, b, a's value, b's value); beside a Var, a plain operand is
     # lifted onto its tape as a constant.
-    if isinstance(a, Var):
-        tape = a.tape
-        if not isinstance(b, Var):
-            b = tape.const(b)
-        elif b.tape is not tape:
-            raise InvalidVariableError("operands live on different tapes")
-    elif isinstance(b, Var):
-        tape = b.tape
-        a = tape.const(a)
-    else:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        return None, a, b, a, b
-    return tape, a, b, a.value, b.value
+    tape, a, av = _operand(a)
+    tape_b, b, bv = _operand(b)
+    if tape is None:
+        if tape_b is not None:
+            tape = tape_b
+            a = tape.const(av)
+    elif tape_b is None:
+        b = tape.const(bv)
+    elif tape_b is not tape:
+        raise InvalidVariableError("operands live on different tapes")
+    return tape, a, b, av, bv
 
 
 def _operand_list(parts):
     # (tape, operands, values) of a list of operands, lifted as by _operands.
+    lifted = [_operand(p) for p in parts]
     tape = None
-    for p in parts:
-        if isinstance(p, Var):
+    for t, _, _ in lifted:
+        if t is not None:
             if tape is None:
-                tape = p.tape
-            elif p.tape is not tape:
+                tape = t
+            elif t is not tape:
                 raise InvalidVariableError("operands live on different tapes")
+    vals = [v for _, _, v in lifted]
     if tape is None:
-        parts = [np.asarray(p, dtype=np.float64) for p in parts]
-        return None, parts, parts
-    parts = [p if isinstance(p, Var) else tape.const(p) for p in parts]
-    return tape, parts, [p.value for p in parts]
+        return None, vals, vals
+    return tape, [p if t is not None else tape.const(v) for t, p, v in lifted], vals
 
 
 def _node(tape, val, op, parents, rules):
@@ -300,7 +308,7 @@ def _node(tape, val, op, parents, rules):
 def _unbroadcast(g, shape):
     # Elementwise ops allow mixing a scalar with a tensor; fold the gradient
     # of the scalar operand back down.
-    if g.value.shape != shape and shape == ():
+    if g.shape != shape and shape == ():
         return reduce_sum(g)
     return g
 
@@ -418,10 +426,10 @@ def slice_along(a, axis, start, stop):
         after[axis] = extent - stop
         parts = []
         if start > 0:
-            parts.append(a.tape.const(np.zeros(before)))
+            parts.append(np.zeros(before))
         parts.append(u)
         if extent - stop > 0:
-            parts.append(a.tape.const(np.zeros(after)))
+            parts.append(np.zeros(after))
         return concat(parts, axis) if len(parts) > 1 else u
 
     return _node(tape, av[(slice(None),) * axis + (slice(start, stop),)], "slice", (a,), (rule,))
@@ -431,12 +439,12 @@ def reduce_sum(a, axes=None):
     tape, a, av = _operand(a)
     if axes is None:
         return _node(tape, np.sum(av), "sum", (a,),
-                     (lambda u: mul(u, a.tape.const(np.ones(a.value.shape))),))
+                     (lambda u: mul(u, np.ones(a.value.shape)),))
 
     axes = sorted(range(av.ndim)[ax] for ax in axes)  # as in contract: no axis is wrapped round
 
     def rule(u):
-        ones = a.tape.const(np.ones(tuple(a.value.shape[ax] for ax in axes)))
+        ones = np.ones(tuple(a.value.shape[ax] for ax in axes))
         outer = contract(u, ones, [])  # kept axes then summed axes
         nd = a.value.ndim
         perm = [0] * nd

@@ -466,17 +466,29 @@ def random_tt(rng, mode_sizes, ranks) -> TtTensor:
     return TtTensor(cores)
 
 
-def random_ttmat(rng, row_sizes, col_sizes, rank) -> TtMatrix:
+def _random_operator_cores(rng, row_sizes, col_sizes, rank):
+    # One standard normal core per mode, drawn in mode order.
     d = len(row_sizes)
     full = (1,) + tuple([int(rank)] * (d - 1)) + (1,)
-    cores = [
-        rng.standard_normal((full[k], row_sizes[k], col_sizes[k], full[k + 1]))
-        for k in range(d)
-    ]
-    return TtMatrix(cores)
+    for k in range(d):
+        yield rng.standard_normal((full[k], row_sizes[k], col_sizes[k], full[k + 1]))
+
+
+def random_ttmat(rng, row_sizes, col_sizes, rank) -> TtMatrix:
+    return TtMatrix(_random_operator_cores(rng, row_sizes, col_sizes, rank))
+
+
+def _symmetrized(c):
+    c += np.transpose(c, (0, 2, 1, 3))  # numpy buffers the overlapping operand
+    c /= 2.0
+    return c
 
 
 def random_symmetric_ttmat(rng, mode_sizes, rank) -> TtMatrix:
-    """Symmetric operator: every core is symmetrized in its (row, col) pair."""
-    a = random_ttmat(rng, mode_sizes, mode_sizes, rank)
-    return TtMatrix([(c + np.transpose(c, (0, 2, 1, 3))) / 2.0 for c in a.cores])
+    """Symmetric operator: every core is symmetrized in its (row, col) pair.
+
+    Each core is symmetrized in place as it is drawn, and the operator
+    copies it once.
+    """
+    return TtMatrix(_symmetrized(c)
+                    for c in _random_operator_cores(rng, mode_sizes, mode_sizes, rank))

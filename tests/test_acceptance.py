@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from ttriem import ad
 from ttriem.baselines import demo_complete, demo_eigen, demo_solve
-from ttriem.bench import complexity_ratios, objective_suite
+from ttriem.bench import BenchConfig, complexity_ratios, make_instance, objective_suite
 from ttriem.oracles import (
     dense_preconditioned_residual,
     dense_residual,
@@ -26,6 +27,7 @@ from ttriem.tt import (
 )
 from ttriem.ttmanifold import (
     hess_vec_tt,
+    point_as_tangent,
     preconditioned_residual,
     project_tt,
     riemannian_grad_tt,
@@ -144,6 +146,48 @@ def test_criterion_4_complexity_contract(rank):
     assert res["grad_over_eval"] <= 10.0
     assert res["hvp_over_eval"] <= 25.0
     assert elapsed < 30.0
+
+
+def _swept_tape_nodes(monkeypatch, call):
+    """Nodes on the tape that ``call`` sweeps, and the nodes each of its
+    value-only sweeps appends."""
+    nodes, appended = [], []
+    sweep = ad.grad
+
+    def counting_grad(tape, output, wrt, as_vars=False):
+        before = len(tape)
+        out = sweep(tape, output, wrt, as_vars=as_vars)
+        nodes.append(len(tape))
+        if not as_vars:
+            appended.append(len(tape) - before)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(ad, "grad", counting_grad)
+        call()
+    return nodes[-1], appended
+
+
+def test_criterion_4_node_counts(monkeypatch):
+    """Criterion 4 as a count: the tape nodes of the AD grad and HVP over
+    those of one evaluation are the same at r = 5, 10 and 20, on the
+    criterion's qf instances, and no value-only sweep appends a node."""
+    ratios = {}
+    for rank in (5, 10, 20):
+        objective, base, z = make_instance(
+            BenchConfig("qf", "ad", "grad", 6, 10, rank, rank, 5, seed=rank))
+        block = point_as_tangent(base).materialize().cores
+        tape, _ = ad.record(block, lambda *cores: objective.evaluate(list(cores)))
+        grad_nodes, grad_appended = _swept_tape_nodes(
+            monkeypatch, lambda: riemannian_grad_tt(objective.evaluate, base))
+        hvp_nodes, hvp_appended = _swept_tape_nodes(
+            monkeypatch, lambda: hess_vec_tt(objective.evaluate, base, z))
+        assert grad_appended == [0] and hvp_appended == [0]
+        ratios[rank] = (grad_nodes / len(tape), hvp_nodes / len(tape))
+    ok = len(set(ratios.values())) == 1
+    _report(4, ok, "tape nodes over eval nodes, grad/hvp: " + ", ".join(
+        f"r={r} {g:.3f}/{h:.3f}" for r, (g, h) in ratios.items()))
+    assert ok
 
 
 def test_criterion_5_stop_gradient_preconditioned_residual():

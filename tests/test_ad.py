@@ -648,6 +648,9 @@ class TestNestedAd:
 
 
 class TestCostContract:
+    # The budgets count the adjoint structure a recording sweep
+    # (as_vars=True) appends; a value-only sweep appends none
+    # (TestValueOnlySweep).
     PROGRAMS = [
         lambda v: ad.reduce_sum(ad.exp(ad.sin(v)) * v),
         lambda v: ad.reduce_sum(ad.cos(v * v) / (v * v + 2.0)),
@@ -660,7 +663,7 @@ class TestCostContract:
         x = rng.standard_normal((size, size))
         tape, out = ad.record([x], self.PROGRAMS[prog_id])
         primal_nodes = len(tape)
-        ad.grad(tape, out, [tape.nodes[0]])
+        ad.grad(tape, out, [tape.nodes[0]], as_vars=True)
         sweep_nodes = len(tape) - primal_nodes
         assert sweep_nodes <= 4 * primal_nodes
 
@@ -674,7 +677,7 @@ class TestCostContract:
         a = tape.input(a) if a_is_input else tape.const(a)
         out = ad.reduce_sum(ad.contract(a, x, [(1, 0)]))
         primal = len(tape)
-        ad.grad(tape, out, [x])
+        ad.grad(tape, out, [x], as_vars=True)
         assert [n.op for n in tape.nodes[primal:]].count("contract") == contracts
 
     def test_budget_independent_of_size(self, rng):
@@ -683,9 +686,66 @@ class TestCostContract:
             x = rng.standard_normal((size,))
             tape, out = ad.record([x], self.PROGRAMS[0])
             primal = len(tape)
-            ad.grad(tape, out, [tape.nodes[0]])
+            ad.grad(tape, out, [tape.nodes[0]], as_vars=True)
             counts.append((len(tape) - primal) / primal)
         assert max(counts) == min(counts)  # purely structural
+
+
+class TestValueOnlySweep:
+    # The cost-contract programs, and one whose rules lift plain zeros and
+    # ones (slice_along, reduce_sum over axes, concat).
+    PROGRAMS = TestCostContract.PROGRAMS + [
+        lambda v: ad.reduce_sum(ad.sin(ad.reduce_sum(
+            ad.concat([ad.slice_along(v, 0, 1, 3), ad.exp(v)], 0), axes=(1,))) * 3.0),
+    ]
+
+    @pytest.mark.parametrize("prog_id", range(len(PROGRAMS)))
+    def test_appends_no_node_and_matches_recording_sweep(self, prog_id, rng):
+        x = rng.standard_normal((4, 3))
+        tape, out = ad.record([x], self.PROGRAMS[prog_id])
+        primal = len(tape)
+        (g,) = ad.grad(tape, out, [tape.nodes[0]])
+        assert len(tape) == primal
+        tape, out = ad.record([x], self.PROGRAMS[prog_id])
+        (gv,) = ad.grad(tape, out, [tape.nodes[0]], as_vars=True)
+        assert isinstance(g, np.ndarray) and isinstance(gv, ad.Var)
+        assert np.array_equal(g, gv.value)
+
+    def test_raising_rule_leaves_tape_recording(self):
+        def boom(u):
+            raise RuntimeError("rule failed")
+
+        tape = ad.Tape()
+        x = tape.input(np.ones(3))
+        out = ad.reduce_sum(ad.Var(tape, ad.exp(x).value, "boom", (x,), (boom,)))
+        with pytest.raises(RuntimeError, match="rule failed"):
+            ad.grad(tape, out, [x])
+        assert tape.recording
+        before = len(tape)
+        assert isinstance(ad.exp(x), ad.Var) and len(tape) == before + 1
+
+    def test_hess_vec_outer_sweep_appends_no_node(self, rng, monkeypatch):
+        from ttriem.objectives import quadratic_form
+        from ttriem.tt import orthogonalize, random_symmetric_ttmat, random_tt
+        from ttriem.ttmanifold import hess_vec_tt, project_tt
+
+        modes = (2, 3, 2)
+        base = orthogonalize(random_tt(rng, modes, 2))
+        z = project_tt(base, random_tt(rng, modes, 2))
+        obj = quadratic_form(random_symmetric_ttmat(rng, modes, 2))
+        sweeps = []
+        sweep = ad.grad
+
+        def counting_grad(tape, *args, as_vars=False):
+            before = len(tape)
+            out = sweep(tape, *args, as_vars=as_vars)
+            sweeps.append((as_vars, len(tape) - before))
+            return out
+
+        monkeypatch.setattr(ad, "grad", counting_grad)
+        hess_vec_tt(obj.evaluate, base, z)
+        assert [as_vars for as_vars, _ in sweeps] == [True, False]
+        assert sweeps[0][1] > 0 and sweeps[1][1] == 0
 
 
 class TestShapes:
