@@ -183,6 +183,18 @@ class Tape:
         arr = np.asarray(value, dtype=np.float64)
         return Var(self, arr, "const", diff=False)
 
+    def clear(self):
+        """Drop every node, unlinked from its parents and adjoint rules.
+
+        A tape is a reference cycle (its nodes refer to it, and elementwise
+        rules to their own node), so without this a finished tape and its
+        arrays wait for the cyclic collector.  The dropped ``Var``s must not
+        be used again.
+        """
+        for node in self.nodes:
+            node.parents = node.rules = ()
+        self.nodes.clear()
+
 
 def record(inputs, program):
     """Run ``program`` on a fresh tape and return ``(tape, output)``.

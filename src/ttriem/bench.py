@@ -101,15 +101,10 @@ class BenchRecord:
 def sample_indices(rng, mode_sizes, count):
     """Distinct multi-indices, uniformly without replacement."""
     total = int(np.prod([float(n) for n in mode_sizes]))
-    count = min(count, total)
-    if total <= 10**7:
-        flat = rng.choice(total, size=count, replace=False)
-    else:
-        seen = set()
-        while len(seen) < count:
-            draw = rng.integers(0, total, size=count - len(seen))
-            seen.update(int(v) for v in draw)
-        flat = np.fromiter(seen, dtype=np.int64, count=count)
+    # Without replacement, Generator.choice needs O(count) memory whatever
+    # the population: it permutes the whole range only when count exceeds a
+    # fiftieth of it.
+    flat = rng.choice(total, size=min(count, total), replace=False)
     return np.array(np.unravel_index(flat, mode_sizes)).T
 
 

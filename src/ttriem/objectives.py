@@ -53,8 +53,6 @@ __all__ = [
 # beyond it the method is reported unavailable (the out-of-memory analog).
 NAIVE_RANK_CAP = 300
 
-_SYM_CHECK_CAP = 4096
-
 
 class IndexSet:
     """Observed entries for completion: (N, d) indices plus values."""
@@ -162,19 +160,30 @@ class Objective:
         return program
 
 
-def _maybe_check_symmetric(a: TtMatrix, name):
-    size = float(np.prod(a.row_sizes)) * float(np.prod(a.col_sizes))
-    if a.row_sizes != a.col_sizes or size > _SYM_CHECK_CAP:
-        return
-    dense = ttmat_to_dense(a)
-    scale = max(np.abs(dense).max(), 1.0)
-    if np.abs(dense - dense.T).max() > 1e-10 * scale:
+def _check_symmetric(a: TtMatrix, name):
+    """Reject a non-square or nonsymmetric operator, at any size.
+
+    Compares <A x, y> with <A y, x> for two rank-1 probes; for A - A^T != 0
+    they differ for almost every draw.  The probes come from a fixed
+    private seed, so the check consumes nothing of the caller's generator.
+    """
+    if a.row_sizes != a.col_sizes:
+        raise InvalidDataError(
+            f"{name} requires a square operator, got row sizes {a.row_sizes} "
+            f"and column sizes {a.col_sizes}"
+        )
+    probe = np.random.default_rng(0)
+    xs = [probe.standard_normal((1, n, 1)) for n in a.row_sizes]
+    ys = [probe.standard_normal((1, n, 1)) for n in a.row_sizes]
+    axy = float(coreops.operator_dot_cores(a.cores, xs, ys))
+    ayx = float(coreops.operator_dot_cores(a.cores, ys, xs))
+    if abs(axy - ayx) > 1e-10 * max(abs(axy), abs(ayx)):
         raise InvalidDataError(f"{name} requires a symmetric operator")
 
 
 def quadratic_form(a: TtMatrix) -> Objective:
     """f(X) = <A X, X> for symmetric A; gradient 2 A X, Hessian map 2 A Z."""
-    _maybe_check_symmetric(a, "quadratic_form")
+    _check_symmetric(a, "quadratic_form")
     a_cores = list(a.cores)
 
     def evaluate(cores):
@@ -234,7 +243,7 @@ def _rayleigh_denominator(sxx):
 
 def rayleigh_quotient(a: TtMatrix) -> Objective:
     """f(X) = <A X, X> / <X, X> for symmetric A."""
-    _maybe_check_symmetric(a, "rayleigh_quotient")
+    _check_symmetric(a, "rayleigh_quotient")
     a_cores = list(a.cores)
 
     def evaluate(cores):

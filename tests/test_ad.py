@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -746,6 +749,23 @@ class TestValueOnlySweep:
         hess_vec_tt(obj.evaluate, base, z)
         assert [as_vars for as_vars, _ in sweeps] == [True, False]
         assert sweeps[0][1] > 0 and sweeps[1][1] == 0
+
+
+class TestTapeClear:
+    def test_cleared_tape_freed_without_collector(self, rng):
+        tape, out = ad.record([rng.standard_normal(3)], lambda v: ad.exp(v * v).sum())
+        (g,) = ad.grad(tape, out, [tape.nodes[0]], as_vars=True)
+        ad.grad(tape, g.sum(), [tape.nodes[0]])
+        ref = weakref.ref(tape)
+        del out, g
+        gc.disable()
+        try:
+            tape.clear()
+            assert len(tape) == 0
+            del tape
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestShapes:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -324,10 +326,22 @@ class TestBench:
         assert len(idx) == 4
 
     def test_sample_indices_beyond_dense_draw(self):
-        # more than 10^7 entries: rejection sampling instead of one choice
+        # 2.5e7 entries: one choice without replacement, as for small ones
         idx = sample_indices(np.random.default_rng(3), (5000, 5000), 40)
         assert len(np.unique(idx, axis=0)) == len(idx) == 40
         assert idx.min() >= 0 and idx.max() < 5000
+
+    def test_sample_indices_memory_independent_of_population(self):
+        # 1e10 entries: a draw that permuted the range would need 80 GB
+        sample_indices(np.random.default_rng(2), (100000, 100000), 40)  # warm-up
+        tracemalloc.start()
+        try:
+            idx = sample_indices(np.random.default_rng(3), (100000, 100000), 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(np.unique(idx, axis=0)) == len(idx) == 40
 
 
 class TestCostRatioSpot:

@@ -486,6 +486,28 @@ class TestIndexSetIo:
             IndexSet(np.array([[0, 0.5, 0]]), np.array([1.0]))
 
 
+SYMMETRIC_CONSTRUCTORS = [quadratic_form, rayleigh_quotient]
+
+
+class TestSymmetryCheckAtEverySize:
+    # The probe runs at every size; this operator has 1,048,576 entries.
+    @pytest.mark.parametrize("make", SYMMETRIC_CONSTRUCTORS)
+    def test_large_nonsymmetric_rejected(self, make):
+        a = random_ttmat(np.random.default_rng(0), (4,) * 5, (4,) * 5, 2)
+        with pytest.raises(InvalidDataError, match="symmetric"):
+            make(a)
+
+    @pytest.mark.parametrize("modes", [(2, 3, 2), (4,) * 5, (8,) * 8, (512, 512)])
+    @pytest.mark.parametrize("make", SYMMETRIC_CONSTRUCTORS)
+    def test_symmetric_accepted(self, rng, make, modes):
+        make(random_symmetric_ttmat(rng, modes, 2))
+
+    @pytest.mark.parametrize("make", SYMMETRIC_CONSTRUCTORS)
+    def test_non_square_rejected(self, rng, make):
+        with pytest.raises(InvalidDataError, match="square"):
+            make(random_ttmat(rng, (2, 3), (3, 2), 2))
+
+
 class TestSymmetryCheckUnderOptimize:
     def test_nonsymmetric_operator_rejected_under_dash_o(self):
         code = (

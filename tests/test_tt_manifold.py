@@ -1,7 +1,12 @@
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from ttriem import coreops
+from ttriem import ad, coreops
+from ttriem.bench import objective_suite
 from ttriem.errors import DimensionError, InvalidPairError, InvalidTangentError
 from ttriem.matrix import FixedRankPoint
 from ttriem.objectives import quadratic_form
@@ -9,6 +14,7 @@ from ttriem.oracles import dense_preconditioned_residual, dense_project, tangent
 from ttriem.tt import (
     TtTensor,
     orthogonalize,
+    pad_ranks,
     random_symmetric_ttmat,
     random_tt,
     random_ttmat,
@@ -22,6 +28,9 @@ from ttriem.tt import (
 )
 from ttriem.ttmanifold import (
     TtTangent,
+    _apply_gauge,
+    _block_cores,
+    _delta_seed,
     deltas_to_cores,
     hess_vec_tt,
     point_as_tangent,
@@ -399,3 +408,134 @@ class TestOrderOne:
         assert t.ndim == 1
         np.testing.assert_array_equal(t.deltas[0], z.cores[0])
         np.testing.assert_array_equal(t.materialize().cores[0], z.cores[0])
+
+
+def inner_gauged_hess_vec(p, base, z):
+    """The HVP with its inner gradient gauged on the tape: one recorded
+    projection pass before the dot with z."""
+    tape = ad.Tape()
+    rvars = [tape.input(v) for v in _delta_seed(base)]
+    inner = ad.grad(tape, p(_block_cores(base, rvars)), rvars, as_vars=True)
+    for k in range(base.ndim - 1):
+        rl, n, rr = base.U[k].shape
+        ul = tape.const(base.U[k].reshape(rl * n, rr))
+        dk = ad.reshape(inner[k], (rl * n, rr))
+        dk = ad.sub(dk, ad.contract(ul, ad.contract(ul, dk, [(0, 0)]), [(1, 0)]))
+        inner[k] = ad.reshape(dk, (rl, n, rr))
+    w = ad.contract(inner[0], tape.const(z.deltas[0]), [(0, 0), (1, 1), (2, 2)])
+    for g, dz in zip(inner[1:], z.deltas[1:]):
+        w = ad.add(w, ad.contract(g, tape.const(dz), [(0, 0), (1, 1), (2, 2)]))
+    raw = ad.grad(tape, w, rvars)
+    return TtTangent._trusted(base, _apply_gauge(base, raw))
+
+
+def double_projection(base, deltas):
+    """The per-mode double gauge projection, written out as one loop."""
+    out = list(deltas)
+    for k in range(base.ndim - 1):
+        u = base.U[k]
+        rl, n, rr = u.shape
+        ul = u.reshape(rl * n, rr)
+        dk = out[k].reshape(rl * n, rr)
+        dk = dk - ul @ (ul.T @ dk)
+        dk = dk - ul @ (ul.T @ dk)
+        out[k] = dk.reshape(rl, n, rr)
+    return out
+
+
+def nearly_gauged_tangent(rng, base):
+    """A TtTangent built from deltas whose gauge residual is just below the
+    1e-8 rejection threshold."""
+    deltas = list(project_tt(base, random_tt(rng, base.mode_sizes, 2)).deltas)
+    for k, u in enumerate(base.U[:-1]):
+        scale = max(1.0, np.linalg.norm(deltas[k])) / np.sqrt(u.shape[2])
+        deltas[k] = deltas[k] + 0.9e-8 * scale * u
+    worst = max(TtTangent._trusted(base, deltas).gauge_residuals())
+    assert 5e-9 < worst < 1e-8
+    return TtTangent(base, deltas)
+
+
+def delta_distance(got, want):
+    num = sum(np.sum((g - w) ** 2) for g, w in zip(got.deltas, want.deltas))
+    den = sum(np.sum(w ** 2) for w in want.deltas)
+    return float(np.sqrt(num / den))
+
+
+HVP_MODES = (3, 4, 3)
+
+
+def hvp_base(rng, padded):
+    """A base point on HVP_MODES at rank 2, or a rank-1 tensor padded to it."""
+    x = random_tt(rng, HVP_MODES, 1 if padded else 2)
+    return orthogonalize(pad_ranks(x, 2) if padded else x)
+
+
+class TestUngaugedInnerGradient:
+    # The HVP dots the inner gradient G with z without gauging it: z is
+    # gauged and the projection P is self-adjoint, so <P G, z> = <G, z>.
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["regular", "over-ranked"])
+    def test_matches_inner_gauged_reference(self, rng, padded):
+        base = hvp_base(rng, padded)
+        z = nearly_gauged_tangent(rng, base)
+        for obj in objective_suite(rng, HVP_MODES, 2):
+            got = hess_vec_tt(obj.evaluate, base, z)
+            want = inner_gauged_hess_vec(obj.evaluate, base, z)
+            assert delta_distance(got, want) <= 1e-13, obj.name
+
+    def test_dot_with_z_is_the_only_record_after_inner_sweep(self, rng, monkeypatch):
+        base = hvp_base(rng, False)
+        z = project_tt(base, random_tt(rng, HVP_MODES, 2))
+        obj = objective_suite(rng, HVP_MODES, 2)[0]
+        after_inner, between = [], []
+        sweep = ad.grad
+
+        def marking_grad(tape, output, wrt, as_vars=False):
+            if not as_vars:
+                between.append(Counter(n.op for n in tape.nodes[after_inner[0]:]))
+            out = sweep(tape, output, wrt, as_vars=as_vars)
+            if as_vars:
+                after_inner.append(len(tape))
+            return out
+
+        monkeypatch.setattr(ad, "grad", marking_grad)
+        hess_vec_tt(obj.evaluate, base, z)
+        d = base.ndim
+        assert between == [Counter({"const": d, "contract": d, "add_n": 1})]
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["regular", "over-ranked"])
+    def test_apply_gauge_is_the_double_projection(self, rng, padded):
+        base = hvp_base(rng, padded)
+        deltas = [rng.standard_normal(s.shape) for s in base.S]
+        # dominated by the U range, where the second pass matters
+        deltas[0] = deltas[0] * 1e-9 + base.U[0]
+        for got, want in zip(_apply_gauge(base, deltas), double_projection(base, deltas)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestTapesFreedOnReturn:
+    # A tape is a reference cycle; the manifold routines clear theirs, so
+    # its arrays are freed when the call returns, not by the collector.
+    @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
+    def test_tapes_freed_without_collector(self, rng, monkeypatch, hvp):
+        base = hvp_base(rng, False)
+        z = project_tt(base, random_tt(rng, HVP_MODES, 2))
+        tapes = []
+        sweep = ad.grad
+
+        def tracking_grad(tape, *args, **kwargs):
+            tapes.append(weakref.ref(tape))
+            return sweep(tape, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "grad", tracking_grad)
+        for obj in objective_suite(rng, HVP_MODES, 2):
+            tapes.clear()
+            gc.disable()
+            try:
+                if hvp:
+                    hess_vec_tt(obj.evaluate, base, z)
+                else:
+                    riemannian_grad_tt(obj.evaluate, base)
+                assert tapes and all(t() is None for t in tapes), obj.name
+            finally:
+                gc.enable()
