@@ -3,8 +3,8 @@
 Every operation in this module accepts plain ``numpy`` arrays, :class:`Var`
 handles or a mix.  It validates and computes its value once, the same way
 in every case, and with a :class:`Var` among its operands it also records
-a node on that tape, other operands becoming constants.  A node stores its
-parents and one adjoint rule per parent; ``rules[i](u)`` maps the node's
+a node on that tape.  A node stores the operands it was given as its
+parents, and one adjoint rule per parent; ``rules[i](u)`` maps the node's
 adjoint ``u`` to the contribution for ``parents[i]``.  Rules are written in
 terms of these operations.  A sweep that returns ``Var``s
 (``grad(..., as_vars=True)``) therefore records its adjoints as nodes, and
@@ -21,11 +21,11 @@ order of the samples the rows come in and go out: rows come in sorted by
 the op's own mode, and a sweep that hands them out sorted by the mode they
 go through next (:meth:`ModeSort.groups`) permutes them once per op.
 
-Constants never receive derivative flow: a node is differentiable exactly
-when one of its parents is, and ``grad`` calls a rule only for a
-differentiable parent, so a constant operand costs no adjoint work.  The
-``stop_gradient`` operation records a non-differentiable node without
-rules, which freezes its argument at every nesting level.
+A constant stays a plain float64 array and is never recorded: every
+:class:`Var` is a tape input or depends on one.  ``grad`` calls a rule only
+for a parent that is a ``Var``, so a constant operand costs no adjoint
+work.  ``stop_gradient`` returns its operand's value, a constant at every
+nesting level.
 """
 
 from collections import defaultdict
@@ -74,27 +74,21 @@ class Var:
     """Handle to a tape node: cached primal value, parents and one adjoint
     rule per parent.
 
-    ``diff`` is set once, here: a node is differentiable when one of its
-    parents is, unless the caller says otherwise (inputs, constants and
-    ``stop_gradient``).
+    A node is a tape input or has at least one ``Var`` parent; its other
+    parents are plain float64 arrays, constants of the computation.
     """
 
-    __slots__ = ("tape", "value", "op", "parents", "rules", "diff", "index")
+    __slots__ = ("tape", "value", "op", "parents", "rules", "index")
 
     # Keep numpy from consuming Vars in its own ufunc dispatch.
     __array_ufunc__ = None
 
-    def __init__(self, tape, value, op, parents=(), rules=(), diff=None):
+    def __init__(self, tape, value, op, parents=(), rules=()):
         self.tape = tape
         self.value = value
         self.op = op
         self.parents = parents
         self.rules = rules
-        if diff is None:
-            diff = False
-            for p in parents:
-                diff = diff or p.diff
-        self.diff = diff
         self.index = len(tape.nodes)
         tape.nodes.append(self)
 
@@ -159,11 +153,13 @@ class Var:
 class Tape:
     """Recorded computation graph; nodes are stored in creation order.
 
-    Creation order is a topological order (a node's parents always precede
-    it), and a recording reverse sweep appends its own nodes at the end, so
-    a tape that has been swept once can be swept again to differentiate
-    through the first sweep.  While ``recording`` is false, operations read
-    this tape's ``Var``s as their plain values and record nothing.
+    It records only what depends on its inputs: an operation whose operands
+    are all constants computes a plain array and adds no node.  Creation
+    order is a topological order (a node's parents always precede it), and
+    a recording reverse sweep appends its own nodes at the end, so a tape
+    that has been swept once can be swept again to differentiate through
+    the first sweep.  While ``recording`` is false, operations read this
+    tape's ``Var``s as their plain values and record nothing.
     """
 
     def __init__(self):
@@ -176,12 +172,7 @@ class Tape:
     def input(self, value) -> Var:
         """Register a differentiable input (a leaf of the graph)."""
         arr = np.asarray(value, dtype=np.float64)
-        return Var(self, arr, "input", diff=True)
-
-    def const(self, value) -> Var:
-        """Register a constant: derivative flow stops here."""
-        arr = np.asarray(value, dtype=np.float64)
-        return Var(self, arr, "const", diff=False)
+        return Var(self, arr, "input")
 
     def clear(self):
         """Drop every node, unlinked from its parents and adjoint rules.
@@ -200,17 +191,17 @@ def record(inputs, program):
     """Run ``program`` on a fresh tape and return ``(tape, output)``.
 
     ``program`` receives one :class:`Var` per entry of ``inputs`` and must
-    return a scalar (a 0-d :class:`Var`, or a plain number for constant
-    programs).
+    return a scalar: a 0-d :class:`Var`, or a plain number for a program
+    that does not depend on its inputs, returned as a 0-d float64 array.
     """
     tape = Tape()
     arg_vars = [tape.input(v) for v in inputs]
     out = program(*arg_vars)
     if not isinstance(out, Var):
-        out = tape.const(out)
-    if out.value.shape != ():
+        out = np.asarray(out, dtype=np.float64)
+    if out.shape != ():
         raise UnsupportedOperationError(
-            f"recorded program must return a scalar, got shape {out.value.shape}"
+            f"recorded program must return a scalar, got shape {out.shape}"
         )
     return tape, out
 
@@ -218,31 +209,33 @@ def record(inputs, program):
 def grad(tape, output, wrt, as_vars=False):
     """Derivatives of a scalar ``output`` with respect to tape inputs.
 
-    The sweep walks nodes in decreasing creation index and calls each
-    node's adjoint rule for every differentiable parent; this is the only
-    place a parent is skipped.  With ``as_vars=True`` the rules emit their
-    computations as new nodes on the same tape, so the returned gradients
-    can be differentiated again.  With the default ``as_vars=False`` the
-    sweep is value-only: the tape stops recording until it returns (also
-    when a rule raises), the rules compute plain ndarrays, the tape gains no
-    node and those arrays are returned.
+    ``output`` is a 0-d :class:`Var` of ``tape``, or a plain scalar (a
+    constant, whose gradients are zeros).  The sweep walks nodes in
+    decreasing creation index and calls each node's adjoint rule for every
+    parent that is a ``Var``; constant parents are passed by.  With
+    ``as_vars=True`` the rules emit their computations as new nodes on the
+    same tape, so the returned gradients can be differentiated again; a
+    gradient that does not depend on the inputs is a plain array.  With the
+    default ``as_vars=False`` the sweep is value-only: the tape stops
+    recording until it returns (also when a rule raises), the rules compute
+    plain ndarrays, the tape gains no node and those arrays are returned.
     """
-    if not isinstance(output, Var) or output.tape is not tape:
+    if isinstance(output, Var) and output.tape is not tape:
         raise InvalidVariableError("output does not belong to the given tape")
-    if output.value.shape != ():
+    if np.shape(output) != ():
         raise InvalidVariableError("grad requires a scalar output")
     for w in wrt:
         if not isinstance(w, Var) or w.tape is not tape or w.op != "input":
             raise InvalidVariableError("wrt variables must be inputs of the tape")
+    if not isinstance(output, Var):
+        return [np.zeros(w.shape) for w in wrt]
 
     recording = tape.recording
     tape.recording = recording and bool(as_vars)
-    # The seed and the zero gradients: const Vars on a recording tape.
-    lift = tape.const if tape.recording else np.asarray
     try:
         wanted = {w.index for w in wrt}
         results = {}
-        contribs = defaultdict(list, {output.index: [lift(np.ones(()))]})
+        contribs = defaultdict(list, {output.index: [np.ones(())]})
         for i in range(output.index, -1, -1):
             lst = contribs.pop(i, None)
             if lst is None:
@@ -252,9 +245,9 @@ def grad(tape, output, wrt, as_vars=False):
             if i in wanted:
                 results[i] = adj
             for parent, rule in zip(node.parents, node.rules):
-                if parent.diff:
+                if isinstance(parent, Var):
                     contribs[parent.index].append(rule(adj))
-        return [results[w.index] if w.index in results else lift(np.zeros(w.value.shape))
+        return [results[w.index] if w.index in results else np.zeros(w.shape)
                 for w in wrt]
     finally:
         tape.recording = recording
@@ -263,11 +256,12 @@ def grad(tape, output, wrt, as_vars=False):
 # ---------------------------------------------------------------------------
 # operands
 #
-# Every op lifts its operands once, through one of the three helpers below,
-# which return the tape (None off a tape), the operands and their float64
-# values.  The op validates and computes on those values, so it does both
-# the same way on and off a tape, and records a node only when there is one.
-# A Var whose tape is not recording (a value-only sweep) counts as its value.
+# Every op reads its operands once, through one of the three helpers below,
+# which return the tape (None when no operand is a Var on a recording tape),
+# the operands, a plain one as a float64 array, and their float64 values.
+# The op validates and computes on those values, so it does both the same
+# way on and off a tape, and records a node only when there is a tape.  A Var
+# whose tape is not recording (a value-only sweep) counts as its value.
 
 
 def _operand(a):
@@ -281,35 +275,29 @@ def _operand(a):
 
 
 def _operands(a, b):
-    # (tape, a, b, a's value, b's value); beside a Var, a plain operand is
-    # lifted onto its tape as a constant.
+    # (tape, a, b, a's value, b's value).
     tape, a, av = _operand(a)
     tape_b, b, bv = _operand(b)
     if tape is None:
-        if tape_b is not None:
-            tape = tape_b
-            a = tape.const(av)
-    elif tape_b is None:
-        b = tape.const(bv)
-    elif tape_b is not tape:
+        tape = tape_b
+    elif tape_b is not None and tape_b is not tape:
         raise InvalidVariableError("operands live on different tapes")
     return tape, a, b, av, bv
 
 
 def _operand_list(parts):
-    # (tape, operands, values) of a list of operands, lifted as by _operands.
-    lifted = [_operand(p) for p in parts]
-    tape = None
-    for t, _, _ in lifted:
+    # (tape, operands, values) of a list of operands.
+    tape, operands, vals = None, [], []
+    for part in parts:
+        t, p, v = _operand(part)
         if t is not None:
             if tape is None:
                 tape = t
             elif t is not tape:
                 raise InvalidVariableError("operands live on different tapes")
-    vals = [v for _, _, v in lifted]
-    if tape is None:
-        return None, vals, vals
-    return tape, [p if t is not None else tape.const(v) for t, p, v in lifted], vals
+        operands.append(p)
+        vals.append(v)
+    return tape, operands, vals
 
 
 def _node(tape, val, op, parents, rules):
@@ -347,8 +335,8 @@ def _binary(name, fwd, rule_a, rule_b):
         if sa != sb and sa != () and sb != ():
             raise DimensionError(f"{name}: elementwise shapes differ: {sa} vs {sb}")
         out = _node(tape, fwd(av, bv), name, (a, b), (
-            lambda u: _unbroadcast(rule_a(u, a, b, out), a.value.shape),
-            lambda u: _unbroadcast(rule_b(u, a, b, out), b.value.shape),
+            lambda u: _unbroadcast(rule_a(u, a, b, out), a.shape),
+            lambda u: _unbroadcast(rule_b(u, a, b, out), b.shape),
         ))
         return out
 
@@ -389,9 +377,9 @@ softplus = _unary("softplus", lambda t: np.logaddexp(0.0, t), lambda u, a, out: 
 
 
 def stop_gradient(a):
-    """Identity in value; blocks derivative flow at every nesting level."""
-    tape, a, av = _operand(a)
-    return av if tape is None else Var(tape, av, "stop_gradient", (a,), diff=False)
+    """The operand's float64 value, a constant at every nesting level; on a
+    tape it records no node."""
+    return _operand(a)[2]
 
 
 def reshape(a, shape):
@@ -432,9 +420,9 @@ def slice_along(a, axis, start, stop):
         raise DimensionError(f"slice [{start}:{stop}] out of range for extent {extent}")
 
     def rule(u):
-        before = list(a.value.shape)
+        before = list(a.shape)
         before[axis] = start
-        after = list(a.value.shape)
+        after = list(a.shape)
         after[axis] = extent - stop
         parts = []
         if start > 0:
@@ -451,14 +439,14 @@ def reduce_sum(a, axes=None):
     tape, a, av = _operand(a)
     if axes is None:
         return _node(tape, np.sum(av), "sum", (a,),
-                     (lambda u: mul(u, np.ones(a.value.shape)),))
+                     (lambda u: mul(u, np.ones(a.shape)),))
 
     axes = sorted(range(av.ndim)[ax] for ax in axes)  # as in contract: no axis is wrapped round
 
     def rule(u):
-        ones = np.ones(tuple(a.value.shape[ax] for ax in axes))
+        ones = np.ones(tuple(a.shape[ax] for ax in axes))
         outer = contract(u, ones, [])  # kept axes then summed axes
-        nd = a.value.ndim
+        nd = len(a.shape)
         perm = [0] * nd
         for pos, ax in enumerate([i for i in range(nd) if i not in axes] + axes):
             perm[ax] = pos
@@ -478,8 +466,8 @@ def _place_axes(g, targets):
 def _contract_grad_a(u, a, b, axes):
     ca = [p for p, _ in axes]
     cb = [q for _, q in axes]
-    fa = [i for i in range(a.value.ndim) if i not in ca]
-    fb = [i for i in range(b.value.ndim) if i not in cb]
+    fa = [i for i in range(len(a.shape)) if i not in ca]
+    fb = [i for i in range(len(b.shape)) if i not in cb]
     g = contract(u, b, [(len(fa) + j, fb[j]) for j in range(len(fb))])
     # g axes: free-of-a, then contracted axes of b in increasing order.
     return _place_axes(g, fa + [ca[cb.index(q)] for q in sorted(cb)])
@@ -488,8 +476,8 @@ def _contract_grad_a(u, a, b, axes):
 def _contract_grad_b(u, a, b, axes):
     ca = [p for p, _ in axes]
     cb = [q for _, q in axes]
-    fa = [i for i in range(a.value.ndim) if i not in ca]
-    fb = [i for i in range(b.value.ndim) if i not in cb]
+    fa = [i for i in range(len(a.shape)) if i not in ca]
+    fb = [i for i in range(len(b.shape)) if i not in cb]
     g = contract(a, u, [(fa[i], i) for i in range(len(fa))])
     # g axes: contracted axes of a in increasing order, then free-of-b.
     return _place_axes(g, [cb[ca.index(p)] for p in sorted(ca)] + fb)

@@ -188,7 +188,8 @@ def riemannian_grad_tt(p, x) -> TtTangent:
 
     The program receives the block cores of a rank-2r tangent
     parametrization whose delta blocks are the differentiation variables,
-    seeded at the values representing the point itself.
+    seeded at the values representing the point itself.  A program that does
+    not depend on the cores has the zero gradient.
     """
     base = _as_ortho(x)
     tape = ad.Tape()
@@ -204,9 +205,9 @@ def hess_vec_tt(p, x, z: TtTangent) -> TtTangent:
 
     Records w = sum_k <G_k(R), S_k^{Z,delta}>, where G_k(R) is the delta
     gradient left on the tape by an inner reverse sweep, then differentiates
-    w by a second sweep.  The base factors enter as constants, so the
-    projection operator itself is frozen (the curvature term is dropped by
-    construction).  The inner gradient is not gauged: the deltas of z
+    w by a second sweep.  The base factors enter as plain-array constants,
+    which the tape never records, so the projection operator itself is
+    frozen (the curvature term is dropped by construction).  The inner gradient is not gauged: the deltas of z
     already are, and the gauge projection P is self-adjoint, so
     <P G, z> = <G, z>.  Only the result is projected.
     """

@@ -44,8 +44,14 @@ class TestRecord:
         assert out.value == 1.0
 
     def test_constant_program_single_node(self):
-        tape, out = ad.record([], lambda: 3.5)
-        assert len(tape) == 1 and out.value == 3.5
+        # A constant program records nothing: its output is a plain 0-d
+        # float64 array, and its gradient is zero.
+        tape, out = ad.record([np.ones(2)], lambda x: 3.5)
+        assert not isinstance(out, ad.Var)
+        assert out.dtype == np.float64 and out.shape == () and out == 3.5
+        assert len(tape) == 1 and tape.nodes[0].op == "input"
+        (g,) = ad.grad(tape, out, tape.nodes)
+        np.testing.assert_array_equal(g, np.zeros(2))
 
     def test_sum_of_ones(self):
         tape, out = ad.record([np.ones((2, 2))], lambda x: x.sum())
@@ -93,6 +99,19 @@ class TestGrad:
         with pytest.raises(InvalidVariableError):
             ad.grad(tape, out, [other_tape.nodes[0]])
 
+    @pytest.mark.parametrize("kind", ["other_tape", "vector_var", "vector_array"])
+    def test_output_must_be_a_scalar_of_the_tape(self, kind):
+        # A plain scalar output is a constant (zero gradient); these raise.
+        tape = ad.Tape()
+        x = tape.input(np.ones(2))
+        output = {
+            "other_tape": ad.Tape().input(1.0),
+            "vector_var": ad.mul(x, 2.0),
+            "vector_array": np.ones(2),
+        }[kind]
+        with pytest.raises(InvalidVariableError):
+            ad.grad(tape, output, [x])
+
     def test_wrt_must_be_input(self):
         tape, out = ad.record([2.0], lambda x: x * x)
         with pytest.raises(InvalidVariableError):
@@ -133,14 +152,13 @@ class TestOpGradients:
     @pytest.mark.parametrize("name,op,arity", CASES, ids=[c[0] for c in CASES])
     def test_elementwise(self, name, op, arity, rng):
         args = [rng.standard_normal((3, 5)) for _ in range(arity)]
+        w = rng.standard_normal((3, 5))
 
         def prog(*vs):
-            w = vs[0].tape.const(rng.standard_normal((3, 5)))
             return ad.reduce_sum(op(*vs) * w)
 
         tape, out = ad.record(args, prog)
         got = ad.grad(tape, out, [tape.nodes[i] for i in range(arity)])
-        tape_w = tape.nodes[arity]  # the weight const recorded right after the inputs
 
         def ref(*vals):
             import numpy as _np
@@ -158,11 +176,11 @@ class TestOpGradients:
                 "sigmoid": lambda a: 1.0 / (1.0 + _np.exp(-a)),
                 "softplus": lambda a: _np.logaddexp(0.0, a),
             }[name]
-            return float(np.sum(func(*vals) * tape_w.value))
+            return float(np.sum(func(*vals) * w))
 
         want = fd_gradient(ref, args)
-        for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, atol=1e-6 * max(np.abs(w).max(), 1.0))
+        for g, gw in zip(got, want):
+            np.testing.assert_allclose(g, gw, atol=1e-6 * max(np.abs(gw).max(), 1.0))
 
     # The same axes written as non-negative and as negative numbers.
     AXES = {"nonneg": dict(perm=(0, 2, 1), axis=1, pairs=[(1, 1), (2, 0)]),
@@ -195,7 +213,7 @@ class TestOpGradients:
         w = rng.standard_normal((4,))
 
         def prog(a):
-            return ad.reduce_sum(ad.reduce_sum(a, (0, 2)) * a.tape.const(w))
+            return ad.reduce_sum(ad.reduce_sum(a, (0, 2)) * w)
 
         def ref(a):
             return float(np.sum(a.sum(axis=(0, 2)) * w))
@@ -209,7 +227,7 @@ class TestOpGradients:
         w = rng.standard_normal((2, 5))
 
         def prog(u, v):
-            return ad.reduce_sum(ad.contract(u, v, axes["pairs"]) * u.tape.const(w))
+            return ad.reduce_sum(ad.contract(u, v, axes["pairs"]) * w)
 
         def ref(u, v):
             return float(np.sum(np.einsum("ijk,kjm->im", u, v) * w))
@@ -224,7 +242,7 @@ class TestOpGradients:
 
         def prog(c, o):
             g = ad.gather_mode(c, idx)  # (5, 2, 3)
-            return ad.reduce_sum(ad.batch_matmul(g, o) * c.tape.const(w))
+            return ad.reduce_sum(ad.batch_matmul(g, o) * w)
 
         def ref(c, o):
             g = np.transpose(c[:, idx, :], (1, 0, 2))
@@ -329,7 +347,7 @@ class TestModePrimitives:
         (g1,) = ad.grad(tape, out, [c], as_vars=True)
         np.testing.assert_allclose(g1.value, fd_gradient(
             lambda v: float(np.sum((slices(v) @ slices(v)) * slices(v))), [core])[0], atol=1e-6)
-        (hz,) = ad.grad(tape, ad.reduce_sum(g1 * tape.const(z)), [c])
+        (hz,) = ad.grad(tape, ad.reduce_sum(g1 * z), [c])
         want = fd_gradient(directional, [core], step=1e-3)[0]
         np.testing.assert_allclose(hz, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
 
@@ -423,7 +441,7 @@ class TestModeMatmul:
         g_c, g_e = ad.grad(tape, out, [c, e], as_vars=True)
         for got, want in zip((g_c, g_e), fd_gradient(value, [core, rows])):
             np.testing.assert_allclose(got.value, want, atol=1e-6 * np.abs(want).max(initial=1.0))
-        inner = ad.reduce_sum(g_c * tape.const(zc)) + ad.reduce_sum(g_e * tape.const(ze))
+        inner = ad.reduce_sum(g_c * zc) + ad.reduce_sum(g_e * ze)
         got = ad.grad(tape, inner, [c, e])
         want = fd_gradient(directional, [core, rows], step=1e-3)
         for g, w in zip(got, want):
@@ -540,7 +558,7 @@ class TestModeMatmul:
         g_c, g_e = ad.grad(tape, out, [c, e], as_vars=True)
         for got, want in zip((g_c, g_e), fd_gradient(value, [core, rows])):
             np.testing.assert_allclose(got.value, want, atol=1e-6 * np.abs(want).max(initial=1.0))
-        inner = ad.reduce_sum(g_c * tape.const(zc)) + ad.reduce_sum(g_e * tape.const(ze))
+        inner = ad.reduce_sum(g_c * zc) + ad.reduce_sum(g_e * ze)
         got = ad.grad(tape, inner, [c, e])
         want = fd_gradient(directional, [core, rows], step=1e-3)
         for g, w in zip(got, want):
@@ -574,7 +592,7 @@ class TestEntriesCores:
         w = rng.standard_normal(len(idx))
 
         def prog(*cs):
-            return ad.reduce_sum(coreops.entries_cores(list(cs), idx) * cs[0].tape.const(w))
+            return ad.reduce_sum(coreops.entries_cores(list(cs), idx) * w)
 
         check_against_fd(prog, lambda *cs: float(coreops.entries_cores(list(cs), idx) @ w),
                          cores)
@@ -600,10 +618,15 @@ class TestEntriesCores:
 
 class TestStopGradient:
     def test_value_passthrough(self, rng):
+        # The same float64 array on and off a tape, and no node recorded.
         x = rng.standard_normal((2, 3))
+        plain = ad.stop_gradient(x)
         tape = ad.Tape()
-        v = tape.input(x)
-        assert np.array_equal(ad.stop_gradient(v).value, x)
+        on_tape = ad.stop_gradient(tape.input(x))
+        for out in (plain, on_tape):
+            assert type(out) is np.ndarray and out.dtype == np.float64
+            assert np.array_equal(out, x)
+        assert len(tape) == 1
 
     def test_one_frozen_factor(self, rng):
         x = rng.standard_normal((3, 3))
@@ -645,7 +668,7 @@ class TestNestedAd:
         v = tape.input(x)
         out = ad.reduce_sum(ad.exp(v))
         (g,) = ad.grad(tape, out, [v], as_vars=True)
-        w = ad.reduce_sum(ad.mul(g, tape.const(z)))
+        w = ad.reduce_sum(ad.mul(g, z))
         (hz,) = ad.grad(tape, w, [v])
         np.testing.assert_allclose(hz, np.exp(x) * z, rtol=1e-12)
 
@@ -671,17 +694,27 @@ class TestCostContract:
         assert sweep_nodes <= 4 * primal_nodes
 
     @pytest.mark.parametrize("a_is_input,contracts", [(False, 1), (True, 2)])
-    def test_constant_operand_costs_no_adjoint(self, a_is_input, contracts, rng):
-        # Only differentiable operands get an adjoint: with A constant the
-        # sweep of sum(A x) contracts once (for x), with A an input twice.
+    def test_constant_operand_costs_no_adjoint(self, a_is_input, contracts, rng, monkeypatch):
+        # Only Var operands get an adjoint: with A a plain array the sweep
+        # of sum(A x) contracts once (for x), with A an input twice.  The
+        # calls are counted, because a contraction of constants (the seed
+        # with A) computes a plain array and records no node.
         tape = ad.Tape()
         x = tape.input(rng.standard_normal(4))
         a = rng.standard_normal((3, 4))
-        a = tape.input(a) if a_is_input else tape.const(a)
+        if a_is_input:
+            a = tape.input(a)
         out = ad.reduce_sum(ad.contract(a, x, [(1, 0)]))
-        primal = len(tape)
+        calls = []
+        contract = ad.contract
+
+        def counting_contract(*args):
+            calls.append(args)
+            return contract(*args)
+
+        monkeypatch.setattr(ad, "contract", counting_contract)
         ad.grad(tape, out, [x], as_vars=True)
-        assert [n.op for n in tape.nodes[primal:]].count("contract") == contracts
+        assert len(calls) == contracts
 
     def test_budget_independent_of_size(self, rng):
         counts = []
@@ -695,7 +728,7 @@ class TestCostContract:
 
 
 class TestValueOnlySweep:
-    # The cost-contract programs, and one whose rules lift plain zeros and
+    # The cost-contract programs, and one whose rules build plain zeros and
     # ones (slice_along, reduce_sum over axes, concat).
     PROGRAMS = TestCostContract.PROGRAMS + [
         lambda v: ad.reduce_sum(ad.sin(ad.reduce_sum(
@@ -815,7 +848,7 @@ class TestVarOperators:
     def test_repr_names_op_shape_and_index(self):
         tape = ad.Tape()
         tape.input(1.0)
-        assert repr(tape.const(np.ones((2, 3)))) == "Var(op='const', shape=(2, 3), index=1)"
+        assert repr(tape.input(np.ones((2, 3)))) == "Var(op='input', shape=(2, 3), index=1)"
 
 
 GROUPS = ad.ModeSort([2, 0, 1, 2, 0], 3).groups(None)
@@ -825,7 +858,6 @@ class TestSameOnAndOffTape:
     # Key "op" or "op/variant" -> (operand shapes, call).  Each operand is
     # passed as an array and, in every combination, as a tape input.
     CASES = {
-        "stop_gradient": ([(2, 3)], ad.stop_gradient),
         "contract": ([(2, 3, 4), (4, 3)], lambda a, b: ad.contract(a, b, zip((2, -2), (0, 1)))),
         "contract/outer": ([(2,), (3,)], lambda a, b: ad.contract(a, b, [])),
         "reshape": ([(2, 3)], lambda a: ad.reshape(a, (3, 2))),
@@ -871,8 +903,9 @@ class TestSameOnAndOffTape:
     }
 
     def test_every_op_has_a_case(self):
+        # stop_gradient records nothing: TestStopGradient checks its value.
         ops = {name for name in ad.__all__ if not isinstance(getattr(ad, name), type)}
-        assert ops - {"record", "grad"} <= {key.split("/")[0] for key in self.CASES}
+        assert ops - {"record", "grad", "stop_gradient"} <= {key.split("/")[0] for key in self.CASES}
 
     @pytest.mark.parametrize("key", CASES)
     def test_same_value(self, key, rng):

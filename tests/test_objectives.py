@@ -61,10 +61,9 @@ def dense_record_euclid_grad(objective, data, x):
 
     def program(v):
         flat = ad.reshape(v, (size,))
-        tape = v.tape
         if objective.name in ("quadratic_form", "gram_quadratic_form",
                               "rayleigh_quotient"):
-            amat = tape.const(ttmat_to_dense(data.operator))
+            amat = ttmat_to_dense(data.operator)
             av = ad.contract(amat, flat, [(1, 0)])
             if objective.name == "quadratic_form":
                 return ad.contract(av, flat, [(0, 0)])
@@ -86,7 +85,7 @@ def dense_record_euclid_grad(objective, data, x):
         if objective.name == "expmachines":
             total = None
             for w, y in zip(data.weight_tensors, data.labels):
-                wflat = tape.const(tt_to_dense(w).ravel())
+                wflat = tt_to_dense(w).ravel()
                 margin = ad.mul(ad.contract(wflat, flat, [(0, 0)]), y)
                 term = ad.softplus(ad.neg(margin))
                 total = term if total is None else ad.add(total, term)

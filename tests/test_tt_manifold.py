@@ -418,13 +418,13 @@ def inner_gauged_hess_vec(p, base, z):
     inner = ad.grad(tape, p(_block_cores(base, rvars)), rvars, as_vars=True)
     for k in range(base.ndim - 1):
         rl, n, rr = base.U[k].shape
-        ul = tape.const(base.U[k].reshape(rl * n, rr))
+        ul = base.U[k].reshape(rl * n, rr)
         dk = ad.reshape(inner[k], (rl * n, rr))
         dk = ad.sub(dk, ad.contract(ul, ad.contract(ul, dk, [(0, 0)]), [(1, 0)]))
         inner[k] = ad.reshape(dk, (rl, n, rr))
-    w = ad.contract(inner[0], tape.const(z.deltas[0]), [(0, 0), (1, 1), (2, 2)])
+    w = ad.contract(inner[0], z.deltas[0], [(0, 0), (1, 1), (2, 2)])
     for g, dz in zip(inner[1:], z.deltas[1:]):
-        w = ad.add(w, ad.contract(g, tape.const(dz), [(0, 0), (1, 1), (2, 2)]))
+        w = ad.add(w, ad.contract(g, dz, [(0, 0), (1, 1), (2, 2)]))
     raw = ad.grad(tape, w, rvars)
     return TtTangent._trusted(base, _apply_gauge(base, raw))
 
@@ -501,7 +501,7 @@ class TestUngaugedInnerGradient:
         monkeypatch.setattr(ad, "grad", marking_grad)
         hess_vec_tt(obj.evaluate, base, z)
         d = base.ndim
-        assert between == [Counter({"const": d, "contract": d, "add_n": 1})]
+        assert between == [Counter({"contract": d, "add_n": 1})]
 
     @pytest.mark.parametrize("padded", [False, True], ids=["regular", "over-ranked"])
     def test_apply_gauge_is_the_double_projection(self, rng, padded):
@@ -511,6 +511,61 @@ class TestUngaugedInnerGradient:
         deltas[0] = deltas[0] * 1e-9 + base.U[0]
         for got, want in zip(_apply_gauge(base, deltas), double_projection(base, deltas)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestConstantsStayOffTape:
+    # Only what depends on the delta inputs is recorded: the base factors,
+    # operator cores and observations stay plain arrays.
+
+    @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
+    def test_constant_objective_gives_zero_tangent(self, rng, hvp):
+        base = hvp_base(rng, False)
+        z = project_tt(base, random_tt(rng, HVP_MODES, 2))
+
+        def constant(cores):
+            return 1.0
+
+        t = hess_vec_tt(constant, base, z) if hvp else riemannian_grad_tt(constant, base)
+        for got, s in zip(t.deltas, base.S):
+            assert got.shape == s.shape and not got.any()
+
+    @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
+    def test_every_node_depends_on_an_input(self, rng, monkeypatch, hvp):
+        base = hvp_base(rng, False)
+        z = project_tt(base, random_tt(rng, HVP_MODES, 2))
+        snapshots = []
+        sweep = ad.grad
+
+        def snapshot_grad(tape, *args, **kwargs):
+            # The tape is cleared (its nodes unlinked) on return, so each
+            # node is read as the sweep starts.  The outer HVP sweep appends
+            # no node: the last snapshot holds the inner sweep and the dot
+            # with z.
+            snapshots.append([(node, node.op, any(isinstance(p, ad.Var) for p in node.parents))
+                              for node in tape.nodes])
+            return sweep(tape, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "grad", snapshot_grad)
+        programs = {obj.name: obj.evaluate for obj in objective_suite(rng, HVP_MODES, 2)}
+        for name, program in programs.items():
+            snapshots.clear()
+            if hvp:
+                hess_vec_tt(program, base, z)
+            else:
+                riemannian_grad_tt(program, base)
+            self.check_nodes(snapshots[-1], name)
+        if not hvp:
+            a, b = (random_ttmat(rng, HVP_MODES, HVP_MODES, 2) for _ in range(2))
+            snapshots.clear()
+            preconditioned_residual(a, b, random_tt(rng, HVP_MODES, 2), base)
+            self.check_nodes(snapshots[-1], "preconditioned_residual")
+
+    @staticmethod
+    def check_nodes(snapshot, name):
+        assert snapshot, name
+        for node, op, has_var_parent in snapshot:
+            assert op not in ("const", "stop_gradient"), (name, node)
+            assert op == "input" or has_var_parent, (name, node)
 
 
 class TestTapesFreedOnReturn:
