@@ -12,6 +12,15 @@ its result can be differentiated again (nested AD); a value-only sweep (the
 default) mutes the tape while it runs, so its rules compute plain arrays
 and append nothing.
 
+``contract(a, b, axes, perm)`` is ``tensordot`` with its result axes put
+in the order ``perm``, computed as one ``np.dot`` of the two 2-D views
+``tensordot`` builds.  The views, the output shape and order, and the axis
+pairs and order of each adjoint come from a plan cached per shapes, axes
+and ``perm``, so a repeated contraction does its axis arithmetic once.
+The adjoint of a permuted contraction is again one permuted contraction,
+of the output's adjoint with its axes relabelled, so a sweep through
+contractions records no ``transpose``.
+
 The mode operations take a TT core's slices per mode value: ``gather_mode``
 and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
 ``mode_matmul`` and ``mode_outer`` apply them to, or build them from,
@@ -28,7 +37,10 @@ work.  ``stop_gradient`` returns its operand's value, a constant at every
 nesting level.
 """
 
+import math
 from collections import defaultdict
+from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -444,64 +456,104 @@ def reduce_sum(a, axes=None):
     axes = sorted(range(av.ndim)[ax] for ax in axes)  # as in contract: no axis is wrapped round
 
     def rule(u):
+        # The outer product's axes are the kept then the summed ones; its
+        # output order puts each back in its place in a.
+        kept = [i for i in range(len(a.shape)) if i not in axes]
         ones = np.ones(tuple(a.shape[ax] for ax in axes))
-        outer = contract(u, ones, [])  # kept axes then summed axes
-        nd = len(a.shape)
-        perm = [0] * nd
-        for pos, ax in enumerate([i for i in range(nd) if i not in axes] + axes):
-            perm[ax] = pos
-        return transpose(outer, perm)
+        return contract(u, ones, [], _argsort(kept + axes))
 
     return _node(tape, np.sum(av, axis=tuple(axes)), "sum", (a,), (rule,))
 
 
-def _place_axes(g, targets):
-    # Transpose g so that its axis j becomes axis targets[j].
-    perm = [0] * len(targets)
-    for j, t in enumerate(targets):
-        perm[t] = j
-    return transpose(g, perm) if perm != list(range(len(perm))) else g
+def _argsort(perm):
+    # The inverse of a permutation, as a tuple.
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return tuple(inv)
 
 
-def _contract_grad_a(u, a, b, axes):
-    ca = [p for p, _ in axes]
-    cb = [q for _, q in axes]
-    fa = [i for i in range(len(a.shape)) if i not in ca]
-    fb = [i for i in range(len(b.shape)) if i not in cb]
-    g = contract(u, b, [(len(fa) + j, fb[j]) for j in range(len(fb))])
-    # g axes: free-of-a, then contracted axes of b in increasing order.
-    return _place_axes(g, fa + [ca[cb.index(q)] for q in sorted(cb)])
-
-
-def _contract_grad_b(u, a, b, axes):
-    ca = [p for p, _ in axes]
-    cb = [q for _, q in axes]
-    fa = [i for i in range(len(a.shape)) if i not in ca]
-    fb = [i for i in range(len(b.shape)) if i not in cb]
-    g = contract(a, u, [(fa[i], i) for i in range(len(fa))])
-    # g axes: contracted axes of a in increasing order, then free-of-b.
-    return _place_axes(g, [cb[ca.index(p)] for p in sorted(ca)] + fb)
-
-
-def contract(a, b, axes):
-    """Tensor contraction over ``(axis_of_a, axis_of_b)`` pairs.
-
-    Result axes are the free axes of ``a`` followed by the free axes of
-    ``b``.  An empty ``axes`` list is the outer product.
-    """
-    tape, a, b, av, bv = _operands(a, b)
-    sa, sb = av.shape, bv.shape
+@lru_cache(maxsize=1024)
+def _contract_plan(sa, sb, axes, perm):
+    # The plan of contract(a, b, axes, perm) for a of shape sa and b of shape
+    # sb, built once per key, which holds plain ints only.  Validation
+    # happens here, so a key gets a plan only if its shapes, axes and perm
+    # are valid.  The two 2-D views are those np.tensordot builds: a's free
+    # axes then its contracted ones, b's contracted axes then its free ones.
     # range(n)[p] maps p in [-n, n) to [0, n) and raises IndexError for any other p.
-    axes = [(range(len(sa))[p], range(len(sb))[q]) for p, q in axes]
-    for p, q in axes:
+    ca = [range(len(sa))[p] for p, _ in axes]
+    cb = [range(len(sb))[q] for _, q in axes]
+    if len(set(ca)) < len(ca) or len(set(cb)) < len(cb):
+        raise DimensionError(f"contracted axes repeat an axis: {axes}")
+    for p, q in zip(ca, cb):
         if sa[p] != sb[q]:
             raise DimensionError(
                 f"contracted extents differ: a.shape[{p}]={sa[p]} vs b.shape[{q}]={sb[q]}"
             )
-    val = np.tensordot(av, bv, axes=([p for p, _ in axes], [q for _, q in axes]))
+    fa = [i for i in range(len(sa)) if i not in ca]
+    fb = [i for i in range(len(sb)) if i not in cb]
+    nf = len(fa) + len(fb)
+    if perm is None:
+        perm = tuple(range(nf))
+    elif len(perm) != nf:
+        raise DimensionError(f"perm {perm} does not order the {nf} result axes")
+    else:
+        perm = tuple(range(nf)[p] for p in perm)
+        if len(set(perm)) < nf:
+            raise DimensionError(f"perm {perm} repeats an axis")
+    # Each adjoint is one contract of the output's adjoint u, whose axis
+    # inv[j] is unpermuted result axis j: u's axes are relabelled, never
+    # moved.  a's pairs u's axes of b's free ones with those axes, and its
+    # result (u's other axes in order, then b's contracted axes in order)
+    # is permuted into a's axis order; b's likewise.
+    inv = _argsort(perm)
+    ua = [i for i in range(nf) if perm[i] < len(fa)]
+    ub = [i for i in range(nf) if perm[i] >= len(fa)]
+    to_a = [fa[perm[i]] for i in ua] + [ca[cb.index(q)] for q in sorted(cb)]
+    to_b = [cb[ca.index(p)] for p in sorted(ca)] + [fb[perm[i] - len(fa)] for i in ub]
+    grad_a = (tuple((inv[len(fa) + j], q) for j, q in enumerate(fb)), _argsort(to_a))
+    grad_b = (tuple((p, inv[j]) for j, p in enumerate(fa)), _argsort(to_b))
+    return (
+        None if fa + ca == list(range(len(sa))) else tuple(fa + ca),
+        (math.prod(sa[i] for i in fa), math.prod(sa[i] for i in ca)),
+        None if cb + fb == list(range(len(sb))) else tuple(cb + fb),
+        (math.prod(sb[i] for i in cb), math.prod(sb[i] for i in fb)),
+        tuple(sa[i] for i in fa) + tuple(sb[i] for i in fb),
+        None if perm == tuple(range(nf)) else perm,
+        grad_a,
+        grad_b,
+    )
+
+
+def contract(a, b, axes, perm=None):
+    """Tensor contraction over ``(axis_of_a, axis_of_b)`` pairs.
+
+    Result axes are the free axes of ``a`` followed by the free axes of
+    ``b``, then reordered by ``perm`` as ``np.transpose`` would.  An empty
+    ``axes`` list is the outer product.  The value is that of
+    ``np.transpose(np.tensordot(a, b, axes), perm)``: one ``np.dot`` of the
+    two 2-D views ``tensordot`` builds, from a plan cached per shapes, axes
+    and ``perm``.  Each adjoint is again one permuted contraction, so a
+    sweep through it records no ``transpose``.
+    """
+    tape, a, b, av, bv = _operands(a, b)
+    axes = tuple([(index(p), index(q)) for p, q in axes])
+    if perm is not None:
+        perm = tuple(map(index, perm))
+    a_axes, a_2d, b_axes, b_2d, shape, perm, grad_a, grad_b = _contract_plan(
+        av.shape, bv.shape, axes, perm)
+    if a_axes is not None:
+        av = av.transpose(a_axes)
+    if b_axes is not None:
+        bv = bv.transpose(b_axes)
+    val = np.dot(av.reshape(a_2d), bv.reshape(b_2d)).reshape(shape)
+    if perm is not None:
+        val = val.transpose(perm)
+    # The rules call the module's contract by name, so a wrapper installed
+    # in its place sees the adjoint contractions too.
     return _node(tape, val, "contract", (a, b), (
-        lambda u: _contract_grad_a(u, a, b, axes),
-        lambda u: _contract_grad_b(u, a, b, axes),
+        lambda u: contract(u, b, *grad_a),
+        lambda u: contract(a, u, *grad_b),
     ))
 
 

@@ -117,8 +117,7 @@ def matvec_cores(op_cores, xs):
     out = []
     for a, x in zip(op_cores, xs):
         a_shape, x_shape = np.shape(a), np.shape(x)
-        t = ad.contract(a, x, [(2, 1)])  # (R, m, R', r, r')
-        t = ad.transpose(t, (0, 3, 1, 2, 4))  # (R, r, m, R', r')
+        t = ad.contract(a, x, [(2, 1)], (0, 3, 1, 2, 4))  # (R, r, m, R', r')
         out.append(
             ad.reshape(t, (a_shape[0] * x_shape[0], a_shape[1], a_shape[3] * x_shape[2]))
         )

@@ -431,7 +431,7 @@ def expmachines_loss(ws, ys) -> Objective:
         # <X, W_i> for all i at once: chain of per-sample rank transfers.
         e = None
         for core, wm in zip(cores, wmats):
-            m = ad.transpose(ad.contract(core, wm, [(1, 1)]), (2, 0, 1))  # (N, rl, rr)
+            m = ad.contract(core, wm, [(1, 1)], (2, 0, 1))  # (N, rl, rr)
             e = m if e is None else ad.batch_matmul(e, m)
         return ad.reshape(e, (len(ws),))
 

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +27,12 @@ def fd_gradient(f, args, step=1e-6):
             g[i] = (f(*plus) - f(*minus)) / (2.0 * step)
         grads.append(g)
     return grads
+
+
+def value_of(x):
+    """The value of a gradient from a recording sweep: a ``Var``'s value, or
+    the plain array that a gradient not depending on the inputs is."""
+    return x.value if isinstance(x, ad.Var) else np.asarray(x)
 
 
 def check_against_fd(program, numpy_program, args, rtol=1e-6):
@@ -345,7 +353,7 @@ class TestModePrimitives:
         out = ad.reduce_sum(ad.scatter_mode(ad.batch_matmul(g, g), idx, n) * c)
         assert np.isclose(out.value, np.sum((slices(core) @ slices(core)) * slices(core)))
         (g1,) = ad.grad(tape, out, [c], as_vars=True)
-        np.testing.assert_allclose(g1.value, fd_gradient(
+        np.testing.assert_allclose(value_of(g1), fd_gradient(
             lambda v: float(np.sum((slices(v) @ slices(v)) * slices(v))), [core])[0], atol=1e-6)
         (hz,) = ad.grad(tape, ad.reduce_sum(g1 * z), [c])
         want = fd_gradient(directional, [core], step=1e-3)[0]
@@ -440,7 +448,8 @@ class TestModeMatmul:
         assert np.isclose(out.value, value(core, rows), rtol=1e-12, atol=1e-12)
         g_c, g_e = ad.grad(tape, out, [c, e], as_vars=True)
         for got, want in zip((g_c, g_e), fd_gradient(value, [core, rows])):
-            np.testing.assert_allclose(got.value, want, atol=1e-6 * np.abs(want).max(initial=1.0))
+            np.testing.assert_allclose(value_of(got), want,
+                                       atol=1e-6 * np.abs(want).max(initial=1.0))
         inner = ad.reduce_sum(g_c * zc) + ad.reduce_sum(g_e * ze)
         got = ad.grad(tape, inner, [c, e])
         want = fd_gradient(directional, [core, rows], step=1e-3)
@@ -557,7 +566,8 @@ class TestModeMatmul:
         assert np.isclose(out.value, value(core, rows), rtol=1e-12, atol=1e-12)
         g_c, g_e = ad.grad(tape, out, [c, e], as_vars=True)
         for got, want in zip((g_c, g_e), fd_gradient(value, [core, rows])):
-            np.testing.assert_allclose(got.value, want, atol=1e-6 * np.abs(want).max(initial=1.0))
+            np.testing.assert_allclose(value_of(got), want,
+                                       atol=1e-6 * np.abs(want).max(initial=1.0))
         inner = ad.reduce_sum(g_c * zc) + ad.reduce_sum(g_e * ze)
         got = ad.grad(tape, inner, [c, e])
         want = fd_gradient(directional, [core, rows], step=1e-3)
@@ -671,6 +681,139 @@ class TestNestedAd:
         w = ad.reduce_sum(ad.mul(g, z))
         (hz,) = ad.grad(tape, w, [v])
         np.testing.assert_allclose(hz, np.exp(x) * z, rtol=1e-12)
+
+    def test_gradient_independent_of_inputs(self):
+        # A linear program's gradient is a constant: the recording sweep
+        # returns it as a plain array, and its own derivative is zero.
+        tape, out = ad.record([np.ones(2)], lambda x: ad.reduce_sum(x * 3.0))
+        (g,) = ad.grad(tape, out, tape.nodes[:1], as_vars=True)
+        assert not isinstance(g, ad.Var)
+        np.testing.assert_array_equal(value_of(g), [3.0, 3.0])
+        (h,) = ad.grad(tape, ad.reduce_sum(g * np.array([1.0, 2.0])), tape.nodes[:1])
+        np.testing.assert_array_equal(h, np.zeros(2))
+
+
+class TestPermutedContract:
+    # Key -> (shape of a, shape of b, a callable returning the axes): negative
+    # axes, an iterator of pairs, no pairs (outer product) and every axis
+    # paired (scalar).  Each is checked under every order of its result axes.
+    CASES = {
+        "negative": ((2, 3, 4), (3, 5, 2), lambda: [(-2, 0)]),
+        "iterator": ((2, 3, 4), (4, 3, 2), lambda: zip((2, -2), (0, 1))),
+        "outer": ((2, 3), (2,), lambda: []),
+        "scalar": ((2, 3), (3, 2), lambda: [(0, 1), (1, 0)]),
+    }
+
+    @staticmethod
+    def perms(case):
+        shape_a, shape_b, axes = case
+        pairs = list(axes())
+        return list(itertools.permutations(range(len(shape_a) + len(shape_b) - 2 * len(pairs))))
+
+    @staticmethod
+    def reference(a, b, axes, perm):
+        pairs = list(axes())
+        return np.transpose(np.tensordot(a, b, ([p for p, _ in pairs], [q for _, q in pairs])),
+                            perm)
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_value_is_transposed_tensordot(self, case, rng):
+        shape_a, shape_b, axes = case
+        a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        for perm in self.perms(case):
+            want = self.reference(a, b, axes, perm)
+            tape = ad.Tape()
+            for got in (ad.contract(a, b, axes(), perm),
+                        ad.contract(tape.input(a), b, axes(), perm).value):
+                assert got.shape == want.shape and got.dtype == np.float64
+                assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_gradient_against_fd(self, case, rng):
+        shape_a, shape_b, axes = case
+        a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        for perm in self.perms(case):
+            w = rng.standard_normal(self.reference(a, b, axes, perm).shape)
+            check_against_fd(
+                lambda u, v: ad.reduce_sum(ad.contract(u, v, axes(), perm) * w),
+                lambda u, v: float(np.sum(self.reference(u, v, axes, perm) * w)), [a, b])
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_second_order_against_fd(self, case, rng):
+        # f(a, b) = sum(w * C(a, b)^2) for C the permuted contraction.  Nested
+        # AD gives the HVP in direction (za, zb), checked against central
+        # differences of the hand-written Df[za, zb] = 2 sum(w C (C(za, b) +
+        # C(a, zb))), quadratic in each entry of a and of b, so the
+        # differences are exact up to rounding.
+        shape_a, shape_b, axes = case
+        a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        za, zb = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        for perm in self.perms(case):
+            w = rng.standard_normal(self.reference(a, b, axes, perm).shape)
+
+            def directional(u, v):
+                c = self.reference(u, v, axes, perm)
+                dc = self.reference(za, v, axes, perm) + self.reference(u, zb, axes, perm)
+                return float(2.0 * np.sum(w * c * dc))
+
+            tape = ad.Tape()
+            u, v = tape.input(a), tape.input(b)
+            c = ad.contract(u, v, axes(), perm)
+            g_a, g_b = ad.grad(tape, ad.reduce_sum(c * c * w), [u, v], as_vars=True)
+            inner = ad.reduce_sum(g_a * za) + ad.reduce_sum(g_b * zb)
+            got = ad.grad(tape, inner, [u, v])
+            want = fd_gradient(directional, [a, b], step=1e-3)
+            for g, gw in zip(got, want):
+                np.testing.assert_allclose(g, gw, rtol=1e-8, atol=1e-8 * np.abs(gw).max())
+
+    @pytest.mark.parametrize("perm", [(0,), (0, 1, 2), (1, 1), (0, 2)],
+                             ids=["short", "long", "repeated", "past_end"])
+    def test_bad_perm_rejected(self, perm):
+        # A perm must order the result's axes, each once.
+        a, b = np.ones((2, 3)), np.ones((3, 4))
+        error = IndexError if perm == (0, 2) else DimensionError
+        TestSameOnAndOffTape.check_raises([a, b], lambda u, v: ad.contract(u, v, [(1, 0)], perm),
+                                          error)
+
+    def test_repeated_axis_rejected(self):
+        TestSameOnAndOffTape.check_raises(
+            [np.ones((3, 3)), np.ones((3, 3))],
+            lambda u, v: ad.contract(u, v, [(0, 0), (0, 1)]), DimensionError)
+
+    def test_mismatch_raises_after_nearby_plan(self):
+        # Plans are cached per shapes, so a cached plan for (2, 3) x (3, 4)
+        # does not let (2, 3) x (4, 4) through.
+        ad.contract(np.ones((2, 3)), np.ones((3, 4)), [(1, 0)], (1, 0))
+        ad.contract(np.ones((2, 3)), np.ones((3, 4)), [(1, 0)])
+        for perm in (None, (1, 0)):
+            TestSameOnAndOffTape.check_raises(
+                [np.ones((2, 3)), np.ones((4, 4))],
+                lambda u, v: ad.contract(u, v, [(1, 0)], perm), DimensionError)
+
+    @pytest.mark.parametrize("make", ["quadratic_form", "gram_quadratic_form",
+                                      "rayleigh_quotient"])
+    def test_hvp_inner_sweep_records_no_transpose(self, make, rng, monkeypatch):
+        from ttriem import objectives
+        from ttriem.tt import orthogonalize, random_symmetric_ttmat, random_tt
+        from ttriem.ttmanifold import hess_vec_tt, project_tt
+
+        modes = (3, 2, 3)
+        base = orthogonalize(random_tt(rng, modes, 2))
+        z = project_tt(base, random_tt(rng, modes, 2))
+        obj = getattr(objectives, make)(random_symmetric_ttmat(rng, modes, 2))
+        ops = []
+        sweep = ad.grad
+
+        def counting_grad(tape, *args, as_vars=False):
+            before = len(tape)
+            out = sweep(tape, *args, as_vars=as_vars)
+            if as_vars:
+                ops.append(Counter(node.op for node in tape.nodes[before:]))
+            return out
+
+        monkeypatch.setattr(ad, "grad", counting_grad)
+        hess_vec_tt(obj.evaluate, base, z)
+        assert len(ops) == 1 and ops[0]["contract"] > 0 and ops[0]["transpose"] == 0
 
 
 class TestCostContract:
@@ -860,6 +1003,7 @@ class TestSameOnAndOffTape:
     CASES = {
         "contract": ([(2, 3, 4), (4, 3)], lambda a, b: ad.contract(a, b, zip((2, -2), (0, 1)))),
         "contract/outer": ([(2,), (3,)], lambda a, b: ad.contract(a, b, [])),
+        "contract/perm": ([(2, 3, 4), (4, 5)], lambda a, b: ad.contract(a, b, [(2, 0)], (2, 0, 1))),
         "reshape": ([(2, 3)], lambda a: ad.reshape(a, (3, 2))),
         "transpose": ([(2, 3, 4)], lambda a: ad.transpose(a, (2, -3, 1))),
         "concat": ([(2, 3), (2, 1), (2, 2)], lambda *p: ad.concat(list(p), -1)),
