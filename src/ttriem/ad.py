@@ -13,13 +13,20 @@ default) mutes the tape while it runs, so its rules compute plain arrays
 and append nothing.
 
 ``contract(a, b, axes, perm)`` is ``tensordot`` with its result axes put
-in the order ``perm``, computed as one ``np.dot`` of the two 2-D views
-``tensordot`` builds.  The views, the output shape and order, and the axis
-pairs and order of each adjoint come from a plan cached per shapes, axes
-and ``perm``, so a repeated contraction does its axis arithmetic once.
-The adjoint of a permuted contraction is again one permuted contraction,
-of the output's adjoint with its axes relabelled, so a sweep through
-contractions records no ``transpose``.
+in the order ``perm``, computed by one BLAS call that reads the larger
+operand in place: when it is C-contiguous and its contracted axes form one
+run [P][K][Q], it goes to BLAS as a view, through one 2-D ``np.dot`` when P
+or Q is empty and one ``np.matmul`` batched over P otherwise.  Only the
+smaller operand is copied, into (K, N) order.  The result comes out as
+P+N+Q (or N+P when Q is empty), so a ``perm`` asking for that order gets a
+C-contiguous array and any other a transposed view.  The layout, the
+output shape and order, and the axis pairs and order of each adjoint come
+from a plan cached per shapes, axes and ``perm``, so a repeated contraction
+does its axis arithmetic once.  The adjoint of a permuted contraction is
+again one permuted contraction, of the output's adjoint with its axes
+relabelled and its result in the operand's own axis order, so a sweep
+through contractions records no ``transpose``, and a forward pass whose
+operands are read in place is read in place by its sweeps too.
 
 The mode operations take a TT core's slices per mode value: ``gather_mode``
 and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
@@ -330,10 +337,11 @@ def add_n(parts):
     tape, parts, vals = _operand_list(parts)
     if not vals:
         raise DimensionError("add_n needs at least one term, got shape (0,)")
-    val = vals[0].copy()
     for v in vals[1:]:
-        if v.shape != val.shape:
-            raise DimensionError(f"add_n term shapes differ: {val.shape} vs {v.shape}")
+        if v.shape != vals[0].shape:
+            raise DimensionError(f"add_n term shapes differ: {vals[0].shape} vs {v.shape}")
+    val = np.add(vals[0], vals[1]) if len(vals) > 1 else vals[0].copy()
+    for v in vals[2:]:
         val += v
     return _node(tape, val, "add_n", tuple(parts), (lambda u: u,) * len(parts))
 
@@ -473,13 +481,59 @@ def _argsort(perm):
     return tuple(inv)
 
 
+def _gemm_layouts(a_big, sl, cl, cs, l_ids, s_ids, ext, perm):
+    # The ways one GEMM can compute a contraction whose big operand, of
+    # shape sl, pairs its axes cl with the small operand's axes cs; l_ids
+    # and s_ids map each operand's free axes, in axis order, to their
+    # unpermuted result axes, of extents ext.  big is taken as (P, K, Q):
+    # its free axes before the contracted ones, the contracted ones, the
+    # free ones after.  For a C-contiguous big whose contracted axes form
+    # one run (axes of extent 1 may sit anywhere) that is a view; otherwise
+    # big is copied, with P all its free axes and Q empty.  The small
+    # operand is copied into (K, N) order, N its free axes in the order perm
+    # wants them.  The result comes out as P+N+Q, or as N+P when Q is empty
+    # (n_first), never as P+Q+N: BLAS would read a (K, Q) big transposed,
+    # which took twice as long for a (512, 2560) one (OpenBLAS, one
+    # thread).  Yields ((run, result in perm's order up to axes of extent
+    # 1), layout) for each order.
+    wide = sorted(i for i in cl if sl[i] != 1)
+    run = not wide or all(sl[i] == 1 for i in l_ids if wide[0] < i < wide[-1])
+    lo = wide[0] if wide and run else len(sl)
+    k = sorted(cl)
+    s_axis = {j: i for i, j in s_ids.items()}
+    n_ids = [j for j in perm if j in s_axis]
+    s_order = [cs[cl.index(i)] for i in k] + [s_axis[j] for j in n_ids]
+    p = [i for i in l_ids if i < lo]
+    q = [i for i in l_ids if i > lo]
+    p_ids, q_ids = [l_ids[i] for i in p], [l_ids[i] for i in q]
+    pn, kn, qn = (math.prod(sl[i] for i in axes) for axes in (p, k, q))
+    for n_first in (False, True)[:1 + (qn == 1)]:
+        got = n_ids + p_ids + q_ids if n_first else p_ids + n_ids + q_ids
+        out = tuple(got.index(j) for j in perm)
+        yield (run, [j for j in got if ext[j] != 1] == [j for j in perm if ext[j] != 1]), (
+            a_big,
+            _unless_identity(p + k + q),
+            (pn, kn, qn),
+            _unless_identity(s_order),
+            (kn, math.prod(ext[j] for j in n_ids)),
+            n_first,
+            tuple(ext[j] for j in got),
+            _unless_identity(out),
+        )
+
+
+def _unless_identity(order):
+    # An axis order as a tuple, or None for the identity (no transpose).
+    order = tuple(order)
+    return None if order == tuple(range(len(order))) else order
+
+
 @lru_cache(maxsize=1024)
 def _contract_plan(sa, sb, axes, perm):
     # The plan of contract(a, b, axes, perm) for a of shape sa and b of shape
     # sb, built once per key, which holds plain ints only.  Validation
     # happens here, so a key gets a plan only if its shapes, axes and perm
-    # are valid.  The two 2-D views are those np.tensordot builds: a's free
-    # axes then its contracted ones, b's contracted axes then its free ones.
+    # are valid.
     # range(n)[p] maps p in [-n, n) to [0, n) and raises IndexError for any other p.
     ca = [range(len(sa))[p] for p, _ in axes]
     cb = [range(len(sb))[q] for _, q in axes]
@@ -513,16 +567,19 @@ def _contract_plan(sa, sb, axes, perm):
     to_b = [cb[ca.index(p)] for p in sorted(ca)] + [fb[perm[i] - len(fa)] for i in ub]
     grad_a = (tuple((inv[len(fa) + j], q) for j, q in enumerate(fb)), _argsort(to_a))
     grad_b = (tuple((p, inv[j]) for j, p in enumerate(fa)), _argsort(to_b))
-    return (
-        None if fa + ca == list(range(len(sa))) else tuple(fa + ca),
-        (math.prod(sa[i] for i in fa), math.prod(sa[i] for i in ca)),
-        None if cb + fb == list(range(len(sb))) else tuple(cb + fb),
-        (math.prod(sb[i] for i in cb), math.prod(sb[i] for i in fb)),
-        tuple(sa[i] for i in fa) + tuple(sb[i] for i in fb),
-        None if perm == tuple(range(nf)) else perm,
-        grad_a,
-        grad_b,
-    )
+    # The larger operand is the big one; between two of one size, either.
+    # The first layout that copies no big operand and gives the result in
+    # perm's order wins, or else the first that copies none.
+    a_ids = {i: j for j, i in enumerate(fa)}
+    b_ids = {i: len(fa) + j for j, i in enumerate(fb)}
+    ext = [sa[i] for i in fa] + [sb[i] for i in fb]
+    size_a, size_b = math.prod(sa), math.prod(sb)
+    layouts = []
+    if size_a >= size_b:
+        layouts += _gemm_layouts(True, sa, ca, cb, a_ids, b_ids, ext, perm)
+    if size_b >= size_a:
+        layouts += _gemm_layouts(False, sb, cb, ca, b_ids, a_ids, ext, perm)
+    return max(layouts, key=lambda scored: scored[0])[1] + (grad_a, grad_b)
 
 
 def contract(a, b, axes, perm=None):
@@ -531,22 +588,44 @@ def contract(a, b, axes, perm=None):
     Result axes are the free axes of ``a`` followed by the free axes of
     ``b``, then reordered by ``perm`` as ``np.transpose`` would.  An empty
     ``axes`` list is the outer product.  The value is that of
-    ``np.transpose(np.tensordot(a, b, axes), perm)``: one ``np.dot`` of the
-    two 2-D views ``tensordot`` builds, from a plan cached per shapes, axes
-    and ``perm``.  Each adjoint is again one permuted contraction, so a
-    sweep through it records no ``transpose``.
+    ``np.transpose(np.tensordot(a, b, axes), perm)`` up to the order of its
+    sums, from one BLAS call planned once per shapes, axes and ``perm``.
+
+    The larger operand (of two of one size, the one that suits the call
+    better) is taken as (P, K, Q): its free axes before the contracted
+    ones, the contracted ones, its free axes after, where axes of extent 1
+    may sit anywhere.  When it is C-contiguous and its contracted axes form
+    that one run, it reaches BLAS as a view: one 2-D ``np.dot`` when P or Q
+    is empty, otherwise one ``np.matmul`` batched over P.  When they do
+    not, it is first copied into that form.  Only the smaller operand is
+    rearranged, by ``np.ascontiguousarray`` into (K, N) order, N its free
+    axes in the order ``perm`` gives them.  The result is C-contiguous
+    whenever ``perm`` orders it as P+N+Q (or N+P when Q is empty), and a
+    transposed view otherwise.  Each adjoint is again one permuted
+    contraction, in its operand's axis order, so a sweep through it records
+    no ``transpose``.
     """
     tape, a, b, av, bv = _operands(a, b)
     axes = tuple([(index(p), index(q)) for p, q in axes])
     if perm is not None:
         perm = tuple(map(index, perm))
-    a_axes, a_2d, b_axes, b_2d, shape, perm, grad_a, grad_b = _contract_plan(
-        av.shape, bv.shape, axes, perm)
-    if a_axes is not None:
-        av = av.transpose(a_axes)
-    if b_axes is not None:
-        bv = bv.transpose(b_axes)
-    val = np.dot(av.reshape(a_2d), bv.reshape(b_2d)).reshape(shape)
+    (a_big, big_axes, (pn, kn, qn), small_axes, small_2d, n_first, shape, perm,
+     grad_a, grad_b) = _contract_plan(av.shape, bv.shape, axes, perm)
+    big, small = (av, bv) if a_big else (bv, av)
+    if big_axes is not None:
+        big = big.transpose(big_axes)
+    if small_axes is not None:
+        small = small.transpose(small_axes)
+    big = np.ascontiguousarray(big).reshape(pn, kn, qn)
+    small = np.ascontiguousarray(small).reshape(small_2d)
+    if qn == 1:
+        big = big.reshape(pn, kn)
+        val = np.dot(small.T, big.T) if n_first else np.dot(big, small)
+    elif pn == 1:
+        val = np.dot(small.T, big[0])
+    else:
+        val = np.matmul(small.T, big)
+    val = val.reshape(shape)
     if perm is not None:
         val = val.transpose(perm)
     # The rules call the module's contract by name, so a wrapper installed

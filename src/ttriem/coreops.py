@@ -69,18 +69,23 @@ def operator_dot_cores(op_cores, xs, ys):
     """<A X, Y> for TT operator cores (R, m, n, R'), X cores (r_x, n, r_x')
     and Y cores (r_y, m, r_y') (scalar output).
 
-    The sweep carries an (r_y, R, r_x) interface and folds in the Y core,
-    the A core over its leading (R, m) axes, then the X core.  The rank-R*r
-    cores of A X are never formed, and since an operator core is contracted
-    over its leading axes and its adjoint over its trailing (n, R') axes,
-    no operator core is copied.
+    The sweep carries an (r_x, R, r_y) interface and folds in the Y core,
+    the A core over its leading (R, m) axes, then the X core; the rank-R*r
+    cores of A X are never formed.  Each step orders its result so that the
+    next step's larger operand has its contracted axes in one run, so
+    :func:`ttriem.ad.contract` reads every intermediate of an interior mode
+    in place, in this sweep and in both reverse sweeps of an HVP.  An
+    operator core is contracted over its leading (R, m) axes and its
+    adjoint over its trailing (n, R') axes, both runs, so a core that is the
+    larger operand (as the (1, m, m, R) cores of a matrix operator are) is
+    never copied, and a smaller one is copied only by the adjoint.
     """
     _check_operator(op_cores, xs, [np.shape(y)[1] for y in ys], "operator_dot_cores")
     m = np.ones((1, 1, 1))
     for a, x, y in zip(op_cores, xs, ys):
-        t = ad.contract(m, y, [(0, 0)])  # (R, r_x, m, r_y')
-        t = ad.contract(t, a, [(0, 0), (2, 1)])  # (r_x, r_y', n, R')
-        m = ad.contract(t, x, [(0, 0), (2, 1)])  # (r_y', R', r_x')
+        t = ad.contract(m, y, [(2, 0)])  # (r_x, R, m, r_y')
+        t = ad.contract(t, a, [(1, 0), (2, 1)], (0, 2, 3, 1))  # (r_x, n, R', r_y')
+        m = ad.contract(t, x, [(0, 0), (1, 1)], (2, 0, 1))  # (r_x', R', r_y')
     return ad.reshape(m, ())
 
 
@@ -89,21 +94,25 @@ def operator_pair_dot_cores(a_cores, xs, b_cores, ys):
     (R_B, m, l, R_B'), X cores (r_x, n, r_x') and Y cores (r_y, l, r_y')
     (scalar output).
 
-    The sweep carries an (r_x, R_A, R_B, r_y) interface and folds in the X
+    The sweep carries an (r_y, R_B, R_A, r_x) interface and folds in the X
     core, the A core over (R_A, n), the B core over its leading (R_B, m)
     axes, then the Y core; neither A X, B Y nor the product A^T B is formed.
-    Only A is contracted over non-adjacent axes, so a caller holding a
-    transposed view of an operator passes it as A.
+    As in :func:`operator_dot_cores`, each step orders its result so that
+    every intermediate of an interior mode is read in place.  Only A is
+    contracted over non-adjacent axes: the smaller operand of its step, it
+    is rearranged into (R_A, n, m, R_A') order by the forward sweep, which
+    is no copy for the transposed view of a contiguous (R, n, m, R') core.
+    So a caller holding a transposed view of an operator passes it as A.
     """
     rows = [np.shape(b)[1] for b in b_cores]
     _check_operator(a_cores, xs, rows, "operator_pair_dot_cores")
     _check_operator(b_cores, ys, rows, "operator_pair_dot_cores")
     m = np.ones((1, 1, 1, 1))
     for a, x, b, y in zip(a_cores, xs, b_cores, ys):
-        t = ad.contract(m, x, [(0, 0)])  # (R_A, R_B, r_y, n, r_x')
-        t = ad.contract(t, a, [(0, 0), (3, 2)])  # (R_B, r_y, r_x', m, R_A')
-        t = ad.contract(t, b, [(0, 0), (3, 1)])  # (r_y, r_x', R_A', l, R_B')
-        m = ad.contract(t, y, [(0, 0), (3, 1)])  # (r_x', R_A', R_B', r_y')
+        t = ad.contract(m, x, [(3, 0)])  # (r_y, R_B, R_A, n, r_x')
+        t = ad.contract(t, a, [(2, 0), (3, 2)], (0, 1, 3, 4, 2))  # (r_y, R_B, m, R_A', r_x')
+        t = ad.contract(t, b, [(1, 0), (2, 1)], (0, 3, 4, 1, 2))  # (r_y, l, R_B', R_A', r_x')
+        m = ad.contract(t, y, [(0, 0), (1, 1)], (3, 0, 1, 2))  # (r_y', R_B', R_A', r_x')
     return ad.reshape(m, ())
 
 

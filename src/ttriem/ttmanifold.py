@@ -193,10 +193,12 @@ def riemannian_grad_tt(p, x) -> TtTangent:
     """
     base = _as_ortho(x)
     tape = ad.Tape()
-    rvars = [tape.input(v) for v in _delta_seed(base)]
-    out = p(_block_cores(base, rvars))
-    raw = ad.grad(tape, out, rvars)
-    tape.clear()
+    try:
+        rvars = [tape.input(v) for v in _delta_seed(base)]
+        out = p(_block_cores(base, rvars))
+        raw = ad.grad(tape, out, rvars)
+    finally:
+        tape.clear()
     return TtTangent._trusted(base, _apply_gauge(base, raw))
 
 
@@ -215,15 +217,17 @@ def hess_vec_tt(p, x, z: TtTangent) -> TtTangent:
     if not z.base.matches(base):
         raise InvalidTangentError("tangent vector is anchored at a different point")
     tape = ad.Tape()
-    rvars = [tape.input(v) for v in _delta_seed(base)]
-    out = p(_block_cores(base, rvars))
-    inner = ad.grad(tape, out, rvars, as_vars=True)
-    w = ad.add_n([
-        ad.contract(g, dz, [(0, 0), (1, 1), (2, 2)])
-        for g, dz in zip(inner, z.deltas)
-    ])
-    raw = ad.grad(tape, w, rvars)
-    tape.clear()
+    try:
+        rvars = [tape.input(v) for v in _delta_seed(base)]
+        out = p(_block_cores(base, rvars))
+        inner = ad.grad(tape, out, rvars, as_vars=True)
+        w = ad.add_n([
+            ad.contract(g, dz, [(0, 0), (1, 1), (2, 2)])
+            for g, dz in zip(inner, z.deltas)
+        ])
+        raw = ad.grad(tape, w, rvars)
+    finally:
+        tape.clear()
     return TtTangent._trusted(base, _apply_gauge(base, raw))
 
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import weakref
 from collections import Counter
 
@@ -718,15 +719,25 @@ class TestPermutedContract:
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_value_is_transposed_tensordot(self, case, rng):
+        # The GEMM may sum in another order than np.tensordot, so the value
+        # is held to tensordot in extended precision by the standard
+        # dot-product error bound 2 K eps (|a| |b|), K the contracted extent.
+        # On and off a tape, and from one call to the next, it is the same
+        # bytes.
         shape_a, shape_b, axes = case
         a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        extent = math.prod(shape_a[p] for p, _ in axes())
+        eps = np.finfo(np.float64).eps
         for perm in self.perms(case):
-            want = self.reference(a, b, axes, perm)
+            want = self.reference(a.astype(np.longdouble), b.astype(np.longdouble), axes, perm)
+            bound = 2 * extent * eps * self.reference(np.abs(a), np.abs(b), axes, perm)
+            got = ad.contract(a, b, axes(), perm)
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert np.all(np.abs(got - want) <= bound)
             tape = ad.Tape()
-            for got in (ad.contract(a, b, axes(), perm),
-                        ad.contract(tape.input(a), b, axes(), perm).value):
-                assert got.shape == want.shape and got.dtype == np.float64
-                assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+            for again in (ad.contract(a, b, axes(), perm),
+                          ad.contract(tape.input(a), b, axes(), perm).value):
+                assert np.ascontiguousarray(again).tobytes() == np.ascontiguousarray(got).tobytes()
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_gradient_against_fd(self, case, rng):
@@ -814,6 +825,67 @@ class TestPermutedContract:
         monkeypatch.setattr(ad, "grad", counting_grad)
         hess_vec_tt(obj.evaluate, base, z)
         assert len(ops) == 1 and ops[0]["contract"] > 0 and ops[0]["transpose"] == 0
+
+    def test_hvp_reads_larger_operands_in_place(self, rng, monkeypatch):
+        # BLAS reads the larger operand of every contraction at an interior
+        # mode (no operand has an axis of extent 1) of a qf, gram and
+        # Rayleigh HVP as a view, and every matrix operator core of a
+        # matrix-manifold qf HVP too: no such operand is copied.
+        from ttriem import objectives
+        from ttriem.matrix import FixedRankPoint, hess_vec_matrix, project_matrix
+        from ttriem.tt import orthogonalize, random_symmetric_ttmat, random_tt
+        from ttriem.ttmanifold import hess_vec_tt, project_tt
+
+        calls, blas_args = [], None
+
+        def reading(blas):
+            def call(*args):
+                if blas_args is not None:
+                    blas_args.extend(args)
+                return blas(*args)
+            return call
+
+        contract = ad.contract
+
+        def recording_contract(a, b, *args):
+            nonlocal blas_args
+            blas_args = []
+            try:
+                return contract(a, b, *args)
+            finally:
+                calls.append(([value_of(x) for x in (a, b)], blas_args))
+                blas_args = None
+
+        def read_in_place(operand, args):
+            return any(np.shares_memory(operand, x) for x in args)
+
+        monkeypatch.setattr(np, "dot", reading(np.dot))
+        monkeypatch.setattr(np, "matmul", reading(np.matmul))
+        monkeypatch.setattr(ad, "contract", recording_contract)
+        modes = (4, 4, 4, 4)
+        base = orthogonalize(random_tt(rng, modes, 3))
+        z = project_tt(base, random_tt(rng, modes, 3))
+        a = random_symmetric_ttmat(rng, modes, 2)
+        for make in ("quadratic_form", "gram_quadratic_form", "rayleigh_quotient"):
+            calls.clear()
+            hess_vec_tt(getattr(objectives, make)(a).evaluate, base, z)
+            interior = [(vals, args) for vals, args in calls
+                        if all(1 not in v.shape for v in vals)]
+            assert len(interior) > 10, make
+            for vals, args in interior:
+                larger = max(v.size for v in vals)
+                assert any(read_in_place(v, args) for v in vals if v.size == larger), (
+                    make, [v.shape for v in vals])
+
+        obj = objectives.quadratic_form(random_symmetric_ttmat(rng, (12, 12), 2))
+        point = FixedRankPoint.from_dense(rng.standard_normal((12, 12)), 2)
+        calls.clear()
+        hess_vec_matrix(obj.factor_program(), point,
+                        project_matrix(point, rng.standard_normal((12, 12))))
+        with_core = [(core, args) for vals, args in calls for core in obj.operator.cores
+                     if any(v is core for v in vals)]
+        assert len(with_core) > 4
+        assert all(read_in_place(core, args) for core, args in with_core)
 
 
 class TestCostContract:

@@ -7,7 +7,12 @@ import pytest
 
 from ttriem import ad, coreops
 from ttriem.bench import objective_suite
-from ttriem.errors import DimensionError, InvalidPairError, InvalidTangentError
+from ttriem.errors import (
+    DegeneratePointError,
+    DimensionError,
+    InvalidPairError,
+    InvalidTangentError,
+)
 from ttriem.matrix import FixedRankPoint
 from ttriem.objectives import quadratic_form
 from ttriem.oracles import dense_preconditioned_residual, dense_project, tangent_residual
@@ -594,3 +599,28 @@ class TestTapesFreedOnReturn:
                 assert tapes and all(t() is None for t in tapes), obj.name
             finally:
                 gc.enable()
+
+    @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
+    def test_tape_freed_when_program_raises(self, rng, hvp):
+        # A program that raises, as the Rayleigh quotient does at a
+        # degenerate point, leaves no tape for the collector either.
+        base = hvp_base(rng, False)
+        z = project_tt(base, random_tt(rng, HVP_MODES, 2))
+        tapes = []
+
+        def program(cores):
+            tapes.append(weakref.ref(cores[0].tape))
+            raise DegeneratePointError("the program raised")
+
+        gc.disable()
+        try:
+            try:
+                if hvp:
+                    hess_vec_tt(program, base, z)
+                else:
+                    riemannian_grad_tt(program, base)
+            except DegeneratePointError:
+                pass
+            assert len(tapes) == 1 and tapes[0]() is None
+        finally:
+            gc.enable()
