@@ -687,20 +687,48 @@ def scatter_mode(mat, idx, n):
     """Adjoint of :func:`gather_mode`: scatter-add (N, r_l, r_r) slices into
     an (r_l, n, r_r) core.
 
-    It is one matrix product ``E @ mat`` with the transient (n, N) one-hot
-    selection matrix ``E``, built per call and never recorded; ``E`` is no
-    larger than ``mat`` whenever n <= r_l * r_r.
+    For n <= r_l * r_r it is one matrix product ``E @ mat`` with the
+    transient (n, N) one-hot selection matrix ``E``, built per call and never
+    recorded, which is then no larger than ``mat``.  A wider mode (a gathered
+    prefix or suffix table of :func:`ttriem.coreops.entries_cores`) is
+    summed by one ``np.bincount`` per slice entry, so nothing of size n * N
+    is formed.
     """
     tape, mat, mv = _operand(mat)
     idx = index_vector(idx, n, "scatter_mode")
     if mv.ndim != 3 or mv.shape[0] != len(idx):
         raise DimensionError(f"scatter_mode needs ({len(idx)}, r_l, r_r) slices, got {mv.shape}")
     count, rl, rr = mv.shape
-    onehot = np.zeros((n, count))
-    onehot[idx, np.arange(count)] = 1.0
-    buf = onehot @ mv.reshape(count, rl * rr)  # sizes spelled out: count may be 0
+    cols = mv.reshape(count, rl * rr)  # sizes spelled out: count may be 0
+    if n <= rl * rr:
+        onehot = np.zeros((n, count))
+        onehot[idx, np.arange(count)] = 1.0
+        buf = onehot @ cols
+    else:
+        buf = np.empty((n, rl * rr))
+        for j in range(rl * rr):
+            buf[:, j] = np.bincount(idx, weights=cols[:, j], minlength=n)
     val = np.ascontiguousarray(np.transpose(buf.reshape(n, rl, rr), (1, 0, 2)))
     return _node(tape, val, "scatter_mode", (mat,), (lambda u: gather_mode(u, idx),))
+
+
+# From this many samples on, a per-sample dot product is faster as one einsum
+# reduction than through numpy's stacked matmul (one BLAS thread: 17.6 against
+# 10.9 us at N=1024, r=5, but 1.7 against 3.4 us at N=32).
+_EINSUM_DOT_MIN = 1024
+
+
+def _batch_matmul_value(a, b):
+    # numpy's stacked matmul runs one tiny product per sample.  An outer
+    # product (q = 1) is one broadcast multiply, with the same bits; a dot
+    # product (p = s = 1) over many samples is one einsum reduction.  Other
+    # shapes, and a few dot products (expmach's margins), stay with np.matmul.
+    count, p, q = a.shape
+    if q == 1:
+        return a * b
+    if p == 1 and b.shape[2] == 1 and count >= _EINSUM_DOT_MIN:
+        return np.einsum("nq,nq->n", a[:, 0, :], b[:, :, 0]).reshape(count, 1, 1)
+    return np.matmul(a, b)
 
 
 def batch_matmul(a, b):
@@ -709,7 +737,7 @@ def batch_matmul(a, b):
     sa, sb = av.shape, bv.shape
     if len(sa) != 3 or len(sb) != 3 or sa[0] != sb[0] or sa[2] != sb[1]:
         raise DimensionError(f"batch_matmul shapes incompatible: {sa} x {sb}")
-    return _node(tape, np.matmul(av, bv), "batch_matmul", (a, b), (
+    return _node(tape, _batch_matmul_value(av, bv), "batch_matmul", (a, b), (
         lambda u: batch_matmul(u, transpose(b, (0, 2, 1))),
         lambda u: batch_matmul(transpose(a, (0, 2, 1)), u),
     ))

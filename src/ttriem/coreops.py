@@ -8,12 +8,17 @@ The operator sandwiches <A X, Y> and <A X, B Y> are sweeps over a rank
 interface with one pairwise contraction per core; they never form the
 rank-R*r cores of A X that :func:`matvec_cores` builds for ``ttmat_apply``.
 
-Entries at N multi-indices (:func:`entries_cores`) are a sweep over (N, r)
-interface rows kept sorted by the mode they go through next, so each core
-costs one row permutation: O(N d r^2) time and O(N r) memory per mode on a
-tape, in the forward pass and in both reverse sweeps of an HVP.  Indices
-are validated once, by :func:`check_indices`, for this sweep and for the
-fused sparse projection alike.
+Entries at N multi-indices (:func:`entries_cores`) come from two boundary
+tables, the chain of the leading modes at every prefix and that of the
+trailing modes at every suffix, each built by contractions, at most N rows
+beyond its boundary core, and gathered once at the samples' ids.  Only the
+modes that the tables cannot reach under that cap are swept as (N, r)
+interface rows kept sorted by the mode they go through next, one row
+permutation per core.  The cost is the table work plus O(N r) (plus
+O(N r^2) per swept mode), not O(N d r^2), and every tape value holds O(N r)
+numbers, in the forward pass and in both reverse sweeps of an HVP.  Indices
+are validated once, by :func:`check_indices`, for entries and for the fused
+sparse projection alike.
 """
 
 import numpy as np
@@ -150,34 +155,87 @@ def check_indices(idx, sizes):
     return idx
 
 
+def _table_split(sizes, count):
+    """The modes (a, b) at which :func:`entries_cores` splits its chain.
+
+    Modes 0..a-1 form the left table and b..d-1 the right one; the boundary
+    cores alone are the tables of a = 1 and b = d - 1.  A table grows by one
+    mode while its rows, the product of its mode sizes, stay within
+    ``count``, the side with the smaller next table first, until the tables
+    meet (a = b) or neither can grow.
+    """
+    a, b = 1, len(sizes) - 1
+    left, right = sizes[0], sizes[-1]
+    while a < b:
+        grow_left, grow_right = left * sizes[a], right * sizes[b - 1]
+        if min(grow_left, grow_right) > count:
+            break
+        if grow_left <= grow_right:
+            left, a = grow_left, a + 1
+        else:
+            right, b = grow_right, b - 1
+    return a, b
+
+
+def _prefix_table(cores):
+    # (1, n_0 ... n_{a-1}, r_a): the chain of the given leading cores at
+    # every prefix, rows in C order of the prefix's indices.
+    table = cores[0]
+    for core in cores[1:]:
+        rows, (_, n, r) = np.shape(table)[1], np.shape(core)
+        table = ad.reshape(ad.contract(table, core, [(2, 0)]), (1, rows * n, r))
+    return table
+
+
+def _suffix_table(cores):
+    # (r_b, n_b ... n_{d-1}, 1): the chain of the given trailing cores at
+    # every suffix, rows in C order of the suffix's indices.
+    table = cores[-1]
+    for core in cores[-2::-1]:
+        rows, (r, n, _) = np.shape(table)[1], np.shape(core)
+        table = ad.reshape(ad.contract(core, table, [(2, 0)]), (r, n * rows, 1))
+    return table
+
+
 def entries_cores(cores, idx):
     """Evaluate the core-chain product at a batch of multi-indices.
 
     ``idx`` is an (N, d) integer array with column k in [0, n_k); the
-    result is the length-N vector of tensor entries.  The sweep carries the
-    (N, r_k) left interface rows: the boundary cores are gathered per sample
-    (their slices are vectors), and each interior core is applied by
-    :func:`ttriem.ad.mode_matmul`, one matrix product per mode value over a
-    grouping of the samples computed once here.  The rows reach mode k
-    sorted by its index and leave for mode k + 1 sorted by that one's, so
-    each core costs one row permutation.  Time is O(N d r^2) and every tape
-    value, adjoints included, holds O(N r) numbers.
+    result is the length-N vector of tensor entries.  Samples share their
+    prefixes and suffixes, so the chain of modes 0..a-1 is built once per
+    prefix, as a (1, P_L, r_a) table, and that of modes b..d-1 once per
+    suffix, as an (r_b, P_R, 1) table, each by a chain of contractions and
+    no larger than N rows beyond its boundary core (:func:`_table_split`).
+    Each table is gathered once at the samples' flattened prefix and suffix
+    ids, and the two are multiplied per sample.  Modes a..b-1, which the
+    tables cannot reach under that cap, are swept as (N, r_k) rows, each
+    core applied by :func:`ttriem.ad.mode_matmul` over a grouping of the
+    samples computed once here: the rows reach mode k sorted by its index
+    and leave for mode k + 1 sorted by that one's, so each core costs one
+    row permutation.  Time is the table work, at most N r^2 per table mode,
+    plus O(N r) for the gathers and the product, plus O(N r^2) per swept
+    mode; every tape value, adjoints included, holds O(N r) numbers.
     """
     sizes = [np.shape(core)[1] for core in cores]
     idx = check_indices(idx, sizes)
     d = len(cores)
     count = idx.shape[0]
-    # sorts[k] is the sorted order of interior mode k.  The first core is
-    # gathered straight into mode 1's order, and None at the last mode is
-    # sample order, in which the last interior core hands its rows out.
-    sorts = [None] + [ad.ModeSort(idx[:, k], sizes[k]) for k in range(1, d - 1)] + [None]
-    first = idx[:, 0] if sorts[1] is None else idx[sorts[1].order, 0]
-    e = ad.gather_mode(cores[0], first)  # (N, 1, r_1)
-    if d > 1:
-        rows = ad.reshape(e, (count, np.shape(cores[0])[2]))
-        for k in range(1, d - 1):
-            groups = sorts[k].groups(sorts[k + 1])
-            rows = ad.mode_matmul(rows, cores[k], groups)  # (N, r_{k+1})
-        e = ad.batch_matmul(ad.reshape(rows, (count, 1, np.shape(cores[-1])[0])),
-                            ad.gather_mode(cores[-1], idx[:, -1]))  # (N, 1, 1)
+    if d == 1:
+        return ad.reshape(ad.gather_mode(cores[0], idx[:, 0]), (count,))
+    a, b = _table_split(sizes, count)
+    left = np.ravel_multi_index(tuple(idx[:, :a].T), sizes[:a])
+    right = np.ravel_multi_index(tuple(idx[:, b:].T), sizes[b:])
+    # sorts[j] is the sorted order of swept mode a + j.  The left table is
+    # gathered straight into mode a's order, and the closing None is sample
+    # order, in which the last swept core hands its rows out.
+    sorts = [ad.ModeSort(idx[:, k], sizes[k]) for k in range(a, b)] + [None]
+    if a < b:
+        left = left[sorts[0].order]
+    rows = ad.gather_mode(_prefix_table(cores[:a]), left)  # (N, 1, r_a)
+    if a < b:
+        rows = ad.reshape(rows, (count, np.shape(cores[a])[0]))
+        for core, sort, following in zip(cores[a:b], sorts, sorts[1:]):
+            rows = ad.mode_matmul(rows, core, sort.groups(following))  # (N, r')
+        rows = ad.reshape(rows, (count, 1, np.shape(cores[b])[0]))
+    e = ad.batch_matmul(rows, ad.gather_mode(_suffix_table(cores[b:]), right))  # (N, 1, 1)
     return ad.reshape(e, (count,))

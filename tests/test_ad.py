@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -359,6 +360,76 @@ class TestModePrimitives:
         (hz,) = ad.grad(tape, ad.reduce_sum(g1 * z), [c])
         want = fd_gradient(directional, [core], step=1e-3)[0]
         np.testing.assert_allclose(hz, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
+
+    def test_wide_scatter_forms_no_one_hot(self, rng):
+        # 12,000 (1, 5) slices into a mode of 4096 values: the (n, N)
+        # one-hot matrix would take 393 MB, against 0.5 MB of input and
+        # 0.16 MB of output.  Numpy reports its buffers to tracemalloc.
+        count, n = 12000, 4096
+        mat = rng.standard_normal((count, 1, 5))
+        idx = rng.integers(0, n, count)
+        tracemalloc.start()
+        try:
+            got = ad.scatter_mode(mat, idx, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+        np.testing.assert_allclose(got, add_at_scatter(mat, idx, n), rtol=1e-12, atol=1e-12)
+
+
+class TestBatchMatmul:
+    # (N, p, q, s) per shape class: per-sample dot products (p = s = 1) on
+    # either side of the einsum cut-over, outer products (q = 1) and the
+    # general products that stay with np.matmul, each also with no samples.
+    MANY = ad._EINSUM_DOT_MIN + 5
+    CASES = {
+        "dot_few": (9, 1, 5, 1),
+        "dot_many": (MANY, 1, 5, 1),
+        "dot_no_samples": (0, 1, 5, 1),
+        "outer": (9, 4, 1, 3),
+        "outer_row": (MANY, 1, 1, 6),
+        "outer_column": (MANY, 6, 1, 1),
+        "outer_no_samples": (0, 4, 1, 3),
+        "row_times_matrix": (9, 1, 4, 4),
+        "general": (9, 2, 3, 4),
+        "general_no_samples": (0, 2, 3, 4),
+    }
+
+    @staticmethod
+    def operands(case, transposed, rng):
+        count, p, q, s = case
+        if transposed:  # adjoints pass transposed views
+            a = np.transpose(rng.standard_normal((count, q, p)), (0, 2, 1))
+            b = np.transpose(rng.standard_normal((count, s, q)), (0, 2, 1))
+        else:
+            a, b = rng.standard_normal((count, p, q)), rng.standard_normal((count, q, s))
+        return a, b
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed_view"])
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_matches_matmul_on_and_off_tape(self, case, transposed, rng):
+        a, b = self.operands(case, transposed, rng)
+        want = np.matmul(a, b)
+        plain = ad.batch_matmul(a, b)
+        tape = ad.Tape()
+        on_tape = ad.batch_matmul(tape.input(a), tape.input(b)).value
+        assert np.array_equal(plain, on_tape)
+        assert plain.shape == want.shape and plain.dtype == np.float64
+        np.testing.assert_allclose(plain, want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_adjoints_match_matmul(self, case, rng):
+        # d<w, A B> is w B^T for A and A^T w for B, whatever class the
+        # adjoint products fall into.
+        a, b = self.operands(case, False, rng)
+        w = rng.standard_normal(np.matmul(a, b).shape)
+        tape, out = ad.record([a, b], lambda x, y: ad.reduce_sum(ad.batch_matmul(x, y) * w))
+        ga, gb = ad.grad(tape, out, tape.nodes[:2])
+        np.testing.assert_allclose(ga, np.matmul(w, np.transpose(b, (0, 2, 1))),
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(gb, np.matmul(np.transpose(a, (0, 2, 1)), w),
+                                   rtol=1e-13, atol=1e-13)
 
 
 def per_sample_slices(core, idx):

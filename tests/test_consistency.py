@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ttriem
 from ttriem.matrix import (
@@ -17,7 +18,7 @@ from ttriem.matrix import (
     riemannian_grad_matrix,
     tangent_materialize,
 )
-from ttriem import ad
+from ttriem import ad, coreops
 from ttriem.baselines import _tt_from_dense, project_sparse
 from ttriem.objectives import IndexSet, completion_loss, quadratic_form
 from ttriem.oracles import dense_preconditioned_residual
@@ -233,6 +234,132 @@ class TestCompletionRowSweeps:
         finally:
             tracemalloc.stop()
         assert peak < count * max(modes), peak  # one byte per (N, n_k) entry
+
+
+class TestEntriesTables:
+    # Entries come from a prefix table of modes 0..a-1 and a suffix table of
+    # modes b..d-1, each gathered once, with modes a..b-1 swept as rows.
+    # Case: (modes, N, rank, (a, b)); the split is asserted, so each case
+    # covers what its name says.
+    CASES = {
+        "d1": ((7,), 5, 1, None),
+        "d2": ((6, 4), 9, 3, (1, 1)),
+        "tables_meet": ((4, 5, 3, 4, 3, 5), 200, 3, (3, 3)),
+        "tables_and_sweep": ((2, 3, 6, 6, 3, 2), 20, 3, (2, 4)),
+        "boundary_cores_and_sweep": ((30, 30, 30, 30), 100, 2, (1, 3)),
+        "boundary_mode_wider_than_N": ((40, 3, 2), 10, 3, (1, 1)),
+        "no_samples": ((4, 3, 5), 0, 2, (1, 2)),
+    }
+
+    @staticmethod
+    def setup_case(case, rng, repeated=False):
+        modes, count, rank, _ = case
+        idx = np.stack([rng.integers(0, n, count) for n in modes], axis=1)
+        if repeated:  # every row twice, the copies shuffled in
+            idx = idx[rng.permutation(np.repeat(np.arange(count), 2))]
+        return random_tt(rng, modes, rank), idx
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated_rows"])
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_matches_dense_entries(self, case, repeated, rng):
+        x, idx = self.setup_case(case, rng, repeated)
+        want = tt_to_dense(x)[tuple(idx.T)]
+        got = tt_entries(x, idx)
+        assert got.shape == (len(idx),) and got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        tape = ad.Tape()
+        on_tape = coreops.entries_cores([tape.input(c) for c in x.cores], idx)
+        np.testing.assert_allclose(on_tape.value, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_tables_hold_at_most_n_rows(self, case, rng, monkeypatch):
+        # Only a boundary core, the whole table at a = 1 or b = d - 1, may
+        # have more rows than there are samples.
+        modes, count, _, split = case
+        x, idx = self.setup_case(case, rng)
+        gathered = []
+        gather = ad.gather_mode
+
+        def recording_gather(core, ids):
+            gathered.append(np.shape(core))
+            return gather(core, ids)
+
+        monkeypatch.setattr(ad, "gather_mode", recording_gather)
+        tt_entries(x, idx)
+        if split is None:
+            assert gathered == [x.cores[0].shape]
+            return
+        a, b = split
+        assert coreops._table_split(list(modes), count) == split
+        (one, left, r_a), (r_b, right, one_too) = gathered
+        assert (one, one_too) == (1, 1)
+        assert (r_a, r_b) == (x.cores[a].shape[0], x.cores[b].shape[0])
+        assert left == np.prod(modes[:a]) and right == np.prod(modes[b:])
+        assert a == 1 or left <= count
+        assert b == len(modes) - 1 or right <= count
+
+    def test_split_rule(self, rng):
+        # A table grows while it stays within N rows, so when the tables do
+        # not meet neither can take the next mode.
+        for _ in range(300):
+            modes = [int(n) for n in rng.integers(1, 12, rng.integers(2, 8))]
+            count = int(rng.integers(0, 3000))
+            a, b = coreops._table_split(modes, count)
+            assert 1 <= a <= b <= len(modes) - 1
+            assert a == 1 or np.prod(modes[:a]) <= count
+            assert b == len(modes) - 1 or np.prod(modes[b:]) <= count
+            if a < b:
+                assert min(np.prod(modes[:a + 1]), np.prod(modes[b - 1:])) > count
+
+    def program(self, idx, w):
+        return lambda *cs: ad.reduce_sum(ad.mul(coreops.entries_cores(list(cs), idx) ** 2, w))
+
+    def test_gradient_against_fd(self, rng):
+        # f = sum_s w_s x(i_s)^2 at a shape with both tables and a swept
+        # middle; every core gets a derivative.
+        x, idx = self.setup_case(self.CASES["tables_and_sweep"], rng, repeated=True)
+        w = rng.standard_normal(len(idx))
+        cores = list(x.cores)
+
+        def f(*cs):
+            return float(w @ coreops.entries_cores(list(cs), idx) ** 2)
+
+        step = 1e-6
+        tape, out = ad.record(cores, self.program(idx, w))
+        got = ad.grad(tape, out, tape.nodes[:len(cores)])
+        for k, (g, core) in enumerate(zip(got, cores)):
+            want = np.zeros_like(core)
+            for i in np.ndindex(*core.shape):
+                plus, minus = list(cores), list(cores)
+                plus[k], minus[k] = core.copy(), core.copy()
+                plus[k][i] += step
+                minus[k][i] -= step
+                want[i] = (f(*plus) - f(*minus)) / (2 * step)
+            np.testing.assert_allclose(g, want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
+
+    def test_nested_hessian_vector_against_fd(self, rng):
+        # H z by differentiating the recorded gradient's inner product with
+        # z, against central differences of the gradient along z.
+        x, idx = self.setup_case(self.CASES["tables_and_sweep"], rng, repeated=True)
+        w = rng.standard_normal(len(idx))
+        cores = list(x.cores)
+        zs = [rng.standard_normal(c.shape) for c in cores]
+
+        def gradient(cs):
+            tape, out = ad.record(cs, self.program(idx, w))
+            return ad.grad(tape, out, tape.nodes[:len(cs)])
+
+        tape, out = ad.record(cores, self.program(idx, w))
+        inputs = tape.nodes[:len(cores)]
+        gs = ad.grad(tape, out, inputs, as_vars=True)
+        inner = ad.add_n([ad.reduce_sum(ad.mul(g, z)) for g, z in zip(gs, zs)])
+        got = ad.grad(tape, inner, inputs)
+        step = 1e-4
+        plus = gradient([c + step * z for c, z in zip(cores, zs)])
+        minus = gradient([c - step * z for c, z in zip(cores, zs)])
+        for h, p, m in zip(got, plus, minus):
+            want = (p - m) / (2 * step)
+            np.testing.assert_allclose(h, want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
 
 
 class TestNoUfuncAt:
