@@ -687,12 +687,11 @@ def scatter_mode(mat, idx, n):
     """Adjoint of :func:`gather_mode`: scatter-add (N, r_l, r_r) slices into
     an (r_l, n, r_r) core.
 
-    For n <= r_l * r_r it is one matrix product ``E @ mat`` with the
-    transient (n, N) one-hot selection matrix ``E``, built per call and never
-    recorded, which is then no larger than ``mat``.  A wider mode (a gathered
-    prefix or suffix table of :func:`ttriem.coreops.entries_cores`) is
-    summed by one ``np.bincount`` per slice entry, so nothing of size n * N
-    is formed.
+    It sums by one ``np.bincount`` over ``idx`` per slice entry, so nothing
+    of size n * N is formed.  One bincount over flattened (sample, entry)
+    bins reads ``mat`` in row order instead of column by column, but building
+    those N * r_l * r_r bins costs as much as the sum: completion's AD HVP
+    at N = 12,000 (one BLAS thread) ran 13% slower that way.
     """
     tape, mat, mv = _operand(mat)
     idx = index_vector(idx, n, "scatter_mode")
@@ -700,21 +699,19 @@ def scatter_mode(mat, idx, n):
         raise DimensionError(f"scatter_mode needs ({len(idx)}, r_l, r_r) slices, got {mv.shape}")
     count, rl, rr = mv.shape
     cols = mv.reshape(count, rl * rr)  # sizes spelled out: count may be 0
-    if n <= rl * rr:
-        onehot = np.zeros((n, count))
-        onehot[idx, np.arange(count)] = 1.0
-        buf = onehot @ cols
-    else:
-        buf = np.empty((n, rl * rr))
-        for j in range(rl * rr):
-            buf[:, j] = np.bincount(idx, weights=cols[:, j], minlength=n)
+    buf = np.empty((n, rl * rr))
+    for j in range(rl * rr):
+        buf[:, j] = np.bincount(idx, weights=cols[:, j], minlength=n)
     val = np.ascontiguousarray(np.transpose(buf.reshape(n, rl, rr), (1, 0, 2)))
     return _node(tape, val, "scatter_mode", (mat,), (lambda u: gather_mode(u, idx),))
 
 
-# From this many samples on, a per-sample dot product is faster as one einsum
-# reduction than through numpy's stacked matmul (one BLAS thread: 17.6 against
-# 10.9 us at N=1024, r=5, but 1.7 against 3.4 us at N=32).
+# From this many samples on, a per-sample dot product is one einsum reduction
+# instead of numpy's stacked matmul.  The cut sits above the crossover (one
+# BLAS thread: einsum wins from 256-512 samples on at r = 5 and 10, e.g. 17.0
+# against 23.6 us at N=1024, r=5, and loses below, 6.4 against 2.9 us at N=32;
+# at r = 20 the timings cross back and forth between 512 and 2048), so that
+# expmach's 32-sample margins keep np.matmul's bits.
 _EINSUM_DOT_MIN = 1024
 
 

@@ -278,8 +278,8 @@ def add_at_scatter(mat, idx, n):
 
 
 class TestModePrimitives:
-    # (N, r_l, r_r, n, idx); the wide_mode cases have n > r_l * r_r, where
-    # the one-hot matrix outgrows its input.
+    # (N, r_l, r_r, n, idx); the wide_mode cases have n > r_l * r_r, as
+    # the prefix and suffix tables of coreops.entries_cores do.
     SCATTER_CASES = {
         "repeated": (6, 2, 3, 4, [1, 1, 1, 0, 3, 1]),
         "empty_slice": (5, 2, 3, 5, [0, 4, 0, 1, 4]),
