@@ -6,10 +6,13 @@ optimized: fuse operator application or per-term projection with the
 tangent projection, mode by mode, without forming intermediate high-rank
 TT cores.  An observed entry is the rank-1 tensor of its unit mode
 vectors, so the sparse projection has the rank-1-sum projection's chains,
-with each unit vector's product replaced by picking a slice: one matrix
-product per mode value through the same mode ops as the AD entries sweep.
-The projections live here; each objective's constructor attaches the hooks
-that combine them.
+with each unit vector's product replaced by picking a slice.  It reads them
+from the prefix and suffix tables that the AD entries use: one gather of
+each table and one scatter back into it, then a walk through the table
+chain, O(P r^2) per table mode for P table rows, plus O(N r) for the N
+samples; only the modes between the tables take one matrix product per mode
+value.  Memory is O(N r + P r) whatever d is.  The projections live here;
+each objective's constructor attaches the hooks that combine them.
 ad: differentiate the objective program directly (the library's own path).
 """
 
@@ -117,13 +120,23 @@ def project_sparse(base, indices, weights) -> TtTangent:
 
     An observed entry is the rank-1 tensor of its unit mode vectors, so this
     is :func:`project_rank1_sum` with each unit vector's product replaced by
-    the slice it picks: the left (U) and right (V) chains are
-    :func:`ttriem.ad.mode_matmul` calls and each delta is one
-    :func:`ttriem.ad.mode_outer`, one matrix product per mode value.  The
-    left rows into mode k and the right rows out of mode k + 1 are both kept
-    sorted by mode k's index, so a chain step costs one row permutation and
-    a delta none.  Time is O(N d r^2); no one-hot row or per-sample slice
-    is formed.
+    the slice it picks.  The chain is split at the modes (a, b) of
+    :func:`ttriem.coreops.entries_cores`: the U-chain of modes 0..a-1 at
+    every prefix and the V-chain of modes b..d-1 at every suffix are tables,
+    with their intermediate tables kept, each gathered once at the samples'
+    prefix and suffix ids.  w times the right rows is scattered by prefix id
+    into a (P_L, r_a) array and walked back through the prefix tables: at
+    mode j the delta is the table of modes 0..j-1 transposed times it, then
+    V_j carries it to mode j - 1.  w times the left rows is scattered by
+    suffix id into an (r_b, P_R) array and walked forward through the suffix
+    tables with the U cores.  Only modes a..b-1, which the tables cannot
+    reach, run the row sweep: :func:`ttriem.ad.mode_matmul` chains and one
+    :func:`ttriem.ad.mode_outer` delta each, one matrix product per mode
+    value on rows kept sorted by the mode.  Time is O(P r^2) per table mode
+    (P table rows, at most N beyond a boundary core) plus O(N r) for the
+    gathers and scatters, plus O(N r^2) per swept mode.  Memory is
+    O(N r + P r), independent of d, plus O(N r) per swept mode.  No one-hot
+    row or per-sample slice is formed.
     """
     base = _as_ortho(base)
     sizes = base.mode_sizes
@@ -132,22 +145,60 @@ def project_sparse(base, indices, weights) -> TtTangent:
     d, count = base.ndim, len(idx)
     if w.shape != (count,):
         raise DimensionError(f"need one weight per index tuple: {w.shape} for {count}")
-    sorts = [ad.ModeSort(idx[:, k], n) for k, n in enumerate(sizes)]
-    # left[k] and right[k + 1] are (N, r_k) and (N, r_{k+1}) rows in
-    # sorts[k]'s order; rows of ones are the same in every order.
-    left = [np.ones((count, 1))]
-    for k in range(d - 1):
-        groups = sorts[k].groups(sorts[k + 1])
-        left.append(ad.mode_matmul(left[k], base.U[k], groups))
-    right = [None] * d + [np.ones((count, 1))]
-    for k in range(d - 1, 0, -1):
-        groups = sorts[k].groups(sorts[k - 1])
-        right[k] = ad.mode_matmul(right[k + 1], np.transpose(base.V[k], (2, 1, 0)), groups)
-    deltas = []
-    for k, (s, n) in enumerate(zip(sorts, sizes)):
-        rows = np.take(w, s.order)[:, None] * left[k]
-        deltas.append(ad.mode_outer(rows, right[k + 1], s.groups(s), n))
+    if d == 1:
+        deltas = [ad.scatter_mode(w.reshape(count, 1, 1), idx[:, 0], sizes[0])]
+        return TtTangent._trusted(base, _apply_gauge(base, deltas))
+    a, b = coreops._table_split(sizes, count)
+    r_a, r_b = base.S[a].shape[0], base.S[b].shape[0]
+    prefix = np.ravel_multi_index(tuple(idx[:, :a].T), sizes[:a])
+    suffix = np.ravel_multi_index(tuple(idx[:, b:].T), sizes[b:])
+    lefts = coreops._prefix_tables(base.U[:a])  # lefts[j] is (1, P_{j+1}, r_{j+1})
+    rights = coreops._suffix_tables(base.V[b:])  # rights[j] is (r_{b+j}, Q_{b+j}, 1)
+    deltas = [None] * d
+    # Swept mode a + j works on rows sorted by sorts[j]: the left rows are
+    # gathered in mode a's order, the right rows in mode b - 1's, and each
+    # chain hands its last rows out in sample order (None).
+    sorts = [ad.ModeSort(idx[:, k], sizes[k]) for k in range(a, b)]
+    first, last = (sorts[0], sorts[-1]) if sorts else (None, None)
+    left = [ad.gather_mode(lefts[-1], _in_order(prefix, first)).reshape(count, r_a)]
+    for k, sort, following in zip(range(a, b), sorts, sorts[1:] + [None]):
+        left.append(ad.mode_matmul(left[-1], base.U[k], sort.groups(following)))
+    # Each (N, r) array is weighted in place and dropped once scattered, so
+    # at most one is alive beyond those the swept modes keep.
+    rows = left.pop()
+    rows *= w[:, None]
+    g = ad.scatter_mode(rows.reshape(count, r_b, 1), suffix, rights[0].shape[1])
+    del rows
+    rows = ad.gather_mode(rights[0], _in_order(suffix, last)).reshape(count, r_b)
+    rows *= _in_order(w, last)[:, None]
+    for k, sort, preceding in reversed(list(zip(range(a, b), sorts, [None] + sorts[:-1]))):
+        deltas[k] = ad.mode_outer(left.pop(), rows, sort.groups(sort), sizes[k])
+        rows = ad.mode_matmul(rows, np.transpose(base.V[k], (2, 1, 0)), sort.groups(preceding))
+    h = ad.scatter_mode(rows.reshape(count, 1, r_a), prefix, lefts[-1].shape[1])
+    # g is (r_j, Q_j) at suffix mode j: its delta takes the chain of modes
+    # j+1..d-1, then U_j carries it to mode j + 1.
+    tails = rights[1:] + [np.ones((1, 1, 1))]
+    for j in range(b, d):
+        r, n, r_next = base.S[j].shape
+        g = g.reshape(r * n, -1)
+        deltas[j] = (g @ tails[j - b][:, :, 0].T).reshape(r, n, r_next)
+        if j < d - 1:
+            g = base.U[j].reshape(r * n, r_next).T @ g
+    # h is (P_{j+1}, r_{j+1}) at prefix mode j: its delta takes the chain of
+    # modes 0..j-1, then V_j carries it to mode j - 1.
+    heads = [np.ones((1, 1, 1))] + lefts[:-1]
+    for j in range(a - 1, -1, -1):
+        r, n, r_next = base.S[j].shape
+        h = h.reshape(-1, n * r_next)
+        deltas[j] = (heads[j][0].T @ h).reshape(r, n, r_next)
+        if j > 0:
+            h = h @ base.V[j].reshape(r, n * r_next).T
     return TtTangent._trusted(base, _apply_gauge(base, deltas))
+
+
+def _in_order(values, sort):
+    # values per sample, in the sorted order of ``sort`` (None: as given).
+    return values if sort is None else np.take(values, sort.order, axis=0)
 
 
 def project_rank1_sum(base, mode_vectors, coeffs) -> TtTangent:

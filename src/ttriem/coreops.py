@@ -16,9 +16,11 @@ modes that the tables cannot reach under that cap are swept as (N, r)
 interface rows kept sorted by the mode they go through next, one row
 permutation per core.  The cost is the table work plus O(N r) (plus
 O(N r^2) per swept mode), not O(N d r^2), and every tape value holds O(N r)
-numbers, in the forward pass and in both reverse sweeps of an HVP.  Indices
-are validated once, by :func:`check_indices`, for entries and for the fused
-sparse projection alike.
+numbers, in the forward pass and in both reverse sweeps of an HVP.  The
+fused sparse projection, ``baselines.project_sparse``, splits the chain at
+the same modes and builds the same tables, keeping every intermediate one.
+Indices are validated once, by :func:`check_indices`, for entries and for
+the fused sparse projection alike.
 """
 
 import numpy as np
@@ -156,7 +158,8 @@ def check_indices(idx, sizes):
 
 
 def _table_split(sizes, count):
-    """The modes (a, b) at which :func:`entries_cores` splits its chain.
+    """The modes (a, b) at which :func:`entries_cores` and the fused sparse
+    projection split the chain.
 
     Modes 0..a-1 form the left table and b..d-1 the right one; the boundary
     cores alone are the tables of a = 1 and b = d - 1.  A table grows by one
@@ -177,24 +180,26 @@ def _table_split(sizes, count):
     return a, b
 
 
-def _prefix_table(cores):
-    # (1, n_0 ... n_{a-1}, r_a): the chain of the given leading cores at
-    # every prefix, rows in C order of the prefix's indices.
-    table = cores[0]
+def _prefix_tables(cores):
+    # Table j is (1, n_0 ... n_j, r_{j+1}): the chain of cores 0..j at every
+    # prefix, rows in C order of the prefix's indices; the last one is the
+    # chain of all the given leading cores.
+    tables = [cores[0]]
     for core in cores[1:]:
-        rows, (_, n, r) = np.shape(table)[1], np.shape(core)
-        table = ad.reshape(ad.contract(table, core, [(2, 0)]), (1, rows * n, r))
-    return table
+        rows, (_, n, r) = np.shape(tables[-1])[1], np.shape(core)
+        tables.append(ad.reshape(ad.contract(tables[-1], core, [(2, 0)]), (1, rows * n, r)))
+    return tables
 
 
-def _suffix_table(cores):
-    # (r_b, n_b ... n_{d-1}, 1): the chain of the given trailing cores at
-    # every suffix, rows in C order of the suffix's indices.
-    table = cores[-1]
+def _suffix_tables(cores):
+    # Table j is (r_j, n_j ... n_{m-1}, 1) for m given trailing cores: the
+    # chain of cores j..m-1 at every suffix, rows in C order of the suffix's
+    # indices; the first one is the chain of all of them.
+    tables = [cores[-1]]
     for core in cores[-2::-1]:
-        rows, (r, n, _) = np.shape(table)[1], np.shape(core)
-        table = ad.reshape(ad.contract(core, table, [(2, 0)]), (r, n * rows, 1))
-    return table
+        rows, (r, n, _) = np.shape(tables[0])[1], np.shape(core)
+        tables.insert(0, ad.reshape(ad.contract(core, tables[0], [(2, 0)]), (r, n * rows, 1)))
+    return tables
 
 
 def entries_cores(cores, idx):
@@ -231,11 +236,11 @@ def entries_cores(cores, idx):
     sorts = [ad.ModeSort(idx[:, k], sizes[k]) for k in range(a, b)] + [None]
     if a < b:
         left = left[sorts[0].order]
-    rows = ad.gather_mode(_prefix_table(cores[:a]), left)  # (N, 1, r_a)
+    rows = ad.gather_mode(_prefix_tables(cores[:a])[-1], left)  # (N, 1, r_a)
     if a < b:
         rows = ad.reshape(rows, (count, np.shape(cores[a])[0]))
         for core, sort, following in zip(cores[a:b], sorts, sorts[1:]):
             rows = ad.mode_matmul(rows, core, sort.groups(following))  # (N, r')
         rows = ad.reshape(rows, (count, 1, np.shape(cores[b])[0]))
-    e = ad.batch_matmul(rows, ad.gather_mode(_suffix_table(cores[b:]), right))  # (N, 1, 1)
+    e = ad.batch_matmul(rows, ad.gather_mode(_suffix_tables(cores[b:])[0], right))  # (N, 1, 1)
     return ad.reshape(e, (count,))

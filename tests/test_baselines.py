@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttriem import baselines, objectives
+from ttriem import baselines, coreops, objectives
 from ttriem.baselines import (
     ad_grad,
     ad_hvp,
@@ -171,13 +171,22 @@ class TestFusedProjections:
         want = project_tt(base, rank1_sum(units, w))
         assert tangent_residual(project_sparse(base, idx, w), want) < 1e-10
 
-    @pytest.mark.parametrize("modes,count", [
-        ((5,), 4), ((4, 3), 9), ((3, 6, 4), 11), ((3, 2, 4, 2, 3, 2), 25), ((3, 6, 4), 0),
-    ], ids=["d1", "d2", "d3", "d6", "no_samples"])
-    def test_sparse_against_one_hot_rank1_sum(self, rng, modes, count):
-        # The mode ops against the rank-1-sum projection of the one-hot rows
-        # the sparse projection used to build; the last value of each mode
-        # with more than two is never observed, and entries may repeat.
+    @pytest.mark.parametrize("modes,count,split", [
+        ((5,), 4, None), ((4, 3), 9, (1, 1)), ((3, 6, 4), 11, (1, 2)),
+        ((3, 2, 4, 2, 3, 2), 25, (3, 3)), ((3, 6, 4), 0, (1, 2)),
+        ((2, 3, 6, 6, 3, 2), 20, (2, 4)), ((30, 30, 30, 30), 100, (1, 3)),
+        ((40, 3, 2), 10, (1, 1)), ((4, 5, 3, 4, 3, 5), 200, (3, 3)),
+    ], ids=["d1", "d2", "d3", "d6", "no_samples", "tables_and_sweep",
+            "boundary_cores_and_sweep", "boundary_mode_wider_than_N", "tables_meet_d6"])
+    def test_sparse_against_one_hot_rank1_sum(self, rng, modes, count, split):
+        # The table walks and the swept modes against the rank-1-sum
+        # projection of the one-hot rows the sparse projection used to
+        # build; the last value of each mode with more than two is never
+        # observed, and entries may repeat.  The split (a, b) of the chain
+        # is asserted, so each case reaches what its name says: prefix
+        # tables of modes 0..a-1, suffix tables of b..d-1, a..b-1 swept.
+        if split is not None:
+            assert coreops._table_split(list(modes), count) == split
         base = orthogonalize(random_tt(rng, modes, 2 if len(modes) > 1 else 1))
         idx = np.stack([rng.integers(0, max(n - 1, 2), count) for n in modes], axis=1)
         w = rng.standard_normal(count)
@@ -203,22 +212,33 @@ class TestFusedProjections:
 
 
 class TestCompletionEdgeCases:
-    """Empty and single-mode observation sets through every pipeline."""
+    """Empty and single-mode observation sets through every pipeline, and
+    two at full size: the benchmark's completion shape, whose 512-row
+    prefix and suffix tables meet, and one that sweeps modes 2 and 3 as
+    rows.  Above ``NAIVE_RANK_CAP`` observations the naive method's rank-N
+    sum is unavailable."""
 
-    @pytest.mark.parametrize("modes, idx", [
-        (MODES, np.zeros((0, 3), dtype=int)),
-        ((5,), np.zeros((0, 1), dtype=int)),
-        ((5,), np.array([[0], [3], [4]])),
-    ], ids=["empty", "empty_single_mode", "single_mode"])
+    @pytest.mark.parametrize("modes, idx, rank, split", [
+        (MODES, np.zeros((0, 3), dtype=int), 2, (1, 2)),
+        ((5,), np.zeros((0, 1), dtype=int), 1, None),
+        ((5,), np.array([[0], [3], [4]]), 1, None),
+        ((8,) * 6, sample_indices(np.random.default_rng(0), (8,) * 6, 12000), 5, (3, 3)),
+        ((8,) * 6, sample_indices(np.random.default_rng(1), (8,) * 6, 300), 5, (2, 4)),
+    ], ids=["empty", "empty_single_mode", "single_mode", "bench_tables_meet", "swept_middle"])
     @pytest.mark.parametrize("op", ["grad", "hvp"])
-    def test_naive_and_optimized_match_ad(self, rng, modes, idx, op):
-        rank = 2 if len(modes) > 1 else 1
+    def test_naive_and_optimized_match_ad(self, rng, modes, idx, rank, split, op):
+        if split is not None:
+            assert coreops._table_split(list(modes), len(idx)) == split
         base = orthogonalize(random_tt(rng, modes, rank))
         z = project_tt(base, random_tt(rng, modes, rank))
         omega = IndexSet(idx, rng.standard_normal(len(idx)))
         for obj in (completion_loss(omega), regularized_completion(omega, 0.7)):
             want = compute_method(obj, "ad", op, base, z)
             for method in ("naive", "optimized"):
+                if method == "naive" and len(idx) > objectives.NAIVE_RANK_CAP:
+                    with pytest.raises(UnavailableMethodError):
+                        compute_method(obj, method, op, base, z)
+                    continue
                 got = compute_method(obj, method, op, base, z)
                 assert tangent_residual(got, want) <= 1e-12, (obj.name, method)
 

@@ -235,6 +235,27 @@ class TestCompletionRowSweeps:
             tracemalloc.stop()
         assert peak < count * max(modes), peak  # one byte per (N, n_k) entry
 
+    def test_project_sparse_peak_independent_of_d(self, rng):
+        # Both tables reach every mode here (d=4: 16 rows each, d=8: 256),
+        # so the projection holds a few (N, r) arrays whatever d is.  A row
+        # sweep through every mode keeps 2d sets of (N, r) rows: its peak
+        # doubles from d=4 to d=8.
+        count, peaks = 10000, {}
+        for d in (4, 8):
+            modes = (4,) * d
+            assert coreops._table_split(list(modes), count) == (d // 2, d // 2)
+            idx = np.stack([rng.integers(0, n, count) for n in modes], axis=1)
+            w = rng.standard_normal(count)
+            base = orthogonalize(random_tt(rng, modes, 5))
+            project_sparse(base, idx, w)  # warm-up
+            tracemalloc.start()
+            try:
+                project_sparse(base, idx, w)
+                peaks[d] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.5 * peaks[4], peaks
+
 
 class TestEntriesTables:
     # Entries come from a prefix table of modes 0..a-1 and a suffix table of
