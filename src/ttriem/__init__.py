@@ -10,6 +10,7 @@ from .errors import (
     InvalidPairError,
     InvalidTangentError,
     InvalidVariableError,
+    NonFiniteError,
     OversizeError,
     TtriemError,
     UnavailableMethodError,
@@ -69,6 +70,7 @@ from .ttmanifold import (
     preconditioned_residual,
     project_tt,
     riemannian_grad_tt,
+    riemannian_value_and_grad_tt,
     tangent_axpy,
     tangent_dot_tt,
     tangent_scale,

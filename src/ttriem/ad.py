@@ -42,12 +42,37 @@ A constant stays a plain float64 array and is never recorded: every
 for a parent that is a ``Var``, so a constant operand costs no adjoint
 work.  ``stop_gradient`` returns its operand's value, a constant at every
 nesting level.
+
+Every op but the four mode operations computes its value by one kernel
+call, ``kernel(*values, *static)``, where ``static`` holds what the op
+worked out from shapes and arguments alone (a contraction's plan, a
+reshape's target, a block's slices), and a node keeps the hashable part of
+it as ``static``.  That split lets :func:`swept` replay sweeps.  The first
+call for an owner (a program object) and a tape structure runs the sweeps
+eagerly; the second runs them eagerly too and records each kernel they run
+as a step whose inputs are slots: a forward node's value, a constant parent
+of a forward node, an entry of ``extra`` (an HVP's direction), an earlier
+step's output, or a literal a rule made from shapes alone (``np.ones``, a
+zero block, a Python float).  Later calls whose forward tape has the same
+signature (every node's op, static part, parent links and shape, and every
+constant's shape, strides and identity with other constants) run the steps
+on the new tape's slots, building no ``Var``, closure or plan and dropping
+each slot after its last use; the kernels are the eager ones, so the
+results are bit-identical.  The forward pass runs eagerly on every call,
+so a program whose structure depends on its values records anew when the
+structure changes.  Sweeps run eagerly, and are never recorded, when the
+tape holds a node that carries per-call data (``gather_mode``,
+``scatter_mode``, ``mode_matmul``, ``mode_outer``) or one built without an
+op of this module, when the owner cannot be weakly referenced, or when
+``SCHEDULES_PER_PROGRAM`` is 0.
 """
 
 import math
+import threading
+import weakref
 from collections import defaultdict
 from functools import lru_cache
-from operator import index
+from operator import getitem, index, itemgetter
 
 import numpy as np
 
@@ -95,19 +120,23 @@ class Var:
 
     A node is a tape input or has at least one ``Var`` parent; its other
     parents are plain float64 arrays, constants of the computation.
+    ``static`` is the hashable part of the op's arguments that its sweep
+    depends on beyond its parents' shapes, or ``None`` for a node whose
+    sweep cannot be replayed (see :func:`swept`).
     """
 
-    __slots__ = ("tape", "value", "op", "parents", "rules", "index")
+    __slots__ = ("tape", "value", "op", "parents", "rules", "index", "static")
 
     # Keep numpy from consuming Vars in its own ufunc dispatch.
     __array_ufunc__ = None
 
-    def __init__(self, tape, value, op, parents=(), rules=()):
+    def __init__(self, tape, value, op, parents=(), rules=(), static=None):
         self.tape = tape
         self.value = value
         self.op = op
         self.parents = parents
         self.rules = rules
+        self.static = static
         self.index = len(tape.nodes)
         tape.nodes.append(self)
 
@@ -191,7 +220,7 @@ class Tape:
     def input(self, value) -> Var:
         """Register a differentiable input (a leaf of the graph)."""
         arr = np.asarray(value, dtype=np.float64)
-        return Var(self, arr, "input")
+        return Var(self, arr, "input", static=())
 
     def clear(self):
         """Drop every node, unlinked from its parents and adjoint rules.
@@ -280,7 +309,10 @@ def grad(tape, output, wrt, as_vars=False):
 # the operands, a plain one as a float64 array, and their float64 values.
 # The op validates and computes on those values, so it does both the same
 # way on and off a tape, and records a node only when there is a tape.  A Var
-# whose tape is not recording (a value-only sweep) counts as its value.
+# whose tape is not recording (a value-only sweep) counts as its value.  A
+# Var's value and a float64 scalar pass unconverted, so a value keeps its
+# identity from the kernel that made it to every kernel that reads it (the
+# recorder of :func:`swept` names values by identity).
 
 
 def _operand(a):
@@ -289,7 +321,8 @@ def _operand(a):
         if a.tape.recording:
             return a.tape, a, a.value
         a = a.value
-    a = np.asarray(a, dtype=np.float64)
+    elif type(a) is not np.float64:
+        a = np.asarray(a, dtype=np.float64)
     return None, a, a
 
 
@@ -319,9 +352,18 @@ def _operand_list(parts):
     return tape, operands, vals
 
 
-def _node(tape, val, op, parents, rules):
+def _node(tape, val, op, parents, rules, static=()):
     # An op's result: its value off a tape, a recorded node on one.
-    return val if tape is None else Var(tape, val, op, parents, rules)
+    return val if tape is None else Var(tape, val, op, parents, rules, static)
+
+
+def _run(kernel, vals, static=()):
+    # An op's value, kernel(*vals, *static); a recording sweep logs the call.
+    val = kernel(*vals, *static)
+    recorder = _state.recorder
+    if recorder is not None:
+        recorder.step(kernel, vals, static, val)
+    return val
 
 
 def _unbroadcast(g, shape):
@@ -340,10 +382,17 @@ def add_n(parts):
     for v in vals[1:]:
         if v.shape != vals[0].shape:
             raise DimensionError(f"add_n term shapes differ: {vals[0].shape} vs {v.shape}")
-    val = np.add(vals[0], vals[1]) if len(vals) > 1 else vals[0].copy()
+    return _node(tape, _run(_add_n_value, vals), "add_n", tuple(parts),
+                 (lambda u: u,) * len(parts))
+
+
+def _add_n_value(*vals):
+    if len(vals) == 1:
+        return vals[0].copy()
+    val = np.add(vals[0], vals[1])
     for v in vals[2:]:
         val += v
-    return _node(tape, val, "add_n", tuple(parts), (lambda u: u,) * len(parts))
+    return val
 
 
 def _binary(name, fwd, rule_a, rule_b):
@@ -354,7 +403,7 @@ def _binary(name, fwd, rule_a, rule_b):
         sa, sb = av.shape, bv.shape
         if sa != sb and sa != () and sb != ():
             raise DimensionError(f"{name}: elementwise shapes differ: {sa} vs {sb}")
-        out = _node(tape, fwd(av, bv), name, (a, b), (
+        out = _node(tape, _run(fwd, (av, bv)), name, (a, b), (
             lambda u: _unbroadcast(rule_a(u, a, b, out), a.shape),
             lambda u: _unbroadcast(rule_b(u, a, b, out), b.shape),
         ))
@@ -375,7 +424,7 @@ def _unary(name, fwd, rule):
     # rule(u, a, out) is the adjoint for the operand.
     def op(a):
         tape, a, av = _operand(a)
-        out = _node(tape, fwd(av), name, (a,), (lambda u: rule(u, a, out),))
+        out = _node(tape, _run(fwd, (av,)), name, (a,), (lambda u: rule(u, a, out),))
         return out
 
     op.__name__ = name
@@ -409,68 +458,116 @@ def reshape(a, shape):
         shape = tuple(int(s) for s in shape)
     tape, a, av = _operand(a)
     old = av.shape
-    return _node(tape, av.reshape(shape), "reshape", (a,), (lambda u: reshape(u, old),))
+    return _node(tape, _run(np.reshape, (av,), (shape,)), "reshape", (a,),
+                 (lambda u: reshape(u, old),), shape)
 
 
 def transpose(a, perm):
     tape, a, av = _operand(a)
     perm = tuple(perm)
-    return _node(tape, np.transpose(av, perm), "transpose", (a,),
-                 (lambda u: transpose(u, np.argsort([p % len(perm) for p in perm])),))
+    return _node(tape, _run(np.transpose, (av,), (perm,)), "transpose", (a,),
+                 (lambda u: transpose(u, np.argsort([p % len(perm) for p in perm])),), perm)
 
 
 def concat(parts, axis):
     tape, parts, vals = _operand_list(parts)
-    val = np.concatenate(vals, axis=axis)
+    val = _run(_concat_value, vals, (axis,))
     if tape is None:
         return val
     offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
     return Var(tape, val, "concat", tuple(parts), tuple(
         lambda u, lo=int(lo), hi=int(hi): slice_along(u, axis, lo, hi)
         for lo, hi in zip(offsets[:-1], offsets[1:])
-    ))
+    ), axis)
+
+
+def _concat_value(*args):
+    return np.concatenate(args[:-1], axis=args[-1])
 
 
 def slice_along(a, axis, start, stop):
-    """Contiguous slice ``a[..., start:stop, ...]`` along one axis."""
-    tape, a, av = _operand(a)
+    """Contiguous slice ``a[..., start:stop, ...]`` along one axis: the
+    :func:`take_block` of that range of ``axis`` and all of every other."""
+    _, a, av = _operand(a)
     axis = range(av.ndim)[axis]  # as in contract: no axis is wrapped round
     extent = av.shape[axis]
     if not (0 <= start <= stop <= extent):
         raise DimensionError(f"slice [{start}:{stop}] out of range for extent {extent}")
+    return take_block(a, [(start, stop) if i == axis else (0, n) for i, n in enumerate(av.shape)])
 
-    def rule(u):
-        before = list(a.shape)
-        before[axis] = start
-        after = list(a.shape)
-        after[axis] = extent - stop
-        parts = []
-        if start > 0:
-            parts.append(np.zeros(before))
-        parts.append(u)
-        if extent - stop > 0:
-            parts.append(np.zeros(after))
-        return concat(parts, axis) if len(parts) > 1 else u
 
-    return _node(tape, av[(slice(None),) * axis + (slice(start, stop),)], "slice", (a,), (rule,))
+@lru_cache(maxsize=1024)
+def _block_layout(shape, ats, shapes):
+    # (shape, ats, slices) for blocks ``ats`` of an array of ``shape``, each
+    # ((start, stop), ...) per axis, checked to lie within it, to fit the
+    # operand shapes ``shapes`` and not to overlap; cached per key.
+    shape = tuple(int(n) for n in shape)
+    ats = tuple(tuple((int(lo), int(hi)) for lo, hi in at) for at in ats)
+    for at, part in zip(ats, shapes):
+        if len(at) != len(shape) or any(not 0 <= lo <= hi <= n for (lo, hi), n in zip(at, shape)):
+            raise DimensionError(f"block {at} does not lie within shape {shape}")
+        if part != tuple(hi - lo for lo, hi in at):
+            raise DimensionError(f"an operand of shape {part} does not fill block {at}")
+    for i, at in enumerate(ats):
+        for other in ats[:i]:
+            if all(max(lo, lo2) < min(hi, hi2) for (lo, hi), (lo2, hi2) in zip(at, other)):
+                raise DimensionError(f"blocks {other} and {at} overlap")
+    return shape, ats, tuple(tuple(slice(lo, hi) for lo, hi in at) for at in ats)
+
+
+def take_block(a, at):
+    """The block ``a[start_0:stop_0, start_1:stop_1, ...]`` for ``at`` =
+    ((start_0, stop_0), (start_1, stop_1), ...), one pair per axis, as a
+    view.  Its adjoint is the :func:`block_core` that puts the block back
+    into zeros of ``a``'s shape."""
+    tape, a, av = _operand(a)
+    at = tuple(map(tuple, at))
+    shape, (at,), (slices,) = _block_layout(av.shape, (at,), (tuple(hi - lo for lo, hi in at),))
+    return _node(tape, _run(getitem, (av,), (slices,)), "take_block", (a,),
+                 (lambda u: block_core(shape, [(u, at)]),), at)
+
+
+def block_core(shape, parts):
+    """An array of ``shape``, zero but for the blocks of ``parts``.
+
+    Each part is ``(operand, at)``: the operand is written at the block
+    ``at``, one (start, stop) pair per axis, and the blocks must not
+    overlap.  The adjoint for each operand takes its block back out
+    (:func:`take_block`).  A tangent's block core [[V, 0], [delta, U]] is
+    one such node, however many of its blocks are constants.
+    """
+    tape, operands, vals = _operand_list([part for part, _ in parts])
+    shape, ats, slices = _block_layout(tuple(shape), tuple(tuple(map(tuple, at)) for _, at in parts),
+                                       tuple(v.shape for v in vals))
+    return _node(tape, _run(_block_core_value, vals, (shape, slices)), "block_core",
+                 tuple(operands), tuple(lambda u, at=at: take_block(u, at) for at in ats),
+                 (shape, ats))
+
+
+def _block_core_value(*args):
+    *vals, shape, slices = args
+    out = np.zeros(shape)
+    for v, at in zip(vals, slices):
+        out[at] = v
+    return out
 
 
 def reduce_sum(a, axes=None):
     tape, a, av = _operand(a)
     if axes is None:
-        return _node(tape, np.sum(av), "sum", (a,),
-                     (lambda u: mul(u, np.ones(a.shape)),))
+        return _node(tape, _run(np.sum, (av,)), "sum", (a,),
+                     (lambda u: mul(u, np.ones(a.shape)),), "all")
 
-    axes = sorted(range(av.ndim)[ax] for ax in axes)  # as in contract: no axis is wrapped round
+    axes = tuple(sorted(range(av.ndim)[ax] for ax in axes))  # as in contract: no axis is wrapped round
 
     def rule(u):
         # The outer product's axes are the kept then the summed ones; its
         # output order puts each back in its place in a.
         kept = [i for i in range(len(a.shape)) if i not in axes]
         ones = np.ones(tuple(a.shape[ax] for ax in axes))
-        return contract(u, ones, [], _argsort(kept + axes))
+        return contract(u, ones, [], _argsort(kept + list(axes)))
 
-    return _node(tape, np.sum(av, axis=tuple(axes)), "sum", (a,), (rule,))
+    return _node(tape, _run(np.sum, (av,), (axes,)), "sum", (a,), (rule,), axes)
 
 
 def _argsort(perm):
@@ -579,7 +676,17 @@ def _contract_plan(sa, sb, axes, perm):
         layouts += _gemm_layouts(True, sa, ca, cb, a_ids, b_ids, ext, perm)
     if size_b >= size_a:
         layouts += _gemm_layouts(False, sb, cb, ca, b_ids, a_ids, ext, perm)
-    return max(layouts, key=lambda scored: scored[0])[1] + (grad_a, grad_b)
+    a_big, big_axes, (pn, kn, qn), small_axes, small_2d, n_first, shape, out = max(
+        layouts, key=lambda scored: scored[0])[1]
+    # The GEMM, on big as big_2d: 0 is big @ small, 1 small^T @ big^T and
+    # 2 small^T @ big, all 2-D, and 3 the matmul of small^T batched over P.
+    if qn == 1:
+        big_2d, gemm = (pn, kn), 1 if n_first else 0
+    elif pn == 1:
+        big_2d, gemm = (kn, qn), 2
+    else:
+        big_2d, gemm = (pn, kn, qn), 3
+    return (a_big, big_axes, big_2d, small_axes, small_2d, gemm, shape, out), grad_a, grad_b
 
 
 def contract(a, b, axes, perm=None):
@@ -609,31 +716,41 @@ def contract(a, b, axes, perm=None):
     axes = tuple([(index(p), index(q)) for p, q in axes])
     if perm is not None:
         perm = tuple(map(index, perm))
-    (a_big, big_axes, (pn, kn, qn), small_axes, small_2d, n_first, shape, perm,
-     grad_a, grad_b) = _contract_plan(av.shape, bv.shape, axes, perm)
+    plan, grad_a, grad_b = _contract_plan(av.shape, bv.shape, axes, perm)
+    # The rules call the module's contract by name, so a wrapper installed
+    # in its place sees the adjoint contractions too.
+    return _node(tape, _run(_contract_value, (av, bv), (plan,)), "contract", (a, b), (
+        lambda u: contract(u, b, *grad_a),
+        lambda u: contract(a, u, *grad_b),
+    ), (axes, perm))
+
+
+def _contract_value(av, bv, plan):
+    # The value of a contraction by its plan; a reshape that would not
+    # change a shape is skipped, as it costs as much as a small copy.
+    a_big, big_axes, big_2d, small_axes, small_2d, gemm, shape, perm = plan
     big, small = (av, bv) if a_big else (bv, av)
     if big_axes is not None:
         big = big.transpose(big_axes)
     if small_axes is not None:
         small = small.transpose(small_axes)
-    big = np.ascontiguousarray(big).reshape(pn, kn, qn)
-    small = np.ascontiguousarray(small).reshape(small_2d)
-    if qn == 1:
-        big = big.reshape(pn, kn)
-        val = np.dot(small.T, big.T) if n_first else np.dot(big, small)
-    elif pn == 1:
-        val = np.dot(small.T, big[0])
+    big = np.ascontiguousarray(big)
+    if big.shape != big_2d:
+        big = big.reshape(big_2d)
+    small = np.ascontiguousarray(small)
+    if small.shape != small_2d:
+        small = small.reshape(small_2d)
+    if gemm == 0:
+        val = np.dot(big, small)
+    elif gemm == 1:
+        val = np.dot(small.T, big.T)
+    elif gemm == 2:
+        val = np.dot(small.T, big)
     else:
         val = np.matmul(small.T, big)
-    val = val.reshape(shape)
-    if perm is not None:
-        val = val.transpose(perm)
-    # The rules call the module's contract by name, so a wrapper installed
-    # in its place sees the adjoint contractions too.
-    return _node(tape, val, "contract", (a, b), (
-        lambda u: contract(u, b, *grad_a),
-        lambda u: contract(a, u, *grad_b),
-    ))
+    if val.shape != shape:
+        val = val.reshape(shape)
+    return val if perm is None else val.transpose(perm)
 
 
 def index_array(idx):
@@ -680,7 +797,7 @@ def gather_mode(core, idx):
     n = cv.shape[1]
     idx = index_vector(idx, n, "gather_mode")
     val = np.take(np.ascontiguousarray(np.transpose(cv, (1, 0, 2))), idx, axis=0)
-    return _node(tape, val, "gather_mode", (core,), (lambda u: scatter_mode(u, idx, n),))
+    return _node(tape, val, "gather_mode", (core,), (lambda u: scatter_mode(u, idx, n),), None)
 
 
 def scatter_mode(mat, idx, n):
@@ -703,7 +820,7 @@ def scatter_mode(mat, idx, n):
     for j in range(rl * rr):
         buf[:, j] = np.bincount(idx, weights=cols[:, j], minlength=n)
     val = np.ascontiguousarray(np.transpose(buf.reshape(n, rl, rr), (1, 0, 2)))
-    return _node(tape, val, "scatter_mode", (mat,), (lambda u: gather_mode(u, idx),))
+    return _node(tape, val, "scatter_mode", (mat,), (lambda u: gather_mode(u, idx),), None)
 
 
 # From this many samples on, a per-sample dot product is one einsum reduction
@@ -734,7 +851,7 @@ def batch_matmul(a, b):
     sa, sb = av.shape, bv.shape
     if len(sa) != 3 or len(sb) != 3 or sa[0] != sb[0] or sa[2] != sb[1]:
         raise DimensionError(f"batch_matmul shapes incompatible: {sa} x {sb}")
-    return _node(tape, _batch_matmul_value(av, bv), "batch_matmul", (a, b), (
+    return _node(tape, _run(_batch_matmul_value, (av, bv)), "batch_matmul", (a, b), (
         lambda u: batch_matmul(u, transpose(b, (0, 2, 1))),
         lambda u: batch_matmul(transpose(a, (0, 2, 1)), u),
     ))
@@ -862,7 +979,7 @@ def mode_matmul(rows, core, groups):
     return _node(tape, _mode_matmul_value(rv, cv, groups), "mode_matmul", (rows, core), (
         lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), groups.inverse),
         lambda u: mode_outer(rows, u, groups, n),
-    ))
+    ), None)
 
 
 def mode_outer(rows, u, groups, n):
@@ -882,4 +999,213 @@ def mode_outer(rows, u, groups, n):
     return _node(tape, _mode_outer_value(rv, uv, groups, n), "mode_outer", (rows, u), (
         lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), groups.inverse),
         lambda w: mode_matmul(rows, w, groups),
-    ))
+    ), None)
+
+
+# ---------------------------------------------------------------------------
+# recorded sweeps (see the module docstring); while a recording sweep runs,
+# _run hands every kernel call to its _Recorder.
+
+# The schedules, and the brief keys seen, kept per owner: the oldest of
+# each is dropped beyond this many, and 0 turns recording and replay off.
+SCHEDULES_PER_PROGRAM = 8
+
+_schedules = weakref.WeakKeyDictionary()
+
+
+class _State(threading.local):
+    recorder = None
+
+
+_state = _State()
+
+
+class Schedule:
+    """The kernels that one call's sweeps ran, replayable on any tape of the
+    same signature (see :func:`swept`).
+
+    ``steps`` holds (kernel, getter of its inputs from the slot list,
+    static arguments, output slot, slots dead after the step); ``sources``
+    holds (slot, i, j), read from node i's value (j = -1) or constant parent
+    j, or from ``extra[j]`` when i = -1; ``slots`` is the initial slot list,
+    literals in place, and ``results`` the slots returned.  ``replays``
+    counts the runs.
+    """
+
+    __slots__ = ("steps", "sources", "slots", "results", "replays", "__weakref__")
+
+    def __init__(self, steps, sources, slots, results):
+        self.steps = steps
+        self.sources = sources
+        self.slots = slots
+        self.results = results
+        self.replays = 0
+
+    def run(self, nodes, extra=()):
+        """The results of the recorded sweeps for the tape ``nodes`` and ``extra``."""
+        slots = list(self.slots)
+        for s, i, j in self.sources:
+            slots[s] = extra[j] if i < 0 else nodes[i].value if j < 0 else nodes[i].parents[j]
+        for kernel, ins, static, out, dead in self.steps:
+            slots[out] = kernel(*ins(slots), *static)
+            for i in dead:
+                slots[i] = None
+        self.replays += 1
+        return [slots[i] for i in self.results]
+
+
+class _Recorder:
+    # Names each array the kernels of a recording sweep read or write, by
+    # identity: a source, an earlier step's output (forgotten when the
+    # array dies, so a recycled id is never misread), or else a literal a
+    # rule made from shapes alone, which the schedule keeps read-only.
+
+    def __init__(self, nodes, extra):
+        self.names = {}  # id of a live array -> its slot
+        self.alive = {}  # id -> weak reference to a step's output, or a scalar output
+        self.sources = []  # (slot, i, j) as in Schedule
+        self.literals = {}  # slot -> array
+        self.steps = []
+        self.count = 0
+        for j, a in enumerate(extra):
+            self._name(a, (-1, j))
+        for node in nodes:
+            # Var parents are named too; no kernel reads them.
+            self._name(node.value, (node.index, -1))
+            for j, p in enumerate(node.parents):
+                self._name(p, (node.index, j))
+
+    def _new(self):
+        self.count += 1
+        return self.count - 1
+
+    def _name(self, a, source=None):
+        # The slot of ``a``: its name, or a new source or literal.
+        s = self.names.get(id(a))
+        if s is None:
+            s = self.names[id(a)] = self._new()
+            if source is not None:
+                self.sources.append((s, *source))
+            else:
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+                self.literals[s] = a
+        return s
+
+    def step(self, kernel, vals, static, val):
+        ins = tuple([self.names.get(id(v)) for v in vals])
+        if None in ins:
+            ins = tuple(self._name(v) for v in vals)
+        key = id(val)
+        out = self.names[key] = self._new()
+        try:
+            self.alive[key] = weakref.ref(val, lambda _, key=key: self.names.pop(key, None))
+        except TypeError:  # a numpy scalar: held, it is small
+            self.alive[key] = val
+        self.steps.append((kernel, ins, static, out))
+
+    def schedule(self, results):
+        """The :class:`Schedule` of the steps, returning ``results``, each
+        slot freed after the step that reads it last."""
+        results = [self._name(r) for r in results]
+        self.alive.clear()
+        last = {}
+        for n, (_, ins, _, out) in enumerate(self.steps):
+            for s in ins + (out,):
+                last[s] = n
+        used = set(last).union(results)
+        dead = [[] for _ in self.steps]
+        for s, n in last.items():
+            if s not in results:
+                dead[n].append(s)
+        slots = [None] * self.count
+        for s, a in self.literals.items():
+            slots[s] = a
+        steps = [(kernel, _getter(ins), static, out, tuple(gone))
+                 for (kernel, ins, static, out), gone in zip(self.steps, dead)]
+        return Schedule(steps, [src for src in self.sources if src[0] in used], slots, results)
+
+
+def _getter(ins):
+    # The inputs of a step from the slot list, as a sequence, by one C call.
+    return itemgetter(*ins) if len(ins) > 1 else itemgetter(slice(ins[0], ins[0] + 1))
+
+
+def _signature(nodes):
+    # The structure of a forward tape, or None when its sweeps cannot be
+    # replayed: per node, its op, static part, shape and parents.  A Var
+    # parent is its index; a constant is the first place the same object
+    # occurs (as a constant or as a node's value), its shape and strides.
+    first = {}
+    sig = []
+    for node in nodes:
+        if node.static is None:
+            return None
+        parents = []
+        for j, p in enumerate(node.parents):
+            at = first.setdefault(id(p), (node.index, j))
+            parents.append(at if at.__class__ is int else (at, p.shape, p.strides))
+        first[id(node)] = node.index
+        first.setdefault(id(node.value), ("value", node.index))
+        sig.append((node.op, node.static, node.value.shape, tuple(parents)))
+    return tuple(sig)
+
+
+def swept(owner, tag, tape, sweeps, extra=()):
+    """``sweeps()``, the list of arrays that sweeps of ``tape`` compute:
+    eager the first time, recorded the second and replayed after.
+
+    The schedule is kept for ``owner`` (the program whose forward pass
+    recorded ``tape``) under ``tag``, which names what ``sweeps`` computes
+    (its output node, the kind of sweep), the shapes and strides of the
+    arrays of ``extra`` (read by the sweeps as constants, such as an HVP's
+    direction) and the signature of the tape.  The first call with a new
+    tag, ``extra`` layout and tape length runs eagerly and is only
+    remembered, so a program made for one call pays nothing for recording.
+    A call whose key has a schedule replays it on this tape's values,
+    constants and ``extra``; the results are bit-identical to an eager run
+    and may be read-only.  ``tape`` must hold only the forward pass when
+    this is called.  Sweeps run eagerly when the tape's structure cannot be
+    replayed, when ``owner`` has no weak reference and when
+    ``SCHEDULES_PER_PROGRAM`` is 0.
+    """
+    if SCHEDULES_PER_PROGRAM < 1:
+        return sweeps()
+    try:
+        seen, kept = _schedules.setdefault(owner, ({}, {}))
+    except TypeError:
+        return sweeps()
+    # A first call only marks its brief key, so it does not pay for the
+    # signature either.
+    brief = (tag, tuple((a.shape, a.strides) for a in extra), len(tape.nodes))
+    if brief not in seen:
+        _keep(seen, brief, None)
+        return sweeps()
+    sig = _signature(tape.nodes)
+    if sig is None:
+        return sweeps()
+    schedule = kept.get((brief, sig))
+    if schedule is not None:
+        return schedule.run(tape.nodes, extra)
+    recorder = _state.recorder = _Recorder(tape.nodes, extra)
+    try:
+        out = sweeps()
+        _keep(kept, (brief, sig), recorder.schedule(out))
+    finally:
+        _state.recorder = None
+        recorder.alive.clear()
+    return out
+
+
+def _keep(kept, key, value):
+    while len(kept) >= SCHEDULES_PER_PROGRAM:
+        del kept[next(iter(kept))]
+    kept[key] = value
+
+
+def schedules(owner):
+    """The schedules kept for ``owner``, oldest first (see :func:`swept`)."""
+    try:
+        return list(_schedules.get(owner, ({}, {}))[1].values())
+    except TypeError:
+        return []

@@ -21,15 +21,17 @@ import warnings
 import numpy as np
 
 from . import ad, coreops, objectives
-from .errors import DimensionError, UnavailableMethodError
+from .errors import DimensionError, NonFiniteError, UnavailableMethodError
 from .tt import TtMatrix, TtTensor, orthogonalize, tt_axpy, tt_entries, tt_round
 from .ttmanifold import (
     TtTangent,
     _apply_gauge,
     _as_ortho,
+    _check_finite,
     hess_vec_tt,
     project_tt,
     riemannian_grad_tt,
+    riemannian_value_and_grad_tt,
 )
 
 __all__ = [
@@ -243,7 +245,13 @@ def optimized_hvp(obj, x, z: TtTangent) -> TtTangent:
 
 
 def compute_method(obj, method: str, op: str, x, z=None) -> TtTangent:
-    """Dispatch one of the three pipelines for a gradient or HVP."""
+    """Dispatch one of the three pipelines for a gradient or HVP.
+
+    Every pipeline fails alike on a non-finite result: the AD one checks its
+    value and raw deltas itself, and a tangent from the naive or optimized
+    pipeline is checked here, each raising :class:`NonFiniteError` named by
+    ``op``.
+    """
     table = {
         ("ad", "grad"): lambda: ad_grad(obj, x),
         ("ad", "hvp"): lambda: ad_hvp(obj, x, z),
@@ -255,7 +263,10 @@ def compute_method(obj, method: str, op: str, x, z=None) -> TtTangent:
     key = (method, op)
     if key not in table:
         raise UnavailableMethodError(f"unknown method/op combination {key}")
-    return table[key]()
+    result = table[key]()
+    if method != "ad" and isinstance(result, TtTangent):
+        _check_finite(result.deltas, "gradient" if op == "grad" else "HVP")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +278,33 @@ def riemannian_gd_demo(obj, x0: TtTensor, steps: int, step_size: float,
     """Fixed-step Riemannian gradient descent with TT-rounding retraction.
 
     Returns the final iterate and the history of objective values
-    (steps + 1 entries).  A tenfold increase over the starting value
-    triggers a divergence warning, not an error.
+    (steps + 1 entries).  Each iterate's value is the one its gradient call
+    recorded; the objective is evaluated on its own only at the last
+    iterate.  A tenfold increase over the starting value triggers a
+    divergence warning, not an error; a non-finite value stops the descent
+    with :class:`NonFiniteError`.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    x = x0
-    history = [float(obj.evaluate([np.asarray(c) for c in x.cores]))]
-    warned = False
-    for _ in range(steps):
-        base = orthogonalize(x)
-        g = riemannian_grad_tt(obj.evaluate, base)
-        x = tt_round(tt_axpy(-step_size, g.materialize(), base.to_tt()), max_rank)
-        history.append(float(obj.evaluate([np.asarray(c) for c in x.cores])))
-        if not warned and history[-1] > 10.0 * abs(history[0]) + 1e-12:
+    history, warned = [], False
+
+    def record(value):
+        nonlocal warned
+        if history and not warned and value > 10.0 * abs(history[0]) + 1e-12:
             warnings.warn("gradient descent demo appears to diverge", RuntimeWarning)
             warned = True
+        history.append(value)
+
+    x = x0
+    for _ in range(steps):
+        base = orthogonalize(x)
+        value, g = riemannian_value_and_grad_tt(obj.evaluate, base)
+        record(value)
+        x = tt_round(tt_axpy(-step_size, g.materialize(), base.to_tt()), max_rank)
+    value = float(obj.evaluate([np.asarray(c) for c in x.cores]))
+    if not np.isfinite(value):
+        raise NonFiniteError("value", f"the objective is {value} at the last iterate")
+    record(value)
     return x, history
 
 

@@ -43,3 +43,15 @@ class InvalidDataError(TtriemError, ValueError):
 
 class UnavailableMethodError(TtriemError, RuntimeError):
     """The requested baseline method cannot be run for this objective/instance."""
+
+
+class NonFiniteError(TtriemError, ArithmeticError):
+    """A computed value is NaN or infinite.
+
+    ``stage`` names what was being computed: ``"value"`` (the objective
+    value), ``"gradient"`` or ``"HVP"``.
+    """
+
+    def __init__(self, stage, detail=""):
+        self.stage = stage
+        super().__init__(f"non-finite {stage}" + (f": {detail}" if detail else ""))

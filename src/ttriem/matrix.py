@@ -22,7 +22,7 @@ from . import ad
 from .dense import as_tensor, frozen, svd_thin
 from .errors import DimensionError
 from .tt import MuOrthogonal
-from .ttmanifold import TtTangent, _apply_gauge, hess_vec_tt, riemannian_grad_tt, tangent_dot_tt
+from .ttmanifold import TtTangent, _apply_gauge, _differentiate, tangent_dot_tt
 
 __all__ = [
     "FixedRankPoint",
@@ -176,18 +176,19 @@ def riemannian_grad_matrix(p, x: FixedRankPoint) -> MatrixTangent:
     """Riemannian gradient of a program evaluating f at L @ R.T.
 
     The program is run on the width-2r factors L = [U dU], R = [dV V] and
-    differentiated with respect to (dU, dV) by :func:`riemannian_grad_tt`.
+    differentiated with respect to (dU, dV) as by :func:`riemannian_grad_tt`,
+    with the sweep recorded for, and replayed on later calls with, ``p``.
     """
-    return MatrixTangent._wrap(x, riemannian_grad_tt(_core_program(p, x), x.ortho))
+    return MatrixTangent._wrap(x, _differentiate(_core_program(p, x), x.ortho, None, p)[1])
 
 
 def hess_vec_matrix(p, x: FixedRankPoint, z: MatrixTangent) -> MatrixTangent:
     """Approximate Riemannian Hessian applied to a tangent vector.
 
-    The nested sweep of :func:`hess_vec_tt`; the curvature term of the
-    exact Hessian is omitted.
+    The nested sweep of :func:`hess_vec_tt`, recorded for ``p``; the
+    curvature term of the exact Hessian is omitted.
     """
-    return MatrixTangent._wrap(x, hess_vec_tt(_core_program(p, x), x.ortho, z.tt))
+    return MatrixTangent._wrap(x, _differentiate(_core_program(p, x), x.ortho, z.tt, p)[1])
 
 
 def tangent_dot_matrix(a: MatrixTangent, b: MatrixTangent) -> float:

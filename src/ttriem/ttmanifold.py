@@ -8,11 +8,13 @@ sum_i U_k[i]^T S^delta_k[i] = 0 for all modes but the last.  The block-core
 construction turns deltas into an ordinary TT tensor of rank 2r.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import ad, coreops
 from .dense import frozen
-from .errors import DimensionError, InvalidPairError, InvalidTangentError
+from .errors import DimensionError, InvalidPairError, InvalidTangentError, NonFiniteError
 from .tt import MuOrthogonal, TtMatrix, TtTensor, orthogonalize, ttmat_apply
 
 __all__ = [
@@ -20,6 +22,7 @@ __all__ = [
     "deltas_to_cores",
     "project_tt",
     "riemannian_grad_tt",
+    "riemannian_value_and_grad_tt",
     "hess_vec_tt",
     "tangent_dot_tt",
     "tangent_axpy",
@@ -126,18 +129,38 @@ class TtTangent:
         return float(np.sqrt(max(tangent_dot_tt(self, self), 0.0)))
 
 
+@lru_cache(maxsize=256)
+def _block_layouts(shapes):
+    # Per mode, for center cores of the given shapes: the block core's
+    # shape and the blocks of delta, V and U (None where there is none).
+    d = len(shapes)
+    out = []
+    for k, (rl, n, rr) in enumerate(shapes):
+        top = rl if k > 0 else 0  # rows of V above the delta
+        right = rr if k < d - 1 else 0  # columns of U beside it
+        out.append(((top + rl, n, rr + right),
+                     ((top, top + rl), (0, n), (0, rr)),
+                     ((0, rl), (0, n), (0, rr)) if k > 0 else None,
+                     ((top, top + rl), (0, n), (rr, rr + right)) if k < d - 1 else None))
+    return out
+
+
 def _block_cores(base, deltas):
-    """Block construction of tangent TT-cores; works on arrays and Vars."""
-    d = base.ndim
-    if d == 1:
+    """Block construction of tangent TT-cores, one :func:`ttriem.ad.block_core`
+    per mode: [delta_0 U_0], then [[V_k 0], [delta_k U_k]], then
+    [V_{d-1}; delta_{d-1}].  Works on arrays and Vars; a sweep takes each
+    delta's adjoint out of its block core's in one step."""
+    if base.ndim == 1:
         return [deltas[0]]
-    cores = [ad.concat([deltas[0], base.U[0]], 2)]
-    for k in range(1, d - 1):
-        u, v = base.U[k], base.V[k]
-        top = ad.concat([v, np.zeros(v.shape)], 2)
-        bot = ad.concat([deltas[k], u], 2)
-        cores.append(ad.concat([top, bot], 0))
-    cores.append(ad.concat([base.V[d - 1], deltas[d - 1]], 0))
+    cores = []
+    layouts = _block_layouts(tuple(s.shape for s in base.S))
+    for k, (delta, (shape, at, at_v, at_u)) in enumerate(zip(deltas, layouts)):
+        parts = [(delta, at)]
+        if at_v is not None:
+            parts.append((base.V[k], at_v))
+        if at_u is not None:
+            parts.append((base.U[k], at_u))
+        cores.append(ad.block_core(shape, parts))
     return cores
 
 
@@ -183,23 +206,72 @@ def _delta_seed(base):
     return seed
 
 
-def riemannian_grad_tt(p, x) -> TtTangent:
-    """Riemannian gradient of a TT-core program via one reverse sweep.
+def _check_finite(arrays, stage):
+    for k, a in enumerate(arrays):
+        if not np.isfinite(a).all():
+            raise NonFiniteError(stage, f"delta core {k} holds NaN or inf")
 
-    The program receives the block cores of a rank-2r tangent
-    parametrization whose delta blocks are the differentiation variables,
-    seeded at the values representing the point itself.  A program that does
-    not depend on the cores has the zero gradient.
+
+def _differentiate(p, base, z, owner):
+    """The program's recorded value and its Riemannian gradient, or, given
+    a tangent ``z`` at ``base``, its approximate Hessian applied to z.
+
+    The sweeps are those of :func:`riemannian_grad_tt` and
+    :func:`hess_vec_tt`, run through :func:`ttriem.ad.swept` with the
+    schedules kept for ``owner``: eager on the first call at a tape
+    structure, replayed on later ones.  The value and the raw deltas are
+    checked to be finite.
     """
-    base = _as_ortho(x)
+    if z is not None and not z.base.matches(base):
+        raise InvalidTangentError("tangent vector is anchored at a different point")
     tape = ad.Tape()
     try:
         rvars = [tape.input(v) for v in _delta_seed(base)]
         out = p(_block_cores(base, rvars))
-        raw = ad.grad(tape, out, rvars)
+        value = out.value if isinstance(out, ad.Var) else out
+        if np.ndim(value) == 0 and not np.isfinite(value):
+            raise NonFiniteError("value", f"the program returned {float(value)}")
+        if z is None:
+            def sweeps():
+                return ad.grad(tape, out, rvars)
+        else:
+            def sweeps():
+                inner = ad.grad(tape, out, rvars, as_vars=True)
+                w = ad.add_n([
+                    ad.contract(g, dz, [(0, 0), (1, 1), (2, 2)])
+                    for g, dz in zip(inner, z.deltas)
+                ])
+                return ad.grad(tape, w, rvars)
+        if isinstance(out, ad.Var):
+            kind = "grad" if z is None else "hvp"
+            raw = ad.swept(owner, (kind, out.index), tape, sweeps, () if z is None else z.deltas)
+        else:
+            raw = sweeps()
     finally:
         tape.clear()
-    return TtTangent._trusted(base, _apply_gauge(base, raw))
+    _check_finite(raw, "gradient" if z is None else "HVP")
+    return float(value), TtTangent._trusted(base, _apply_gauge(base, raw))
+
+
+def riemannian_value_and_grad_tt(p, x):
+    """The program's value at X and its Riemannian gradient, from one
+    forward pass and one reverse sweep.
+
+    The program receives the block cores of a rank-2r tangent
+    parametrization whose delta blocks are the differentiation variables,
+    seeded at the values representing the point itself, so the value it
+    returns there is f(X).  A program that does not depend on the cores
+    has the zero gradient.  Raises :class:`NonFiniteError` when the value
+    or a delta of the gradient is NaN or infinite.  Repeated calls with the
+    same program object replay the recorded sweep (:func:`ttriem.ad.swept`).
+    """
+    return _differentiate(p, _as_ortho(x), None, p)
+
+
+def riemannian_grad_tt(p, x) -> TtTangent:
+    """Riemannian gradient of a TT-core program via one reverse sweep: the
+    tangent of :func:`riemannian_value_and_grad_tt`."""
+    return riemannian_value_and_grad_tt(p, x)[1]
 
 
 def hess_vec_tt(p, x, z: TtTangent) -> TtTangent:
@@ -211,24 +283,12 @@ def hess_vec_tt(p, x, z: TtTangent) -> TtTangent:
     which the tape never records, so the projection operator itself is
     frozen (the curvature term is dropped by construction).  The inner gradient is not gauged: the deltas of z
     already are, and the gauge projection P is self-adjoint, so
-    <P G, z> = <G, z>.  Only the result is projected.
+    <P G, z> = <G, z>.  Only the result is projected.  Raises
+    :class:`NonFiniteError` when the program's value or a delta of the
+    result is NaN or infinite.  Repeated calls with the same program object
+    replay the recorded sweeps, inner sweep and dot with z included.
     """
-    base = _as_ortho(x)
-    if not z.base.matches(base):
-        raise InvalidTangentError("tangent vector is anchored at a different point")
-    tape = ad.Tape()
-    try:
-        rvars = [tape.input(v) for v in _delta_seed(base)]
-        out = p(_block_cores(base, rvars))
-        inner = ad.grad(tape, out, rvars, as_vars=True)
-        w = ad.add_n([
-            ad.contract(g, dz, [(0, 0), (1, 1), (2, 2)])
-            for g, dz in zip(inner, z.deltas)
-        ])
-        raw = ad.grad(tape, w, rvars)
-    finally:
-        tape.clear()
-    return TtTangent._trusted(base, _apply_gauge(base, raw))
+    return _differentiate(p, _as_ortho(x), z, p)[1]
 
 
 def tangent_dot_tt(a: TtTangent, b: TtTangent) -> float:
