@@ -63,14 +63,16 @@ so a program whose structure depends on its values records anew when the
 structure changes.  Sweeps run eagerly, and are never recorded, when the
 tape holds a node that carries per-call data (``gather_mode``,
 ``scatter_mode``, ``mode_matmul``, ``mode_outer``) or one built without an
-op of this module, when the owner cannot be weakly referenced, or when
-``SCHEDULES_PER_PROGRAM`` is 0.
+op of this module, or when the owner cannot be weakly referenced.  A
+program object keeps at most ``SCHEDULES_PER_PROGRAM`` schedules, freed
+with it.  ``replayed`` counts the kernel calls replays ran, per op name;
+a wrapper around an op sees only the eager calls.
 """
 
 import math
 import threading
 import weakref
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import lru_cache
 from operator import getitem, index, itemgetter
 
@@ -357,12 +359,13 @@ def _node(tape, val, op, parents, rules, static=()):
     return val if tape is None else Var(tape, val, op, parents, rules, static)
 
 
-def _run(kernel, vals, static=()):
-    # An op's value, kernel(*vals, *static); a recording sweep logs the call.
+def _run(op, kernel, vals, static=()):
+    # The value of an ``op`` node, kernel(*vals, *static); a recording sweep
+    # logs the call.
     val = kernel(*vals, *static)
     recorder = _state.recorder
     if recorder is not None:
-        recorder.step(kernel, vals, static, val)
+        recorder.step(op, kernel, vals, static, val)
     return val
 
 
@@ -382,7 +385,7 @@ def add_n(parts):
     for v in vals[1:]:
         if v.shape != vals[0].shape:
             raise DimensionError(f"add_n term shapes differ: {vals[0].shape} vs {v.shape}")
-    return _node(tape, _run(_add_n_value, vals), "add_n", tuple(parts),
+    return _node(tape, _run("add_n", _add_n_value, vals), "add_n", tuple(parts),
                  (lambda u: u,) * len(parts))
 
 
@@ -403,7 +406,7 @@ def _binary(name, fwd, rule_a, rule_b):
         sa, sb = av.shape, bv.shape
         if sa != sb and sa != () and sb != ():
             raise DimensionError(f"{name}: elementwise shapes differ: {sa} vs {sb}")
-        out = _node(tape, _run(fwd, (av, bv)), name, (a, b), (
+        out = _node(tape, _run(name, fwd, (av, bv)), name, (a, b), (
             lambda u: _unbroadcast(rule_a(u, a, b, out), a.shape),
             lambda u: _unbroadcast(rule_b(u, a, b, out), b.shape),
         ))
@@ -424,7 +427,7 @@ def _unary(name, fwd, rule):
     # rule(u, a, out) is the adjoint for the operand.
     def op(a):
         tape, a, av = _operand(a)
-        out = _node(tape, _run(fwd, (av,)), name, (a,), (lambda u: rule(u, a, out),))
+        out = _node(tape, _run(name, fwd, (av,)), name, (a,), (lambda u: rule(u, a, out),))
         return out
 
     op.__name__ = name
@@ -458,20 +461,20 @@ def reshape(a, shape):
         shape = tuple(int(s) for s in shape)
     tape, a, av = _operand(a)
     old = av.shape
-    return _node(tape, _run(np.reshape, (av,), (shape,)), "reshape", (a,),
+    return _node(tape, _run("reshape", np.reshape, (av,), (shape,)), "reshape", (a,),
                  (lambda u: reshape(u, old),), shape)
 
 
 def transpose(a, perm):
     tape, a, av = _operand(a)
     perm = tuple(perm)
-    return _node(tape, _run(np.transpose, (av,), (perm,)), "transpose", (a,),
+    return _node(tape, _run("transpose", np.transpose, (av,), (perm,)), "transpose", (a,),
                  (lambda u: transpose(u, np.argsort([p % len(perm) for p in perm])),), perm)
 
 
 def concat(parts, axis):
     tape, parts, vals = _operand_list(parts)
-    val = _run(_concat_value, vals, (axis,))
+    val = _run("concat", _concat_value, vals, (axis,))
     if tape is None:
         return val
     offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
@@ -523,7 +526,7 @@ def take_block(a, at):
     tape, a, av = _operand(a)
     at = tuple(map(tuple, at))
     shape, (at,), (slices,) = _block_layout(av.shape, (at,), (tuple(hi - lo for lo, hi in at),))
-    return _node(tape, _run(getitem, (av,), (slices,)), "take_block", (a,),
+    return _node(tape, _run("take_block", getitem, (av,), (slices,)), "take_block", (a,),
                  (lambda u: block_core(shape, [(u, at)]),), at)
 
 
@@ -539,7 +542,7 @@ def block_core(shape, parts):
     tape, operands, vals = _operand_list([part for part, _ in parts])
     shape, ats, slices = _block_layout(tuple(shape), tuple(tuple(map(tuple, at)) for _, at in parts),
                                        tuple(v.shape for v in vals))
-    return _node(tape, _run(_block_core_value, vals, (shape, slices)), "block_core",
+    return _node(tape, _run("block_core", _block_core_value, vals, (shape, slices)), "block_core",
                  tuple(operands), tuple(lambda u, at=at: take_block(u, at) for at in ats),
                  (shape, ats))
 
@@ -555,7 +558,7 @@ def _block_core_value(*args):
 def reduce_sum(a, axes=None):
     tape, a, av = _operand(a)
     if axes is None:
-        return _node(tape, _run(np.sum, (av,)), "sum", (a,),
+        return _node(tape, _run("sum", np.sum, (av,)), "sum", (a,),
                      (lambda u: mul(u, np.ones(a.shape)),), "all")
 
     axes = tuple(sorted(range(av.ndim)[ax] for ax in axes))  # as in contract: no axis is wrapped round
@@ -567,7 +570,7 @@ def reduce_sum(a, axes=None):
         ones = np.ones(tuple(a.shape[ax] for ax in axes))
         return contract(u, ones, [], _argsort(kept + list(axes)))
 
-    return _node(tape, _run(np.sum, (av,), (axes,)), "sum", (a,), (rule,), axes)
+    return _node(tape, _run("sum", np.sum, (av,), (axes,)), "sum", (a,), (rule,), axes)
 
 
 def _argsort(perm):
@@ -719,7 +722,7 @@ def contract(a, b, axes, perm=None):
     plan, grad_a, grad_b = _contract_plan(av.shape, bv.shape, axes, perm)
     # The rules call the module's contract by name, so a wrapper installed
     # in its place sees the adjoint contractions too.
-    return _node(tape, _run(_contract_value, (av, bv), (plan,)), "contract", (a, b), (
+    return _node(tape, _run("contract", _contract_value, (av, bv), (plan,)), "contract", (a, b), (
         lambda u: contract(u, b, *grad_a),
         lambda u: contract(a, u, *grad_b),
     ), (axes, perm))
@@ -851,7 +854,7 @@ def batch_matmul(a, b):
     sa, sb = av.shape, bv.shape
     if len(sa) != 3 or len(sb) != 3 or sa[0] != sb[0] or sa[2] != sb[1]:
         raise DimensionError(f"batch_matmul shapes incompatible: {sa} x {sb}")
-    return _node(tape, _run(_batch_matmul_value, (av, bv)), "batch_matmul", (a, b), (
+    return _node(tape, _run("batch_matmul", _batch_matmul_value, (av, bv)), "batch_matmul", (a, b), (
         lambda u: batch_matmul(u, transpose(b, (0, 2, 1))),
         lambda u: batch_matmul(transpose(a, (0, 2, 1)), u),
     ))
@@ -1007,10 +1010,14 @@ def mode_outer(rows, u, groups, n):
 # _run hands every kernel call to its _Recorder.
 
 # The schedules, and the brief keys seen, kept per owner: the oldest of
-# each is dropped beyond this many, and 0 turns recording and replay off.
+# each is dropped beyond this many.
 SCHEDULES_PER_PROGRAM = 8
 
 _schedules = weakref.WeakKeyDictionary()
+
+# Kernel calls run by replayed schedules, per op name; an eager sweep's
+# kernels are calls of the ops themselves and are not counted here.
+replayed = Counter()
 
 
 class _State(threading.local):
@@ -1028,18 +1035,18 @@ class Schedule:
     static arguments, output slot, slots dead after the step); ``sources``
     holds (slot, i, j), read from node i's value (j = -1) or constant parent
     j, or from ``extra[j]`` when i = -1; ``slots`` is the initial slot list,
-    literals in place, and ``results`` the slots returned.  ``replays``
-    counts the runs.
+    literals in place, and ``results`` the slots returned.  ``kernels``
+    counts the steps per op name, added to :data:`replayed` by each run.
     """
 
-    __slots__ = ("steps", "sources", "slots", "results", "replays", "__weakref__")
+    __slots__ = ("steps", "sources", "slots", "results", "kernels", "__weakref__")
 
-    def __init__(self, steps, sources, slots, results):
+    def __init__(self, steps, sources, slots, results, kernels):
         self.steps = steps
         self.sources = sources
         self.slots = slots
         self.results = results
-        self.replays = 0
+        self.kernels = kernels
 
     def run(self, nodes, extra=()):
         """The results of the recorded sweeps for the tape ``nodes`` and ``extra``."""
@@ -1050,7 +1057,7 @@ class Schedule:
             slots[out] = kernel(*ins(slots), *static)
             for i in dead:
                 slots[i] = None
-        self.replays += 1
+        replayed.update(self.kernels)
         return [slots[i] for i in self.results]
 
 
@@ -1092,7 +1099,7 @@ class _Recorder:
                 self.literals[s] = a
         return s
 
-    def step(self, kernel, vals, static, val):
+    def step(self, op, kernel, vals, static, val):
         ins = tuple([self.names.get(id(v)) for v in vals])
         if None in ins:
             ins = tuple(self._name(v) for v in vals)
@@ -1102,7 +1109,7 @@ class _Recorder:
             self.alive[key] = weakref.ref(val, lambda _, key=key: self.names.pop(key, None))
         except TypeError:  # a numpy scalar: held, it is small
             self.alive[key] = val
-        self.steps.append((kernel, ins, static, out))
+        self.steps.append((op, kernel, ins, static, out))
 
     def schedule(self, results):
         """The :class:`Schedule` of the steps, returning ``results``, each
@@ -1110,7 +1117,7 @@ class _Recorder:
         results = [self._name(r) for r in results]
         self.alive.clear()
         last = {}
-        for n, (_, ins, _, out) in enumerate(self.steps):
+        for n, (_, _, ins, _, out) in enumerate(self.steps):
             for s in ins + (out,):
                 last[s] = n
         used = set(last).union(results)
@@ -1122,8 +1129,9 @@ class _Recorder:
         for s, a in self.literals.items():
             slots[s] = a
         steps = [(kernel, _getter(ins), static, out, tuple(gone))
-                 for (kernel, ins, static, out), gone in zip(self.steps, dead)]
-        return Schedule(steps, [src for src in self.sources if src[0] in used], slots, results)
+                 for (_, kernel, ins, static, out), gone in zip(self.steps, dead)]
+        return Schedule(steps, [src for src in self.sources if src[0] in used], slots, results,
+                        Counter(step[0] for step in self.steps))
 
 
 def _getter(ins):
@@ -1166,11 +1174,8 @@ def swept(owner, tag, tape, sweeps, extra=()):
     constants and ``extra``; the results are bit-identical to an eager run
     and may be read-only.  ``tape`` must hold only the forward pass when
     this is called.  Sweeps run eagerly when the tape's structure cannot be
-    replayed, when ``owner`` has no weak reference and when
-    ``SCHEDULES_PER_PROGRAM`` is 0.
+    replayed and when ``owner`` has no weak reference.
     """
-    if SCHEDULES_PER_PROGRAM < 1:
-        return sweeps()
     try:
         seen, kept = _schedules.setdefault(owner, ({}, {}))
     except TypeError:
@@ -1202,10 +1207,3 @@ def _keep(kept, key, value):
         del kept[next(iter(kept))]
     kept[key] = value
 
-
-def schedules(owner):
-    """The schedules kept for ``owner``, oldest first (see :func:`swept`)."""
-    try:
-        return list(_schedules.get(owner, ({}, {}))[1].values())
-    except TypeError:
-        return []

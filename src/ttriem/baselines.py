@@ -27,7 +27,6 @@ from .ttmanifold import (
     TtTangent,
     _apply_gauge,
     _as_ortho,
-    _check_finite,
     hess_vec_tt,
     project_tt,
     riemannian_grad_tt,
@@ -247,10 +246,10 @@ def optimized_hvp(obj, x, z: TtTangent) -> TtTangent:
 def compute_method(obj, method: str, op: str, x, z=None) -> TtTangent:
     """Dispatch one of the three pipelines for a gradient or HVP.
 
-    Every pipeline fails alike on a non-finite result: the AD one checks its
-    value and raw deltas itself, and a tangent from the naive or optimized
-    pipeline is checked here, each raising :class:`NonFiniteError` named by
-    ``op``.
+    Every pipeline fails alike on a non-finite result, with
+    :class:`NonFiniteError`: the AD one checks its value and raw deltas
+    itself, and a naive or optimized tangent is checked as it is built
+    (:meth:`TtTangent._trusted`), its error renamed here after ``op``.
     """
     table = {
         ("ad", "grad"): lambda: ad_grad(obj, x),
@@ -263,10 +262,12 @@ def compute_method(obj, method: str, op: str, x, z=None) -> TtTangent:
     key = (method, op)
     if key not in table:
         raise UnavailableMethodError(f"unknown method/op combination {key}")
-    result = table[key]()
-    if method != "ad" and isinstance(result, TtTangent):
-        _check_finite(result.deltas, "gradient" if op == "grad" else "HVP")
-    return result
+    try:
+        return table[key]()
+    except NonFiniteError as err:
+        if err.stage != "tangent":
+            raise
+        raise NonFiniteError("gradient" if op == "grad" else "HVP", err.detail) from err
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ Indices are validated once, by :func:`check_indices`, for entries and for
 the fused sparse projection alike.
 """
 
-import math
-
 import numpy as np
 
 from . import ad
@@ -93,15 +91,8 @@ def operator_dot_cores(op_cores, xs, ys):
     m = np.ones((1, 1, 1))
     for a, x, y in zip(op_cores, xs, ys):
         t = ad.contract(m, y, [(2, 0)])  # (r_x, R, m, r_y')
-        if math.prod(np.shape(a)) > math.prod(np.shape(t)):
-            # The operator core is the larger operand: keep the order its
-            # GEMM gives, which the X step reads in place as long as r_x is
-            # 1 (a boundary mode) and copies no larger than t otherwise.
-            t = ad.contract(t, a, [(1, 0), (2, 1)])  # (r_x, r_y', n, R')
-            m = ad.contract(t, x, [(0, 0), (2, 1)], (2, 1, 0))  # (r_x', R', r_y')
-        else:
-            t = ad.contract(t, a, [(1, 0), (2, 1)], (0, 2, 3, 1))  # (r_x, n, R', r_y')
-            m = ad.contract(t, x, [(0, 0), (1, 1)], (2, 0, 1))  # (r_x', R', r_y')
+        t = ad.contract(t, a, [(1, 0), (2, 1)], (0, 2, 3, 1))  # (r_x, n, R', r_y')
+        m = ad.contract(t, x, [(0, 0), (1, 1)], (2, 0, 1))  # (r_x', R', r_y')
     return ad.reshape(m, ())
 
 

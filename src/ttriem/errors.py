@@ -49,9 +49,11 @@ class NonFiniteError(TtriemError, ArithmeticError):
     """A computed value is NaN or infinite.
 
     ``stage`` names what was being computed: ``"value"`` (the objective
-    value), ``"gradient"`` or ``"HVP"``.
+    value), ``"gradient"``, ``"HVP"``, or ``"tangent"`` for a tangent built
+    by a routine that does not know which of these it computes.
     """
 
     def __init__(self, stage, detail=""):
         self.stage = stage
+        self.detail = detail
         super().__init__(f"non-finite {stage}" + (f": {detail}" if detail else ""))

@@ -112,11 +112,14 @@ class TtTangent:
 
         Skips the relative-residual check: for results of exact cancellation
         (e.g. the difference of two nearly equal tangents) that check would
-        compare roundoff against a collapsed norm and misfire.
+        compare roundoff against a collapsed norm and misfire.  The deltas
+        are computed, not given, so a NaN or infinite one raises
+        :class:`NonFiniteError` (stage ``"tangent"``), not the
+        ``DimensionError`` of an invalid input.
         """
         t = object.__new__(cls)
         t.base = base
-        t.deltas = tuple(frozen(d) for d in deltas)
+        t.deltas = tuple(_frozen_result(k, d) for k, d in enumerate(deltas))
         return t
 
     def gauge_residuals(self):
@@ -204,6 +207,16 @@ def _delta_seed(base):
     seed = [np.zeros(s.shape) for s in base.S]
     seed[0] = base.S[0].copy()
     return seed
+
+
+def _frozen_result(k, delta):
+    # Delta core k as :func:`ttriem.dense.frozen` stores it: a read-only
+    # C-ordered float64 copy, here checked as a computed result.
+    arr = np.array(delta, dtype=np.float64, order="C")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("tangent", f"delta core {k} holds NaN or inf")
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_finite(arrays, stage):

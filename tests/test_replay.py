@@ -13,7 +13,6 @@ from ttriem import ad, coreops
 from ttriem.baselines import compute_method, riemannian_gd_demo
 from ttriem.bench import objective_suite
 from ttriem.errors import DimensionError, NonFiniteError
-from ttriem.matrix import FixedRankPoint, riemannian_grad_matrix
 from ttriem.objectives import (
     IndexSet,
     Objective,
@@ -22,6 +21,7 @@ from ttriem.objectives import (
     quadratic_form,
 )
 from ttriem.tt import (
+    TtTensor,
     orthogonalize,
     random_symmetric_ttmat,
     random_tt,
@@ -31,13 +31,13 @@ from ttriem.tt import (
     tt_scale,
 )
 from ttriem.ttmanifold import (
-    TtTangent,
     _block_cores,
     _delta_seed,
     hess_vec_tt,
     project_tt,
     riemannian_grad_tt,
     riemannian_value_and_grad_tt,
+    tangent_scale,
 )
 
 MODES = (3, 4, 3)
@@ -55,11 +55,22 @@ def same_bits(a, b):
     return all(x.tobytes() == y.tobytes() for x, y in zip(a.deltas, b.deltas))
 
 
-def eager(monkeypatch, call):
-    """``call()`` with recording and replay turned off."""
-    with monkeypatch.context() as m:
-        m.setattr(ad, "SCHEDULES_PER_PROGRAM", 0)
-        return call()
+def eager(program):
+    """A new program object calling ``program``: its first call runs the
+    sweeps eagerly."""
+    return lambda cores: program(cores)
+
+
+def replaying(call):
+    """``call()``, and whether it ran a replayed schedule."""
+    before = sum(ad.replayed.values())
+    out = call()
+    return out, sum(ad.replayed.values()) > before
+
+
+def kept(owner):
+    """The schedules kept for ``owner``, oldest first."""
+    return list(ad._schedules.get(owner, ({}, {}))[1].values())
 
 
 def energy_program(rng, modes, rank):
@@ -77,7 +88,7 @@ def energy_program(rng, modes, rank):
 
 
 class TestReplay:
-    def test_bit_identical_to_eager_sweeps(self, rng, monkeypatch):
+    def test_bit_identical_to_eager_sweeps(self, rng):
         # Each schedule is recorded by the second call at the first base
         # point and direction, then replayed at two base points and two
         # directions each.
@@ -92,21 +103,19 @@ class TestReplay:
             for _ in range(2):
                 riemannian_grad_tt(p, bases[0])
                 hess_vec_tt(p, bases[0], dirs[0][0])
+            # A completion tape runs eagerly.
+            replays = name != "completion"
             for base, zs in zip(bases, dirs):
-                got = riemannian_grad_tt(p, base)
-                want = eager(monkeypatch, lambda: riemannian_grad_tt(p, base))
-                assert same_bits(got, want), name
+                got, ran = replaying(lambda: riemannian_grad_tt(p, base))
+                assert ran == replays, name
+                assert same_bits(got, riemannian_grad_tt(eager(p), base)), name
                 for z in zs:
-                    got = hess_vec_tt(p, base, z)
-                    want = eager(monkeypatch, lambda: hess_vec_tt(p, base, z))
-                    assert same_bits(got, want), name
-            kept = ad.schedules(p)
-            if name == "completion":
-                assert kept == [], "a completion tape runs eagerly"
-            else:
-                assert [s.replays for s in kept] == [2, 4], name
+                    got, ran = replaying(lambda: hess_vec_tt(p, base, z))
+                    assert ran == replays, name
+                    assert same_bits(got, hess_vec_tt(eager(p), base, z)), name
+            assert len(kept(p)) == (2 if replays else 0), name
 
-    def test_branch_on_value_records_anew(self, rng, monkeypatch):
+    def test_branch_on_value_records_anew(self, rng):
         def program(cores):
             s = coreops.dot_cores(cores, cores)
             if float(s.value) > 1.0:
@@ -118,14 +127,13 @@ class TestReplay:
             x = random_tt(rng, MODES, 2)
             bases.append(orthogonalize(tt_scale(norm / tt_norm(x), x)))
         for base in bases:
-            for _ in range(3):  # eager, recorded, replayed
-                got = riemannian_grad_tt(program, base)
-                want = eager(monkeypatch, lambda: riemannian_grad_tt(program, base))
-                assert same_bits(got, want)
-        kept = ad.schedules(program)
-        assert len(kept) == 2 and [s.replays for s in kept] == [1, 1]
-        riemannian_grad_tt(program, bases[0])
-        assert [s.replays for s in kept] == [2, 1]
+            for replays in (False, False, True):  # eager, recorded, replayed
+                got, ran = replaying(lambda: riemannian_grad_tt(program, base))
+                assert ran == replays
+                assert same_bits(got, riemannian_grad_tt(eager(program), base))
+        assert len(kept(program)) == 2
+        got, ran = replaying(lambda: riemannian_grad_tt(program, bases[0]))
+        assert ran and same_bits(got, riemannian_grad_tt(eager(program), bases[0]))
 
     def test_programs_never_share_a_schedule(self, rng):
         def make():
@@ -133,21 +141,23 @@ class TestReplay:
 
         first, second = make(), make()
         base = point(rng)
-        for _ in range(3):
-            riemannian_grad_tt(first, base)
-        for _ in range(2):
-            riemannian_grad_tt(second, base)
-        (a,), (b,) = ad.schedules(first), ad.schedules(second)
-        assert a is not b and a.replays == 1 and b.replays == 0
+        for program in (first, second):
+            # The second program's second call records: it finds nothing
+            # of the first's to replay.
+            ran = [replaying(lambda: riemannian_grad_tt(program, base))[1] for _ in range(3)]
+            assert ran == [False, False, True]
+        (a,), (b,) = kept(first), kept(second)
+        assert a is not b
 
     def test_recorded_on_second_call(self, rng):
         # A program made for one call never pays for a recording.
         program = energy_program(rng, MODES, 2)
         base = point(rng)
         riemannian_grad_tt(program, base)
-        assert ad.schedules(program) == []
+        assert kept(program) == []
         riemannian_grad_tt(program, base)
-        assert [s.replays for s in ad.schedules(program)] == [0]
+        assert len(kept(program)) == 1
+        assert replaying(lambda: riemannian_grad_tt(program, base))[1]
 
     def test_schedules_freed_with_program_without_collector(self, rng):
         def make():
@@ -157,11 +167,11 @@ class TestReplay:
         base = point(rng)
         riemannian_grad_tt(program, base)
         riemannian_grad_tt(program, base)
-        kept = weakref.ref(ad.schedules(program)[0])
+        schedule = weakref.ref(kept(program)[0])
         gc.disable()
         try:
             del program
-            assert kept() is None
+            assert schedule() is None
         finally:
             gc.enable()
 
@@ -173,7 +183,7 @@ class TestReplay:
             base = point(rng, (3, n, 3))
             riemannian_grad_tt(program, base)
             riemannian_grad_tt(program, base)
-        assert len(ad.schedules(program)) == ad.SCHEDULES_PER_PROGRAM
+        assert len(kept(program)) == ad.SCHEDULES_PER_PROGRAM
 
     def test_completion_tape_runs_eagerly(self, rng):
         truth = random_tt(rng, MODES, 2)
@@ -182,10 +192,12 @@ class TestReplay:
         base = point(rng)
         z = direction(rng, base)
         first = hess_vec_tt(obj.evaluate, base, z)
-        assert same_bits(first, hess_vec_tt(obj.evaluate, base, z))
-        assert ad.schedules(obj.evaluate) == []
+        for _ in range(2):
+            got, ran = replaying(lambda: hess_vec_tt(obj.evaluate, base, z))
+            assert same_bits(first, got) and not ran
+        assert kept(obj.evaluate) == []
 
-    def test_replayed_hvp_peak_no_higher_than_eager(self, rng, monkeypatch):
+    def test_replayed_hvp_peak_no_higher_than_eager(self, rng):
         modes = (6,) * 5
         obj = gram_quadratic_form(random_ttmat(rng, modes, modes, 3))
         base = point(rng, modes, 6)
@@ -202,18 +214,21 @@ class TestReplay:
             finally:
                 tracemalloc.stop()
 
-        eager_peak = peak(lambda: eager(monkeypatch, lambda: hess_vec_tt(obj.evaluate, base, z)))
-        replay_peak = peak(lambda: hess_vec_tt(obj.evaluate, base, z))
-        assert ad.schedules(obj.evaluate)[0].replays == 1
+        program = eager(obj.evaluate)
+        eager_peak = peak(lambda: hess_vec_tt(program, base, z))
+        ran = []
+        replay_peak = peak(lambda: ran.append(replaying(lambda: hess_vec_tt(obj.evaluate, base, z))[1]))
+        assert ran == [True]
         assert replay_peak <= eager_peak
 
     def test_swept_runs_eagerly_for_unreferenceable_owner(self, rng):
         tape = ad.Tape()
         x = tape.input(rng.standard_normal(3))
         out = ad.reduce_sum(ad.mul(x, x))
-        got = ad.swept(1, "grad", tape, lambda: ad.grad(tape, out, [x]))
-        np.testing.assert_array_equal(got[0], 2.0 * x.value)
-        assert ad.schedules(1) == []
+        for _ in range(3):
+            got, ran = replaying(lambda: ad.swept(1, "grad", tape, lambda: ad.grad(tape, out, [x])))
+            np.testing.assert_array_equal(got[0], 2.0 * x.value)
+            assert not ran
 
 
 class TestBlockCore:
@@ -332,60 +347,24 @@ class TestNonFinite:
             riemannian_gd_demo(obj, random_tt(rng, MODES, 2), 3, 0.1, 2)
 
     def test_compute_method_checks_optimized_results(self, rng):
+        # The hooks project a tensor with entries of 1e200 each: its
+        # contractions overflow to inf.
         base = point(rng)
-        bad = object.__new__(TtTangent)
-        bad.base = base
-        bad.deltas = tuple(np.full(s.shape, np.nan) for s in base.S)
-        obj = Objective(name="bad", evaluate=lambda cores: 0.0,
-                        optimized_grad=lambda b: bad, optimized_hvp=lambda b, z: bad)
+        huge = TtTensor([np.full(s.shape, 1e200) for s in random_tt(rng, MODES, 2).cores])
+        obj = Objective(name="huge", evaluate=lambda cores: 0.0,
+                        optimized_grad=lambda b: project_tt(b, huge),
+                        optimized_hvp=lambda b, z: project_tt(b, huge))
         for op, stage in (("grad", "gradient"), ("hvp", "HVP")):
-            with pytest.raises(NonFiniteError) as err:
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteError) as err:
                 compute_method(obj, "optimized", op, base, direction(rng, base))
             assert err.value.stage == stage
 
+    def test_computed_tangent_raises_non_finite(self, rng):
+        base = point(rng)
+        g = riemannian_grad_tt(quadratic_form(random_symmetric_ttmat(rng, MODES, 2)).evaluate, base)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError) as err:
+            tangent_scale(1e308, tangent_scale(1e308, g))
+        assert err.value.stage == "tangent"
 
-def test_matrix_qf_gradient_copies_no_intermediate(rng, monkeypatch):
-    # In the forward pass of a matrix qf gradient, where every operator core
-    # is the larger operand of its step, each contraction whose larger
-    # operand is an earlier contraction's result hands it to BLAS in place.
-    obj = quadratic_form(random_symmetric_ttmat(rng, (12, 12), 2))
-    x = FixedRankPoint.from_dense(rng.standard_normal((12, 12)), 2)
-    calls, outputs, blas_args, sweeping = [], [], None, []
-
-    def reading(blas):
-        def call(*args):
-            if blas_args is not None:
-                blas_args.extend(args)
-            return blas(*args)
-        return call
-
-    contract, sweep = ad.contract, ad.grad
-
-    def recording_contract(a, b, *args):
-        nonlocal blas_args
-        blas_args = []
-        try:
-            out = contract(a, b, *args)
-        finally:
-            if not sweeping:
-                calls.append(([getattr(v, "value", v) for v in (a, b)], blas_args))
-            blas_args = None
-        outputs.append(getattr(out, "value", out))
-        return out
-
-    def marking_grad(*args, **kwargs):
-        sweeping.append(True)
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(np, "dot", reading(np.dot))
-    monkeypatch.setattr(np, "matmul", reading(np.matmul))
-    monkeypatch.setattr(ad, "contract", recording_contract)
-    monkeypatch.setattr(ad, "grad", marking_grad)
-    riemannian_grad_matrix(obj.factor_program(), x)
-    checked = 0
-    for vals, args in calls:
-        larger = max(vals, key=lambda v: v.size)
-        if larger.size > min(v.size for v in vals) and any(larger is o for o in outputs):
-            assert any(np.shares_memory(larger, a) for a in args), larger.shape
-            checked += 1
-    assert checked >= 1
