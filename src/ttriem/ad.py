@@ -29,7 +29,8 @@ through contractions records no ``transpose``, and a forward pass whose
 operands are read in place is read in place by its sweeps too.
 
 The mode operations take a TT core's slices per mode value: ``gather_mode``
-and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
+and ``scatter_mode`` move whole (r_left, r_right) slices per sample, their
+index vector a constant parent of the node and a kernel operand, while
 ``mode_matmul`` and ``mode_outer`` apply them to, or build them from,
 per-sample (N, r) rows with one matrix product per mode value, so no
 per-sample slice is ever stored.  Their :class:`ModeGroups` says in which
@@ -37,15 +38,15 @@ order of the samples the rows come in and go out: rows come in sorted by
 the op's own mode, and a sweep that hands them out sorted by the mode they
 go through next (:meth:`ModeSort.groups`) permutes them once per op.
 
-A constant stays a plain float64 array and is never recorded: every
-:class:`Var` is a tape input or depends on one.  ``grad`` calls a rule only
-for a parent that is a ``Var``, so a constant operand costs no adjoint
-work.  ``stop_gradient`` returns its operand's value, a constant at every
-nesting level.
+A constant stays a plain float64 array (an index vector an intp one) and
+is never recorded: every :class:`Var` is a tape input or depends on one.
+``grad`` calls a rule only for a parent that is a ``Var``, so a constant
+operand costs no adjoint work.  ``stop_gradient`` returns its operand's
+value, a constant at every nesting level.
 
-Every op but the four mode operations computes its value by one kernel
-call, ``kernel(*values, *static)``, where ``static`` holds what the op
-worked out from shapes and arguments alone (a contraction's plan, a
+Every op but ``mode_matmul`` and ``mode_outer`` computes its value by one
+kernel call, ``kernel(*values, *static)``, where ``static`` holds what the
+op worked out from shapes and arguments alone (a contraction's plan, a
 reshape's target, a block's slices), and a node keeps the hashable part of
 it as ``static``.  That split lets :func:`swept` replay sweeps.  The first
 call for an owner (a program object) and a tape structure runs the sweeps
@@ -61,12 +62,12 @@ each slot after its last use; the kernels are the eager ones, so the
 results are bit-identical.  The forward pass runs eagerly on every call,
 so a program whose structure depends on its values records anew when the
 structure changes.  Sweeps run eagerly, and are never recorded, when the
-tape holds a node that carries per-call data (``gather_mode``,
-``scatter_mode``, ``mode_matmul``, ``mode_outer``) or one built without an
-op of this module, or when the owner cannot be weakly referenced.  A
-program object keeps at most ``SCHEDULES_PER_PROGRAM`` schedules, freed
-with it.  ``replayed`` counts the kernel calls replays ran, per op name;
-a wrapper around an op sees only the eager calls.
+tape holds a ``mode_matmul`` or ``mode_outer`` node (its per-call
+:class:`ModeGroups` is no slot) or one built without an op of this module,
+or when the owner cannot be weakly referenced.  A program object keeps at
+most ``SCHEDULES_PER_PROGRAM`` schedules, freed with it.  ``replayed``
+counts the kernel calls replays ran, per op name; a wrapper around an op
+sees only the eager calls.
 """
 
 import math
@@ -792,15 +793,20 @@ def gather_mode(core, idx):
     ``core`` has shape (r_left, n, r_right) and ``idx`` is an int vector of
     length N, values in [0, n); the result has shape (N, r_left, r_right).  It
     is one row ``take`` from the (n, r_left, r_right) transpose of the core, so
-    the strided (r_left, N, r_right) fancy-index copy is never made.
+    the strided (r_left, N, r_right) fancy-index copy is never made.  The
+    validated ``idx`` is a kernel operand and a constant parent of the node.
     """
     tape, core, cv = _operand(core)
     if cv.ndim != 3:
         raise DimensionError(f"gather_mode needs an (r_l, n, r_r) core, got shape {cv.shape}")
     n = cv.shape[1]
     idx = index_vector(idx, n, "gather_mode")
-    val = np.take(np.ascontiguousarray(np.transpose(cv, (1, 0, 2))), idx, axis=0)
-    return _node(tape, val, "gather_mode", (core,), (lambda u: scatter_mode(u, idx, n),), None)
+    return _node(tape, _run("gather_mode", _gather_value, (cv, idx)), "gather_mode", (core, idx),
+                 (lambda u: scatter_mode(u, idx, n), None))
+
+
+def _gather_value(cv, idx):
+    return np.take(np.ascontiguousarray(np.transpose(cv, (1, 0, 2))), idx, axis=0)
 
 
 def scatter_mode(mat, idx, n):
@@ -811,19 +817,25 @@ def scatter_mode(mat, idx, n):
     of size n * N is formed.  One bincount over flattened (sample, entry)
     bins reads ``mat`` in row order instead of column by column, but building
     those N * r_l * r_r bins costs as much as the sum: completion's AD HVP
-    at N = 12,000 (one BLAS thread) ran 13% slower that way.
+    at N = 12,000 (one BLAS thread) ran 13% slower that way.  A column is
+    contiguous when ``mat``'s sample axis is innermost, as in a
+    :func:`batch_matmul` outer product; ``idx`` is held as in gather_mode.
     """
     tape, mat, mv = _operand(mat)
     idx = index_vector(idx, n, "scatter_mode")
     if mv.ndim != 3 or mv.shape[0] != len(idx):
         raise DimensionError(f"scatter_mode needs ({len(idx)}, r_l, r_r) slices, got {mv.shape}")
+    return _node(tape, _run("scatter_mode", _scatter_value, (mv, idx), (n,)), "scatter_mode",
+                 (mat, idx), (lambda u: gather_mode(u, idx), None), (n,))
+
+
+def _scatter_value(mv, idx, n):
     count, rl, rr = mv.shape
     cols = mv.reshape(count, rl * rr)  # sizes spelled out: count may be 0
     buf = np.empty((n, rl * rr))
     for j in range(rl * rr):
         buf[:, j] = np.bincount(idx, weights=cols[:, j], minlength=n)
-    val = np.ascontiguousarray(np.transpose(buf.reshape(n, rl, rr), (1, 0, 2)))
-    return _node(tape, val, "scatter_mode", (mat,), (lambda u: gather_mode(u, idx),), None)
+    return np.ascontiguousarray(np.transpose(buf.reshape(n, rl, rr), (1, 0, 2)))
 
 
 # From this many samples on, a per-sample dot product is one einsum reduction
@@ -837,12 +849,15 @@ _EINSUM_DOT_MIN = 1024
 
 def _batch_matmul_value(a, b):
     # numpy's stacked matmul runs one tiny product per sample.  An outer
-    # product (q = 1) is one broadcast multiply, with the same bits; a dot
-    # product (p = s = 1) over many samples is one einsum reduction.  Other
-    # shapes, and a few dot products (expmach's margins), stay with np.matmul.
+    # product (q = 1) is one broadcast multiply, with the same bits, with the
+    # sample axis innermost (Fortran order): numpy then runs p * s loops over
+    # N samples, not N loops over p * s entries (0.11 against 0.21 ms at
+    # N = 12,000, p * s = 10), and scatter_mode reads each column contiguous.
+    # A dot product (p = s = 1) over many samples is one einsum reduction;
+    # other shapes, and expmach's few margins, stay with np.matmul.
     count, p, q = a.shape
     if q == 1:
-        return a * b
+        return np.multiply(a, b, order="F")
     if p == 1 and b.shape[2] == 1 and count >= _EINSUM_DOT_MIN:
         return np.einsum("nq,nq->n", a[:, 0, :], b[:, :, 0]).reshape(count, 1, 1)
     return np.matmul(a, b)

@@ -151,8 +151,7 @@ def project_sparse(base, indices, weights) -> TtTangent:
         return TtTangent._trusted(base, _apply_gauge(base, deltas))
     a, b = coreops._table_split(sizes, count)
     r_a, r_b = base.S[a].shape[0], base.S[b].shape[0]
-    prefix = np.ravel_multi_index(tuple(idx[:, :a].T), sizes[:a])
-    suffix = np.ravel_multi_index(tuple(idx[:, b:].T), sizes[b:])
+    prefix, suffix = coreops._table_ids(idx, sizes, a, b)
     lefts = coreops._prefix_tables(base.U[:a])  # lefts[j] is (1, P_{j+1}, r_{j+1})
     rights = coreops._suffix_tables(base.V[b:])  # rights[j] is (r_{b+j}, Q_{b+j}, 1)
     deltas = [None] * d

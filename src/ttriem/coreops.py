@@ -180,6 +180,22 @@ def _table_split(sizes, count):
     return a, b
 
 
+def _table_ids(idx, sizes, a, b):
+    """The samples' row ids in the left table (modes 0..a-1) and in the
+    right one (modes b..d-1): the index tuples there in C order, as
+    ``np.ravel_multi_index`` gives them, by a Horner loop over the columns
+    of ``idx``, which :func:`check_indices` has validated.  An id is below
+    its table's row count, so no id overflows (:func:`_table_split`)."""
+    ids = []
+    for lo, hi in ((0, a), (b, len(sizes))):
+        flat = idx[:, lo].copy()
+        for k in range(lo + 1, hi):
+            flat *= sizes[k]
+            flat += idx[:, k]
+        ids.append(flat)
+    return ids
+
+
 def _prefix_tables(cores):
     # Table j is (1, n_0 ... n_j, r_{j+1}): the chain of cores 0..j at every
     # prefix, rows in C order of the prefix's indices; the last one is the
@@ -228,8 +244,7 @@ def entries_cores(cores, idx):
     if d == 1:
         return ad.reshape(ad.gather_mode(cores[0], idx[:, 0]), (count,))
     a, b = _table_split(sizes, count)
-    left = np.ravel_multi_index(tuple(idx[:, :a].T), sizes[:a])
-    right = np.ravel_multi_index(tuple(idx[:, b:].T), sizes[b:])
+    left, right = _table_ids(idx, sizes, a, b)
     # sorts[j] is the sorted order of swept mode a + j.  The left table is
     # gathered straight into mode a's order, and the closing None is sample
     # order, in which the last swept core hands its rows out.

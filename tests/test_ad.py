@@ -418,6 +418,14 @@ class TestBatchMatmul:
         assert plain.shape == want.shape and plain.dtype == np.float64
         np.testing.assert_allclose(plain, want, rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed_view"])
+    def test_outer_product_has_samples_innermost(self, transposed, rng):
+        # scatter_mode then reads each (p, s) entry's samples contiguously.
+        a, b = self.operands(self.CASES["outer"], transposed, rng)
+        out = ad.batch_matmul(a, b)
+        assert out.flags.f_contiguous and out.strides[0] == out.itemsize
+        assert np.array_equal(out, a * b)
+
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_adjoints_match_matmul(self, case, rng):
         # d<w, A B> is w B^T for A and A^T w for B, whatever class the

@@ -332,6 +332,17 @@ class TestEntriesTables:
             if a < b:
                 assert min(np.prod(modes[:a + 1]), np.prod(modes[b - 1:])) > count
 
+    def test_table_ids_ravel_the_index_tuples(self, rng):
+        for _ in range(50):
+            modes = [int(n) for n in rng.integers(1, 12, rng.integers(2, 8))]
+            idx = coreops.check_indices(
+                np.stack([rng.integers(0, n, 40) for n in modes], axis=1), modes)
+            a, b = coreops._table_split(modes, 40)
+            left, right = coreops._table_ids(idx, modes, a, b)
+            assert left.dtype == right.dtype == np.intp
+            np.testing.assert_array_equal(left, np.ravel_multi_index(tuple(idx[:, :a].T), modes[:a]))
+            np.testing.assert_array_equal(right, np.ravel_multi_index(tuple(idx[:, b:].T), modes[b:]))
+
     def program(self, idx, w):
         return lambda *cs: ad.reduce_sum(ad.mul(coreops.entries_cores(list(cs), idx) ** 2, w))
 

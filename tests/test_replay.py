@@ -11,7 +11,7 @@ import pytest
 
 from ttriem import ad, coreops
 from ttriem.baselines import compute_method, riemannian_gd_demo
-from ttriem.bench import objective_suite
+from ttriem.bench import objective_suite, sample_indices
 from ttriem.errors import DimensionError, NonFiniteError
 from ttriem.objectives import (
     IndexSet,
@@ -26,7 +26,6 @@ from ttriem.tt import (
     random_symmetric_ttmat,
     random_tt,
     random_ttmat,
-    tt_entries,
     tt_norm,
     tt_scale,
 )
@@ -103,17 +102,17 @@ class TestReplay:
             for _ in range(2):
                 riemannian_grad_tt(p, bases[0])
                 hess_vec_tt(p, bases[0], dirs[0][0])
-            # A completion tape runs eagerly.
-            replays = name != "completion"
+            # Completion's prefix and suffix tables reach every mode of
+            # MODES, so its tape holds no swept mode and replays too.
             for base, zs in zip(bases, dirs):
                 got, ran = replaying(lambda: riemannian_grad_tt(p, base))
-                assert ran == replays, name
+                assert ran, name
                 assert same_bits(got, riemannian_grad_tt(eager(p), base)), name
                 for z in zs:
                     got, ran = replaying(lambda: hess_vec_tt(p, base, z))
-                    assert ran == replays, name
+                    assert ran, name
                     assert same_bits(got, hess_vec_tt(eager(p), base, z)), name
-            assert len(kept(p)) == (2 if replays else 0), name
+            assert len(kept(p)) == 2, name
 
     def test_branch_on_value_records_anew(self, rng):
         def program(cores):
@@ -186,10 +185,13 @@ class TestReplay:
         assert len(kept(program)) == ad.SCHEDULES_PER_PROGRAM
 
     def test_completion_tape_runs_eagerly(self, rng):
-        truth = random_tt(rng, MODES, 2)
-        idx = np.array(np.unravel_index(rng.choice(36, 20, replace=False), MODES)).T
-        obj = completion_loss(IndexSet(idx, tt_entries(truth, idx)))
-        base = point(rng)
+        # 100 samples over modes of 30 leave modes 1 and 2 to the row sweep,
+        # whose mode_matmul nodes hold per-call groupings.
+        modes = (30,) * 4
+        idx = sample_indices(rng, modes, 100)
+        assert coreops._table_split(list(modes), len(idx)) == (1, 3)
+        obj = completion_loss(IndexSet(idx, rng.standard_normal(len(idx))))
+        base = point(rng, modes)
         z = direction(rng, base)
         first = hess_vec_tt(obj.evaluate, base, z)
         for _ in range(2):
@@ -197,29 +199,84 @@ class TestReplay:
             assert same_bits(first, got) and not ran
         assert kept(obj.evaluate) == []
 
+    def test_completion_tables_replay(self, rng):
+        # Every mode lies in a table: the gathers and scatters replay with
+        # the forward pass's index vectors as slots.
+        idx = sample_indices(rng, MODES, 20)
+        assert coreops._table_split(list(MODES), len(idx)) == (2, 2)
+        obj = completion_loss(IndexSet(idx, rng.standard_normal(len(idx))))
+        p = obj.evaluate
+        base = point(rng)
+        z = direction(rng, base)
+        for _ in range(2):  # eager, then recorded
+            riemannian_grad_tt(p, base)
+            hess_vec_tt(p, base, z)
+        for base in (base, point(rng)):
+            z = direction(rng, base)
+            before = ad.replayed.copy()
+            got, ran = replaying(lambda: riemannian_grad_tt(p, base))
+            assert ran and same_bits(got, riemannian_grad_tt(eager(p), base))
+            got, ran = replaying(lambda: hess_vec_tt(p, base, z))
+            assert ran and same_bits(got, hess_vec_tt(eager(p), base, z))
+            counted = ad.replayed - before
+            assert counted["gather_mode"] > 0 and counted["scatter_mode"] > 0
+        assert len(kept(p)) == 2
+
+    def test_replay_reads_each_calls_index_vector(self, rng):
+        # The index vector is a constant of the tape, not part of the
+        # schedule: a new one of the same length replays at its own values.
+        cell = [rng.integers(0, 4, 30)]
+        weights = rng.standard_normal((30, 4, 4))
+
+        def program(cores):
+            rows = ad.gather_mode(cores[1], cell[0])  # (30, 4, 4): block cores are 2r wide
+            return ad.reduce_sum(ad.mul(ad.mul(rows, rows), weights))
+
+        base = point(rng)
+        z = direction(rng, base)
+        for _ in range(2):  # eager, then recorded
+            riemannian_grad_tt(program, base)
+            hess_vec_tt(program, base, z)
+        first = hess_vec_tt(eager(program), base, z)
+        cell[0] = (cell[0] + 1) % 4
+        got, ran = replaying(lambda: riemannian_grad_tt(program, base))
+        assert ran and same_bits(got, riemannian_grad_tt(eager(program), base))
+        got, ran = replaying(lambda: hess_vec_tt(program, base, z))
+        assert ran and same_bits(got, hess_vec_tt(eager(program), base, z))
+        assert not same_bits(got, first)
+
+    @staticmethod
+    def peak(call):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def check_replayed_hvp_peak(self, program, base, z):
+        for _ in range(2):  # the second call records
+            hess_vec_tt(program, base, z)
+        eager_peak = self.peak(lambda: hess_vec_tt(eager(program), base, z))
+        ran = []
+        replay_peak = self.peak(lambda: ran.append(replaying(lambda: hess_vec_tt(program, base, z))[1]))
+        assert ran == [True]
+        assert replay_peak <= eager_peak
+
     def test_replayed_hvp_peak_no_higher_than_eager(self, rng):
         modes = (6,) * 5
         obj = gram_quadratic_form(random_ttmat(rng, modes, modes, 3))
         base = point(rng, modes, 6)
-        z = direction(rng, base, 6)
-        for _ in range(2):  # the second call records
-            hess_vec_tt(obj.evaluate, base, z)
+        self.check_replayed_hvp_peak(obj.evaluate, base, direction(rng, base, 6))
 
-        def peak(call):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        program = eager(obj.evaluate)
-        eager_peak = peak(lambda: hess_vec_tt(program, base, z))
-        ran = []
-        replay_peak = peak(lambda: ran.append(replaying(lambda: hess_vec_tt(obj.evaluate, base, z))[1]))
-        assert ran == [True]
-        assert replay_peak <= eager_peak
+    def test_replayed_completion_hvp_peak_no_higher_than_eager(self, rng):
+        modes = (8,) * 4
+        idx = sample_indices(rng, modes, 2000)
+        assert coreops._table_split(list(modes), len(idx)) == (2, 2)
+        obj = completion_loss(IndexSet(idx, rng.standard_normal(len(idx))))
+        base = point(rng, modes, 3)
+        self.check_replayed_hvp_peak(obj.evaluate, base, direction(rng, base, 3))
 
     def test_swept_runs_eagerly_for_unreferenceable_owner(self, rng):
         tape = ad.Tape()

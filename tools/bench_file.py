@@ -1,0 +1,69 @@
+"""Record one benchmark run per workload and checkout as a ``BENCH_<n>.json``.
+
+    python3 tools/bench_file.py --out BENCH_1.json --seed 0 --seconds 30 PARENT CHANGE
+
+Each checkout is a ``git clone`` of this repository at the commit to
+measure.  Give the checkouts paths of equal length: the benchmark's
+timings move with the length of the path and of the environment.  For each
+workload of ``BENCHMARK.json``, in its order, every checkout runs
+``python3 perfbench/run.py --workload W --seed S --seconds T`` (untraced)
+from its root, one after the other, so the sides of a workload are
+measured back to back.  The file keeps, per workload and checkout, the
+commit, the run's ``env`` line and its last JSON line, and for the
+workloads that time the AD and the fused pipelines on the same objectives
+(operator_r5 and completion) the ratios grad_ms/opt_grad_ms and
+hvp_ms/opt_hvp_ms.  A run that fails its checks is recorded with its exit
+code, and the script exits 1.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+RATIO_WORKLOADS = ("operator_r5", "completion")
+RATIOS = (("grad_ms", "opt_grad_ms"), ("hvp_ms", "opt_hvp_ms"))
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The record of one untraced run of ``workload`` in ``checkout``."""
+    commit = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], check=True,
+                            capture_output=True, text=True).stdout.strip()
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds)],
+                          cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    result = json.loads(lines[-1])
+    record = {"commit": commit, "exit_code": proc.returncode, "env": env, "result": result}
+    if workload in RATIO_WORKLOADS:
+        metrics = result["metrics"]
+        record["ratios"] = {f"{ad}/{fused}": metrics[ad]["value"] / metrics[fused]["value"]
+                            for ad, fused in RATIOS}
+    return record
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("checkouts", nargs="+", type=Path)
+    args = p.parse_args(argv)
+    spec = json.loads((args.checkouts[0] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    runs = {w: [run_once(c, w, args.seed, args.seconds) for c in args.checkouts]
+            for w in workloads}
+    args.out.write_text(json.dumps({
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                   f"--seconds {args.seconds:g}",
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "runs": runs,
+    }, indent=1) + "\n")
+    return int(any(r["exit_code"] for rs in runs.values() for r in rs))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
