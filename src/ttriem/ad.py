@@ -29,14 +29,14 @@ through contractions records no ``transpose``, and a forward pass whose
 operands are read in place is read in place by its sweeps too.
 
 The mode operations take a TT core's slices per mode value: ``gather_mode``
-and ``scatter_mode`` move whole (r_left, r_right) slices per sample, their
-index vector a constant parent of the node and a kernel operand, while
+and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
 ``mode_matmul`` and ``mode_outer`` apply them to, or build them from,
 per-sample (N, r) rows with one matrix product per mode value, so no
-per-sample slice is ever stored.  Their :class:`ModeGroups` says in which
-order of the samples the rows come in and go out: rows come in sorted by
-the op's own mode, and a sweep that hands them out sorted by the mode they
-go through next (:meth:`ModeSort.groups`) permutes them once per op.
+per-sample slice is ever stored.  Their rows stay in the order of a
+:class:`ModeSort` of the mode, whose ``bounds`` delimit each value's block,
+and ``take_rows`` is the one permutation between two modes' orders
+(:meth:`ModeSort.reorder`).  Index vectors and bounds are constant parents
+of the node and kernel operands.
 
 A constant stays a plain float64 array (an index vector an intp one) and
 is never recorded: every :class:`Var` is a tape input or depends on one.
@@ -44,30 +44,26 @@ is never recorded: every :class:`Var` is a tape input or depends on one.
 operand costs no adjoint work.  ``stop_gradient`` returns its operand's
 value, a constant at every nesting level.
 
-Every op but ``mode_matmul`` and ``mode_outer`` computes its value by one
-kernel call, ``kernel(*values, *static)``, where ``static`` holds what the
-op worked out from shapes and arguments alone (a contraction's plan, a
-reshape's target, a block's slices), and a node keeps the hashable part of
-it as ``static``.  That split lets :func:`swept` replay sweeps.  The first
-call for an owner (a program object) and a tape structure runs the sweeps
-eagerly; the second runs them eagerly too and records each kernel they run
-as a step whose inputs are slots: a forward node's value, a constant parent
-of a forward node, an entry of ``extra`` (an HVP's direction), an earlier
-step's output, or a literal a rule made from shapes alone (``np.ones``, a
-zero block, a Python float).  Later calls whose forward tape has the same
-signature (every node's op, static part, parent links and shape, and every
-constant's shape, strides and identity with other constants) run the steps
-on the new tape's slots, building no ``Var``, closure or plan and dropping
-each slot after its last use; the kernels are the eager ones, so the
-results are bit-identical.  The forward pass runs eagerly on every call,
-so a program whose structure depends on its values records anew when the
-structure changes.  Sweeps run eagerly, and are never recorded, when the
-tape holds a ``mode_matmul`` or ``mode_outer`` node (its per-call
-:class:`ModeGroups` is no slot) or one built without an op of this module,
-or when the owner cannot be weakly referenced.  A program object keeps at
-most ``SCHEDULES_PER_PROGRAM`` schedules, freed with it.  ``replayed``
-counts the kernel calls replays ran, per op name; a wrapper around an op
-sees only the eager calls.
+Every op computes its value by one kernel call, ``kernel(*values,
+*static)``, where ``static`` holds what the op worked out from shapes and
+arguments alone (a contraction's plan, a reshape's target, a block's
+slices), and a node keeps the hashable part of it as ``static``.  That
+split lets :func:`swept` replay sweeps.  The first call for an owner (a
+program object) and a tape structure runs the sweeps eagerly; the second
+runs them eagerly too and records each kernel they run as a step whose
+inputs are slots: a forward node's value, a constant parent of a forward
+node, an entry of ``extra`` (an HVP's direction), an earlier step's output,
+or a literal a rule made from shapes alone (``np.ones``, a zero block, a
+Python float).  Later calls whose forward tape has the same signature
+(every node's op, static part, parent links and shape, and every constant's
+shape, strides and identity with other constants) run the steps on the new
+tape's slots, building no ``Var``, closure or plan and dropping each slot
+after its last use; the kernels are the eager ones, so the results are
+bit-identical.  The forward pass runs eagerly on every call, so a program
+whose structure depends on its values records anew when the structure
+changes.  A program object keeps at most ``SCHEDULES_PER_PROGRAM``
+schedules, freed with it.  ``replayed`` counts the kernel calls replays
+ran, per op name; a wrapper around an op sees only the eager calls.
 """
 
 import math
@@ -112,7 +108,7 @@ __all__ = [
     "scatter_mode",
     "batch_matmul",
     "ModeSort",
-    "ModeGroups",
+    "take_rows",
     "mode_matmul",
     "mode_outer",
 ]
@@ -762,13 +758,14 @@ def index_array(idx):
     integer value (a float index would otherwise be truncated), naming the
     first such mode of an (N, d) array."""
     arr = np.asarray(idx)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.intp, copy=False)
     with np.errstate(invalid="ignore"):
         out = arr.astype(np.intp, copy=False)
-    if arr.dtype.kind not in "iu":
-        bad = out != arr
-        if bad.any():
-            where = f" in mode {int(np.argmax(bad.any(axis=0)))}" if arr.ndim == 2 else ""
-            raise IndexError(f"index array has non-integral entries{where}")
+    bad = out != arr
+    if bad.any():
+        where = f" in mode {int(np.argmax(bad.any(axis=0)))}" if arr.ndim == 2 else ""
+        raise IndexError(f"index array has non-integral entries{where}")
     return out
 
 
@@ -879,145 +876,116 @@ class ModeSort:
     """Stable sort of N samples by one mode's index, values in [0, n).
 
     ``order`` lists the samples in sorted order, ``rank`` is its inverse
-    (each sample's sorted position) and ``bounds`` are the block offsets:
-    the samples with value ``i`` are ``order[bounds[i]:bounds[i + 1]]``.
+    (each sample's sorted position) and ``bounds``, an intp vector, are the
+    block offsets: the samples with value ``i`` are
+    ``order[bounds[i]:bounds[i + 1]]``.
     """
 
     __slots__ = ("order", "rank", "bounds")
 
     def __init__(self, idx, n):
-        idx = np.asarray(idx, dtype=np.intp)
-        bounds = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(idx, minlength=n), out=bounds[1:])
+        idx = index_vector(idx, n, "ModeSort")
+        self.bounds = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(idx, minlength=n), out=self.bounds[1:])
         # numpy's stable sort is a radix sort for 8- and 16-bit keys.
         self.order = np.argsort(idx.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
         self.rank = np.empty_like(self.order)
         self.rank[self.order] = np.arange(len(idx))
-        self.bounds = bounds.tolist()
 
-    def groups(self, rows_out):
-        """The :class:`ModeGroups` for rows that come in this sort's order
-        and go out in the order of ``rows_out``: ``None`` for the samples'
-        own order or a :class:`ModeSort` whose sorted order the rows follow.
-
-        Passing ``self`` costs no row permutation, so a sweep whose every op
-        hands its rows out in the next mode's order permutes once per op.
-        """
-        back = ModeGroups(self.bounds, _reorder(rows_out, self), None)
-        return ModeGroups(self.bounds, None, _reorder(self, rows_out), back)
+    def reorder(self, want):
+        """``(perm, inverse)`` for :func:`take_rows`, which moves rows in
+        this sort's order into the sorted order of ``want``, another
+        :class:`ModeSort`, or into the samples' own order for ``None``."""
+        if want is None:
+            return self.rank, self.order
+        return self.rank[want.order], want.rank[self.order]
 
 
-def _reorder(have, want):
-    # Rows in the order of ``want`` are np.take(rows in the order of
-    # ``have``, perm); None (sample order) has order and rank the identity.
-    if have is want:
-        return None
-    if have is None:
-        return want.order
-    if want is None:
-        return have.rank
-    return have.rank[want.order]
+def take_rows(rows, perm, inverse):
+    """``rows`` permuted along axis 0: row ``i`` of the result is row
+    ``perm[i]``.  ``inverse`` is ``perm``'s inverse, and the adjoint is
+    ``take_rows(u, inverse, perm)``; both vectors are kernel operands and
+    constant parents of the node."""
+    tape, rows, rv = _operand(rows)
+    count = len(rv) if rv.ndim else -1
+    perm, inverse = (index_vector(p, count, "take_rows") for p in (perm, inverse))
+    if len(perm) != count or len(inverse) != count or \
+            not np.array_equal(inverse[perm], np.arange(count)):
+        raise DimensionError(f"take_rows needs a permutation of {count} rows and its inverse")
+    return _node(tape, _run("take_rows", np.take, (rv, perm), (0,)), "take_rows",
+                 (rows, perm, inverse), (lambda u: take_rows(u, inverse, perm), None, None))
 
 
-class ModeGroups:
-    """Samples grouped by mode value, for :func:`mode_matmul` and
-    :func:`mode_outer`.
-
-    The op works on its rows in sorted order: ``bounds`` are the block
-    offsets of the mode values there, ``src`` gives the input row of each
-    sorted position and ``dst`` the sorted position of each output row,
-    either ``None`` when the rows are already in sorted order (no ``take``).
-    ``inverse`` is the grouping of the adjoint direction, rows in this
-    grouping's output order and out in its input order.  The pair is built
-    together, once, by :meth:`ModeSort.groups`.
-    """
-
-    __slots__ = ("bounds", "src", "dst", "inverse")
-
-    def __init__(self, bounds, src, dst, inverse=None):
-        self.bounds = bounds
-        self.src = src
-        self.dst = dst
-        self.inverse = inverse
-        if inverse is not None:
-            inverse.inverse = self
+def _check_bounds(bounds, count, n, what):
+    # ``bounds`` as an intp vector: the block offsets, rising from 0 to
+    # ``count``, of rows sorted by a mode of size ``n``.
+    bounds = index_array(bounds)
+    b = bounds.tolist()
+    if bounds.shape != (n + 1,) or b[0] != 0 or b[-1] != count or b != sorted(b):
+        raise DimensionError(f"{what}: {count} rows over mode size {n} do not match bounds {b}")
+    return bounds
 
 
-def _check_groups(count, n, groups, what):
-    bounds = groups.bounds
-    if count != bounds[-1] or n != len(bounds) - 1:
-        raise DimensionError(
-            f"{what}: {count} samples over mode size {n} do not match groups of "
-            f"{bounds[-1]} samples over {len(bounds) - 1} values"
-        )
-
-
-def _take_rows(rows, perm):
-    return rows if perm is None else np.take(rows, perm, axis=0)
-
-
-def _mode_matmul_value(rows, core, groups):
+def _mode_matmul_value(rows, core, bounds):
     slices = np.ascontiguousarray(np.transpose(core, (1, 0, 2)))  # (n, r_l, r_r)
-    src = _take_rows(rows, groups.src)
-    b = groups.bounds
+    b = bounds.tolist()
     buf = np.empty((b[-1], core.shape[2]))
     for i in range(len(b) - 1):
         if b[i] < b[i + 1]:
-            np.matmul(src[b[i]:b[i + 1]], slices[i], out=buf[b[i]:b[i + 1]])
-    return _take_rows(buf, groups.dst)
+            np.matmul(rows[b[i]:b[i + 1]], slices[i], out=buf[b[i]:b[i + 1]])
+    return buf
 
 
-def _mode_outer_value(rows, u, groups, n):
-    # rows come in the grouping's input order and u in its output order.
-    a = _take_rows(rows, groups.src)
-    c = _take_rows(u, groups.inverse.src)
-    buf = np.zeros((n, rows.shape[1], u.shape[1]))
-    b = groups.bounds
-    for i in range(n):
+def _mode_outer_value(rows, u, bounds):
+    b = bounds.tolist()
+    buf = np.zeros((len(b) - 1, rows.shape[1], u.shape[1]))
+    for i in range(len(b) - 1):
         if b[i] < b[i + 1]:
-            np.matmul(a[b[i]:b[i + 1]].T, c[b[i]:b[i + 1]], out=buf[i])
+            np.matmul(rows[b[i]:b[i + 1]].T, u[b[i]:b[i + 1]], out=buf[i])
     return np.ascontiguousarray(np.transpose(buf, (1, 0, 2)))
 
 
-def mode_matmul(rows, core, groups):
-    """Per-sample row times mode slice: ``out[s] = rows[s] @ core[:, idx[s], :]``.
+def mode_matmul(rows, core, bounds):
+    """Per-sample row times mode slice: ``out[s] = rows[s] @ core[:, i, :]``
+    for the rows ``s`` in ``bounds[i]:bounds[i + 1]``.
 
-    ``rows`` is (N, r_left), ``core`` is (r_left, n, r_right) and ``groups``
-    is a :class:`ModeGroups` of the length-N index vector ``idx``, which
-    also says in which order of the samples the rows come in and go out;
-    the result is (N, r_right).
-    It runs one matrix product per mode value on the contiguous block of
-    that value's rows, so nothing of size N * r_left * r_right is formed.
+    ``rows`` is (N, r_left), sorted by the samples' index in this mode,
+    ``core`` is (r_left, n, r_right) and ``bounds`` is the
+    :attr:`ModeSort.bounds` of that sort; the result is (N, r_right), in
+    the same order.  It runs one matrix product per mode value on the
+    contiguous block of that value's rows, so nothing of size
+    N * r_left * r_right is formed.
     """
     tape, rows, core, rv, cv = _operands(rows, core)
     if rv.ndim != 2 or cv.ndim != 3 or rv.shape[1] != cv.shape[0]:
         raise DimensionError(f"mode_matmul shapes incompatible: {rv.shape} x {cv.shape}")
-    n = cv.shape[1]
-    _check_groups(rv.shape[0], n, groups, "mode_matmul")
-    return _node(tape, _mode_matmul_value(rv, cv, groups), "mode_matmul", (rows, core), (
-        lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), groups.inverse),
-        lambda u: mode_outer(rows, u, groups, n),
-    ), None)
+    bounds = _check_bounds(bounds, rv.shape[0], cv.shape[1], "mode_matmul")
+    return _node(tape, _run("mode_matmul", _mode_matmul_value, (rv, cv, bounds)), "mode_matmul",
+                 (rows, core, bounds), (
+                     lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), bounds),
+                     lambda u: mode_outer(rows, u, bounds),
+                     None,
+                 ))
 
 
-def mode_outer(rows, u, groups, n):
+def mode_outer(rows, u, bounds):
     """Adjoint of :func:`mode_matmul` in its core: the (r_left, n, r_right)
     core whose slice ``i`` is the sum of ``outer(rows[s], u[s])`` over the
-    samples ``s`` with ``idx[s] == i``.
+    rows ``s`` in ``bounds[i]:bounds[i + 1]``.
 
-    ``rows`` come in the input order of ``groups`` and ``u`` in its output
-    order, as the operand and the adjoint of a :func:`mode_matmul` over the
-    same grouping do.  One matrix product per mode value; a value that never
-    occurs leaves a zero slice.
+    ``rows`` and ``u`` come sorted as for :func:`mode_matmul`.  One matrix
+    product per mode value; a value that never occurs leaves a zero slice.
     """
     tape, rows, u, rv, uv = _operands(rows, u)
     if rv.ndim != 2 or uv.ndim != 2 or rv.shape[0] != uv.shape[0]:
         raise DimensionError(f"mode_outer shapes incompatible: {rv.shape} and {uv.shape}")
-    _check_groups(rv.shape[0], n, groups, "mode_outer")
-    return _node(tape, _mode_outer_value(rv, uv, groups, n), "mode_outer", (rows, u), (
-        lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), groups.inverse),
-        lambda w: mode_matmul(rows, w, groups),
-    ), None)
+    bounds = _check_bounds(bounds, rv.shape[0], max(np.size(bounds) - 1, 0), "mode_outer")
+    return _node(tape, _run("mode_outer", _mode_outer_value, (rv, uv, bounds)), "mode_outer",
+                 (rows, u, bounds), (
+                     lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), bounds),
+                     lambda w: mode_matmul(rows, w, bounds),
+                     None,
+                 ))
 
 
 # ---------------------------------------------------------------------------

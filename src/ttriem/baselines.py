@@ -133,7 +133,8 @@ def project_sparse(base, indices, weights) -> TtTangent:
     tables with the U cores.  Only modes a..b-1, which the tables cannot
     reach, run the row sweep: :func:`ttriem.ad.mode_matmul` chains and one
     :func:`ttriem.ad.mode_outer` delta each, one matrix product per mode
-    value on rows kept sorted by the mode.  Time is O(P r^2) per table mode
+    value on rows sorted by the mode, with one :func:`ttriem.ad.take_rows`
+    into the next mode's order.  Time is O(P r^2) per table mode
     (P table rows, at most N beyond a boundary core) plus O(N r) for the
     gathers and scatters, plus O(N r^2) per swept mode.  Memory is
     O(N r + P r), independent of d, plus O(N r) per swept mode.  No one-hot
@@ -162,7 +163,8 @@ def project_sparse(base, indices, weights) -> TtTangent:
     first, last = (sorts[0], sorts[-1]) if sorts else (None, None)
     left = [ad.gather_mode(lefts[-1], _in_order(prefix, first)).reshape(count, r_a)]
     for k, sort, following in zip(range(a, b), sorts, sorts[1:] + [None]):
-        left.append(ad.mode_matmul(left[-1], base.U[k], sort.groups(following)))
+        rows = ad.mode_matmul(left[-1], base.U[k], sort.bounds)
+        left.append(ad.take_rows(rows, *sort.reorder(following)))
     # Each (N, r) array is weighted in place and dropped once scattered, so
     # at most one is alive beyond those the swept modes keep.
     rows = left.pop()
@@ -172,8 +174,9 @@ def project_sparse(base, indices, weights) -> TtTangent:
     rows = ad.gather_mode(rights[0], _in_order(suffix, last)).reshape(count, r_b)
     rows *= _in_order(w, last)[:, None]
     for k, sort, preceding in reversed(list(zip(range(a, b), sorts, [None] + sorts[:-1]))):
-        deltas[k] = ad.mode_outer(left.pop(), rows, sort.groups(sort), sizes[k])
-        rows = ad.mode_matmul(rows, np.transpose(base.V[k], (2, 1, 0)), sort.groups(preceding))
+        deltas[k] = ad.mode_outer(left.pop(), rows, sort.bounds)
+        rows = ad.mode_matmul(rows, np.transpose(base.V[k], (2, 1, 0)), sort.bounds)
+        rows = ad.take_rows(rows, *sort.reorder(preceding))
     h = ad.scatter_mode(rows.reshape(count, 1, r_a), prefix, lefts[-1].shape[1])
     # g is (r_j, Q_j) at suffix mode j: its delta takes the chain of modes
     # j+1..d-1, then U_j carries it to mode j + 1.

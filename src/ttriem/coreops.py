@@ -13,10 +13,11 @@ tables, the chain of the leading modes at every prefix and that of the
 trailing modes at every suffix, each built by contractions, at most N rows
 beyond its boundary core, and gathered once at the samples' ids.  Only the
 modes that the tables cannot reach under that cap are swept as (N, r)
-interface rows kept sorted by the mode they go through next, one row
-permutation per core.  The cost is the table work plus O(N r) (plus
-O(N r^2) per swept mode), not O(N d r^2), and every tape value holds O(N r)
-numbers, in the forward pass and in both reverse sweeps of an HVP.  The
+interface rows sorted by the mode they go through, with one ``take_rows``
+per core into the next mode's order.  The cost is the table work plus
+O(N r) (plus O(N r^2) per swept mode), not O(N d r^2), and every tape value
+holds O(N r) numbers, in the forward pass and in both reverse sweeps of an
+HVP.  The
 fused sparse projection, ``baselines.project_sparse``, splits the chain at
 the same modes and builds the same tables, keeping every intermediate one.
 Indices are validated once, by :func:`check_indices`, for entries and for
@@ -230,12 +231,13 @@ def entries_cores(cores, idx):
     Each table is gathered once at the samples' flattened prefix and suffix
     ids, and the two are multiplied per sample.  Modes a..b-1, which the
     tables cannot reach under that cap, are swept as (N, r_k) rows, each
-    core applied by :func:`ttriem.ad.mode_matmul` over a grouping of the
-    samples computed once here: the rows reach mode k sorted by its index
-    and leave for mode k + 1 sorted by that one's, so each core costs one
-    row permutation.  Time is the table work, at most N r^2 per table mode,
-    plus O(N r) for the gathers and the product, plus O(N r^2) per swept
-    mode; every tape value, adjoints included, holds O(N r) numbers.
+    core applied by :func:`ttriem.ad.mode_matmul` to rows sorted by mode
+    k's index (a :class:`ttriem.ad.ModeSort` computed once here) and the
+    result put in mode k + 1's sorted order by one
+    :func:`ttriem.ad.take_rows`, so each core costs one row permutation.
+    Time is the table work, at most N r^2 per table mode, plus O(N r) for
+    the gathers and the product, plus O(N r^2) per swept mode; every tape
+    value, adjoints included, holds O(N r) numbers.
     """
     sizes = [np.shape(core)[1] for core in cores]
     idx = check_indices(idx, sizes)
@@ -255,7 +257,8 @@ def entries_cores(cores, idx):
     if a < b:
         rows = ad.reshape(rows, (count, np.shape(cores[a])[0]))
         for core, sort, following in zip(cores[a:b], sorts, sorts[1:]):
-            rows = ad.mode_matmul(rows, core, sort.groups(following))  # (N, r')
+            rows = ad.take_rows(ad.mode_matmul(rows, core, sort.bounds),
+                                *sort.reorder(following))  # (N, r')
         rows = ad.reshape(rows, (count, 1, np.shape(cores[b])[0]))
     e = ad.batch_matmul(rows, ad.gather_mode(_suffix_tables(cores[b:])[0], right))  # (N, 1, 1)
     return ad.reshape(e, (count,))

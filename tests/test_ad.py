@@ -457,46 +457,45 @@ class TestModeMatmul:
 
     def setup_case(self, case, rng, shuffled=False):
         # The samples come sorted by their mode value, so that the rows'
-        # sample order is the grouping's own; the chained tests keep the
-        # case's own order instead.
+        # sample order is the sort's own; the chained tests keep the case's
+        # own order instead.
         count, rl, rr, n, idx = case
         idx = np.asarray(idx, dtype=np.intp)
         assert len(idx) == count
         if not shuffled:
             idx = np.sort(idx, kind="stable")
-        return (idx, ad.ModeSort(idx, n).groups(None), rng.standard_normal((count, rl)),
+        return (idx, ad.ModeSort(idx, n).bounds, rng.standard_normal((count, rl)),
                 rng.standard_normal((rl, n, rr)), rng.standard_normal((count, rr)))
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_matches_per_sample_reference(self, case, rng):
-        idx, groups, rows, core, u = self.setup_case(case, rng)
+        idx, bounds, rows, core, u = self.setup_case(case, rng)
         n = core.shape[1]
         want = np.einsum("sa,sab->sb", rows, per_sample_slices(core, idx))
-        np.testing.assert_allclose(ad.mode_matmul(rows, core, groups), want,
+        np.testing.assert_allclose(ad.mode_matmul(rows, core, bounds), want,
                                    rtol=1e-13, atol=1e-13)
         outer = rows[:, :, None] * u[:, None, :]
-        np.testing.assert_allclose(ad.mode_outer(rows, u, groups, n),
+        np.testing.assert_allclose(ad.mode_outer(rows, u, bounds),
                                    add_at_scatter(outer, idx, n), rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_outer_is_matmul_adjoint(self, case, rng):
         # <mode_outer(e, u), G> = <u, mode_matmul(e, G)>
-        idx, groups, rows, core, u = self.setup_case(case, rng)
-        lhs = np.sum(ad.mode_outer(rows, u, groups, core.shape[1]) * core)
-        rhs = np.sum(u * ad.mode_matmul(rows, core, groups))
+        idx, bounds, rows, core, u = self.setup_case(case, rng)
+        lhs = np.sum(ad.mode_outer(rows, u, bounds) * core)
+        rhs = np.sum(u * ad.mode_matmul(rows, core, bounds))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(lhs))
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_same_bits_on_array_and_var(self, case, rng):
-        idx, groups, rows, core, u = self.setup_case(case, rng)
-        n = core.shape[1]
+        idx, bounds, rows, core, u = self.setup_case(case, rng)
         tape = ad.Tape()
-        plain = ad.mode_matmul(rows, core, groups)
-        on_tape = ad.mode_matmul(tape.input(rows), tape.input(core), groups)
+        plain = ad.mode_matmul(rows, core, bounds)
+        on_tape = ad.mode_matmul(tape.input(rows), tape.input(core), bounds)
         assert np.array_equal(plain, on_tape.value)
         assert plain.shape == (len(idx), core.shape[2]) and plain.dtype == np.float64
-        plain = ad.mode_outer(rows, u, groups, n)
-        on_tape = ad.mode_outer(tape.input(rows), tape.input(u), groups, n)
+        plain = ad.mode_outer(rows, u, bounds)
+        on_tape = ad.mode_outer(tape.input(rows), tape.input(u), bounds)
         assert np.array_equal(plain, on_tape.value)
         assert plain.shape == core.shape and plain.flags.c_contiguous
 
@@ -507,7 +506,7 @@ class TestModeMatmul:
         # value.  Nested AD gives the HVP in direction (zc, ze), checked
         # against central differences of the hand-written Df[zc, ze], which
         # is quadratic, so the differences are exact up to rounding.
-        idx, groups, rows, core, _ = self.setup_case(case, rng)
+        idx, bounds, rows, core, _ = self.setup_case(case, rng)
         rl, n = core.shape[:2]
         core = rng.standard_normal((rl, n, rl))  # square slices
         zc, ze = rng.standard_normal(core.shape), rng.standard_normal(rows.shape)
@@ -523,8 +522,8 @@ class TestModeMatmul:
 
         tape = ad.Tape()
         c, e = tape.input(core), tape.input(rows)
-        out = (ad.reduce_sum(ad.mode_outer(e, e, groups, n) * c)
-               + ad.reduce_sum(ad.mode_matmul(e, c, groups) * e))
+        out = (ad.reduce_sum(ad.mode_outer(e, e, bounds) * c)
+               + ad.reduce_sum(ad.mode_matmul(e, c, bounds) * e))
         assert np.isclose(out.value, value(core, rows), rtol=1e-12, atol=1e-12)
         g_c, g_e = ad.grad(tape, out, [c, e], as_vars=True)
         for got, want in zip((g_c, g_e), fd_gradient(value, [core, rows])):
@@ -537,91 +536,110 @@ class TestModeMatmul:
             np.testing.assert_allclose(g, w, rtol=1e-8, atol=1e-8 * np.abs(w).max(initial=1.0))
 
     def test_groups_must_match(self, rng):
-        groups = ad.ModeSort([0, 1, 1], 2).groups(None)
+        # The bounds rise from 0 to the row count, one more of them than the
+        # mode has values.
+        rows, u, core = (rng.standard_normal(s) for s in [(3, 2), (3, 2), (2, 3, 2)])
+        four_rows = ad.ModeSort([0, 1, 1, 2], 3).bounds
+        for bounds in ([0, 2, 1, 3], [1, 1, 2, 3], [0, 1, 2, 4], [[0, 1, 3]], four_rows):
+            with pytest.raises(DimensionError):
+                ad.mode_matmul(rows, core, bounds)
+            with pytest.raises(DimensionError):
+                ad.mode_outer(rows, u, bounds)
         with pytest.raises(DimensionError):
-            ad.mode_matmul(rng.standard_normal((3, 2)), rng.standard_normal((2, 3, 2)), groups)
-        with pytest.raises(DimensionError):
-            ad.mode_matmul(rng.standard_normal((4, 2)), rng.standard_normal((2, 2, 2)), groups)
-        with pytest.raises(DimensionError):
-            ad.mode_outer(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)), groups, 3)
+            ad.mode_matmul(rows, core, [0, 1, 3])  # two mode values, the core has three
 
-
-    # Chained groupings: rows come in in this mode's sorted order ("own")
-    # and go out in it (no take), in a second mode's ("second") or in the
-    # samples' own (None).  "second_in_own_out" is the inverse of the
-    # grouping that hands rows out in the second mode's order: the one an
-    # adjoint sweep runs through.
+    # Chained layouts: rows come in in this mode's sorted order ("own") or
+    # in a second mode's ("second"), and go out in this mode's, the second
+    # one's or the samples' own (None), carried by take_rows before and
+    # after mode_matmul as entries_cores and project_sparse carry them.
+    # "second_in_own_out" is the adjoint direction of "own_in_second_out".
     LAYOUTS = {
-        "own_in": (None, False),
-        "own_in_second_out": ("second", False),
-        "second_in_own_out": ("second", True),
-        "own_both": ("own", False),
+        "own_in": ("own", None),
+        "own_in_second_out": ("own", "second"),
+        "second_in_own_out": ("second", "own"),
+        "own_both": ("own", "own"),
     }
 
     def setup_chained(self, case, layout, rng):
-        # Rows, core and u as in setup_case, plus each side's sample order:
-        # the op takes rows[perm_in] and its adjoint u[perm_out].
+        # Rows, core and u as in setup_case with the samples in the case's
+        # own order, the mode's sort, the sorts the rows come in and go out
+        # in, and each side's sample order: the chain takes rows[perm_in]
+        # and gives out[perm_out].
         idx, _, rows, core, u = self.setup_case(case, rng, shuffled=True)
         sorts = {"own": ad.ModeSort(idx, core.shape[1]),
                  "second": ad.ModeSort(rng.integers(0, 5, len(idx)), 5), None: None}
-        out, inverted = layout
-        groups = sorts["own"].groups(sorts[out])
-        perm_in, perm_out = (np.arange(len(idx)) if s is None else s.order
-                             for s in (sorts["own"], sorts[out]))
-        if inverted:
-            groups, perm_in, perm_out = groups.inverse, perm_out, perm_in
-        return idx, groups, perm_in, perm_out, rows, core, u
+        into, out = (sorts[name] for name in layout)
+        perm_in, perm_out = (np.arange(len(idx)) if s is None else s.order for s in (into, out))
+        return idx, sorts["own"], into, out, perm_in, perm_out, rows, core, u
+
+    @staticmethod
+    def to_sorted(x, have, own):
+        # Rows in the order of ``have`` taken into the sorted order of ``own``.
+        return x if have is own else ad.take_rows(x, *own.reorder(have)[::-1])
+
+    def chained(self, e, core, own, into, out):
+        # mode_matmul of rows that come in the order of ``into`` and go out
+        # in that of ``out``.
+        e = ad.mode_matmul(self.to_sorted(e, into, own), core, own.bounds)
+        return e if out is own else ad.take_rows(e, *own.reorder(out))
 
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_chained_matches_per_sample_reference(self, case, layout, rng):
-        idx, groups, perm_in, perm_out, rows, core, u = self.setup_chained(case, layout, rng)
+        idx, own, into, out, perm_in, perm_out, rows, core, u = self.setup_chained(case, layout, rng)
         n = core.shape[1]
         want = np.einsum("sa,sab->sb", rows, per_sample_slices(core, idx))
-        np.testing.assert_allclose(ad.mode_matmul(rows[perm_in], core, groups), want[perm_out],
-                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(self.chained(rows[perm_in], core, own, into, out),
+                                   want[perm_out], rtol=1e-13, atol=1e-13)
         outer = rows[:, :, None] * u[:, None, :]
-        np.testing.assert_allclose(ad.mode_outer(rows[perm_in], u[perm_out], groups, n),
-                                   add_at_scatter(outer, idx, n), rtol=1e-13, atol=1e-13)
+        got = ad.mode_outer(self.to_sorted(rows[perm_in], into, own),
+                            self.to_sorted(u[perm_out], out, own), own.bounds)
+        np.testing.assert_allclose(got, add_at_scatter(outer, idx, n), rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_chained_adjoint_identities(self, case, layout, rng):
-        # <mode_outer(e, u), G> = <u, mode_matmul(e, G)> = <mode_matmul(u,
-        # G^T) over the inverse grouping, e>, with e in the input order and
-        # u in the output order.
-        idx, groups, perm_in, perm_out, rows, core, u = self.setup_chained(case, layout, rng)
+        # <mode_outer(e, u), G> = <u, chain(e, G)> = <chain back(u, G^T), e>,
+        # with e in the input order and u in the output order, the chain
+        # back running from the output order to the input one; and the
+        # adjoint of take_rows(x, perm, inverse) is take_rows(y, inverse, perm).
+        idx, own, into, out, perm_in, perm_out, rows, core, u = self.setup_chained(case, layout, rng)
         e, u = rows[perm_in], u[perm_out]
-        mid = np.sum(u * ad.mode_matmul(e, core, groups))
-        lhs = np.sum(ad.mode_outer(e, u, groups, core.shape[1]) * core)
-        rhs = np.sum(e * ad.mode_matmul(u, np.transpose(core, (2, 1, 0)), groups.inverse))
+        mid = np.sum(u * self.chained(e, core, own, into, out))
+        lhs = np.sum(ad.mode_outer(self.to_sorted(e, into, own), self.to_sorted(u, out, own),
+                                   own.bounds) * core)
+        rhs = np.sum(e * self.chained(u, np.transpose(core, (2, 1, 0)), own, out, into))
         for other in (lhs, rhs):
             assert abs(other - mid) <= 1e-12 * max(1.0, np.abs(mid))
-        assert groups.inverse.inverse is groups
+        perm, inverse = own.reorder(out)
+        y = rng.standard_normal(e.shape)
+        lhs = np.sum(ad.take_rows(e, perm, inverse) * y)
+        assert abs(lhs - np.sum(e * ad.take_rows(y, inverse, perm))) <= 1e-12 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_chained_same_bits_on_array_and_var(self, case, layout, rng):
-        idx, groups, perm_in, perm_out, rows, core, u = self.setup_chained(case, layout, rng)
+        idx, own, into, out, perm_in, perm_out, rows, core, u = self.setup_chained(case, layout, rng)
         e, u = rows[perm_in], u[perm_out]
-        n = core.shape[1]
         tape = ad.Tape()
-        plain = ad.mode_matmul(e, core, groups)
-        assert np.array_equal(plain, ad.mode_matmul(tape.input(e), tape.input(core), groups).value)
+        plain = self.chained(e, core, own, into, out)
+        on_tape = self.chained(tape.input(e), tape.input(core), own, into, out)
+        assert np.array_equal(plain, on_tape.value)
         assert plain.shape == (len(idx), core.shape[2]) and plain.dtype == np.float64
-        plain = ad.mode_outer(e, u, groups, n)
-        assert np.array_equal(plain, ad.mode_outer(tape.input(e), tape.input(u), groups, n).value)
+        e, u = self.to_sorted(e, into, own), self.to_sorted(u, out, own)
+        plain = ad.mode_outer(e, u, own.bounds)
+        assert np.array_equal(plain, ad.mode_outer(tape.input(e), tape.input(u), own.bounds).value)
         assert plain.shape == core.shape and plain.flags.c_contiguous
 
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_chained_second_order_against_fd(self, case, layout, rng):
         # The program of test_second_order_against_fd with e in the input
-        # order; mode_matmul by a core of identity slices carries e into the
+        # order: the chain by a core of identity slices carries e into the
         # output order on the tape, so both terms are again the sum over
-        # samples of e_s C_i e_s^T and the rows adjoint runs through the
-        # inverse grouping in both sweeps.
-        idx, groups, perm_in, _, rows, core, _ = self.setup_chained(case, layout, rng)
+        # samples of e_s C_i e_s^T and both sweeps cross take_rows on the
+        # way into mode_matmul and back.
+        idx, own, into, out, perm_in, _, rows, core, _ = self.setup_chained(case, layout, rng)
         rl, n = core.shape[:2]
         core = rng.standard_normal((rl, n, rl))  # square slices
         rows = rows[perm_in]
@@ -640,9 +658,10 @@ class TestModeMatmul:
 
         tape = ad.Tape()
         c, e = tape.input(core), tape.input(rows)
-        e_out = ad.mode_matmul(e, eye, groups)
-        out = (ad.reduce_sum(ad.mode_outer(e, e_out, groups, n) * c)
-               + ad.reduce_sum(ad.mode_matmul(e, c, groups) * e_out))
+        e_out = self.chained(e, eye, own, into, out)
+        outer = ad.mode_outer(self.to_sorted(e, into, own), self.to_sorted(e_out, out, own),
+                              own.bounds)
+        out = ad.reduce_sum(outer * c) + ad.reduce_sum(self.chained(e, c, own, into, out) * e_out)
         assert np.isclose(out.value, value(core, rows), rtol=1e-12, atol=1e-12)
         g_c, g_e = ad.grad(tape, out, [c, e], as_vars=True)
         for got, want in zip((g_c, g_e), fd_gradient(value, [core, rows])):
@@ -653,6 +672,44 @@ class TestModeMatmul:
         want = fd_gradient(directional, [core, rows], step=1e-3)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-8, atol=1e-8 * np.abs(w).max(initial=1.0))
+
+
+class TestModeSort:
+    @pytest.mark.parametrize("idx", [[0.5], [5], [-1]], ids=["fraction", "too_large", "negative"])
+    def test_rejects_invalid_indices(self, idx):
+        # Unchecked, a fraction would be truncated to value 0, and np.bincount
+        # would reject out-of-range values with numpy's own errors.
+        with pytest.raises(IndexError):
+            ad.ModeSort(idx, 3)
+
+    def test_reorder_chains(self, rng):
+        # take_rows by reorder carries rows from one sort's order into
+        # another's or into sample order and back, and two hops give the
+        # rows of one.
+        count = 50
+        values = rng.standard_normal((count, 3))
+        sorts = []
+        for n in (4, 7, 1):
+            idx = rng.integers(0, n, count)
+            sort = ad.ModeSort(idx, n)
+            assert sort.bounds.dtype == np.intp
+            for i in range(n):
+                block = sort.order[sort.bounds[i]:sort.bounds[i + 1]]
+                assert np.array_equal(block, np.flatnonzero(idx == i))
+            sorts.append(sort)
+
+        def sorted_rows(s):
+            return values if s is None else values[s.order]
+
+        for a in sorts:
+            for b in sorts + [None]:
+                perm, inverse = a.reorder(b)
+                moved = ad.take_rows(sorted_rows(a), perm, inverse)
+                assert np.array_equal(moved, sorted_rows(b))
+                assert np.array_equal(ad.take_rows(moved, inverse, perm), sorted_rows(a))
+                if b is not None:
+                    for c in sorts + [None]:
+                        assert np.array_equal(ad.take_rows(moved, *b.reorder(c)), sorted_rows(c))
 
 
 class TestEntriesCores:
@@ -1145,7 +1202,7 @@ class TestVarOperators:
         assert repr(tape.input(np.ones((2, 3)))) == "Var(op='input', shape=(2, 3), index=1)"
 
 
-GROUPS = ad.ModeSort([2, 0, 1, 2, 0], 3).groups(None)
+SORT = ad.ModeSort([2, 0, 1, 2, 0], 3)
 
 
 class TestSameOnAndOffTape:
@@ -1176,8 +1233,9 @@ class TestSameOnAndOffTape:
         "gather_mode": ([(2, 4, 3)], lambda c: ad.gather_mode(c, [3, 0, 0, 2])),
         "scatter_mode": ([(4, 2, 3)], lambda m: ad.scatter_mode(m, [3, 0, 0, 2], 5)),
         "batch_matmul": ([(4, 2, 3), (4, 3, 2)], ad.batch_matmul),
-        "mode_matmul": ([(5, 2), (2, 3, 4)], lambda r, c: ad.mode_matmul(r, c, GROUPS)),
-        "mode_outer": ([(5, 2), (5, 3)], lambda r, u: ad.mode_outer(r, u, GROUPS, 3)),
+        "take_rows": ([(5, 2)], lambda r: ad.take_rows(r, *SORT.reorder(None))),
+        "mode_matmul": ([(5, 2), (2, 3, 4)], lambda r, c: ad.mode_matmul(r, c, SORT.bounds)),
+        "mode_outer": ([(5, 2), (5, 3)], lambda r, u: ad.mode_outer(r, u, SORT.bounds)),
         "stop_gradient": ([(2, 3)], ad.stop_gradient),
     }
     # Ops that give back the plain value and record no node on a tape.
@@ -1191,6 +1249,10 @@ class TestSameOnAndOffTape:
         "batch_matmul_broadcast": ([np.ones((1, 2, 3)), np.ones((4, 3, 2))], ad.batch_matmul),
         "gather_mode_2d": ([np.ones((2, 3))], lambda c: ad.gather_mode(c, [0, 1])),
         "add_n_empty": ([], lambda *p: ad.add_n(list(p))),
+        "take_rows_wrong_length": ([np.ones((6, 2))],
+                                   lambda r: ad.take_rows(r, *SORT.reorder(None))),
+        "take_rows_not_inverse": ([np.ones((5, 2))],
+                                  lambda r: ad.take_rows(r, SORT.order, SORT.order)),
     }
     # Axes past the last one, which were wrapped around on a tape.
     AXIS_OUT_OF_RANGE = {

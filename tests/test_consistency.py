@@ -20,6 +20,7 @@ from ttriem.matrix import (
 )
 from ttriem import ad, coreops
 from ttriem.baselines import _tt_from_dense, project_sparse
+from ttriem.bench import sample_indices
 from ttriem.objectives import IndexSet, completion_loss, quadratic_form
 from ttriem.oracles import dense_preconditioned_residual
 from ttriem.tt import (
@@ -201,10 +202,11 @@ class TestCompletionTapeMemory:
 
 class TestCompletionRowSweeps:
     def test_one_row_permutation_per_core_in_entries(self, rng, monkeypatch):
-        # Rows reach each interior core sorted by its index and leave sorted
-        # by the next core's, so an entries sweep costs one np.take per core,
-        # the two boundary gathers included.  Permuting into mode order and
-        # back around every interior core took two each: 10 at d=6.
+        # Rows reach each interior core sorted by its index and one take_rows
+        # sorts them by the next core's, so an entries sweep costs one
+        # np.take per core, the two boundary gathers included.  Permuting
+        # into mode order and back around every interior core took two
+        # each: 10 at d=6.
         modes = (4, 5, 3, 4, 3, 5)
         idx = np.stack([rng.integers(0, n, 200) for n in modes], axis=1)
         x = random_tt(rng, modes, 3)
@@ -218,6 +220,32 @@ class TestCompletionRowSweeps:
         monkeypatch.setattr(np, "take", counting_take)
         tt_entries(x, idx)
         assert len(takes) <= len(modes), takes
+
+    def test_one_row_permutation_per_swept_adjoint(self, rng, monkeypatch):
+        # Modes 1 and 2 are swept.  The forward pass takes four times: two
+        # table gathers and one take_rows per swept core.  A sweep permutes
+        # each take_rows adjoint once, for both the rows and the core rule of
+        # the mode_matmul below it; a permutation in each rule would make 8
+        # takes per gradient and 22 per HVP.
+        modes = (30,) * 4
+        idx = sample_indices(rng, modes, 100)
+        assert coreops._table_split(list(modes), len(idx)) == (1, 3)
+        obj = completion_loss(IndexSet(idx, rng.standard_normal(len(idx))))
+        base = orthogonalize(random_tt(rng, modes, 2))
+        z = project_tt(base, random_tt(rng, modes, 2))
+        takes = []
+        take = np.take
+
+        def counting_take(*args, **kwargs):
+            takes.append(np.shape(args[0]))
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counting_take)
+        riemannian_grad_tt(lambda cores: obj.evaluate(cores), base)  # a new program: eager
+        assert len(takes) <= 6, takes
+        takes.clear()
+        hess_vec_tt(lambda cores: obj.evaluate(cores), base, z)
+        assert len(takes) <= 12, takes
 
     def test_project_sparse_forms_no_one_hot_rows(self, rng):
         # The fused sparse projection holds (N, r) rows and (r, n, r) cores;

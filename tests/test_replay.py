@@ -184,20 +184,30 @@ class TestReplay:
             riemannian_grad_tt(program, base)
         assert len(kept(program)) == ad.SCHEDULES_PER_PROGRAM
 
-    def test_completion_tape_runs_eagerly(self, rng):
-        # 100 samples over modes of 30 leave modes 1 and 2 to the row sweep,
-        # whose mode_matmul nodes hold per-call groupings.
+    def test_swept_completion_tape_replays(self, rng):
+        # 100 samples over modes of 30 leave modes 1 and 2 to the row sweep:
+        # its sorts' bounds and row permutations are constant parents, read
+        # as slots like the gathers' index vectors.
         modes = (30,) * 4
         idx = sample_indices(rng, modes, 100)
         assert coreops._table_split(list(modes), len(idx)) == (1, 3)
         obj = completion_loss(IndexSet(idx, rng.standard_normal(len(idx))))
+        p = obj.evaluate
         base = point(rng, modes)
         z = direction(rng, base)
-        first = hess_vec_tt(obj.evaluate, base, z)
-        for _ in range(2):
-            got, ran = replaying(lambda: hess_vec_tt(obj.evaluate, base, z))
-            assert same_bits(first, got) and not ran
-        assert kept(obj.evaluate) == []
+        for _ in range(2):  # eager, then recorded
+            riemannian_grad_tt(p, base)
+            hess_vec_tt(p, base, z)
+        for base in (base, point(rng, modes)):
+            z = direction(rng, base)
+            before = ad.replayed.copy()
+            got, ran = replaying(lambda: riemannian_grad_tt(p, base))
+            assert ran and same_bits(got, riemannian_grad_tt(eager(p), base))
+            got, ran = replaying(lambda: hess_vec_tt(p, base, z))
+            assert ran and same_bits(got, hess_vec_tt(eager(p), base, z))
+            counted = ad.replayed - before
+            assert all(counted[op] > 0 for op in ("mode_matmul", "mode_outer", "take_rows"))
+        assert len(kept(p)) == 2
 
     def test_completion_tables_replay(self, rng):
         # Every mode lies in a table: the gathers and scatters replay with
