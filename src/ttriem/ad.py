@@ -44,26 +44,29 @@ is never recorded: every :class:`Var` is a tape input or depends on one.
 operand costs no adjoint work.  ``stop_gradient`` returns its operand's
 value, a constant at every nesting level.
 
-Every op computes its value by one kernel call, ``kernel(*values,
-*static)``, where ``static`` holds what the op worked out from shapes and
-arguments alone (a contraction's plan, a reshape's target, a block's
-slices), and a node keeps the hashable part of it as ``static``.  That
-split lets :func:`swept` replay sweeps.  The first call for an owner (a
-program object) and a tape structure runs the sweeps eagerly; the second
-runs them eagerly too and records each kernel they run as a step whose
-inputs are slots: a forward node's value, a constant parent of a forward
-node, an entry of ``extra`` (an HVP's direction), an earlier step's output,
-or a literal a rule made from shapes alone (``np.ones``, a zero block, a
-Python float).  Later calls whose forward tape has the same signature
-(every node's op, static part, parent links and shape, and every constant's
-shape, strides and identity with other constants) run the steps on the new
-tape's slots, building no ``Var``, closure or plan and dropping each slot
-after its last use; the kernels are the eager ones, so the results are
-bit-identical.  The forward pass runs eagerly on every call, so a program
-whose structure depends on its values records anew when the structure
-changes.  A program object keeps at most ``SCHEDULES_PER_PROGRAM``
-schedules, freed with it.  ``replayed`` counts the kernel calls replays
-ran, per op name; a wrapper around an op sees only the eager calls.
+Every op builds its result in one place, ``_node``, which computes the
+value by one kernel call, ``kernel(*values, *args)``, where ``args`` holds
+what the op worked out from shapes and arguments alone (a contraction's
+plan, a reshape's target, a block's slices), and records a node that keeps
+the hashable part of it as ``static``; besides :meth:`Tape.input`, no other
+code makes a :class:`Var`.  ``concat`` is the :func:`block_core` of its
+parts.  That split lets :func:`swept` replay sweeps.  The first call for an
+owner (a program object) and a tape structure runs the sweeps eagerly; the
+second runs them eagerly too and records each kernel they run as a step
+whose inputs are slots: a forward node's value, a constant parent of a
+forward node, an entry of ``extra`` (an HVP's direction), an earlier step's
+output, or a literal a rule made from shapes alone (``np.ones``, a zero
+block, a Python float).  Later calls whose forward tape has the same
+signature (every node's op, static part, parent links and shape, and every
+constant's shape, strides and identity with other constants) run the steps
+on the new tape's slots, building no ``Var``, closure or plan and dropping
+each slot after its last use; the kernels are the eager ones, so the
+results are bit-identical.  The forward pass runs eagerly on every call, so
+a program whose structure depends on its values records anew when the
+structure changes.  A program object keeps at most
+``SCHEDULES_PER_PROGRAM`` schedules, freed with it.  ``replayed`` counts
+the kernel calls replays ran, per op name; a wrapper around an op sees only
+the eager calls.
 """
 
 import math
@@ -301,69 +304,50 @@ def grad(tape, output, wrt, as_vars=False):
 
 
 # ---------------------------------------------------------------------------
-# operands
+# operands and nodes
 #
-# Every op reads its operands once, through one of the three helpers below,
-# which return the tape (None when no operand is a Var on a recording tape),
-# the operands, a plain one as a float64 array, and their float64 values.
-# The op validates and computes on those values, so it does both the same
-# way on and off a tape, and records a node only when there is a tape.  A Var
-# whose tape is not recording (a value-only sweep) counts as its value.  A
-# Var's value and a float64 scalar pass unconverted, so a value keeps its
-# identity from the kernel that made it to every kernel that reads it (the
-# recorder of :func:`swept` names values by identity).
+# Every op reads its operands once, through _operands, which returns the tape
+# (None when no operand is a Var on a recording tape), the operands, a plain
+# one as a float64 array, and their float64 values.  The op validates on
+# those values and builds its result through _node, so it does both the same
+# way on and off a tape: _node computes the value by one kernel call, hands
+# the call to a recording sweep, and records a node only when there is a
+# tape.  A Var whose tape is not recording (a value-only sweep) counts as its
+# value.  A Var's value and a float64 scalar pass unconverted, so a value
+# keeps its identity from the kernel that made it to every kernel that reads
+# it (the recorder of :func:`swept` names values by identity).
 
 
-def _operand(a):
-    # (tape, a, a's value).
-    if isinstance(a, Var):
-        if a.tape.recording:
-            return a.tape, a, a.value
-        a = a.value
-    elif type(a) is not np.float64:
-        a = np.asarray(a, dtype=np.float64)
-    return None, a, a
-
-
-def _operands(a, b):
-    # (tape, a, b, a's value, b's value).
-    tape, a, av = _operand(a)
-    tape_b, b, bv = _operand(b)
-    if tape is None:
-        tape = tape_b
-    elif tape_b is not None and tape_b is not tape:
-        raise InvalidVariableError("operands live on different tapes")
-    return tape, a, b, av, bv
-
-
-def _operand_list(parts):
-    # (tape, operands, values) of a list of operands.
+def _operands(*parts):
+    # (tape, operands, values) of the operands ``parts``.
     tape, operands, vals = None, [], []
-    for part in parts:
-        t, p, v = _operand(part)
-        if t is not None:
-            if tape is None:
-                tape = t
-            elif t is not tape:
-                raise InvalidVariableError("operands live on different tapes")
-        operands.append(p)
-        vals.append(v)
+    for a in parts:
+        if isinstance(a, Var):
+            if a.tape.recording:
+                if tape is None:
+                    tape = a.tape
+                elif a.tape is not tape:
+                    raise InvalidVariableError("operands live on different tapes")
+                operands.append(a)
+                vals.append(a.value)
+                continue
+            a = a.value
+        elif type(a) is not np.float64:
+            a = np.asarray(a, dtype=np.float64)
+        operands.append(a)
+        vals.append(a)
     return tape, operands, vals
 
 
-def _node(tape, val, op, parents, rules, static=()):
-    # An op's result: its value off a tape, a recorded node on one.
-    return val if tape is None else Var(tape, val, op, parents, rules, static)
-
-
-def _run(op, kernel, vals, static=()):
-    # The value of an ``op`` node, kernel(*vals, *static); a recording sweep
-    # logs the call.
-    val = kernel(*vals, *static)
+def _node(tape, op, kernel, vals, parents, rules, args=(), static=()):
+    # The result of an ``op``, kernel(*vals, *args): its value off a tape, a
+    # node with the hashable part ``static`` of its arguments on one.  A
+    # recording sweep logs the kernel call.
+    val = kernel(*vals, *args)
     recorder = _state.recorder
     if recorder is not None:
-        recorder.step(op, kernel, vals, static, val)
-    return val
+        recorder.step(op, kernel, vals, args, val)
+    return val if tape is None else Var(tape, val, op, parents, rules, static)
 
 
 def _unbroadcast(g, shape):
@@ -376,14 +360,13 @@ def _unbroadcast(g, shape):
 
 def add_n(parts):
     """Sum of same-shaped terms (used for adjoint accumulation)."""
-    tape, parts, vals = _operand_list(parts)
+    tape, parts, vals = _operands(*parts)
     if not vals:
         raise DimensionError("add_n needs at least one term, got shape (0,)")
     for v in vals[1:]:
         if v.shape != vals[0].shape:
             raise DimensionError(f"add_n term shapes differ: {vals[0].shape} vs {v.shape}")
-    return _node(tape, _run("add_n", _add_n_value, vals), "add_n", tuple(parts),
-                 (lambda u: u,) * len(parts))
+    return _node(tape, "add_n", _add_n_value, vals, tuple(parts), (lambda u: u,) * len(parts))
 
 
 def _add_n_value(*vals):
@@ -399,11 +382,11 @@ def _binary(name, fwd, rule_a, rule_b):
     # rule_x(u, a, b, out) is the adjoint for one operand before the
     # scalar-broadcast fold.
     def op(a, b):
-        tape, a, b, av, bv = _operands(a, b)
-        sa, sb = av.shape, bv.shape
+        tape, (a, b), vals = _operands(a, b)
+        sa, sb = vals[0].shape, vals[1].shape
         if sa != sb and sa != () and sb != ():
             raise DimensionError(f"{name}: elementwise shapes differ: {sa} vs {sb}")
-        out = _node(tape, _run(name, fwd, (av, bv)), name, (a, b), (
+        out = _node(tape, name, fwd, vals, (a, b), (
             lambda u: _unbroadcast(rule_a(u, a, b, out), a.shape),
             lambda u: _unbroadcast(rule_b(u, a, b, out), b.shape),
         ))
@@ -423,8 +406,8 @@ div = _binary("div", np.divide, lambda u, a, b, out: div(u, b),
 def _unary(name, fwd, rule):
     # rule(u, a, out) is the adjoint for the operand.
     def op(a):
-        tape, a, av = _operand(a)
-        out = _node(tape, _run(name, fwd, (av,)), name, (a,), (lambda u: rule(u, a, out),))
+        tape, (a,), vals = _operands(a)
+        out = _node(tape, name, fwd, vals, (a,), (lambda u: rule(u, a, out),))
         return out
 
     op.__name__ = name
@@ -448,7 +431,7 @@ softplus = _unary("softplus", lambda t: np.logaddexp(0.0, t), lambda u, a, out: 
 def stop_gradient(a):
     """The operand's float64 value, a constant at every nesting level; on a
     tape it records no node."""
-    return _operand(a)[2]
+    return _operands(a)[2][0]
 
 
 def reshape(a, shape):
@@ -456,39 +439,44 @@ def reshape(a, shape):
         shape = (int(shape),)
     else:
         shape = tuple(int(s) for s in shape)
-    tape, a, av = _operand(a)
-    old = av.shape
-    return _node(tape, _run("reshape", np.reshape, (av,), (shape,)), "reshape", (a,),
-                 (lambda u: reshape(u, old),), shape)
+    tape, (a,), vals = _operands(a)
+    old = vals[0].shape
+    return _node(tape, "reshape", np.reshape, vals, (a,), (lambda u: reshape(u, old),),
+                 (shape,), shape)
 
 
 def transpose(a, perm):
-    tape, a, av = _operand(a)
+    tape, (a,), vals = _operands(a)
     perm = tuple(perm)
-    return _node(tape, _run("transpose", np.transpose, (av,), (perm,)), "transpose", (a,),
-                 (lambda u: transpose(u, np.argsort([p % len(perm) for p in perm])),), perm)
+    return _node(tape, "transpose", np.transpose, vals, (a,),
+                 (lambda u: transpose(u, np.argsort([p % len(perm) for p in perm])),),
+                 (perm,), perm)
 
 
 def concat(parts, axis):
-    tape, parts, vals = _operand_list(parts)
-    val = _run("concat", _concat_value, vals, (axis,))
-    if tape is None:
-        return val
-    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
-    return Var(tape, val, "concat", tuple(parts), tuple(
-        lambda u, lo=int(lo), hi=int(hi): slice_along(u, axis, lo, hi)
-        for lo, hi in zip(offsets[:-1], offsets[1:])
-    ), axis)
-
-
-def _concat_value(*args):
-    return np.concatenate(args[:-1], axis=args[-1])
+    """``parts`` joined along ``axis``: the :func:`block_core` that holds
+    each part at its offset along ``axis``.  The parts must agree in every
+    other extent."""
+    _, parts, vals = _operands(*parts)
+    if not vals:
+        raise DimensionError("concat needs at least one part")
+    first = vals[0].shape
+    axis = range(len(first))[axis]  # as in contract: no axis is wrapped round
+    for v in vals[1:]:
+        if v.shape[:axis] + v.shape[axis + 1:] != first[:axis] + first[axis + 1:]:
+            raise DimensionError(f"concat parts differ off axis {axis}: {first} vs {v.shape}")
+    offsets = np.cumsum([0] + [v.shape[axis] for v in vals]).tolist()
+    shape = first[:axis] + (offsets[-1],) + first[axis + 1:]
+    return block_core(shape, [
+        (part, [(lo, hi) if i == axis else (0, n) for i, n in enumerate(shape)])
+        for part, lo, hi in zip(parts, offsets, offsets[1:])
+    ])
 
 
 def slice_along(a, axis, start, stop):
     """Contiguous slice ``a[..., start:stop, ...]`` along one axis: the
     :func:`take_block` of that range of ``axis`` and all of every other."""
-    _, a, av = _operand(a)
+    _, (a,), (av,) = _operands(a)
     axis = range(av.ndim)[axis]  # as in contract: no axis is wrapped round
     extent = av.shape[axis]
     if not (0 <= start <= stop <= extent):
@@ -520,11 +508,12 @@ def take_block(a, at):
     ((start_0, stop_0), (start_1, stop_1), ...), one pair per axis, as a
     view.  Its adjoint is the :func:`block_core` that puts the block back
     into zeros of ``a``'s shape."""
-    tape, a, av = _operand(a)
+    tape, (a,), vals = _operands(a)
     at = tuple(map(tuple, at))
-    shape, (at,), (slices,) = _block_layout(av.shape, (at,), (tuple(hi - lo for lo, hi in at),))
-    return _node(tape, _run("take_block", getitem, (av,), (slices,)), "take_block", (a,),
-                 (lambda u: block_core(shape, [(u, at)]),), at)
+    shape, (at,), (slices,) = _block_layout(vals[0].shape, (at,),
+                                            (tuple(hi - lo for lo, hi in at),))
+    return _node(tape, "take_block", getitem, vals, (a,),
+                 (lambda u: block_core(shape, [(u, at)]),), (slices,), at)
 
 
 def block_core(shape, parts):
@@ -536,11 +525,11 @@ def block_core(shape, parts):
     (:func:`take_block`).  A tangent's block core [[V, 0], [delta, U]] is
     one such node, however many of its blocks are constants.
     """
-    tape, operands, vals = _operand_list([part for part, _ in parts])
+    tape, operands, vals = _operands(*[part for part, _ in parts])
     shape, ats, slices = _block_layout(tuple(shape), tuple(tuple(map(tuple, at)) for _, at in parts),
                                        tuple(v.shape for v in vals))
-    return _node(tape, _run("block_core", _block_core_value, vals, (shape, slices)), "block_core",
-                 tuple(operands), tuple(lambda u, at=at: take_block(u, at) for at in ats),
+    return _node(tape, "block_core", _block_core_value, vals, tuple(operands),
+                 tuple(lambda u, at=at: take_block(u, at) for at in ats), (shape, slices),
                  (shape, ats))
 
 
@@ -553,12 +542,13 @@ def _block_core_value(*args):
 
 
 def reduce_sum(a, axes=None):
-    tape, a, av = _operand(a)
+    tape, (a,), vals = _operands(a)
     if axes is None:
-        return _node(tape, _run("sum", np.sum, (av,)), "sum", (a,),
-                     (lambda u: mul(u, np.ones(a.shape)),), "all")
+        return _node(tape, "sum", np.sum, vals, (a,), (lambda u: mul(u, np.ones(a.shape)),),
+                     static="all")
 
-    axes = tuple(sorted(range(av.ndim)[ax] for ax in axes))  # as in contract: no axis is wrapped round
+    # As in contract, no axis is wrapped round.
+    axes = tuple(sorted(range(vals[0].ndim)[ax] for ax in axes))
 
     def rule(u):
         # The outer product's axes are the kept then the summed ones; its
@@ -567,7 +557,7 @@ def reduce_sum(a, axes=None):
         ones = np.ones(tuple(a.shape[ax] for ax in axes))
         return contract(u, ones, [], _argsort(kept + list(axes)))
 
-    return _node(tape, _run("sum", np.sum, (av,), (axes,)), "sum", (a,), (rule,), axes)
+    return _node(tape, "sum", np.sum, vals, (a,), (rule,), (axes,), axes)
 
 
 def _argsort(perm):
@@ -712,17 +702,17 @@ def contract(a, b, axes, perm=None):
     contraction, in its operand's axis order, so a sweep through it records
     no ``transpose``.
     """
-    tape, a, b, av, bv = _operands(a, b)
+    tape, (a, b), vals = _operands(a, b)
     axes = tuple([(index(p), index(q)) for p, q in axes])
     if perm is not None:
         perm = tuple(map(index, perm))
-    plan, grad_a, grad_b = _contract_plan(av.shape, bv.shape, axes, perm)
+    plan, grad_a, grad_b = _contract_plan(vals[0].shape, vals[1].shape, axes, perm)
     # The rules call the module's contract by name, so a wrapper installed
     # in its place sees the adjoint contractions too.
-    return _node(tape, _run("contract", _contract_value, (av, bv), (plan,)), "contract", (a, b), (
+    return _node(tape, "contract", _contract_value, vals, (a, b), (
         lambda u: contract(u, b, *grad_a),
         lambda u: contract(a, u, *grad_b),
-    ), (axes, perm))
+    ), (plan,), (axes, perm))
 
 
 def _contract_value(av, bv, plan):
@@ -793,12 +783,12 @@ def gather_mode(core, idx):
     the strided (r_left, N, r_right) fancy-index copy is never made.  The
     validated ``idx`` is a kernel operand and a constant parent of the node.
     """
-    tape, core, cv = _operand(core)
+    tape, (core,), (cv,) = _operands(core)
     if cv.ndim != 3:
         raise DimensionError(f"gather_mode needs an (r_l, n, r_r) core, got shape {cv.shape}")
     n = cv.shape[1]
     idx = index_vector(idx, n, "gather_mode")
-    return _node(tape, _run("gather_mode", _gather_value, (cv, idx)), "gather_mode", (core, idx),
+    return _node(tape, "gather_mode", _gather_value, (cv, idx), (core, idx),
                  (lambda u: scatter_mode(u, idx, n), None))
 
 
@@ -818,12 +808,12 @@ def scatter_mode(mat, idx, n):
     contiguous when ``mat``'s sample axis is innermost, as in a
     :func:`batch_matmul` outer product; ``idx`` is held as in gather_mode.
     """
-    tape, mat, mv = _operand(mat)
+    tape, (mat,), (mv,) = _operands(mat)
     idx = index_vector(idx, n, "scatter_mode")
     if mv.ndim != 3 or mv.shape[0] != len(idx):
         raise DimensionError(f"scatter_mode needs ({len(idx)}, r_l, r_r) slices, got {mv.shape}")
-    return _node(tape, _run("scatter_mode", _scatter_value, (mv, idx), (n,)), "scatter_mode",
-                 (mat, idx), (lambda u: gather_mode(u, idx), None), (n,))
+    return _node(tape, "scatter_mode", _scatter_value, (mv, idx), (mat, idx),
+                 (lambda u: gather_mode(u, idx), None), (n,), (n,))
 
 
 def _scatter_value(mv, idx, n):
@@ -862,11 +852,11 @@ def _batch_matmul_value(a, b):
 
 def batch_matmul(a, b):
     """Stacked matrix product: (N, p, q) x (N, q, s) -> (N, p, s)."""
-    tape, a, b, av, bv = _operands(a, b)
-    sa, sb = av.shape, bv.shape
+    tape, (a, b), vals = _operands(a, b)
+    sa, sb = vals[0].shape, vals[1].shape
     if len(sa) != 3 or len(sb) != 3 or sa[0] != sb[0] or sa[2] != sb[1]:
         raise DimensionError(f"batch_matmul shapes incompatible: {sa} x {sb}")
-    return _node(tape, _run("batch_matmul", _batch_matmul_value, (av, bv)), "batch_matmul", (a, b), (
+    return _node(tape, "batch_matmul", _batch_matmul_value, vals, (a, b), (
         lambda u: batch_matmul(u, transpose(b, (0, 2, 1))),
         lambda u: batch_matmul(transpose(a, (0, 2, 1)), u),
     ))
@@ -906,14 +896,14 @@ def take_rows(rows, perm, inverse):
     ``perm[i]``.  ``inverse`` is ``perm``'s inverse, and the adjoint is
     ``take_rows(u, inverse, perm)``; both vectors are kernel operands and
     constant parents of the node."""
-    tape, rows, rv = _operand(rows)
+    tape, (rows,), (rv,) = _operands(rows)
     count = len(rv) if rv.ndim else -1
     perm, inverse = (index_vector(p, count, "take_rows") for p in (perm, inverse))
     if len(perm) != count or len(inverse) != count or \
             not np.array_equal(inverse[perm], np.arange(count)):
         raise DimensionError(f"take_rows needs a permutation of {count} rows and its inverse")
-    return _node(tape, _run("take_rows", np.take, (rv, perm), (0,)), "take_rows",
-                 (rows, perm, inverse), (lambda u: take_rows(u, inverse, perm), None, None))
+    return _node(tape, "take_rows", np.take, (rv, perm), (rows, perm, inverse),
+                 (lambda u: take_rows(u, inverse, perm), None, None), (0,))
 
 
 def _check_bounds(bounds, count, n, what):
@@ -956,16 +946,15 @@ def mode_matmul(rows, core, bounds):
     contiguous block of that value's rows, so nothing of size
     N * r_left * r_right is formed.
     """
-    tape, rows, core, rv, cv = _operands(rows, core)
+    tape, (rows, core), (rv, cv) = _operands(rows, core)
     if rv.ndim != 2 or cv.ndim != 3 or rv.shape[1] != cv.shape[0]:
         raise DimensionError(f"mode_matmul shapes incompatible: {rv.shape} x {cv.shape}")
     bounds = _check_bounds(bounds, rv.shape[0], cv.shape[1], "mode_matmul")
-    return _node(tape, _run("mode_matmul", _mode_matmul_value, (rv, cv, bounds)), "mode_matmul",
-                 (rows, core, bounds), (
-                     lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), bounds),
-                     lambda u: mode_outer(rows, u, bounds),
-                     None,
-                 ))
+    return _node(tape, "mode_matmul", _mode_matmul_value, (rv, cv, bounds), (rows, core, bounds), (
+        lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), bounds),
+        lambda u: mode_outer(rows, u, bounds),
+        None,
+    ))
 
 
 def mode_outer(rows, u, bounds):
@@ -976,21 +965,20 @@ def mode_outer(rows, u, bounds):
     ``rows`` and ``u`` come sorted as for :func:`mode_matmul`.  One matrix
     product per mode value; a value that never occurs leaves a zero slice.
     """
-    tape, rows, u, rv, uv = _operands(rows, u)
+    tape, (rows, u), (rv, uv) = _operands(rows, u)
     if rv.ndim != 2 or uv.ndim != 2 or rv.shape[0] != uv.shape[0]:
         raise DimensionError(f"mode_outer shapes incompatible: {rv.shape} and {uv.shape}")
     bounds = _check_bounds(bounds, rv.shape[0], max(np.size(bounds) - 1, 0), "mode_outer")
-    return _node(tape, _run("mode_outer", _mode_outer_value, (rv, uv, bounds)), "mode_outer",
-                 (rows, u, bounds), (
-                     lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), bounds),
-                     lambda w: mode_matmul(rows, w, bounds),
-                     None,
-                 ))
+    return _node(tape, "mode_outer", _mode_outer_value, (rv, uv, bounds), (rows, u, bounds), (
+        lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), bounds),
+        lambda w: mode_matmul(rows, w, bounds),
+        None,
+    ))
 
 
 # ---------------------------------------------------------------------------
 # recorded sweeps (see the module docstring); while a recording sweep runs,
-# _run hands every kernel call to its _Recorder.
+# _node hands every kernel call to its _Recorder.
 
 # The schedules, and the brief keys seen, kept per owner: the oldest of
 # each is dropped beyond this many.

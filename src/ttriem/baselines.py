@@ -25,7 +25,6 @@ from .errors import DimensionError, NonFiniteError, UnavailableMethodError
 from .tt import TtMatrix, TtTensor, orthogonalize, tt_axpy, tt_entries, tt_round
 from .ttmanifold import (
     TtTangent,
-    _apply_gauge,
     _as_ortho,
     hess_vec_tt,
     project_tt,
@@ -113,7 +112,7 @@ def project_matvec(a: TtMatrix, y: TtTensor, base) -> TtTangent:
             t = np.tensordot(y.cores[k], right, axes=([2], [0]))  # (a, j, e, f)
             t = np.tensordot(t, a.cores[k], axes=([1, 2], [2, 3]))  # (a, f, b, i)
             right = np.tensordot(t, base.V[k], axes=([1, 3], [2, 1]))  # (a, b, c)
-    return TtTangent._trusted(base, _apply_gauge(base, deltas))
+    return TtTangent._projected(base, deltas)
 
 
 def project_sparse(base, indices, weights) -> TtTangent:
@@ -149,7 +148,7 @@ def project_sparse(base, indices, weights) -> TtTangent:
         raise DimensionError(f"need one weight per index tuple: {w.shape} for {count}")
     if d == 1:
         deltas = [ad.scatter_mode(w.reshape(count, 1, 1), idx[:, 0], sizes[0])]
-        return TtTangent._trusted(base, _apply_gauge(base, deltas))
+        return TtTangent._projected(base, deltas)
     a, b = coreops._table_split(sizes, count)
     r_a, r_b = base.S[a].shape[0], base.S[b].shape[0]
     prefix, suffix = coreops._table_ids(idx, sizes, a, b)
@@ -196,7 +195,7 @@ def project_sparse(base, indices, weights) -> TtTangent:
         deltas[j] = (heads[j][0].T @ h).reshape(r, n, r_next)
         if j > 0:
             h = h @ base.V[j].reshape(r, n * r_next).T
-    return TtTangent._trusted(base, _apply_gauge(base, deltas))
+    return TtTangent._projected(base, deltas)
 
 
 def _in_order(values, sort):
@@ -234,7 +233,7 @@ def project_rank1_sum(base, mode_vectors, coeffs) -> TtTangent:
         outer = (c[:, None] * left[k])[:, :, None] * right[k + 1][:, None, :]
         flat = mode_vectors[k].T @ outer.reshape(n_terms, rl * rr)
         deltas.append(flat.reshape(n_k, rl, rr).transpose(1, 0, 2))
-    return TtTangent._trusted(base, _apply_gauge(base, deltas))
+    return TtTangent._projected(base, deltas)
 
 
 def optimized_grad(obj, x) -> TtTangent:
@@ -249,9 +248,9 @@ def compute_method(obj, method: str, op: str, x, z=None) -> TtTangent:
     """Dispatch one of the three pipelines for a gradient or HVP.
 
     Every pipeline fails alike on a non-finite result, with
-    :class:`NonFiniteError`: the AD one checks its value and raw deltas
-    itself, and a naive or optimized tangent is checked as it is built
-    (:meth:`TtTangent._trusted`), its error renamed here after ``op``.
+    :class:`NonFiniteError`: every tangent is checked as it is built
+    (:meth:`TtTangent._projected`), the AD one's value too, and a naive or
+    optimized one's error is renamed here after ``op``.
     """
     table = {
         ("ad", "grad"): lambda: ad_grad(obj, x),

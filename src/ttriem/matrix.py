@@ -22,7 +22,7 @@ from . import ad
 from .dense import as_tensor, frozen, svd_thin
 from .errors import DimensionError
 from .tt import MuOrthogonal
-from .ttmanifold import TtTangent, _apply_gauge, _differentiate, tangent_dot_tt
+from .ttmanifold import TtTangent, _differentiate, tangent_dot_tt
 
 __all__ = [
     "FixedRankPoint",
@@ -154,8 +154,8 @@ def project_matrix(x: FixedRankPoint, z) -> MatrixTangent:
     z = as_tensor(z)
     if z.shape != x.shape:
         raise DimensionError(f"shape {z.shape} does not match point shape {x.shape}")
-    deltas = _apply_gauge(x.ortho, [(z.T @ x.u)[None], (x.v.T @ z.T)[:, :, None]])
-    return MatrixTangent._wrap(x, TtTangent._trusted(x.ortho, deltas))
+    deltas = [(z.T @ x.u)[None], (x.v.T @ z.T)[:, :, None]]
+    return MatrixTangent._wrap(x, TtTangent._projected(x.ortho, deltas))
 
 
 def _core_program(p, x):

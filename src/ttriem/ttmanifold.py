@@ -107,20 +107,28 @@ class TtTangent:
         return len(self.deltas)
 
     @classmethod
-    def _trusted(cls, base, deltas):
+    def _trusted(cls, base, deltas, stage="tangent"):
         """Internal constructor for deltas already projected onto the gauge.
 
         Skips the relative-residual check: for results of exact cancellation
         (e.g. the difference of two nearly equal tangents) that check would
         compare roundoff against a collapsed norm and misfire.  The deltas
         are computed, not given, so a NaN or infinite one raises
-        :class:`NonFiniteError` (stage ``"tangent"``), not the
-        ``DimensionError`` of an invalid input.
+        :class:`NonFiniteError` with ``stage``, naming the first such delta
+        core, not the ``DimensionError`` of an invalid input.
         """
         t = object.__new__(cls)
         t.base = base
-        t.deltas = tuple(_frozen_result(k, d) for k, d in enumerate(deltas))
+        t.deltas = tuple(_frozen_result(k, d, stage) for k, d in enumerate(deltas))
         return t
+
+    @classmethod
+    def _projected(cls, base, deltas, stage="tangent"):
+        """The tangent of computed deltas: projected onto the gauge
+        (:func:`_apply_gauge`), then checked and frozen by :meth:`_trusted`.
+        The gauge of mode k reads delta k alone, so a non-finite delta core
+        is named as it was computed."""
+        return cls._trusted(base, _apply_gauge(base, deltas), stage)
 
     def gauge_residuals(self):
         return _gauge_residuals(self.base, self.deltas)
@@ -199,7 +207,7 @@ def project_tt(x, z: TtTensor) -> TtTangent:
         deltas.append(np.tensordot(t, q[k + 1], axes=([2], [0])))  # (b, i, d)
         if k < d - 1:
             p = np.tensordot(t, base.U[k], axes=([0, 1], [0, 1]))  # (c, d)
-    return TtTangent._trusted(base, _apply_gauge(base, deltas))
+    return TtTangent._projected(base, deltas)
 
 
 def _delta_seed(base):
@@ -209,20 +217,14 @@ def _delta_seed(base):
     return seed
 
 
-def _frozen_result(k, delta):
+def _frozen_result(k, delta, stage):
     # Delta core k as :func:`ttriem.dense.frozen` stores it: a read-only
     # C-ordered float64 copy, here checked as a computed result.
     arr = np.array(delta, dtype=np.float64, order="C")
     if not np.isfinite(arr).all():
-        raise NonFiniteError("tangent", f"delta core {k} holds NaN or inf")
+        raise NonFiniteError(stage, f"delta core {k} holds NaN or inf")
     arr.flags.writeable = False
     return arr
-
-
-def _check_finite(arrays, stage):
-    for k, a in enumerate(arrays):
-        if not np.isfinite(a).all():
-            raise NonFiniteError(stage, f"delta core {k} holds NaN or inf")
 
 
 def _differentiate(p, base, z, owner):
@@ -232,8 +234,8 @@ def _differentiate(p, base, z, owner):
     The sweeps are those of :func:`riemannian_grad_tt` and
     :func:`hess_vec_tt`, run through :func:`ttriem.ad.swept` with the
     schedules kept for ``owner``: eager on the first call at a tape
-    structure, replayed on later ones.  The value and the raw deltas are
-    checked to be finite.
+    structure, replayed on later ones.  The value and the gauged deltas
+    are checked to be finite (:meth:`TtTangent._projected`).
     """
     if z is not None and not z.base.matches(base):
         raise InvalidTangentError("tangent vector is anchored at a different point")
@@ -262,8 +264,7 @@ def _differentiate(p, base, z, owner):
             raw = sweeps()
     finally:
         tape.clear()
-    _check_finite(raw, "gradient" if z is None else "HVP")
-    return float(value), TtTangent._trusted(base, _apply_gauge(base, raw))
+    return float(value), TtTangent._projected(base, raw, "gradient" if z is None else "HVP")
 
 
 def riemannian_value_and_grad_tt(p, x):
@@ -315,7 +316,7 @@ def tangent_axpy(alpha: float, a: TtTangent, b: TtTangent) -> TtTangent:
     if not a.base.matches(b.base):
         raise InvalidPairError("tangent vectors live at different base points")
     combo = [float(alpha) * da + db for da, db in zip(a.deltas, b.deltas)]
-    return TtTangent._trusted(a.base, _apply_gauge(a.base, combo))
+    return TtTangent._projected(a.base, combo)
 
 
 def tangent_scale(alpha: float, a: TtTangent) -> TtTangent:

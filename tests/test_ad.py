@@ -1253,6 +1253,9 @@ class TestSameOnAndOffTape:
                                    lambda r: ad.take_rows(r, *SORT.reorder(None))),
         "take_rows_not_inverse": ([np.ones((5, 2))],
                                   lambda r: ad.take_rows(r, SORT.order, SORT.order)),
+        "concat_mismatched": ([np.ones((2, 3)), np.ones((3, 3))],
+                              lambda *p: ad.concat(list(p), 1)),
+        "concat_empty": ([], lambda *p: ad.concat(list(p), 0)),
     }
     # Axes past the last one, which were wrapped around on a tape.
     AXIS_OUT_OF_RANGE = {

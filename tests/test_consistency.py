@@ -159,6 +159,38 @@ class TestOneOperandPath:
         assert found == []
 
 
+class TestOneConstructor:
+    def test_only_node_and_input_make_vars_in_ad(self):
+        # Every tape node is built by ad._node, which runs the op's kernel
+        # and hands the call to a recording sweep; Tape.input makes the
+        # leaves.  A Var made anywhere else would bypass the recorder.
+        makers = set()
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}" if where else node.name
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Var":
+                makers.add(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse((Path(ttriem.__file__).parent / "ad.py").read_text()), "")
+        assert makers == {"Tape.input", "_node"}
+
+    def test_only_ttmanifold_names_apply_gauge(self):
+        # Computed deltas become a tangent through TtTangent._projected,
+        # which gauges, checks and freezes them in one place.
+        def name(node):
+            if isinstance(node, ast.Name):
+                return node.id
+            if isinstance(node, ast.Attribute):
+                return node.attr
+            return getattr(node, "name", None)  # FunctionDef, alias
+
+        users = {file for file, node in library_nodes() if name(node) == "_apply_gauge"}
+        assert users == {"ttmanifold.py"}
+
+
 class TestPairwiseContractions:
     def test_no_einsum_has_more_than_two_operands(self):
         # np.einsum without `optimize` runs three or more operands as one

@@ -378,6 +378,13 @@ def zero_log(cores):
     return ad.exp(ad.log(ad.mul(e, e)))
 
 
+def zero_log_last(cores):
+    # zero_log on the last core, whose delta block is its lower half.
+    r = cores[-1].shape[0] // 2
+    e = ad.reduce_sum(ad.slice_along(cores[-1], 0, r, 2 * r))
+    return ad.exp(ad.log(ad.mul(e, e)))
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
     def test_non_finite_value_raises(self, rng, hvp):
@@ -396,6 +403,27 @@ class TestNonFinite:
                     pytest.raises(NonFiniteError) as err:
                 hess_vec_tt(zero_log, base, z) if hvp else riemannian_grad_tt(zero_log, base)
             assert err.value.stage == ("HVP" if hvp else "gradient")
+
+    @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
+    @pytest.mark.parametrize("program, core", [(zero_log, 1), (zero_log_last, len(MODES) - 1)],
+                             ids=["core_1", "last_core"])
+    def test_non_finite_error_names_the_delta_core(self, rng, hvp, program, core):
+        # The deltas are checked once gauged.  The gauge of mode k reads
+        # delta k alone and leaves the last one as it is, so the error names
+        # the core the sweep made non-finite.
+        base = point(rng)
+        z = direction(rng, base)
+        program = eager(program)
+        replays = []
+        for _ in range(3):  # eager, recorded, replayed
+            before = sum(ad.replayed.values())
+            with np.errstate(divide="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteError) as err:
+                hess_vec_tt(program, base, z) if hvp else riemannian_grad_tt(program, base)
+            replays.append(sum(ad.replayed.values()) > before)
+            assert err.value.stage == ("HVP" if hvp else "gradient")
+            assert err.value.detail == f"delta core {core} holds NaN or inf"
+        assert replays == [False, False, True]
 
     def test_finite_program_passes(self, rng):
         base = point(rng)
