@@ -1071,9 +1071,7 @@ class _Recorder:
         return s
 
     def step(self, op, kernel, vals, static, val):
-        ins = tuple([self.names.get(id(v)) for v in vals])
-        if None in ins:
-            ins = tuple(self._name(v) for v in vals)
+        ins = tuple([self._name(v) for v in vals])
         key = id(val)
         out = self.names[key] = self._new()
         try:

@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from . import coreops
-from .dense import as_tensor, frozen, qr_thin, svd_thin
+from .dense import frozen, qr_thin, svd_thin
 from .errors import DimensionError, FormatError, OversizeError
 
 __all__ = [
@@ -173,6 +173,10 @@ def orthogonalize(x: TtTensor) -> MuOrthogonal:
     two sweeps meet at every mode to form the center cores.
     """
     d = x.ndim
+    attainable = feasible_ranks(x.mode_sizes, x.ranks[1:-1])
+    if attainable != x.ranks[1:-1]:
+        raise DimensionError(f"TT ranks {x.ranks} exceed what mode sizes {x.mode_sizes} allow: "
+                             f"internal ranks can be at most {attainable}; truncate with tt_round")
     cores = list(x.cores)
 
     # Left-to-right sweep: G_1..G_k = U_1..U_k @ left_tf[k].

@@ -161,8 +161,6 @@ def _block_cores(base, deltas):
     per mode: [delta_0 U_0], then [[V_k 0], [delta_k U_k]], then
     [V_{d-1}; delta_{d-1}].  Works on arrays and Vars; a sweep takes each
     delta's adjoint out of its block core's in one step."""
-    if base.ndim == 1:
-        return [deltas[0]]
     cores = []
     layouts = _block_layouts(tuple(s.shape for s in base.S))
     for k, (delta, (shape, at, at_v, at_u)) in enumerate(zip(deltas, layouts)):

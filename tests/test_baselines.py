@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttriem import baselines, coreops, objectives
+from ttriem import ad, baselines, coreops, objectives
 from ttriem.baselines import (
     ad_grad,
     ad_hvp,
@@ -317,6 +317,15 @@ class TestBench:
         cfg = BenchConfig("qf", "ad", "grad", d=3, n=2, rx=2, rz=2, ra=2, trials=1)
         (rec,) = bench_run(cfg)
         assert rec.seconds_std == 0.0
+
+    @pytest.mark.parametrize("op", ["grad", "hvp"])
+    def test_timed_ad_calls_replay(self, op):
+        # The second warm-up call records the sweeps, so even the one timed
+        # call of a single trial replays them.
+        cfg = BenchConfig("qf", "ad", op, d=3, n=2, rx=2, rz=2, ra=2, trials=1)
+        before = sum(ad.replayed.values())
+        bench_run(cfg)
+        assert sum(ad.replayed.values()) > before
 
     def test_ad_vs_naive_residual_column(self):
         cfg = BenchConfig("qf", "naive", "grad", d=3, n=3, rx=2, rz=2, ra=2, trials=2)

@@ -124,7 +124,7 @@ class TestRectangularOperators:
 
 def library_nodes():
     """(file name, node) of every syntax-tree node in ttriem."""
-    for path in sorted(Path(ttriem.__file__).parent.glob("*.py")):
+    for path in sorted(Path(ttriem.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             yield path.name, node
 
@@ -138,11 +138,11 @@ def library_method_calls(attr):
 
 class TestOneOperandPath:
     def test_only_operand_helpers_lift_in_ad(self):
-        # Each ad op lifts its operands through _operand, _operands or
-        # _operand_list and then validates and computes once, on and off a
-        # tape alike.  An isinstance(..., Var) test or a float64 coercion
-        # anywhere else in ad.py would start a second, array-only path.
-        allowed = {"_operand", "_operands", "_operand_list", "Tape", "record", "grad"}
+        # Each ad op lifts its operands through _operands and then
+        # validates and computes once, on and off a tape alike.  An
+        # isinstance(..., Var) test or a float64 coercion anywhere else in
+        # ad.py would start a second, array-only path.
+        allowed = {"_operands", "Tape", "record", "grad"}
         nodes = [node for name, node in library_nodes() if name == "ad.py"]
         exempt = {id(inner) for node in nodes
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in allowed
@@ -201,14 +201,26 @@ class TestPairwiseContractions:
 
 
 class TestCompletionTapeMemory:
-    def test_no_per_sample_slices_on_hvp_tape(self, rng, monkeypatch):
-        # Completion entries keep O(N r) numbers per tape value: interior
-        # cores go through ad.mode_matmul, and only the two boundary cores
-        # (rank 1 on one side) are gathered per sample.  An (N, r_l, r_r)
-        # slice stack of an interior core would bring back O(N r^2) tapes.
-        modes, r = (4, 5, 4, 3, 4), 2
+    # Case: (modes, N, (a, b)), the split of the entries' prefix and suffix
+    # tables (coreops._table_split), asserted so each case covers what its
+    # name says.
+    CASES = {
+        "tables_meet": ((4, 5, 4, 3, 4), 150, (2, 2)),
+        "swept_modes": ((30, 30, 30, 30), 100, (1, 3)),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_no_per_sample_slices_on_hvp_tape(self, case, rng, monkeypatch):
+        # Completion entries keep O(N r) numbers per tape value: each table
+        # is gathered once per sample as an (N, 1, r) or (N, r, 1) stack,
+        # and swept modes go through ad.mode_matmul on (N, r) rows.  An
+        # (N, r_l, r_r) slice stack of an interior core would bring back
+        # O(N r^2) tapes.
+        modes, count, split = case
+        r = 2
+        assert coreops._table_split(list(modes), count) == split
         idx = np.array(np.unravel_index(
-            rng.choice(int(np.prod(modes)), 150, replace=False), modes)).T
+            rng.choice(int(np.prod(modes)), count, replace=False), modes)).T
         truth = random_tt(rng, modes, r)
         obj = completion_loss(IndexSet(idx, tt_entries(truth, idx)))
         base = orthogonalize(random_tt(rng, modes, r))
@@ -230,6 +242,8 @@ class TestCompletionTapeMemory:
         gathers = [n for n in nodes if n.op == "gather_mode"]
         assert all(1 in n.value.shape[1:] for n in gathers)
         assert sum(1 for n in forward if n.op == "gather_mode") == 2
+        a, b = split
+        assert sum(1 for n in forward if n.op == "mode_matmul") == b - a
 
 
 class TestCompletionRowSweeps:

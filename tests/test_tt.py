@@ -6,7 +6,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from ttriem.coreops import operator_dot_cores, operator_pair_dot_cores
+from ttriem.coreops import dot_cores, operator_dot_cores, operator_pair_dot_cores
 from ttriem.errors import DimensionError, FormatError, OversizeError
 from ttriem.tt import (
     TtMatrix,
@@ -33,6 +33,7 @@ from ttriem.tt import (
     ttmat_transpose,
     ttmat_write,
 )
+from ttriem.ttmanifold import riemannian_grad_tt
 
 from conftest import dense_entry_oracle
 
@@ -123,6 +124,31 @@ class TestOrthogonalize:
         assert orthogonalize(x).matches(orthogonalize(x))  # equal factors, two objects
         assert not orthogonalize(x).matches(orthogonalize(tt_scale(2.0, x)))
         assert not orthogonalize(x).matches(orthogonalize(random_tt(rng, (2, 3, 3), (2, 2))))
+
+    def test_infeasible_ranks_are_named(self, rng):
+        # A sum can carry ranks the mode sizes cannot attain.  Every routine
+        # that takes a TtTensor point orthogonalizes it, and the error names
+        # the ranks and the remedy, not the QR of an unfolding.
+        x = random_tt(rng, (3, 4, 3), 2)
+        y = tt_axpy(1.0, x, tt_axpy(1.0, x, x))
+        assert y.ranks == (1, 6, 6, 1)
+        want = (r"TT ranks \(1, 6, 6, 1\) exceed what mode sizes \(3, 4, 3\) allow: "
+                r"internal ranks can be at most \(3, 3\); truncate with tt_round")
+        with pytest.raises(DimensionError, match=want):
+            orthogonalize(y)
+        with pytest.raises(DimensionError, match=want):
+            riemannian_grad_tt(lambda cores: dot_cores(cores, cores), y)
+
+    def test_padded_ranks_orthogonalize(self, rng):
+        # Attainable ranks whose unfoldings have zero singular values are
+        # no error.
+        x = random_tt(rng, (3, 4, 3), 1)
+        padded = pad_ranks(x, 3)
+        assert padded.ranks == (1, 3, 3, 1)
+        mo = orthogonalize(padded)
+        for mu in range(3):
+            np.testing.assert_allclose(tt_to_dense(TtTensor(mo.mu_cores(mu))), tt_to_dense(x),
+                                       atol=1e-12)
 
     @pytest.mark.parametrize("func", [
         tt_to_dense,
