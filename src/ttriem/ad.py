@@ -72,8 +72,10 @@ the eager calls.
 import math
 import threading
 import weakref
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from functools import lru_cache
+from itertools import product
 from operator import getitem, index, itemgetter
 
 import numpy as np
@@ -220,8 +222,11 @@ class Tape:
         return len(self.nodes)
 
     def input(self, value) -> Var:
-        """Register a differentiable input (a leaf of the graph)."""
+        """Register a differentiable input (a leaf of the graph).  Its value
+        has no block mask: a masked array is copied."""
         arr = np.asarray(value, dtype=np.float64)
+        if id(arr) in _masks:
+            arr = arr.copy()
         return Var(self, arr, "input", static=())
 
     def clear(self):
@@ -282,6 +287,7 @@ def grad(tape, output, wrt, as_vars=False):
 
     recording = tape.recording
     tape.recording = recording and bool(as_vars)
+    _state.sweeping += 1
     try:
         wanted = {w.index for w in wrt}
         results = {}
@@ -301,6 +307,7 @@ def grad(tape, output, wrt, as_vars=False):
                 for w in wrt]
     finally:
         tape.recording = recording
+        _state.sweeping -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +346,149 @@ def _operands(*parts):
     return tape, operands, vals
 
 
-def _node(tape, op, kernel, vals, parents, rules, args=(), static=()):
+def _node(tape, op, kernel, vals, parents, rules, args=(), static=(), mask=None):
     # The result of an ``op``, kernel(*vals, *args): its value off a tape, a
     # node with the hashable part ``static`` of its arguments on one.  A
-    # recording sweep logs the kernel call.
+    # recording sweep logs the kernel call.  ``mask`` is the value's block
+    # mask, worked out from the operands' masks alone.
     val = kernel(*vals, *args)
+    if mask is not None:
+        _set_mask(val, mask)
     recorder = _state.recorder
     if recorder is not None:
         recorder.step(op, kernel, vals, args, val)
     return val if tape is None else Var(tape, val, op, parents, rules, static)
+
+
+# ---------------------------------------------------------------------------
+# block masks (see the module docstring)
+#
+# A mask is (cuts, zero): per axis its cut points (0, ..., extent), and the
+# sorted cells of that grid, one block index per axis, that are structurally
+# zero.  It is canonical (_canonical), so one zero pattern has one mask, and
+# a value without a zero block, or of no axis, has none (None).  _masks holds
+# the mask of each live masked array by identity, and _mask_refs a weak
+# reference to it that drops both entries when the array dies, so no array
+# is kept alive to hold its mask.
+
+_masks = {}
+_mask_refs = {}
+
+
+def _mask_of(v):
+    return _masks.get(id(v))
+
+
+def _set_mask(val, mask):
+    key = id(val)
+    _masks[key] = mask
+    _mask_refs[key] = weakref.ref(val, lambda _: (_masks.pop(key, None), _mask_refs.pop(key, None)))
+
+
+def _cells(cuts):
+    return product(*[range(len(points) - 1) for points in cuts])
+
+
+def _canonical(cuts, zero):
+    # The mask of the grid ``cuts`` whose cells ``zero`` are zero, keeping a
+    # cut only where it parts a zero cell from a non-zero one.
+    if not zero or not cuts:
+        return None
+    cuts, zero = [list(points) for points in cuts], set(zero)
+    for ax, points in enumerate(cuts):
+        for t in range(len(points) - 2, 0, -1):
+            if all((c in zero) == (c[:ax] + (t,) + c[ax + 1:] in zero)
+                   for c in _cells(cuts) if c[ax] == t - 1):
+                del points[t]
+                zero = {c[:ax] + (c[ax] - 1,) + c[ax + 1:] if c[ax] >= t else c for c in zero}
+    return tuple(map(tuple, cuts)), tuple(sorted(zero))
+
+
+def _zero_cells(mask, cuts, offsets=None):
+    # The cells of the grid ``cuts`` that ``mask`` calls zero; ``cuts``,
+    # shifted by ``offsets``, refine the mask's own.
+    own, zero = mask[0], set(mask[1])
+    owners = [[bisect_right(o, c + off) - 1 for c in points[:-1]]
+              for o, points, off in zip(own, cuts, offsets or (0,) * len(cuts))]
+    return {cell for cell in _cells(cuts) if tuple(o[i] for o, i in zip(owners, cell)) in zero}
+
+
+@lru_cache(maxsize=1024)
+def _block_core_mask(shape, ats, zero_parts):
+    # Zero where no part but those listed in ``zero_parts`` lies.
+    cuts = [sorted({0, n}.union(*[at[ax] for at in ats])) for ax, n in enumerate(shape)]
+    zero = set(_cells(cuts))
+    for i, at in enumerate(ats):
+        if i not in zero_parts:
+            zero -= {c for c in zero if all(lo <= p[c_ax] and p[c_ax + 1] <= hi
+                                            for (lo, hi), p, c_ax in zip(at, cuts, c))}
+    return _canonical(cuts, zero)
+
+
+@lru_cache(maxsize=1024)
+def _take_mask(mask, at):
+    if any(lo == hi for lo, hi in at):
+        return None
+    cuts = [(0,) + tuple(c - lo for c in own if lo < c < hi) + (hi - lo,)
+            for own, (lo, hi) in zip(mask[0], at)]
+    return _canonical(cuts, _zero_cells(mask, cuts, [lo for lo, _ in at]))
+
+
+@lru_cache(maxsize=1024)
+def _transpose_mask(mask, perm):
+    return (tuple(mask[0][p] for p in perm),
+            tuple(sorted(tuple(c[p] for p in perm) for c in mask[1])))
+
+
+@lru_cache(maxsize=1024)
+def _reshape_mask(mask, old, new):
+    # The mask of a reshape from ``old`` to ``new`` while every block stays a
+    # box: the axes of extent above 1 fall into groups whose extents multiply
+    # alike, and a group may be cut on its first old axis only, at points
+    # that fall on whole rows of its first new axis.
+    if math.prod(old) != math.prod(new) or 0 in old:
+        return None
+    cuts, zero = mask
+    olds = [i for i, n in enumerate(old) if n != 1]
+    news = [j for j, n in enumerate(new) if n != 1]
+    new_cuts = [(0, n) for n in new]
+    source = {}  # new axis -> the old axis whose block index it carries
+    i = j = 0
+    while i < len(olds):
+        group, head, po, pn = [olds[i]], news[j], old[olds[i]], new[news[j]]
+        i, j = i + 1, j + 1
+        while po != pn:
+            if po < pn:
+                group.append(olds[i])
+                po, i = po * old[olds[i]], i + 1
+            else:
+                pn, j = pn * new[news[j]], j + 1
+        if any(len(cuts[ax]) > 2 for ax in group[1:]):
+            return None
+        inner_old, inner_new = po // old[group[0]], pn // new[head]
+        flat = [c * inner_old for c in cuts[group[0]]]
+        if any(f % inner_new for f in flat):
+            return None
+        new_cuts[head] = tuple(f // inner_new for f in flat)
+        source[head] = group[0]
+    return _canonical(new_cuts, {tuple(c[source[j]] if j in source else 0 for j in range(len(new)))
+                                 for c in zero})
+
+
+@lru_cache(maxsize=1024)
+def _common_mask(masks):
+    # Zero where every one of same-shaped terms is.
+    cuts = [sorted(set().union(*axis)) for axis in zip(*[m[0] for m in masks])]
+    return _canonical(cuts, set.intersection(*[_zero_cells(m, cuts) for m in masks]))
+
+
+def _sum_mask(vals):
+    # The mask of a sum or difference of ``vals``: None unless every term
+    # has a mask and all have one shape.
+    masks = tuple([_masks.get(id(v)) for v in vals])
+    if None in masks or any(v.shape != vals[0].shape for v in vals):
+        return None
+    return masks[0] if len(set(masks)) == 1 else _common_mask(masks)
 
 
 def _unbroadcast(g, shape):
@@ -366,7 +507,8 @@ def add_n(parts):
     for v in vals[1:]:
         if v.shape != vals[0].shape:
             raise DimensionError(f"add_n term shapes differ: {vals[0].shape} vs {v.shape}")
-    return _node(tape, "add_n", _add_n_value, vals, tuple(parts), (lambda u: u,) * len(parts))
+    return _node(tape, "add_n", _add_n_value, vals, tuple(parts), (lambda u: u,) * len(parts),
+                 mask=_sum_mask(vals))
 
 
 def _add_n_value(*vals):
@@ -378,9 +520,10 @@ def _add_n_value(*vals):
     return val
 
 
-def _binary(name, fwd, rule_a, rule_b):
+def _binary(name, fwd, rule_a, rule_b, linear=False):
     # rule_x(u, a, b, out) is the adjoint for one operand before the
-    # scalar-broadcast fold.
+    # scalar-broadcast fold.  A linear op (a sum or difference) keeps the
+    # blocks its operands share as zero.
     def op(a, b):
         tape, (a, b), vals = _operands(a, b)
         sa, sb = vals[0].shape, vals[1].shape
@@ -389,25 +532,27 @@ def _binary(name, fwd, rule_a, rule_b):
         out = _node(tape, name, fwd, vals, (a, b), (
             lambda u: _unbroadcast(rule_a(u, a, b, out), a.shape),
             lambda u: _unbroadcast(rule_b(u, a, b, out), b.shape),
-        ))
+        ), mask=_sum_mask(vals) if linear else None)
         return out
 
     op.__name__ = name
     return op
 
 
-add = _binary("add", np.add, lambda u, a, b, out: u, lambda u, a, b, out: u)
-sub = _binary("sub", np.subtract, lambda u, a, b, out: u, lambda u, a, b, out: neg(u))
+add = _binary("add", np.add, lambda u, a, b, out: u, lambda u, a, b, out: u, linear=True)
+sub = _binary("sub", np.subtract, lambda u, a, b, out: u, lambda u, a, b, out: neg(u), linear=True)
 mul = _binary("mul", np.multiply, lambda u, a, b, out: mul(u, b), lambda u, a, b, out: mul(u, a))
 div = _binary("div", np.divide, lambda u, a, b, out: div(u, b),
               lambda u, a, b, out: neg(mul(div(u, b), out)))
 
 
-def _unary(name, fwd, rule):
-    # rule(u, a, out) is the adjoint for the operand.
+def _unary(name, fwd, rule, linear=False):
+    # rule(u, a, out) is the adjoint for the operand; a linear op keeps the
+    # operand's mask.
     def op(a):
         tape, (a,), vals = _operands(a)
-        out = _node(tape, name, fwd, vals, (a,), (lambda u: rule(u, a, out),))
+        out = _node(tape, name, fwd, vals, (a,), (lambda u: rule(u, a, out),),
+                    mask=_mask_of(vals[0]) if linear else None)
         return out
 
     op.__name__ = name
@@ -419,7 +564,7 @@ def _sigmoid_np(t):
     return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-neg = _unary("neg", np.negative, lambda u, a, out: neg(u))
+neg = _unary("neg", np.negative, lambda u, a, out: neg(u), linear=True)
 exp = _unary("exp", np.exp, lambda u, a, out: mul(u, out))
 log = _unary("log", np.log, lambda u, a, out: div(u, a))
 sin = _unary("sin", np.sin, lambda u, a, out: mul(u, cos(a)))
@@ -441,16 +586,20 @@ def reshape(a, shape):
         shape = tuple(int(s) for s in shape)
     tape, (a,), vals = _operands(a)
     old = vals[0].shape
+    mask = _mask_of(vals[0])
     return _node(tape, "reshape", np.reshape, vals, (a,), (lambda u: reshape(u, old),),
-                 (shape,), shape)
+                 (shape,), shape, mask and _reshape_mask(mask, old, shape))
 
 
 def transpose(a, perm):
     tape, (a,), vals = _operands(a)
     perm = tuple(perm)
+    mask = _mask_of(vals[0])
+    if mask is not None and len(perm) == len(mask[0]):
+        mask = _transpose_mask(mask, tuple(p % len(perm) for p in perm))
     return _node(tape, "transpose", np.transpose, vals, (a,),
                  (lambda u: transpose(u, np.argsort([p % len(perm) for p in perm])),),
-                 (perm,), perm)
+                 (perm,), perm, mask)
 
 
 def concat(parts, axis):
@@ -512,8 +661,10 @@ def take_block(a, at):
     at = tuple(map(tuple, at))
     shape, (at,), (slices,) = _block_layout(vals[0].shape, (at,),
                                             (tuple(hi - lo for lo, hi in at),))
+    mask = _mask_of(vals[0])
     return _node(tape, "take_block", getitem, vals, (a,),
-                 (lambda u: block_core(shape, [(u, at)]),), (slices,), at)
+                 (lambda u: block_core(shape, [(u, at)]),), (slices,), at,
+                 mask and _take_mask(mask, at))
 
 
 def block_core(shape, parts):
@@ -528,9 +679,12 @@ def block_core(shape, parts):
     tape, operands, vals = _operands(*[part for part, _ in parts])
     shape, ats, slices = _block_layout(tuple(shape), tuple(tuple(map(tuple, at)) for _, at in parts),
                                        tuple(v.shape for v in vals))
+    # A sweep's parts are zero by structure only, never by value: the
+    # masks of its kernels must not depend on the values it computes.
+    zero = () if _state.sweeping else tuple(i for i, v in enumerate(vals) if not np.count_nonzero(v))
     return _node(tape, "block_core", _block_core_value, vals, tuple(operands),
                  tuple(lambda u, at=at: take_block(u, at) for at in ats), (shape, slices),
-                 (shape, ats))
+                 (shape, ats, zero), _block_core_mask(shape, ats, zero))
 
 
 def _block_core_value(*args):
@@ -581,8 +735,8 @@ def _gemm_layouts(a_big, sl, cl, cs, l_ids, s_ids, ext, perm):
     # wants them.  The result comes out as P+N+Q, or as N+P when Q is empty
     # (n_first), never as P+Q+N: BLAS would read a (K, Q) big transposed,
     # which took twice as long for a (512, 2560) one (OpenBLAS, one
-    # thread).  Yields ((run, result in perm's order up to axes of extent
-    # 1), layout) for each order.
+    # thread).  Yields (run, result in perm's order up to axes of extent 1,
+    # result axes in the order they come out, layout) for each order.
     wide = sorted(i for i in cl if sl[i] != 1)
     run = not wide or all(sl[i] == 1 for i in l_ids if wide[0] < i < wide[-1])
     lo = wide[0] if wide and run else len(sl)
@@ -597,7 +751,7 @@ def _gemm_layouts(a_big, sl, cl, cs, l_ids, s_ids, ext, perm):
     for n_first in (False, True)[:1 + (qn == 1)]:
         got = n_ids + p_ids + q_ids if n_first else p_ids + n_ids + q_ids
         out = tuple(got.index(j) for j in perm)
-        yield (run, [j for j in got if ext[j] != 1] == [j for j in perm if ext[j] != 1]), (
+        yield run, [j for j in got if ext[j] != 1] == [j for j in perm if ext[j] != 1], tuple(got), (
             a_big,
             _unless_identity(p + k + q),
             (pn, kn, qn),
@@ -615,15 +769,32 @@ def _unless_identity(order):
     return None if order == tuple(range(len(order))) else order
 
 
-@lru_cache(maxsize=1024)
-def _contract_plan(sa, sb, axes, perm):
-    # The plan of contract(a, b, axes, perm) for a of shape sa and b of shape
-    # sb, built once per key, which holds plain ints only.  Validation
+# A contraction is split into its non-zero block products only when the
+# multiply-adds that skips reach SPLIT_MIN_MACS plus SPLIT_WRITE_MACS for
+# each entry the split writes beyond the whole GEMM's: each product's result
+# copied into its block, and a zero fill.  Fitted (one BLAS thread) to the
+# split and whole times of the 750 maskable contractions of qf, gram and
+# rayleigh HVPs at d=8, n=8, r=5, 10 and 20, completion at r=5 and expmach
+# at r=5: a GEMM with more than a few dozen terms per entry runs at about
+# 0.05-0.1 ns per multiply-add, while a product costs about 10 us of calls
+# and copies and a copied or zero-filled entry 1-2.5 ns.  The rule runs
+# those contractions in 41.0 ms at r=20 (whole: 54.3, the faster of the two
+# each time: 39.6) and keeps r=5 whole, where splits cost more than they
+# save.
+SPLIT_MIN_MACS = 200_000
+SPLIT_WRITE_MACS = 15
+
+
+@lru_cache(maxsize=4096)
+def _contract_plan(sa, sb, axes, perm, ma, mb):
+    # The plan of contract(a, b, axes, perm) for a of shape sa and mask ma
+    # and b of shape sb and mask mb, built once per key, which holds plain
+    # ints only, with the adjoints' axes and the result's mask.  Validation
     # happens here, so a key gets a plan only if its shapes, axes and perm
     # are valid.
     # range(n)[p] maps p in [-n, n) to [0, n) and raises IndexError for any other p.
-    ca = [range(len(sa))[p] for p, _ in axes]
-    cb = [range(len(sb))[q] for _, q in axes]
+    ca = tuple(range(len(sa))[p] for p, _ in axes)
+    cb = tuple(range(len(sb))[q] for _, q in axes)
     if len(set(ca)) < len(ca) or len(set(cb)) < len(cb):
         raise DimensionError(f"contracted axes repeat an axis: {axes}")
     for p, q in zip(ca, cb):
@@ -654,9 +825,100 @@ def _contract_plan(sa, sb, axes, perm):
     to_b = [cb[ca.index(p)] for p in sorted(ca)] + [fb[perm[i] - len(fa)] for i in ub]
     grad_a = (tuple((inv[len(fa) + j], q) for j, q in enumerate(fb)), _argsort(to_a))
     grad_b = (tuple((p, inv[j]) for j, p in enumerate(fa)), _argsort(to_b))
-    # The larger operand is the big one; between two of one size, either.
-    # The first layout that copies no big operand and gives the result in
-    # perm's order wins, or else the first that copies none.
+    ext = [sa[i] for i in fa] + [sb[i] for i in fb]
+    dense = math.prod(ext) * math.prod(sa[p] for p in ca)
+    gemm, got = _gemm_plan(sa, sb, ca, cb, perm)
+    whole = (None, ((gemm,),), dense, dense)
+    if ma is None and mb is None:
+        return whole, grad_a, grad_b, None
+    # The block grid: each free axis cut as its operand's mask cuts it, each
+    # contracted pair at the cuts of both.  A cell of the product space
+    # (free axes of a, contracted pairs, free axes of b) is a block product,
+    # kept when both of its operand blocks are non-zero.
+    grid_a = list(ma[0] if ma else [(0, n) for n in sa])
+    grid_b = list(mb[0] if mb else [(0, n) for n in sb])
+    for p, q in zip(ca, cb):
+        grid_a[p] = grid_b[q] = tuple(sorted(set(grid_a[p]) | set(grid_b[q])))
+    zero_a = _zero_cells(ma, grid_a) if ma else set()
+    zero_b = _zero_cells(mb, grid_b) if mb else set()
+    grid = [grid_a[i] for i in fa] + [grid_a[p] for p in ca] + [grid_b[i] for i in fb]
+    ia, ib = fa + list(ca), list(cb) + fb  # operand axes in product-space order
+    na = len(fa) + len(ca)
+    kept = [c for c in _cells(grid)
+            if _unpermute(c[:na], ia) not in zero_a and _unpermute(c[len(fa):], ib) not in zero_b]
+    live = {c[:len(fa)] + c[na:] for c in kept}
+    out_grid = [grid[j] for j in range(len(fa))] + grid[na:]
+    mask = _canonical([out_grid[j] for j in perm],
+                      {tuple(c[j] for j in perm) for c in _cells(out_grid) if c not in live})
+    if dense - sum(math.prod(g[i + 1] - g[i] for g, i in zip(grid, c)) for c in kept) < \
+            SPLIT_MIN_MACS:
+        return whole, grad_a, grad_b, mask
+    # Products that differ along one axis only, and meet there, merge into
+    # one, the contracted axes first, so fewer products add into one block.
+    boxes = [tuple((i, i + 1) for i in c) for c in kept]
+    for ax in list(range(len(fa), na)) + list(range(len(fa))) + list(range(na, len(grid))):
+        boxes = _merge_along(boxes, ax)
+    # The result is laid out as the whole GEMM's would be, and each product
+    # comes out in that order too where it can, so writing it in moves no
+    # axis.  It is zero-filled unless the products write every entry once.
+    products, written, macs = [], [], 0
+    for box in sorted(boxes):
+        span = [(g[lo], g[hi]) for g, (lo, hi) in zip(grid, box)]
+        macs += math.prod(hi - lo for lo, hi in span)
+        at_a, at_b = _unpermute(span[:na], ia), _unpermute(span[len(fa):], ib)
+        at = tuple((span[:len(fa)] + span[na:])[j] for j in perm)
+        add = any(all(lo < hi2 and lo2 < hi for (lo, hi), (lo2, hi2) in zip(at, other))
+                  for other in written)
+        written.append(at)
+        products.append((_gemm_plan(tuple(hi - lo for lo, hi in at_a),
+                                    tuple(hi - lo for lo, hi in at_b), ca, cb, perm, got)[0],
+                         _slices(at_a), _slices(at_b), _slices(at), add))
+    writes = sum(math.prod(hi - lo for lo, hi in at) for at in written)
+    fill = any(p[-1] for p in products) or writes < math.prod(ext)
+    if dense - macs < SPLIT_MIN_MACS + SPLIT_WRITE_MACS * (writes + fill * math.prod(ext)):
+        return whole, grad_a, grad_b, mask
+    buffer = (tuple(ext[j] for j in got), _unless_identity(got.index(j) for j in perm), fill)
+    return (buffer, tuple(products), macs, dense), grad_a, grad_b, mask
+
+
+def _unpermute(items, axes):
+    # ``items`` given for ``axes``, in axis order.
+    out = [None] * len(axes)
+    for i, ax in enumerate(axes):
+        out[ax] = items[i]
+    return tuple(out)
+
+
+def _slices(span):
+    return tuple(slice(lo, hi) for lo, hi in span)
+
+
+def _merge_along(boxes, ax):
+    # ``boxes`` (ranges of grid cells per axis) with every run of them that
+    # agrees off axis ``ax`` and meets along it joined into one.
+    runs = defaultdict(list)
+    for box in sorted(boxes, key=lambda b: (b[:ax] + b[ax + 1:], b[ax])):
+        rest = box[:ax] + box[ax + 1:]
+        spans = runs[rest]
+        if spans and spans[-1][1] == box[ax][0]:
+            spans[-1] = (spans[-1][0], box[ax][1])
+        else:
+            spans.append(box[ax])
+    return [rest[:ax] + (span,) + rest[ax:] for rest, spans in runs.items() for span in spans]
+
+
+@lru_cache(maxsize=4096)
+def _gemm_plan(sa, sb, ca, cb, perm, want=None):
+    # The layout of one GEMM computing the contraction of a (shape sa) and b
+    # (shape sb) over the axis pairs (ca, cb), its result in the order perm,
+    # and the order its result axes come out in.  The larger operand is the
+    # big one; between two of one size, either.  The first layout whose
+    # result axes come out in the order ``want`` wins, when one is wanted;
+    # then the first that copies no big operand and gives the result in
+    # perm's order, or else the first that copies none.
+    fa = [i for i in range(len(sa)) if i not in ca]
+    fb = [i for i in range(len(sb)) if i not in cb]
+    ca, cb = list(ca), list(cb)
     a_ids = {i: j for j, i in enumerate(fa)}
     b_ids = {i: len(fa) + j for j, i in enumerate(fb)}
     ext = [sa[i] for i in fa] + [sb[i] for i in fb]
@@ -666,8 +928,8 @@ def _contract_plan(sa, sb, axes, perm):
         layouts += _gemm_layouts(True, sa, ca, cb, a_ids, b_ids, ext, perm)
     if size_b >= size_a:
         layouts += _gemm_layouts(False, sb, cb, ca, b_ids, a_ids, ext, perm)
-    a_big, big_axes, (pn, kn, qn), small_axes, small_2d, n_first, shape, out = max(
-        layouts, key=lambda scored: scored[0])[1]
+    *_, got, (a_big, big_axes, (pn, kn, qn), small_axes, small_2d, n_first, shape, out) = max(
+        layouts, key=lambda scored: (scored[2] == want, *scored[:2]))
     # The GEMM, on big as big_2d: 0 is big @ small, 1 small^T @ big^T and
     # 2 small^T @ big, all 2-D, and 3 the matmul of small^T batched over P.
     if qn == 1:
@@ -676,7 +938,7 @@ def _contract_plan(sa, sb, axes, perm):
         big_2d, gemm = (kn, qn), 2
     else:
         big_2d, gemm = (pn, kn, qn), 3
-    return (a_big, big_axes, big_2d, small_axes, small_2d, gemm, shape, out), grad_a, grad_b
+    return (a_big, big_axes, big_2d, small_axes, small_2d, gemm, shape, out), got
 
 
 def contract(a, b, axes, perm=None):
@@ -686,38 +948,64 @@ def contract(a, b, axes, perm=None):
     ``b``, then reordered by ``perm`` as ``np.transpose`` would.  An empty
     ``axes`` list is the outer product.  The value is that of
     ``np.transpose(np.tensordot(a, b, axes), perm)`` up to the order of its
-    sums, from one BLAS call planned once per shapes, axes and ``perm``.
+    sums, from BLAS calls planned once per shapes, axes, ``perm`` and the
+    operands' block masks.
 
-    The larger operand (of two of one size, the one that suits the call
-    better) is taken as (P, K, Q): its free axes before the contracted
-    ones, the contracted ones, its free axes after, where axes of extent 1
-    may sit anywhere.  When it is C-contiguous and its contracted axes form
-    that one run, it reaches BLAS as a view: one 2-D ``np.dot`` when P or Q
-    is empty, otherwise one ``np.matmul`` batched over P.  When they do
-    not, it is first copied into that form.  Only the smaller operand is
-    rearranged, by ``np.ascontiguousarray`` into (K, N) order, N its free
-    axes in the order ``perm`` gives them.  The result is C-contiguous
-    whenever ``perm`` orders it as P+N+Q (or N+P when Q is empty), and a
-    transposed view otherwise.  Each adjoint is again one permuted
-    contraction, in its operand's axis order, so a sweep through it records
-    no ``transpose``.
+    An operand with a mask splits the contraction into block products; only
+    those whose two blocks are non-zero run, into a zero-filled result, and
+    only when they skip at least ``SPLIT_MIN_MACS`` multiply-adds.  Each
+    product, and an unsplit contraction, is one GEMM.  Its larger operand
+    (of two of one size, the one that suits the call better) is taken as
+    (P, K, Q): its free axes before the contracted ones, the contracted
+    ones, its free axes after, where axes of extent 1 may sit anywhere.
+    When it is C-contiguous and its contracted axes form that one run, it
+    reaches BLAS as a view: one 2-D ``np.dot`` when P or Q is empty,
+    otherwise one ``np.matmul`` batched over P.  When they do not, it is
+    first copied into that form.  Only the smaller operand is rearranged,
+    by ``np.ascontiguousarray`` into (K, N) order, N its free axes in the
+    order ``perm`` gives them.  An unsplit result is C-contiguous whenever
+    ``perm`` orders it as P+N+Q (or N+P when Q is empty), and a transposed
+    view otherwise; a split one is C-contiguous.  Each adjoint is again one
+    permuted contraction, in its operand's axis order, so a sweep through
+    it records no ``transpose``.
     """
     tape, (a, b), vals = _operands(a, b)
     axes = tuple([(index(p), index(q)) for p, q in axes])
     if perm is not None:
         perm = tuple(map(index, perm))
-    plan, grad_a, grad_b = _contract_plan(vals[0].shape, vals[1].shape, axes, perm)
+    plan, grad_a, grad_b, mask = _contract_plan(vals[0].shape, vals[1].shape, axes, perm,
+                                                _mask_of(vals[0]), _mask_of(vals[1]))
     # The rules call the module's contract by name, so a wrapper installed
     # in its place sees the adjoint contractions too.
     return _node(tape, "contract", _contract_value, vals, (a, b), (
         lambda u: contract(u, b, *grad_a),
         lambda u: contract(a, u, *grad_b),
-    ), (plan,), (axes, perm))
+    ), (plan,), (axes, perm), mask)
 
 
 def _contract_value(av, bv, plan):
-    # The value of a contraction by its plan; a reshape that would not
-    # change a shape is skipped, as it costs as much as a small copy.
+    # The value of a contraction by its plan: the one product that makes the
+    # whole result, or the block products, each written or added into its
+    # block of a result laid out as ``buffer`` says.
+    buffer, products = plan[:2]
+    if buffer is None:
+        return _gemm(av, bv, products[0][0])
+    shape, order, fill = buffer
+    out = np.zeros(shape) if fill else np.empty(shape)
+    if order is not None:
+        out = out.transpose(order)
+    for gemm, at_a, at_b, at, add in products:
+        val = _gemm(av[at_a], bv[at_b], gemm)
+        if add:
+            out[at] += val
+        else:
+            out[at] = val
+    return out
+
+
+def _gemm(av, bv, plan):
+    # One GEMM by its plan; a reshape that would not change a shape is
+    # skipped, as it costs as much as a small copy.
     a_big, big_axes, big_2d, small_axes, small_2d, gemm, shape, perm = plan
     big, small = (av, bv) if a_big else (bv, av)
     if big_axes is not None:
@@ -902,8 +1190,17 @@ def take_rows(rows, perm, inverse):
     if len(perm) != count or len(inverse) != count or \
             not np.array_equal(inverse[perm], np.arange(count)):
         raise DimensionError(f"take_rows needs a permutation of {count} rows and its inverse")
+    return _take_rows(tape, rows, rv, perm, inverse)
+
+
+def _take_rows(tape, rows, rv, perm, inverse):
+    # take_rows by vectors it has validated; its adjoint reuses them.
+    def rule(u):
+        tape, (u,), (uv,) = _operands(u)
+        return _take_rows(tape, u, uv, inverse, perm)
+
     return _node(tape, "take_rows", np.take, (rv, perm), (rows, perm, inverse),
-                 (lambda u: take_rows(u, inverse, perm), None, None), (0,))
+                 (rule, None, None), (0,))
 
 
 def _check_bounds(bounds, count, n, what):
@@ -993,6 +1290,7 @@ replayed = Counter()
 
 class _State(threading.local):
     recorder = None
+    sweeping = 0  # the number of reverse sweeps running
 
 
 _state = _State()
@@ -1010,14 +1308,23 @@ class Schedule:
     counts the steps per op name, added to :data:`replayed` by each run.
     """
 
-    __slots__ = ("steps", "sources", "slots", "results", "kernels", "__weakref__")
+    __slots__ = ("steps", "sources", "slots", "results", "kernels", "_stats", "__weakref__")
 
-    def __init__(self, steps, sources, slots, results, kernels):
+    def __init__(self, steps, sources, slots, results, stats):
         self.steps = steps
         self.sources = sources
         self.slots = slots
         self.results = results
-        self.kernels = kernels
+        self._stats = stats
+        self.kernels = Counter({op: op_stats["steps"] for op, op_stats in stats.items()})
+
+    def stats(self):
+        """Per op name, counted when the schedule was recorded: ``steps``,
+        the kernel calls a replay runs, and ``bytes``, the bytes of their
+        outputs; for ``contract`` also ``macs``, the multiply-adds its block
+        products run, and ``dense_macs``, those of the same contractions
+        run whole."""
+        return {op: dict(op_stats) for op, op_stats in self._stats.items()}
 
     def run(self, nodes, extra=()):
         """The results of the recorded sweeps for the tape ``nodes`` and ``extra``."""
@@ -1078,7 +1385,7 @@ class _Recorder:
             self.alive[key] = weakref.ref(val, lambda _, key=key: self.names.pop(key, None))
         except TypeError:  # a numpy scalar: held, it is small
             self.alive[key] = val
-        self.steps.append((op, kernel, ins, static, out))
+        self.steps.append((op, kernel, ins, static, out, val.nbytes))
 
     def schedule(self, results):
         """The :class:`Schedule` of the steps, returning ``results``, each
@@ -1086,9 +1393,14 @@ class _Recorder:
         results = [self._name(r) for r in results]
         self.alive.clear()
         last = {}
-        for n, (_, _, ins, _, out) in enumerate(self.steps):
+        stats = {}
+        for n, (op, _, ins, static, out, nbytes) in enumerate(self.steps):
             for s in ins + (out,):
                 last[s] = n
+            op_stats = stats.setdefault(op, Counter())
+            op_stats.update(steps=1, bytes=nbytes)
+            if op == "contract":
+                op_stats.update(macs=static[0][2], dense_macs=static[0][3])
         used = set(last).union(results)
         dead = [[] for _ in self.steps]
         for s, n in last.items():
@@ -1098,9 +1410,9 @@ class _Recorder:
         for s, a in self.literals.items():
             slots[s] = a
         steps = [(kernel, _getter(ins), static, out, tuple(gone))
-                 for (_, kernel, ins, static, out), gone in zip(self.steps, dead)]
+                 for (_, kernel, ins, static, out, _), gone in zip(self.steps, dead)]
         return Schedule(steps, [src for src in self.sources if src[0] in used], slots, results,
-                        Counter(step[0] for step in self.steps))
+                        stats)
 
 
 def _getter(ins):
@@ -1112,7 +1424,8 @@ def _signature(nodes):
     # The structure of a forward tape, or None when its sweeps cannot be
     # replayed: per node, its op, static part, shape and parents.  A Var
     # parent is its index; a constant is the first place the same object
-    # occurs (as a constant or as a node's value), its shape and strides.
+    # occurs (as a constant or as a node's value), its shape, strides and
+    # block mask.
     first = {}
     sig = []
     for node in nodes:
@@ -1121,7 +1434,7 @@ def _signature(nodes):
         parents = []
         for j, p in enumerate(node.parents):
             at = first.setdefault(id(p), (node.index, j))
-            parents.append(at if at.__class__ is int else (at, p.shape, p.strides))
+            parents.append(at if at.__class__ is int else (at, p.shape, p.strides, _mask_of(p)))
         first[id(node)] = node.index
         first.setdefault(id(node.value), ("value", node.index))
         sig.append((node.op, node.static, node.value.shape, tuple(parents)))
@@ -1151,7 +1464,7 @@ def swept(owner, tag, tape, sweeps, extra=()):
         return sweeps()
     # A first call only marks its brief key, so it does not pay for the
     # signature either.
-    brief = (tag, tuple((a.shape, a.strides) for a in extra), len(tape.nodes))
+    brief = (tag, tuple((a.shape, a.strides, _mask_of(a)) for a in extra), len(tape.nodes))
     if brief not in seen:
         _keep(seen, brief, None)
         return sweeps()

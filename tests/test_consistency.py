@@ -519,10 +519,12 @@ class TestOperatorApplication:
                 return node.attr
             return getattr(node, "name", None)  # FunctionDef, alias
 
-        uses = set()
-        for path in sorted(Path(ttriem.__file__).parent.glob("*.py")):
-            for top in ast.parse(path.read_text()).body:
-                for node in ast.walk(top):
-                    if name(node) == "matvec_cores":
-                        uses.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+        # A use is named by its innermost enclosing function, or "module"
+        # outside any; library_nodes() yields a function before its body.
+        owner, uses = {}, set()
+        for path, node in library_nodes():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((inner, node.name) for inner in ast.walk(node))
+            if name(node) == "matvec_cores":
+                uses.add(f"{path}:{owner.get(node, 'module')}")
         assert uses == {"coreops.py:matvec_cores", "tt.py:ttmat_apply"}
