@@ -13,20 +13,47 @@ default) mutes the tape while it runs, so its rules compute plain arrays
 and append nothing.
 
 ``contract(a, b, axes, perm)`` is ``tensordot`` with its result axes put
-in the order ``perm``, computed by one BLAS call that reads the larger
-operand in place: when it is C-contiguous and its contracted axes form one
-run [P][K][Q], it goes to BLAS as a view, through one 2-D ``np.dot`` when P
-or Q is empty and one ``np.matmul`` batched over P otherwise.  Only the
+in the order ``perm``, computed by BLAS calls that read the larger operand
+in place: when it is C-contiguous and its contracted axes form one run
+[P][K][Q], it goes to BLAS as a view, through one 2-D ``np.dot`` when P or
+Q is empty and one ``np.matmul`` batched over P otherwise.  Only the
 smaller operand is copied, into (K, N) order.  The result comes out as
 P+N+Q (or N+P when Q is empty), so a ``perm`` asking for that order gets a
 C-contiguous array and any other a transposed view.  The layout, the
-output shape and order, and the axis pairs and order of each adjoint come
-from a plan cached per shapes, axes and ``perm``, so a repeated contraction
-does its axis arithmetic once.  The adjoint of a permuted contraction is
-again one permuted contraction, of the output's adjoint with its axes
-relabelled and its result in the operand's own axis order, so a sweep
-through contractions records no ``transpose``, and a forward pass whose
-operands are read in place is read in place by its sweeps too.
+output shape and order, the block products (below) and the axis pairs and
+order of each adjoint come from a plan cached per shapes, axes, ``perm``
+and operand masks, so a repeated contraction does its axis arithmetic
+once.  The adjoint of a permuted contraction is again one permuted
+contraction, of the output's adjoint with its axes relabelled and its
+result in the operand's own axis order, so a sweep through contractions
+records no ``transpose``, and a forward pass whose operands are read in
+place is read in place by its sweeps too.
+
+Block masks.  A value an op makes may carry a static block mask: per axis
+its cut points, and which blocks of that grid are structurally zero.
+Masks start in :func:`block_core`: the blocks no part covers, and any part
+that is exactly zero, such as the delta seed of a tangent's block cores.
+Those parts are in the node's static part, so tapes whose zeros differ
+have different signatures; inside a reverse sweep ``block_core`` reads no
+values, so a sweep's masks follow from the forward tape's alone.
+``take_block``, ``reshape`` and ``transpose`` (while every block stays a
+box), ``add``, ``add_n``, ``sub`` and ``neg`` pass masks on, and
+``contract`` works out its result's; every other op, the elementwise ones
+included, returns an unmasked value, so 0 * inf still makes NaN there.  A
+:class:`Var` holds its value's mask, and an array made off a tape has its
+mask kept beside it, by identity, for as long as it lives;
+:meth:`Tape.input` makes an unmasked ``Var``.  ``contract`` plans the block
+products of its operands' masks (an unmasked operand is one block) and
+runs only those whose two blocks are non-zero, into a zero-filled result,
+when the multiply-adds that skips reach ``SPLIT_MIN_MACS`` plus
+``SPLIT_WRITE_MACS`` per entry the split writes; below that crossover,
+which is measured against the cost of the extra calls and copies, it runs
+whole.  A skipped product is never computed, so a structural zero block
+that meets an inf or NaN gives 0, not NaN.  The forward pass, the eager
+sweeps and the replays run the same plans, and so the same kernels: a
+replay stays bit-identical to the eager sweeps, which a rewrite of the
+recorded schedule alone could not be, since a GEMM over a sub-block can
+differ in the last bit from the same block of the whole GEMM.
 
 The mode operations take a TT core's slices per mode value: ``gather_mode``
 and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
@@ -58,7 +85,7 @@ forward node, an entry of ``extra`` (an HVP's direction), an earlier step's
 output, or a literal a rule made from shapes alone (``np.ones``, a zero
 block, a Python float).  Later calls whose forward tape has the same
 signature (every node's op, static part, parent links and shape, and every
-constant's shape, strides and identity with other constants) run the steps
+constant's shape, strides, mask and identity with other constants) run the steps
 on the new tape's slots, building no ``Var``, closure or plan and dropping
 each slot after its last use; the kernels are the eager ones, so the
 results are bit-identical.  The forward pass runs eagerly on every call, so
@@ -66,7 +93,9 @@ a program whose structure depends on its values records anew when the
 structure changes.  A program object keeps at most
 ``SCHEDULES_PER_PROGRAM`` schedules, freed with it.  ``replayed`` counts
 the kernel calls replays ran, per op name; a wrapper around an op sees only
-the eager calls.
+the eager calls.  :meth:`Schedule.stats` counts, per op name, the steps of
+a recorded schedule and the bytes they write, and the multiply-adds its
+contractions run against those of the same contractions run whole.
 """
 
 import math
@@ -126,21 +155,23 @@ class Var:
     parents are plain float64 arrays, constants of the computation.
     ``static`` is the hashable part of the op's arguments that its sweep
     depends on beyond its parents' shapes, or ``None`` for a node whose
-    sweep cannot be replayed (see :func:`swept`).
+    sweep cannot be replayed (see :func:`swept`).  ``mask`` is the value's
+    block mask, or ``None``.
     """
 
-    __slots__ = ("tape", "value", "op", "parents", "rules", "index", "static")
+    __slots__ = ("tape", "value", "op", "parents", "rules", "index", "static", "mask")
 
     # Keep numpy from consuming Vars in its own ufunc dispatch.
     __array_ufunc__ = None
 
-    def __init__(self, tape, value, op, parents=(), rules=(), static=None):
+    def __init__(self, tape, value, op, parents=(), rules=(), static=None, mask=None):
         self.tape = tape
         self.value = value
         self.op = op
         self.parents = parents
         self.rules = rules
         self.static = static
+        self.mask = mask
         self.index = len(tape.nodes)
         tape.nodes.append(self)
 
@@ -222,11 +253,9 @@ class Tape:
         return len(self.nodes)
 
     def input(self, value) -> Var:
-        """Register a differentiable input (a leaf of the graph).  Its value
-        has no block mask: a masked array is copied."""
+        """Register a differentiable input (a leaf of the graph), with no
+        block mask."""
         arr = np.asarray(value, dtype=np.float64)
-        if id(arr) in _masks:
-            arr = arr.copy()
         return Var(self, arr, "input", static=())
 
     def clear(self):
@@ -352,12 +381,14 @@ def _node(tape, op, kernel, vals, parents, rules, args=(), static=(), mask=None)
     # recording sweep logs the kernel call.  ``mask`` is the value's block
     # mask, worked out from the operands' masks alone.
     val = kernel(*vals, *args)
-    if mask is not None:
-        _set_mask(val, mask)
     recorder = _state.recorder
     if recorder is not None:
         recorder.step(op, kernel, vals, args, val)
-    return val if tape is None else Var(tape, val, op, parents, rules, static)
+    if tape is not None:
+        return Var(tape, val, op, parents, rules, static, mask)
+    if mask is not None:
+        _set_mask(val, mask)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +397,19 @@ def _node(tape, op, kernel, vals, parents, rules, args=(), static=(), mask=None)
 # A mask is (cuts, zero): per axis its cut points (0, ..., extent), and the
 # sorted cells of that grid, one block index per axis, that are structurally
 # zero.  It is canonical (_canonical), so one zero pattern has one mask, and
-# a value without a zero block, or of no axis, has none (None).  _masks holds
-# the mask of each live masked array by identity, and _mask_refs a weak
-# reference to it that drops both entries when the array dies, so no array
-# is kept alive to hold its mask.
+# a value without a zero block, or of no axis, has none (None).  A Var holds
+# its value's mask; _masks holds the mask of each live masked array made off
+# a tape, by identity, and _mask_refs a weak reference to it that drops both
+# entries when the array dies, so no array is kept alive to hold its mask.
+# An op reads its operands' masks before _operands turns a Var of a muted
+# tape into its value.
 
 _masks = {}
 _mask_refs = {}
 
 
-def _mask_of(v):
-    return _masks.get(id(v))
+def _mask_of(x):
+    return x.mask if x.__class__ is Var else _masks.get(id(x))
 
 
 def _set_mask(val, mask):
@@ -420,8 +453,9 @@ def _block_core_mask(shape, ats, zero_parts):
     zero = set(_cells(cuts))
     for i, at in enumerate(ats):
         if i not in zero_parts:
-            zero -= {c for c in zero if all(lo <= p[c_ax] and p[c_ax + 1] <= hi
-                                            for (lo, hi), p, c_ax in zip(at, cuts, c))}
+            zero -= set(product(*[[t for t in range(len(points) - 1)
+                                   if lo <= points[t] and points[t + 1] <= hi]
+                                  for (lo, hi), points in zip(at, cuts)]))
     return _canonical(cuts, zero)
 
 
@@ -482,13 +516,12 @@ def _common_mask(masks):
     return _canonical(cuts, set.intersection(*[_zero_cells(m, cuts) for m in masks]))
 
 
-def _sum_mask(vals):
-    # The mask of a sum or difference of ``vals``: None unless every term
-    # has a mask and all have one shape.
-    masks = tuple([_masks.get(id(v)) for v in vals])
+def _sum_mask(masks, vals):
+    # The mask of a sum or difference of ``vals``, whose masks are
+    # ``masks``: None unless every term has a mask and all have one shape.
     if None in masks or any(v.shape != vals[0].shape for v in vals):
         return None
-    return masks[0] if len(set(masks)) == 1 else _common_mask(masks)
+    return masks[0] if len(set(masks)) == 1 else _common_mask(tuple(masks))
 
 
 def _unbroadcast(g, shape):
@@ -501,6 +534,7 @@ def _unbroadcast(g, shape):
 
 def add_n(parts):
     """Sum of same-shaped terms (used for adjoint accumulation)."""
+    masks = [_mask_of(p) for p in parts]
     tape, parts, vals = _operands(*parts)
     if not vals:
         raise DimensionError("add_n needs at least one term, got shape (0,)")
@@ -508,7 +542,7 @@ def add_n(parts):
         if v.shape != vals[0].shape:
             raise DimensionError(f"add_n term shapes differ: {vals[0].shape} vs {v.shape}")
     return _node(tape, "add_n", _add_n_value, vals, tuple(parts), (lambda u: u,) * len(parts),
-                 mask=_sum_mask(vals))
+                 mask=_sum_mask(masks, vals))
 
 
 def _add_n_value(*vals):
@@ -525,6 +559,7 @@ def _binary(name, fwd, rule_a, rule_b, linear=False):
     # scalar-broadcast fold.  A linear op (a sum or difference) keeps the
     # blocks its operands share as zero.
     def op(a, b):
+        masks = [_mask_of(a), _mask_of(b)] if linear else None
         tape, (a, b), vals = _operands(a, b)
         sa, sb = vals[0].shape, vals[1].shape
         if sa != sb and sa != () and sb != ():
@@ -532,7 +567,7 @@ def _binary(name, fwd, rule_a, rule_b, linear=False):
         out = _node(tape, name, fwd, vals, (a, b), (
             lambda u: _unbroadcast(rule_a(u, a, b, out), a.shape),
             lambda u: _unbroadcast(rule_b(u, a, b, out), b.shape),
-        ), mask=_sum_mask(vals) if linear else None)
+        ), mask=_sum_mask(masks, vals) if linear else None)
         return out
 
     op.__name__ = name
@@ -550,9 +585,9 @@ def _unary(name, fwd, rule, linear=False):
     # rule(u, a, out) is the adjoint for the operand; a linear op keeps the
     # operand's mask.
     def op(a):
+        mask = _mask_of(a) if linear else None
         tape, (a,), vals = _operands(a)
-        out = _node(tape, name, fwd, vals, (a,), (lambda u: rule(u, a, out),),
-                    mask=_mask_of(vals[0]) if linear else None)
+        out = _node(tape, name, fwd, vals, (a,), (lambda u: rule(u, a, out),), mask=mask)
         return out
 
     op.__name__ = name
@@ -584,17 +619,17 @@ def reshape(a, shape):
         shape = (int(shape),)
     else:
         shape = tuple(int(s) for s in shape)
+    mask = _mask_of(a)
     tape, (a,), vals = _operands(a)
     old = vals[0].shape
-    mask = _mask_of(vals[0])
     return _node(tape, "reshape", np.reshape, vals, (a,), (lambda u: reshape(u, old),),
                  (shape,), shape, mask and _reshape_mask(mask, old, shape))
 
 
 def transpose(a, perm):
+    mask = _mask_of(a)
     tape, (a,), vals = _operands(a)
     perm = tuple(perm)
-    mask = _mask_of(vals[0])
     if mask is not None and len(perm) == len(mask[0]):
         mask = _transpose_mask(mask, tuple(p % len(perm) for p in perm))
     return _node(tape, "transpose", np.transpose, vals, (a,),
@@ -657,11 +692,11 @@ def take_block(a, at):
     ((start_0, stop_0), (start_1, stop_1), ...), one pair per axis, as a
     view.  Its adjoint is the :func:`block_core` that puts the block back
     into zeros of ``a``'s shape."""
+    mask = _mask_of(a)
     tape, (a,), vals = _operands(a)
     at = tuple(map(tuple, at))
     shape, (at,), (slices,) = _block_layout(vals[0].shape, (at,),
                                             (tuple(hi - lo for lo, hi in at),))
-    mask = _mask_of(vals[0])
     return _node(tape, "take_block", getitem, vals, (a,),
                  (lambda u: block_core(shape, [(u, at)]),), (slices,), at,
                  mask and _take_mask(mask, at))
@@ -681,10 +716,16 @@ def block_core(shape, parts):
                                        tuple(v.shape for v in vals))
     # A sweep's parts are zero by structure only, never by value: the
     # masks of its kernels must not depend on the values it computes.
-    zero = () if _state.sweeping else tuple(i for i, v in enumerate(vals) if not np.count_nonzero(v))
+    zero = () if _state.sweeping else tuple(i for i, v in enumerate(vals) if _is_zero(v))
     return _node(tape, "block_core", _block_core_value, vals, tuple(operands),
                  tuple(lambda u, at=at: take_block(u, at) for at in ats), (shape, slices),
                  (shape, ats, zero), _block_core_mask(shape, ats, zero))
+
+
+def _is_zero(v):
+    # Whether every entry of ``v`` is 0; a non-zero first entry settles it
+    # without a pass (NaN counts as non-zero).
+    return not (v.size and v.item(0)) and not np.count_nonzero(v)
 
 
 def _block_core_value(*args):
@@ -787,11 +828,12 @@ SPLIT_WRITE_MACS = 15
 
 @lru_cache(maxsize=4096)
 def _contract_plan(sa, sb, axes, perm, ma, mb):
-    # The plan of contract(a, b, axes, perm) for a of shape sa and mask ma
-    # and b of shape sb and mask mb, built once per key, which holds plain
-    # ints only, with the adjoints' axes and the result's mask.  Validation
-    # happens here, so a key gets a plan only if its shapes, axes and perm
-    # are valid.
+    # ((kernel, plan), grad_a, grad_b, mask) of contract(a, b, axes, perm)
+    # for a of shape sa and mask ma and b of shape sb and mask mb, built once
+    # per key: the kernel (one GEMM, or the block products) and its static
+    # argument, each adjoint's axes and order, and the result's mask.
+    # Validation happens here, so a key gets a plan only if its shapes, axes
+    # and perm are valid.
     # range(n)[p] maps p in [-n, n) to [0, n) and raises IndexError for any other p.
     ca = tuple(range(len(sa))[p] for p, _ in axes)
     cb = tuple(range(len(sb))[q] for _, q in axes)
@@ -828,7 +870,7 @@ def _contract_plan(sa, sb, axes, perm, ma, mb):
     ext = [sa[i] for i in fa] + [sb[i] for i in fb]
     dense = math.prod(ext) * math.prod(sa[p] for p in ca)
     gemm, got = _gemm_plan(sa, sb, ca, cb, perm)
-    whole = (None, ((gemm,),), dense, dense)
+    whole = (_gemm, gemm)
     if ma is None and mb is None:
         return whole, grad_a, grad_b, None
     # The block grid: each free axis cut as its operand's mask cuts it, each
@@ -850,9 +892,6 @@ def _contract_plan(sa, sb, axes, perm, ma, mb):
     out_grid = [grid[j] for j in range(len(fa))] + grid[na:]
     mask = _canonical([out_grid[j] for j in perm],
                       {tuple(c[j] for j in perm) for c in _cells(out_grid) if c not in live})
-    if dense - sum(math.prod(g[i + 1] - g[i] for g, i in zip(grid, c)) for c in kept) < \
-            SPLIT_MIN_MACS:
-        return whole, grad_a, grad_b, mask
     # Products that differ along one axis only, and meet there, merge into
     # one, the contracted axes first, so fewer products add into one block.
     boxes = [tuple((i, i + 1) for i in c) for c in kept]
@@ -878,7 +917,7 @@ def _contract_plan(sa, sb, axes, perm, ma, mb):
     if dense - macs < SPLIT_MIN_MACS + SPLIT_WRITE_MACS * (writes + fill * math.prod(ext)):
         return whole, grad_a, grad_b, mask
     buffer = (tuple(ext[j] for j in got), _unless_identity(got.index(j) for j in perm), fill)
-    return (buffer, tuple(products), macs, dense), grad_a, grad_b, mask
+    return (_block_products, (buffer, tuple(products), macs, dense)), grad_a, grad_b, mask
 
 
 def _unpermute(items, axes):
@@ -969,27 +1008,26 @@ def contract(a, b, axes, perm=None):
     permuted contraction, in its operand's axis order, so a sweep through
     it records no ``transpose``.
     """
+    ma, mb = _mask_of(a), _mask_of(b)
     tape, (a, b), vals = _operands(a, b)
     axes = tuple([(index(p), index(q)) for p, q in axes])
     if perm is not None:
         perm = tuple(map(index, perm))
-    plan, grad_a, grad_b, mask = _contract_plan(vals[0].shape, vals[1].shape, axes, perm,
-                                                _mask_of(vals[0]), _mask_of(vals[1]))
+    (kernel, plan), grad_a, grad_b, mask = _contract_plan(vals[0].shape, vals[1].shape, axes,
+                                                          perm, ma, mb)
     # The rules call the module's contract by name, so a wrapper installed
     # in its place sees the adjoint contractions too.
-    return _node(tape, "contract", _contract_value, vals, (a, b), (
+    return _node(tape, "contract", kernel, vals, (a, b), (
         lambda u: contract(u, b, *grad_a),
         lambda u: contract(a, u, *grad_b),
     ), (plan,), (axes, perm), mask)
 
 
-def _contract_value(av, bv, plan):
-    # The value of a contraction by its plan: the one product that makes the
-    # whole result, or the block products, each written or added into its
-    # block of a result laid out as ``buffer`` says.
+def _block_products(av, bv, plan):
+    # A split contraction: its block products, each one GEMM written or
+    # added into its block of a result laid out as ``buffer`` says.  A
+    # contraction that is not split is its one GEMM.
     buffer, products = plan[:2]
-    if buffer is None:
-        return _gemm(av, bv, products[0][0])
     shape, order, fill = buffer
     out = np.zeros(shape) if fill else np.empty(shape)
     if order is not None:
@@ -1394,13 +1432,13 @@ class _Recorder:
         self.alive.clear()
         last = {}
         stats = {}
-        for n, (op, _, ins, static, out, nbytes) in enumerate(self.steps):
+        for n, (op, kernel, ins, static, out, nbytes) in enumerate(self.steps):
             for s in ins + (out,):
                 last[s] = n
             op_stats = stats.setdefault(op, Counter())
             op_stats.update(steps=1, bytes=nbytes)
             if op == "contract":
-                op_stats.update(macs=static[0][2], dense_macs=static[0][3])
+                op_stats.update(_contract_macs(kernel, static[0]))
         used = set(last).union(results)
         dead = [[] for _ in self.steps]
         for s, n in last.items():
@@ -1413,6 +1451,15 @@ class _Recorder:
                  for (_, kernel, ins, static, out, _), gone in zip(self.steps, dead)]
         return Schedule(steps, [src for src in self.sources if src[0] in used], slots, results,
                         stats)
+
+
+def _contract_macs(kernel, plan):
+    # The multiply-adds a contract step runs, and those of its whole GEMM.
+    if kernel is _block_products:
+        return {"macs": plan[2], "dense_macs": plan[3]}
+    _, _, big_2d, _, small_2d, *_ = plan
+    macs = math.prod(big_2d) * small_2d[1]
+    return {"macs": macs, "dense_macs": macs}
 
 
 def _getter(ins):
@@ -1434,7 +1481,7 @@ def _signature(nodes):
         parents = []
         for j, p in enumerate(node.parents):
             at = first.setdefault(id(p), (node.index, j))
-            parents.append(at if at.__class__ is int else (at, p.shape, p.strides, _mask_of(p)))
+            parents.append(at if at.__class__ is int else (at, p.shape, p.strides, _masks.get(id(p))))
         first[id(node)] = node.index
         first.setdefault(id(node.value), ("value", node.index))
         sig.append((node.op, node.static, node.value.shape, tuple(parents)))

@@ -1,27 +1,31 @@
-"""Record one benchmark run per workload and checkout as a ``BENCH_<n>.json``.
+"""Record interleaved benchmark runs per workload and checkout as a ``BENCH_<n>.json``.
 
-    python3 tools/bench_file.py --out BENCH_1.json --seed 0 --seconds 30 PARENT CHANGE
+    python3 tools/bench_file.py --out BENCH_2.json --seed 0 --seconds 30 PARENT CHANGE
 
 Each checkout is a ``git clone`` of this repository at the commit to
 measure.  Give the checkouts paths of equal length: the benchmark's
 timings move with the length of the path and of the environment.  For each
-workload of ``BENCHMARK.json``, in its order, every checkout runs
+workload of ``BENCHMARK.json``, in its order, the checkouts take turns
+(A B A B ...) until each has run
 ``python3 perfbench/run.py --workload W --seed S --seconds T`` (untraced)
-from its root, one after the other, so the sides of a workload are
-measured back to back.  The file keeps, per workload and checkout, the
-commit, the run's ``env`` line and its last JSON line, and for the
-workloads that time the AD and the fused pipelines on the same objectives
-(operator_r5 and completion) the ratios grad_ms/opt_grad_ms and
-hvp_ms/opt_hvp_ms.  A run that fails its checks is recorded with its exit
-code, and the script exits 1.
+``REPEATS`` times from its root, so the sides of a workload are measured
+back to back and share the machine's drifts.  The file keeps, per workload
+and checkout, every run (the commit, the run's ``env`` line and its last
+JSON line, and for the workloads that time the AD and the fused pipelines
+on the same objectives, operator_r5 and completion, the ratios
+grad_ms/opt_grad_ms and hvp_ms/opt_hvp_ms), and a summary: each metric's
+and ratio's median over the runs, with its min and max.  A run that fails
+its checks is recorded with its exit code, and the script exits 1.
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+REPEATS = 4
 RATIO_WORKLOADS = ("operator_r5", "completion")
 RATIOS = (("grad_ms", "opt_grad_ms"), ("hvp_ms", "opt_hvp_ms"))
 
@@ -44,6 +48,23 @@ def run_once(checkout, workload, seed, seconds):
     return record
 
 
+def spread(values):
+    """Median, min and max of ``values``."""
+    return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+
+
+def summary(records):
+    """Per metric (and ratio) of one checkout's runs, its spread over them."""
+    metrics = records[0]["result"]["metrics"]
+    out = {"commit": records[0]["commit"],
+           "metrics": {name: dict(spread([r["result"]["metrics"][name]["value"] for r in records]),
+                                  unit=metrics[name]["unit"]) for name in metrics}}
+    if "ratios" in records[0]:
+        out["ratios"] = {name: spread([r["ratios"][name] for r in records])
+                         for name in records[0]["ratios"]}
+    return out
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, type=Path)
@@ -52,17 +73,22 @@ def main(argv=None):
     p.add_argument("checkouts", nargs="+", type=Path)
     args = p.parse_args(argv)
     spec = json.loads((args.checkouts[0] / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in spec["workloads"]]
-    runs = {w: [run_once(c, w, args.seed, args.seconds) for c in args.checkouts]
-            for w in workloads}
+    runs = {}
+    for w in (w["name"] for w in spec["workloads"]):
+        runs[w] = [[] for _ in args.checkouts]
+        for _ in range(REPEATS):
+            for records, checkout in zip(runs[w], args.checkouts):
+                records.append(run_once(checkout, w, args.seed, args.seconds))
     args.out.write_text(json.dumps({
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                    f"--seconds {args.seconds:g}",
         "seed": args.seed,
         "seconds": args.seconds,
+        "repeats": REPEATS,
+        "summary": {w: [summary(records) for records in per] for w, per in runs.items()},
         "runs": runs,
     }, indent=1) + "\n")
-    return int(any(r["exit_code"] for rs in runs.values() for r in rs))
+    return int(any(r["exit_code"] for per in runs.values() for rs in per for r in rs))
 
 
 if __name__ == "__main__":
