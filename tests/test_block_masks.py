@@ -131,9 +131,9 @@ def blocks(spec):
             for lo2, hi2 in zip(cols, cols[1:])]
 
 
-def run_ops(values, ops, weights):
+def run_ops(values, ops, seed):
     """The program's scalar: sum_v <v, W_v> over the pool the ops build
-    from ``values``."""
+    from ``values``, each W_v a constant drawn from ``seed`` and v's place."""
     pool = list(values)
     for name, ins, arg in ops:
         xs = [pool[i] for i in ins]
@@ -145,7 +145,8 @@ def run_ops(values, ops, weights):
             pool.append(ad.add_n(xs))
         else:
             pool.append(getattr(ad, name)(*xs))
-    return ad.add_n([ad.reduce_sum(ad.mul(v, w)) for v, w in zip(pool, weights)])
+    return ad.add_n([ad.reduce_sum(ad.mul(v, np.random.default_rng([seed, i]).standard_normal(v.shape)))
+                     for i, v in enumerate(pool)])
 
 
 class Program:
@@ -163,9 +164,7 @@ class Program:
                     self.consts[k, b] = rng.standard_normal(shape) * (kind == "const")
         self.inputs = [(k, b) for k, spec in enumerate(cores)
                        for b, kind in enumerate(spec[3]) if kind in ("var", "zero")]
-        values = [np.zeros(spec[0]) for spec in cores]
-        self.weights = [rng.standard_normal(np.shape(v))
-                        for v in run_ops_shapes(values, ops)]
+        self.seed = int(rng.integers(2**32))
 
     def parts(self, rng):
         """Values of the tape inputs: random, or zeros for a zero block."""
@@ -185,10 +184,10 @@ class Program:
         return out
 
     def masked(self, xs):
-        return run_ops(self.block_cores(xs), self.ops, self.weights)
+        return run_ops(self.block_cores(xs), self.ops, self.seed)
 
     def dense(self, cores):
-        return run_ops(cores, self.ops, self.weights)
+        return run_ops(cores, self.ops, self.seed)
 
     def to_parts(self, core_arrays):
         """Each tape input's block of the per-core arrays."""
@@ -201,27 +200,6 @@ class Program:
         for (k, b), v in zip(self.inputs, part_arrays):
             out[k][tuple(slice(lo, hi) for lo, hi in blocks(self.cores[k])[b])] = v
         return out
-
-
-def run_ops_shapes(values, ops):
-    # The pool's values for zero inputs, for their shapes.
-    pool = list(values)
-    for name, ins, arg in ops:
-        xs = [pool[i] for i in ins]
-        if name == "contract":
-            pool.append(np.transpose(np.tensordot(*xs, (
-                [p for p, _ in arg[0]], [q for _, q in arg[0]])), arg[1]))
-        elif name == "reshape":
-            pool.append(np.reshape(xs[0], arg))
-        elif name == "transpose":
-            pool.append(np.transpose(xs[0], arg))
-        elif name == "take_block":
-            pool.append(xs[0][tuple(slice(lo, hi) for lo, hi in arg)])
-        elif name == "reduce_sum":
-            pool.append(np.sum(xs[0], axis=arg))
-        else:
-            pool.append(xs[0])
-    return pool
 
 
 def sweep(program, inputs, owner, dirs=None):
