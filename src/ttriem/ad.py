@@ -35,25 +35,27 @@ Masks start in :func:`block_core`: the blocks no part covers, and any part
 that is exactly zero, such as the delta seed of a tangent's block cores.
 Those parts are in the node's static part, so tapes whose zeros differ
 have different signatures; inside a reverse sweep ``block_core`` reads no
-values, so a sweep's masks follow from the forward tape's alone.
-``take_block``, ``reshape`` and ``transpose`` (while every block stays a
-box), ``add``, ``add_n``, ``sub`` and ``neg`` pass masks on, and
-``contract`` works out its result's; every other op, the elementwise ones
+values, so a sweep's masks follow from the forward tape's alone.  Masks
+follow the structural path to the contractions: ``transpose`` and
+``reshape`` (while every cut axis passes through whole) pass them on,
+``add_n`` keeps the blocks zero in every term, and ``contract`` works out
+its result's.  Every other op, ``take_block``, ``add``, ``sub`` and ``neg``
 included, returns an unmasked value, so 0 * inf still makes NaN there.  A
 :class:`Var` holds its value's mask, and an array made off a tape has its
 mask kept beside it, by identity, for as long as it lives;
 :meth:`Tape.input` makes an unmasked ``Var``.  ``contract`` plans the block
 products of its operands' masks (an unmasked operand is one block) and
-runs only those whose two blocks are non-zero, into a zero-filled result,
-when the multiply-adds that skips reach ``SPLIT_MIN_MACS`` plus
-``SPLIT_WRITE_MACS`` per entry the split writes; below that crossover,
-which is measured against the cost of the extra calls and copies, it runs
-whole.  A skipped product is never computed, so a structural zero block
-that meets an inf or NaN gives 0, not NaN.  The forward pass, the eager
-sweeps and the replays run the same plans, and so the same kernels: a
-replay stays bit-identical to the eager sweeps, which a rewrite of the
-recorded schedule alone could not be, since a GEMM over a sub-block can
-differ in the last bit from the same block of the whole GEMM.
+runs only those whose two blocks are non-zero, each into its own block of
+the result, when no two write one block and the multiply-adds that skips
+reach ``SPLIT_MIN_MACS`` plus ``SPLIT_WRITE_MACS`` per entry the split
+writes; otherwise, and below that crossover, which is measured against the
+cost of the extra calls and copies, it runs whole.  A skipped product is
+never computed, so a structural zero block that meets an inf or NaN gives
+0, not NaN.  The forward pass, the eager sweeps and the replays run the
+same plans, and so the same kernels: a replay stays bit-identical to the
+eager sweeps, which a rewrite of the recorded schedule alone could not be,
+since a GEMM over a sub-block can differ in the last bit from the same
+block of the whole GEMM.
 
 The mode operations take a TT core's slices per mode value: ``gather_mode``
 and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
@@ -437,12 +439,11 @@ def _canonical(cuts, zero):
     return tuple(map(tuple, cuts)), tuple(sorted(zero))
 
 
-def _zero_cells(mask, cuts, offsets=None):
-    # The cells of the grid ``cuts`` that ``mask`` calls zero; ``cuts``,
-    # shifted by ``offsets``, refine the mask's own.
+def _zero_cells(mask, cuts):
+    # The cells of the grid ``cuts`` that ``mask`` calls zero; ``cuts``
+    # refine the mask's own.
     own, zero = mask[0], set(mask[1])
-    owners = [[bisect_right(o, c + off) - 1 for c in points[:-1]]
-              for o, points, off in zip(own, cuts, offsets or (0,) * len(cuts))]
+    owners = [[bisect_right(o, c) - 1 for c in points[:-1]] for o, points in zip(own, cuts)]
     return {cell for cell in _cells(cuts) if tuple(o[i] for o, i in zip(owners, cell)) in zero}
 
 
@@ -460,15 +461,6 @@ def _block_core_mask(shape, ats, zero_parts):
 
 
 @lru_cache(maxsize=1024)
-def _take_mask(mask, at):
-    if any(lo == hi for lo, hi in at):
-        return None
-    cuts = [(0,) + tuple(c - lo for c in own if lo < c < hi) + (hi - lo,)
-            for own, (lo, hi) in zip(mask[0], at)]
-    return _canonical(cuts, _zero_cells(mask, cuts, [lo for lo, _ in at]))
-
-
-@lru_cache(maxsize=1024)
 def _transpose_mask(mask, perm):
     return (tuple(mask[0][p] for p in perm),
             tuple(sorted(tuple(c[p] for p in perm) for c in mask[1])))
@@ -476,52 +468,31 @@ def _transpose_mask(mask, perm):
 
 @lru_cache(maxsize=1024)
 def _reshape_mask(mask, old, new):
-    # The mask of a reshape from ``old`` to ``new`` while every block stays a
-    # box: the axes of extent above 1 fall into groups whose extents multiply
-    # alike, and a group may be cut on its first old axis only, at points
-    # that fall on whole rows of its first new axis.
-    if math.prod(old) != math.prod(new) or 0 in old:
+    # The mask of a reshape from ``old`` to ``new`` in which every cut axis
+    # passes through whole, as the new axis of its extent with as many
+    # entries before it, or None.  Uncut axes may merge, split, come or go.
+    if math.prod(old) != math.prod(new):  # a -1 in ``new``
         return None
     cuts, zero = mask
-    olds = [i for i, n in enumerate(old) if n != 1]
-    news = [j for j, n in enumerate(new) if n != 1]
-    new_cuts = [(0, n) for n in new]
+    axis_at = {(math.prod(new[:j]), n): j for j, n in enumerate(new)}
     source = {}  # new axis -> the old axis whose block index it carries
-    i = j = 0
-    while i < len(olds):
-        group, head, po, pn = [olds[i]], news[j], old[olds[i]], new[news[j]]
-        i, j = i + 1, j + 1
-        while po != pn:
-            if po < pn:
-                group.append(olds[i])
-                po, i = po * old[olds[i]], i + 1
-            else:
-                pn, j = pn * new[news[j]], j + 1
-        if any(len(cuts[ax]) > 2 for ax in group[1:]):
-            return None
-        inner_old, inner_new = po // old[group[0]], pn // new[head]
-        flat = [c * inner_old for c in cuts[group[0]]]
-        if any(f % inner_new for f in flat):
-            return None
-        new_cuts[head] = tuple(f // inner_new for f in flat)
-        source[head] = group[0]
-    return _canonical(new_cuts, {tuple(c[source[j]] if j in source else 0 for j in range(len(new)))
-                                 for c in zero})
+    for i, points in enumerate(cuts):
+        if len(points) > 2:
+            j = axis_at.get((math.prod(old[:i]), old[i]))
+            if j is None:
+                return None
+            source[j] = i
+    return _canonical([cuts[source[j]] if j in source else (0, n) for j, n in enumerate(new)],
+                      {tuple(c[source[j]] if j in source else 0 for j in range(len(new)))
+                       for c in zero})
 
 
 @lru_cache(maxsize=1024)
 def _common_mask(masks):
-    # Zero where every one of same-shaped terms is.
+    # The mask of a sum of same-shaped terms of masks ``masks``: zero where
+    # every term is.
     cuts = [sorted(set().union(*axis)) for axis in zip(*[m[0] for m in masks])]
     return _canonical(cuts, set.intersection(*[_zero_cells(m, cuts) for m in masks]))
-
-
-def _sum_mask(masks, vals):
-    # The mask of a sum or difference of ``vals``, whose masks are
-    # ``masks``: None unless every term has a mask and all have one shape.
-    if None in masks or any(v.shape != vals[0].shape for v in vals):
-        return None
-    return masks[0] if len(set(masks)) == 1 else _common_mask(tuple(masks))
 
 
 def _unbroadcast(g, shape):
@@ -542,7 +513,7 @@ def add_n(parts):
         if v.shape != vals[0].shape:
             raise DimensionError(f"add_n term shapes differ: {vals[0].shape} vs {v.shape}")
     return _node(tape, "add_n", _add_n_value, vals, tuple(parts), (lambda u: u,) * len(parts),
-                 mask=_sum_mask(masks, vals))
+                 mask=None if None in masks else _common_mask(tuple(masks)))
 
 
 def _add_n_value(*vals):
@@ -554,12 +525,10 @@ def _add_n_value(*vals):
     return val
 
 
-def _binary(name, fwd, rule_a, rule_b, linear=False):
+def _binary(name, fwd, rule_a, rule_b):
     # rule_x(u, a, b, out) is the adjoint for one operand before the
-    # scalar-broadcast fold.  A linear op (a sum or difference) keeps the
-    # blocks its operands share as zero.
+    # scalar-broadcast fold.
     def op(a, b):
-        masks = [_mask_of(a), _mask_of(b)] if linear else None
         tape, (a, b), vals = _operands(a, b)
         sa, sb = vals[0].shape, vals[1].shape
         if sa != sb and sa != () and sb != ():
@@ -567,27 +536,25 @@ def _binary(name, fwd, rule_a, rule_b, linear=False):
         out = _node(tape, name, fwd, vals, (a, b), (
             lambda u: _unbroadcast(rule_a(u, a, b, out), a.shape),
             lambda u: _unbroadcast(rule_b(u, a, b, out), b.shape),
-        ), mask=_sum_mask(masks, vals) if linear else None)
+        ))
         return out
 
     op.__name__ = name
     return op
 
 
-add = _binary("add", np.add, lambda u, a, b, out: u, lambda u, a, b, out: u, linear=True)
-sub = _binary("sub", np.subtract, lambda u, a, b, out: u, lambda u, a, b, out: neg(u), linear=True)
+add = _binary("add", np.add, lambda u, a, b, out: u, lambda u, a, b, out: u)
+sub = _binary("sub", np.subtract, lambda u, a, b, out: u, lambda u, a, b, out: neg(u))
 mul = _binary("mul", np.multiply, lambda u, a, b, out: mul(u, b), lambda u, a, b, out: mul(u, a))
 div = _binary("div", np.divide, lambda u, a, b, out: div(u, b),
               lambda u, a, b, out: neg(mul(div(u, b), out)))
 
 
-def _unary(name, fwd, rule, linear=False):
-    # rule(u, a, out) is the adjoint for the operand; a linear op keeps the
-    # operand's mask.
+def _unary(name, fwd, rule):
+    # rule(u, a, out) is the adjoint for the operand.
     def op(a):
-        mask = _mask_of(a) if linear else None
         tape, (a,), vals = _operands(a)
-        out = _node(tape, name, fwd, vals, (a,), (lambda u: rule(u, a, out),), mask=mask)
+        out = _node(tape, name, fwd, vals, (a,), (lambda u: rule(u, a, out),))
         return out
 
     op.__name__ = name
@@ -599,7 +566,7 @@ def _sigmoid_np(t):
     return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-neg = _unary("neg", np.negative, lambda u, a, out: neg(u), linear=True)
+neg = _unary("neg", np.negative, lambda u, a, out: neg(u))
 exp = _unary("exp", np.exp, lambda u, a, out: mul(u, out))
 log = _unary("log", np.log, lambda u, a, out: div(u, a))
 sin = _unary("sin", np.sin, lambda u, a, out: mul(u, cos(a)))
@@ -690,16 +657,14 @@ def _block_layout(shape, ats, shapes):
 def take_block(a, at):
     """The block ``a[start_0:stop_0, start_1:stop_1, ...]`` for ``at`` =
     ((start_0, stop_0), (start_1, stop_1), ...), one pair per axis, as a
-    view.  Its adjoint is the :func:`block_core` that puts the block back
-    into zeros of ``a``'s shape."""
-    mask = _mask_of(a)
+    view, with no block mask.  Its adjoint is the :func:`block_core` that
+    puts the block back into zeros of ``a``'s shape."""
     tape, (a,), vals = _operands(a)
     at = tuple(map(tuple, at))
     shape, (at,), (slices,) = _block_layout(vals[0].shape, (at,),
                                             (tuple(hi - lo for lo, hi in at),))
     return _node(tape, "take_block", getitem, vals, (a,),
-                 (lambda u: block_core(shape, [(u, at)]),), (slices,), at,
-                 mask and _take_mask(mask, at))
+                 (lambda u: block_core(shape, [(u, at)]),), (slices,), at)
 
 
 def block_core(shape, parts):
@@ -893,27 +858,30 @@ def _contract_plan(sa, sb, axes, perm, ma, mb):
     mask = _canonical([out_grid[j] for j in perm],
                       {tuple(c[j] for j in perm) for c in _cells(out_grid) if c not in live})
     # Products that differ along one axis only, and meet there, merge into
-    # one, the contracted axes first, so fewer products add into one block.
+    # one, the contracted axes first, so products that would sum into one
+    # result block become one product.  A split never sums: while two
+    # products still write overlapping blocks, the contraction runs whole.
     boxes = [tuple((i, i + 1) for i in c) for c in kept]
     for ax in list(range(len(fa), na)) + list(range(len(fa))) + list(range(na, len(grid))):
         boxes = _merge_along(boxes, ax)
     # The result is laid out as the whole GEMM's would be, and each product
     # comes out in that order too where it can, so writing it in moves no
-    # axis.  It is zero-filled unless the products write every entry once.
+    # axis.  It is zero-filled unless the products write every entry.
     products, written, macs = [], [], 0
     for box in sorted(boxes):
         span = [(g[lo], g[hi]) for g, (lo, hi) in zip(grid, box)]
         macs += math.prod(hi - lo for lo, hi in span)
         at_a, at_b = _unpermute(span[:na], ia), _unpermute(span[len(fa):], ib)
         at = tuple((span[:len(fa)] + span[na:])[j] for j in perm)
-        add = any(all(lo < hi2 and lo2 < hi for (lo, hi), (lo2, hi2) in zip(at, other))
-                  for other in written)
+        if any(all(lo < hi2 and lo2 < hi for (lo, hi), (lo2, hi2) in zip(at, other))
+               for other in written):
+            return whole, grad_a, grad_b, mask
         written.append(at)
         products.append((_gemm_plan(tuple(hi - lo for lo, hi in at_a),
                                     tuple(hi - lo for lo, hi in at_b), ca, cb, perm, got)[0],
-                         _slices(at_a), _slices(at_b), _slices(at), add))
+                         _slices(at_a), _slices(at_b), _slices(at)))
     writes = sum(math.prod(hi - lo for lo, hi in at) for at in written)
-    fill = any(p[-1] for p in products) or writes < math.prod(ext)
+    fill = writes < math.prod(ext)
     if dense - macs < SPLIT_MIN_MACS + SPLIT_WRITE_MACS * (writes + fill * math.prod(ext)):
         return whole, grad_a, grad_b, mask
     buffer = (tuple(ext[j] for j in got), _unless_identity(got.index(j) for j in perm), fill)
@@ -991,8 +959,9 @@ def contract(a, b, axes, perm=None):
     operands' block masks.
 
     An operand with a mask splits the contraction into block products; only
-    those whose two blocks are non-zero run, into a zero-filled result, and
-    only when they skip at least ``SPLIT_MIN_MACS`` multiply-adds.  Each
+    those whose two blocks are non-zero run, each into its own block of a
+    result zero-filled where none writes, and only when no two write one
+    block and they skip at least ``SPLIT_MIN_MACS`` multiply-adds.  Each
     product, and an unsplit contraction, is one GEMM.  Its larger operand
     (of two of one size, the one that suits the call better) is taken as
     (P, K, Q): its free axes before the contracted ones, the contracted
@@ -1024,20 +993,16 @@ def contract(a, b, axes, perm=None):
 
 
 def _block_products(av, bv, plan):
-    # A split contraction: its block products, each one GEMM written or
-    # added into its block of a result laid out as ``buffer`` says.  A
-    # contraction that is not split is its one GEMM.
+    # A split contraction: its block products, each one GEMM copied into its
+    # own block of a result laid out as ``buffer`` says.  A contraction that
+    # is not split is its one GEMM.
     buffer, products = plan[:2]
     shape, order, fill = buffer
     out = np.zeros(shape) if fill else np.empty(shape)
     if order is not None:
         out = out.transpose(order)
-    for gemm, at_a, at_b, at, add in products:
-        val = _gemm(av[at_a], bv[at_b], gemm)
-        if add:
-            out[at] += val
-        else:
-            out[at] = val
+    for gemm, at_a, at_b, at in products:
+        out[at] = _gemm(av[at_a], bv[at_b], gemm)
     return out
 
 

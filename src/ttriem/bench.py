@@ -18,6 +18,8 @@ from .tt import (
     random_symmetric_ttmat,
     random_tt,
     random_ttmat,
+    tt_norm,
+    tt_scale,
 )
 from .ttmanifold import (
     _block_cores,
@@ -139,10 +141,14 @@ FUNCTIONS = tuple(BUILDERS)
 
 
 def make_instance(cfg: BenchConfig):
-    """Seeded deterministic instance: objective, base point and direction."""
+    """Seeded deterministic instance: objective, a unit-norm base point and
+    a direction."""
     rng = np.random.default_rng(cfg.seed)
     modes = (cfg.n,) * cfg.d
-    base = orthogonalize(random_tt(rng, modes, cfg.rx))
+    # At unit norm expmach's margins do not saturate, as they do at the
+    # 1e6 and more of an unnormalized random TT of d=8.
+    x = random_tt(rng, modes, cfg.rx)
+    base = orthogonalize(tt_scale(1.0 / tt_norm(x), x))
     z = project_tt(base, random_tt(rng, modes, cfg.rz))
     sizes = Sizes(cfg.ra, 10 * cfg.d * cfg.n * cfg.rx**2, 32)
     return BUILDERS[cfg.function](rng, modes, sizes), base, z

@@ -313,6 +313,15 @@ class TestBench:
                 assert all(np.array_equal(a, b)
                            for a, b in zip(obj1.operator.cores, obj2.operator.cores))
 
+    def test_instance_hvps_non_zero_and_finite(self):
+        # A base point of large norm (1e6 and up for an unnormalized one at
+        # d=8) saturates every expmach margin and makes the HVP exactly zero.
+        for function in FUNCTIONS:
+            objective, base, z = make_instance(
+                BenchConfig(function, "ad", "hvp", d=8, n=8, rx=5, rz=5, ra=5))
+            hvp = np.concatenate([d.ravel() for d in ad_hvp(objective, base, z).deltas])
+            assert np.all(np.isfinite(hvp)) and np.any(hvp), function
+
     def test_single_trial_zero_std(self):
         cfg = BenchConfig("qf", "ad", "grad", d=3, n=2, rx=2, rz=2, ra=2, trials=1)
         (rec,) = bench_run(cfg)

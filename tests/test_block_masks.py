@@ -310,35 +310,49 @@ class TestMasks:
     def test_mask_follows_views_and_sums(self, rng):
         v = rng.standard_normal((2, 3, 2))
         core = ad.block_core((4, 3, 4), [(v, ((0, 2), (0, 3), (0, 2)))])
-        assert ad._mask_of(ad.take_block(core, ((0, 2), (0, 3), (0, 4))))[0] == \
-            ((0, 2), (0, 3), (0, 2, 4))
-        assert ad._mask_of(ad.take_block(core, ((0, 2), (0, 3), (0, 2)))) is None
+        mask = ad._mask_of(core)
         assert ad._mask_of(ad.transpose(core, (1, 2, 0))) == \
             (((0, 3), (0, 2, 4), (0, 2, 4)), ((0, 0, 1), (0, 1, 0), (0, 1, 1)))
-        assert ad._mask_of(ad.reshape(core, (12, 4)))[0] == ((0, 6, 12), (0, 2, 4))
-        assert ad._mask_of(ad.reshape(core, (2, 2, 3, 4)))[0] == ((0, 1, 2), (0, 2), (0, 3), (0, 2, 4))
-        # A block that would no longer be a box drops the mask.
-        assert ad._mask_of(ad.reshape(core, (4, 12))) is None
-        assert ad._mask_of(ad.take_block(ad.reshape(core, (2, 2, 3, 4)), ((0, 2), (1, 2), (0, 3), (0, 4)))) \
-            is not None
-        odd = ad.block_core((4, 3), [(rng.standard_normal((1, 3)), ((0, 1), (0, 3)))])
-        assert ad._mask_of(ad.reshape(odd, (2, 6))) is None
-        assert ad._mask_of(ad.neg(core)) == ad._mask_of(core)
-        assert ad._mask_of(ad.add(core, core)) == ad._mask_of(core)
-        assert ad._mask_of(ad.add(core, np.ones((4, 3, 4)))) is None
-        assert ad._mask_of(ad.mul(core, core)) is None
+        # A reshape keeps the mask while every cut axis passes through whole;
+        # uncut axes may merge, split, come or go.
+        assert ad._mask_of(ad.reshape(core, (4, 1, 3, 4))) == \
+            (((0, 2, 4), (0, 1), (0, 3), (0, 2, 4)), ((0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 1)))
+        wide = ad.block_core((4, 2, 3, 4), [(rng.standard_normal((2, 2, 3, 2)),
+                                             ((0, 2), (0, 2), (0, 3), (0, 2)))])
+        assert ad._mask_of(ad.reshape(wide, (4, 6, 4))) == (((0, 2, 4), (0, 6), (0, 2, 4)), mask[1])
+        # Merging or splitting a cut axis drops the mask.
+        assert ad._mask_of(ad.reshape(core, (12, 4))) is None
+        assert ad._mask_of(ad.reshape(core, (2, 2, 3, 4))) is None
+        # Blocks taken out, and every elementwise op, add, sub and neg among
+        # them, give unmasked values.
+        assert ad._mask_of(ad.take_block(core, ((0, 2), (0, 3), (0, 4)))) is None
+        for value in (ad.neg(core), ad.add(core, core), ad.sub(core, core), ad.mul(core, core)):
+            assert ad._mask_of(value) is None
+        # add_n is zero where every term is.
+        other = ad.block_core((4, 3, 4), [(rng.standard_normal((2, 3, 2)), ((2, 4), (0, 3), (0, 2)))])
+        assert ad._mask_of(ad.add_n([core, core])) == mask
+        assert ad._mask_of(ad.add_n([core, other])) == (((0, 4), (0, 3), (0, 2, 4)), ((0, 0, 1),))
+        assert ad._mask_of(ad.add_n([core, np.ones((4, 3, 4))])) is None
 
     def test_plan_runs_only_non_zero_products(self, rng):
-        # Blocks 0 and 2 of the contracted axis meet a dense operand; block 1
-        # is zero, so the two products add into one result block.
-        row = ad.block_core((3, 6), [(rng.standard_normal((3, 2)), ((0, 3), (0, 2))),
+        # Only block 0 of the contracted axis is non-zero: one product, which
+        # writes the whole result.
+        one = ad.block_core((3, 6), [(rng.standard_normal((3, 2)), ((0, 3), (0, 2)))])
+        # Blocks 0 and 2 are non-zero and block 1 is zero: their two products
+        # would sum into one result block, so the contraction runs whole.
+        two = ad.block_core((3, 6), [(rng.standard_normal((3, 2)), ((0, 3), (0, 2))),
                                      (rng.standard_normal((3, 2)), ((0, 3), (4, 6)))])
         dense = rng.standard_normal((6, 5))
         with split_always():
-            plan = ad._contract_plan((3, 6), (6, 5), ((1, 0),), None, ad._mask_of(row), None)[0][1]
-            got = ad.contract(row, dense, [(1, 0)])
-        assert (plan[2], plan[3], len(plan[1])) == (2 * 3 * 2 * 5, 3 * 6 * 5, 2)
-        np.testing.assert_allclose(got, np.array(row) @ dense, rtol=1e-14, atol=1e-14)
+            kernel, plan = ad._contract_plan((3, 6), (6, 5), ((1, 0),), None, ad._mask_of(one),
+                                             None)[0]
+            assert kernel is ad._block_products
+            assert (plan[2], plan[3], len(plan[1]), plan[0][2]) == (3 * 2 * 5, 3 * 6 * 5, 1, False)
+            assert ad._contract_plan((3, 6), (6, 5), ((1, 0),), None, ad._mask_of(two),
+                                     None)[0][0] is ad._gemm
+            for row in (one, two):
+                np.testing.assert_allclose(ad.contract(row, dense, [(1, 0)]), np.array(row) @ dense,
+                                           rtol=1e-14, atol=1e-14)
 
     def test_skipped_block_meeting_inf_gives_zero(self):
         # A structural zero block is never multiplied, so its partner's inf

@@ -4,22 +4,28 @@
 
 Each checkout is a ``git clone`` of this repository at the commit to
 measure.  Give the checkouts paths of equal length: the benchmark's
-timings move with the length of the path and of the environment.  For each
+timings move with the length of the path and of the environment.  Each run
+gets the environment variable ``BENCH_FILE_PAD`` of a random length from 0
+to ``MAX_PAD`` bytes, drawn from the seed, so the environment's size is
+spread alike over both sides instead of fixed for the whole file.  For each
 workload of ``BENCHMARK.json``, in its order, the checkouts take turns
 (A B A B ...) until each has run
 ``python3 perfbench/run.py --workload W --seed S --seconds T`` (untraced)
 ``REPEATS`` times from its root, so the sides of a workload are measured
 back to back and share the machine's drifts.  The file keeps, per workload
-and checkout, every run (the commit, the run's ``env`` line and its last
-JSON line, and for the workloads that time the AD and the fused pipelines
-on the same objectives, operator_r5 and completion, the ratios
-grad_ms/opt_grad_ms and hvp_ms/opt_hvp_ms), and a summary: each metric's
-and ratio's median over the runs, with its min and max.  A run that fails
-its checks is recorded with its exit code, and the script exits 1.
+and checkout, every run (the commit, the run's ``env`` line, its padding
+length ``env_pad`` and its last JSON line, and for the workloads that time
+the AD and the fused pipelines on the same objectives, operator_r5 and
+completion, the ratios grad_ms/opt_grad_ms and hvp_ms/opt_hvp_ms), and a
+summary: each metric's and ratio's median over the runs, with its min and
+max.  A run that fails its checks is recorded with its exit code, and the
+script exits 1.
 """
 
 import argparse
 import json
+import os
+import random
 import statistics
 import subprocess
 import sys
@@ -28,19 +34,23 @@ from pathlib import Path
 REPEATS = 4
 RATIO_WORKLOADS = ("operator_r5", "completion")
 RATIOS = (("grad_ms", "opt_grad_ms"), ("hvp_ms", "opt_hvp_ms"))
+MAX_PAD = 4096
 
 
-def run_once(checkout, workload, seed, seconds):
-    """The record of one untraced run of ``workload`` in ``checkout``."""
+def run_once(checkout, workload, seed, seconds, pad):
+    """The record of one untraced run of ``workload`` in ``checkout``, with
+    ``pad`` bytes of ``BENCH_FILE_PAD`` in its environment."""
     commit = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], check=True,
                             capture_output=True, text=True).stdout.strip()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
-                          cwd=checkout, capture_output=True, text=True)
+                          cwd=checkout, capture_output=True, text=True,
+                          env=dict(os.environ, BENCH_FILE_PAD="x" * pad))
     lines = proc.stdout.splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     result = json.loads(lines[-1])
-    record = {"commit": commit, "exit_code": proc.returncode, "env": env, "result": result}
+    record = {"commit": commit, "exit_code": proc.returncode, "env": env, "env_pad": pad,
+              "result": result}
     if workload in RATIO_WORKLOADS:
         metrics = result["metrics"]
         record["ratios"] = {f"{ad}/{fused}": metrics[ad]["value"] / metrics[fused]["value"]
@@ -73,12 +83,14 @@ def main(argv=None):
     p.add_argument("checkouts", nargs="+", type=Path)
     args = p.parse_args(argv)
     spec = json.loads((args.checkouts[0] / "BENCHMARK.json").read_text())
+    pads = random.Random(args.seed)
     runs = {}
     for w in (w["name"] for w in spec["workloads"]):
         runs[w] = [[] for _ in args.checkouts]
         for _ in range(REPEATS):
             for records, checkout in zip(runs[w], args.checkouts):
-                records.append(run_once(checkout, w, args.seed, args.seconds))
+                records.append(run_once(checkout, w, args.seed, args.seconds,
+                                        pads.randint(0, MAX_PAD)))
     args.out.write_text(json.dumps({
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                    f"--seconds {args.seconds:g}",
