@@ -62,10 +62,15 @@ and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
 ``mode_matmul`` and ``mode_outer`` apply them to, or build them from,
 per-sample (N, r) rows with one matrix product per mode value, so no
 per-sample slice is ever stored.  Their rows stay in the order of a
-:class:`ModeSort` of the mode, whose ``bounds`` delimit each value's block,
-and ``take_rows`` is the one permutation between two modes' orders
-(:meth:`ModeSort.reorder`).  Index vectors and bounds are constant parents
-of the node and kernel operands.
+:class:`ModeSort` of the mode, which the three row ops take in place of
+raw vectors: its ``bounds`` delimit each value's block, and
+``take_rows(rows, sort, want)`` is the one permutation from its order into
+another sort's, or into the samples' own for ``None``
+(:meth:`ModeSort.reorder`).  A sort checks its index vector once and keeps
+its arrays read-only, so the ops check only that it orders as many rows as
+they are given, and ``mode_matmul`` that it spans the core's mode size.
+Index vectors, bounds and permutations are constant parents of the node
+and kernel operands, so a replay reads each call's own.
 
 A constant stays a plain float64 array (an index vector an intp one) and
 is never recorded: every :class:`Var` is a tape input or depends on one.
@@ -1159,7 +1164,8 @@ class ModeSort:
     ``order`` lists the samples in sorted order, ``rank`` is its inverse
     (each sample's sorted position) and ``bounds``, an intp vector, are the
     block offsets: the samples with value ``i`` are
-    ``order[bounds[i]:bounds[i + 1]]``.
+    ``order[bounds[i]:bounds[i + 1]]``.  The three are read-only, so the
+    mode ops trust them unchecked.
     """
 
     __slots__ = ("order", "rank", "bounds")
@@ -1172,48 +1178,49 @@ class ModeSort:
         self.order = np.argsort(idx.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
         self.rank = np.empty_like(self.order)
         self.rank[self.order] = np.arange(len(idx))
+        for a in (self.order, self.rank, self.bounds):
+            a.flags.writeable = False
 
     def reorder(self, want):
-        """``(perm, inverse)`` for :func:`take_rows`, which moves rows in
-        this sort's order into the sorted order of ``want``, another
-        :class:`ModeSort`, or into the samples' own order for ``None``."""
+        """``(perm, inverse)``: row ``i`` of rows in the sorted order of
+        ``want``, another :class:`ModeSort`, or in the samples' own order
+        for ``None``, is row ``perm[i]`` of rows in this sort's order."""
         if want is None:
             return self.rank, self.order
         return self.rank[want.order], want.rank[self.order]
 
 
-def take_rows(rows, perm, inverse):
-    """``rows`` permuted along axis 0: row ``i`` of the result is row
-    ``perm[i]``.  ``inverse`` is ``perm``'s inverse, and the adjoint is
-    ``take_rows(u, inverse, perm)``; both vectors are kernel operands and
-    constant parents of the node."""
+def _check_sort(sort, count, n, what):
+    # The bounds of ``sort`` once it is known to order the op's ``count``
+    # rows, over a mode of size ``n`` unless that is None.
+    if not isinstance(sort, ModeSort) or len(sort.order) != count or \
+            n is not None and len(sort.bounds) != n + 1:
+        raise DimensionError(f"{what} needs a ModeSort of {count} rows"
+                             + ("" if n is None else f" over mode size {n}"))
+    return sort.bounds
+
+
+def take_rows(rows, sort, want):
+    """``rows``, in the sorted order of ``sort``, moved into that of
+    ``want``: another :class:`ModeSort` of the same samples, or ``None``
+    for the samples' own order.  The permutation and its inverse
+    (:meth:`ModeSort.reorder`) are kernel operands and constant parents of
+    the node; the adjoint moves rows back by the same two vectors."""
     tape, (rows,), (rv,) = _operands(rows)
-    count = len(rv) if rv.ndim else -1
-    perm, inverse = (index_vector(p, count, "take_rows") for p in (perm, inverse))
-    if len(perm) != count or len(inverse) != count or \
-            not np.array_equal(inverse[perm], np.arange(count)):
-        raise DimensionError(f"take_rows needs a permutation of {count} rows and its inverse")
-    return _take_rows(tape, rows, rv, perm, inverse)
+    for s in (sort, want or sort):  # want, when given, orders the same rows
+        _check_sort(s, len(rv) if rv.ndim else -1, None, "take_rows")
+    return _take_rows(tape, rows, rv, *sort.reorder(want))
 
 
 def _take_rows(tape, rows, rv, perm, inverse):
-    # take_rows by vectors it has validated; its adjoint reuses them.
+    # The rule reuses the node's own vectors: an array made inside it would
+    # be frozen into a recorded schedule as a literal.
     def rule(u):
         tape, (u,), (uv,) = _operands(u)
         return _take_rows(tape, u, uv, inverse, perm)
 
     return _node(tape, "take_rows", np.take, (rv, perm), (rows, perm, inverse),
                  (rule, None, None), (0,))
-
-
-def _check_bounds(bounds, count, n, what):
-    # ``bounds`` as an intp vector: the block offsets, rising from 0 to
-    # ``count``, of rows sorted by a mode of size ``n``.
-    bounds = index_array(bounds)
-    b = bounds.tolist()
-    if bounds.shape != (n + 1,) or b[0] != 0 or b[-1] != count or b != sorted(b):
-        raise DimensionError(f"{what}: {count} rows over mode size {n} do not match bounds {b}")
-    return bounds
 
 
 def _mode_matmul_value(rows, core, bounds):
@@ -1235,43 +1242,43 @@ def _mode_outer_value(rows, u, bounds):
     return np.ascontiguousarray(np.transpose(buf, (1, 0, 2)))
 
 
-def mode_matmul(rows, core, bounds):
+def mode_matmul(rows, core, sort):
     """Per-sample row times mode slice: ``out[s] = rows[s] @ core[:, i, :]``
-    for the rows ``s`` in ``bounds[i]:bounds[i + 1]``.
+    for the rows ``s`` in ``sort.bounds[i]:sort.bounds[i + 1]``.
 
-    ``rows`` is (N, r_left), sorted by the samples' index in this mode,
-    ``core`` is (r_left, n, r_right) and ``bounds`` is the
-    :attr:`ModeSort.bounds` of that sort; the result is (N, r_right), in
-    the same order.  It runs one matrix product per mode value on the
-    contiguous block of that value's rows, so nothing of size
-    N * r_left * r_right is formed.
+    ``rows`` is (N, r_left) in the sorted order of ``sort``, a
+    :class:`ModeSort` of the samples' index in this mode, and ``core`` is
+    (r_left, n, r_right); the result is (N, r_right), in the same order.
+    It runs one matrix product per mode value on the contiguous block of
+    that value's rows, so nothing of size N * r_left * r_right is formed.
     """
     tape, (rows, core), (rv, cv) = _operands(rows, core)
     if rv.ndim != 2 or cv.ndim != 3 or rv.shape[1] != cv.shape[0]:
         raise DimensionError(f"mode_matmul shapes incompatible: {rv.shape} x {cv.shape}")
-    bounds = _check_bounds(bounds, rv.shape[0], cv.shape[1], "mode_matmul")
+    bounds = _check_sort(sort, rv.shape[0], cv.shape[1], "mode_matmul")
     return _node(tape, "mode_matmul", _mode_matmul_value, (rv, cv, bounds), (rows, core, bounds), (
-        lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), bounds),
-        lambda u: mode_outer(rows, u, bounds),
+        lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), sort),
+        lambda u: mode_outer(rows, u, sort),
         None,
     ))
 
 
-def mode_outer(rows, u, bounds):
+def mode_outer(rows, u, sort):
     """Adjoint of :func:`mode_matmul` in its core: the (r_left, n, r_right)
     core whose slice ``i`` is the sum of ``outer(rows[s], u[s])`` over the
-    rows ``s`` in ``bounds[i]:bounds[i + 1]``.
+    rows ``s`` in ``sort.bounds[i]:sort.bounds[i + 1]``.
 
-    ``rows`` and ``u`` come sorted as for :func:`mode_matmul`.  One matrix
-    product per mode value; a value that never occurs leaves a zero slice.
+    ``rows`` and ``u`` come in the sorted order of ``sort``, as for
+    :func:`mode_matmul`.  One matrix product per mode value; a value that
+    never occurs leaves a zero slice.
     """
     tape, (rows, u), (rv, uv) = _operands(rows, u)
     if rv.ndim != 2 or uv.ndim != 2 or rv.shape[0] != uv.shape[0]:
         raise DimensionError(f"mode_outer shapes incompatible: {rv.shape} and {uv.shape}")
-    bounds = _check_bounds(bounds, rv.shape[0], max(np.size(bounds) - 1, 0), "mode_outer")
+    bounds = _check_sort(sort, rv.shape[0], None, "mode_outer")
     return _node(tape, "mode_outer", _mode_outer_value, (rv, uv, bounds), (rows, u, bounds), (
-        lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), bounds),
-        lambda w: mode_matmul(rows, w, bounds),
+        lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), sort),
+        lambda w: mode_matmul(rows, w, sort),
         None,
     ))
 

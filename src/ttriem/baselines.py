@@ -162,8 +162,7 @@ def project_sparse(base, indices, weights) -> TtTangent:
     first, last = (sorts[0], sorts[-1]) if sorts else (None, None)
     left = [ad.gather_mode(lefts[-1], _in_order(prefix, first)).reshape(count, r_a)]
     for k, sort, following in zip(range(a, b), sorts, sorts[1:] + [None]):
-        rows = ad.mode_matmul(left[-1], base.U[k], sort.bounds)
-        left.append(ad.take_rows(rows, *sort.reorder(following)))
+        left.append(ad.take_rows(ad.mode_matmul(left[-1], base.U[k], sort), sort, following))
     # Each (N, r) array is weighted in place and dropped once scattered, so
     # at most one is alive beyond those the swept modes keep.
     rows = left.pop()
@@ -173,9 +172,9 @@ def project_sparse(base, indices, weights) -> TtTangent:
     rows = ad.gather_mode(rights[0], _in_order(suffix, last)).reshape(count, r_b)
     rows *= _in_order(w, last)[:, None]
     for k, sort, preceding in reversed(list(zip(range(a, b), sorts, [None] + sorts[:-1]))):
-        deltas[k] = ad.mode_outer(left.pop(), rows, sort.bounds)
-        rows = ad.mode_matmul(rows, np.transpose(base.V[k], (2, 1, 0)), sort.bounds)
-        rows = ad.take_rows(rows, *sort.reorder(preceding))
+        deltas[k] = ad.mode_outer(left.pop(), rows, sort)
+        rows = ad.mode_matmul(rows, np.transpose(base.V[k], (2, 1, 0)), sort)
+        rows = ad.take_rows(rows, sort, preceding)
     h = ad.scatter_mode(rows.reshape(count, 1, r_a), prefix, lefts[-1].shape[1])
     # g is (r_j, Q_j) at suffix mode j: its delta takes the chain of modes
     # j+1..d-1, then U_j carries it to mode j + 1.

@@ -257,8 +257,7 @@ def entries_cores(cores, idx):
     if a < b:
         rows = ad.reshape(rows, (count, np.shape(cores[a])[0]))
         for core, sort, following in zip(cores[a:b], sorts, sorts[1:]):
-            rows = ad.take_rows(ad.mode_matmul(rows, core, sort.bounds),
-                                *sort.reorder(following))  # (N, r')
+            rows = ad.take_rows(ad.mode_matmul(rows, core, sort), sort, following)  # (N, r')
         rows = ad.reshape(rows, (count, 1, np.shape(cores[b])[0]))
     e = ad.batch_matmul(rows, ad.gather_mode(_suffix_tables(cores[b:])[0], right))  # (N, 1, 1)
     return ad.reshape(e, (count,))

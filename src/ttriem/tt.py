@@ -298,10 +298,11 @@ def tt_weighted_sum(weights, tensors) -> TtTensor:
 def tt_round(x: TtTensor, max_rank, tol: float = 0.0) -> TtTensor:
     """Truncate TT ranks by an orthogonalize-then-SVD sweep.
 
-    ``max_rank`` is an int or a per-bond vector; ``tol`` is a relative
-    target for the total truncation error.  The sweep first makes the chain
-    left-orthogonal, then truncates right-to-left so each local SVD sees
-    the true singular values of the corresponding unfolding.
+    ``max_rank`` is an int or a per-bond vector, each cap at least 1;
+    ``tol`` is a relative target for the total truncation error.  The
+    sweep first makes the chain left-orthogonal, then truncates
+    right-to-left so each local SVD sees the true singular values of the
+    corresponding unfolding.
     """
     if tol < 0.0:
         raise DimensionError("tol must be nonnegative")
@@ -313,6 +314,8 @@ def tt_round(x: TtTensor, max_rank, tol: float = 0.0) -> TtTensor:
         caps = [int(r) for r in max_rank]
         if len(caps) != bonds:
             raise DimensionError(f"max_rank must have {bonds} entries")
+    if min(caps, default=1) < 1:
+        raise DimensionError(f"max_rank must be at least 1, got {max_rank}")
 
     # Left-to-right orthogonalization.  Unlike `orthogonalize`, rounding may
     # see over-ranked chains (e.g. fresh axpy output), where the unfolding is
@@ -340,7 +343,6 @@ def tt_round(x: TtTensor, max_rank, tol: float = 0.0) -> TtTensor:
             tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[j] = ||s[j:]||
             while keep > 1 and tail[keep - 1] <= step_budget:
                 keep -= 1
-        keep = max(keep, 1)
         cores[k] = np.ascontiguousarray(v.T[:keep].reshape(keep, n, rr))
         carry = u[:, :keep] * s[:keep]
         cores[k - 1] = np.einsum("aib,bc->aic", cores[k - 1], carry)
@@ -397,13 +399,14 @@ def _read_chain(path, magic, size_names, cls):
         ranks = np.frombuffer(_read_exact(fh, 8 * (d + 1), "ranks"), dtype="<u8")
         if ranks[0] != 1 or ranks[-1] != 1:
             raise FormatError("boundary ranks must be 1")
-        if any(np.any(s == 0) for s in sizes) or np.any(ranks == 0):
-            raise FormatError("zero extent in header")
         cores = []
         for k in range(d):
             shape = (int(ranks[k]), *(int(s[k]) for s in sizes), int(ranks[k + 1]))
             buf = _read_exact(fh, 8 * math.prod(shape), f"core {k}")
-            cores.append(np.frombuffer(buf, dtype="<f8").reshape(shape))  # cls copies
+            try:  # a zero extent lets an empty core name any other extent
+                cores.append(np.frombuffer(buf, dtype="<f8").reshape(shape))  # cls copies
+            except ValueError as exc:
+                raise FormatError(f"core {k} of shape {shape}: {exc}") from exc
         if fh.read(1):
             raise FormatError("trailing bytes after last core")
     try:

@@ -293,12 +293,13 @@ def hess_vec_tt(p, x, z: TtTangent) -> TtTangent:
     gradient left on the tape by an inner reverse sweep, then differentiates
     w by a second sweep.  The base factors enter as plain-array constants,
     which the tape never records, so the projection operator itself is
-    frozen (the curvature term is dropped by construction).  The inner gradient is not gauged: the deltas of z
-    already are, and the gauge projection P is self-adjoint, so
-    <P G, z> = <G, z>.  Only the result is projected.  Raises
-    :class:`NonFiniteError` when the program's value or a delta of the
-    result is NaN or infinite.  Repeated calls with the same program object
-    replay the recorded sweeps, inner sweep and dot with z included.
+    frozen (the curvature term is dropped by construction).  The inner
+    gradient is not gauged: the deltas of z already are, and the gauge
+    projection P is self-adjoint, so <P G, z> = <G, z>.  Only the result
+    is projected.  Raises :class:`NonFiniteError` when the program's value
+    or a delta of the result is NaN or infinite.  Repeated calls with the
+    same program object replay the recorded sweeps, inner sweep and dot
+    with z included.
     """
     return _differentiate(p, _as_ortho(x), z, p)[1]
 

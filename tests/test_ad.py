@@ -464,38 +464,38 @@ class TestModeMatmul:
         assert len(idx) == count
         if not shuffled:
             idx = np.sort(idx, kind="stable")
-        return (idx, ad.ModeSort(idx, n).bounds, rng.standard_normal((count, rl)),
+        return (idx, ad.ModeSort(idx, n), rng.standard_normal((count, rl)),
                 rng.standard_normal((rl, n, rr)), rng.standard_normal((count, rr)))
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_matches_per_sample_reference(self, case, rng):
-        idx, bounds, rows, core, u = self.setup_case(case, rng)
+        idx, sort, rows, core, u = self.setup_case(case, rng)
         n = core.shape[1]
         want = np.einsum("sa,sab->sb", rows, per_sample_slices(core, idx))
-        np.testing.assert_allclose(ad.mode_matmul(rows, core, bounds), want,
+        np.testing.assert_allclose(ad.mode_matmul(rows, core, sort), want,
                                    rtol=1e-13, atol=1e-13)
         outer = rows[:, :, None] * u[:, None, :]
-        np.testing.assert_allclose(ad.mode_outer(rows, u, bounds),
+        np.testing.assert_allclose(ad.mode_outer(rows, u, sort),
                                    add_at_scatter(outer, idx, n), rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_outer_is_matmul_adjoint(self, case, rng):
         # <mode_outer(e, u), G> = <u, mode_matmul(e, G)>
-        idx, bounds, rows, core, u = self.setup_case(case, rng)
-        lhs = np.sum(ad.mode_outer(rows, u, bounds) * core)
-        rhs = np.sum(u * ad.mode_matmul(rows, core, bounds))
+        idx, sort, rows, core, u = self.setup_case(case, rng)
+        lhs = np.sum(ad.mode_outer(rows, u, sort) * core)
+        rhs = np.sum(u * ad.mode_matmul(rows, core, sort))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(lhs))
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_same_bits_on_array_and_var(self, case, rng):
-        idx, bounds, rows, core, u = self.setup_case(case, rng)
+        idx, sort, rows, core, u = self.setup_case(case, rng)
         tape = ad.Tape()
-        plain = ad.mode_matmul(rows, core, bounds)
-        on_tape = ad.mode_matmul(tape.input(rows), tape.input(core), bounds)
+        plain = ad.mode_matmul(rows, core, sort)
+        on_tape = ad.mode_matmul(tape.input(rows), tape.input(core), sort)
         assert np.array_equal(plain, on_tape.value)
         assert plain.shape == (len(idx), core.shape[2]) and plain.dtype == np.float64
-        plain = ad.mode_outer(rows, u, bounds)
-        on_tape = ad.mode_outer(tape.input(rows), tape.input(u), bounds)
+        plain = ad.mode_outer(rows, u, sort)
+        on_tape = ad.mode_outer(tape.input(rows), tape.input(u), sort)
         assert np.array_equal(plain, on_tape.value)
         assert plain.shape == core.shape and plain.flags.c_contiguous
 
@@ -506,7 +506,7 @@ class TestModeMatmul:
         # value.  Nested AD gives the HVP in direction (zc, ze), checked
         # against central differences of the hand-written Df[zc, ze], which
         # is quadratic, so the differences are exact up to rounding.
-        idx, bounds, rows, core, _ = self.setup_case(case, rng)
+        idx, sort, rows, core, _ = self.setup_case(case, rng)
         rl, n = core.shape[:2]
         core = rng.standard_normal((rl, n, rl))  # square slices
         zc, ze = rng.standard_normal(core.shape), rng.standard_normal(rows.shape)
@@ -522,8 +522,8 @@ class TestModeMatmul:
 
         tape = ad.Tape()
         c, e = tape.input(core), tape.input(rows)
-        out = (ad.reduce_sum(ad.mode_outer(e, e, bounds) * c)
-               + ad.reduce_sum(ad.mode_matmul(e, c, bounds) * e))
+        out = (ad.reduce_sum(ad.mode_outer(e, e, sort) * c)
+               + ad.reduce_sum(ad.mode_matmul(e, c, sort) * e))
         assert np.isclose(out.value, value(core, rows), rtol=1e-12, atol=1e-12)
         g_c, g_e = ad.grad(tape, out, [c, e], as_vars=True)
         for got, want in zip((g_c, g_e), fd_gradient(value, [core, rows])):
@@ -536,17 +536,16 @@ class TestModeMatmul:
             np.testing.assert_allclose(g, w, rtol=1e-8, atol=1e-8 * np.abs(w).max(initial=1.0))
 
     def test_groups_must_match(self, rng):
-        # The bounds rise from 0 to the row count, one more of them than the
-        # mode has values.
+        # The sort orders as many samples as there are rows, over as many
+        # values as the core has mode slices; raw bounds are no sort.
         rows, u, core = (rng.standard_normal(s) for s in [(3, 2), (3, 2), (2, 3, 2)])
-        four_rows = ad.ModeSort([0, 1, 1, 2], 3).bounds
-        for bounds in ([0, 2, 1, 3], [1, 1, 2, 3], [0, 1, 2, 4], [[0, 1, 3]], four_rows):
+        for sort in (ad.ModeSort([0, 1, 1, 2], 3), ad.ModeSort([0, 2], 3), [0, 1, 2, 3]):
             with pytest.raises(DimensionError):
-                ad.mode_matmul(rows, core, bounds)
+                ad.mode_matmul(rows, core, sort)
             with pytest.raises(DimensionError):
-                ad.mode_outer(rows, u, bounds)
+                ad.mode_outer(rows, u, sort)
         with pytest.raises(DimensionError):
-            ad.mode_matmul(rows, core, [0, 1, 3])  # two mode values, the core has three
+            ad.mode_matmul(rows, core, ad.ModeSort([0, 1, 1], 2))  # the core has three values
 
     # Chained layouts: rows come in in this mode's sorted order ("own") or
     # in a second mode's ("second"), and go out in this mode's, the second
@@ -574,14 +573,17 @@ class TestModeMatmul:
 
     @staticmethod
     def to_sorted(x, have, own):
-        # Rows in the order of ``have`` taken into the sorted order of ``own``.
-        return x if have is own else ad.take_rows(x, *own.reorder(have)[::-1])
+        # Rows in the order of ``have`` taken into the sorted order of
+        # ``own``; the samples' own order (None) is the sort of arange(N).
+        if have is None:
+            have = ad.ModeSort(np.arange(len(own.order)), len(own.order))
+        return x if have is own else ad.take_rows(x, have, own)
 
     def chained(self, e, core, own, into, out):
         # mode_matmul of rows that come in the order of ``into`` and go out
         # in that of ``out``.
-        e = ad.mode_matmul(self.to_sorted(e, into, own), core, own.bounds)
-        return e if out is own else ad.take_rows(e, *own.reorder(out))
+        e = ad.mode_matmul(self.to_sorted(e, into, own), core, own)
+        return e if out is own else ad.take_rows(e, own, out)
 
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
@@ -593,7 +595,7 @@ class TestModeMatmul:
                                    want[perm_out], rtol=1e-13, atol=1e-13)
         outer = rows[:, :, None] * u[:, None, :]
         got = ad.mode_outer(self.to_sorted(rows[perm_in], into, own),
-                            self.to_sorted(u[perm_out], out, own), own.bounds)
+                            self.to_sorted(u[perm_out], out, own), own)
         np.testing.assert_allclose(got, add_at_scatter(outer, idx, n), rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
@@ -602,19 +604,18 @@ class TestModeMatmul:
         # <mode_outer(e, u), G> = <u, chain(e, G)> = <chain back(u, G^T), e>,
         # with e in the input order and u in the output order, the chain
         # back running from the output order to the input one; and the
-        # adjoint of take_rows(x, perm, inverse) is take_rows(y, inverse, perm).
+        # adjoint of take_rows(x, own, out) moves rows back from out to own.
         idx, own, into, out, perm_in, perm_out, rows, core, u = self.setup_chained(case, layout, rng)
         e, u = rows[perm_in], u[perm_out]
         mid = np.sum(u * self.chained(e, core, own, into, out))
         lhs = np.sum(ad.mode_outer(self.to_sorted(e, into, own), self.to_sorted(u, out, own),
-                                   own.bounds) * core)
+                                   own) * core)
         rhs = np.sum(e * self.chained(u, np.transpose(core, (2, 1, 0)), own, out, into))
         for other in (lhs, rhs):
             assert abs(other - mid) <= 1e-12 * max(1.0, np.abs(mid))
-        perm, inverse = own.reorder(out)
         y = rng.standard_normal(e.shape)
-        lhs = np.sum(ad.take_rows(e, perm, inverse) * y)
-        assert abs(lhs - np.sum(e * ad.take_rows(y, inverse, perm))) <= 1e-12 * max(1.0, abs(lhs))
+        lhs = np.sum(ad.take_rows(e, own, out) * y)
+        assert abs(lhs - np.sum(e * self.to_sorted(y, out, own))) <= 1e-12 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
@@ -627,8 +628,8 @@ class TestModeMatmul:
         assert np.array_equal(plain, on_tape.value)
         assert plain.shape == (len(idx), core.shape[2]) and plain.dtype == np.float64
         e, u = self.to_sorted(e, into, own), self.to_sorted(u, out, own)
-        plain = ad.mode_outer(e, u, own.bounds)
-        assert np.array_equal(plain, ad.mode_outer(tape.input(e), tape.input(u), own.bounds).value)
+        plain = ad.mode_outer(e, u, own)
+        assert np.array_equal(plain, ad.mode_outer(tape.input(e), tape.input(u), own).value)
         assert plain.shape == core.shape and plain.flags.c_contiguous
 
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
@@ -659,8 +660,7 @@ class TestModeMatmul:
         tape = ad.Tape()
         c, e = tape.input(core), tape.input(rows)
         e_out = self.chained(e, eye, own, into, out)
-        outer = ad.mode_outer(self.to_sorted(e, into, own), self.to_sorted(e_out, out, own),
-                              own.bounds)
+        outer = ad.mode_outer(self.to_sorted(e, into, own), self.to_sorted(e_out, out, own), own)
         out = ad.reduce_sum(outer * c) + ad.reduce_sum(self.chained(e, c, own, into, out) * e_out)
         assert np.isclose(out.value, value(core, rows), rtol=1e-12, atol=1e-12)
         g_c, g_e = ad.grad(tape, out, [c, e], as_vars=True)
@@ -683,11 +683,12 @@ class TestModeSort:
             ad.ModeSort(idx, 3)
 
     def test_reorder_chains(self, rng):
-        # take_rows by reorder carries rows from one sort's order into
-        # another's or into sample order and back, and two hops give the
-        # rows of one.
+        # take_rows carries rows from one sort's order into another's or
+        # into sample order (None), and two hops give the rows of one; the
+        # sort of arange(N) over N values is the samples' own order.
         count = 50
         values = rng.standard_normal((count, 3))
+        samples = ad.ModeSort(np.arange(count), count)
         sorts = []
         for n in (4, 7, 1):
             idx = rng.integers(0, n, count)
@@ -703,13 +704,18 @@ class TestModeSort:
 
         for a in sorts:
             for b in sorts + [None]:
-                perm, inverse = a.reorder(b)
-                moved = ad.take_rows(sorted_rows(a), perm, inverse)
+                moved = ad.take_rows(sorted_rows(a), a, b)
                 assert np.array_equal(moved, sorted_rows(b))
-                assert np.array_equal(ad.take_rows(moved, inverse, perm), sorted_rows(a))
-                if b is not None:
-                    for c in sorts + [None]:
-                        assert np.array_equal(ad.take_rows(moved, *b.reorder(c)), sorted_rows(c))
+                assert np.array_equal(ad.take_rows(moved, b or samples, a), sorted_rows(a))
+                for c in sorts + [None]:
+                    assert np.array_equal(ad.take_rows(moved, b or samples, c), sorted_rows(c))
+
+    def test_arrays_are_read_only(self):
+        # The mode ops trust a sort's arrays unchecked, so none can change.
+        sort = ad.ModeSort([2, 0, 1, 2], 3)
+        for a in (sort.order, sort.rank, sort.bounds):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
 
 class TestEntriesCores:
@@ -1233,9 +1239,9 @@ class TestSameOnAndOffTape:
         "gather_mode": ([(2, 4, 3)], lambda c: ad.gather_mode(c, [3, 0, 0, 2])),
         "scatter_mode": ([(4, 2, 3)], lambda m: ad.scatter_mode(m, [3, 0, 0, 2], 5)),
         "batch_matmul": ([(4, 2, 3), (4, 3, 2)], ad.batch_matmul),
-        "take_rows": ([(5, 2)], lambda r: ad.take_rows(r, *SORT.reorder(None))),
-        "mode_matmul": ([(5, 2), (2, 3, 4)], lambda r, c: ad.mode_matmul(r, c, SORT.bounds)),
-        "mode_outer": ([(5, 2), (5, 3)], lambda r, u: ad.mode_outer(r, u, SORT.bounds)),
+        "take_rows": ([(5, 2)], lambda r: ad.take_rows(r, SORT, None)),
+        "mode_matmul": ([(5, 2), (2, 3, 4)], lambda r, c: ad.mode_matmul(r, c, SORT)),
+        "mode_outer": ([(5, 2), (5, 3)], lambda r, u: ad.mode_outer(r, u, SORT)),
         "stop_gradient": ([(2, 3)], ad.stop_gradient),
     }
     # Ops that give back the plain value and record no node on a tape.
@@ -1249,10 +1255,11 @@ class TestSameOnAndOffTape:
         "batch_matmul_broadcast": ([np.ones((1, 2, 3)), np.ones((4, 3, 2))], ad.batch_matmul),
         "gather_mode_2d": ([np.ones((2, 3))], lambda c: ad.gather_mode(c, [0, 1])),
         "add_n_empty": ([], lambda *p: ad.add_n(list(p))),
-        "take_rows_wrong_length": ([np.ones((6, 2))],
-                                   lambda r: ad.take_rows(r, *SORT.reorder(None))),
-        "take_rows_not_inverse": ([np.ones((5, 2))],
-                                  lambda r: ad.take_rows(r, SORT.order, SORT.order)),
+        "take_rows_wrong_length": ([np.ones((6, 2))], lambda r: ad.take_rows(r, SORT, None)),
+        "take_rows_want_of_other_length": ([np.ones((5, 2))],
+                                           lambda r: ad.take_rows(r, SORT, ad.ModeSort([0, 1], 2))),
+        "mode_matmul_wrong_mode_size": ([np.ones((5, 2)), np.ones((2, 4, 3))],
+                                        lambda r, c: ad.mode_matmul(r, c, SORT)),
         "concat_mismatched": ([np.ones((2, 3)), np.ones((3, 3))],
                               lambda *p: ad.concat(list(p), 1)),
         "concat_empty": ([], lambda *p: ad.concat(list(p), 0)),

@@ -209,6 +209,31 @@ class TestReplay:
             assert all(counted[op] > 0 for op in ("mode_matmul", "mode_outer", "take_rows"))
         assert len(kept(p)) == 2
 
+    def test_swept_replay_reads_each_calls_sorts(self, rng):
+        # The sorts' bounds and row permutations are constants of the tape,
+        # not part of the schedule: a new observation set with the same N,
+        # mode sizes and split replays at its own sorts.
+        modes = (30,) * 4
+        omega = [IndexSet(sample_indices(rng, modes, 100), rng.standard_normal(100))]
+        assert coreops._table_split(list(modes), 100) == (1, 3)
+
+        def program(cores):
+            return completion_loss(omega[0]).evaluate(cores)
+
+        base = point(rng, modes)
+        z = direction(rng, base)
+        for _ in range(2):  # eager, then recorded
+            riemannian_grad_tt(program, base)
+            hess_vec_tt(program, base, z)
+        first = riemannian_grad_tt(eager(program), base), hess_vec_tt(eager(program), base, z)
+        omega[0] = IndexSet(sample_indices(rng, modes, 100), omega[0].values)
+        got, ran = replaying(lambda: riemannian_grad_tt(program, base))
+        assert ran and same_bits(got, riemannian_grad_tt(eager(program), base))
+        assert not same_bits(got, first[0])
+        got, ran = replaying(lambda: hess_vec_tt(program, base, z))
+        assert ran and same_bits(got, hess_vec_tt(eager(program), base, z))
+        assert not same_bits(got, first[1])
+
     def test_completion_tables_replay(self, rng):
         # Every mode lies in a table: the gathers and scatters replay with
         # the forward pass's index vectors as slots.

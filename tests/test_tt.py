@@ -463,6 +463,18 @@ class TestRound:
         with pytest.raises(DimensionError):
             tt_round(random_tt(rng, (2, 2), (2,)), 2, tol=-1.0)
 
+    @pytest.mark.parametrize("caps", [0, -1, (0, 2), (2, -1)],
+                             ids=["zero", "negative", "zero_bond", "negative_bond"])
+    def test_cap_below_one_rejected(self, caps, rng):
+        # A cap below 1 was raised to 1, so tt_round(x, 0) gave rank 1.
+        with pytest.raises(DimensionError):
+            tt_round(random_tt(rng, (2, 3, 2), (2, 2)), caps)
+
+    def test_zero_rank_chain_kept(self):
+        # A zero rank has no singular value to keep, and stays zero.
+        x = TtTensor([np.zeros((1, 2, 0)), np.zeros((0, 3, 1))])
+        assert tt_round(x, 2).ranks == (1, 0, 1)
+
 
 class Format(NamedTuple):
     """A binary format under test: its writer, reader and a sample chain."""
@@ -492,7 +504,8 @@ def layout_bytes(magic, size_arrays, cores):
 
 
 class _CorruptFiles:
-    """Corrupt-file cases; each subclass runs them on its format ``fmt``."""
+    """Corrupt-file and layout cases; each subclass runs them on its format
+    ``fmt``."""
 
     fmt: Format
 
@@ -528,6 +541,29 @@ class _CorruptFiles:
         path = tmp_path / "x.ttv1"
         self.fmt.write(self.fmt.sample(rng, (2, 2), (2,)), path)
         path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError):
+            self.fmt.read(path)
+
+    @pytest.mark.parametrize("modes, ranks", [((2, 3, 2), (0, 0)), ((2, 0, 3), (2, 2))],
+                             ids=["zero_ranks", "zero_mode"])
+    def test_zero_extents_roundtrip(self, rng, tmp_path, modes, ranks):
+        # Every chain the constructors accept reads back, zero extents too:
+        # ranks (1, 0, 0, 1) are those of the naive completion gradient of
+        # an empty observation set.
+        chain = self.fmt.sample(rng, modes, ranks)
+        assert any(c.size == 0 for c in chain.cores)
+        path = tmp_path / "x.bin"
+        self.fmt.write(chain, path)
+        back = self.fmt.read(path)
+        assert [c.shape for c in back.cores] == [c.shape for c in chain.cores]
+
+    def test_extent_beyond_numpy_beside_zero_rejected(self, tmp_path):
+        # A zero rank makes the core empty whatever its mode sizes, so the
+        # file's length cannot bound them.
+        path = tmp_path / "x.bin"
+        sizes = struct.pack("<2Q", 2**64 - 1, 1) * self.fmt.size_arrays
+        path.write_bytes(self.fmt.magic + struct.pack("<I", 2) + sizes
+                         + struct.pack("<3Q", 1, 0, 1))
         with pytest.raises(FormatError):
             self.fmt.read(path)
 
