@@ -35,7 +35,9 @@ Masks start in :func:`block_core`: the blocks no part covers, and any part
 that is exactly zero, such as the delta seed of a tangent's block cores.
 Those parts are in the node's static part, so tapes whose zeros differ
 have different signatures; inside a reverse sweep ``block_core`` reads no
-values, so a sweep's masks follow from the forward tape's alone.  Masks
+values, so a sweep's masks follow from the forward tape's alone.  A
+:class:`KeptBlockCore` computes the block core of fixed read-only arrays
+once, value, static part and mask, and later records nodes around it.  Masks
 follow the structural path to the contractions: ``transpose`` and
 ``reshape`` (while every cut axis passes through whole) pass them on,
 ``add_n`` keeps the blocks zero in every term, and ``contract`` works out
@@ -682,14 +684,65 @@ def block_core(shape, parts):
     one such node, however many of its blocks are constants.
     """
     tape, operands, vals = _operands(*[part for part, _ in parts])
-    shape, ats, slices = _block_layout(tuple(shape), tuple(tuple(map(tuple, at)) for _, at in parts),
-                                       tuple(v.shape for v in vals))
+    return _node(tape, "block_core", _block_core_value, vals, tuple(operands),
+                 *_block_core_plan(shape, [at for _, at in parts], vals))
+
+
+def _block_core_plan(shape, ats, vals):
+    # The adjoint rules, kernel arguments, static part and mask of the
+    # block_core of ``vals`` at the blocks ``ats``.
     # A sweep's parts are zero by structure only, never by value: the
     # masks of its kernels must not depend on the values it computes.
     zero = () if _state.sweeping else tuple(i for i, v in enumerate(vals) if _is_zero(v))
-    return _node(tape, "block_core", _block_core_value, vals, tuple(operands),
-                 tuple(lambda u, at=at: take_block(u, at) for at in ats), (shape, slices),
-                 (shape, ats, zero), _block_core_mask(shape, ats, zero))
+    return _block_core_static(tuple(shape), tuple(tuple(map(tuple, at)) for at in ats),
+                              tuple(v.shape for v in vals), zero)
+
+
+@lru_cache(maxsize=1024)
+def _block_core_static(shape, ats, shapes, zero):
+    # _block_core_plan for operands of ``shapes`` whose parts ``zero`` are zero.
+    shape, ats, slices = _block_layout(shape, ats, shapes)
+    return (tuple(lambda u, at=at: take_block(u, at) for at in ats), (shape, slices),
+            (shape, ats, zero), _block_core_mask(shape, ats, zero))
+
+
+class KeptBlockCore:
+    """The :func:`block_core` of fixed parts whose first operand may vary,
+    computed once for the parts' own arrays.
+
+    ``parts`` are (array, at) pairs as for :func:`block_core`; the arrays
+    must be float64 and are not to be written to while this is kept.
+    ``of(x)`` is the block_core of ``x`` in the first part's block and the
+    other parts' arrays in theirs.  Given the first part's own array, or a
+    tape variable holding it, it computes the block core on its first call
+    and keeps the value, read-only, with its static part and mask; later
+    calls return that value, or on a tape a node around it, and compute
+    nothing.
+    """
+
+    __slots__ = ("_shape", "_parts", "_plan")
+
+    def __init__(self, shape, parts):
+        self._shape = shape
+        self._parts = parts
+        self._plan = None
+
+    def of(self, first):
+        (own, at), *rest = self._parts
+        if (first.value if first.__class__ is Var else first) is not own:
+            return block_core(self._shape, [(first, at), *rest])
+        tape, operands, vals = _operands(first, *[a for a, _ in rest])
+        if self._plan is None:
+            rules, args, static, mask = _block_core_plan(self._shape, [at for _, at in self._parts],
+                                                         vals)
+            value = _block_core_value(*vals, *args)
+            value.flags.writeable = False
+            self._plan = (rules, (value,), static, mask)
+        return _node(tape, "block_core", _kept_value, vals, tuple(operands), *self._plan)
+
+
+def _kept_value(*args):
+    return args[-1]
 
 
 def _is_zero(v):
@@ -1316,24 +1369,31 @@ class Schedule:
     j, or from ``extra[j]`` when i = -1; ``slots`` is the initial slot list,
     literals in place, and ``results`` the slots returned.  ``kernels``
     counts the steps per op name, added to :data:`replayed` by each run.
+    ``peak_live_bytes`` is the largest total of the step outputs a replay
+    holds at once: a step's output and inputs are held while it runs, and
+    an output is dropped after the step that reads it last (a result is
+    kept).  It counts each output at its ``nbytes``, a view as well.
     """
 
-    __slots__ = ("steps", "sources", "slots", "results", "kernels", "_stats", "__weakref__")
+    __slots__ = ("steps", "sources", "slots", "results", "kernels", "peak_live_bytes",
+                 "_stats", "__weakref__")
 
-    def __init__(self, steps, sources, slots, results, stats):
+    def __init__(self, steps, sources, slots, results, stats, peak_live_bytes):
         self.steps = steps
         self.sources = sources
         self.slots = slots
         self.results = results
         self._stats = stats
         self.kernels = Counter({op: op_stats["steps"] for op, op_stats in stats.items()})
+        self.peak_live_bytes = peak_live_bytes
 
     def stats(self):
         """Per op name, counted when the schedule was recorded: ``steps``,
         the kernel calls a replay runs, and ``bytes``, the bytes of their
         outputs; for ``contract`` also ``macs``, the multiply-adds its block
         products run, and ``dense_macs``, those of the same contractions
-        run whole."""
+        run whole.  The peak of the bytes a replay holds is
+        :attr:`peak_live_bytes`."""
         return {op: dict(op_stats) for op, op_stats in self._stats.items()}
 
     def run(self, nodes, extra=()):
@@ -1422,7 +1482,18 @@ class _Recorder:
         steps = [(kernel, _getter(ins), static, out, tuple(gone))
                  for (_, kernel, ins, static, out, _), gone in zip(self.steps, dead)]
         return Schedule(steps, [src for src in self.sources if src[0] in used], slots, results,
-                        stats)
+                        stats, self._peak_live_bytes(dead))
+
+    def _peak_live_bytes(self, dead):
+        # The largest total of step outputs held at once, when the outputs
+        # ``dead[n]`` are dropped after step n.
+        size = {out: nbytes for *_, out, nbytes in self.steps}
+        live = peak = 0
+        for (*_, nbytes), gone in zip(self.steps, dead):
+            live += nbytes
+            peak = max(peak, live)
+            live -= sum(size.get(s, 0) for s in gone)
+        return peak
 
 
 def _contract_macs(kernel, plan):

@@ -207,7 +207,8 @@ def write_csv(records, path):
 
 
 def complexity_ratios(d=6, n=10, rank=5, op_rank=5, trials=7, seed=0):
-    """Median ratios time(AD grad or hvp) / time(forward evaluation).
+    """Median ratios time(AD grad or hvp) / time(forward evaluation), and
+    the median seconds of each of the three calls.
 
     The denominator is one plain (untaped) evaluation of the objective
     program at the tangent parametrization: that forward pass is the
@@ -237,4 +238,6 @@ def complexity_ratios(d=6, n=10, rank=5, op_rank=5, trials=7, seed=0):
         "grad_over_eval": float(np.median(grads / evals)),
         "hvp_over_eval": float(np.median(hvps / evals)),
         "eval_seconds": float(np.median(evals)),
+        "grad_seconds": float(np.median(grads)),
+        "hvp_seconds": float(np.median(hvps)),
     }

@@ -125,14 +125,19 @@ class MuOrthogonal:
     representation; the unused boundary slots hold None.  The center cores
     form a private chain that gives ``ndim``, ``mode_sizes`` and ``ranks``;
     it is not exposed as ``cores``, since its product is not the tensor.
+    ``U``, ``V`` and ``S`` are read-only tuples of read-only arrays, so what
+    is derived from a point once (the tangent setup of
+    :mod:`ttriem.ttmanifold`) stays valid for as long as the point lives.
     """
 
     def __init__(self, U, V, S):
         self._center = TtTensor(S)
-        self.U = tuple(None if u is None else frozen(u) for u in U)
-        self.V = tuple(None if v is None else frozen(v) for v in V)
-        self.S = self._center.cores
+        self._U = tuple(None if u is None else frozen(u) for u in U)
+        self._V = tuple(None if v is None else frozen(v) for v in V)
 
+    U = property(lambda self: self._U)
+    V = property(lambda self: self._V)
+    S = property(lambda self: self._center.cores)
     ndim = property(lambda self: self._center.ndim)
     mode_sizes = property(lambda self: self._center.mode_sizes)
     ranks = property(lambda self: self._center.ranks)

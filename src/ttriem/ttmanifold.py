@@ -8,6 +8,7 @@ sum_i U_k[i]^T S^delta_k[i] = 0 for all modes but the last.  The block-core
 construction turns deltas into an ordinary TT tensor of rank 2r.
 """
 
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -61,19 +62,21 @@ def _gauge_residuals(base, deltas):
 
 def _tape_gauge(base, deltas):
     """One gauge pass: delta k minus U_k (U_k^T delta k), for every mode but
-    the last, with U_k unfolded to (r_l n, r_r).
+    the last, with U_k unfolded to (r_l n, r_r).  The modes whose cores
+    share a shape go through one ``np.matmul`` pair over their stacked
+    deltas (:func:`_gauge_factors`), each mode's product by the same BLAS
+    call as on its own.
 
     The name is kept from when this pass was recorded on the HVP tape,
     because the benchmark's traced run expects a call to it and reports its
     per-layer metrics under it.
     """
     out = list(deltas)
-    for k in range(base.ndim - 1):
-        u = base.U[k]
-        rl, n, rr = u.shape
-        ul = u.reshape(rl * n, rr)
-        dk = out[k].reshape(rl * n, rr)
-        out[k] = (dk - ul @ (ul.T @ dk)).reshape(rl, n, rr)
+    for modes, u, ut in _per_point(_gauges, base, _gauge_factors):
+        stacked = _stacked([deltas[k] for k in modes])
+        dk = stacked.reshape(u.shape)
+        for k, d in zip(modes, (dk - u @ (ut @ dk)).reshape(stacked.shape)):
+            out[k] = d
     return out
 
 
@@ -115,7 +118,10 @@ class TtTangent:
         compare roundoff against a collapsed norm and misfire.  The deltas
         are computed, not given, so a NaN or infinite one raises
         :class:`NonFiniteError` with ``stage``, naming the first such delta
-        core, not the ``DimensionError`` of an invalid input.
+        core, not the ``DimensionError`` of an invalid input.  The tangent
+        takes over the float64 arrays it is given, which no one else may
+        write to, and makes them read-only; it copies only one that is not
+        C-contiguous.
         """
         t = object.__new__(cls)
         t.base = base
@@ -127,8 +133,10 @@ class TtTangent:
         """The tangent of computed deltas: projected onto the gauge
         (:func:`_apply_gauge`), then checked and frozen by :meth:`_trusted`.
         The gauge of mode k reads delta k alone, so a non-finite delta core
-        is named as it was computed."""
-        return cls._trusted(base, _apply_gauge(base, deltas), stage)
+        is named as it was computed.  The projection's arrays are the
+        tangent's own; the last delta, which it passes through, is copied."""
+        *gauged, last = _apply_gauge(base, deltas)
+        return cls._trusted(base, [*gauged, np.array(last, dtype=np.float64, order="C")], stage)
 
     def gauge_residuals(self):
         return _gauge_residuals(self.base, self.deltas)
@@ -156,12 +164,8 @@ def _block_layouts(shapes):
     return out
 
 
-def _block_cores(base, deltas):
-    """Block construction of tangent TT-cores, one :func:`ttriem.ad.block_core`
-    per mode: [delta_0 U_0], then [[V_k 0], [delta_k U_k]], then
-    [V_{d-1}; delta_{d-1}].  Works on arrays and Vars; a sweep takes each
-    delta's adjoint out of its block core's in one step."""
-    cores = []
+def _block_parts(base, deltas):
+    # Per mode, the block core's shape and its parts: delta, V and U.
     layouts = _block_layouts(tuple(s.shape for s in base.S))
     for k, (delta, (shape, at, at_v, at_u)) in enumerate(zip(deltas, layouts)):
         parts = [(delta, at)]
@@ -169,8 +173,21 @@ def _block_cores(base, deltas):
             parts.append((base.V[k], at_v))
         if at_u is not None:
             parts.append((base.U[k], at_u))
-        cores.append(ad.block_core(shape, parts))
-    return cores
+        yield shape, parts
+
+
+def _block_cores(base, deltas):
+    """Block construction of tangent TT-cores, one :func:`ttriem.ad.block_core`
+    per mode: [delta_0 U_0], then [[V_k 0], [delta_k U_k]], then
+    [V_{d-1}; delta_{d-1}].  Works on arrays and Vars; a sweep takes each
+    delta's adjoint out of its block core in one step.  At a point whose
+    seed was made (:func:`_delta_seed`), a mode whose delta is its seed, or
+    a tape input holding it, gets the block core kept for the point,
+    recorded around its value without computing it."""
+    seed = _seeds.get(base)
+    if seed is not None:
+        return [core.of(delta) for core, delta in zip(seed.cores, deltas)]
+    return [ad.block_core(shape, parts) for shape, parts in _block_parts(base, deltas)]
 
 
 def deltas_to_cores(base: MuOrthogonal, deltas) -> TtTensor:
@@ -208,17 +225,66 @@ def project_tt(x, z: TtTensor) -> TtTangent:
     return TtTangent._projected(base, deltas)
 
 
+# What the tangent machinery derives from a base point alone, made on first
+# use and freed with the point: its seed (_PointSeed) and its gauge factors
+# (_gauge_factors).  A MuOrthogonal's factors cannot be reassigned, so
+# neither goes stale.
+_seeds = weakref.WeakKeyDictionary()
+_gauges = weakref.WeakKeyDictionary()
+
+
+def _per_point(kept, base, make):
+    # ``make(base)``, kept in ``kept`` for as long as ``base`` lives.
+    made = kept.get(base)
+    if made is None:
+        made = kept[base] = make(base)
+    return made
+
+
+class _PointSeed:
+    # The read-only seed deltas, and per mode the ad.KeptBlockCore of the
+    # block core at its seed.
+    __slots__ = ("deltas", "cores")
+
+    def __init__(self, base):
+        deltas = [np.zeros(s.shape) for s in base.S]
+        deltas[0] = base.S[0].copy()
+        for delta in deltas:
+            delta.flags.writeable = False
+        self.deltas = tuple(deltas)
+        self.cores = [ad.KeptBlockCore(shape, parts)
+                      for shape, parts in _block_parts(base, self.deltas)]
+
+
+def _gauge_factors(base):
+    # Per shape of U_k, k < d - 1: the modes of that shape and their U_k
+    # unfolded to (r_l n, r_r), stacked, with its transposed view.
+    modes = {}
+    for k, u in enumerate(base.U[:-1]):
+        modes.setdefault(u.shape, []).append(k)
+    groups = []
+    for (rl, n, rr), ks in modes.items():
+        u = _stacked([base.U[k] for k in ks]).reshape(len(ks), rl * n, rr)
+        u.flags.writeable = False
+        groups.append((ks, u, u.transpose(0, 2, 1)))
+    return groups
+
+
+def _stacked(arrays):
+    # The arrays stacked along a new first axis; a lone one as a view.
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
 def _delta_seed(base):
-    """Delta values parametrizing the point itself: (S_1, 0, ..., 0)."""
-    seed = [np.zeros(s.shape) for s in base.S]
-    seed[0] = base.S[0].copy()
-    return seed
+    """Delta values parametrizing the point itself: (S_1, 0, ..., 0),
+    read-only, made once per point together with the block cores at them."""
+    return _per_point(_seeds, base, _PointSeed).deltas
 
 
 def _frozen_result(k, delta, stage):
-    # Delta core k as :func:`ttriem.dense.frozen` stores it: a read-only
-    # C-ordered float64 copy, here checked as a computed result.
-    arr = np.array(delta, dtype=np.float64, order="C")
+    # Delta core k, checked as a computed result and made read-only, as a
+    # C-ordered float64 array (:func:`ttriem.dense.frozen` stores the same).
+    arr = np.asarray(delta, dtype=np.float64, order="C")
     if not np.isfinite(arr).all():
         raise NonFiniteError(stage, f"delta core {k} holds NaN or inf")
     arr.flags.writeable = False

@@ -135,14 +135,19 @@ def test_criterion_4_complexity_contract(rank):
 
     The evaluation baseline is one untaped forward pass of the objective
     program at the tangent parametrization: the quantity whose constant
-    multiple the reverse sweeps are asserted to be.
+    multiple the reverse sweeps are asserted to be.  The line also prints
+    the three median times, since a cheaper evaluation alone raises both
+    ratios.
     """
     start = time.perf_counter()
     res = complexity_ratios(d=6, n=10, rank=rank, op_rank=5, trials=9, seed=rank)
     elapsed = time.perf_counter() - start
     ok = res["grad_over_eval"] <= 10.0 and res["hvp_over_eval"] <= 25.0 and elapsed < 30.0
     _report(4, ok, f"r={rank}: grad/eval {res['grad_over_eval']:.2f} (<=10), "
-                   f"hvp/eval {res['hvp_over_eval']:.2f} (<=25), run {elapsed:.1f} s")
+                   f"hvp/eval {res['hvp_over_eval']:.2f} (<=25), "
+                   f"eval/grad/hvp {1e3 * res['eval_seconds']:.3f}/"
+                   f"{1e3 * res['grad_seconds']:.3f}/{1e3 * res['hvp_seconds']:.3f} ms, "
+                   f"run {elapsed:.1f} s")
     assert res["grad_over_eval"] <= 10.0
     assert res["hvp_over_eval"] <= 25.0
     assert elapsed < 30.0
@@ -170,8 +175,9 @@ def _swept_tape_nodes(monkeypatch, call):
 
 def test_criterion_4_node_counts(monkeypatch):
     """Criterion 4 as a count: the tape nodes of the AD grad and HVP over
-    those of one evaluation are the same at r = 5, 10 and 20, on the
-    criterion's qf instances, and no value-only sweep appends a node."""
+    those of one evaluation are 1.240 and 3.160 at each of r = 5, 10 and
+    20, on the criterion's qf instances, and no value-only sweep appends a
+    node."""
     ratios = {}
     for rank in (5, 10, 20):
         objective, base, z = make_instance(
@@ -184,7 +190,7 @@ def test_criterion_4_node_counts(monkeypatch):
             monkeypatch, lambda: hess_vec_tt(objective.evaluate, base, z))
         assert grad_appended == [0] and hvp_appended == [0]
         ratios[rank] = (grad_nodes / len(tape), hvp_nodes / len(tape))
-    ok = len(set(ratios.values())) == 1
+    ok = {(round(g, 3), round(h, 3)) for g, h in ratios.values()} == {(1.240, 3.160)}
     _report(4, ok, "tape nodes over eval nodes, grad/hvp: " + ", ".join(
         f"r={r} {g:.3f}/{h:.3f}" for r, (g, h) in ratios.items()))
     assert ok

@@ -174,6 +174,27 @@ class TestReplay:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("program, total, peak", [
+        # Steps: a = u * ones, b = a * x, c = a * x (a dropped), b + c
+        # (b, c dropped).  At most a, b and c are held: 3 x 24 bytes.
+        (lambda x: ad.reduce_sum(ad.mul(x, x)), 96, 72),
+        # Steps: a = u * ones, b = a * exp(exp(x)) (a dropped), b * exp(x)
+        # (b dropped).  At most two outputs are held: 2 x 24 bytes.
+        (lambda x: ad.reduce_sum(ad.exp(ad.exp(x))), 72, 48),
+    ], ids=["square", "exp_chain"])
+    def test_peak_live_bytes(self, program, total, peak):
+        # Every step writes a (3,) float64 array of 24 bytes.
+        owner = eager(program)
+        for _ in range(2):
+            tape = ad.Tape()
+            x = tape.input(np.arange(1.0, 4.0))
+            out = owner(x)
+            ad.swept(owner, "grad", tape, lambda: ad.grad(tape, out, [x]))
+            tape.clear()
+        (schedule,) = kept(owner)
+        assert sum(s["bytes"] for s in schedule.stats().values()) == total
+        assert schedule.peak_live_bytes == peak
+
     def test_schedules_capped_per_program(self, rng):
         def program(cores):
             return coreops.dot_cores(cores, cores)

@@ -125,6 +125,21 @@ class TestOrthogonalize:
         assert not orthogonalize(x).matches(orthogonalize(tt_scale(2.0, x)))
         assert not orthogonalize(x).matches(orthogonalize(random_tt(rng, (2, 3, 3), (2, 2))))
 
+    def test_factors_read_only(self, rng):
+        # What is derived from a point once must not outlive its factors.
+        x = random_tt(rng, (2, 3, 2), (2, 2))
+        mo = orthogonalize(x)
+        for name in ("U", "V", "S"):
+            before = getattr(mo, name)
+            with pytest.raises(AttributeError):
+                setattr(mo, name, before[::-1])
+            assert getattr(mo, name) is before
+            assert all(a is None or not a.flags.writeable for a in before)
+        assert mo.matches(orthogonalize(x))
+        assert not mo.matches(orthogonalize(tt_scale(2.0, x)))
+        rebuilt = tt_to_dense(mo.to_tt())
+        assert np.abs(rebuilt - tt_to_dense(x)).max() < 1e-12 * np.abs(rebuilt).max()
+
     def test_infeasible_ranks_are_named(self, rng):
         # A sum can carry ranks the mode sizes cannot attain.  Every routine
         # that takes a TtTensor point orthogonalizes it, and the error names

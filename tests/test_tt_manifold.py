@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ttriem import ad, coreops
+from ttriem import ad, coreops, ttmanifold
 from ttriem.bench import objective_suite
 from ttriem.errors import (
     DegeneratePointError,
@@ -622,5 +622,73 @@ class TestTapesFreedOnReturn:
             except DegeneratePointError:
                 pass
             assert len(tapes) == 1 and tapes[0]() is None
+        finally:
+            gc.enable()
+
+
+class TestPointSetup:
+    # What a gradient or HVP derives from its point alone (the seed, the
+    # seed block cores and the stacked gauge factors) is made once per
+    # point and freed with it.
+    @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
+    def test_repeated_calls_reuse_the_seed_block_cores(self, rng, monkeypatch, hvp):
+        base = orthogonalize(random_tt(rng, (3, 4, 4, 3), 2))
+        z = project_tt(base, random_tt(rng, base.mode_sizes, 2))
+        obj = objective_suite(rng, base.mode_sizes, 2)[0]
+        seen = []
+
+        def program(cores):
+            seen.append([c.value for c in cores])
+            return obj.evaluate(cores)
+
+        gauges = []
+        gauge = ttmanifold._tape_gauge
+        monkeypatch.setattr(ttmanifold, "_tape_gauge",
+                            lambda *args: gauges.append(1) or gauge(*args))
+        results = []
+        for _ in range(4):  # eager, recorded, then replayed twice
+            gauges.clear()
+            results.append(hess_vec_tt(program, base, z) if hvp
+                           else riemannian_grad_tt(program, base))
+            assert len(gauges) == 2
+        assert all(got is want for values in seen[1:] for got, want in zip(values, seen[0]))
+        assert not any(v.flags.writeable for v in seen[0])
+        for t in results[1:]:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(t.deltas, results[0].deltas))
+
+    def test_seed_block_cores_match_a_fresh_block_core(self, rng):
+        base = orthogonalize(random_tt(rng, (3, 4, 4, 3), 2))
+        kept = _block_cores(base, _delta_seed(base))
+        again = _block_cores(base, _delta_seed(base))
+        fresh = _block_cores(base, [d.copy() for d in _delta_seed(base)])
+        for k, (a, b, c) in enumerate(zip(kept, again, fresh)):
+            assert a is b and c is not a
+            assert a.tobytes() == c.tobytes() and ad._mask_of(a) == ad._mask_of(c), k
+
+    def test_setup_freed_with_point_without_collector(self, rng):
+        def make():
+            base = orthogonalize(random_tt(rng, (3, 4, 4, 3), 2))
+            return base, project_tt(base, random_tt(rng, base.mode_sizes, 2))
+
+        obj = objective_suite(rng, (3, 4, 4, 3), 2)[0]
+        values = []
+
+        def program(cores):
+            values.extend(weakref.ref(c.value) for c in cores)
+            return obj.evaluate(cores)
+
+        gc.disable()
+        try:
+            points = len(ttmanifold._seeds), len(ttmanifold._gauges)
+            base, z = make()
+            out = [riemannian_grad_tt(program, base), hess_vec_tt(program, base, z)]
+            made = [weakref.ref(d) for d in _delta_seed(base)]
+            made += [weakref.ref(u) for _, u, _ in ttmanifold._gauges[base]]
+            made += values
+            point = weakref.ref(base)
+            del base, z, out
+            assert point() is None
+            assert all(r() is None for r in made)
+            assert (len(ttmanifold._seeds), len(ttmanifold._gauges)) == points
         finally:
             gc.enable()

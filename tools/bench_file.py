@@ -14,7 +14,9 @@ workload of ``BENCHMARK.json``, in its order, the checkouts take turns
 ``REPEATS`` times from its root, so the sides of a workload are measured
 back to back and share the machine's drifts.  The file keeps, per workload
 and checkout, every run (the commit, the run's ``env`` line, its padding
-length ``env_pad`` and its last JSON line, and for the workloads that time
+length ``env_pad``, its last JSON line and its ``detail`` line, whose
+``wall_median_ms`` and sample counts let a probe-relative gain be checked
+against wall-clock time, and for the workloads that time
 the AD and the fused pipelines on the same objectives, operator_r5 and
 completion, the ratios grad_ms/opt_grad_ms and hvp_ms/opt_hvp_ms), and a
 summary: each metric's and ratio's median over the runs, with its min and
@@ -47,10 +49,11 @@ def run_once(checkout, workload, seed, seconds, pad):
                           cwd=checkout, capture_output=True, text=True,
                           env=dict(os.environ, BENCH_FILE_PAD="x" * pad))
     lines = proc.stdout.splitlines()
-    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    tagged = {tag: json.loads(payload) for tag, _, payload in
+              (line.partition(" ") for line in lines) if tag in ("env", "detail")}
     result = json.loads(lines[-1])
-    record = {"commit": commit, "exit_code": proc.returncode, "env": env, "env_pad": pad,
-              "result": result}
+    record = {"commit": commit, "exit_code": proc.returncode, "env": tagged["env"],
+              "env_pad": pad, "result": result, "detail": tagged["detail"]}
     if workload in RATIO_WORKLOADS:
         metrics = result["metrics"]
         record["ratios"] = {f"{ad}/{fused}": metrics[ad]["value"] / metrics[fused]["value"]
