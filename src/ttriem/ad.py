@@ -454,7 +454,6 @@ def _zero_cells(mask, cuts):
     return {cell for cell in _cells(cuts) if tuple(o[i] for o, i in zip(owners, cell)) in zero}
 
 
-@lru_cache(maxsize=1024)
 def _block_core_mask(shape, ats, zero_parts):
     # Zero where no part but those listed in ``zero_parts`` lies.
     cuts = [sorted({0, n}.union(*[at[ax] for at in ats])) for ax, n in enumerate(shape)]
@@ -700,7 +699,8 @@ def _block_core_plan(shape, ats, vals):
 
 @lru_cache(maxsize=1024)
 def _block_core_static(shape, ats, shapes, zero):
-    # _block_core_plan for operands of ``shapes`` whose parts ``zero`` are zero.
+    # _block_core_plan for operands of ``shapes`` whose parts ``zero`` are
+    # zero, cached per key.
     shape, ats, slices = _block_layout(shape, ats, shapes)
     return (tuple(lambda u, at=at: take_block(u, at) for at in ats), (shape, slices),
             (shape, ats, zero), _block_core_mask(shape, ats, zero))
@@ -720,18 +720,19 @@ class KeptBlockCore:
     nothing.
     """
 
-    __slots__ = ("_shape", "_parts", "_plan")
+    __slots__ = ("_shape", "_parts", "_rest", "_plan")
 
     def __init__(self, shape, parts):
         self._shape = shape
         self._parts = parts
+        self._rest = [a for a, _ in parts[1:]]
         self._plan = None
 
     def of(self, first):
-        (own, at), *rest = self._parts
+        own, at = self._parts[0]
         if (first.value if first.__class__ is Var else first) is not own:
-            return block_core(self._shape, [(first, at), *rest])
-        tape, operands, vals = _operands(first, *[a for a, _ in rest])
+            return block_core(self._shape, [(first, at), *self._parts[1:]])
+        tape, operands, vals = _operands(first, *self._rest)
         if self._plan is None:
             rules, args, static, mask = _block_core_plan(self._shape, [at for _, at in self._parts],
                                                          vals)

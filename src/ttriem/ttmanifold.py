@@ -277,7 +277,8 @@ def _stacked(arrays):
 
 def _delta_seed(base):
     """Delta values parametrizing the point itself: (S_1, 0, ..., 0),
-    read-only, made once per point together with the block cores at them."""
+    read-only and made once per point, with the block cores at them that
+    :func:`_block_cores` keeps."""
     return _per_point(_seeds, base, _PointSeed).deltas
 
 
