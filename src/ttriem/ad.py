@@ -86,7 +86,9 @@ what the op worked out from shapes and arguments alone (a contraction's
 plan, a reshape's target, a block's slices), and records a node that keeps
 the hashable part of it as ``static``; besides :meth:`Tape.input`, no other
 code makes a :class:`Var`.  ``concat`` is the :func:`block_core` of its
-parts.  That split lets :func:`swept` replay sweeps.  The first call for an
+parts.  That split lets calls be replayed, on one of two paths.
+
+:func:`swept` replays the sweeps of any program.  The first call for an
 owner (a program object) and a tape structure runs the sweeps eagerly; the
 second runs them eagerly too and records each kernel they run as a step
 whose inputs are slots: a forward node's value, a constant parent of a
@@ -94,17 +96,32 @@ forward node, an entry of ``extra`` (an HVP's direction), an earlier step's
 output, or a literal a rule made from shapes alone (``np.ones``, a zero
 block, a Python float).  Later calls whose forward tape has the same
 signature (every node's op, static part, parent links and shape, and every
-constant's shape, strides, mask and identity with other constants) run the steps
-on the new tape's slots, building no ``Var``, closure or plan and dropping
-each slot after its last use; the kernels are the eager ones, so the
-results are bit-identical.  The forward pass runs eagerly on every call, so
-a program whose structure depends on its values records anew when the
-structure changes.  A program object keeps at most
-``SCHEDULES_PER_PROGRAM`` schedules, freed with it.  ``replayed`` counts
-the kernel calls replays ran, per op name; a wrapper around an op sees only
-the eager calls.  :meth:`Schedule.stats` counts, per op name, the steps of
-a recorded schedule and the bytes they write, and the multiply-adds its
-contractions run against those of the same contractions run whole.
+constant's shape, strides, mask and identity with other constants) run the
+steps on the new tape's slots, building no ``Var``, closure or plan and
+dropping each slot after its last use.  The forward pass runs eagerly on
+every call of this path, so a program whose structure depends on its
+values records anew when the structure changes.
+
+:func:`_whole_call` replays whole calls, forward pass included, of a
+program whose caller declares it static: its kernels and constants are
+fixed by the shapes, strides and masks of the arrays it is called on, as
+for the objectives of :mod:`ttriem.objectives`.  The recording names those
+arrays (a point's block cores, an HVP's direction) as the only sources and
+keeps every other array a kernel reads, the program's constants included,
+as a literal; a later call with the same layouts runs the forward kernels
+and the sweeps as one list of steps, with no tape, no ``Var`` and no
+signature walk, each value dropped after its last read anywhere in the
+call.  A value check made through :func:`_checked` is a pass-through step,
+so a replay raises where the eager call would.
+
+On both paths the kernels are the eager ones, so the results are
+bit-identical.  A program object keeps at most ``SCHEDULES_PER_PROGRAM``
+schedules, freed with it.  ``replayed`` counts the kernel calls replays
+ran, per op name, the forward kernels of a whole call included; a wrapper
+around an op sees only the eager calls.  :meth:`Schedule.stats` counts,
+per op name, the steps of a recorded schedule and the bytes they write,
+and the multiply-adds its contractions run against those of the same
+contractions run whole.
 """
 
 import math
@@ -711,34 +728,36 @@ class KeptBlockCore:
     computed once for the parts' own arrays.
 
     ``parts`` are (array, at) pairs as for :func:`block_core`; the arrays
-    must be float64 and are not to be written to while this is kept.
+    must be float64 and are not to be written to while this is kept.  The
+    block core of the parts' own arrays is computed here and kept as
+    ``value``, read-only and with its mask, beside its static part.
     ``of(x)`` is the block_core of ``x`` in the first part's block and the
     other parts' arrays in theirs.  Given the first part's own array, or a
-    tape variable holding it, it computes the block core on its first call
-    and keeps the value, read-only, with its static part and mask; later
-    calls return that value, or on a tape a node around it, and compute
-    nothing.
+    tape variable holding it, it is ``value``, or on a tape a node around
+    it, and computes nothing.  Its kernel returns ``value`` itself, so a
+    recording that names ``value`` as a source logs no step for it (see
+    :class:`_Recorder`): a replay reads each call's own block core.
     """
 
-    __slots__ = ("_shape", "_parts", "_rest", "_plan")
+    __slots__ = ("_shape", "_parts", "_rest", "_plan", "value")
 
     def __init__(self, shape, parts):
         self._shape = shape
         self._parts = parts
         self._rest = [a for a, _ in parts[1:]]
-        self._plan = None
+        vals = [a for a, _ in parts]
+        rules, args, static, mask = _block_core_plan(shape, [at for _, at in parts], vals)
+        self.value = _block_core_value(*vals, *args)
+        self.value.flags.writeable = False
+        if mask is not None:
+            _set_mask(self.value, mask)
+        self._plan = (rules, (self.value,), static, mask)
 
     def of(self, first):
         own, at = self._parts[0]
         if (first.value if first.__class__ is Var else first) is not own:
             return block_core(self._shape, [(first, at), *self._parts[1:]])
         tape, operands, vals = _operands(first, *self._rest)
-        if self._plan is None:
-            rules, args, static, mask = _block_core_plan(self._shape, [at for _, at in self._parts],
-                                                         vals)
-            value = _block_core_value(*vals, *args)
-            value.flags.writeable = False
-            self._plan = (rules, (value,), static, mask)
         return _node(tape, "block_core", _kept_value, vals, tuple(operands), *self._plan)
 
 
@@ -1347,8 +1366,9 @@ SCHEDULES_PER_PROGRAM = 8
 
 _schedules = weakref.WeakKeyDictionary()
 
-# Kernel calls run by replayed schedules, per op name; an eager sweep's
-# kernels are calls of the ops themselves and are not counted here.
+# Kernel calls run by replayed schedules, per op name, the forward kernels of
+# a replayed whole call included; an eager call's kernels are calls of the
+# ops themselves and are not counted here.
 replayed = Counter()
 
 
@@ -1362,18 +1382,20 @@ _state = _State()
 
 class Schedule:
     """The kernels that one call's sweeps ran, replayable on any tape of the
-    same signature (see :func:`swept`).
+    same signature (see :func:`swept`), or that a whole call of a static
+    program ran, forward pass included (see :func:`_whole_call`).
 
     ``steps`` holds (kernel, getter of its inputs from the slot list,
     static arguments, output slot, slots dead after the step); ``sources``
     holds (slot, i, j), read from node i's value (j = -1) or constant parent
-    j, or from ``extra[j]`` when i = -1; ``slots`` is the initial slot list,
-    literals in place, and ``results`` the slots returned.  ``kernels``
-    counts the steps per op name, added to :data:`replayed` by each run.
-    ``peak_live_bytes`` is the largest total of the step outputs a replay
-    holds at once: a step's output and inputs are held while it runs, and
-    an output is dropped after the step that reads it last (a result is
-    kept).  It counts each output at its ``nbytes``, a view as well.
+    j, or from ``extra[j]`` when i = -1 (every source of a whole call);
+    ``slots`` is the initial slot list, literals in place, and ``results``
+    the slots returned.  ``kernels`` counts the steps per op name, added to
+    :data:`replayed` by each run.  ``peak_live_bytes`` is the largest total
+    of the step outputs a replay holds at once: a step's output and inputs
+    are held while it runs, and an output is dropped after the step that
+    reads it last (a result is kept).  It counts each output at its
+    ``nbytes``, a view as well, and a check's pass-through output at 0.
     """
 
     __slots__ = ("steps", "sources", "slots", "results", "kernels", "peak_live_bytes",
@@ -1398,7 +1420,7 @@ class Schedule:
         return {op: dict(op_stats) for op, op_stats in self._stats.items()}
 
     def run(self, nodes, extra=()):
-        """The results of the recorded sweeps for the tape ``nodes`` and ``extra``."""
+        """The recorded results for the tape ``nodes`` and ``extra``."""
         slots = list(self.slots)
         for s, i, j in self.sources:
             slots[s] = extra[j] if i < 0 else nodes[i].value if j < 0 else nodes[i].parents[j]
@@ -1411,10 +1433,13 @@ class Schedule:
 
 
 class _Recorder:
-    # Names each array the kernels of a recording sweep read or write, by
-    # identity: a source, an earlier step's output (forgotten when the
-    # array dies, so a recycled id is never misread), or else a literal a
-    # rule made from shapes alone, which the schedule keeps read-only.
+    # Names each array the kernels of a recording sweep or whole call read
+    # or write, by identity: a source, an earlier step's output (forgotten
+    # when the array dies, so a recycled id is never misread), or else a
+    # literal, which the schedule keeps read-only: an array a rule made from
+    # shapes alone, or in a whole call also a constant of the program.  A
+    # kernel call that returns a source, as a kept block core's node does,
+    # is no step: each replay reads that source from its own call.
 
     def __init__(self, nodes, extra):
         self.names = {}  # id of a live array -> its slot
@@ -1430,6 +1455,7 @@ class _Recorder:
             self._name(node.value, (node.index, -1))
             for j, p in enumerate(node.parents):
                 self._name(p, (node.index, j))
+        self.inputs = {id(a) for a in extra}.union(id(node.value) for node in nodes)
 
     def _new(self):
         self.count += 1
@@ -1449,14 +1475,18 @@ class _Recorder:
         return s
 
     def step(self, op, kernel, vals, static, val):
-        ins = tuple([self._name(v) for v in vals])
         key = id(val)
+        if key in self.inputs:
+            return
+        ins = tuple([self._name(v) for v in vals])
+        # A pass-through kernel (a check) writes no bytes.
+        nbytes = 0 if any(v is val for v in vals) else val.nbytes
         out = self.names[key] = self._new()
         try:
             self.alive[key] = weakref.ref(val, lambda _, key=key: self.names.pop(key, None))
         except TypeError:  # a numpy scalar: held, it is small
             self.alive[key] = val
-        self.steps.append((op, kernel, ins, static, out, val.nbytes))
+        self.steps.append((op, kernel, ins, static, out, nbytes))
 
     def schedule(self, results):
         """The :class:`Schedule` of the steps, returning ``results``, each
@@ -1565,14 +1595,68 @@ def swept(owner, tag, tape, sweeps, extra=()):
     schedule = kept.get((brief, sig))
     if schedule is not None:
         return schedule.run(tape.nodes, extra)
-    recorder = _state.recorder = _Recorder(tape.nodes, extra)
+    return _record(kept, (brief, sig), tape.nodes, extra, sweeps)
+
+
+def _whole_call(owner, tag, sources, call):
+    """``call()``, the list of arrays one call of a static program computes
+    from the arrays ``sources``: eager the first time, recorded the second
+    and replayed after.
+
+    A static program is one whose kernels and constants are fixed by
+    ``tag`` and the shapes, strides and masks of ``sources``, so a call
+    needs no tape to be replayed: ``call`` builds its tape from the sources
+    and runs the forward pass and its sweeps.  The schedule is kept for
+    ``owner`` under that key.  The first call with a key runs eagerly and
+    is only remembered; the second records every kernel ``call`` runs, the
+    forward pass's included, with the sources as its only inputs and every
+    other array a kernel reads kept as a literal; later calls run those
+    kernels on their own sources, building no tape or ``Var``, with each
+    slot, forward values included, dropped after its last read in the
+    call.  A value check made by :func:`_checked` is a step, so a replay
+    raises where the eager call would.  ``call`` runs eagerly every time
+    when ``owner`` has no weak reference.
+    """
     try:
-        out = sweeps()
-        _keep(kept, (brief, sig), recorder.schedule(out))
+        seen, kept = _schedules.setdefault(owner, ({}, {}))
+    except TypeError:
+        return call()
+    key = (tag, tuple([(a.shape, a.strides, _mask_of(a)) for a in sources]))
+    schedule = kept.get(key)
+    if schedule is not None:
+        return schedule.run((), sources)
+    if key not in seen:
+        _keep(seen, key, None)
+        return call()
+    return _record(kept, key, (), sources, call)
+
+
+def _record(kept, key, nodes, extra, call):
+    # ``call()``, its kernels recorded as a Schedule kept under ``key``.
+    recorder = _state.recorder = _Recorder(nodes, extra)
+    try:
+        out = call()
+        _keep(kept, key, recorder.schedule(out))
     finally:
         _state.recorder = None
         recorder.alive.clear()
     return out
+
+
+def _checked(a, check):
+    # ``a`` itself, once ``check(value)`` has passed its value through (a
+    # pass-through kernel that raises on a bad value).  A recording logs the
+    # check of a tape value as a step whose output is that value, so a
+    # replayed call runs it at the same place and raises as the eager call
+    # would; a constant's check passes alike on every call.
+    if a.__class__ is not Var:
+        check(a)
+        return a
+    check(a.value)
+    recorder = _state.recorder
+    if recorder is not None:
+        recorder.step("check", check, (a.value,), (), a.value)
+    return a
 
 
 def _keep(kept, key, value):

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import ad, baselines, coreops
+from . import ad, baselines, coreops, ttmanifold
 from .errors import (
     DegeneratePointError,
     DimensionError,
@@ -55,7 +55,9 @@ NAIVE_RANK_CAP = 300
 
 
 class IndexSet:
-    """Observed entries for completion: (N, d) indices plus values."""
+    """Observed entries for completion: (N, d) indices plus values, both
+    held as read-only copies, so an objective built on the set keeps them
+    as fixed constants."""
 
     def __init__(self, indices, values):
         indices = ad.index_array(indices)
@@ -70,8 +72,9 @@ class IndexSet:
             raise IndexError("negative index in observation set")
         if len(np.unique(indices, axis=0)) != len(indices):
             raise InvalidDataError("duplicate index tuples in observation set")
-        self.indices = indices
-        self.values = values
+        self.indices = indices.copy(order="K")
+        self.values = values.copy()
+        self.indices.flags.writeable = self.values.flags.writeable = False
 
     def __len__(self):
         return len(self.values)
@@ -160,6 +163,18 @@ class Objective:
         return program
 
 
+def _static(evaluate):
+    """``evaluate``, registered as a program whose kernels and constants
+    are fixed by the shapes and block masks of the cores it receives, so
+    that a whole gradient or HVP call of it replays
+    (``ttmanifold._static_programs``).  Only the constructors here register
+    a program: each reads its cores through ``ttriem.ad`` ops alone, holds
+    its data as read-only arrays, and checks values only by
+    ``ttriem.ad._checked``."""
+    ttmanifold._static_programs.add(evaluate)
+    return evaluate
+
+
 def _check_symmetric(a: TtMatrix, name):
     """Reject a non-square or nonsymmetric operator, at any size.
 
@@ -197,7 +212,7 @@ def quadratic_form(a: TtMatrix) -> Objective:
 
     return Objective(
         name="quadratic_form",
-        evaluate=evaluate,
+        evaluate=_static(evaluate),
         euclid_grad_tt=lambda x: tt_scale(2.0, ttmat_apply(a, x)),
         euclid_hess_vec_tt=lambda x, z: tt_scale(2.0, ttmat_apply(a, z)),
         operator=a,
@@ -223,7 +238,7 @@ def gram_quadratic_form(a: TtMatrix) -> Objective:
 
     return Objective(
         name="gram_quadratic_form",
-        evaluate=evaluate,
+        evaluate=_static(evaluate),
         euclid_grad_tt=lambda x: tt_scale(2.0, ttmat_apply(at, ttmat_apply(a, x))),
         euclid_hess_vec_tt=lambda x, z: tt_scale(2.0, ttmat_apply(at, ttmat_apply(a, z))),
         operator=a,
@@ -234,9 +249,11 @@ def gram_quadratic_form(a: TtMatrix) -> Objective:
 
 
 def _rayleigh_denominator(sxx):
-    """``sxx`` = <X, X> (a number or a Var), checked once for every pipeline:
-    a point this close to zero has no meaningful Rayleigh quotient."""
-    if float(sxx.value if isinstance(sxx, ad.Var) else sxx) < 1e-28:
+    """``sxx`` = <X, X> (a number or a 0-d array), checked once for every
+    pipeline: a point this close to zero has no meaningful Rayleigh
+    quotient.  The AD program applies it as a pass-through kernel
+    (``ttriem.ad._checked``), so its replayed calls check it too."""
+    if float(sxx) < 1e-28:
         raise DegeneratePointError("Rayleigh quotient evaluated too close to zero")
     return sxx
 
@@ -247,7 +264,7 @@ def rayleigh_quotient(a: TtMatrix) -> Objective:
     a_cores = list(a.cores)
 
     def evaluate(cores):
-        sxx = _rayleigh_denominator(coreops.dot_cores(cores, cores))
+        sxx = ad._checked(coreops.dot_cores(cores, cores), _rayleigh_denominator)
         sax = coreops.operator_dot_cores(a_cores, cores, cores)
         return ad.div(sax, sxx)
 
@@ -316,7 +333,7 @@ def rayleigh_quotient(a: TtMatrix) -> Objective:
 
     return Objective(
         name="rayleigh_quotient",
-        evaluate=evaluate,
+        evaluate=_static(evaluate),
         euclid_grad_tt=euclid_grad,
         euclid_hess_vec_tt=euclid_hess_vec,
         operator=a,
@@ -394,7 +411,7 @@ def completion_loss(omega: IndexSet) -> Objective:
 
     return Objective(
         name="completion",
-        evaluate=evaluate,
+        evaluate=_static(evaluate),
         euclid_grad_tt=euclid_grad,
         euclid_hess_vec_tt=euclid_hess_vec,
         optimized_grad=optimized_grad,
@@ -421,9 +438,10 @@ def expmachines_loss(ws, ys) -> Objective:
             raise InvalidDataError("weight tensors must have TT-rank 1")
         if w.mode_sizes != ws[0].mode_sizes:
             raise DimensionError("weight tensors disagree on mode sizes")
-    ys = np.asarray(ys, dtype=np.float64)
+    ys = np.array(ys, dtype=np.float64)
     if ys.shape != (len(ws),) or not np.all(np.isin(ys, (-1.0, 1.0))):
         raise InvalidDataError("labels must be +1/-1, one per weight tensor")
+    ys.flags.writeable = False
     wmats = _weight_mode_matrices(ws)
     sigmoid = ad._sigmoid_np
 
@@ -474,7 +492,7 @@ def expmachines_loss(ws, ys) -> Objective:
 
     return Objective(
         name="expmachines",
-        evaluate=evaluate,
+        evaluate=_static(evaluate),
         euclid_grad_tt=lambda x: _rank1_sum_tt(wmats, grad_coeffs(x)),
         euclid_hess_vec_tt=lambda x, z: _rank1_sum_tt(wmats, hess_coeffs(x, z)),
         optimized_grad=lambda base: baselines.project_rank1_sum(
@@ -499,7 +517,7 @@ def regularized_completion(omega: IndexSet, lam: float) -> Objective:
 
     return Objective(
         name="regularized_completion",
-        evaluate=evaluate,
+        evaluate=_static(evaluate),
         euclid_grad_tt=lambda x: tt_axpy(2.0 * lam, x, loss.euclid_grad_tt(x)),
         euclid_hess_vec_tt=lambda x, z: tt_axpy(2.0 * lam, z, loss.euclid_hess_vec_tt(x, z)),
         optimized_grad=lambda base: tangent_axpy(

@@ -131,12 +131,27 @@ class TtTangent:
     @classmethod
     def _projected(cls, base, deltas, stage="tangent"):
         """The tangent of computed deltas: projected onto the gauge
-        (:func:`_apply_gauge`), then checked and frozen by :meth:`_trusted`.
-        The gauge of mode k reads delta k alone, so a non-finite delta core
-        is named as it was computed.  The projection's arrays are the
-        tangent's own; the last delta, which it passes through, is copied."""
+        (:func:`_apply_gauge`), then checked and frozen as by
+        :meth:`_trusted`.  The gauge writes the deltas of each group of
+        equal core shapes as the rows of one array, so finiteness takes one
+        check per group's array (their ``base``) and one for the last
+        delta; only when one fails are the deltas checked one by one, to
+        name the first non-finite delta core.  The gauge of mode k reads
+        delta k alone, so that core is named as it was computed.  The
+        projection's arrays are the tangent's own; the last delta, which it
+        passes through, is copied."""
         *gauged, last = _apply_gauge(base, deltas)
-        return cls._trusted(base, [*gauged, np.array(last, dtype=np.float64, order="C")], stage)
+        deltas = [*gauged, np.array(last, dtype=np.float64, order="C")]
+        groups = _per_point(_gauges, base, _gauge_factors)
+        if not (all(np.isfinite(gauged[modes[0]].base).all() for modes, _, _ in groups)
+                and np.isfinite(deltas[-1]).all()):
+            return cls._trusted(base, deltas, stage)
+        for d in deltas:
+            d.flags.writeable = False
+        t = object.__new__(cls)
+        t.base = base
+        t.deltas = tuple(deltas)
+        return t
 
     def gauge_residuals(self):
         return _gauge_residuals(self.base, self.deltas)
@@ -292,25 +307,58 @@ def _frozen_result(k, delta, stage):
     return arr
 
 
+# The evaluate programs that ttriem.objectives' constructors build.  Their
+# kernels and constants are fixed by the shapes, strides and block masks of
+# the block cores they receive, so a whole call of one, forward pass
+# included, replays (ttriem.ad._whole_call).  Only those constructors add to
+# it.
+_static_programs = weakref.WeakSet()
+
+
 def _differentiate(p, base, z, owner):
     """The program's recorded value and its Riemannian gradient, or, given
     a tangent ``z`` at ``base``, its approximate Hessian applied to z.
 
-    The sweeps are those of :func:`riemannian_grad_tt` and
-    :func:`hess_vec_tt`, run through :func:`ttriem.ad.swept` with the
-    schedules kept for ``owner``: eager on the first call at a tape
-    structure, replayed on later ones.  The value and the gauged deltas
-    are checked to be finite (:meth:`TtTangent._projected`).
+    The schedules are kept for ``owner``, on one of two paths.  A program
+    of ``_static_programs`` replays whole calls
+    (:func:`ttriem.ad._whole_call`, keyed by the kind of call and the
+    layouts of the point's seed block cores and of z's deltas): a later call
+    runs the recorded forward kernels and sweeps on the point's kept block
+    cores and z's deltas, with no tape.  Any other program runs its forward
+    pass on a tape every call, and its sweeps, those of
+    :func:`riemannian_grad_tt` and :func:`hess_vec_tt`, through
+    :func:`ttriem.ad.swept`.  On both, the first call at a key or tape
+    structure is eager and later ones replay.  The value and the gauged
+    deltas are checked to be finite, the value by a check a replay runs too
+    and the deltas by :meth:`TtTangent._projected`.
     """
     if z is not None and not z.base.matches(base):
         raise InvalidTangentError("tangent vector is anchored at a different point")
+    if p in _static_programs:
+        extra = () if z is None else z.deltas
+        cores = [core.value for core in _per_point(_seeds, base, _PointSeed).cores]
+        value, *raw = ad._whole_call(owner, "grad" if z is None else "hvp", cores + list(extra),
+                                     lambda: _on_tape(p, base, z, None))
+    else:
+        value, *raw = _on_tape(p, base, z, owner)
+    return float(value), TtTangent._projected(base, raw, "gradient" if z is None else "HVP")
+
+
+def _finite_value(value):
+    # The program's value, checked: the pass-through kernel of ad._checked.
+    if np.ndim(value) == 0 and not np.isfinite(value):
+        raise NonFiniteError("value", f"the program returned {float(value)}")
+    return value
+
+
+def _on_tape(p, base, z, owner):
+    # The program's value and the raw deltas of its gradient, or of its
+    # Hessian applied to z, from one forward pass on a tape, the sweeps
+    # through ad.swept for ``owner`` unless that is None.
     tape = ad.Tape()
     try:
         rvars = [tape.input(v) for v in _delta_seed(base)]
-        out = p(_block_cores(base, rvars))
-        value = out.value if isinstance(out, ad.Var) else out
-        if np.ndim(value) == 0 and not np.isfinite(value):
-            raise NonFiniteError("value", f"the program returned {float(value)}")
+        out = ad._checked(p(_block_cores(base, rvars)), _finite_value)
         if z is None:
             def sweeps():
                 return ad.grad(tape, out, rvars)
@@ -322,14 +370,14 @@ def _differentiate(p, base, z, owner):
                     for g, dz in zip(inner, z.deltas)
                 ])
                 return ad.grad(tape, w, rvars)
-        if isinstance(out, ad.Var):
+        if owner is not None and isinstance(out, ad.Var):
             kind = "grad" if z is None else "hvp"
             raw = ad.swept(owner, (kind, out.index), tape, sweeps, () if z is None else z.deltas)
         else:
             raw = sweeps()
+        return [out.value if isinstance(out, ad.Var) else out, *raw]
     finally:
         tape.clear()
-    return float(value), TtTangent._projected(base, raw, "gradient" if z is None else "HVP")
 
 
 def riemannian_value_and_grad_tt(p, x):
@@ -342,14 +390,20 @@ def riemannian_value_and_grad_tt(p, x):
     returns there is f(X).  A program that does not depend on the cores
     has the zero gradient.  Raises :class:`NonFiniteError` when the value
     or a delta of the gradient is NaN or infinite.  Repeated calls with the
-    same program object replay the recorded sweep (:func:`ttriem.ad.swept`).
+    same program object replay what the second one recorded: for an
+    objective of :mod:`ttriem.objectives` the whole call, forward pass
+    included, at points whose block cores share their layout; for any
+    other program the sweep, at tapes of the recorded structure
+    (:func:`_differentiate`).
     """
     return _differentiate(p, _as_ortho(x), None, p)
 
 
 def riemannian_grad_tt(p, x) -> TtTangent:
     """Riemannian gradient of a TT-core program via one reverse sweep: the
-    tangent of :func:`riemannian_value_and_grad_tt`."""
+    tangent of :func:`riemannian_value_and_grad_tt`, replayed as that is,
+    whole for an objective of :mod:`ttriem.objectives` and sweep only for
+    any other program."""
     return riemannian_value_and_grad_tt(p, x)[1]
 
 
@@ -365,8 +419,11 @@ def hess_vec_tt(p, x, z: TtTangent) -> TtTangent:
     projection P is self-adjoint, so <P G, z> = <G, z>.  Only the result
     is projected.  Raises :class:`NonFiniteError` when the program's value
     or a delta of the result is NaN or infinite.  Repeated calls with the
-    same program object replay the recorded sweeps, inner sweep and dot
-    with z included.
+    same program object replay what the second one recorded, inner sweep
+    and dot with z included: for an objective of :mod:`ttriem.objectives`
+    the whole call, forward pass included, for directions of the recorded
+    layout; for any other program the sweeps, the forward pass running on
+    a tape each call (:func:`_differentiate`).
     """
     return _differentiate(p, _as_ortho(x), z, p)[1]
 

@@ -1,4 +1,5 @@
-"""Recorded sweeps (ad.swept), one block core per mode, values alongside
+"""Recorded sweeps (ad.swept), whole-call replays of the objectives'
+programs (ad._whole_call), one block core per mode, values alongside
 gradients and the non-finite checks of the gradient and HVP pipelines."""
 
 import gc
@@ -9,16 +10,19 @@ import weakref
 import numpy as np
 import pytest
 
-from ttriem import ad, coreops
+from ttriem import ad, coreops, ttmanifold
 from ttriem.baselines import compute_method, riemannian_gd_demo
 from ttriem.bench import objective_suite, sample_indices
-from ttriem.errors import DimensionError, NonFiniteError
+from ttriem.errors import DegeneratePointError, DimensionError, NonFiniteError
 from ttriem.objectives import (
     IndexSet,
     Objective,
     completion_loss,
+    expmachines_loss,
     gram_quadratic_form,
     quadratic_form,
+    rayleigh_quotient,
+    regularized_completion,
 )
 from ttriem.tt import (
     TtTensor,
@@ -30,6 +34,7 @@ from ttriem.tt import (
     tt_scale,
 )
 from ttriem.ttmanifold import (
+    TtTangent,
     _block_cores,
     _delta_seed,
     hess_vec_tt,
@@ -344,6 +349,193 @@ class TestReplay:
             assert not ran
 
 
+def registered(rng, modes=MODES, rank=2):
+    """Every objective whose program ttriem.objectives registers as static,
+    by name."""
+    suite = objective_suite(rng, modes, rank)
+    objs = {obj.name: obj for obj in suite}
+    omega = IndexSet(sample_indices(rng, modes, 20), rng.standard_normal(20))
+    objs["regularized_completion"] = regularized_completion(omega, 0.3)
+    return objs
+
+
+def forward_tape(p, base):
+    """The tape of one forward pass of ``p`` at ``base``, as a gradient
+    call records it."""
+    tape = ad.Tape()
+    p(_block_cores(base, [tape.input(v) for v in _delta_seed(base)]))
+    return tape
+
+
+class TestWholeCall:
+    # The objectives' programs are static: a whole gradient or HVP call,
+    # forward pass included, is recorded once and replayed with no tape.
+    def test_only_the_constructors_register(self, rng):
+        objs = registered(rng)
+        assert all(obj.evaluate in ttmanifold._static_programs for obj in objs.values())
+        wrapped = eager(objs["quadratic_form"].evaluate)
+        factor = objs["quadratic_form"].factor_program()
+        assert wrapped not in ttmanifold._static_programs
+        assert factor not in ttmanifold._static_programs
+
+    @pytest.mark.parametrize("name", ["quadratic_form", "gram_quadratic_form",
+                                      "rayleigh_quotient", "completion", "expmachines",
+                                      "regularized_completion"])
+    def test_forward_structure_fixed_by_shapes(self, rng, name):
+        # The registry's claim: at points of one shape, the forward tape
+        # is the same, so a whole call recorded at one serves them all.
+        p = registered(rng)[name].evaluate
+        sigs = [ad._signature(forward_tape(p, point(rng)).nodes) for _ in range(3)]
+        assert sigs[0] is not None and sigs[0] == sigs[1] == sigs[2]
+
+    @pytest.mark.parametrize("name", ["quadratic_form", "gram_quadratic_form",
+                                      "rayleigh_quotient", "completion", "expmachines",
+                                      "regularized_completion"])
+    def test_replays_bit_identical_to_eager(self, rng, name, monkeypatch):
+        p = registered(rng)[name].evaluate
+        bases = [point(rng) for _ in range(3)]
+        z = direction(rng, bases[0])
+        for _ in range(2):  # eager, then recorded
+            riemannian_grad_tt(p, bases[0])
+            hess_vec_tt(p, bases[0], z)
+        taped = []
+        on_tape = ttmanifold._on_tape
+        monkeypatch.setattr(ttmanifold, "_on_tape", lambda *a: taped.append(1) or on_tape(*a))
+        for base in bases:  # the recording point, then two fresh ones
+            z = direction(rng, base)
+            (value, g), ran = replaying(lambda: riemannian_value_and_grad_tt(p, base))
+            assert ran and not taped
+            want_value, want_g = riemannian_value_and_grad_tt(eager(p), base)
+            assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+            assert same_bits(g, want_g)
+            taped.clear()
+            h, ran = replaying(lambda: hess_vec_tt(p, base, z))
+            assert ran and not taped
+            assert same_bits(h, hess_vec_tt(eager(p), base, z))
+            taped.clear()
+        assert len(kept(p)) == 2
+
+    def test_objectives_keep_their_data(self, rng):
+        # A replay reads the constants its recording saw, so the objectives
+        # hold read-only copies of their data: writing to the caller's
+        # arrays afterwards changes neither eager nor replayed calls.
+        idx = sample_indices(rng, MODES, 20)
+        values = rng.standard_normal(20)
+        ys = rng.choice([-1.0, 1.0], 3)
+        objs = [completion_loss(IndexSet(idx, values)),
+                expmachines_loss([random_tt(rng, MODES, 1) for _ in range(3)], ys)]
+        base = point(rng)
+        want = [riemannian_grad_tt(eager(obj.evaluate), base) for obj in objs]
+        for obj in objs:
+            for _ in range(2):  # eager, then recorded
+                riemannian_grad_tt(obj.evaluate, base)
+        idx[:, 0] = (idx[:, 0] + 1) % MODES[0]
+        values += 1.0
+        ys *= -1.0
+        for obj, g in zip(objs, want):
+            got, ran = replaying(lambda: riemannian_grad_tt(obj.evaluate, base))
+            assert ran and same_bits(got, g)
+            assert same_bits(riemannian_grad_tt(eager(obj.evaluate), base), g)
+
+    def test_replayed_counts_forward_kernels(self, rng):
+        # A replayed qf gradient runs the forward pass's contractions as
+        # well as those of its sweep, and its schedule counts both.
+        p = quadratic_form(random_symmetric_ttmat(rng, MODES, 2)).evaluate
+        base = point(rng)
+        forward = forward_tape(p, base).nodes
+        swept_only = eager(p)
+        for _ in range(2):
+            riemannian_grad_tt(p, base)
+            riemannian_grad_tt(swept_only, base)
+        (whole,), (sweep,) = kept(p), kept(swept_only)
+        contracts = sum(node.op == "contract" for node in forward)
+        assert contracts > 0
+        before = ad.replayed.copy()
+        riemannian_grad_tt(p, base)
+        counted = ad.replayed - before
+        assert counted["contract"] == contracts + sweep.kernels["contract"]
+        assert whole.stats()["contract"]["steps"] == counted["contract"]
+        # The forward values are step outputs of the whole call; the seed
+        # block cores are its sources, so no step writes them.
+        written = sum(node.value.nbytes for node in forward
+                      if node.op not in ("input", "block_core"))
+        total = sum(s["bytes"] for s in whole.stats().values())
+        assert total == written + sum(s["bytes"] for s in sweep.stats().values())
+        assert whole.peak_live_bytes > sweep.peak_live_bytes
+
+    @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
+    def test_degenerate_point_raises_on_replay(self, rng, monkeypatch, hvp):
+        p = rayleigh_quotient(random_symmetric_ttmat(rng, MODES, 2)).evaluate
+        base = point(rng)
+        z = direction(rng, base)
+        x = random_tt(rng, MODES, 2)
+        tiny = orthogonalize(tt_scale(1e-15 / tt_norm(x), x))  # <X, X> = 1e-30
+        tiny_z = direction(rng, tiny)
+
+        def call(p, at, z):
+            return hess_vec_tt(p, at, z) if hvp else riemannian_grad_tt(p, at)
+
+        for _ in range(3):  # eager, recorded, replayed
+            call(p, base, z)
+        with pytest.raises(DegeneratePointError):
+            call(eager(p), tiny, tiny_z)
+        taped = []
+        on_tape = ttmanifold._on_tape
+        monkeypatch.setattr(ttmanifold, "_on_tape", lambda *a: taped.append(1) or on_tape(*a))
+        with pytest.raises(DegeneratePointError):
+            call(p, tiny, tiny_z)
+        assert not taped
+        (_, ran) = replaying(lambda: call(p, base, z))
+        assert ran and not taped
+
+    def test_unregistered_branch_follows_each_call(self, rng):
+        # A program with a value-dependent branch is not static: each call
+        # runs its forward pass and takes the branch of its own point.
+        def program(cores):
+            s = coreops.dot_cores(cores, cores)
+            if float(s.value) > 1.0:
+                return ad.mul(s, s)
+            return ad.exp(ad.mul(s, 0.5))
+
+        assert program not in ttmanifold._static_programs
+        bases = []
+        for norm in (10.0, 0.1):  # squared norms 100 and 0.01, either side of 1
+            x = random_tt(rng, MODES, 2)
+            bases.append(orthogonalize(tt_scale(norm / tt_norm(x), x)))
+        for base in bases * 3:
+            z = direction(rng, base)
+            value, g = riemannian_value_and_grad_tt(program, base)
+            want_value, want_g = riemannian_value_and_grad_tt(eager(program), base)
+            assert value == want_value and same_bits(g, want_g)
+            assert same_bits(hess_vec_tt(program, base, z), hess_vec_tt(eager(program), base, z))
+        assert value == pytest.approx(np.exp(0.005), rel=1e-12)
+
+    def test_schedule_freed_with_program_without_collector(self, rng):
+        # The whole-call schedule holds no point and no program: both are
+        # freed, with the schedule, by reference counting alone.
+        def make():
+            obj = quadratic_form(random_symmetric_ttmat(rng, MODES, 2))
+            return obj, point(rng)
+
+        gc.disable()
+        try:
+            obj, base = make()
+            z = direction(rng, base)
+            for _ in range(2):
+                riemannian_grad_tt(obj.evaluate, base)
+                hess_vec_tt(obj.evaluate, base, z)
+            schedules = [weakref.ref(s) for s in kept(obj.evaluate)]
+            assert len(schedules) == 2
+            cores = [weakref.ref(c.value) for c in ttmanifold._seeds[base].cores]
+            program, at = weakref.ref(obj.evaluate), weakref.ref(base)
+            del base, z
+            assert at() is None and all(c() is None for c in cores)
+            del obj
+            assert program() is None and all(s() is None for s in schedules)
+        finally:
+            gc.enable()
+
+
 class TestBlockCore:
     def test_one_node_per_mode(self, rng):
         base = point(rng, (3, 4, 3, 2))
@@ -416,12 +608,19 @@ def probe(cores):
     return ad.log(ad.sub(coreops.dot_cores(cores, cores), 1e9))
 
 
-def zero_log(cores):
-    # exp(log(e^2)) = 0 at e = 0, a finite value whose gradient is 0/0.
-    r = cores[1].shape[0] // 2
-    e = ad.reduce_sum(ad.take_block(cores[1], ((r, 2 * r), (0, cores[1].shape[1]),
-                                               (0, cores[1].shape[2] // 2))))
-    return ad.exp(ad.log(ad.mul(e, e)))
+def zero_log_at(k):
+    """exp(log(e^2)) = 0 at e = 0, a finite value whose gradient is 0/0,
+    with e the sum of the delta block of core k, a middle core."""
+    def program(cores):
+        r = cores[k].shape[0] // 2
+        e = ad.reduce_sum(ad.take_block(cores[k], ((r, 2 * r), (0, cores[k].shape[1]),
+                                                   (0, cores[k].shape[2] // 2))))
+        return ad.exp(ad.log(ad.mul(e, e)))
+
+    return program
+
+
+zero_log = zero_log_at(1)
 
 
 def zero_log_last(cores):
@@ -470,6 +669,32 @@ class TestNonFinite:
             assert err.value.stage == ("HVP" if hvp else "gradient")
             assert err.value.detail == f"delta core {core} holds NaN or inf"
         assert replays == [False, False, True]
+
+    @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
+    def test_non_finite_error_names_a_delta_core_inside_a_group(self, rng, hvp):
+        # Modes 1 to 3 share their core shape, so the gauge writes their
+        # deltas as one array, checked at once; a failure still names the
+        # core the sweep made non-finite, the middle one of the group.
+        base = point(rng, (3, 4, 4, 4, 3))
+        assert [1, 2, 3] in [modes for modes, _, _ in ttmanifold._gauge_factors(base)]
+        z = direction(rng, base)
+        program = eager(zero_log_at(2))
+        for _ in range(3):  # eager, recorded, replayed
+            with np.errstate(divide="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteError) as err:
+                hess_vec_tt(program, base, z) if hvp else riemannian_grad_tt(program, base)
+            assert err.value.detail == "delta core 2 holds NaN or inf"
+
+    @pytest.mark.parametrize("bad", [[2], [2, 3], [3, 1], [4], [0, 4]])
+    def test_projected_names_the_first_non_finite_delta_core(self, rng, bad):
+        base = point(rng, (3, 4, 4, 4, 3))
+        deltas = [rng.standard_normal(s.shape) for s in base.S]
+        for k in bad:
+            deltas[k][0, 1, 0] = np.inf if k % 2 else np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as err:
+            TtTangent._projected(base, deltas, "gradient")
+        assert err.value.stage == "gradient"
+        assert err.value.detail == f"delta core {min(bad)} holds NaN or inf"
 
     def test_finite_program_passes(self, rng):
         base = point(rng)
