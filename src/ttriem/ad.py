@@ -33,11 +33,10 @@ Block masks.  A value an op makes may carry a static block mask: per axis
 its cut points, and which blocks of that grid are structurally zero.
 Masks start in :func:`block_core`: the blocks no part covers, and any part
 that is exactly zero, such as the delta seed of a tangent's block cores.
-Those parts are in the node's static part, so tapes whose zeros differ
-have different signatures; inside a reverse sweep ``block_core`` reads no
-values, so a sweep's masks follow from the forward tape's alone.  A
-:class:`KeptBlockCore` computes the block core of fixed read-only arrays
-once, value, static part and mask, and later records nodes around it.  Masks
+Inside a reverse sweep ``block_core`` reads no values, so a sweep's masks
+follow from the forward tape's alone.  A :class:`KeptBlockCore` computes
+the block core of fixed read-only arrays once, value and mask, and later
+records nodes around it.  Masks
 follow the structural path to the contractions: ``transpose`` and
 ``reshape`` (while every cut axis passes through whole) pass them on,
 ``add_n`` keeps the blocks zero in every term, and ``contract`` works out
@@ -55,7 +54,7 @@ cost of the extra calls and copies, it runs whole.  A skipped product is
 never computed, so a structural zero block that meets an inf or NaN gives
 0, not NaN.  The forward pass, the eager sweeps and the replays run the
 same plans, and so the same kernels: a replay stays bit-identical to the
-eager sweeps, which a rewrite of the recorded schedule alone could not be,
+eager call, which a rewrite of the recorded schedule alone could not be,
 since a GEMM over a sub-block can differ in the last bit from the same
 block of the whole GEMM.
 
@@ -71,8 +70,8 @@ another sort's, or into the samples' own for ``None``
 (:meth:`ModeSort.reorder`).  A sort checks its index vector once and keeps
 its arrays read-only, so the ops check only that it orders as many rows as
 they are given, and ``mode_matmul`` that it spans the core's mode size.
-Index vectors, bounds and permutations are constant parents of the node
-and kernel operands, so a replay reads each call's own.
+Index vectors, bounds and permutations are kernel operands, never
+parents of a node.
 
 A constant stays a plain float64 array (an index vector an intp one) and
 is never recorded: every :class:`Var` is a tape input or depends on one.
@@ -83,24 +82,9 @@ value, a constant at every nesting level.
 Every op builds its result in one place, ``_node``, which computes the
 value by one kernel call, ``kernel(*values, *args)``, where ``args`` holds
 what the op worked out from shapes and arguments alone (a contraction's
-plan, a reshape's target, a block's slices), and records a node that keeps
-the hashable part of it as ``static``; besides :meth:`Tape.input`, no other
-code makes a :class:`Var`.  ``concat`` is the :func:`block_core` of its
-parts.  That split lets calls be replayed, on one of two paths.
-
-:func:`swept` replays the sweeps of any program.  The first call for an
-owner (a program object) and a tape structure runs the sweeps eagerly; the
-second runs them eagerly too and records each kernel they run as a step
-whose inputs are slots: a forward node's value, a constant parent of a
-forward node, an entry of ``extra`` (an HVP's direction), an earlier step's
-output, or a literal a rule made from shapes alone (``np.ones``, a zero
-block, a Python float).  Later calls whose forward tape has the same
-signature (every node's op, static part, parent links and shape, and every
-constant's shape, strides, mask and identity with other constants) run the
-steps on the new tape's slots, building no ``Var``, closure or plan and
-dropping each slot after its last use.  The forward pass runs eagerly on
-every call of this path, so a program whose structure depends on its
-values records anew when the structure changes.
+plan, a reshape's target, a block's slices), and records a node; besides
+:meth:`Tape.input`, no other code makes a :class:`Var`.  ``concat`` is
+the :func:`block_core` of its parts.  That split lets calls be replayed.
 
 :func:`_whole_call` replays whole calls, forward pass included, of a
 program whose caller declares it static: its kernels and constants are
@@ -109,12 +93,13 @@ for the objectives of :mod:`ttriem.objectives`.  The recording names those
 arrays (a point's block cores, an HVP's direction) as the only sources and
 keeps every other array a kernel reads, the program's constants included,
 as a literal; a later call with the same layouts runs the forward kernels
-and the sweeps as one list of steps, with no tape, no ``Var`` and no
-signature walk, each value dropped after its last read anywhere in the
-call.  A value check made through :func:`_checked` is a pass-through step,
-so a replay raises where the eager call would.
+and the sweeps as one list of steps, with no tape and no ``Var``, each
+value dropped after its last read anywhere in the call.  A value check
+made through :func:`_checked` is a pass-through step, so a replay raises
+where the eager call would.  Every other program runs its forward pass
+and its sweeps eagerly on a tape, every call.
 
-On both paths the kernels are the eager ones, so the results are
+The kernels of a replay are the eager ones, so the results are
 bit-identical.  A program object keeps at most ``SCHEDULES_PER_PROGRAM``
 schedules, freed with it.  ``replayed`` counts the kernel calls replays
 ran, per op name, the forward kernels of a whole call included; a wrapper
@@ -179,24 +164,20 @@ class Var:
 
     A node is a tape input or has at least one ``Var`` parent; its other
     parents are plain float64 arrays, constants of the computation.
-    ``static`` is the hashable part of the op's arguments that its sweep
-    depends on beyond its parents' shapes, or ``None`` for a node whose
-    sweep cannot be replayed (see :func:`swept`).  ``mask`` is the value's
-    block mask, or ``None``.
+    ``mask`` is the value's block mask, or ``None``.
     """
 
-    __slots__ = ("tape", "value", "op", "parents", "rules", "index", "static", "mask")
+    __slots__ = ("tape", "value", "op", "parents", "rules", "index", "mask")
 
     # Keep numpy from consuming Vars in its own ufunc dispatch.
     __array_ufunc__ = None
 
-    def __init__(self, tape, value, op, parents=(), rules=(), static=None, mask=None):
+    def __init__(self, tape, value, op, parents=(), rules=(), mask=None):
         self.tape = tape
         self.value = value
         self.op = op
         self.parents = parents
         self.rules = rules
-        self.static = static
         self.mask = mask
         self.index = len(tape.nodes)
         tape.nodes.append(self)
@@ -282,7 +263,7 @@ class Tape:
         """Register a differentiable input (a leaf of the graph), with no
         block mask."""
         arr = np.asarray(value, dtype=np.float64)
-        return Var(self, arr, "input", static=())
+        return Var(self, arr, "input")
 
     def clear(self):
         """Drop every node, unlinked from its parents and adjoint rules.
@@ -373,11 +354,12 @@ def grad(tape, output, wrt, as_vars=False):
 # one as a float64 array, and their float64 values.  The op validates on
 # those values and builds its result through _node, so it does both the same
 # way on and off a tape: _node computes the value by one kernel call, hands
-# the call to a recording sweep, and records a node only when there is a
-# tape.  A Var whose tape is not recording (a value-only sweep) counts as its
-# value.  A Var's value and a float64 scalar pass unconverted, so a value
-# keeps its identity from the kernel that made it to every kernel that reads
-# it (the recorder of :func:`swept` names values by identity).
+# the call to the recorder while a whole call is recorded, and records a
+# node only when there is a tape.  A Var whose tape is not recording (a
+# value-only sweep) counts as its value.  A Var's value and a float64 scalar
+# pass unconverted, so a value keeps its identity from the kernel that made
+# it to every kernel that reads it (the recorder of :func:`_whole_call`
+# names values by identity).
 
 
 def _operands(*parts):
@@ -401,17 +383,16 @@ def _operands(*parts):
     return tape, operands, vals
 
 
-def _node(tape, op, kernel, vals, parents, rules, args=(), static=(), mask=None):
+def _node(tape, op, kernel, vals, parents, rules, args=(), mask=None):
     # The result of an ``op``, kernel(*vals, *args): its value off a tape, a
-    # node with the hashable part ``static`` of its arguments on one.  A
-    # recording sweep logs the kernel call.  ``mask`` is the value's block
-    # mask, worked out from the operands' masks alone.
+    # node on one.  A recording call logs the kernel call.  ``mask`` is the
+    # value's block mask, worked out from the operands' masks alone.
     val = kernel(*vals, *args)
     recorder = _state.recorder
     if recorder is not None:
         recorder.step(op, kernel, vals, args, val)
     if tape is not None:
-        return Var(tape, val, op, parents, rules, static, mask)
+        return Var(tape, val, op, parents, rules, mask)
     if mask is not None:
         _set_mask(val, mask)
     return val
@@ -613,7 +594,7 @@ def reshape(a, shape):
     tape, (a,), vals = _operands(a)
     old = vals[0].shape
     return _node(tape, "reshape", np.reshape, vals, (a,), (lambda u: reshape(u, old),),
-                 (shape,), shape, mask and _reshape_mask(mask, old, shape))
+                 (shape,), mask and _reshape_mask(mask, old, shape))
 
 
 def transpose(a, perm):
@@ -624,7 +605,7 @@ def transpose(a, perm):
         mask = _transpose_mask(mask, tuple(p % len(perm) for p in perm))
     return _node(tape, "transpose", np.transpose, vals, (a,),
                  (lambda u: transpose(u, np.argsort([p % len(perm) for p in perm])),),
-                 (perm,), perm, mask)
+                 (perm,), mask)
 
 
 def concat(parts, axis):
@@ -687,7 +668,7 @@ def take_block(a, at):
     shape, (at,), (slices,) = _block_layout(vals[0].shape, (at,),
                                             (tuple(hi - lo for lo, hi in at),))
     return _node(tape, "take_block", getitem, vals, (a,),
-                 (lambda u: block_core(shape, [(u, at)]),), (slices,), at)
+                 (lambda u: block_core(shape, [(u, at)]),), (slices,))
 
 
 def block_core(shape, parts):
@@ -705,8 +686,8 @@ def block_core(shape, parts):
 
 
 def _block_core_plan(shape, ats, vals):
-    # The adjoint rules, kernel arguments, static part and mask of the
-    # block_core of ``vals`` at the blocks ``ats``.
+    # The adjoint rules, kernel arguments and mask of the block_core of
+    # ``vals`` at the blocks ``ats``.
     # A sweep's parts are zero by structure only, never by value: the
     # masks of its kernels must not depend on the values it computes.
     zero = () if _state.sweeping else tuple(i for i, v in enumerate(vals) if _is_zero(v))
@@ -720,7 +701,7 @@ def _block_core_static(shape, ats, shapes, zero):
     # zero, cached per key.
     shape, ats, slices = _block_layout(shape, ats, shapes)
     return (tuple(lambda u, at=at: take_block(u, at) for at in ats), (shape, slices),
-            (shape, ats, zero), _block_core_mask(shape, ats, zero))
+            _block_core_mask(shape, ats, zero))
 
 
 class KeptBlockCore:
@@ -730,7 +711,7 @@ class KeptBlockCore:
     ``parts`` are (array, at) pairs as for :func:`block_core`; the arrays
     must be float64 and are not to be written to while this is kept.  The
     block core of the parts' own arrays is computed here and kept as
-    ``value``, read-only and with its mask, beside its static part.
+    ``value``, read-only and with its mask.
     ``of(x)`` is the block_core of ``x`` in the first part's block and the
     other parts' arrays in theirs.  Given the first part's own array, or a
     tape variable holding it, it is ``value``, or on a tape a node around
@@ -746,12 +727,12 @@ class KeptBlockCore:
         self._parts = parts
         self._rest = [a for a, _ in parts[1:]]
         vals = [a for a, _ in parts]
-        rules, args, static, mask = _block_core_plan(shape, [at for _, at in parts], vals)
+        rules, args, mask = _block_core_plan(shape, [at for _, at in parts], vals)
         self.value = _block_core_value(*vals, *args)
         self.value.flags.writeable = False
         if mask is not None:
             _set_mask(self.value, mask)
-        self._plan = (rules, (self.value,), static, mask)
+        self._plan = (rules, (self.value,), mask)
 
     def of(self, first):
         own, at = self._parts[0]
@@ -782,8 +763,7 @@ def _block_core_value(*args):
 def reduce_sum(a, axes=None):
     tape, (a,), vals = _operands(a)
     if axes is None:
-        return _node(tape, "sum", np.sum, vals, (a,), (lambda u: mul(u, np.ones(a.shape)),),
-                     static="all")
+        return _node(tape, "sum", np.sum, vals, (a,), (lambda u: mul(u, np.ones(a.shape)),))
 
     # As in contract, no axis is wrapped round.
     axes = tuple(sorted(range(vals[0].ndim)[ax] for ax in axes))
@@ -795,7 +775,7 @@ def reduce_sum(a, axes=None):
         ones = np.ones(tuple(a.shape[ax] for ax in axes))
         return contract(u, ones, [], _argsort(kept + list(axes)))
 
-    return _node(tape, "sum", np.sum, vals, (a,), (rule,), (axes,), axes)
+    return _node(tape, "sum", np.sum, vals, (a,), (rule,), (axes,))
 
 
 def _argsort(perm):
@@ -873,8 +853,8 @@ SPLIT_WRITE_MACS = 15
 def _contract_plan(sa, sb, axes, perm, ma, mb):
     # ((kernel, plan), grad_a, grad_b, mask) of contract(a, b, axes, perm)
     # for a of shape sa and mask ma and b of shape sb and mask mb, built once
-    # per key: the kernel (one GEMM, or the block products) and its static
-    # argument, each adjoint's axes and order, and the result's mask.
+    # per key: the kernel (one GEMM, or the block products) and its plan,
+    # each adjoint's axes and order, and the result's mask.
     # Validation happens here, so a key gets a plan only if its shapes, axes
     # and perm are valid.
     # range(n)[p] maps p in [-n, n) to [0, n) and raises IndexError for any other p.
@@ -1067,7 +1047,7 @@ def contract(a, b, axes, perm=None):
     return _node(tape, "contract", kernel, vals, (a, b), (
         lambda u: contract(u, b, *grad_a),
         lambda u: contract(a, u, *grad_b),
-    ), (plan,), (axes, perm), mask)
+    ), (plan,), mask)
 
 
 def _block_products(av, bv, plan):
@@ -1150,15 +1130,15 @@ def gather_mode(core, idx):
     length N, values in [0, n); the result has shape (N, r_left, r_right).  It
     is one row ``take`` from the (n, r_left, r_right) transpose of the core, so
     the strided (r_left, N, r_right) fancy-index copy is never made.  The
-    validated ``idx`` is a kernel operand and a constant parent of the node.
+    validated ``idx`` is a kernel operand.
     """
     tape, (core,), (cv,) = _operands(core)
     if cv.ndim != 3:
         raise DimensionError(f"gather_mode needs an (r_l, n, r_r) core, got shape {cv.shape}")
     n = cv.shape[1]
     idx = index_vector(idx, n, "gather_mode")
-    return _node(tape, "gather_mode", _gather_value, (cv, idx), (core, idx),
-                 (lambda u: scatter_mode(u, idx, n), None))
+    return _node(tape, "gather_mode", _gather_value, (cv, idx), (core,),
+                 (lambda u: scatter_mode(u, idx, n),))
 
 
 def _gather_value(cv, idx):
@@ -1181,8 +1161,8 @@ def scatter_mode(mat, idx, n):
     idx = index_vector(idx, n, "scatter_mode")
     if mv.ndim != 3 or mv.shape[0] != len(idx):
         raise DimensionError(f"scatter_mode needs ({len(idx)}, r_l, r_r) slices, got {mv.shape}")
-    return _node(tape, "scatter_mode", _scatter_value, (mv, idx), (mat, idx),
-                 (lambda u: gather_mode(u, idx), None), (n,), (n,))
+    return _node(tape, "scatter_mode", _scatter_value, (mv, idx), (mat,),
+                 (lambda u: gather_mode(u, idx),), (n,))
 
 
 def _scatter_value(mv, idx, n):
@@ -1277,8 +1257,8 @@ def take_rows(rows, sort, want):
     """``rows``, in the sorted order of ``sort``, moved into that of
     ``want``: another :class:`ModeSort` of the same samples, or ``None``
     for the samples' own order.  The permutation and its inverse
-    (:meth:`ModeSort.reorder`) are kernel operands and constant parents of
-    the node; the adjoint moves rows back by the same two vectors."""
+    (:meth:`ModeSort.reorder`) are kernel operands; the adjoint moves rows
+    back by the same two vectors."""
     tape, (rows,), (rv,) = _operands(rows)
     for s in (sort, want or sort):  # want, when given, orders the same rows
         _check_sort(s, len(rv) if rv.ndim else -1, None, "take_rows")
@@ -1286,14 +1266,13 @@ def take_rows(rows, sort, want):
 
 
 def _take_rows(tape, rows, rv, perm, inverse):
-    # The rule reuses the node's own vectors: an array made inside it would
-    # be frozen into a recorded schedule as a literal.
+    # The rule reuses the node's own vectors, so a sweep computes no
+    # permutation.
     def rule(u):
         tape, (u,), (uv,) = _operands(u)
         return _take_rows(tape, u, uv, inverse, perm)
 
-    return _node(tape, "take_rows", np.take, (rv, perm), (rows, perm, inverse),
-                 (rule, None, None), (0,))
+    return _node(tape, "take_rows", np.take, (rv, perm), (rows,), (rule,), (0,))
 
 
 def _mode_matmul_value(rows, core, bounds):
@@ -1329,10 +1308,9 @@ def mode_matmul(rows, core, sort):
     if rv.ndim != 2 or cv.ndim != 3 or rv.shape[1] != cv.shape[0]:
         raise DimensionError(f"mode_matmul shapes incompatible: {rv.shape} x {cv.shape}")
     bounds = _check_sort(sort, rv.shape[0], cv.shape[1], "mode_matmul")
-    return _node(tape, "mode_matmul", _mode_matmul_value, (rv, cv, bounds), (rows, core, bounds), (
+    return _node(tape, "mode_matmul", _mode_matmul_value, (rv, cv, bounds), (rows, core), (
         lambda u: mode_matmul(u, transpose(core, (2, 1, 0)), sort),
         lambda u: mode_outer(rows, u, sort),
-        None,
     ))
 
 
@@ -1349,26 +1327,25 @@ def mode_outer(rows, u, sort):
     if rv.ndim != 2 or uv.ndim != 2 or rv.shape[0] != uv.shape[0]:
         raise DimensionError(f"mode_outer shapes incompatible: {rv.shape} and {uv.shape}")
     bounds = _check_sort(sort, rv.shape[0], None, "mode_outer")
-    return _node(tape, "mode_outer", _mode_outer_value, (rv, uv, bounds), (rows, u, bounds), (
+    return _node(tape, "mode_outer", _mode_outer_value, (rv, uv, bounds), (rows, u), (
         lambda w: mode_matmul(u, transpose(w, (2, 1, 0)), sort),
         lambda w: mode_matmul(rows, w, sort),
-        None,
     ))
 
 
 # ---------------------------------------------------------------------------
-# recorded sweeps (see the module docstring); while a recording sweep runs,
+# whole-call replays (see the module docstring); while a call is recorded,
 # _node hands every kernel call to its _Recorder.
 
-# The schedules, and the brief keys seen, kept per owner: the oldest of
-# each is dropped beyond this many.
+# The schedules, and the keys seen, kept per owner: the oldest of each is
+# dropped beyond this many.
 SCHEDULES_PER_PROGRAM = 8
 
 _schedules = weakref.WeakKeyDictionary()
 
-# Kernel calls run by replayed schedules, per op name, the forward kernels of
-# a replayed whole call included; an eager call's kernels are calls of the
-# ops themselves and are not counted here.
+# Kernel calls run by replayed schedules, per op name, the forward kernels
+# included; an eager call's kernels are calls of the ops themselves and are
+# not counted here.
 replayed = Counter()
 
 
@@ -1381,29 +1358,26 @@ _state = _State()
 
 
 class Schedule:
-    """The kernels that one call's sweeps ran, replayable on any tape of the
-    same signature (see :func:`swept`), or that a whole call of a static
-    program ran, forward pass included (see :func:`_whole_call`).
+    """The kernels that a whole call of a static program ran, forward pass
+    included (see :func:`_whole_call`).
 
-    ``steps`` holds (kernel, getter of its inputs from the slot list,
-    static arguments, output slot, slots dead after the step); ``sources``
-    holds (slot, i, j), read from node i's value (j = -1) or constant parent
-    j, or from ``extra[j]`` when i = -1 (every source of a whole call);
-    ``slots`` is the initial slot list, literals in place, and ``results``
-    the slots returned.  ``kernels`` counts the steps per op name, added to
-    :data:`replayed` by each run.  ``peak_live_bytes`` is the largest total
-    of the step outputs a replay holds at once: a step's output and inputs
-    are held while it runs, and an output is dropped after the step that
-    reads it last (a result is kept).  It counts each output at its
-    ``nbytes``, a view as well, and a check's pass-through output at 0.
+    ``steps`` holds (kernel, getter of its inputs from the slot list, its
+    other arguments, output slot, slots dead after the step); ``slots`` is
+    the initial slot list, literals in place and the call's sources to come
+    first, in order, and ``results`` the slots returned.  ``kernels``
+    counts the steps per op name, added to :data:`replayed` by each run.
+    ``peak_live_bytes`` is the largest total of the step outputs a replay
+    holds at once: a step's output and inputs are held while it runs, and
+    an output is dropped after the step that reads it last (a result is
+    kept).  It counts each output at its ``nbytes``, a view as well, and a
+    check's pass-through output at 0.
     """
 
-    __slots__ = ("steps", "sources", "slots", "results", "kernels", "peak_live_bytes",
-                 "_stats", "__weakref__")
+    __slots__ = ("steps", "slots", "results", "kernels", "peak_live_bytes", "_stats",
+                 "__weakref__")
 
-    def __init__(self, steps, sources, slots, results, stats, peak_live_bytes):
+    def __init__(self, steps, slots, results, stats, peak_live_bytes):
         self.steps = steps
-        self.sources = sources
         self.slots = slots
         self.results = results
         self._stats = stats
@@ -1419,13 +1393,12 @@ class Schedule:
         :attr:`peak_live_bytes`."""
         return {op: dict(op_stats) for op, op_stats in self._stats.items()}
 
-    def run(self, nodes, extra=()):
-        """The recorded results for the tape ``nodes`` and ``extra``."""
+    def run(self, sources):
+        """The recorded results for the arrays ``sources``."""
         slots = list(self.slots)
-        for s, i, j in self.sources:
-            slots[s] = extra[j] if i < 0 else nodes[i].value if j < 0 else nodes[i].parents[j]
-        for kernel, ins, static, out, dead in self.steps:
-            slots[out] = kernel(*ins(slots), *static)
+        slots[:len(sources)] = sources
+        for kernel, ins, args, out, dead in self.steps:
+            slots[out] = kernel(*ins(slots), *args)
             for i in dead:
                 slots[i] = None
         replayed.update(self.kernels)
@@ -1433,48 +1406,37 @@ class Schedule:
 
 
 class _Recorder:
-    # Names each array the kernels of a recording sweep or whole call read
-    # or write, by identity: a source, an earlier step's output (forgotten
-    # when the array dies, so a recycled id is never misread), or else a
-    # literal, which the schedule keeps read-only: an array a rule made from
-    # shapes alone, or in a whole call also a constant of the program.  A
-    # kernel call that returns a source, as a kept block core's node does,
-    # is no step: each replay reads that source from its own call.
+    # Names each array the kernels of a recorded call read or write, by
+    # identity: a source (source j is slot j), an earlier step's output (forgotten when the array
+    # dies, so a recycled id is never misread), or else a literal, which the
+    # schedule keeps read-only: a constant of the program, or an array a rule
+    # made from shapes alone.  A kernel call that returns a source, as a kept
+    # block core's node does, is no step: each replay reads that source from
+    # its own call.
 
-    def __init__(self, nodes, extra):
-        self.names = {}  # id of a live array -> its slot
+    def __init__(self, sources):
+        self.names = {id(a): j for j, a in enumerate(sources)}  # id of a live array -> its slot
+        self.inputs = set(self.names)
         self.alive = {}  # id -> weak reference to a step's output, or a scalar output
-        self.sources = []  # (slot, i, j) as in Schedule
         self.literals = {}  # slot -> array
         self.steps = []
-        self.count = 0
-        for j, a in enumerate(extra):
-            self._name(a, (-1, j))
-        for node in nodes:
-            # Var parents are named too; no kernel reads them.
-            self._name(node.value, (node.index, -1))
-            for j, p in enumerate(node.parents):
-                self._name(p, (node.index, j))
-        self.inputs = {id(a) for a in extra}.union(id(node.value) for node in nodes)
+        self.count = len(sources)
 
     def _new(self):
         self.count += 1
         return self.count - 1
 
-    def _name(self, a, source=None):
-        # The slot of ``a``: its name, or a new source or literal.
+    def _name(self, a):
+        # The slot of ``a``: its name, or a new literal.
         s = self.names.get(id(a))
         if s is None:
             s = self.names[id(a)] = self._new()
-            if source is not None:
-                self.sources.append((s, *source))
-            else:
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
-                self.literals[s] = a
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+            self.literals[s] = a
         return s
 
-    def step(self, op, kernel, vals, static, val):
+    def step(self, op, kernel, vals, args, val):
         key = id(val)
         if key in self.inputs:
             return
@@ -1486,7 +1448,7 @@ class _Recorder:
             self.alive[key] = weakref.ref(val, lambda _, key=key: self.names.pop(key, None))
         except TypeError:  # a numpy scalar: held, it is small
             self.alive[key] = val
-        self.steps.append((op, kernel, ins, static, out, nbytes))
+        self.steps.append((op, kernel, ins, args, out, nbytes))
 
     def schedule(self, results):
         """The :class:`Schedule` of the steps, returning ``results``, each
@@ -1495,14 +1457,13 @@ class _Recorder:
         self.alive.clear()
         last = {}
         stats = {}
-        for n, (op, kernel, ins, static, out, nbytes) in enumerate(self.steps):
+        for n, (op, kernel, ins, args, out, nbytes) in enumerate(self.steps):
             for s in ins + (out,):
                 last[s] = n
             op_stats = stats.setdefault(op, Counter())
             op_stats.update(steps=1, bytes=nbytes)
             if op == "contract":
-                op_stats.update(_contract_macs(kernel, static[0]))
-        used = set(last).union(results)
+                op_stats.update(_contract_macs(kernel, args[0]))
         dead = [[] for _ in self.steps]
         for s, n in last.items():
             if s not in results:
@@ -1510,10 +1471,9 @@ class _Recorder:
         slots = [None] * self.count
         for s, a in self.literals.items():
             slots[s] = a
-        steps = [(kernel, _getter(ins), static, out, tuple(gone))
-                 for (_, kernel, ins, static, out, _), gone in zip(self.steps, dead)]
-        return Schedule(steps, [src for src in self.sources if src[0] in used], slots, results,
-                        stats, self._peak_live_bytes(dead))
+        steps = [(kernel, _getter(ins), args, out, tuple(gone))
+                 for (_, kernel, ins, args, out, _), gone in zip(self.steps, dead)]
+        return Schedule(steps, slots, results, stats, self._peak_live_bytes(dead))
 
     def _peak_live_bytes(self, dead):
         # The largest total of step outputs held at once, when the outputs
@@ -1541,63 +1501,6 @@ def _getter(ins):
     return itemgetter(*ins) if len(ins) > 1 else itemgetter(slice(ins[0], ins[0] + 1))
 
 
-def _signature(nodes):
-    # The structure of a forward tape, or None when its sweeps cannot be
-    # replayed: per node, its op, static part, shape and parents.  A Var
-    # parent is its index; a constant is the first place the same object
-    # occurs (as a constant or as a node's value), its shape, strides and
-    # block mask.
-    first = {}
-    sig = []
-    for node in nodes:
-        if node.static is None:
-            return None
-        parents = []
-        for j, p in enumerate(node.parents):
-            at = first.setdefault(id(p), (node.index, j))
-            parents.append(at if at.__class__ is int else (at, p.shape, p.strides, _masks.get(id(p))))
-        first[id(node)] = node.index
-        first.setdefault(id(node.value), ("value", node.index))
-        sig.append((node.op, node.static, node.value.shape, tuple(parents)))
-    return tuple(sig)
-
-
-def swept(owner, tag, tape, sweeps, extra=()):
-    """``sweeps()``, the list of arrays that sweeps of ``tape`` compute:
-    eager the first time, recorded the second and replayed after.
-
-    The schedule is kept for ``owner`` (the program whose forward pass
-    recorded ``tape``) under ``tag``, which names what ``sweeps`` computes
-    (its output node, the kind of sweep), the shapes and strides of the
-    arrays of ``extra`` (read by the sweeps as constants, such as an HVP's
-    direction) and the signature of the tape.  The first call with a new
-    tag, ``extra`` layout and tape length runs eagerly and is only
-    remembered, so a program made for one call pays nothing for recording.
-    A call whose key has a schedule replays it on this tape's values,
-    constants and ``extra``; the results are bit-identical to an eager run
-    and may be read-only.  ``tape`` must hold only the forward pass when
-    this is called.  Sweeps run eagerly when the tape's structure cannot be
-    replayed and when ``owner`` has no weak reference.
-    """
-    try:
-        seen, kept = _schedules.setdefault(owner, ({}, {}))
-    except TypeError:
-        return sweeps()
-    # A first call only marks its brief key, so it does not pay for the
-    # signature either.
-    brief = (tag, tuple((a.shape, a.strides, _mask_of(a)) for a in extra), len(tape.nodes))
-    if brief not in seen:
-        _keep(seen, brief, None)
-        return sweeps()
-    sig = _signature(tape.nodes)
-    if sig is None:
-        return sweeps()
-    schedule = kept.get((brief, sig))
-    if schedule is not None:
-        return schedule.run(tape.nodes, extra)
-    return _record(kept, (brief, sig), tape.nodes, extra, sweeps)
-
-
 def _whole_call(owner, tag, sources, call):
     """``call()``, the list of arrays one call of a static program computes
     from the arrays ``sources``: eager the first time, recorded the second
@@ -1608,14 +1511,16 @@ def _whole_call(owner, tag, sources, call):
     needs no tape to be replayed: ``call`` builds its tape from the sources
     and runs the forward pass and its sweeps.  The schedule is kept for
     ``owner`` under that key.  The first call with a key runs eagerly and
-    is only remembered; the second records every kernel ``call`` runs, the
-    forward pass's included, with the sources as its only inputs and every
-    other array a kernel reads kept as a literal; later calls run those
-    kernels on their own sources, building no tape or ``Var``, with each
-    slot, forward values included, dropped after its last read in the
-    call.  A value check made by :func:`_checked` is a step, so a replay
-    raises where the eager call would.  ``call`` runs eagerly every time
-    when ``owner`` has no weak reference.
+    is only remembered, so a program made for one call pays nothing for
+    recording; the second records every kernel ``call`` runs, the forward
+    pass's included, with the sources as its only inputs and every other
+    array a kernel reads kept as a literal; later calls run those kernels
+    on their own sources, building no tape or ``Var``, with each slot,
+    forward values included, dropped after its last read in the call.  The
+    results are bit-identical to an eager call and may be read-only.  A
+    value check made by :func:`_checked` is a step, so a replay raises
+    where the eager call would.  ``call`` runs eagerly every time when
+    ``owner`` has no weak reference.
     """
     try:
         seen, kept = _schedules.setdefault(owner, ({}, {}))
@@ -1624,16 +1529,11 @@ def _whole_call(owner, tag, sources, call):
     key = (tag, tuple([(a.shape, a.strides, _mask_of(a)) for a in sources]))
     schedule = kept.get(key)
     if schedule is not None:
-        return schedule.run((), sources)
+        return schedule.run(sources)
     if key not in seen:
         _keep(seen, key, None)
         return call()
-    return _record(kept, key, (), sources, call)
-
-
-def _record(kept, key, nodes, extra, call):
-    # ``call()``, its kernels recorded as a Schedule kept under ``key``.
-    recorder = _state.recorder = _Recorder(nodes, extra)
+    recorder = _state.recorder = _Recorder(sources)
     try:
         out = call()
         _keep(kept, key, recorder.schedule(out))

@@ -317,7 +317,8 @@ def _linear_system_objective(a: TtMatrix, rhs: TtTensor):
         lin = coreops.dot_cores([c for c in rhs.cores], cores)
         return ad.sub(quad, lin)
 
-    return objectives.Objective(name="linear_system", evaluate=evaluate, operator=a)
+    return objectives.Objective(name="linear_system", evaluate=objectives._static(evaluate),
+                                operator=a)
 
 
 def demo_solve(steps=30, step_size=0.1, x0=None, seed=0):

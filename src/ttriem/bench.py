@@ -173,7 +173,7 @@ def _timed(calls, trials):
 
 
 def bench_run(cfg: BenchConfig):
-    """Warm up twice, so that AD calls replay their sweeps, time ``trials``
+    """Warm up twice, so that AD calls replay whole, time ``trials``
     repetitions, report agreement vs AD."""
     objective, base, z = make_instance(cfg)
     record = BenchRecord(config=cfg)
@@ -221,11 +221,12 @@ def complexity_ratios(d=6, n=10, rank=5, op_rank=5, trials=7, seed=0):
     block = _block_cores(base, _delta_seed(base))
     point = list(base.to_tt().cores)
 
-    # warmup
+    # Two AD calls each, so that every timed one replays the call the second recorded.
     objective.evaluate(block)
     objective.evaluate(point)
-    riemannian_grad_tt(objective.evaluate, base)
-    hess_vec_tt(objective.evaluate, base, z)
+    for _ in range(2):
+        riemannian_grad_tt(objective.evaluate, base)
+        hess_vec_tt(objective.evaluate, base, z)
 
     # Timed but unread: the point evaluation settles the timing of the block evaluation after it.
     _, evals, grads, hvps = _timed([

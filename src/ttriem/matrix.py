@@ -176,8 +176,10 @@ def riemannian_grad_matrix(p, x: FixedRankPoint) -> MatrixTangent:
     """Riemannian gradient of a program evaluating f at L @ R.T.
 
     The program is run on the width-2r factors L = [U dU], R = [dV V] and
-    differentiated with respect to (dU, dV) as by :func:`riemannian_grad_tt`,
-    with the sweep recorded for, and replayed on later calls with, ``p``.
+    differentiated with respect to (dU, dV) as by :func:`riemannian_grad_tt`.
+    For the :meth:`~ttriem.objectives.Objective.factor_program` of an
+    objective of :mod:`ttriem.objectives`, the whole call is recorded for,
+    and replayed on later calls with, ``p``; any other program runs eagerly.
     """
     return MatrixTangent._wrap(x, _differentiate(_core_program(p, x), x.ortho, None, p)[1])
 
@@ -185,8 +187,9 @@ def riemannian_grad_matrix(p, x: FixedRankPoint) -> MatrixTangent:
 def hess_vec_matrix(p, x: FixedRankPoint, z: MatrixTangent) -> MatrixTangent:
     """Approximate Riemannian Hessian applied to a tangent vector.
 
-    The nested sweep of :func:`hess_vec_tt`, recorded for ``p``; the
-    curvature term of the exact Hessian is omitted.
+    The nested sweep of :func:`hess_vec_tt`, replayed whole for ``p`` as in
+    :func:`riemannian_grad_matrix`; the curvature term of the exact Hessian
+    is omitted.
     """
     return MatrixTangent._wrap(x, _differentiate(_core_program(p, x), x.ortho, z.tt, p)[1])
 

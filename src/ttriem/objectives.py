@@ -160,6 +160,8 @@ class Objective:
             g2 = ad.reshape(ad.transpose(right, (1, 0)), (rshape[1], rshape[0], 1))
             return self.evaluate([g1, g2])
 
+        if self.evaluate in ttmanifold._static_programs:
+            _static(program)
         return program
 
 
@@ -167,10 +169,11 @@ def _static(evaluate):
     """``evaluate``, registered as a program whose kernels and constants
     are fixed by the shapes and block masks of the cores it receives, so
     that a whole gradient or HVP call of it replays
-    (``ttmanifold._static_programs``).  Only the constructors here register
-    a program: each reads its cores through ``ttriem.ad`` ops alone, holds
-    its data as read-only arrays, and checks values only by
-    ``ttriem.ad._checked``."""
+    (``ttmanifold._static_programs``).  Only the constructors here, the
+    factor programs of their objectives and the energy of
+    ``ttriem.baselines`` register a program: each reads its cores through
+    ``ttriem.ad`` ops alone, holds its data as read-only arrays, and checks
+    values only by ``ttriem.ad._checked``."""
     ttmanifold._static_programs.add(evaluate)
     return evaluate
 

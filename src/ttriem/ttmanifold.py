@@ -307,11 +307,12 @@ def _frozen_result(k, delta, stage):
     return arr
 
 
-# The evaluate programs that ttriem.objectives' constructors build.  Their
-# kernels and constants are fixed by the shapes, strides and block masks of
-# the block cores they receive, so a whole call of one, forward pass
-# included, replays (ttriem.ad._whole_call).  Only those constructors add to
-# it.
+# The programs registered by ttriem.objectives._static: the evaluate
+# programs of its constructors and of the energy of ttriem.baselines, and
+# the factor programs of those objectives.  Their kernels and constants are
+# fixed by the shapes, strides and block masks of the block cores they
+# receive, so a whole call of one, forward pass included, replays
+# (ttriem.ad._whole_call).
 _static_programs = weakref.WeakSet()
 
 
@@ -319,28 +320,26 @@ def _differentiate(p, base, z, owner):
     """The program's recorded value and its Riemannian gradient, or, given
     a tangent ``z`` at ``base``, its approximate Hessian applied to z.
 
-    The schedules are kept for ``owner``, on one of two paths.  A program
-    of ``_static_programs`` replays whole calls
-    (:func:`ttriem.ad._whole_call`, keyed by the kind of call and the
-    layouts of the point's seed block cores and of z's deltas): a later call
+    When ``owner`` is in ``_static_programs``, whole calls replay
+    (:func:`ttriem.ad._whole_call`, kept for ``owner`` and keyed by the kind
+    of call and the layouts of the point's seed block cores and of z's
+    deltas): the first call at a key is eager, and from the third on a call
     runs the recorded forward kernels and sweeps on the point's kept block
     cores and z's deltas, with no tape.  Any other program runs its forward
-    pass on a tape every call, and its sweeps, those of
-    :func:`riemannian_grad_tt` and :func:`hess_vec_tt`, through
-    :func:`ttriem.ad.swept`.  On both, the first call at a key or tape
-    structure is eager and later ones replay.  The value and the gauged
-    deltas are checked to be finite, the value by a check a replay runs too
-    and the deltas by :meth:`TtTangent._projected`.
+    pass and the sweeps of :func:`riemannian_grad_tt` or
+    :func:`hess_vec_tt` eagerly on a tape, every call.  The value and the
+    gauged deltas are checked to be finite, the value by a check a replay
+    runs too and the deltas by :meth:`TtTangent._projected`.
     """
     if z is not None and not z.base.matches(base):
         raise InvalidTangentError("tangent vector is anchored at a different point")
-    if p in _static_programs:
+    if owner in _static_programs:
         extra = () if z is None else z.deltas
         cores = [core.value for core in _per_point(_seeds, base, _PointSeed).cores]
         value, *raw = ad._whole_call(owner, "grad" if z is None else "hvp", cores + list(extra),
-                                     lambda: _on_tape(p, base, z, None))
+                                     lambda: _on_tape(p, base, z))
     else:
-        value, *raw = _on_tape(p, base, z, owner)
+        value, *raw = _on_tape(p, base, z)
     return float(value), TtTangent._projected(base, raw, "gradient" if z is None else "HVP")
 
 
@@ -351,30 +350,22 @@ def _finite_value(value):
     return value
 
 
-def _on_tape(p, base, z, owner):
+def _on_tape(p, base, z):
     # The program's value and the raw deltas of its gradient, or of its
-    # Hessian applied to z, from one forward pass on a tape, the sweeps
-    # through ad.swept for ``owner`` unless that is None.
+    # Hessian applied to z, from one forward pass on a tape and its sweeps.
     tape = ad.Tape()
     try:
         rvars = [tape.input(v) for v in _delta_seed(base)]
         out = ad._checked(p(_block_cores(base, rvars)), _finite_value)
         if z is None:
-            def sweeps():
-                return ad.grad(tape, out, rvars)
+            raw = ad.grad(tape, out, rvars)
         else:
-            def sweeps():
-                inner = ad.grad(tape, out, rvars, as_vars=True)
-                w = ad.add_n([
-                    ad.contract(g, dz, [(0, 0), (1, 1), (2, 2)])
-                    for g, dz in zip(inner, z.deltas)
-                ])
-                return ad.grad(tape, w, rvars)
-        if owner is not None and isinstance(out, ad.Var):
-            kind = "grad" if z is None else "hvp"
-            raw = ad.swept(owner, (kind, out.index), tape, sweeps, () if z is None else z.deltas)
-        else:
-            raw = sweeps()
+            inner = ad.grad(tape, out, rvars, as_vars=True)
+            w = ad.add_n([
+                ad.contract(g, dz, [(0, 0), (1, 1), (2, 2)])
+                for g, dz in zip(inner, z.deltas)
+            ])
+            raw = ad.grad(tape, w, rvars)
         return [out.value if isinstance(out, ad.Var) else out, *raw]
     finally:
         tape.clear()
@@ -390,20 +381,18 @@ def riemannian_value_and_grad_tt(p, x):
     returns there is f(X).  A program that does not depend on the cores
     has the zero gradient.  Raises :class:`NonFiniteError` when the value
     or a delta of the gradient is NaN or infinite.  Repeated calls with the
-    same program object replay what the second one recorded: for an
-    objective of :mod:`ttriem.objectives` the whole call, forward pass
-    included, at points whose block cores share their layout; for any
-    other program the sweep, at tapes of the recorded structure
-    (:func:`_differentiate`).
+    same program object of :mod:`ttriem.objectives` replay the whole call
+    that the second one recorded, forward pass included, at points whose
+    block cores share their layout; any other program runs eagerly every
+    call (:func:`_differentiate`).
     """
     return _differentiate(p, _as_ortho(x), None, p)
 
 
 def riemannian_grad_tt(p, x) -> TtTangent:
     """Riemannian gradient of a TT-core program via one reverse sweep: the
-    tangent of :func:`riemannian_value_and_grad_tt`, replayed as that is,
-    whole for an objective of :mod:`ttriem.objectives` and sweep only for
-    any other program."""
+    tangent of :func:`riemannian_value_and_grad_tt`, replayed whole for an
+    objective of :mod:`ttriem.objectives` as that is."""
     return riemannian_value_and_grad_tt(p, x)[1]
 
 
@@ -419,11 +408,10 @@ def hess_vec_tt(p, x, z: TtTangent) -> TtTangent:
     projection P is self-adjoint, so <P G, z> = <G, z>.  Only the result
     is projected.  Raises :class:`NonFiniteError` when the program's value
     or a delta of the result is NaN or infinite.  Repeated calls with the
-    same program object replay what the second one recorded, inner sweep
-    and dot with z included: for an objective of :mod:`ttriem.objectives`
-    the whole call, forward pass included, for directions of the recorded
-    layout; for any other program the sweeps, the forward pass running on
-    a tape each call (:func:`_differentiate`).
+    same program object of :mod:`ttriem.objectives` replay the whole call
+    that the second one recorded, forward pass, inner sweep and dot with z
+    included, for directions of the recorded layout; any other program
+    runs eagerly every call (:func:`_differentiate`).
     """
     return _differentiate(p, _as_ortho(x), z, p)[1]
 

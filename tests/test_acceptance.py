@@ -153,7 +153,7 @@ def test_criterion_4_complexity_contract(rank):
     assert elapsed < 30.0
 
 
-def _swept_tape_nodes(monkeypatch, call):
+def _tape_nodes(monkeypatch, call):
     """Nodes on the tape that ``call`` sweeps, and the nodes each of its
     value-only sweeps appends."""
     nodes, appended = [], []
@@ -184,9 +184,9 @@ def test_criterion_4_node_counts(monkeypatch):
             BenchConfig("qf", "ad", "grad", 6, 10, rank, rank, 5, seed=rank))
         block = point_as_tangent(base).materialize().cores
         tape, _ = ad.record(block, lambda *cores: objective.evaluate(list(cores)))
-        grad_nodes, grad_appended = _swept_tape_nodes(
+        grad_nodes, grad_appended = _tape_nodes(
             monkeypatch, lambda: riemannian_grad_tt(objective.evaluate, base))
-        hvp_nodes, hvp_appended = _swept_tape_nodes(
+        hvp_nodes, hvp_appended = _tape_nodes(
             monkeypatch, lambda: hess_vec_tt(objective.evaluate, base, z))
         assert grad_appended == [0] and hvp_appended == [0]
         ratios[rank] = (grad_nodes / len(tape), hvp_nodes / len(tape))

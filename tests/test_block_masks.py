@@ -204,23 +204,24 @@ class Program:
 
 def sweep(program, inputs, owner, dirs=None):
     """The gradient of ``program`` at ``inputs`` (tape inputs), or its HVP
-    along ``dirs``, through :func:`ttriem.ad.swept` for ``owner``."""
-    tape = ad.Tape()
-    xs = [tape.input(v) for v in inputs]
-    try:
-        out = program(xs)
-        if dirs is None:
-            def sweeps():
+    along ``dirs``, as a whole call (:func:`ttriem.ad._whole_call`) of
+    ``program`` for ``owner``, with the inputs and directions as its
+    sources."""
+    def call():
+        tape = ad.Tape()
+        xs = [tape.input(v) for v in inputs]
+        try:
+            out = program(xs)
+            if dirs is None:
                 return ad.grad(tape, out, xs)
-        else:
-            def sweeps():
-                inner = ad.grad(tape, out, xs, as_vars=True)
-                w = ad.add_n([ad.contract(g, d, [(i, i) for i in range(d.ndim)])
-                              for g, d in zip(inner, dirs)])
-                return ad.grad(tape, w, xs)
-        return [np.array(r) for r in ad.swept(owner, "sweep", tape, sweeps, dirs or ())]
-    finally:
-        tape.clear()
+            inner = ad.grad(tape, out, xs, as_vars=True)
+            w = ad.add_n([ad.contract(g, d, [(i, i) for i in range(d.ndim)])
+                          for g, d in zip(inner, dirs)])
+            return ad.grad(tape, w, xs)
+        finally:
+            tape.clear()
+
+    return [np.array(r) for r in ad._whole_call(owner, "sweep", list(inputs) + (dirs or []), call)]
 
 
 def check_zero_blocks(val, mask):
@@ -250,8 +251,8 @@ class TestDifferential:
 
         with split_always():
             for hvp in (None, dirs):
-                # Eager, recorded, then replayed at other values; a new
-                # program object runs the sweeps eagerly there.
+                # Eager, recorded, then replayed at other values; an owner
+                # with no weak reference runs the call eagerly there.
                 owner = (lambda xs: prog.masked(xs))
                 with mock.patch.object(ad, "_node", checked):
                     got = [sweep(owner, first, owner, hvp), sweep(owner, first, owner, hvp)]
@@ -395,13 +396,18 @@ class TestScheduleStats:
             return ad.reduce_sum(ad.mul(ad.contract(x, y, [(1, 0)]), ad.contract(x, y, [(1, 0)])))
 
         owner = lambda: None  # noqa: E731  (any object with a weak reference)
+        def call():
+            tape, out = ad.record([a, b], program)
+            try:
+                return ad.grad(tape, out, tape.nodes[:2])
+            finally:
+                tape.clear()
+
         with split_always():
             for _ in range(2):
-                tape, out = ad.record([a, b], program)
-                xs = tape.nodes[:2]
-                ad.swept(owner, "grad", tape, lambda: ad.grad(tape, out, xs))
-                tape.clear()
+                ad._whole_call(owner, "grad", [a, b], call)
         stats = contract_stats(owner)
-        # Four adjoint contractions of 6 * 5 * 7 multiply-adds each.
-        assert stats["macs"] == stats["dense_macs"] == 4 * 6 * 5 * 7
+        # Two forward and four adjoint contractions of 6 * 5 * 7
+        # multiply-adds each.
+        assert stats["macs"] == stats["dense_macs"] == 6 * 6 * 5 * 7
         assert list(ad._schedules[owner][1].values())[-1].stats()["mul"]["steps"] >= 1

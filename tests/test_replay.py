@@ -1,22 +1,25 @@
-"""Recorded sweeps (ad.swept), whole-call replays of the objectives'
-programs (ad._whole_call), one block core per mode, values alongside
+"""Whole-call replays of registered programs (ad._whole_call), eager calls
+of every other program, one block core per mode, values alongside
 gradients and the non-finite checks of the gradient and HVP pipelines."""
 
 import gc
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ttriem import ad, coreops, ttmanifold
-from ttriem.baselines import compute_method, riemannian_gd_demo
+from ttriem.baselines import _linear_system_objective, compute_method, riemannian_gd_demo
 from ttriem.bench import objective_suite, sample_indices
 from ttriem.errors import DegeneratePointError, DimensionError, NonFiniteError
+from ttriem.matrix import FixedRankPoint, hess_vec_matrix, project_matrix, riemannian_grad_matrix
 from ttriem.objectives import (
     IndexSet,
     Objective,
+    _static,
     completion_loss,
     expmachines_loss,
     gram_quadratic_form,
@@ -25,6 +28,7 @@ from ttriem.objectives import (
     regularized_completion,
 )
 from ttriem.tt import (
+    TtMatrix,
     TtTensor,
     orthogonalize,
     random_symmetric_ttmat,
@@ -60,9 +64,15 @@ def same_bits(a, b):
 
 
 def eager(program):
-    """A new program object calling ``program``: its first call runs the
-    sweeps eagerly."""
+    """A new program object calling ``program``, not registered: its calls
+    run eagerly."""
     return lambda cores: program(cores)
+
+
+def static(program):
+    """A new program object calling ``program``, registered as the
+    objectives' constructors register theirs: its calls replay whole."""
+    return _static(lambda cores: program(cores))
 
 
 def replaying(call):
@@ -77,18 +87,15 @@ def kept(owner):
     return list(ad._schedules.get(owner, ({}, {}))[1].values())
 
 
-def energy_program(rng, modes, rank):
-    """The benchmark's energy 0.5 <(I + B) X, X> - <A T, X>, as its solve records it."""
-    b_cores = list(random_symmetric_ttmat(rng, modes, 2).cores)
-    at_cores = list(random_tt(rng, modes, rank).cores)
-
-    def evaluate(cores):
-        cores = list(cores)
-        quad = ad.add(coreops.dot_cores(cores, cores),
-                      coreops.dot_cores(coreops.matvec_cores(b_cores, cores), cores))
-        return ad.sub(ad.mul(quad, 0.5), coreops.dot_cores(at_cores, cores))
-
-    return evaluate
+def taped_grad(program, x):
+    """The gradient of ``program`` at the array ``x``, from one eager call
+    on a tape."""
+    tape = ad.Tape()
+    xv = tape.input(x)
+    try:
+        return ad.grad(tape, program(xv), [xv])
+    finally:
+        tape.clear()
 
 
 class TestReplay:
@@ -98,17 +105,14 @@ class TestReplay:
         # directions each.
         bases = [point(rng), point(rng)]
         dirs = [[direction(rng, b), direction(rng, b)] for b in bases]
-        programs = {obj.name: obj.evaluate for obj in objective_suite(rng, MODES, 2)}
-        programs["energy"] = energy_program(rng, MODES, 2)
+        programs = {name: obj.evaluate for name, obj in registered(rng).items()}
         # A stop_gradient constant is the same object as a forward value.
-        programs["stop_gradient"] = lambda cores: coreops.dot_cores(
-            [ad.stop_gradient(c) for c in cores], [ad.mul(c, c) for c in cores])
+        programs["stop_gradient"] = static(lambda cores: coreops.dot_cores(
+            [ad.stop_gradient(c) for c in cores], [ad.mul(c, c) for c in cores]))
         for name, p in programs.items():
             for _ in range(2):
                 riemannian_grad_tt(p, bases[0])
                 hess_vec_tt(p, bases[0], dirs[0][0])
-            # Completion's prefix and suffix tables reach every mode of
-            # MODES, so its tape holds no swept mode and replays too.
             for base, zs in zip(bases, dirs):
                 got, ran = replaying(lambda: riemannian_grad_tt(p, base))
                 assert ran, name
@@ -119,29 +123,9 @@ class TestReplay:
                     assert same_bits(got, hess_vec_tt(eager(p), base, z)), name
             assert len(kept(p)) == 2, name
 
-    def test_branch_on_value_records_anew(self, rng):
-        def program(cores):
-            s = coreops.dot_cores(cores, cores)
-            if float(s.value) > 1.0:
-                return ad.mul(s, s)
-            return ad.exp(ad.mul(s, 0.5))
-
-        bases = []
-        for norm in (10.0, 0.1):  # squared norms 100 and 0.01, either side of 1
-            x = random_tt(rng, MODES, 2)
-            bases.append(orthogonalize(tt_scale(norm / tt_norm(x), x)))
-        for base in bases:
-            for replays in (False, False, True):  # eager, recorded, replayed
-                got, ran = replaying(lambda: riemannian_grad_tt(program, base))
-                assert ran == replays
-                assert same_bits(got, riemannian_grad_tt(eager(program), base))
-        assert len(kept(program)) == 2
-        got, ran = replaying(lambda: riemannian_grad_tt(program, bases[0]))
-        assert ran and same_bits(got, riemannian_grad_tt(eager(program), bases[0]))
-
     def test_programs_never_share_a_schedule(self, rng):
         def make():
-            return lambda cores: coreops.dot_cores(cores, cores)
+            return static(lambda cores: coreops.dot_cores(cores, cores))
 
         first, second = make(), make()
         base = point(rng)
@@ -155,7 +139,8 @@ class TestReplay:
 
     def test_recorded_on_second_call(self, rng):
         # A program made for one call never pays for a recording.
-        program = energy_program(rng, MODES, 2)
+        program = _linear_system_objective(random_symmetric_ttmat(rng, MODES, 2),
+                                           random_tt(rng, MODES, 2)).evaluate
         base = point(rng)
         riemannian_grad_tt(program, base)
         assert kept(program) == []
@@ -165,7 +150,7 @@ class TestReplay:
 
     def test_schedules_freed_with_program_without_collector(self, rng):
         def make():
-            return lambda cores: coreops.dot_cores(cores, cores)
+            return static(lambda cores: coreops.dot_cores(cores, cores))
 
         program = make()
         base = point(rng)
@@ -180,31 +165,29 @@ class TestReplay:
             gc.enable()
 
     @pytest.mark.parametrize("program, total, peak", [
-        # Steps: a = u * ones, b = a * x, c = a * x (a dropped), b + c
-        # (b, c dropped).  At most a, b and c are held: 3 x 24 bytes.
-        (lambda x: ad.reduce_sum(ad.mul(x, x)), 96, 72),
-        # Steps: a = u * ones, b = a * exp(exp(x)) (a dropped), b * exp(x)
-        # (b dropped).  At most two outputs are held: 2 x 24 bytes.
-        (lambda x: ad.reduce_sum(ad.exp(ad.exp(x))), 72, 48),
+        # Steps: m = x * x, s = sum(m) (m, s dropped); a = u * ones,
+        # b = a * x, c = a * x (a dropped), b + c (b, c dropped).  At most
+        # a, b and c are held: 3 x 24 bytes.
+        (lambda x: ad.reduce_sum(ad.mul(x, x)), 128, 72),
+        # Steps: e = exp(x), f = exp(e), s = sum(f) (s dropped);
+        # a = u * ones, b = a * f (a, f dropped), b * e (b, e dropped).  At
+        # most e, f, a and b are held: 4 x 24 bytes.
+        (lambda x: ad.reduce_sum(ad.exp(ad.exp(x))), 128, 96),
     ], ids=["square", "exp_chain"])
     def test_peak_live_bytes(self, program, total, peak):
-        # Every step writes a (3,) float64 array of 24 bytes.
+        # Every step writes a (3,) float64 array of 24 bytes, but the sum,
+        # whose float64 scalar takes 8.
         owner = eager(program)
+        x = np.arange(1.0, 4.0)
         for _ in range(2):
-            tape = ad.Tape()
-            x = tape.input(np.arange(1.0, 4.0))
-            out = owner(x)
-            ad.swept(owner, "grad", tape, lambda: ad.grad(tape, out, [x]))
-            tape.clear()
+            ad._whole_call(owner, "grad", [x], lambda: taped_grad(owner, x))
         (schedule,) = kept(owner)
         assert sum(s["bytes"] for s in schedule.stats().values()) == total
         assert schedule.peak_live_bytes == peak
 
     def test_schedules_capped_per_program(self, rng):
-        def program(cores):
-            return coreops.dot_cores(cores, cores)
-
-        for n in range(2, ad.SCHEDULES_PER_PROGRAM + 4):  # a new signature each time
+        program = static(lambda cores: coreops.dot_cores(cores, cores))
+        for n in range(2, ad.SCHEDULES_PER_PROGRAM + 4):  # a new key each time
             base = point(rng, (3, n, 3))
             riemannian_grad_tt(program, base)
             riemannian_grad_tt(program, base)
@@ -212,8 +195,8 @@ class TestReplay:
 
     def test_swept_completion_tape_replays(self, rng):
         # 100 samples over modes of 30 leave modes 1 and 2 to the row sweep:
-        # its sorts' bounds and row permutations are constant parents, read
-        # as slots like the gathers' index vectors.
+        # its sorts' bounds and row permutations are literals of the
+        # program, as the gathers' index vectors are.
         modes = (30,) * 4
         idx = sample_indices(rng, modes, 100)
         assert coreops._table_split(list(modes), len(idx)) == (1, 3)
@@ -235,34 +218,9 @@ class TestReplay:
             assert all(counted[op] > 0 for op in ("mode_matmul", "mode_outer", "take_rows"))
         assert len(kept(p)) == 2
 
-    def test_swept_replay_reads_each_calls_sorts(self, rng):
-        # The sorts' bounds and row permutations are constants of the tape,
-        # not part of the schedule: a new observation set with the same N,
-        # mode sizes and split replays at its own sorts.
-        modes = (30,) * 4
-        omega = [IndexSet(sample_indices(rng, modes, 100), rng.standard_normal(100))]
-        assert coreops._table_split(list(modes), 100) == (1, 3)
-
-        def program(cores):
-            return completion_loss(omega[0]).evaluate(cores)
-
-        base = point(rng, modes)
-        z = direction(rng, base)
-        for _ in range(2):  # eager, then recorded
-            riemannian_grad_tt(program, base)
-            hess_vec_tt(program, base, z)
-        first = riemannian_grad_tt(eager(program), base), hess_vec_tt(eager(program), base, z)
-        omega[0] = IndexSet(sample_indices(rng, modes, 100), omega[0].values)
-        got, ran = replaying(lambda: riemannian_grad_tt(program, base))
-        assert ran and same_bits(got, riemannian_grad_tt(eager(program), base))
-        assert not same_bits(got, first[0])
-        got, ran = replaying(lambda: hess_vec_tt(program, base, z))
-        assert ran and same_bits(got, hess_vec_tt(eager(program), base, z))
-        assert not same_bits(got, first[1])
-
     def test_completion_tables_replay(self, rng):
         # Every mode lies in a table: the gathers and scatters replay with
-        # the forward pass's index vectors as slots.
+        # the forward pass's index vectors as literals.
         idx = sample_indices(rng, MODES, 20)
         assert coreops._table_split(list(MODES), len(idx)) == (2, 2)
         obj = completion_loss(IndexSet(idx, rng.standard_normal(len(idx))))
@@ -282,29 +240,6 @@ class TestReplay:
             counted = ad.replayed - before
             assert counted["gather_mode"] > 0 and counted["scatter_mode"] > 0
         assert len(kept(p)) == 2
-
-    def test_replay_reads_each_calls_index_vector(self, rng):
-        # The index vector is a constant of the tape, not part of the
-        # schedule: a new one of the same length replays at its own values.
-        cell = [rng.integers(0, 4, 30)]
-        weights = rng.standard_normal((30, 4, 4))
-
-        def program(cores):
-            rows = ad.gather_mode(cores[1], cell[0])  # (30, 4, 4): block cores are 2r wide
-            return ad.reduce_sum(ad.mul(ad.mul(rows, rows), weights))
-
-        base = point(rng)
-        z = direction(rng, base)
-        for _ in range(2):  # eager, then recorded
-            riemannian_grad_tt(program, base)
-            hess_vec_tt(program, base, z)
-        first = hess_vec_tt(eager(program), base, z)
-        cell[0] = (cell[0] + 1) % 4
-        got, ran = replaying(lambda: riemannian_grad_tt(program, base))
-        assert ran and same_bits(got, riemannian_grad_tt(eager(program), base))
-        got, ran = replaying(lambda: hess_vec_tt(program, base, z))
-        assert ran and same_bits(got, hess_vec_tt(eager(program), base, z))
-        assert not same_bits(got, first)
 
     @staticmethod
     def peak(call):
@@ -339,13 +274,12 @@ class TestReplay:
         base = point(rng, modes, 3)
         self.check_replayed_hvp_peak(obj.evaluate, base, direction(rng, base, 3))
 
-    def test_swept_runs_eagerly_for_unreferenceable_owner(self, rng):
-        tape = ad.Tape()
-        x = tape.input(rng.standard_normal(3))
-        out = ad.reduce_sum(ad.mul(x, x))
+    def test_whole_call_runs_eagerly_for_unreferenceable_owner(self, rng):
+        x = rng.standard_normal(3)
         for _ in range(3):
-            got, ran = replaying(lambda: ad.swept(1, "grad", tape, lambda: ad.grad(tape, out, [x])))
-            np.testing.assert_array_equal(got[0], 2.0 * x.value)
+            got, ran = replaying(lambda: ad._whole_call(
+                1, "grad", [x], lambda: taped_grad(lambda v: ad.reduce_sum(ad.mul(v, v)), x)))
+            np.testing.assert_array_equal(got[0], 2.0 * x)
             assert not ran
 
 
@@ -356,6 +290,8 @@ def registered(rng, modes=MODES, rank=2):
     objs = {obj.name: obj for obj in suite}
     omega = IndexSet(sample_indices(rng, modes, 20), rng.standard_normal(20))
     objs["regularized_completion"] = regularized_completion(omega, 0.3)
+    objs["linear_system"] = _linear_system_objective(random_symmetric_ttmat(rng, modes, 2),
+                                                     random_tt(rng, modes, rank))
     return objs
 
 
@@ -367,6 +303,26 @@ def forward_tape(p, base):
     return tape
 
 
+def structure(tape):
+    """Per node of ``tape``: its op, its value's shape and mask, and its
+    parents, each a node's index or a constant's shape."""
+    return [(node.op, node.value.shape, node.mask,
+             tuple(p.index if isinstance(p, ad.Var) else np.shape(p) for p in node.parents))
+            for node in tape.nodes]
+
+
+def matrix_case(rng, m=6, rank=2):
+    """A quadratic form on m x m matrices, a rank-``rank`` point and a
+    tangent direction at it."""
+    obj = quadratic_form(random_symmetric_ttmat(rng, (m, m), 2))
+    x = FixedRankPoint.from_dense(rng.standard_normal((m, m)), rank)
+    return obj, x, project_matrix(x, rng.standard_normal((m, m)))
+
+
+REGISTERED = ["quadratic_form", "gram_quadratic_form", "rayleigh_quotient", "completion",
+              "expmachines", "regularized_completion", "linear_system"]
+
+
 class TestWholeCall:
     # The objectives' programs are static: a whole gradient or HVP call,
     # forward pass included, is recorded once and replayed with no tape.
@@ -374,23 +330,22 @@ class TestWholeCall:
         objs = registered(rng)
         assert all(obj.evaluate in ttmanifold._static_programs for obj in objs.values())
         wrapped = eager(objs["quadratic_form"].evaluate)
-        factor = objs["quadratic_form"].factor_program()
         assert wrapped not in ttmanifold._static_programs
+        # A registered objective's factor program is registered; that of an
+        # objective around a wrapper is not.
+        assert objs["quadratic_form"].factor_program() in ttmanifold._static_programs
+        factor = Objective(name="wrapped", evaluate=wrapped).factor_program()
         assert factor not in ttmanifold._static_programs
 
-    @pytest.mark.parametrize("name", ["quadratic_form", "gram_quadratic_form",
-                                      "rayleigh_quotient", "completion", "expmachines",
-                                      "regularized_completion"])
+    @pytest.mark.parametrize("name", REGISTERED)
     def test_forward_structure_fixed_by_shapes(self, rng, name):
         # The registry's claim: at points of one shape, the forward tape
         # is the same, so a whole call recorded at one serves them all.
         p = registered(rng)[name].evaluate
-        sigs = [ad._signature(forward_tape(p, point(rng)).nodes) for _ in range(3)]
-        assert sigs[0] is not None and sigs[0] == sigs[1] == sigs[2]
+        shapes = [structure(forward_tape(p, point(rng))) for _ in range(3)]
+        assert shapes[0] and shapes[0] == shapes[1] == shapes[2]
 
-    @pytest.mark.parametrize("name", ["quadratic_form", "gram_quadratic_form",
-                                      "rayleigh_quotient", "completion", "expmachines",
-                                      "regularized_completion"])
+    @pytest.mark.parametrize("name", REGISTERED)
     def test_replays_bit_identical_to_eager(self, rng, name, monkeypatch):
         p = registered(rng)[name].evaluate
         bases = [point(rng) for _ in range(3)]
@@ -422,8 +377,11 @@ class TestWholeCall:
         idx = sample_indices(rng, MODES, 20)
         values = rng.standard_normal(20)
         ys = rng.choice([-1.0, 1.0], 3)
+        op_cores = [np.array(c) for c in random_symmetric_ttmat(rng, MODES, 2).cores]
+        rhs_cores = [np.array(c) for c in random_tt(rng, MODES, 2).cores]
         objs = [completion_loss(IndexSet(idx, values)),
-                expmachines_loss([random_tt(rng, MODES, 1) for _ in range(3)], ys)]
+                expmachines_loss([random_tt(rng, MODES, 1) for _ in range(3)], ys),
+                _linear_system_objective(TtMatrix(op_cores), TtTensor(rhs_cores))]
         base = point(rng)
         want = [riemannian_grad_tt(eager(obj.evaluate), base) for obj in objs]
         for obj in objs:
@@ -432,36 +390,46 @@ class TestWholeCall:
         idx[:, 0] = (idx[:, 0] + 1) % MODES[0]
         values += 1.0
         ys *= -1.0
+        for c in op_cores + rhs_cores:
+            c += 1.0
         for obj, g in zip(objs, want):
             got, ran = replaying(lambda: riemannian_grad_tt(obj.evaluate, base))
             assert ran and same_bits(got, g)
             assert same_bits(riemannian_grad_tt(eager(obj.evaluate), base), g)
 
-    def test_replayed_counts_forward_kernels(self, rng):
-        # A replayed qf gradient runs the forward pass's contractions as
-        # well as those of its sweep, and its schedule counts both.
+    def test_replayed_counts_forward_kernels(self, rng, monkeypatch):
+        # A replayed qf gradient runs the kernels of the forward pass and of
+        # its sweep, those an eager call runs, and its schedule counts both.
         p = quadratic_form(random_symmetric_ttmat(rng, MODES, 2)).evaluate
         base = point(rng)
-        forward = forward_tape(p, base).nodes
-        swept_only = eager(p)
+        forward = sum(node.op == "contract" for node in forward_tape(p, base).nodes)
         for _ in range(2):
             riemannian_grad_tt(p, base)
-            riemannian_grad_tt(swept_only, base)
-        (whole,), (sweep,) = kept(p), kept(swept_only)
-        contracts = sum(node.op == "contract" for node in forward)
-        assert contracts > 0
+        (whole,) = kept(p)
+        # The kernels of one eager call and the bytes they write.  The seed
+        # block cores are the whole call's sources, so no step writes them.
+        ran, written = Counter(), []
+        node = ad._node
+
+        def counting(tape, op, kernel, *args, **kwargs):
+            out = node(tape, op, kernel, *args, **kwargs)
+            if kernel is not ad._kept_value:
+                ran[op] += 1
+                written.append(getattr(out, "value", out).nbytes)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_node", counting)
+            riemannian_grad_tt(eager(p), base)
         before = ad.replayed.copy()
         riemannian_grad_tt(p, base)
         counted = ad.replayed - before
-        assert counted["contract"] == contracts + sweep.kernels["contract"]
+        assert 0 < forward < counted["contract"] == ran["contract"]
         assert whole.stats()["contract"]["steps"] == counted["contract"]
-        # The forward values are step outputs of the whole call; the seed
-        # block cores are its sources, so no step writes them.
-        written = sum(node.value.nbytes for node in forward
-                      if node.op not in ("input", "block_core"))
+        assert counted - Counter(check=1) == ran
         total = sum(s["bytes"] for s in whole.stats().values())
-        assert total == written + sum(s["bytes"] for s in sweep.stats().values())
-        assert whole.peak_live_bytes > sweep.peak_live_bytes
+        assert total == sum(written)
+        assert max(written) <= whole.peak_live_bytes < total
 
     @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
     def test_degenerate_point_raises_on_replay(self, rng, monkeypatch, hvp):
@@ -509,6 +477,41 @@ class TestWholeCall:
             assert value == want_value and same_bits(g, want_g)
             assert same_bits(hess_vec_tt(program, base, z), hess_vec_tt(eager(program), base, z))
         assert value == pytest.approx(np.exp(0.005), rel=1e-12)
+
+    def test_matrix_calls_replay_whole(self, rng, monkeypatch):
+        # The factor program of a registered objective is registered too:
+        # from the third call on, a matrix gradient or HVP builds no tape.
+        obj, x, z = matrix_case(rng)
+        p = obj.factor_program()
+        wrapper = lambda left, right: p(left, right)  # noqa: E731  (an unregistered program)
+        for _ in range(2):  # eager, then recorded
+            riemannian_grad_matrix(p, x)
+            hess_vec_matrix(p, x, z)
+        want = riemannian_grad_matrix(wrapper, x), hess_vec_matrix(wrapper, x, z)
+
+        def no_tape():
+            raise AssertionError("a replayed call built a tape")
+
+        monkeypatch.setattr(ad, "Tape", no_tape)
+        got = riemannian_grad_matrix(p, x), hess_vec_matrix(p, x, z)
+        for a, b in zip(got, want):
+            assert same_bits(a.tt, b.tt)
+        assert len(kept(p)) == 2
+
+    def test_unregistered_program_keeps_no_schedule(self, rng):
+        # An unregistered program runs eagerly on every call: nothing is
+        # recorded for it, and its calls agree bit for bit.
+        p = eager(quadratic_form(random_symmetric_ttmat(rng, MODES, 2)).evaluate)
+        base = point(rng)
+        z = direction(rng, base)
+        results = []
+        for _ in range(3):
+            got, ran = replaying(lambda: (riemannian_grad_tt(p, base), hess_vec_tt(p, base, z)))
+            assert not ran
+            results.append(got)
+        assert p not in ad._schedules
+        for g, h in results[1:]:
+            assert same_bits(g, results[0][0]) and same_bits(h, results[0][1])
 
     def test_schedule_freed_with_program_without_collector(self, rng):
         # The whole-call schedule holds no point and no program: both are
@@ -643,10 +646,11 @@ class TestNonFinite:
     def test_finite_value_non_finite_gradient_raises(self, rng, hvp):
         base = point(rng)
         z = direction(rng, base)
+        program = static(zero_log)
         for _ in range(3):  # eager, recorded, replayed
             with np.errstate(divide="ignore", invalid="ignore"), \
                     pytest.raises(NonFiniteError) as err:
-                hess_vec_tt(zero_log, base, z) if hvp else riemannian_grad_tt(zero_log, base)
+                hess_vec_tt(program, base, z) if hvp else riemannian_grad_tt(program, base)
             assert err.value.stage == ("HVP" if hvp else "gradient")
 
     @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
@@ -658,7 +662,7 @@ class TestNonFinite:
         # the core the sweep made non-finite.
         base = point(rng)
         z = direction(rng, base)
-        program = eager(program)
+        program = static(program)
         replays = []
         for _ in range(3):  # eager, recorded, replayed
             before = sum(ad.replayed.values())
@@ -678,7 +682,7 @@ class TestNonFinite:
         base = point(rng, (3, 4, 4, 4, 3))
         assert [1, 2, 3] in [modes for modes, _, _ in ttmanifold._gauge_factors(base)]
         z = direction(rng, base)
-        program = eager(zero_log_at(2))
+        program = static(zero_log_at(2))
         for _ in range(3):  # eager, recorded, replayed
             with np.errstate(divide="ignore", invalid="ignore"), \
                     pytest.raises(NonFiniteError) as err:
