@@ -46,11 +46,14 @@ included, returns an unmasked value, so 0 * inf still makes NaN there.  A
 mask kept beside it, by identity, for as long as it lives;
 :meth:`Tape.input` makes an unmasked ``Var``.  ``contract`` plans the block
 products of its operands' masks (an unmasked operand is one block) and
-runs only those whose two blocks are non-zero, each into its own block of
-the result, when no two write one block and the multiply-adds that skips
-reach ``SPLIT_MIN_MACS`` plus ``SPLIT_WRITE_MACS`` per entry the split
-writes; otherwise, and below that crossover, which is measured against the
-cost of the extra calls and copies, it runs whole.  A skipped product is
+runs only those whose two blocks are non-zero, each one ``np.matmul``
+written straight into its own block of the result (batched over a block
+axis where the block's axes do not merge into one matrix), and zero-fills
+only the blocks no product writes.  It splits when no two products write
+one block and the multiply-adds that skips reach ``SPLIT_MIN_MACS`` plus
+``SPLIT_WRITE_MACS`` per entry the split writes; otherwise, and below that
+crossover, which was measured against the cost of the extra calls and
+copies, it runs whole.  A skipped product is
 never computed, so a structural zero block that meets an inf or NaN gives
 0, not NaN.  The forward pass, the eager sweeps and the replays run the
 same plans, and so the same kernels: a replay stays bit-identical to the
@@ -93,19 +96,34 @@ for the objectives of :mod:`ttriem.objectives`.  The recording names those
 arrays (a point's block cores, an HVP's direction) as the only sources and
 keeps every other array a kernel reads, the program's constants included,
 as a literal; a later call with the same layouts runs the forward kernels
-and the sweeps as one list of steps, with no tape and no ``Var``, each
-value dropped after its last read anywhere in the call.  A value check
-made through :func:`_checked` is a pass-through step, so a replay raises
-where the eager call would.  Every other program runs its forward pass
-and its sweeps eagerly on a tape, every call.
+and the sweeps as one list of steps, with no tape and no ``Var``.  A value
+check made through :func:`_checked` is a pass-through step, so a replay
+raises where the eager call would.  Every other program runs its forward
+pass and its sweeps eagerly on a tape, every call.
 
-The kernels of a replay are the eager ones, so the results are
-bit-identical.  A program object keeps at most ``SCHEDULES_PER_PROGRAM``
-schedules, freed with it.  ``replayed`` counts the kernel calls replays
-ran, per op name, the forward kernels of a whole call included; a wrapper
-around an op sees only the eager calls.  :meth:`Schedule.stats` counts,
-per op name, the steps of a recorded schedule and the bytes they write,
-and the multiply-adds its contractions run against those of the same
+A replay runs on a static arena: one preallocated float64 buffer per
+thread, as large as the largest schedule the thread has run
+(:func:`thread_arena_bytes`).  The recording plans each value's buffer by
+interval colouring of its lifetime, a view's extending its base's
+(:attr:`Schedule.arena_bytes`), and a thread binds each schedule to its
+arena once: a GEMM step is then one ``np.dot`` or ``np.matmul`` with
+``out=`` on ready views, an elementwise kernel or ``add_n`` a ufunc call
+with ``out=``, and ``transpose``, ``reshape`` and ``take_block`` views
+are built once and run nothing.  An operand the eager GEMM copies to make
+it C-contiguous is copied into a planned buffer, so BLAS sees the same
+shapes, layouts and transpose flags, and the results are bit-identical to
+the eager call's.  Kernels with no ``out=`` form (gathers,
+``scatter_mode``'s bincounts, ``batch_matmul``, reductions) allocate their
+outputs as before, dropped after their last read, and a kernel that reads
+one builds its views at run time.  A run copies the sources in and the
+results out, so no caller holds arena memory.
+
+A program object keeps at most ``SCHEDULES_PER_PROGRAM`` schedules, freed
+with it.  ``replayed`` counts the steps replays ran, per op name, the
+forward kernels of a whole call included; a wrapper around an op sees
+only the eager calls.  :meth:`Schedule.stats` counts, per op name, the
+steps of a recorded schedule and the bytes they write, and the
+multiply-adds its contractions run against those of the same
 contractions run whole.
 """
 
@@ -114,7 +132,7 @@ import threading
 import weakref
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from operator import getitem, index, itemgetter
 
@@ -691,6 +709,8 @@ def _block_core_plan(shape, ats, vals):
     # A sweep's parts are zero by structure only, never by value: the
     # masks of its kernels must not depend on the values it computes.
     zero = () if _state.sweeping else tuple(i for i, v in enumerate(vals) if _is_zero(v))
+    if zero and _state.recorder is not None:
+        _state.recorder.value_mask([vals[i] for i in zero])
     return _block_core_static(tuple(shape), tuple(tuple(map(tuple, at)) for at in ats),
                               tuple(v.shape for v in vals), zero)
 
@@ -835,8 +855,11 @@ def _unless_identity(order):
 
 # A contraction is split into its non-zero block products only when the
 # multiply-adds that skips reach SPLIT_MIN_MACS plus SPLIT_WRITE_MACS for
-# each entry the split writes beyond the whole GEMM's: each product's result
-# copied into its block, and a zero fill.  Fitted (one BLAS thread) to the
+# each entry the split writes beyond the whole GEMM's.  The rule was fitted
+# when each product's result was copied into its block after a zero fill
+# of the whole result; products now write their blocks in place and only
+# unwritten blocks are zeroed, and the rule is kept as fitted, so the same
+# contractions split.  Fitted (one BLAS thread) to the
 # split and whole times of the 750 maskable contractions of qf, gram and
 # rayleigh HVPs at d=8, n=8, r=5, 10 and 20, completion at r=5 and expmach
 # at r=5: a GEMM with more than a few dozen terms per entry runs at about
@@ -922,28 +945,95 @@ def _contract_plan(sa, sb, axes, perm, ma, mb):
     boxes = [tuple((i, i + 1) for i in c) for c in kept]
     for ax in list(range(len(fa), na)) + list(range(len(fa))) + list(range(na, len(grid))):
         boxes = _merge_along(boxes, ax)
-    # The result is laid out as the whole GEMM's would be, and each product
-    # comes out in that order too where it can, so writing it in moves no
-    # axis.  It is zero-filled unless the products write every entry.
+    # The result is laid out as the whole GEMM's would be, in a buffer whose
+    # axes are the result axes in the order ``got`` that GEMM gives them,
+    # and each product comes out in that order too where it can, so its
+    # GEMM writes straight into its block of the buffer.  Only the blocks
+    # no product writes are zero-filled.  A block's index ends in ``...``,
+    # so the block of a 0-d buffer is a view too.
+    shape = tuple(ext[j] for j in got)
+    strides = [8 * math.prod(shape[k + 1:]) for k in range(len(shape))]
     products, written, macs = [], [], 0
     for box in sorted(boxes):
         span = [(g[lo], g[hi]) for g, (lo, hi) in zip(grid, box)]
         macs += math.prod(hi - lo for lo, hi in span)
         at_a, at_b = _unpermute(span[:na], ia), _unpermute(span[len(fa):], ib)
-        at = tuple((span[:len(fa)] + span[na:])[j] for j in perm)
+        at = (span[:len(fa)] + span[na:])
         if any(all(lo < hi2 and lo2 < hi for (lo, hi), (lo2, hi2) in zip(at, other))
                for other in written):
             return whole, grad_a, grad_b, mask
         written.append(at)
-        products.append((_gemm_plan(tuple(hi - lo for lo, hi in at_a),
-                                    tuple(hi - lo for lo, hi in at_b), ca, cb, perm, got)[0],
-                         _slices(at_a), _slices(at_b), _slices(at)))
+        gemm, got_p = _gemm_plan(tuple(hi - lo for lo, hi in at_a),
+                                 tuple(hi - lo for lo, hi in at_b), ca, cb, perm, got)
+        axes = [got.index(j) for j in got_p]  # the buffer axis of each product axis
+        products.append((gemm, _slices(at_a), _slices(at_b), _slices([at[j] for j in got]) + (...,),
+                         _unless_identity(axes),
+                         _product_layout(gemm, [strides[k] for k in axes])))
     writes = sum(math.prod(hi - lo for lo, hi in at) for at in written)
     fill = writes < math.prod(ext)
     if dense - macs < SPLIT_MIN_MACS + SPLIT_WRITE_MACS * (writes + fill * math.prod(ext)):
         return whole, grad_a, grad_b, mask
-    buffer = (tuple(ext[j] for j in got), _unless_identity(got.index(j) for j in perm), fill)
+    zeros = [tuple((i, i + 1) for i in c) for c in _cells(out_grid) if c not in live]
+    for ax in range(len(out_grid)):
+        zeros = _merge_along(zeros, ax)
+    zeros = tuple(_slices([(out_grid[j][box[j][0]], out_grid[j][box[j][1]]) for j in got]) + (...,)
+                  for box in sorted(zeros))
+    buffer = (shape, _unless_identity(got.index(j) for j in perm), fill, zeros)
     return (_block_products, (buffer, tuple(products), macs, dense)), grad_a, grad_b, mask
+
+
+def _product_layout(gemm, strides):
+    # How the GEMM ``gemm`` of a block product writes straight into its
+    # block of the result buffer, whose axes, in the order the GEMM's result
+    # axes come out, step by ``strides`` bytes: as np.matmul(x, y, out=o),
+    # x and y views of the C-contiguous operands and o one of the block.
+    # The block's axes of each role (big's free axes P, small's N, big's
+    # trailing free axes Q) merge into runs where one steps over the next
+    # whole, so a block that spans its buffer's inner axes is one matrix;
+    # any other run is a batch axis of the matmul.  The core of o keeps the
+    # unit stride last, so BLAS writes it (o^T = y^T x^T where it must).
+    # Returns (x is small, x's shape and axis order, y's, o's): each view
+    # is a reshape, then a transpose.
+    _, _, big_2d, _, (kn, nn), kind, shape, _ = gemm
+    roles = ("N", "P") if kind == 1 else ("P", "N") if kind == 0 else ("P", "N", "Q")
+    sizes = {"P": 1 if kind == 2 else big_2d[0], "N": nn, "Q": big_2d[-1]}
+    axes = iter([(n, s) for n, s in zip(shape, strides) if n != 1])
+    runs = {}
+    for role in roles:
+        merged, size = [], 1
+        while size < sizes[role]:
+            n, s = next(axes)
+            size *= n
+            if merged and merged[-1][1] == n * s:
+                merged[-1] = (merged[-1][0] * n, s)
+            else:
+                merged.append((n, s))
+        runs[role] = merged or [(1, 8)]
+    rows, cols = {0: ("P", "N"), 1: ("N", "P")}.get(kind, ("N", "Q"))
+    if runs[cols][-1][1] != 8 and runs[rows][-1][1] == 8:
+        rows, cols = cols, rows
+    o_axes = [(role, i) for role in roles for i in range(len(runs[role]))]
+    core = [(rows, len(runs[rows]) - 1), (cols, len(runs[cols]) - 1)]
+    batch = [a for a in o_axes if a not in core]
+
+    def operand(small, at, left):
+        # small is (K, N...), big (P..., K, Q...); batch axes it lacks are
+        # appended as 1s.
+        items = ([("K", 0)] + [("N", i) for i in range(len(runs["N"]))] if small else
+                 [("P", i) for i in range(len(runs["P"]))] + [("K", 0)]
+                 + [("Q", i) for i in range(len(runs.get("Q", ())))])
+        dims = [kn if role == "K" else runs[role][i][0] for role, i in items]
+        for a in batch:
+            if a not in items:
+                items.append(a)
+                dims.append(1)
+        ends = [at, ("K", 0)] if left else [("K", 0), at]
+        return tuple(dims), tuple(items.index(a) for a in batch + ends)
+
+    x_small = rows == "N"
+    return (x_small, *operand(x_small, core[0], True), *operand(not x_small, core[1], False),
+            tuple(runs[role][i][0] for role, i in o_axes),
+            tuple(o_axes.index(a) for a in batch + core))
 
 
 def _unpermute(items, axes):
@@ -1017,10 +1107,12 @@ def contract(a, b, axes, perm=None):
     operands' block masks.
 
     An operand with a mask splits the contraction into block products; only
-    those whose two blocks are non-zero run, each into its own block of a
-    result zero-filled where none writes, and only when no two write one
-    block and they skip at least ``SPLIT_MIN_MACS`` multiply-adds.  Each
-    product, and an unsplit contraction, is one GEMM.  Its larger operand
+    those whose two blocks are non-zero run, each one ``np.matmul`` written
+    straight into its own block of a result zero-filled where none writes,
+    and only when no two write one block and they skip at least
+    ``SPLIT_MIN_MACS`` multiply-adds.  Each product, and an unsplit
+    contraction, is one GEMM, a product's batched over a block axis where
+    its block's axes do not merge into one matrix.  Its larger operand
     (of two of one size, the one that suits the call better) is taken as
     (P, K, Q): its free axes before the contracted ones, the contracted
     ones, its free axes after, where axes of extent 1 may sit anywhere.
@@ -1031,7 +1123,8 @@ def contract(a, b, axes, perm=None):
     by ``np.ascontiguousarray`` into (K, N) order, N its free axes in the
     order ``perm`` gives them.  An unsplit result is C-contiguous whenever
     ``perm`` orders it as P+N+Q (or N+P when Q is empty), and a transposed
-    view otherwise; a split one is C-contiguous.  Each adjoint is again one
+    view otherwise; a split one is laid out as the unsplit one would be.
+    Each adjoint is again one
     permuted contraction, in its operand's axis order, so a sweep through
     it records no ``transpose``.
     """
@@ -1051,45 +1144,103 @@ def contract(a, b, axes, perm=None):
 
 
 def _block_products(av, bv, plan):
-    # A split contraction: its block products, each one GEMM copied into its
-    # own block of a result laid out as ``buffer`` says.  A contraction that
-    # is not split is its one GEMM.
-    buffer, products = plan[:2]
-    shape, order, fill = buffer
+    # A split contraction: its block products, each one GEMM written
+    # straight into its own block of a result laid out as ``buffer`` says,
+    # zero where no product writes.  A contraction that is not split is its
+    # one GEMM.  The result starts as np.zeros, whose untouched pages of a
+    # large array stay unmapped, and each product's copies are freed before
+    # the next is made.
+    shape, order, fill = plan[0][:3]
     out = np.zeros(shape) if fill else np.empty(shape)
-    if order is not None:
-        out = out.transpose(order)
-    for gemm, at_a, at_b, at in products:
-        out[at] = _gemm(av[at_a], bv[at_b], gemm)
-    return out
+    for calls in _product_calls(av, bv, plan[1], out, np.empty):
+        for call in calls:
+            call()
+    return out if order is None else out.transpose(order)
 
 
-def _gemm(av, bv, plan):
-    # One GEMM by its plan; a reshape that would not change a shape is
-    # skipped, as it costs as much as a small copy.
-    a_big, big_axes, big_2d, small_axes, small_2d, gemm, shape, perm = plan
+def _block_products_into(vals, args, out, new):
+    # The calls that compute a split contraction into its result buffer
+    # ``out``: zeros in the blocks no product writes, then the products,
+    # each one's operands copied into ``new`` buffers where
+    # np.ascontiguousarray would copy them.
+    (_, _, _, zeros), products = args[0][:2]
+    return [*[partial(out[at].fill, 0.0) for at in zeros],
+            *[call for calls in _product_calls(*vals, products, out, new) for call in calls]]
+
+
+def _product_calls(av, bv, products, out, new):
+    # The calls of each block product into ``out`` in turn.
+    for gemm, at_a, at_b, at, axes, (x_small, x_shape, x_order, y_shape, y_order, o_shape,
+                                     o_order) in products:
+        calls = []
+        big, small = _gemm_parts(av[at_a], bv[at_b], gemm)
+        big, small = _contiguous(big, new, calls), _contiguous(small, new, calls)
+        x, y = (small, big) if x_small else (big, small)
+        block = out[at] if axes is None else out[at].transpose(axes)
+        calls.append(partial(np.matmul, x.reshape(x_shape).transpose(x_order),
+                             y.reshape(y_shape).transpose(y_order),
+                             out=block.reshape(o_shape).transpose(o_order)))
+        yield calls
+
+
+def _gemm_parts(av, bv, plan):
+    # The big and small operands of one GEMM in their (P, K, Q) and (K, N)
+    # axis orders, as views.
+    a_big, big_axes, _, small_axes = plan[:4]
     big, small = (av, bv) if a_big else (bv, av)
     if big_axes is not None:
         big = big.transpose(big_axes)
     if small_axes is not None:
         small = small.transpose(small_axes)
-    big = np.ascontiguousarray(big)
+    return big, small
+
+
+def _gemm_call(big, small, plan):
+    # (function, x, y) of one GEMM on C-contiguous operands: 0 is big @
+    # small, 1 small^T @ big^T and 2 small^T @ big, all 2-D, and 3 the
+    # matmul of small^T batched over P.  A reshape that would not change a
+    # shape is skipped, as it costs as much as a small copy.
+    big_2d, _, small_2d, gemm = plan[2:6]
     if big.shape != big_2d:
         big = big.reshape(big_2d)
-    small = np.ascontiguousarray(small)
     if small.shape != small_2d:
         small = small.reshape(small_2d)
     if gemm == 0:
-        val = np.dot(big, small)
-    elif gemm == 1:
-        val = np.dot(small.T, big.T)
-    elif gemm == 2:
-        val = np.dot(small.T, big)
-    else:
-        val = np.matmul(small.T, big)
+        return np.dot, big, small
+    if gemm == 1:
+        return np.dot, small.T, big.T
+    return (np.dot if gemm == 2 else np.matmul), small.T, big
+
+
+def _gemm(av, bv, plan):
+    # One GEMM by its plan.
+    big, small = _gemm_parts(av, bv, plan)
+    f, x, y = _gemm_call(np.ascontiguousarray(big), np.ascontiguousarray(small), plan)
+    val = f(x, y)
+    shape, perm = plan[6:]
     if val.shape != shape:
         val = val.reshape(shape)
     return val if perm is None else val.transpose(perm)
+
+
+def _gemm_into(vals, args, out, new):
+    # The calls of one GEMM whose raw result is ``out``, operands copied as
+    # in _block_products_into.
+    calls = []
+    big, small = _gemm_parts(*vals, args[0])
+    f, x, y = _gemm_call(_contiguous(big, new, calls), _contiguous(small, new, calls), args[0])
+    calls.append(partial(f, x, y, out=out))
+    return calls
+
+
+def _contiguous(a, new, calls):
+    # ``a`` when np.ascontiguousarray would return it as it is; otherwise a
+    # ``new`` buffer that a call appended to ``calls`` copies it into.
+    if a.ndim and a.flags.c_contiguous:
+        return a
+    buf = new(a.shape or (1,))
+    calls.append(partial(np.copyto, buf, a))
+    return buf
 
 
 def index_array(idx):
@@ -1338,81 +1489,257 @@ def mode_outer(rows, u, sort):
 # _node hands every kernel call to its _Recorder.
 
 # The schedules, and the keys seen, kept per owner: the oldest of each is
-# dropped beyond this many.
+# dropped beyond this many.  A key whose recording read a mask from a value
+# keeps None, and its calls stay eager.
 SCHEDULES_PER_PROGRAM = 8
 
 _schedules = weakref.WeakKeyDictionary()
 
-# Kernel calls run by replayed schedules, per op name, the forward kernels
-# included; an eager call's kernels are calls of the ops themselves and are
-# not counted here.
+# Steps run by replayed schedules, per op name, the forward kernels included;
+# an eager call's kernels are calls of the ops themselves and are not
+# counted here.
 replayed = Counter()
 
 
 class _State(threading.local):
     recorder = None
     sweeping = 0  # the number of reverse sweeps running
+    arena = None  # this thread's replay arena: a float64 buffer
+    bound = None  # the schedules bound to it, weakly, each to its calls
 
 
 _state = _State()
 
 
+def thread_arena_bytes():
+    """The size in bytes of the calling thread's replay arena: the largest
+    :attr:`Schedule.arena_bytes` among the schedules the thread has run, or
+    0 before its first replay."""
+    return 0 if _state.arena is None else _state.arena.nbytes
+
+
+def _ufunc_into(ufunc):
+    return lambda vals, args, out, new: [partial(ufunc, *vals, out=out)]
+
+
+def _add_n_into(vals, args, out, new):
+    if len(vals) == 1:
+        return [partial(np.copyto, out, vals[0])]
+    return [partial(np.add, vals[0], vals[1], out=out),
+            *[partial(np.add, out, v, out=out) for v in vals[2:]]]
+
+
+def _block_core_into(vals, args, out, new):
+    return [partial(out.fill, 0.0),
+            *[partial(np.copyto, out[at], v) for v, at in zip(vals, args[1])]]
+
+
+# The kernels a replay runs into a planned buffer, each by a function of
+# (vals, args, out, new) that returns the calls computing kernel(*vals,
+# *args) into ``out``, the array the eager result is or views, with the
+# copies np.ascontiguousarray would make written into new(shape) buffers.
+_INTO = {
+    _gemm: _gemm_into,
+    _block_products: _block_products_into,
+    _add_n_value: _add_n_into,
+    _block_core_value: _block_core_into,
+    **{f: _ufunc_into(f) for f in (np.add, np.subtract, np.multiply, np.divide, np.negative,
+                                   np.exp, np.log, np.sin, np.cos)},
+}
+
+# Kernels whose result views their operand, so a replay builds it once.
+_VIEWS = (np.transpose, np.reshape, getitem)
+
+# How a replay runs a step: into its planned buffer from operands bound
+# once (_FIXED) or read at run time (_INTO_NOW); as a view or pass-through
+# of operands bound once (_ALIAS); or by the kernel on values read and
+# stored at run time (_HEAP).
+_FIXED, _INTO_NOW, _ALIAS, _HEAP = range(4)
+
+
 class Schedule:
     """The kernels that a whole call of a static program ran, forward pass
-    included (see :func:`_whole_call`).
+    included (see :func:`_whole_call`), planned onto an arena.
 
-    ``steps`` holds (kernel, getter of its inputs from the slot list, its
-    other arguments, output slot, slots dead after the step); ``slots`` is
-    the initial slot list, literals in place and the call's sources to come
-    first, in order, and ``results`` the slots returned.  ``kernels``
-    counts the steps per op name, added to :data:`replayed` by each run.
-    ``peak_live_bytes`` is the largest total of the step outputs a replay
-    holds at once: a step's output and inputs are held while it runs, and
-    an output is dropped after the step that reads it last (a result is
-    kept).  It counts each output at its ``nbytes``, a view as well, and a
-    check's pass-through output at 0.
+    Each step's value lives in a planned buffer of the arena, is a view of
+    one, or, for a kernel with no ``out=`` form (``scatter_mode``'s
+    bincounts, gathers, ``batch_matmul``, reductions), is allocated by the
+    kernel on each run.  The buffers are placed by interval colouring of
+    their lifetimes, a view extending its base's, in ``arena_bytes``
+    bytes.  A thread runs every schedule on one arena of its own, as large
+    as the largest schedule it has run (:func:`thread_arena_bytes`), and
+    binds each schedule to it once: its operand and output views, and one
+    call per kernel, a GEMM one ``np.dot`` or ``np.matmul`` with ``out=``.
+    A run copies the sources in and the results out, so no caller holds
+    arena memory.  ``kernels`` counts the steps per op name, added to
+    :data:`replayed` by each run.  ``peak_live_bytes`` is the largest total
+    of the planned step outputs a replay holds at once: a step's output and
+    inputs are held while it runs, and an output is dropped after the step
+    that reads it last (a result is kept).  A view, a check's pass-through
+    and the output of a kernel with no ``out=`` form count 0, so the arena,
+    which also holds the sources and the copies of GEMM operands, is never
+    smaller.
     """
 
-    __slots__ = ("steps", "slots", "results", "kernels", "peak_live_bytes", "_stats",
-                 "__weakref__")
+    __slots__ = ("steps", "slots", "sources", "buffers", "heap", "results", "zero_sources",
+                 "kernels", "peak_live_bytes", "arena_bytes", "_stats", "__weakref__")
 
-    def __init__(self, steps, slots, results, stats, peak_live_bytes):
+    def __init__(self, steps, slots, sources, buffers, heap, results, zero_sources, stats,
+                 peak_live_bytes):
         self.steps = steps
         self.slots = slots
+        self.sources = sources
+        self.buffers = buffers
+        self.heap = heap
         self.results = results
+        self.zero_sources = zero_sources
         self._stats = stats
         self.kernels = Counter({op: op_stats["steps"] for op, op_stats in stats.items()})
         self.peak_live_bytes = peak_live_bytes
+        self.arena_bytes = max((at + nbytes for at, nbytes, *_ in buffers), default=0)
 
     def stats(self):
         """Per op name, counted when the schedule was recorded: ``steps``,
-        the kernel calls a replay runs, and ``bytes``, the bytes of their
-        outputs; for ``contract`` also ``macs``, the multiply-adds its block
-        products run, and ``dense_macs``, those of the same contractions
-        run whole.  The peak of the bytes a replay holds is
-        :attr:`peak_live_bytes`."""
+        the kernel calls an eager call runs, and ``bytes``, the bytes of
+        their outputs; for ``contract`` also ``macs``, the multiply-adds its
+        block products run, and ``dense_macs``, those of the same
+        contractions run whole.  The peak of the bytes a replay holds is
+        :attr:`peak_live_bytes`, its arena :attr:`arena_bytes`."""
         return {op: dict(op_stats) for op, op_stats in self._stats.items()}
 
     def run(self, sources):
         """The recorded results for the arrays ``sources``."""
-        slots = list(self.slots)
-        slots[:len(sources)] = sources
-        for kernel, ins, args, out, dead in self.steps:
-            slots[out] = kernel(*ins(slots), *args)
-            for i in dead:
-                slots[i] = None
+        state = _state
+        if state.arena is None or state.arena.nbytes < self.arena_bytes:
+            state.arena, state.bound = _aligned(self.arena_bytes), weakref.WeakKeyDictionary()
+        bound = state.bound.get(self)
+        if bound is None:
+            bound = state.bound[self] = self._bind(state.arena)
+        vals, calls, copies = bound
+        for j, (src, dst) in enumerate(zip(sources, copies)):
+            if dst is None:
+                vals[j] = src
+            else:
+                np.copyto(dst, src)
+        try:
+            for call in calls:
+                call()
+            out = [np.copy(vals[i]) if copy else vals[i] for i, copy in self.results]
+        finally:
+            for i in self.heap:
+                vals[i] = None
         replayed.update(self.kernels)
-        return [slots[i] for i in self.results]
+        return out
+
+    def _bind(self, arena):
+        # (values, calls, source buffers) of the schedule on ``arena``: the
+        # slot list with every value bound once in place, the calls of a
+        # run, and the buffer each source is copied into (None: used as
+        # given).
+        bufs = [np.ndarray(shape, float, arena, at, strides)
+                for at, _, shape, strides in self.buffers]
+        vals = list(self.slots)
+        copies = [None if b is None else bufs[b] for b in self.sources]
+        for j, dst in enumerate(copies):
+            if dst is not None:
+                vals[j] = dst
+        calls = []
+        for form, kernel, ins, args, out, extra, dead in self.steps:
+            if form == _HEAP:
+                calls.append(partial(_heap_step, vals, kernel, _getter(ins), args, out))
+            elif form == _ALIAS:
+                views = [vals[i] for i in ins]
+                if extra is None:
+                    vals[out] = kernel(*views, *args)
+                else:
+                    vals[out] = views[extra]
+                    calls.append(partial(kernel, *views, *args))
+            else:
+                b, temps, view = extra
+                raw = bufs[b]
+                vals[out] = raw if view is None else np.ndarray(view[0], float, raw, *view[1:])
+                if form == _FIXED:
+                    temps = iter([bufs[t] for t in temps])
+                    calls += _INTO[kernel]([vals[i] for i in ins], args, raw,
+                                           lambda shape: next(temps))
+                else:
+                    calls.append(partial(_into_now, _INTO[kernel], vals, _getter(ins), args, raw))
+            if dead:
+                calls.append(partial(_drop, vals, dead))
+        return vals, calls, copies
+
+
+def _heap_step(vals, kernel, get, args, out):
+    vals[out] = kernel(*get(vals), *args)
+
+
+def _into_now(into, vals, get, args, out):
+    for call in into(get(vals), args, out, np.empty):
+        call()
+
+
+def _drop(vals, slots):
+    for i in slots:
+        vals[i] = None
+
+
+def _aligned(nbytes):
+    # An uninitialised float64 buffer of ``nbytes`` bytes, a multiple of
+    # 64, at a 64-byte boundary.
+    raw = np.empty(nbytes + 64, np.uint8)
+    at = -raw.ctypes.data % 64
+    return raw[at:at + nbytes].view(float)
+
+
+def _plannable(a):
+    # Whether ``a`` can live in an arena buffer: a float64 array of at least
+    # one entry and axis whose entries fill its memory, in some axis order.
+    if type(a) is not np.ndarray or a.dtype != float or not a.ndim or not a.size:
+        return False
+    step = 8
+    for s, n in sorted((s, n) for s, n in zip(a.strides, a.shape) if n != 1):
+        if s != step:
+            return False
+        step *= n
+    return True
+
+
+def _colour(buffers):
+    # Offsets for ``buffers``, [first step, last step, shape, strides] each,
+    # every one rounded up to 64 bytes, so that no two whose lifetimes meet
+    # overlap: greedy by size, each buffer, largest first, takes the lowest
+    # offset clear of those placed before it whose lifetimes meet its own.
+    sizes = [max(64, -(-8 * math.prod(shape) // 64) * 64) for _, _, shape, _ in buffers]
+    offsets = [0] * len(buffers)
+    placed = []
+    for i in sorted(range(len(buffers)), key=lambda i: (-sizes[i], buffers[i][0])):
+        first, last = buffers[i][:2]
+        at = 0
+        for lo, hi in sorted((offsets[j], offsets[j] + sizes[j]) for j in placed
+                             if buffers[j][0] <= last and first <= buffers[j][1]):
+            if lo >= at + sizes[i]:
+                break
+            at = max(at, hi)
+        offsets[i] = at
+        placed.append(i)
+    return [(at, size, shape, strides)
+            for at, size, (_, _, shape, strides) in zip(offsets, sizes, buffers)]
 
 
 class _Recorder:
     # Names each array the kernels of a recorded call read or write, by
-    # identity: a source (source j is slot j), an earlier step's output (forgotten when the array
-    # dies, so a recycled id is never misread), or else a literal, which the
-    # schedule keeps read-only: a constant of the program, or an array a rule
-    # made from shapes alone.  A kernel call that returns a source, as a kept
-    # block core's node does, is no step: each replay reads that source from
-    # its own call.
+    # identity: a source (source j is slot j), an earlier step's output
+    # (forgotten when the array dies, so a recycled id is never misread), or
+    # else a literal, which the schedule keeps read-only: a constant of the
+    # program, or an array a rule made from shapes alone.  A kernel call
+    # that returns a source, as a kept block core's node does, is no step:
+    # each replay reads that source from its own call.  Each step gets its
+    # replay form as it is logged, from the arrays it read and wrote: the
+    # buffers it needs ([first step, last step, shape, strides]), which
+    # slots a replay binds once (``fixed``) and the buffers each slot's
+    # memory lies in (``roots``).  ``static`` turns false when the call
+    # reads a block mask from a value a replay would compute afresh, and
+    # ``zero_sources`` lists the sources it reads one from.
 
     def __init__(self, sources):
         self.names = {id(a): j for j, a in enumerate(sources)}  # id of a live array -> its slot
@@ -1421,6 +1748,13 @@ class _Recorder:
         self.literals = {}  # slot -> array
         self.steps = []
         self.count = len(sources)
+        self.static = True
+        self.zero_sources = set()
+        self.buffers = []
+        self.sources = [self._buffer(a.shape, a.strides, -1) if _plannable(a) else None
+                        for a in sources]
+        self.fixed = {j: b is not None for j, b in enumerate(self.sources)}
+        self.roots = {j: () if b is None else (b,) for j, b in enumerate(self.sources)}
 
     def _new(self):
         self.count += 1
@@ -1434,7 +1768,23 @@ class _Recorder:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
             self.literals[s] = a
+            self.fixed[s], self.roots[s] = True, ()
         return s
+
+    def _buffer(self, shape, strides, n):
+        self.buffers.append([n, n, shape, strides])
+        return len(self.buffers) - 1
+
+    def value_mask(self, vals):
+        # A block mask was read from the values ``vals``, zero: a replay
+        # would freeze it unless each is a constant of the program, or a
+        # source that the replay checks is zero again.
+        for v in vals:
+            s = self.names.get(id(v))
+            if s is not None and s < len(self.sources):
+                self.zero_sources.add(s)
+            elif s is not None and s not in self.literals:
+                self.static = False
 
     def step(self, op, kernel, vals, args, val):
         key = id(val)
@@ -1442,22 +1792,47 @@ class _Recorder:
             return
         ins = tuple([self._name(v) for v in vals])
         # A pass-through kernel (a check) writes no bytes.
-        nbytes = 0 if any(v is val for v in vals) else val.nbytes
+        through = next((j for j, v in enumerate(vals) if v is val), None)
+        nbytes = 0 if through is not None else val.nbytes
+        n = len(self.steps)
         out = self.names[key] = self._new()
         try:
             self.alive[key] = weakref.ref(val, lambda _, key=key: self.names.pop(key, None))
         except TypeError:  # a numpy scalar: held, it is small
             self.alive[key] = val
-        self.steps.append((op, kernel, ins, args, out, nbytes))
+        fixed = all(self.fixed[s] for s in ins)
+        shared = [s for v, s in zip(vals, ins) if type(val) is np.ndarray
+                  and isinstance(v, np.ndarray) and np.may_share_memory(v, val)]
+        roots = tuple(sorted({b for s in shared for b in self.roots[s]}))
+        raw = val if type(val) is not np.ndarray or val.base is None else val.base
+        if kernel in _INTO and not shared and type(val) is np.ndarray and raw.base is None \
+                and _plannable(raw):
+            b = self._buffer(raw.shape, raw.strides, n)
+            view = None if val is raw else (
+                val.shape, val.__array_interface__["data"][0] - raw.__array_interface__["data"][0],
+                val.strides)
+            temps = []
+            if fixed:
+                _INTO[kernel](list(vals), args, raw, lambda shape: temps.append(
+                    self._buffer(shape, np.empty(shape).strides, n)) or np.empty(shape))
+            form, extra, fixed, roots = _FIXED if fixed else _INTO_NOW, (b, tuple(temps), view), \
+                True, (b,)
+        elif fixed and (through is not None or kernel in _VIEWS and shared):
+            form, extra = _ALIAS, through
+        else:
+            form, extra, fixed = _HEAP, None, False
+        self.fixed[out], self.roots[out] = fixed, roots
+        self.steps.append((op, kernel, ins, args, out, nbytes, form, extra))
 
     def schedule(self, results):
         """The :class:`Schedule` of the steps, returning ``results``, each
-        slot freed after the step that reads it last."""
+        runtime value dropped after the step that reads it last and each
+        buffer planned for as long as a value in it is read."""
         results = [self._name(r) for r in results]
         self.alive.clear()
         last = {}
         stats = {}
-        for n, (op, kernel, ins, args, out, nbytes) in enumerate(self.steps):
+        for n, (op, kernel, ins, args, out, nbytes, *_) in enumerate(self.steps):
             for s in ins + (out,):
                 last[s] = n
             op_stats = stats.setdefault(op, Counter())
@@ -1468,20 +1843,31 @@ class _Recorder:
         for s, n in last.items():
             if s not in results:
                 dead[n].append(s)
+        peak = self._peak_live_bytes(dead)
+        for s in results:
+            last[s] = len(self.steps)
+        for s, roots in self.roots.items():
+            for b in roots:
+                self.buffers[b][1] = max(self.buffers[b][1], last.get(s, -1))
         slots = [None] * self.count
         for s, a in self.literals.items():
             slots[s] = a
-        steps = [(kernel, _getter(ins), args, out, tuple(gone))
-                 for (_, kernel, ins, args, out, _), gone in zip(self.steps, dead)]
-        return Schedule(steps, slots, results, stats, self._peak_live_bytes(dead))
+        steps = [(form, kernel, ins, args, out, extra,
+                  tuple([s for s in gone if not self.fixed[s]]))
+                 for (_, kernel, ins, args, out, _, form, extra), gone in zip(self.steps, dead)]
+        return Schedule(steps, slots, self.sources, _colour(self.buffers),
+                        tuple([s for s in range(self.count) if not self.fixed[s]]),
+                        tuple([(s, bool(self.roots[s])) for s in results]),
+                        tuple(sorted(self.zero_sources)), stats, peak)
 
     def _peak_live_bytes(self, dead):
-        # The largest total of step outputs held at once, when the outputs
-        # ``dead[n]`` are dropped after step n.
-        size = {out: nbytes for *_, out, nbytes in self.steps}
+        # The largest total of planned step outputs held at once, when the
+        # outputs ``dead[n]`` are dropped after step n.
+        size = {out: nbytes if form in (_FIXED, _INTO_NOW) else 0
+                for *_, out, nbytes, form, _ in self.steps}
         live = peak = 0
-        for (*_, nbytes), gone in zip(self.steps, dead):
-            live += nbytes
+        for step, gone in zip(self.steps, dead):
+            live += size[step[4]]
             peak = max(peak, live)
             live -= sum(size.get(s, 0) for s in gone)
         return peak
@@ -1515,28 +1901,34 @@ def _whole_call(owner, tag, sources, call):
     recording; the second records every kernel ``call`` runs, the forward
     pass's included, with the sources as its only inputs and every other
     array a kernel reads kept as a literal; later calls run those kernels
-    on their own sources, building no tape or ``Var``, with each slot,
-    forward values included, dropped after its last read in the call.  The
-    results are bit-identical to an eager call and may be read-only.  A
-    value check made by :func:`_checked` is a step, so a replay raises
-    where the eager call would.  ``call`` runs eagerly every time when
-    ``owner`` has no weak reference.
+    on their own sources, building no tape or ``Var``, on the calling
+    thread's arena (:class:`Schedule`).  The results are bit-identical to
+    an eager call and may be read-only.  A value check made by
+    :func:`_checked` is a step, so a replay raises where the eager call
+    would.  A forward :func:`block_core` part that is zero by value gives a
+    block mask that a replay would freeze: when the part is a source, its
+    schedule replays only calls where that source is zero again, and runs
+    any other eagerly; when the part is computed, the recording keeps no
+    schedule, and the key's calls stay eager.  ``call``
+    runs eagerly every time when ``owner`` has no weak reference.
     """
     try:
         seen, kept = _schedules.setdefault(owner, ({}, {}))
     except TypeError:
         return call()
     key = (tag, tuple([(a.shape, a.strides, _mask_of(a)) for a in sources]))
-    schedule = kept.get(key)
-    if schedule is not None:
-        return schedule.run(sources)
+    if key in kept:
+        schedule = kept[key]
+        if schedule is not None and all(_is_zero(sources[j]) for j in schedule.zero_sources):
+            return schedule.run(sources)
+        return call()
     if key not in seen:
         _keep(seen, key, None)
         return call()
     recorder = _state.recorder = _Recorder(sources)
     try:
         out = call()
-        _keep(kept, key, recorder.schedule(out))
+        _keep(kept, key, recorder.schedule(out) if recorder.static else None)
     finally:
         _state.recorder = None
         recorder.alive.clear()

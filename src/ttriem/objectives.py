@@ -56,8 +56,10 @@ NAIVE_RANK_CAP = 300
 
 class IndexSet:
     """Observed entries for completion: (N, d) indices plus values, both
-    held as read-only copies, so an objective built on the set keeps them
-    as fixed constants."""
+    held read-only, so an objective built on the set keeps them as fixed
+    constants.  An intp index array or float64 value array that is already
+    read-only and owns its data is taken over as it is; any other is
+    copied."""
 
     def __init__(self, indices, values):
         indices = ad.index_array(indices)
@@ -72,9 +74,7 @@ class IndexSet:
             raise IndexError("negative index in observation set")
         if len(np.unique(indices, axis=0)) != len(indices):
             raise InvalidDataError("duplicate index tuples in observation set")
-        self.indices = indices.copy(order="K")
-        self.values = values.copy()
-        self.indices.flags.writeable = self.values.flags.writeable = False
+        self.indices, self.values = _read_only(indices), _read_only(values)
 
     def __len__(self):
         return len(self.values)
@@ -82,6 +82,15 @@ class IndexSet:
     @property
     def ndim(self):
         return self.indices.shape[1]
+
+
+def _read_only(a):
+    # ``a`` itself when it is read-only and owns its data; otherwise a
+    # read-only copy.
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy(order="K")
+        a.flags.writeable = False
+    return a
 
 
 def read_index_set(path) -> IndexSet:

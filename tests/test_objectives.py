@@ -226,6 +226,24 @@ class TestCompletion:
         got = float(completion_loss(om).evaluate(cores_of(x)))
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_index_set_copies_only_what_others_may_write(self):
+        # Read-only arrays that own their data are taken over; a writeable
+        # array, or a view of another array, is copied, so writing to the
+        # caller's arrays afterwards leaves the set as it was.
+        idx = np.array([[0, 1, 1], [1, 2, 0]], dtype=np.intp)
+        values = np.array([1.0, 2.0])
+        om = IndexSet(idx, values)
+        assert not np.shares_memory(om.indices, idx) and not np.shares_memory(om.values, values)
+        idx[0, 0], values[0] = 1, 5.0
+        assert om.indices[0, 0] == 0 and om.values[0] == 1.0
+        assert not om.indices.flags.writeable and not om.values.flags.writeable
+        for a in (idx, values):
+            a.flags.writeable = False
+        om = IndexSet(idx, values)
+        assert om.indices is idx and om.values is values
+        view = IndexSet(idx[:1], values[:1])
+        assert view.indices.flags.owndata and view.values.flags.owndata
+
     def test_index_out_of_range(self, rng):
         om = IndexSet(np.array([[0, 3, 0]]), np.array([1.0]))
         with pytest.raises(IndexError):

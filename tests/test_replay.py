@@ -3,6 +3,8 @@ of every other program, one block core per mode, values alongside
 gradients and the non-finite checks of the gradient and HVP pipelines."""
 
 import gc
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -537,6 +539,207 @@ class TestWholeCall:
             assert program() is None and all(s() is None for s in schedules)
         finally:
             gc.enable()
+
+
+def replayed_schedules(owners):
+    """The schedules kept for ``owners``."""
+    return [s for owner in owners for s in kept(owner) if s is not None]
+
+
+def in_thread(work):
+    """``work()`` run in a new thread, whose replay arena starts empty; its
+    result, and the thread's arena size when it returned."""
+    out = []
+
+    def run():
+        out.append((work(), ad.thread_arena_bytes()))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and out
+    return out[0]
+
+
+@pytest.fixture
+def split_always(monkeypatch):
+    """Split every contraction that skips a multiply-add."""
+    monkeypatch.setattr(ad, "SPLIT_MIN_MACS", 0)
+    monkeypatch.setattr(ad, "SPLIT_WRITE_MACS", 0)
+    ad._contract_plan.cache_clear()
+    yield
+    monkeypatch.undo()
+    ad._contract_plan.cache_clear()
+
+
+class TestArena:
+    # A replay runs on its thread's arena: planned buffers, views bound
+    # once, results copied out.
+    def interleaved_cases(self, rng):
+        objs = registered(rng)
+        return [(objs[name].evaluate, point(rng)) for name in
+                ("quadratic_form", "gram_quadratic_form", "rayleigh_quotient", "completion")]
+
+    def test_interleaved_replays_bit_identical_to_eager(self, rng):
+        cases = self.interleaved_cases(rng)
+        dirs = [direction(rng, base) for _, base in cases]
+        for _ in range(2):  # eager, then recorded
+            for (p, base), z in zip(cases, dirs):
+                riemannian_grad_tt(p, base)
+                hess_vec_tt(p, base, z)
+        for _ in range(2):
+            for (p, base), z in zip(cases, dirs):
+                got, ran = replaying(lambda: (riemannian_grad_tt(p, base), hess_vec_tt(p, base, z)))
+                assert ran
+                assert same_bits(got[0], riemannian_grad_tt(eager(p), base))
+                assert same_bits(got[1], hess_vec_tt(eager(p), base, z))
+
+    def test_results_do_not_alias_the_arena(self, rng):
+        p = registered(rng)["gram_quadratic_form"].evaluate
+        bases = [point(rng), point(rng)]
+        dirs = [direction(rng, b) for b in bases]
+        for _ in range(2):
+            hess_vec_tt(p, bases[0], dirs[0])
+        first, ran = replaying(lambda: riemannian_value_and_grad_tt(p, bases[0]))
+        h_first = hess_vec_tt(p, bases[0], dirs[0])
+        saved = [d.copy() for d in first[1].deltas + h_first.deltas]
+        hess_vec_tt(p, bases[1], dirs[1])
+        riemannian_grad_tt(p, bases[1])
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(first[1].deltas + h_first.deltas, saved))
+        assert same_bits(h_first, hess_vec_tt(eager(p), bases[0], dirs[0]))
+
+    def test_two_threads_replay_one_schedule(self, rng):
+        p = registered(rng)["rayleigh_quotient"].evaluate
+        bases = [point(rng) for _ in range(2)]
+        dirs = [direction(rng, b) for b in bases]
+        for _ in range(2):  # eager, then recorded, on this thread
+            hess_vec_tt(p, bases[0], dirs[0])
+        want = [hess_vec_tt(eager(p), b, z) for b, z in zip(bases, dirs)]
+        start = threading.Barrier(2, timeout=60)
+        results = [[], []]
+
+        def work(k):
+            start.wait()
+            for _ in range(20):
+                results[k].append(hess_vec_tt(p, bases[k], dirs[k]))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        (schedule,) = kept(p)
+        for got, h in zip(results, want):
+            assert len(got) == 20 and all(same_bits(g, h) for g in got)
+
+    def test_replay_allocates_only_results_and_unplanned_outputs(self, rng, monkeypatch):
+        # A qf r=5 HVP: every intermediate lives in the arena, so after the
+        # first replay a call allocates its results, the outputs of the
+        # kernels with no out= form, and the headers numpy makes per call.
+        modes = (8,) * 8
+        p = quadratic_form(random_symmetric_ttmat(rng, modes, 5)).evaluate
+        base = point(rng, modes, 5)
+        z = direction(rng, base, 5)
+        unplanned = []
+        node = ad._node
+
+        def counting(tape, op, kernel, vals, *args, **kwargs):
+            out = node(tape, op, kernel, vals, *args, **kwargs)
+            value = getattr(out, "value", out)
+            if kernel not in ad._INTO and kernel not in ad._VIEWS and \
+                    kernel is not ad._kept_value and all(value is not v for v in vals):
+                unplanned.append(sys.getsizeof(value))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_node", counting)
+            hess_vec_tt(eager(p), base, z)
+        for _ in range(3):  # eager, recorded, replayed once
+            hess_vec_tt(p, base, z)
+        (schedule,) = kept(p)
+        sources = [c.value for c in ttmanifold._seeds[base].cores] + list(z.deltas)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out, ran = replaying(lambda: ad._whole_call(p, "hvp", sources, None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ran
+        results = sum(sys.getsizeof(r) for r in out)
+        assert peak <= results + sum(unplanned) + 64 * len(schedule.steps)
+        assert 64 * len(schedule.steps) < schedule.peak_live_bytes / 10
+
+    @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
+    def test_arena_holds_each_schedule(self, rng, hvp):
+        objs = registered(rng)
+        base = point(rng)
+        z = direction(rng, base)
+        for obj in objs.values():
+            for _ in range(2):
+                hess_vec_tt(obj.evaluate, base, z) if hvp else riemannian_grad_tt(obj.evaluate, base)
+        schedules = replayed_schedules(obj.evaluate for obj in objs.values())
+        assert len(schedules) == len(objs)
+        for s in schedules:
+            assert 0 < s.peak_live_bytes <= s.arena_bytes and s.arena_bytes % 64 == 0
+
+    def test_thread_arena_is_the_largest_schedule_run(self, rng):
+        objs = registered(rng)
+        base = point(rng)
+        z = direction(rng, base)
+        programs = [objs[name].evaluate for name in ("quadratic_form", "gram_quadratic_form")]
+
+        def work():
+            sizes = []
+            for p in programs:
+                for _ in range(3):  # eager, recorded, replayed
+                    hess_vec_tt(p, base, z)
+                sizes.append(ad.thread_arena_bytes())
+            return sizes
+
+        sizes, final = in_thread(work)
+        qf, gram = (s.arena_bytes for s in replayed_schedules(programs))
+        assert sizes == [qf, max(qf, gram)] and final == max(qf, gram)
+        # A thread that runs only the smaller schedule keeps a smaller arena.
+        assert in_thread(lambda: hess_vec_tt(programs[0], base, z))[1] == qf
+
+    @pytest.mark.parametrize("part", ["source", "computed"])
+    def test_value_zero_block_core_part_is_not_frozen(self, split_always, part):
+        # The block core of x and ones, contracted with ones, sums x's 12
+        # entries and the 12 ones.  Recorded where x, or x * x, is zero, its
+        # mask marks that block zero, so a replay of that schedule would
+        # read 12 at x = ones.
+        ones = np.ones((3, 4))
+        owner = lambda: None  # noqa: E731  (any object with a weak reference)
+
+        def call_at(x):
+            def call():
+                tape = ad.Tape()
+                xv = tape.input(x)
+                try:
+                    top = xv if part == "source" else ad.mul(xv, xv)
+                    core = ad.block_core((6, 4), [(top, ((0, 3), (0, 4))), (ones, ((3, 6), (0, 4)))])
+                    out = ad.contract(core, np.ones((6, 4)), [(0, 0), (1, 1)])
+                    return [out.value, *ad.grad(tape, out, [xv])]
+                finally:
+                    tape.clear()
+
+            return replaying(lambda: ad._whole_call(owner, "value", [x], call))
+
+        for _ in range(2):  # eager, then recorded at zero
+            call_at(np.zeros((3, 4)))
+        (value, _), ran = call_at(np.ones((3, 4)))
+        assert float(value) == 24.0 and not ran
+        (value, _), ran = call_at(np.zeros((3, 4)))
+        assert float(value) == 12.0 and ran == (part == "source")
+        assert (kept(owner) == [None]) == (part == "computed")
 
 
 class TestBlockCore:
