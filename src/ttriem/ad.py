@@ -1148,13 +1148,14 @@ def _block_products(av, bv, plan):
     # straight into its own block of a result laid out as ``buffer`` says,
     # zero where no product writes.  A contraction that is not split is its
     # one GEMM.  The result starts as np.zeros, whose untouched pages of a
-    # large array stay unmapped, and each product's copies are freed before
-    # the next is made.
+    # large array stay unmapped.
     shape, order, fill = plan[0][:3]
     out = np.zeros(shape) if fill else np.empty(shape)
-    for calls in _product_calls(av, bv, plan[1], out, np.empty):
-        for call in calls:
-            call()
+    for gemm, at_a, at_b, at, axes, layout in plan[1]:
+        big, small = _gemm_parts(av[at_a], bv[at_b], gemm)
+        *xy, o = _product_views(np.ascontiguousarray(big), np.ascontiguousarray(small),
+                                out, at, axes, layout)
+        np.matmul(*xy, out=o)
     return out if order is None else out.transpose(order)
 
 
@@ -1164,23 +1165,24 @@ def _block_products_into(vals, args, out, new):
     # each one's operands copied into ``new`` buffers where
     # np.ascontiguousarray would copy them.
     (_, _, _, zeros), products = args[0][:2]
-    return [*[partial(out[at].fill, 0.0) for at in zeros],
-            *[call for calls in _product_calls(*vals, products, out, new) for call in calls]]
+    calls = [partial(out[at].fill, 0.0) for at in zeros]
+    for gemm, at_a, at_b, at, axes, layout in products:
+        big, small = _gemm_parts(vals[0][at_a], vals[1][at_b], gemm)
+        *xy, o = _product_views(_contiguous(big, new, calls), _contiguous(small, new, calls),
+                                out, at, axes, layout)
+        calls.append(partial(np.matmul, *xy, out=o))
+    return calls
 
 
-def _product_calls(av, bv, products, out, new):
-    # The calls of each block product into ``out`` in turn.
-    for gemm, at_a, at_b, at, axes, (x_small, x_shape, x_order, y_shape, y_order, o_shape,
-                                     o_order) in products:
-        calls = []
-        big, small = _gemm_parts(av[at_a], bv[at_b], gemm)
-        big, small = _contiguous(big, new, calls), _contiguous(small, new, calls)
-        x, y = (small, big) if x_small else (big, small)
-        block = out[at] if axes is None else out[at].transpose(axes)
-        calls.append(partial(np.matmul, x.reshape(x_shape).transpose(x_order),
-                             y.reshape(y_shape).transpose(y_order),
-                             out=block.reshape(o_shape).transpose(o_order)))
-        yield calls
+def _product_views(big, small, out, at, axes, layout):
+    # The views (x, y, o) of C-contiguous operands and of the block ``at``
+    # of ``out`` by which np.matmul(x, y, out=o) computes a block product
+    # (see _product_layout).
+    x_small, x_shape, x_order, y_shape, y_order, o_shape, o_order = layout
+    x, y = (small, big) if x_small else (big, small)
+    block = out[at] if axes is None else out[at].transpose(axes)
+    return (x.reshape(x_shape).transpose(x_order), y.reshape(y_shape).transpose(y_order),
+            block.reshape(o_shape).transpose(o_order))
 
 
 def _gemm_parts(av, bv, plan):
@@ -1812,11 +1814,16 @@ class _Recorder:
                 val.shape, val.__array_interface__["data"][0] - raw.__array_interface__["data"][0],
                 val.strides)
             temps = []
+
+            def new(shape):
+                buf = np.empty(shape)
+                temps.append(self._buffer(shape, buf.strides, n))
+                return buf
+
             if fixed:
-                _INTO[kernel](list(vals), args, raw, lambda shape: temps.append(
-                    self._buffer(shape, np.empty(shape).strides, n)) or np.empty(shape))
-            form, extra, fixed, roots = _FIXED if fixed else _INTO_NOW, (b, tuple(temps), view), \
-                True, (b,)
+                _INTO[kernel](list(vals), args, raw, new)
+            form, extra = _FIXED if fixed else _INTO_NOW, (b, tuple(temps), view)
+            fixed, roots = True, (b,)
         elif fixed and (through is not None or kernel in _VIEWS and shared):
             form, extra = _ALIAS, through
         else:
