@@ -713,6 +713,28 @@ class TestArena:
         # A thread that runs only the smaller schedule keeps a smaller arena.
         assert in_thread(lambda: hess_vec_tt(programs[0], base, z))[1] == qf
 
+    def test_bound_schedule_freed_with_program_without_collector(self, rng):
+        # A thread's binding of a schedule to its arena holds no program:
+        # after replays, the program, its schedules and their bindings are
+        # freed by reference counting alone.
+        gc.disable()
+        try:
+            obj = quadratic_form(random_symmetric_ttmat(rng, MODES, 2))
+            base = point(rng)
+            z = direction(rng, base)
+            # Eager, recorded, then replayed twice, so both schedules are
+            # bound to the arena the larger one sized.
+            for _ in range(4):
+                riemannian_grad_tt(obj.evaluate, base)
+                hess_vec_tt(obj.evaluate, base, z)
+            schedules = [weakref.ref(s) for s in kept(obj.evaluate)]
+            assert all(s() in ad._state.bound for s in schedules)
+            program = weakref.ref(obj.evaluate)
+            del obj
+            assert program() is None and all(s() is None for s in schedules)
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("part", ["source", "computed"])
     def test_value_zero_block_core_part_is_not_frozen(self, split_always, part):
         # The block core of x and ones, contracted with ones, sums x's 12
