@@ -109,7 +109,7 @@ interval colouring of its lifetime, a view's extending its base's
 arena once: a GEMM step is then one ``np.dot`` or ``np.matmul`` with
 ``out=`` on ready views, an elementwise kernel or ``add_n`` a ufunc call
 with ``out=``, and ``transpose``, ``reshape`` and ``take_block`` views
-are built once and run nothing.  An operand the eager GEMM copies to make
+of planned buffers are built once and run nothing.  An operand the eager GEMM copies to make
 it C-contiguous is copied into a planned buffer, so BLAS sees the same
 shapes, layouts and transpose flags, and the results are bit-identical to
 the eager call's.  Kernels with no ``out=`` form (gathers,
