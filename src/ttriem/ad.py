@@ -48,18 +48,38 @@ mask kept beside it, by identity, for as long as it lives;
 products of its operands' masks (an unmasked operand is one block) and
 runs only those whose two blocks are non-zero, each one ``np.matmul``
 written straight into its own block of the result (batched over a block
-axis where the block's axes do not merge into one matrix), and zero-fills
-only the blocks no product writes.  It splits when no two products write
-one block and the multiply-adds that skips reach ``SPLIT_MIN_MACS`` plus
-``SPLIT_WRITE_MACS`` per entry the split writes; otherwise, and below that
-crossover, which was measured against the cost of the extra calls and
-copies, it runs whole.  A skipped product is
+axis where the block's axes do not merge into one matrix) and reading an
+operand block in place where BLAS can read it as it would read a copy,
+and zero-fills only the blocks no product writes.  It splits when no two
+products write one block and the multiply-adds that skips reach
+``SPLIT_MIN_MACS`` plus ``SPLIT_WRITE_MACS`` per entry the split writes;
+otherwise, and below that crossover, which was measured against the cost
+of the extra calls and copies, it runs whole.  A skipped product is
 never computed, so a structural zero block that meets an inf or NaN gives
-0, not NaN.  The forward pass, the eager sweeps and the replays run the
-same plans, and so the same kernels: a replay stays bit-identical to the
-eager call, which a rewrite of the recorded schedule alone could not be,
-since a GEMM over a sub-block can differ in the last bit from the same
-block of the whole GEMM.
+0, not NaN.
+
+A value-only sweep also drops the products no wanted input needs
+(:func:`grad`).  Walking the tape forward from the wanted inputs, which
+need every block, each node's demand, the blocks of its adjoint some
+wanted input needs, follows from its parents' by a rule that mirrors the
+op's mask rule: a ``block_core`` needs the blocks of its parts in demand,
+``transpose`` and ``reshape`` move the demand as they move a mask,
+``add_n``, ``add``, ``sub`` and ``neg`` need what any parent needs, and a
+``contract`` result needs a block when some product multiplies it into a
+block of an operand in demand by a non-zero block of the other operand.
+Every other op needs every block.  A contraction that a rule makes for a
+parent plans only the products that write blocks of the parent's demand,
+zero-fills the rest and marks them zero in its mask, so later
+contractions of the sweep skip them; below the split crossover it runs
+whole, computing every block.  The blocks in demand are computed as an
+unrestricted sweep computes them, so a gradient is unchanged but for the
+order of its sums; a recording sweep (``grad(..., as_vars=True)``), whose
+nodes may be differentiated again, computes every block.  The forward
+pass, the eager sweeps and the replays run the same plans, and so the
+same kernels: a replay stays bit-identical to the eager call, which a
+rewrite of the recorded schedule alone could not be, since a GEMM over a
+sub-block can differ in the last bit from the same block of the whole
+GEMM.
 
 The mode operations take a TT core's slices per mode value: ``gather_mode``
 and ``scatter_mode`` move whole (r_left, r_right) slices per sample, while
@@ -124,7 +144,8 @@ forward kernels of a whole call included; a wrapper around an op sees
 only the eager calls.  :meth:`Schedule.stats` counts, per op name, the
 steps of a recorded schedule and the bytes they write, and the
 multiply-adds its contractions run against those of the same
-contractions run whole.
+contractions run whole, of all its steps or of one phase: the forward
+pass, a recording sweep or a value-only sweep.
 """
 
 import math
@@ -182,21 +203,24 @@ class Var:
 
     A node is a tape input or has at least one ``Var`` parent; its other
     parents are plain float64 arrays, constants of the computation.
-    ``mask`` is the value's block mask, or ``None``.
+    ``mask`` is the value's block mask, or ``None``.  ``demand`` is how a
+    value-only sweep works out which blocks of the node's adjoint it needs
+    from its parents' (see :func:`grad`), or ``None`` for all of them.
     """
 
-    __slots__ = ("tape", "value", "op", "parents", "rules", "index", "mask")
+    __slots__ = ("tape", "value", "op", "parents", "rules", "index", "mask", "demand")
 
     # Keep numpy from consuming Vars in its own ufunc dispatch.
     __array_ufunc__ = None
 
-    def __init__(self, tape, value, op, parents=(), rules=(), mask=None):
+    def __init__(self, tape, value, op, parents=(), rules=(), mask=None, demand=None):
         self.tape = tape
         self.value = value
         self.op = op
         self.parents = parents
         self.rules = rules
         self.mask = mask
+        self.demand = demand
         self.index = len(tape.nodes)
         tape.nodes.append(self)
 
@@ -328,6 +352,18 @@ def grad(tape, output, wrt, as_vars=False):
     default ``as_vars=False`` the sweep is value-only: the tape stops
     recording until it returns (also when a rule raises), the rules compute
     plain ndarrays, the tape gains no node and those arrays are returned.
+
+    A value-only sweep first works out, walking the tape in creation order,
+    each node's demand: the blocks of its adjoint that some input in
+    ``wrt`` needs (:func:`_demands`).  A rule runs only for a parent with a
+    demand, and a contraction a rule makes computes only the blocks of the
+    parent's demand that are not structurally zero when that saves enough
+    to split it (:func:`contract`); the blocks it leaves out are zero and
+    masked as zero, so later contractions of the sweep skip them too.  The
+    blocks an input needs are computed as an unrestricted sweep computes
+    them, and every block of each returned gradient is needed.  A recording
+    sweep (``as_vars=True``) computes every block, since its nodes may be
+    differentiated again.
     """
     if isinstance(output, Var) and output.tape is not tape:
         raise InvalidVariableError("output does not belong to the given tape")
@@ -339,11 +375,13 @@ def grad(tape, output, wrt, as_vars=False):
     if not isinstance(output, Var):
         return [np.zeros(w.shape) for w in wrt]
 
-    recording = tape.recording
+    state = _state
+    recording, phase, want = tape.recording, state.phase, state.want
     tape.recording = recording and bool(as_vars)
-    _state.sweeping += 1
+    state.phase, state.want = ("inner" if as_vars else "value"), None
     try:
         wanted = {w.index for w in wrt}
+        demand = None if as_vars else _demands(tape.nodes[:output.index + 1], wanted)
         results = {}
         contribs = defaultdict(list, {output.index: [np.ones(())]})
         for i in range(output.index, -1, -1):
@@ -355,13 +393,20 @@ def grad(tape, output, wrt, as_vars=False):
             if i in wanted:
                 results[i] = adj
             for parent, rule in zip(node.parents, node.rules):
-                if isinstance(parent, Var):
+                if parent.__class__ is Var:
+                    if demand is not None:
+                        if demand[parent.index] is False:
+                            continue
+                        # Read by contract: a rule that contracts does so
+                        # only to make its contribution, as the rules of
+                        # contract and reduce_sum do.
+                        state.want = demand[parent.index]
                     contribs[parent.index].append(rule(adj))
         return [results[w.index] if w.index in results else np.zeros(w.shape)
                 for w in wrt]
     finally:
         tape.recording = recording
-        _state.sweeping -= 1
+        state.phase, state.want = phase, want
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +446,17 @@ def _operands(*parts):
     return tape, operands, vals
 
 
-def _node(tape, op, kernel, vals, parents, rules, args=(), mask=None):
+def _node(tape, op, kernel, vals, parents, rules, args=(), mask=None, demand=None):
     # The result of an ``op``, kernel(*vals, *args): its value off a tape, a
     # node on one.  A recording call logs the kernel call.  ``mask`` is the
-    # value's block mask, worked out from the operands' masks alone.
+    # value's block mask, worked out from the operands' masks alone, and
+    # ``demand`` the node's demand rule (see grad).
     val = kernel(*vals, *args)
     recorder = _state.recorder
     if recorder is not None:
         recorder.step(op, kernel, vals, args, val)
     if tape is not None:
-        return Var(tape, val, op, parents, rules, mask)
+        return Var(tape, val, op, parents, rules, mask, demand)
     if mask is not None:
         _set_mask(val, mask)
     return val
@@ -470,6 +516,7 @@ def _zero_cells(mask, cuts):
     return {cell for cell in _cells(cuts) if tuple(o[i] for o, i in zip(owners, cell)) in zero}
 
 
+@lru_cache(maxsize=1024)
 def _block_core_mask(shape, ats, zero_parts):
     # Zero where no part but those listed in ``zero_parts`` lies.
     cuts = [sorted({0, n}.union(*[at[ax] for at in ats])) for ax, n in enumerate(shape)]
@@ -517,6 +564,50 @@ def _common_mask(masks):
     return _canonical(cuts, set.intersection(*[_zero_cells(m, cuts) for m in masks]))
 
 
+# ---------------------------------------------------------------------------
+# demands (see grad)
+#
+# A node's demand is the set of blocks of its adjoint that some wanted input
+# needs, held as a block mask whose zero cells are the blocks none needs:
+# None when every block is needed, and False when none is.  It follows from
+# its parents' demands by the node's ``demand``, called with one demand per
+# parent (False for a constant); a node without one needs every block once a
+# parent needs any.  Each such rule mirrors its op's mask rule.
+
+
+def _demands(nodes, wanted):
+    # The demand of each of ``nodes``, a tape's nodes in creation order from
+    # its first, when the inputs of index ``wanted`` need every block.
+    demand = []
+    append = demand.append
+    for node in nodes:
+        if node.index in wanted:
+            append(None)
+            continue
+        wants = [demand[p.index] if p.__class__ is Var else False for p in node.parents]
+        if wants.count(False) == len(wants):
+            append(False)
+        else:
+            append(None if node.demand is None else node.demand(wants))
+    return demand
+
+
+def _union(wants):
+    # The blocks that any of the demands ``wants``, of one shape, needs.
+    wants = [w for w in wants if w is not False]
+    if None in wants:
+        return None
+    return wants[0] if len(wants) == 1 else _common_mask(tuple(wants))
+
+
+def _transpose_demand(perm, wants):
+    return wants[0] and _transpose_mask(wants[0], tuple(p % len(perm) for p in perm))
+
+
+def _reshape_demand(old, new, wants):
+    return wants[0] and _reshape_mask(wants[0], old, new)
+
+
 def _unbroadcast(g, shape):
     # Elementwise ops allow mixing a scalar with a tensor; fold the gradient
     # of the scalar operand back down.
@@ -535,7 +626,7 @@ def add_n(parts):
         if v.shape != vals[0].shape:
             raise DimensionError(f"add_n term shapes differ: {vals[0].shape} vs {v.shape}")
     return _node(tape, "add_n", _add_n_value, vals, tuple(parts), (lambda u: u,) * len(parts),
-                 mask=None if None in masks else _common_mask(tuple(masks)))
+                 mask=None if None in masks else _common_mask(tuple(masks)), demand=_union)
 
 
 def _add_n_value(*vals):
@@ -547,7 +638,7 @@ def _add_n_value(*vals):
     return val
 
 
-def _binary(name, fwd, rule_a, rule_b):
+def _binary(name, fwd, rule_a, rule_b, demand=None):
     # rule_x(u, a, b, out) is the adjoint for one operand before the
     # scalar-broadcast fold.
     def op(a, b):
@@ -558,25 +649,25 @@ def _binary(name, fwd, rule_a, rule_b):
         out = _node(tape, name, fwd, vals, (a, b), (
             lambda u: _unbroadcast(rule_a(u, a, b, out), a.shape),
             lambda u: _unbroadcast(rule_b(u, a, b, out), b.shape),
-        ))
+        ), demand=demand)
         return out
 
     op.__name__ = name
     return op
 
 
-add = _binary("add", np.add, lambda u, a, b, out: u, lambda u, a, b, out: u)
-sub = _binary("sub", np.subtract, lambda u, a, b, out: u, lambda u, a, b, out: neg(u))
+add = _binary("add", np.add, lambda u, a, b, out: u, lambda u, a, b, out: u, _union)
+sub = _binary("sub", np.subtract, lambda u, a, b, out: u, lambda u, a, b, out: neg(u), _union)
 mul = _binary("mul", np.multiply, lambda u, a, b, out: mul(u, b), lambda u, a, b, out: mul(u, a))
 div = _binary("div", np.divide, lambda u, a, b, out: div(u, b),
               lambda u, a, b, out: neg(mul(div(u, b), out)))
 
 
-def _unary(name, fwd, rule):
+def _unary(name, fwd, rule, demand=None):
     # rule(u, a, out) is the adjoint for the operand.
     def op(a):
         tape, (a,), vals = _operands(a)
-        out = _node(tape, name, fwd, vals, (a,), (lambda u: rule(u, a, out),))
+        out = _node(tape, name, fwd, vals, (a,), (lambda u: rule(u, a, out),), demand=demand)
         return out
 
     op.__name__ = name
@@ -588,7 +679,7 @@ def _sigmoid_np(t):
     return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-neg = _unary("neg", np.negative, lambda u, a, out: neg(u))
+neg = _unary("neg", np.negative, lambda u, a, out: neg(u), _union)
 exp = _unary("exp", np.exp, lambda u, a, out: mul(u, out))
 log = _unary("log", np.log, lambda u, a, out: div(u, a))
 sin = _unary("sin", np.sin, lambda u, a, out: mul(u, cos(a)))
@@ -612,7 +703,8 @@ def reshape(a, shape):
     tape, (a,), vals = _operands(a)
     old = vals[0].shape
     return _node(tape, "reshape", np.reshape, vals, (a,), (lambda u: reshape(u, old),),
-                 (shape,), mask and _reshape_mask(mask, old, shape))
+                 (shape,), mask and _reshape_mask(mask, old, shape),
+                 partial(_reshape_demand, old, shape))
 
 
 def transpose(a, perm):
@@ -623,7 +715,7 @@ def transpose(a, perm):
         mask = _transpose_mask(mask, tuple(p % len(perm) for p in perm))
     return _node(tape, "transpose", np.transpose, vals, (a,),
                  (lambda u: transpose(u, np.argsort([p % len(perm) for p in perm])),),
-                 (perm,), mask)
+                 (perm,), mask, partial(_transpose_demand, perm))
 
 
 def concat(parts, axis):
@@ -704,11 +796,11 @@ def block_core(shape, parts):
 
 
 def _block_core_plan(shape, ats, vals):
-    # The adjoint rules, kernel arguments and mask of the block_core of
-    # ``vals`` at the blocks ``ats``.
+    # The adjoint rules, kernel arguments, mask and demand rule of the
+    # block_core of ``vals`` at the blocks ``ats``.
     # A sweep's parts are zero by structure only, never by value: the
     # masks of its kernels must not depend on the values it computes.
-    zero = () if _state.sweeping else tuple(i for i, v in enumerate(vals) if _is_zero(v))
+    zero = () if _state.phase != "forward" else tuple(i for i, v in enumerate(vals) if _is_zero(v))
     if zero and _state.recorder is not None:
         _state.recorder.value_mask([vals[i] for i in zero])
     return _block_core_static(tuple(shape), tuple(tuple(map(tuple, at)) for at in ats),
@@ -721,7 +813,12 @@ def _block_core_static(shape, ats, shapes, zero):
     # zero, cached per key.
     shape, ats, slices = _block_layout(shape, ats, shapes)
     return (tuple(lambda u, at=at: take_block(u, at) for at in ats), (shape, slices),
-            _block_core_mask(shape, ats, zero))
+            _block_core_mask(shape, ats, zero), partial(_block_core_demand, shape, ats))
+
+
+def _block_core_demand(shape, ats, wants):
+    # The blocks of the parts in demand.
+    return _block_core_mask(shape, ats, tuple(i for i, w in enumerate(wants) if w is False))
 
 
 class KeptBlockCore:
@@ -747,12 +844,12 @@ class KeptBlockCore:
         self._parts = parts
         self._rest = [a for a, _ in parts[1:]]
         vals = [a for a, _ in parts]
-        rules, args, mask = _block_core_plan(shape, [at for _, at in parts], vals)
+        rules, args, mask, demand = _block_core_plan(shape, [at for _, at in parts], vals)
         self.value = _block_core_value(*vals, *args)
         self.value.flags.writeable = False
         if mask is not None:
             _set_mask(self.value, mask)
-        self._plan = (rules, (self.value,), mask)
+        self._plan = (rules, (self.value,), mask, demand)
 
     def of(self, first):
         own, at = self._parts[0]
@@ -873,11 +970,13 @@ SPLIT_WRITE_MACS = 15
 
 
 @lru_cache(maxsize=4096)
-def _contract_plan(sa, sb, axes, perm, ma, mb):
-    # ((kernel, plan), grad_a, grad_b, mask) of contract(a, b, axes, perm)
-    # for a of shape sa and mask ma and b of shape sb and mask mb, built once
-    # per key: the kernel (one GEMM, or the block products) and its plan,
-    # each adjoint's axes and order, and the result's mask.
+def _contract_plan(sa, sb, axes, perm, ma, mb, want=None):
+    # ((kernel, plan), grad_a, grad_b, mask, demand) of contract(a, b, axes,
+    # perm) for a of shape sa and mask ma and b of shape sb and mask mb,
+    # whose result's blocks outside the demand ``want`` (see grad) are not
+    # needed, built once per key: the kernel (one GEMM, or the block
+    # products) and its plan, each adjoint's axes and order, the result's
+    # mask and the node's demand rule.
     # Validation happens here, so a key gets a plan only if its shapes, axes
     # and perm are valid.
     # range(n)[p] maps p in [-n, n) to [0, n) and raises IndexError for any other p.
@@ -914,43 +1013,37 @@ def _contract_plan(sa, sb, axes, perm, ma, mb):
     grad_a = (tuple((inv[len(fa) + j], q) for j, q in enumerate(fb)), _argsort(to_a))
     grad_b = (tuple((p, inv[j]) for j, p in enumerate(fa)), _argsort(to_b))
     ext = [sa[i] for i in fa] + [sb[i] for i in fb]
+    demand = partial(_contract_demand, (sa, sb, ca, cb, perm, ma, mb))
     dense = math.prod(ext) * math.prod(sa[p] for p in ca)
     gemm, got = _gemm_plan(sa, sb, ca, cb, perm)
     whole = (_gemm, gemm)
-    if ma is None and mb is None:
-        return whole, grad_a, grad_b, None
-    # The block grid: each free axis cut as its operand's mask cuts it, each
-    # contracted pair at the cuts of both.  A cell of the product space
-    # (free axes of a, contracted pairs, free axes of b) is a block product,
-    # kept when both of its operand blocks are non-zero.
-    grid_a = list(ma[0] if ma else [(0, n) for n in sa])
-    grid_b = list(mb[0] if mb else [(0, n) for n in sb])
-    for p, q in zip(ca, cb):
-        grid_a[p] = grid_b[q] = tuple(sorted(set(grid_a[p]) | set(grid_b[q])))
+    if ma is None and mb is None and want is None:
+        return whole, grad_a, grad_b, None, demand
+    # A block product is kept when both of its operand blocks are non-zero
+    # and its result block is in demand.
+    grid_a, grid_b, grid, cells = _product_grid(sa, sb, ca, cb, perm, (ma,), (mb,), want)
     zero_a = _zero_cells(ma, grid_a) if ma else set()
     zero_b = _zero_cells(mb, grid_b) if mb else set()
-    grid = [grid_a[i] for i in fa] + [grid_a[p] for p in ca] + [grid_b[i] for i in fb]
+    kept = [(c, at) for c, xa, xb, at in cells if xa not in zero_a and xb not in zero_b]
+    live = {at for _, at in kept}
     ia, ib = fa + list(ca), list(cb) + fb  # operand axes in product-space order
     na = len(fa) + len(ca)
-    kept = [c for c in _cells(grid)
-            if _unpermute(c[:na], ia) not in zero_a and _unpermute(c[len(fa):], ib) not in zero_b]
-    live = {c[:len(fa)] + c[na:] for c in kept}
-    out_grid = [grid[j] for j in range(len(fa))] + grid[na:]
-    mask = _canonical([out_grid[j] for j in perm],
-                      {tuple(c[j] for j in perm) for c in _cells(out_grid) if c not in live})
+    out_grid = grid[:len(fa)] + grid[na:]
+    mask = _result_mask(out_grid, perm, live)  # the whole GEMM's
+    if want is not None:
+        live -= {_unpermute(c, perm) for c in _zero_cells(want, [out_grid[j] for j in perm])}
     # Products that differ along one axis only, and meet there, merge into
     # one, the contracted axes first, so products that would sum into one
     # result block become one product.  A split never sums: while two
     # products still write overlapping blocks, the contraction runs whole.
-    boxes = [tuple((i, i + 1) for i in c) for c in kept]
+    boxes = [tuple((i, i + 1) for i in c) for c, at in kept if at in live]
     for ax in list(range(len(fa), na)) + list(range(len(fa))) + list(range(na, len(grid))):
         boxes = _merge_along(boxes, ax)
     # The result is laid out as the whole GEMM's would be, in a buffer whose
     # axes are the result axes in the order ``got`` that GEMM gives them,
     # and each product comes out in that order too where it can, so its
     # GEMM writes straight into its block of the buffer.  Only the blocks
-    # no product writes are zero-filled.  A block's index ends in ``...``,
-    # so the block of a 0-d buffer is a view too.
+    # no product writes are zero-filled.
     shape = tuple(ext[j] for j in got)
     strides = [8 * math.prod(shape[k + 1:]) for k in range(len(shape))]
     products, written, macs = [], [], 0
@@ -961,25 +1054,86 @@ def _contract_plan(sa, sb, axes, perm, ma, mb):
         at = (span[:len(fa)] + span[na:])
         if any(all(lo < hi2 and lo2 < hi for (lo, hi), (lo2, hi2) in zip(at, other))
                for other in written):
-            return whole, grad_a, grad_b, mask
+            return whole, grad_a, grad_b, mask, demand
         written.append(at)
         gemm, got_p = _gemm_plan(tuple(hi - lo for lo, hi in at_a),
                                  tuple(hi - lo for lo, hi in at_b), ca, cb, perm, got)
         axes = [got.index(j) for j in got_p]  # the buffer axis of each product axis
-        products.append((gemm, _slices(at_a), _slices(at_b), _slices([at[j] for j in got]) + (...,),
+        products.append((gemm, _slices(at_a), _slices(at_b), _slices([at[j] for j in got]),
                          _unless_identity(axes),
                          _product_layout(gemm, [strides[k] for k in axes])))
     writes = sum(math.prod(hi - lo for lo, hi in at) for at in written)
     fill = writes < math.prod(ext)
     if dense - macs < SPLIT_MIN_MACS + SPLIT_WRITE_MACS * (writes + fill * math.prod(ext)):
-        return whole, grad_a, grad_b, mask
+        return whole, grad_a, grad_b, mask, demand
+    if want is not None:
+        mask = _result_mask(out_grid, perm, live)
     zeros = [tuple((i, i + 1) for i in c) for c in _cells(out_grid) if c not in live]
     for ax in range(len(out_grid)):
         zeros = _merge_along(zeros, ax)
-    zeros = tuple(_slices([(out_grid[j][box[j][0]], out_grid[j][box[j][1]]) for j in got]) + (...,)
+    zeros = tuple(_slices([(out_grid[j][box[j][0]], out_grid[j][box[j][1]]) for j in got])
                   for box in sorted(zeros))
     buffer = (shape, _unless_identity(got.index(j) for j in perm), fill, zeros)
-    return (_block_products, (buffer, tuple(products), macs, dense)), grad_a, grad_b, mask
+    return (_block_products, (buffer, tuple(products), macs, dense)), grad_a, grad_b, mask, demand
+
+
+def _product_grid(sa, sb, ca, cb, perm, masks_a, masks_b, want=None):
+    # The block grid of the product space of contracting a (shape sa) and b
+    # (shape sb) over the axis pairs (ca, cb): the free axes of a, the
+    # contracted pairs, the free axes of b.  Each axis is cut where a mask
+    # of its operand (``masks_a``, ``masks_b``; None cuts nothing) or, for a
+    # free axis, the result's demand ``want`` cuts it, and each contracted
+    # pair at the cuts of both.  Returns the cuts of a's and of b's axes,
+    # the grid, and per cell of it (in C order) the cell, a's block, b's
+    # block and the unpermuted result block.
+    fa = [i for i in range(len(sa)) if i not in ca]
+    fb = [i for i in range(len(sb)) if i not in cb]
+    grid_a, grid_b = _cuts(sa, masks_a), _cuts(sb, masks_b)
+    for p, q in zip(ca, cb):
+        grid_a[p] = grid_b[q] = tuple(sorted(set(grid_a[p]) | set(grid_b[q])))
+    for points, k in zip(want[0] if want else (), perm):
+        side, ax = (grid_a, fa[k]) if k < len(fa) else (grid_b, fb[k - len(fa)])
+        side[ax] = tuple(sorted(set(side[ax]) | set(points)))
+    grid = [grid_a[i] for i in fa] + [grid_a[p] for p in ca] + [grid_b[i] for i in fb]
+    ia, ib = fa + list(ca), list(cb) + fb
+    na = len(fa) + len(ca)
+    return grid_a, grid_b, grid, [
+        (c, _unpermute(c[:na], ia), _unpermute(c[len(fa):], ib), c[:len(fa)] + c[na:])
+        for c in _cells(grid)]
+
+
+def _result_mask(out_grid, perm, live):
+    # The mask of a contraction's result, zero but for the blocks ``live``
+    # of its unpermuted block grid ``out_grid``, its axes in perm's order.
+    return _canonical([out_grid[j] for j in perm],
+                      {tuple(c[j] for j in perm) for c in _cells(out_grid) if c not in live})
+
+
+def _cuts(shape, masks):
+    # Per axis of ``shape``, the cut points of every mask in ``masks``.
+    return [tuple(sorted({0, n}.union(*[m[0][i] for m in masks if m]))) for i, n in enumerate(shape)]
+
+
+def _contract_demand(key, wants):
+    return _contract_need(*key, *wants)
+
+
+@lru_cache(maxsize=1024)
+def _contract_need(sa, sb, ca, cb, perm, ma, mb, da, db):
+    # The demand on the result of contracting a (shape sa, mask ma) and b
+    # (sb, mb) over (ca, cb), its axes in the order perm, for the demands
+    # da on a and db on b: a result block is needed for a when some product
+    # multiplies it into a block of a in demand by a non-zero block of b,
+    # and likewise for b.
+    grid_a, grid_b, grid, cells = _product_grid(sa, sb, ca, cb, perm, (ma, da), (mb, db))
+    zero_a = _zero_cells(ma, grid_a) if ma else set()
+    zero_b = _zero_cells(mb, grid_b) if mb else set()
+    skip_a = set(_cells(grid_a)) if da is False else _zero_cells(da, grid_a) if da else set()
+    skip_b = set(_cells(grid_b)) if db is False else _zero_cells(db, grid_b) if db else set()
+    need = {at for _, xa, xb, at in cells
+            if xa not in skip_a and xb not in zero_b or xb not in skip_b and xa not in zero_a}
+    free = len(sa) - len(ca)
+    return bool(need) and _result_mask(grid[:free] + grid[free + len(ca):], perm, need)
 
 
 def _product_layout(gemm, strides):
@@ -1045,7 +1199,9 @@ def _unpermute(items, axes):
 
 
 def _slices(span):
-    return tuple(slice(lo, hi) for lo, hi in span)
+    # The index of a block: it ends in ``...``, so the block of a 0-d array
+    # is a view too, as a replay binds it, never a scalar copy.
+    return tuple(slice(lo, hi) for lo, hi in span) + (...,)
 
 
 def _merge_along(boxes, ax):
@@ -1110,7 +1266,10 @@ def contract(a, b, axes, perm=None):
     those whose two blocks are non-zero run, each one ``np.matmul`` written
     straight into its own block of a result zero-filled where none writes,
     and only when no two write one block and they skip at least
-    ``SPLIT_MIN_MACS`` multiply-adds.  Each product, and an unsplit
+    ``SPLIT_MIN_MACS`` multiply-adds.  Inside a value-only sweep, a
+    contraction that an adjoint rule makes also drops the products that
+    write only blocks no wanted input needs (:func:`grad`); those blocks
+    are zero, and its mask says so.  Each product, and an unsplit
     contraction, is one GEMM, a product's batched over a block axis where
     its block's axes do not merge into one matrix.  Its larger operand
     (of two of one size, the one that suits the call better) is taken as
@@ -1121,7 +1280,8 @@ def contract(a, b, axes, perm=None):
     otherwise one ``np.matmul`` batched over P.  When they do not, it is
     first copied into that form.  Only the smaller operand is rearranged,
     by ``np.ascontiguousarray`` into (K, N) order, N its free axes in the
-    order ``perm`` gives them.  An unsplit result is C-contiguous whenever
+    order ``perm`` gives them; a product reads each operand block in place
+    when BLAS can read it so, and copies it otherwise.  An unsplit result is C-contiguous whenever
     ``perm`` orders it as P+N+Q (or N+P when Q is empty), and a transposed
     view otherwise; a split one is laid out as the unsplit one would be.
     Each adjoint is again one
@@ -1133,14 +1293,14 @@ def contract(a, b, axes, perm=None):
     axes = tuple([(index(p), index(q)) for p, q in axes])
     if perm is not None:
         perm = tuple(map(index, perm))
-    (kernel, plan), grad_a, grad_b, mask = _contract_plan(vals[0].shape, vals[1].shape, axes,
-                                                          perm, ma, mb)
+    (kernel, plan), grad_a, grad_b, mask, demand = _contract_plan(
+        vals[0].shape, vals[1].shape, axes, perm, ma, mb, _state.want)
     # The rules call the module's contract by name, so a wrapper installed
     # in its place sees the adjoint contractions too.
     return _node(tape, "contract", kernel, vals, (a, b), (
         lambda u: contract(u, b, *grad_a),
         lambda u: contract(a, u, *grad_b),
-    ), (plan,), mask)
+    ), (plan,), mask, demand)
 
 
 def _block_products(av, bv, plan):
@@ -1152,9 +1312,8 @@ def _block_products(av, bv, plan):
     shape, order, fill = plan[0][:3]
     out = np.zeros(shape) if fill else np.empty(shape)
     for gemm, at_a, at_b, at, axes, layout in plan[1]:
-        big, small = _gemm_parts(av[at_a], bv[at_b], gemm)
-        *xy, o = _product_views(np.ascontiguousarray(big), np.ascontiguousarray(small),
-                                out, at, axes, layout)
+        *xy, o = _product_views(*_gemm_parts(av[at_a], bv[at_b], gemm), out, at, axes, layout,
+                                _blas_view)
         np.matmul(*xy, out=o)
     return out if order is None else out.transpose(order)
 
@@ -1162,27 +1321,57 @@ def _block_products(av, bv, plan):
 def _block_products_into(vals, args, out, new):
     # The calls that compute a split contraction into its result buffer
     # ``out``: zeros in the blocks no product writes, then the products,
-    # each one's operands copied into ``new`` buffers where
-    # np.ascontiguousarray would copy them.
+    # each one's operands copied into ``new`` buffers where _blas_view
+    # would copy them.
     (_, _, _, zeros), products = args[0][:2]
     calls = [partial(out[at].fill, 0.0) for at in zeros]
+
+    def ready(a, shape):
+        v = a.reshape(shape)
+        if np.may_share_memory(v, a) and _steps_as_copy(v):
+            return v
+        return _contiguous(a, new, calls).reshape(shape)
+
     for gemm, at_a, at_b, at, axes, layout in products:
-        big, small = _gemm_parts(vals[0][at_a], vals[1][at_b], gemm)
-        *xy, o = _product_views(_contiguous(big, new, calls), _contiguous(small, new, calls),
-                                out, at, axes, layout)
+        *xy, o = _product_views(*_gemm_parts(vals[0][at_a], vals[1][at_b], gemm), out, at, axes,
+                                layout, ready)
         calls.append(partial(np.matmul, *xy, out=o))
     return calls
 
 
-def _product_views(big, small, out, at, axes, layout):
-    # The views (x, y, o) of C-contiguous operands and of the block ``at``
-    # of ``out`` by which np.matmul(x, y, out=o) computes a block product
-    # (see _product_layout).
+def _product_views(big, small, out, at, axes, layout, ready):
+    # The views (x, y, o) of the operand blocks and of the block ``at`` of
+    # ``out`` by which np.matmul(x, y, out=o) computes a block product (see
+    # _product_layout); ready(operand, shape) is the operand as BLAS reads
+    # it, reshaped to ``shape``.
     x_small, x_shape, x_order, y_shape, y_order, o_shape, o_order = layout
     x, y = (small, big) if x_small else (big, small)
     block = out[at] if axes is None else out[at].transpose(axes)
-    return (x.reshape(x_shape).transpose(x_order), y.reshape(y_shape).transpose(y_order),
+    return (ready(x, x_shape).transpose(x_order), ready(y, y_shape).transpose(y_order),
             block.reshape(o_shape).transpose(o_order))
+
+
+def _blas_view(a, shape):
+    # The operand block ``a`` reshaped to ``shape`` for a block product: in
+    # place, BLAS reading it with a leading dimension longer than its row,
+    # when that reshape is a view that steps along its unit-stride axis as
+    # a C-contiguous copy would (so BLAS is called the same way and gives
+    # the same bits); otherwise such a copy.  A reshape with no view
+    # returns one.
+    v = a.reshape(shape)
+    return v if _steps_as_copy(v) else np.ascontiguousarray(v)
+
+
+def _steps_as_copy(v):
+    # Whether ``v``'s trailing axes, up to its innermost of extent over 1,
+    # step as those of a C-contiguous copy do.
+    step = v.itemsize
+    for n, s in zip(reversed(v.shape), reversed(v.strides)):
+        if s != step:
+            return False
+        if n != 1:
+            return True
+    return True
 
 
 def _gemm_parts(av, bv, plan):
@@ -1505,7 +1694,10 @@ replayed = Counter()
 
 class _State(threading.local):
     recorder = None
-    sweeping = 0  # the number of reverse sweeps running
+    # "forward" outside a reverse sweep, else the innermost running sweep's
+    # kind: "inner" for a recording one, "value" for a value-only one.
+    phase = "forward"
+    want = None  # the demand of the parent whose adjoint rule runs (see grad)
     arena = None  # this thread's replay arena: a float64 buffer
     bound = None  # the schedules bound to it, weakly, each to its calls
 
@@ -1596,18 +1788,29 @@ class Schedule:
         self.results = results
         self.zero_sources = zero_sources
         self._stats = stats
-        self.kernels = Counter({op: op_stats["steps"] for op, op_stats in stats.items()})
+        self.kernels = Counter()
+        for ops in stats.values():
+            self.kernels.update({op: op_stats["steps"] for op, op_stats in ops.items()})
         self.peak_live_bytes = peak_live_bytes
         self.arena_bytes = max((at + nbytes for at, nbytes, *_ in buffers), default=0)
 
-    def stats(self):
+    def stats(self, phase=None):
         """Per op name, counted when the schedule was recorded: ``steps``,
         the kernel calls an eager call runs, and ``bytes``, the bytes of
         their outputs; for ``contract`` also ``macs``, the multiply-adds its
         block products run, and ``dense_macs``, those of the same
-        contractions run whole.  The peak of the bytes a replay holds is
+        contractions run whole.  Given a ``phase``, only the steps of that
+        phase count: ``"forward"`` (the program and its checks),
+        ``"inner"`` (a recording sweep, such as an HVP's inner gradient) or
+        ``"value"`` (a value-only sweep: a gradient's, or an HVP's outer
+        one).  The peak of the bytes a replay holds is
         :attr:`peak_live_bytes`, its arena :attr:`arena_bytes`."""
-        return {op: dict(op_stats) for op, op_stats in self._stats.items()}
+        out = {}
+        for name, ops in self._stats.items():
+            if phase is None or name == phase:
+                for op, op_stats in ops.items():
+                    out.setdefault(op, Counter()).update(op_stats)
+        return {op: dict(op_stats) for op, op_stats in out.items()}
 
     def run(self, sources):
         """The recorded results for the arrays ``sources``."""
@@ -1749,6 +1952,7 @@ class _Recorder:
         self.alive = {}  # id -> weak reference to a step's output, or a scalar output
         self.literals = {}  # slot -> array
         self.steps = []
+        self.phases = []  # the phase (see Schedule.stats) of each step
         self.count = len(sources)
         self.static = True
         self.zero_sources = set()
@@ -1830,6 +2034,7 @@ class _Recorder:
             form, extra, fixed = _HEAP, None, False
         self.fixed[out], self.roots[out] = fixed, roots
         self.steps.append((op, kernel, ins, args, out, nbytes, form, extra))
+        self.phases.append(_state.phase)
 
     def schedule(self, results):
         """The :class:`Schedule` of the steps, returning ``results``, each
@@ -1839,10 +2044,11 @@ class _Recorder:
         self.alive.clear()
         last = {}
         stats = {}
-        for n, (op, kernel, ins, args, out, nbytes, *_) in enumerate(self.steps):
+        for n, ((op, kernel, ins, args, out, nbytes, *_), phase) in enumerate(
+                zip(self.steps, self.phases)):
             for s in ins + (out,):
                 last[s] = n
-            op_stats = stats.setdefault(op, Counter())
+            op_stats = stats.setdefault(phase, {}).setdefault(op, Counter())
             op_stats.update(steps=1, bytes=nbytes)
             if op == "contract":
                 op_stats.update(_contract_macs(kernel, args[0]))

@@ -12,8 +12,20 @@ from hypothesis import given, settings, strategies as st
 
 from ttriem import ad
 from ttriem.objectives import gram_quadratic_form, quadratic_form
-from ttriem.tt import orthogonalize, random_symmetric_ttmat, random_tt, random_ttmat
+from ttriem.oracles import dense_oracle_hvp, dense_residual
+from ttriem.tt import (
+    orthogonalize,
+    random_symmetric_ttmat,
+    random_tt,
+    random_ttmat,
+    tt_to_dense,
+)
 from ttriem.ttmanifold import hess_vec_tt, project_tt
+
+OBJECTIVES = pytest.mark.parametrize("build", [
+    lambda rng, modes: quadratic_form(random_symmetric_ttmat(rng, modes, 2)),
+    lambda rng, modes: gram_quadratic_form(random_ttmat(rng, modes, modes, 2)),
+], ids=["qf", "gram"])
 
 
 @contextlib.contextmanager
@@ -30,9 +42,15 @@ def split_always():
         ad._contract_plan.cache_clear()
 
 
-def contract_stats(owner):
-    """The ``contract`` statistics of the schedule last recorded for ``owner``."""
-    return list(ad._schedules[owner][1].values())[-1].stats()["contract"]
+def last_schedule(owner):
+    """The schedule last recorded for ``owner``."""
+    return list(ad._schedules[owner][1].values())[-1]
+
+
+def contract_stats(owner, phase=None):
+    """The ``contract`` statistics of the schedule last recorded for
+    ``owner``, of one phase or of all."""
+    return last_schedule(owner).stats(phase)["contract"]
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +124,22 @@ def draw_program(data):
             ops.append((name, (i,), axes))
             shapes.append(tuple(n for ax, n in enumerate(s) if ax not in axes))
         elif name == "contract":
-            j = data.draw(st.integers(0, len(shapes) - 1))
+            if data.draw(st.booleans()):
+                # An inner product: a scalar, which a split writes as one
+                # product into a 0-d block.
+                j = data.draw(st.sampled_from(same))
+                pairs = [(p, p) for p in range(len(s))]
+            else:
+                j = data.draw(st.integers(0, len(shapes) - 1))
+                pairs = []
             t = shapes[j]
-            pairs = []
-            for p, n in enumerate(s):
+            for p, n in enumerate(s if not pairs else ()):
                 free = [q for q, m in enumerate(t) if m == n and q not in [q2 for _, q2 in pairs]]
                 if free and data.draw(st.booleans()):
                     pairs.append((p, data.draw(st.sampled_from(free))))
             rest = [n for p, n in enumerate(s) if p not in [p2 for p2, _ in pairs]] + \
                 [m for q, m in enumerate(t) if q not in [q2 for _, q2 in pairs]]
-            if not 1 <= len(rest) <= 4 or np.prod(rest) > 400:
+            if len(rest) > 4 or np.prod(rest) > 400:
                 continue
             perm = tuple(data.draw(st.permutations(range(len(rest)))))
             ops.append((name, (i, j), (tuple(pairs), perm)))
@@ -293,6 +317,26 @@ class TestDifferential:
             want = sweep(lambda xs: program(xs), later, object())
         assert got[0].tobytes() == want[0].tobytes() and np.any(want[0])
 
+    def test_split_product_with_a_computed_scalar_replays(self, rng):
+        # A split outer product of a scalar the call computes with a block
+        # core: a replay binds the scalar's block as a 0-d view of its
+        # buffer, and reads it afresh each call.
+        a, w = rng.standard_normal((2, 2)), rng.standard_normal((4, 4))
+
+        def program(xs):
+            core = ad.block_core((4, 4), [(xs[0], ((0, 2), (0, 2)))])
+            scalar = ad.contract(xs[0], a, [(0, 0), (1, 1)])
+            outer = ad.contract(scalar, core, [])
+            return ad.reduce_sum(ad.mul(ad.mul(outer, outer), w))
+
+        with split_always():
+            for _ in range(2):
+                sweep(program, [rng.standard_normal((2, 2))], program)
+            later = [rng.standard_normal((2, 2))]
+            got = sweep(program, later, program)
+            want = sweep(lambda xs: program(xs), later, object())
+        assert got[0].tobytes() == want[0].tobytes()
+
     def test_tape_input_has_no_mask(self, rng):
         core = ad.block_core((4, 2, 4), [(rng.standard_normal((2, 2, 2)), ((0, 2), (0, 2), (0, 2)))])
         assert ad._mask_of(core) is not None
@@ -373,10 +417,7 @@ class TestMasks:
 
 
 class TestScheduleStats:
-    @pytest.mark.parametrize("build", [
-        lambda rng, modes: quadratic_form(random_symmetric_ttmat(rng, modes, 2)),
-        lambda rng, modes: gram_quadratic_form(random_ttmat(rng, modes, modes, 2)),
-    ], ids=["qf", "gram"])
+    @OBJECTIVES
     def test_hvp_skips_half_the_dense_multiply_adds(self, rng, build):
         modes = (4, 4, 4, 4)
         base = orthogonalize(random_tt(rng, modes, 4))
@@ -410,4 +451,48 @@ class TestScheduleStats:
         # Two forward and four adjoint contractions of 6 * 5 * 7
         # multiply-adds each.
         assert stats["macs"] == stats["dense_macs"] == 6 * 6 * 5 * 7
-        assert list(ad._schedules[owner][1].values())[-1].stats()["mul"]["steps"] >= 1
+        assert last_schedule(owner).stats()["mul"]["steps"] >= 1
+
+
+class TestDemand:
+    @OBJECTIVES
+    def test_value_sweep_runs_only_needed_blocks(self, rng, build):
+        # The same HVP recorded with every block of every adjoint in demand,
+        # then with the demands grad works out.
+        modes = (4, 4, 4, 4)
+        base = orthogonalize(random_tt(rng, modes, 4))
+        z = project_tt(base, random_tt(rng, modes, 4))
+        obj = build(rng, modes)
+        program = obj.evaluate
+        with split_always():
+            with mock.patch.object(ad, "_demands", lambda nodes, wanted: [None] * len(nodes)):
+                for _ in range(2):  # eager, then recorded
+                    hess_vec_tt(program, base, z)
+            every = last_schedule(program)
+            del ad._schedules[program]
+            calls = [hess_vec_tt(program, base, z) for _ in range(3)]  # eager, recorded, replayed
+            needed = last_schedule(program)
+        assert needed.stats("value")["contract"]["macs"] < \
+            every.stats("value")["contract"]["macs"]
+        assert needed.stats("inner") == every.stats("inner")
+        assert needed.stats("forward") == every.stats("forward")
+        for call in calls[1:]:
+            for a, b in zip(calls[0].deltas, call.deltas):
+                assert a.tobytes() == b.tobytes()
+        want = dense_oracle_hvp(obj, base, tt_to_dense(z.materialize()))
+        assert dense_residual(calls[2], want) < 1e-12
+
+    def test_phases_add_up(self, rng):
+        modes = (4, 4, 4)
+        base = orthogonalize(random_tt(rng, modes, 3))
+        z = project_tt(base, random_tt(rng, modes, 3))
+        program = quadratic_form(random_symmetric_ttmat(rng, modes, 2)).evaluate
+        for _ in range(2):
+            hess_vec_tt(program, base, z)
+        schedule = last_schedule(program)
+        total = schedule.stats()
+        phases = [schedule.stats(phase) for phase in ("forward", "inner", "value")]
+        assert all(phase.get("contract", {}).get("steps") for phase in phases)
+        for op, counts in total.items():
+            for key, value in counts.items():
+                assert value == sum(phase.get(op, {}).get(key, 0) for phase in phases)
