@@ -1015,6 +1015,8 @@ def _contract_plan(sa, sb, axes, perm, ma, mb, want=None):
     ext = [sa[i] for i in fa] + [sb[i] for i in fb]
     demand = partial(_contract_demand, (sa, sb, ca, cb, perm, ma, mb))
     dense = math.prod(ext) * math.prod(sa[p] for p in ca)
+    if want is not None and dense < SPLIT_MIN_MACS:
+        return _contract_plan(sa, sb, axes, perm, ma, mb)  # too small to split: runs whole
     gemm, got = _gemm_plan(sa, sb, ca, cb, perm)
     whole = (_gemm, gemm)
     if ma is None and mb is None and want is None:
