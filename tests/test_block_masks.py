@@ -47,10 +47,9 @@ def last_schedule(owner):
     return list(ad._schedules[owner][1].values())[-1]
 
 
-def contract_stats(owner, phase=None):
-    """The ``contract`` statistics of the schedule last recorded for
-    ``owner``, of one phase or of all."""
-    return last_schedule(owner).stats(phase)["contract"]
+def contract_stats(owner):
+    """The ``contract`` statistics of the schedule last recorded for ``owner``."""
+    return last_schedule(owner).stats()["contract"]
 
 
 # ---------------------------------------------------------------------------
@@ -124,16 +123,13 @@ def draw_program(data):
             ops.append((name, (i,), axes))
             shapes.append(tuple(n for ax, n in enumerate(s) if ax not in axes))
         elif name == "contract":
-            if data.draw(st.booleans()):
-                # An inner product: a scalar, which a split writes as one
-                # product into a 0-d block.
-                j = data.draw(st.sampled_from(same))
-                pairs = [(p, p) for p in range(len(s))]
-            else:
-                j = data.draw(st.integers(0, len(shapes) - 1))
-                pairs = []
+            # Half are inner products: a scalar, which a split writes as one
+            # product into a 0-d block.
+            inner = data.draw(st.booleans())
+            j = data.draw(st.sampled_from(same) if inner else st.integers(0, len(shapes) - 1))
             t = shapes[j]
-            for p, n in enumerate(s if not pairs else ()):
+            pairs = [(p, p) for p in range(len(s))] if inner else []
+            for p, n in enumerate(() if inner else s):
                 free = [q for q, m in enumerate(t) if m == n and q not in [q2 for _, q2 in pairs]]
                 if free and data.draw(st.booleans()):
                     pairs.append((p, data.draw(st.sampled_from(free))))
